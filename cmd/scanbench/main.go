@@ -96,16 +96,14 @@ func main() {
 	}
 	if *compare {
 		rejectAxes(axes.ServeOnly(), "-serve")
-		co := scanshare.NewCompareOptions(opts, axes, *real)
 		start := time.Now()
-		printCompare(scanshare.Compare(co), *real, *tsv)
+		printCompare(scanshare.Compare(scanshare.ServeOptions{Options: opts, ServeAxes: axes, Real: *real}), *real, *tsv)
 		fmt.Printf("# compare done in %v\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
 	if *serve {
-		so := scanshare.NewServeOptions(opts, axes, *real)
 		start := time.Now()
-		rows := scanshare.ServeSweep(so)
+		rows := scanshare.ServeSweep(scanshare.ServeOptions{Options: opts, ServeAxes: axes, Real: *real})
 		printServe(rows, *real, *tsv)
 		if axes.JSONOut != "" {
 			writeServeJSON(axes.JSONOut, rows)
@@ -313,12 +311,11 @@ func printServe(rows []scanshare.ServeRow, real, tsv bool) {
 }
 
 // writeServeJSON writes the sweep rows to path as a JSON array in the
-// wire schema (wire.ServeStats — field-for-field the historical ServeRow
-// names), the machine-readable counterpart of the -tsv table and the
-// same shape scanserved's /statz and scanload's -json emit. CI archives
-// it as a benchmark artifact.
+// wire schema (ServeRow is wire.ServeStats), the machine-readable
+// counterpart of the -tsv table and the same shape scanserved's /statz
+// and scanload's -json emit. CI archives it as a benchmark artifact.
 func writeServeJSON(path string, rows []scanshare.ServeRow) {
-	b, err := json.MarshalIndent(scanshare.WireRows(rows), "", "  ")
+	b, err := json.MarshalIndent(rows, "", "  ")
 	if err == nil {
 		err = os.WriteFile(path, append(b, '\n'), 0o644)
 	}

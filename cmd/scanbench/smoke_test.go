@@ -1,0 +1,129 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	scanshare "repro"
+)
+
+var tablesDir = flag.String("tables", "", "directory holding the `-json` outputs of CI's policy-smoke runs; TestSmokeRows is skipped without it")
+
+// TestSmokeRows checks the rows CI's policy-smoke job emits with -json:
+// every file parses strictly as the wire schema, every cell of the cross
+// product the command line asked for is there, and the cells meant to
+// exercise a mechanism (elevator queues, temperature tiering, the write
+// path with mid-run checkpoints) actually did. Run it as
+//
+//	go test ./cmd/scanbench -run TestSmokeRows -args -tables "$PWD/tables"
+func TestSmokeRows(t *testing.T) {
+	if *tablesDir == "" {
+		t.Skip("no -tables directory")
+	}
+	admissions := []string{"fifo", "sesf", "wfq"}
+	count := func(rows []scanshare.ServeRow, match func(scanshare.ServeRow) bool) (n int) {
+		for _, r := range rows {
+			if match(r) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, c := range []struct {
+		file string
+		// perAdmission is the row count wanted per admission policy: 4
+		// buffer policies x 1 shard count x the cell's device counts x its
+		// selectivities. Zero skips the check.
+		perAdmission int
+		// atLeast4 names a label at least four rows must carry.
+		atLeast4 string
+		writes   bool
+	}{
+		{file: "policy-serve-sim.json", perAdmission: 16},
+		{file: "policy-serve-real.json", perAdmission: 16},
+		{file: "policy-serve-lifecycle-sim.json", perAdmission: 4},
+		{file: "policy-serve-lifecycle-real.json", perAdmission: 4},
+		{file: "policy-serve-htap-sim.json", perAdmission: 4, writes: true},
+		{file: "policy-serve-htap-real.json", perAdmission: 4, writes: true},
+		{file: "device-intel-sim.json", atLeast4: "elevator"},
+		{file: "device-intel-real.json", atLeast4: "elevator"},
+		{file: "device-tiering-sim.json", atLeast4: "tiered-temp"},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			b, err := os.ReadFile(filepath.Join(*tablesDir, c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []scanshare.ServeRow
+			dec := json.NewDecoder(bytes.NewReader(b))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&rows); err != nil {
+				t.Fatalf("not the wire.ServeStats schema: %v", err)
+			}
+			for _, r := range rows {
+				resolved := r.Completed + r.Rejected + r.TimedOut + r.Cancelled
+				if _, ok := scanshare.ParsePolicy(r.Policy); !ok || r.MPL <= 0 || r.Devices <= 0 || resolved <= 0 {
+					t.Errorf("implausible row: %+v", r)
+				}
+				// The update-mix cells must exercise the write path, not
+				// just print its columns.
+				if c.writes && (r.WrQps <= 0 || r.Checkpoints < 1) {
+					t.Errorf("update-mix row lacks write throughput or a mid-run checkpoint: %+v", r)
+				}
+			}
+			if c.perAdmission > 0 {
+				for _, adm := range admissions {
+					if n := count(rows, func(r scanshare.ServeRow) bool { return r.Admission == adm }); n != c.perAdmission {
+						t.Errorf("%d rows for admission policy %s, want %d", n, adm, c.perAdmission)
+					}
+				}
+			}
+			if c.atLeast4 != "" {
+				if n := count(rows, func(r scanshare.ServeRow) bool { return r.IOSched == c.atLeast4 || r.Tier == c.atLeast4 }); n < 4 {
+					t.Errorf("%d %s rows, want at least 4", n, c.atLeast4)
+				}
+			}
+		})
+	}
+}
+
+// TestServeTableHeader pins the printed serve table's column set — the
+// lifecycle (to%, can%), write (wr q/s, ckpts, mrg p95), data-skipping
+// (sel, skip%) and device (seeks, skew) columns included — and that a
+// row fills every column.
+func TestServeTableHeader(t *testing.T) {
+	stdout := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	printServe([]scanshare.ServeRow{{Policy: "PBM", Admission: "fifo", IOSched: "fifo", Tier: "flat", Shards: 8, Devices: 1}}, false, false)
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want title, header and one row, got:\n%s", out)
+	}
+	cells := func(line string) []string { return regexp.MustCompile(` {2,}`).Split(strings.TrimSpace(line), -1) }
+	want := []string{"rate/stream", "MPL", "policy", "admit", "shards", "devs", "iosched", "tier", "sel", "done", "rej",
+		"to%", "can%", "thru (q/s)", "wr q/s", "ckpts", "mrg p95", "p50", "p95", "p99", "qwait p95", "SLO %",
+		"p95/tenant", "SLO %/tenant", "skip%", "I/O MB", "rd MB/s", "seeks", "skew"}
+	if got := cells(lines[1]); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("header columns:\n got %q\nwant %q", got, want)
+	}
+	if got := cells(lines[2]); len(got) != len(want) {
+		t.Errorf("row has %d cells, header %d: %q", len(got), len(want), got)
+	}
+}

@@ -1,31 +1,33 @@
 // Command scanload drives a running scanserved over HTTP with the same
-// open-loop workload the in-process serving sweep generates: per-stream
-// Poisson arrivals (sched.ExpInterarrival), the same skewed range draw
-// (workload.RandRange), the same q1/q6 coin flip and selectivity-mix
-// draw, and the same client-abandon discipline — draw for draw from the
-// same per-stream seeds (seed + stream*6271) — so socket-path numbers
-// line up with `scanbench -serve -real` rows.
+// open-loop workload the in-process serving sweep generates. Both run
+// the one workload.Generator — per-stream Poisson arrivals, the skewed
+// range draw, the q1/q6 coin, the selectivity-mix draw and the
+// client-abandon discipline, from the same per-stream seeds — and differ
+// only in transport: RunServe hands each draw to the engine in process,
+// scanload sends it over the socket. So socket-path numbers line up
+// with `scanbench -serve -real` rows.
 //
-// The generator learns the table size and tenant count from the
-// server's /v1/statz, pins each stream to tenant = stream % tenants
-// (connection pooling would otherwise scramble the fairness domains),
-// fires each query in its own goroutine (open loop: a slow query does
-// not hold back its stream's arrivals), and classifies outcomes from
-// the wire protocol: the NDJSON trailer for admitted queries, the
-// ErrorReply outcome for refused ones, transport errors as client
-// cancels.
+// scanload learns the table size and tenant count from the server's
+// /v1/statz, pins each stream to its generator tenant (connection
+// pooling would otherwise scramble the fairness domains), fires each
+// query in its own goroutine (open loop: a slow query does not hold back
+// its stream's arrivals), and classifies outcomes from the wire
+// protocol: the NDJSON trailer for admitted queries, the ErrorReply
+// outcome for refused ones, transport errors as client cancels.
 //
 // With -writefrac, that fraction of each stream's queries become
 // updates POSTed to /v1/update (insert/delete/modify in the sweep's
 // default 1:1:2 mix, batch 1-4), admitted by the server through the
 // same scheduler as reads.
 //
-// One knowing divergence from the in-process sweep: the client draws
-// which selectivity a query wants from the mix, but the predicate
-// window's position is drawn server-side (the zone-map domain lives
-// there), so runs with -selectivities consume one fewer rng draw per
-// query than RunServe does; update positions and dates are server-side
-// draws the same way. Default runs match exactly.
+// One knowing divergence from the in-process sweep: the draws that need
+// the table's value domain — where a predicate window of the drawn
+// selectivity sits, which position and date an update targets — happen
+// server-side, since the domain lives there. scanload's generator has no
+// domain hook and the request carries the selectivity, or the update
+// kind and batch, so runs with -selectivities or -writefrac consume
+// fewer rng draws per query than RunServe does. Default runs match
+// exactly.
 //
 // Server-shaping axes (-mpls, -shards, -policies, ...) belong to
 // scanserved and are rejected here.
@@ -38,7 +40,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"os"
 	"strings"
@@ -66,45 +67,11 @@ func main() {
 		os.Exit(2)
 	}
 	// Server-shaping axes configure scanserved, not the traffic.
-	var serverSide []string
-	for _, ax := range []struct {
-		name string
-		set  bool
-	}{
-		{"mpls", len(axes.MPLs) > 0},
-		{"shards", len(axes.Shards) > 0},
-		{"devices", len(axes.Devices) > 0},
-		{"stripe", axes.StripeChunk > 0},
-		{"iosched", len(axes.IOSchedulers) > 0},
-		{"tiers", len(axes.Tiers) > 0},
-		{"rowra", axes.StripeRowRA},
-		{"ioprio", axes.IOPriority},
-		{"policies", len(axes.AdmissionPolicies) > 0},
-		{"tenants", axes.Tenants > 0},
-		{"weights", len(axes.TenantWeights) > 0},
-		{"queue", axes.QueueDepth != 0},
-		{"clustered", axes.Clustered},
-		{"ckptops", axes.CheckpointOps != 0},
-	} {
-		if ax.set {
-			serverSide = append(serverSide, ax.name)
-		}
-	}
+	serverSide := axes.ServerSide()
 	if len(serverSide) > 0 {
 		fmt.Fprintf(os.Stderr, "scanload: -%s shape the server; pass them to scanserved\n", strings.Join(serverSide, "/-"))
 		os.Exit(2)
 	}
-
-	rate := workload.DefaultServeConfig().ArrivalRate
-	if len(axes.Rates) > 0 {
-		rate = axes.Rates[0]
-	}
-	slo := time.Duration(workload.DefaultServeConfig().SLO)
-	if axes.SLO != 0 {
-		slo = axes.SLO
-	}
-	percents := workload.DefaultMicroConfig().RangePercents
-	mix := axes.Selectivities
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *streams}}
 	st, err := fetchStatz(client, *addr)
@@ -112,94 +79,50 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scanload: %s: %v\n", *addr, err)
 		os.Exit(1)
 	}
-	n := st.NumTuples
-	tenants := st.Tenants
-	if tenants < 1 {
-		tenants = 1
-	}
+	// The one axes→config mapping yields the generator's knobs (rate,
+	// SLO, skew, cancel and write fractions, seed). Unlike a sweep, where
+	// each selectivity is a cell, here the whole list is the mix every
+	// query draws from.
+	cfg := scanshare.NewServeEngineConfig(scanshare.Options{Seed: *seed}, axes)
+	cfg.Selectivities = axes.Selectivities
+	cfg.Tenants = st.Tenants
+	gen := workload.NewGenerator(cfg, st.NumTuples, nil)
+	rate := cfg.ArrivalRate
 	fmt.Printf("scanload: %s serving %d tuples, %d tenants; %d streams x %d queries at %g q/s/stream\n",
-		*addr, n, tenants, *streams, *queries, rate)
+		*addr, st.NumTuples, cfg.Tenants, *streams, *queries, rate)
 
+	deadline := wire.Duration(axes.Deadline)
 	agg := &aggregate{}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for s := 0; s < *streams; s++ {
-		s := s
+		stream := gen.Stream(s)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The generator-side draw order is RunServe's stream loop,
-			// draw for draw: gap, range percent, range, q1 coin,
-			// selectivity mix, then lifecycle draws last.
-			rng := rand.New(rand.NewSource(*seed + int64(s)*6271))
-			tenant := s % tenants
 			var qwg sync.WaitGroup
 			for q := 0; q < *queries; q++ {
-				time.Sleep(time.Duration(scanshare.ExpInterarrival(rng, rate)))
-				pct := percents[rng.Intn(len(percents))]
-				r := workload.RandRange(rng, n, pct, axes.HotFrac, axes.HotProb)
-				useQ1 := rng.Intn(2) == 0
-				sel := 0.0
-				if len(mix) > 0 {
-					sel = mix[0]
-					if len(mix) > 1 {
-						sel = mix[rng.Intn(len(mix))]
+				d := stream.Next()
+				time.Sleep(d.Gap)
+				var path string
+				var body any
+				if d.Write {
+					path, body = wire.PathUpdate, wire.UpdateRequest{
+						Tenant: &stream.Tenant, Kind: d.Update.Kind.String(), Batch: d.Update.Batch, Deadline: deadline,
 					}
-				}
-				doCancel := false
-				var cancelAfter time.Duration
-				if axes.CancelRate > 0 {
-					doCancel = rng.Float64() < axes.CancelRate
-					if doCancel {
-						cancelAfter = time.Duration(rng.Float64() * float64(slo))
+				} else {
+					req := wire.QueryRequest{
+						Tenant: &stream.Tenant, Kind: d.Kind, Lo: d.Range.Lo, Hi: d.Range.Hi, Deadline: deadline,
 					}
-				}
-				// Write coin last, matching RunServe's draw order. The
-				// kind/batch draws mirror the sweep's default update mix
-				// (1:1:2 insert:delete:modify); positions and dates are
-				// drawn server-side, like predicate windows.
-				if axes.WriteFrac > 0 && rng.Float64() < axes.WriteFrac {
-					kind := wire.KindModify
-					switch c := rng.Float64(); {
-					case c < 0.25:
-						kind = wire.KindInsert
-					case c < 0.5:
-						kind = wire.KindDelete
+					if d.Selectivity < 1 {
+						req.Selectivity = d.Selectivity
 					}
-					ur := wire.UpdateRequest{
-						Tenant: &tenant,
-						Kind:   kind,
-						Batch:  1 + rng.Intn(4),
-					}
-					if axes.Deadline > 0 {
-						ur.Deadline = wire.Duration(axes.Deadline)
-					}
-					qwg.Add(1)
-					go func() {
-						defer qwg.Done()
-						agg.recordWrite(issueUpdate(client, *addr, ur, doCancel, cancelAfter))
-					}()
-					continue
-				}
-				req := wire.QueryRequest{
-					Tenant: &tenant,
-					Kind:   wire.KindQ6,
-					Lo:     r.Lo,
-					Hi:     r.Hi,
-				}
-				if useQ1 {
-					req.Kind = wire.KindQ1
-				}
-				if sel > 0 && sel < 1 {
-					req.Selectivity = sel
-				}
-				if axes.Deadline > 0 {
-					req.Deadline = wire.Duration(axes.Deadline)
+					path, body = wire.PathQuery, req
 				}
 				qwg.Add(1)
 				go func() {
 					defer qwg.Done()
-					agg.record(issue(client, *addr, req, doCancel, cancelAfter))
+					agg.record(post(client, *addr+path, body, d), d.Write)
 				}()
 			}
 			qwg.Wait()
@@ -259,7 +182,10 @@ type aggregate struct {
 // refusals (rejected, draining) are Rejected, admission timeouts are
 // TimedOut, and both abandon causes (client-cancel, deadline-exceeded)
 // are Cancelled — so the client table reconciles against /v1/statz.
-func (a *aggregate) record(r result) {
+// Updates land in the same ledger as reads (the server's scheduler
+// counts writes in Completed too), with the write-specific tallies
+// alongside.
+func (a *aggregate) record(r result, write bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.rows += r.rows
@@ -267,25 +193,16 @@ func (a *aggregate) record(r result) {
 	case wire.OutcomeOK:
 		a.completed++
 		a.lats = append(a.lats, sim.Duration(r.latency))
+		if write {
+			a.writes++
+			a.applied += r.applied
+		}
 	case wire.OutcomeRejected, wire.OutcomeDraining:
 		a.rejected++
 	case wire.OutcomeAdmissionTimeout:
 		a.timedOut++
 	default:
 		a.cancelled++
-	}
-}
-
-// recordWrite buckets one update outcome into the same ledger as reads
-// (the server's scheduler counts writes in Completed too), tracking the
-// write-specific tallies alongside.
-func (a *aggregate) recordWrite(r result) {
-	a.record(r)
-	if r.outcome == wire.OutcomeOK {
-		a.mu.Lock()
-		a.writes++
-		a.applied += r.applied
-		a.mu.Unlock()
 	}
 }
 
@@ -296,23 +213,26 @@ type result struct {
 	applied int64
 }
 
-// issue posts one query and consumes its NDJSON stream: rows are
-// counted, the object trailer carries the authoritative outcome. A
-// doCancel query abandons its request cancelAfter after issue —
-// mid-stream if already flowing — exactly like the sweep's canceller.
-func issue(c *http.Client, base string, qr wire.QueryRequest, doCancel bool, cancelAfter time.Duration) result {
+// post sends one generated request and reads its response to the end. A
+// d.Cancel request is abandoned d.CancelAfter after issue — still queued
+// at the server or mid-stream, the disconnect cancels it there — exactly
+// like the sweep's canceller. A query answers with an NDJSON stream:
+// rows are counted and the object trailer carries the authoritative
+// outcome; an update answers with one UpdateResult object, which is the
+// same thing without rows.
+func post(c *http.Client, url string, body any, d workload.Draw) result {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if doCancel {
-		t := time.AfterFunc(cancelAfter, cancel)
+	if d.Cancel {
+		t := time.AfterFunc(d.CancelAfter, cancel)
 		defer t.Stop()
 	}
-	body, err := json.Marshal(qr)
+	b, err := json.Marshal(body)
 	if err != nil {
 		return result{outcome: "encode-error"}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+wire.PathQuery, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
 	if err != nil {
 		return result{outcome: "request-error"}
 	}
@@ -332,15 +252,20 @@ func issue(c *http.Client, base string, qr wire.QueryRequest, doCancel bool, can
 		return result{outcome: out, latency: time.Since(start)}
 	}
 	br := bufio.NewReader(resp.Body)
-	var rows int64
-	var trailer wire.QueryResult
+	res := result{}
+	// Both wire.QueryResult and wire.UpdateResult carry Outcome; Applied
+	// is the update's.
+	var trailer struct {
+		Outcome string
+		Applied int64
+	}
 	sawTrailer := false
 	for {
 		line, err := br.ReadBytes('\n')
 		if len(line) > 0 {
 			switch line[0] {
 			case '[':
-				rows++
+				res.rows++
 			case '{':
 				if json.Unmarshal(line, &trailer) == nil {
 					sawTrailer = true
@@ -351,59 +276,14 @@ func issue(c *http.Client, base string, qr wire.QueryRequest, doCancel bool, can
 			break
 		}
 	}
-	lat := time.Since(start)
+	res.latency = time.Since(start)
+	res.outcome, res.applied = trailer.Outcome, trailer.Applied
 	if !sawTrailer {
-		// Stream cut before the trailer: the abandon (ours or the
-		// network's) is the outcome.
-		return result{outcome: wire.OutcomeClientCancel, latency: lat, rows: rows}
+		// Stream or connection cut before the trailer: the abandon (ours
+		// or the network's) is the outcome.
+		res.outcome = wire.OutcomeClientCancel
 	}
-	return result{outcome: trailer.Outcome, latency: lat, rows: rows}
-}
-
-// issueUpdate posts one update query and decodes its UpdateResult. A
-// doCancel update abandons its request cancelAfter after issue — if it
-// is still queued at the server, the disconnect cancels it there.
-func issueUpdate(c *http.Client, base string, ur wire.UpdateRequest, doCancel bool, cancelAfter time.Duration) result {
-	start := time.Now()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if doCancel {
-		t := time.AfterFunc(cancelAfter, cancel)
-		defer t.Stop()
-	}
-	body, err := json.Marshal(ur)
-	if err != nil {
-		return result{outcome: "encode-error"}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+wire.PathUpdate, bytes.NewReader(body))
-	if err != nil {
-		return result{outcome: "request-error"}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.Do(req)
-	if err != nil {
-		return result{outcome: wire.OutcomeClientCancel, latency: time.Since(start)}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var er wire.ErrorReply
-		_ = json.NewDecoder(resp.Body).Decode(&er)
-		out := er.Outcome
-		if out == "" {
-			out = fmt.Sprintf("http-%d", resp.StatusCode)
-		}
-		return result{outcome: out, latency: time.Since(start)}
-	}
-	var res wire.UpdateResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		// Connection cut before the body: the abandon is the outcome.
-		return result{outcome: wire.OutcomeClientCancel, latency: time.Since(start)}
-	}
-	out := res.Outcome
-	if out == "" {
-		out = wire.OutcomeOK
-	}
-	return result{outcome: out, latency: time.Since(start), applied: int64(res.Applied)}
+	return res
 }
 
 // fetchStatz reads and decodes the server's /v1/statz snapshot.

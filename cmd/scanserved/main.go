@@ -64,24 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 	// Client-mix axes shape the traffic, not the server.
-	var clientSide []string
-	for _, ax := range []struct {
-		name string
-		set  bool
-	}{
-		{"rates", len(axes.Rates) > 0},
-		{"selectivities", len(axes.Selectivities) > 0},
-		{"hotfrac", axes.HotFrac != 0},
-		{"hotprob", axes.HotProb != 0},
-		{"deadline", axes.Deadline != 0},
-		{"cancel", axes.CancelRate != 0},
-		{"writefrac", axes.WriteFrac != 0},
-		{"json", axes.JSONOut != ""},
-	} {
-		if ax.set {
-			clientSide = append(clientSide, ax.name)
-		}
-	}
+	clientSide := axes.ClientSide()
 	if len(clientSide) > 0 {
 		fmt.Fprintf(os.Stderr, "scanserved: -%s are client-mix knobs; pass them to scanload\n", strings.Join(clientSide, "/-"))
 		os.Exit(2)

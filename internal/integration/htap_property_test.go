@@ -72,18 +72,23 @@ func (s *htapSys) run(fn func()) {
 func viewImage(view pdt.View) (keys []int64, vsum float64) {
 	n := view.NumTuples()
 	if view.Deltas == nil {
-		keys = view.Stable.ReadInt64(0, 0, n, nil)
-		for _, v := range view.Stable.ReadFloat64(2, 0, n, nil) {
-			vsum += v
-		}
-		return keys, vsum
+		return view.Stable.ReadInt64(0, 0, n, nil), sortedSum(view.Stable.ReadFloat64(2, 0, n, nil))
 	}
 	img := view.Deltas.Image(view.Stable)
-	keys = img.I64[0]
-	for _, v := range img.F64[2] {
-		vsum += v
+	return img.I64[0], sortedSum(img.F64[2])
+}
+
+// sortedSum adds the values in ascending order. Float addition is not
+// associative and a cooperative scan delivers chunks in whatever order
+// the ABM loaded them, so only a delivery-independent order lets the
+// scanned sum be compared with the ground truth for exact equality.
+func sortedSum(vs []float64) (sum float64) {
+	vs = append([]float64(nil), vs...)
+	sort.Float64s(vs)
+	for _, v := range vs {
+		sum += v
 	}
-	return keys, vsum
+	return sum
 }
 
 // TestPropertyPinnedScanUnderUpdates is the HTAP snapshot-consistency
@@ -184,12 +189,8 @@ func TestPropertyPinnedScanUnderUpdates(t *testing.T) {
 										g, i, res.N, view.NumTuples())
 									return
 								}
-								got := make([]int64, res.N)
-								var gotSum float64
-								for j := 0; j < res.N; j++ {
-									got[j] = res.Vecs[0].I64[j]
-									gotSum += res.Vecs[1].F64[j]
-								}
+								got := append([]int64(nil), res.Vecs[0].I64[:res.N]...)
+								gotSum := sortedSum(res.Vecs[1].F64[:res.N])
 								want := append([]int64(nil), wantKeys...)
 								sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
 								sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })

@@ -612,8 +612,9 @@ type Stats struct {
 	// SLOAttainment is the fraction of completed read queries whose
 	// end-to-end latency met the configured SLO (zero SLO => 1).
 	SLOAttainment float64
-	// Makespan is the virtual time at which Stats was taken; Throughput
-	// is completed read queries per virtual second over the makespan and
+	// Makespan is the length of the stats window (window start to the
+	// time Stats was taken; Stats opens the window at the clock's epoch);
+	// Throughput is completed read queries per second over the makespan and
 	// WriteThroughput the same for update queries (WriteCompleted of
 	// them). All write fields are zero in a read-only run.
 	Makespan        sim.Time
@@ -637,8 +638,13 @@ type Stats struct {
 	DrainRejected int64
 }
 
-// Stats summarizes the run as of time now.
-func (s *Scheduler) Stats(now sim.Time) Stats {
+// Stats summarizes the run as of time now, over the window that opened
+// at the clock's epoch.
+func (s *Scheduler) Stats(now sim.Time) Stats { return s.StatsSince(0, now) }
+
+// StatsSince is Stats over the window [start, now]: the throughput
+// denominators exclude whatever idle or setup time preceded start.
+func (s *Scheduler) StatsSince(start, now sim.Time) Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
@@ -647,7 +653,7 @@ func (s *Scheduler) Stats(now sim.Time) Stats {
 		Rejected:      s.rejected,
 		DrainRejected: s.drainRejected,
 		MaxQueueDepth: s.maxQueue,
-		Makespan:      now,
+		Makespan:      now - start,
 	}
 	lat := make([]sim.Duration, 0, len(s.completed))
 	qw := make([]sim.Duration, 0, len(s.completed))
@@ -671,7 +677,7 @@ func (s *Scheduler) Stats(now sim.Time) Stats {
 	if n := len(lat); n > 0 {
 		st.SLOAttainment = float64(met) / float64(n)
 	}
-	if sec := now.Seconds(); sec > 0 {
+	if sec := st.Makespan.Seconds(); sec > 0 {
 		st.Throughput = float64(len(lat)) / sec
 		st.WriteThroughput = float64(st.WriteCompleted) / sec
 	}

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	scanshare "repro"
 	"repro/internal/exec"
 	"repro/internal/rt"
 	"repro/internal/sched"
@@ -64,6 +63,8 @@ func New(db *tpch.DB, cfg Config) *Server {
 	if cfg.SendBuf <= 0 {
 		cfg.SendBuf = 8
 	}
+	// A server serves wall-clock traffic, whatever the config says.
+	cfg.Serve.Real = true
 	s := &Server{cfg: cfg, eng: workload.NewServeEngine(db, cfg.Serve)}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc(wire.PathQuery, s.handleQuery)
@@ -99,7 +100,7 @@ func (s *Server) ConnContext(ctx context.Context, c net.Conn) context.Context {
 // clean drain, the context/timeout error otherwise.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	s.eng.Drain()
+	s.eng.Scheduler().Drain()
 	if s.cfg.DrainTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.DrainTimeout)
@@ -108,7 +109,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if s.eng.Idle() && s.inflight.Load() == 0 {
+		if s.eng.Scheduler().Idle() && s.inflight.Load() == 0 {
 			return nil
 		}
 		select {
@@ -142,31 +143,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 // schema plus scheduler gauges.
 func (s *Server) Statz() wire.Statz {
 	res := s.eng.Stats()
-	cfg := s.eng.Config()
-	devices := cfg.Config.Devices
-	if devices <= 0 {
-		devices = 1
-	}
-	iosched := cfg.Config.IOScheduler
-	if iosched == "" {
-		iosched = "fifo"
-	}
-	tier := "flat"
-	if cfg.Config.FastDevices > 0 {
-		tier = "tiered-rr"
-	}
-	admission := cfg.AdmissionPolicy
-	if admission == "" {
-		admission = "fifo"
-	}
-	shards := cfg.PoolShards
-	if cfg.Policy == workload.CScan {
-		shards = 0 // the ABM replaces the page pool
-	}
-	// Rate 0: arrivals are client-driven, there is no configured rate.
-	// Selectivity 1: requests carry their own predicates.
-	row := scanshare.ServeRowOf(res, 0, cfg.MPL, cfg.Policy.String(),
-		shards, devices, iosched, tier, admission, 1)
+	row := workload.ServeRowOf(res, s.eng.Config())
+	row.Rate = 0 // arrivals are client-driven, there is no configured rate
 	sch := s.eng.Scheduler()
 	return wire.Statz{
 		Version:       wire.Version,
@@ -178,7 +156,7 @@ func (s *Server) Statz() wire.Statz {
 		DrainRejected: res.Sched.DrainRejected,
 		NumTuples:     s.eng.NumTuples(),
 		Tenants:       s.eng.TenantCount(),
-		Stats:         row.Wire(),
+		Stats:         row,
 	}
 }
 
@@ -188,14 +166,80 @@ func writeError(w http.ResponseWriter, code int, rep wire.ErrorReply) {
 	json.NewEncoder(w).Encode(rep)
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// decodePost reads a POST body into req, answering 405 or 400 itself
+// when it cannot.
+func decodePost(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
+		return false
 	}
-	var req wire.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
 		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: "bad request body: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// admitted is one request past the front door: its scheduler ticket, the
+// lifecycle handle bound to its HTTP context, and its fairness domain.
+type admitted struct {
+	tk     *sched.Ticket
+	qc     *exec.QueryCtx
+	tenant int
+	// release unbinds the lifecycle handle from the HTTP context and
+	// leaves the in-flight count; defer it.
+	release func()
+}
+
+// timing reports the request's end-to-end latency so far and its queue
+// wait, in milliseconds on the server clock.
+func (a *admitted) timing(now rt.Time) (latencyMS, queueWaitMS float64) {
+	return float64(now-a.tk.Arrive()) / 1e6, float64(a.tk.Admit()-a.tk.Arrive()) / 1e6
+}
+
+// admit is the admission prologue reads and updates share. It resolves
+// the tenant and mints the lifecycle handle — one handle from admission
+// to the device queue: the request deadline arms it, and the HTTP context
+// cancels it the moment the client disconnects, wherever the query is —
+// then runs the scheduler, blocking while queued. On refusal it answers
+// the client itself and returns nil.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, pin *int, deadline wire.Duration, cost float64, write bool) *admitted {
+	a := &admitted{tenant: s.tenantOf(r, pin), qc: s.eng.NewQueryCtx(time.Duration(deadline))}
+	stop := context.AfterFunc(r.Context(), func() { a.qc.Cancel(rt.CauseClientCancel) })
+	var outcome sched.AdmitOutcome
+	a.tk, outcome = s.eng.Admit(sched.Query{
+		Stream: a.tenant,
+		Seq:    int(s.querySeq.Add(1) - 1),
+		Tenant: a.tenant,
+		Cost:   cost,
+		Ctx:    a.qc,
+		Write:  write,
+	})
+	switch outcome {
+	case sched.AdmitGranted:
+		s.inflight.Add(1)
+		a.release = func() {
+			s.inflight.Add(-1)
+			stop()
+		}
+		return a
+	case sched.AdmitDraining:
+		writeError(w, http.StatusServiceUnavailable, wire.ErrorReply{Error: "server draining", Outcome: wire.OutcomeDraining})
+	case sched.AdmitRejected:
+		writeError(w, http.StatusServiceUnavailable, wire.ErrorReply{Error: "admission queue full", Outcome: wire.OutcomeRejected})
+	default: // AdmitDropped: died while queued
+		if a.qc.Cause() == rt.CauseAdmissionTimeout {
+			writeError(w, http.StatusGatewayTimeout, wire.ErrorReply{Error: "deadline passed in admission queue", Outcome: wire.OutcomeAdmissionTimeout})
+		}
+		// Client-cancel: the connection is gone; nothing to write.
+	}
+	stop()
+	return nil
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req wire.QueryRequest
+	if !decodePost(w, r, &req) {
 		return
 	}
 	kind := req.Kind
@@ -208,9 +252,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: fmt.Sprintf("unknown kind %q (want q1, q6 or scan)", kind)})
 		return
 	}
-
-	tenant := s.tenantOf(r, req.Tenant)
-
 	rng := s.eng.ClipRange(req.Lo, req.Hi)
 	var pred *exec.ScanPredicate
 	if req.Predicate != nil {
@@ -224,76 +265,38 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		pred = s.eng.PredicateFor(req.Selectivity)
 	}
 
-	// Lifecycle: one handle from admission to the device queue. The
-	// request deadline arms it; the HTTP context cancels it the moment
-	// the client disconnects, wherever the query is.
-	qc := s.eng.NewQueryCtx()
-	if req.Deadline > 0 {
-		qc.SetDeadline(s.eng.Now() + rt.Time(req.Deadline))
-	}
-	stop := context.AfterFunc(r.Context(), func() { qc.Cancel(rt.CauseClientCancel) })
-	defer stop()
-
-	q := sched.Query{
-		Stream: tenant,
-		Seq:    int(s.querySeq.Add(1) - 1),
-		Tenant: tenant,
-		Cost:   s.eng.Price(rng, pred),
-		Ctx:    qc,
-	}
-	tk, outcome := s.eng.Admit(q)
-	switch outcome {
-	case sched.AdmitGranted:
-	case sched.AdmitDraining:
-		writeError(w, http.StatusServiceUnavailable, wire.ErrorReply{Error: "server draining", Outcome: wire.OutcomeDraining})
-		return
-	case sched.AdmitRejected:
-		writeError(w, http.StatusServiceUnavailable, wire.ErrorReply{Error: "admission queue full", Outcome: wire.OutcomeRejected})
-		return
-	default: // AdmitDropped: died while queued
-		if qc.Cause() == rt.CauseAdmissionTimeout {
-			writeError(w, http.StatusGatewayTimeout, wire.ErrorReply{Error: "deadline passed in admission queue", Outcome: wire.OutcomeAdmissionTimeout})
-		}
-		// Client-cancel: the connection is gone; nothing to write.
+	a := s.admit(w, r, req.Tenant, req.Deadline, s.eng.Price(rng, pred), false)
+	if a == nil {
 		return
 	}
+	defer a.release()
 
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
-	plan, err := s.eng.BuildPlan(qc, kind, rng, pred)
+	plan, err := s.eng.BuildPlan(a.qc, kind, rng, pred)
 	if err != nil {
-		tk.Done()
+		a.tk.Done()
 		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: err.Error()})
 		return
 	}
 
 	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
-	rows, bytes, writeOK := s.stream(w, qc, plan)
+	rows, bytes, writeOK := s.stream(w, a.qc, plan)
 
 	// Resolve the ticket first so /statz reconciles even while the
 	// trailer is in flight.
-	cancelled := qc.Cancelled()
+	cancelled := a.qc.Cancelled()
 	if cancelled {
-		tk.Cancel(qc.Cause())
+		a.tk.Cancel(a.qc.Cause())
 	} else {
-		tk.Done()
+		a.tk.Done()
 	}
 	if !writeOK {
 		return
 	}
-	now := s.eng.Now()
-	trailer := wire.QueryResult{
-		Rows:        rows,
-		Bytes:       bytes,
-		Tenant:      tenant,
-		Outcome:     wire.OutcomeOK,
-		LatencyMS:   float64(now-tk.Arrive()) / 1e6,
-		QueueWaitMS: float64(tk.Admit()-tk.Arrive()) / 1e6,
-	}
+	trailer := wire.QueryResult{Rows: rows, Bytes: bytes, Tenant: a.tenant, Outcome: wire.OutcomeOK}
+	trailer.LatencyMS, trailer.QueueWaitMS = a.timing(s.eng.Now())
 	if cancelled {
-		trailer.Outcome = qc.Cause().String()
-		trailer.Error = qc.Err().Error()
+		trailer.Outcome = a.qc.Cause().String()
+		trailer.Error = a.qc.Err().Error()
 	}
 	b, _ := json.Marshal(trailer)
 	w.Write(append(b, '\n'))
@@ -321,13 +324,8 @@ func (s *Server) tenantOf(r *http.Request, explicit *int) int {
 // matches reads: the HTTP context cancels a queued write the moment the
 // client disconnects, and a cancelled write is never applied.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	var req wire.UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: "bad request body: " + err.Error()})
+	if !decodePost(w, r, &req) {
 		return
 	}
 	kindName := req.Kind
@@ -339,65 +337,34 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: err.Error()})
 		return
 	}
-	tenant := s.tenantOf(r, req.Tenant)
 
-	qc := s.eng.NewQueryCtx()
-	if req.Deadline > 0 {
-		qc.SetDeadline(s.eng.Now() + rt.Time(req.Deadline))
-	}
-	stop := context.AfterFunc(r.Context(), func() { qc.Cancel(rt.CauseClientCancel) })
-	defer stop()
-
-	q := sched.Query{
-		Stream: tenant,
-		Seq:    int(s.querySeq.Add(1) - 1),
-		Tenant: tenant,
-		Cost:   s.eng.PriceUpdate(req.Batch),
-		Ctx:    qc,
-		Write:  true,
-	}
-	tk, outcome := s.eng.Admit(q)
-	switch outcome {
-	case sched.AdmitGranted:
-	case sched.AdmitDraining:
-		writeError(w, http.StatusServiceUnavailable, wire.ErrorReply{Error: "server draining", Outcome: wire.OutcomeDraining})
-		return
-	case sched.AdmitRejected:
-		writeError(w, http.StatusServiceUnavailable, wire.ErrorReply{Error: "admission queue full", Outcome: wire.OutcomeRejected})
-		return
-	default: // AdmitDropped: died while queued; the write never applies
-		if qc.Cause() == rt.CauseAdmissionTimeout {
-			writeError(w, http.StatusGatewayTimeout, wire.ErrorReply{Error: "deadline passed in admission queue", Outcome: wire.OutcomeAdmissionTimeout})
-		}
-		// Client-cancel: the connection is gone; nothing to write.
+	a := s.admit(w, r, req.Tenant, req.Deadline, s.eng.PriceUpdate(req.Batch), true)
+	if a == nil {
 		return
 	}
-	if qc.Cancelled() {
+	defer a.release()
+	if a.qc.Cancelled() {
 		// Granted but already dead (disconnect or deadline raced the
 		// grant): resolve the ticket, skip the write.
-		tk.Cancel(qc.Cause())
+		a.tk.Cancel(a.qc.Cause())
 		return
 	}
 
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	applied, version, pending, err := s.eng.ApplyUpdate(kind, req.Batch)
-	tk.Done()
+	a.tk.Done()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, wire.ErrorReply{Error: err.Error()})
 		return
 	}
-	now := s.eng.Now()
 	res := wire.UpdateResult{
 		Applied:     applied,
-		Tenant:      tenant,
+		Tenant:      a.tenant,
 		Outcome:     wire.OutcomeOK,
 		Version:     version,
 		Pending:     pending,
 		Checkpoints: s.eng.Checkpoints(),
-		LatencyMS:   float64(now-tk.Arrive()) / 1e6,
-		QueueWaitMS: float64(tk.Admit()-tk.Arrive()) / 1e6,
 	}
+	res.LatencyMS, res.QueueWaitMS = a.timing(s.eng.Now())
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
 }

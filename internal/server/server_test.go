@@ -186,6 +186,31 @@ func TestStatzSchema(t *testing.T) {
 	}
 }
 
+// TestStatsWindowExcludesIdle: throughput is measured over the serving
+// window — first admission to now — not over the process lifetime, so a
+// server that listened idle before traffic showed up reports completed
+// reads over exactly the ElapsedSec it reports.
+func TestStatsWindowExcludesIdle(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	const idle = 100 * time.Millisecond
+	time.Sleep(idle)
+	const reads = 5
+	for i := 0; i < reads; i++ {
+		postQuery(t, ts, `{"Kind":"q6","Lo":0,"Hi":1000}`)
+	}
+	eng := srv.Engine()
+	res := eng.Stats()
+	if res.Sched.Completed != reads {
+		t.Fatalf("Completed = %d, want %d", res.Sched.Completed, reads)
+	}
+	if want := reads / res.ElapsedSec; res.Sched.Throughput != want {
+		t.Errorf("Throughput = %v, want reads/ElapsedSec = %v", res.Sched.Throughput, want)
+	}
+	if lifetime := eng.Now().Seconds(); res.ElapsedSec > lifetime-idle.Seconds() {
+		t.Errorf("ElapsedSec = %v includes the idle time (engine lifetime %v)", res.ElapsedSec, lifetime)
+	}
+}
+
 // TestClientDisconnectCancels: dropping the connection mid-stream must
 // cancel the query (client-cancel cause) and account it as Cancelled —
 // run under -race this also exercises the handler/producer teardown.

@@ -10,39 +10,93 @@ import (
 	"repro/internal/sched"
 )
 
-// ServeAxes bundles every serving axis and knob of the scanbench-style
-// command line behind one declaration: RegisterFlags binds the flags,
-// Parse validates and materializes the typed axes, and the scope
-// helpers (ServeOnly, ServeOrCompareOnly) answer "which of the set
-// flags are illegal in this mode" — replacing the two hand-maintained
-// rejection lists a new serve flag previously had to be added to (or be
-// silently ignored in figure/compare modes).
+// ServeAxes is the one declaration of every serving axis and knob:
+// RegisterFlags binds the scanbench-style flags, Parse validates and
+// materializes the typed values, and the scope and side helpers answer
+// "which of the set flags are illegal in this mode or this binary". The
+// serving sweep's options embed it, so the field list is not repeated.
+//
+// Multi-valued fields are sweep axes — each cell of the sweep runs once
+// per element, rows adjacent, so the effect reads off one table — and a
+// single-configuration consumer (-compare, scanserved, scanload) takes
+// the first element. Zero values mean "not set" and leave the defaults
+// in charge.
 type ServeAxes struct {
-	// Parsed axes and knobs; zero values mean "not set" and leave the
-	// sweep defaults in charge.
-	Rates             []float64
-	MPLs              []int
-	Shards            []int
-	Devices           []int
-	StripeChunk       int
-	IOSchedulers      []string
-	Tiers             []string
-	StripeRowRA       bool
-	IOPriority        bool
-	HotFrac           float64
-	HotProb           float64
+	// Rates is the per-stream arrival rate in queries per second (sweep
+	// default {1, 5, 20}: light load, near saturation, overload at the
+	// default scale).
+	Rates []float64
+	// MPLs is the scheduler's concurrency limit (sweep default {8, 32}).
+	MPLs []int
+	// Shards is the buffer-pool shard count (sweep default {1, 8}), so a
+	// sweep measures the sharding effect instead of asserting it. CScan
+	// rows ignore it (the ABM replaces the pool) and run once.
+	Shards []int
+	// Devices is the disk-array spindle count (default {1}). Unlike
+	// Shards it applies to CScan rows too — the ABM reads through the
+	// same array.
+	Devices []int
+	// StripeChunk overrides the array striping granularity in blocks for
+	// every multi-device cell (0 = iosim.DefaultStripeChunk).
+	StripeChunk int
+	// IOSchedulers is the device queue discipline (default {"fifo"},
+	// bit-identical to the pre-scheduler engine; "elevator" runs a C-SCAN
+	// sweep per spindle).
+	IOSchedulers []string
+	// Tiers is the heterogeneous-array axis (default {"flat"}, every
+	// spindle identical): "tiered-rr" makes the first half of the devices
+	// an SSD-like fast tier (zero seek, 4x bandwidth) with round-robin
+	// chunk placement; "tiered-temp" additionally runs a profiling pass
+	// first and places the hottest chunks on the fast tier via
+	// iosim.TemperaturePlacement.
+	Tiers []string
+	// StripeRowRA deepens scan read-ahead to one full stripe row on
+	// multi-device arrays (see Config.StripeRowRA).
+	StripeRowRA bool
+	// IOPriority threads each query's admission-policy signal down to
+	// the device queue (see ServeConfig.IOPriority).
+	IOPriority bool
+	// HotFrac and HotProb skew the query mix's range starts: with
+	// probability HotProb a query's scan range is drawn inside the first
+	// HotFrac of the table (the access skew temperature placement
+	// exploits). Zero keeps the historical uniform draws.
+	HotFrac float64
+	HotProb float64
+	// AdmissionPolicies names the admission policy (default {"fifo"});
+	// names must be registered (see sched.PolicyNames).
 	AdmissionPolicies []string
-	Tenants           int
-	TenantWeights     []float64
-	Selectivities     []float64
-	Clustered         bool
-	QueueDepth        int
-	SLO               time.Duration
-	Deadline          time.Duration
-	CancelRate        float64
-	WriteFrac         float64
-	CheckpointOps     int
-	JSONOut           string
+	// Tenants is the number of fairness domains streams map onto (stream
+	// s belongs to tenant s % Tenants; 0 => DefaultTenants), and
+	// TenantWeights their wfq fair-share weights by tenant id (missing or
+	// non-positive entries weigh 1).
+	Tenants       int
+	TenantWeights []float64
+	// Selectivities is the predicate selectivity (default {1},
+	// unrestricted scans, bit-identical to the pre-skipping engine):
+	// below 1, every query carries an l_shipdate window spanning that
+	// fraction of the date domain, pushed down to the scans.
+	Selectivities []float64
+	// Clustered generates lineitem sorted by l_shipdate, giving the zone
+	// maps physical structure to exploit; without it TPC-H shipdates are
+	// near-uniform per block and nothing prunes.
+	Clustered bool
+	// QueueDepth bounds the admission queue (0 => default 64, negative =>
+	// unbounded) and SLO is the latency objective (0 => 250 ms).
+	QueueDepth int
+	SLO        time.Duration
+	// Deadline and CancelRate arm the query lifecycle (see
+	// ServeConfig.Deadline and CancelRate); zero keeps every cell
+	// bit-identical to the lifecycle-free sweep.
+	Deadline   time.Duration
+	CancelRate float64
+	// WriteFrac makes that fraction of every stream's queries updates and
+	// CheckpointOps triggers a background checkpoint/merge once that many
+	// committed update operations are pending (see ServeConfig); zero
+	// keeps the read-only stream and never checkpoints.
+	WriteFrac     float64
+	CheckpointOps int
+	// JSONOut is the -json output path of the command-line binaries.
+	JSONOut string
 
 	raw struct {
 		rates, mpls, shards, devices string
@@ -61,40 +115,57 @@ const (
 	scopeServe
 )
 
+// Axis sides: which end of the socket a flag configures. Client-mix
+// flags shape the traffic a load generator offers and server-shaping
+// flags the engine that serves it; scanbench, holding both ends in one
+// process, takes either, scanserved rejects the former and scanload the
+// latter.
+type axisSide int
+
+const (
+	sideServer axisSide = iota
+	sideClient
+	sideBoth
+)
+
 // axisFlag describes one registered flag: its name, where it is legal,
-// and whether the command line set it (by value, matching the
-// historical checks — an explicit `-rowra=false` counts as unset).
+// which end of the socket it configures, and whether the command line
+// set it (by value, matching the historical checks — an explicit
+// `-rowra=false` counts as unset).
 type axisFlag struct {
 	name  string
 	scope axisScope
+	side  axisSide
 	set   func() bool
 }
 
 func (a *ServeAxes) flagTable() []axisFlag {
 	return []axisFlag{
-		{"rates", scopeServeCompare, func() bool { return a.raw.rates != "" }},
-		{"mpls", scopeServeCompare, func() bool { return a.raw.mpls != "" }},
-		{"shards", scopeFigure, func() bool { return a.raw.shards != "" }},
-		{"devices", scopeFigure, func() bool { return a.raw.devices != "" }},
-		{"stripe", scopeFigure, func() bool { return a.StripeChunk != 0 }},
-		{"iosched", scopeServe, func() bool { return a.raw.iosched != "" }},
-		{"tiers", scopeServe, func() bool { return a.raw.tiers != "" }},
-		{"rowra", scopeServe, func() bool { return a.StripeRowRA }},
-		{"ioprio", scopeServe, func() bool { return a.IOPriority }},
-		{"hotfrac", scopeServe, func() bool { return a.HotFrac != 0 }},
-		{"hotprob", scopeServe, func() bool { return a.HotProb != 0 }},
-		{"json", scopeServe, func() bool { return a.JSONOut != "" }},
-		{"policies", scopeServeCompare, func() bool { return a.raw.policies != "" }},
-		{"tenants", scopeServeCompare, func() bool { return a.Tenants != 0 }},
-		{"weights", scopeServeCompare, func() bool { return a.raw.weights != "" }},
-		{"queue", scopeServeCompare, func() bool { return a.QueueDepth != 0 }},
-		{"slo", scopeServeCompare, func() bool { return a.SLO != 0 }},
-		{"selectivities", scopeServe, func() bool { return a.raw.sels != "" }},
-		{"clustered", scopeServe, func() bool { return a.Clustered }},
-		{"deadline", scopeServe, func() bool { return a.Deadline != 0 }},
-		{"cancel", scopeServe, func() bool { return a.CancelRate != 0 }},
-		{"writefrac", scopeServe, func() bool { return a.WriteFrac != 0 }},
-		{"ckptops", scopeServe, func() bool { return a.CheckpointOps != 0 }},
+		{"rates", scopeServeCompare, sideClient, func() bool { return a.raw.rates != "" }},
+		{"mpls", scopeServeCompare, sideServer, func() bool { return a.raw.mpls != "" }},
+		{"shards", scopeFigure, sideServer, func() bool { return a.raw.shards != "" }},
+		{"devices", scopeFigure, sideServer, func() bool { return a.raw.devices != "" }},
+		{"stripe", scopeFigure, sideServer, func() bool { return a.StripeChunk != 0 }},
+		{"iosched", scopeServe, sideServer, func() bool { return a.raw.iosched != "" }},
+		{"tiers", scopeServe, sideServer, func() bool { return a.raw.tiers != "" }},
+		{"rowra", scopeServe, sideServer, func() bool { return a.StripeRowRA }},
+		{"ioprio", scopeServe, sideServer, func() bool { return a.IOPriority }},
+		{"hotfrac", scopeServe, sideClient, func() bool { return a.HotFrac != 0 }},
+		{"hotprob", scopeServe, sideClient, func() bool { return a.HotProb != 0 }},
+		{"json", scopeServe, sideClient, func() bool { return a.JSONOut != "" }},
+		{"policies", scopeServeCompare, sideServer, func() bool { return a.raw.policies != "" }},
+		{"tenants", scopeServeCompare, sideServer, func() bool { return a.Tenants != 0 }},
+		{"weights", scopeServeCompare, sideServer, func() bool { return a.raw.weights != "" }},
+		{"queue", scopeServeCompare, sideServer, func() bool { return a.QueueDepth != 0 }},
+		// The server measures SLO attainment against -slo; the load
+		// generator draws its cancel delays inside it.
+		{"slo", scopeServeCompare, sideBoth, func() bool { return a.SLO != 0 }},
+		{"selectivities", scopeServe, sideClient, func() bool { return a.raw.sels != "" }},
+		{"clustered", scopeServe, sideServer, func() bool { return a.Clustered }},
+		{"deadline", scopeServe, sideClient, func() bool { return a.Deadline != 0 }},
+		{"cancel", scopeServe, sideClient, func() bool { return a.CancelRate != 0 }},
+		{"writefrac", scopeServe, sideClient, func() bool { return a.WriteFrac != 0 }},
+		{"ckptops", scopeServe, sideServer, func() bool { return a.CheckpointOps != 0 }},
 	}
 }
 
@@ -192,21 +263,35 @@ func (a *ServeAxes) Parse() error {
 
 // ServeOnly returns the names of set flags legal only with -serve, in
 // registration order — -compare rejects them.
-func (a *ServeAxes) ServeOnly() []string { return a.setIn(scopeServe) }
+func (a *ServeAxes) ServeOnly() []string {
+	return a.setWhere(func(f axisFlag) bool { return f.scope == scopeServe })
+}
 
 // ServeOrCompareOnly returns the names of set flags legal only with
 // -serve or -compare — the figure targets reject them. (This includes
 // flags like -queue/-slo that the old hand-maintained list silently
 // ignored in figure mode.)
 func (a *ServeAxes) ServeOrCompareOnly() []string {
-	out := a.setIn(scopeServeCompare)
-	return append(out, a.setIn(scopeServe)...)
+	out := a.setWhere(func(f axisFlag) bool { return f.scope == scopeServeCompare })
+	return append(out, a.ServeOnly()...)
 }
 
-func (a *ServeAxes) setIn(scope axisScope) []string {
+// ClientSide returns the names of set flags that shape the offered
+// traffic only — a server (scanserved) rejects them.
+func (a *ServeAxes) ClientSide() []string {
+	return a.setWhere(func(f axisFlag) bool { return f.side == sideClient })
+}
+
+// ServerSide returns the names of set flags that shape the serving
+// engine only — a load generator (scanload) rejects them.
+func (a *ServeAxes) ServerSide() []string {
+	return a.setWhere(func(f axisFlag) bool { return f.side == sideServer })
+}
+
+func (a *ServeAxes) setWhere(match func(axisFlag) bool) []string {
 	var out []string
 	for _, f := range a.flagTable() {
-		if f.scope == scope && f.set() {
+		if match(f) && f.set() {
 			out = append(out, f.name)
 		}
 	}

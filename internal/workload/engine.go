@@ -5,78 +5,83 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/buffer"
 	"repro/internal/exec"
 	"repro/internal/rt"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
-// ServeEngine is the long-lived serving surface of the workload engine:
-// the same wiring RunServe builds per run — real runtime, disk array,
-// buffer manager, admission scheduler, zone maps, cost model — but held
-// open so a network front end can admit, plan and execute queries for
-// the life of a server process instead of one synthetic batch.
+// ServeEngine is the serving engine — runtime, disk array, buffer
+// manager, admission scheduler, zone maps, PDT store, cost model — and
+// the only one: RunServe drives it for one bounded batch on either
+// runtime, and a network front end holds it open to admit, plan and
+// execute queries for the life of a server process.
 //
-// The engine always runs on the real-threaded runtime (a server serves
-// wall-clock traffic) and always wires the zone maps, since requests
-// may carry arbitrary predicates. Methods are safe for concurrent use
-// by handler goroutines.
+// It always wires the zone maps and the write path, since requests may
+// carry arbitrary predicates and updates; both are inert until a query
+// uses them. Methods are safe for concurrent use by handler goroutines.
 type ServeEngine struct {
 	cfg     ServeConfig
 	db      *tpch.DB
 	e       *env
 	sch     *sched.Scheduler
 	cost    exec.ScanCostModel
-	tenants int
 	weights map[int]float64
 	n       int64
 	start   rt.Time
 
-	// htap is the engine's write path, always wired (POST /v1/update must
-	// work regardless of startup flags): the PDT store anchored at the
-	// catalog's cached snapshot, the checkpoint trigger, and the merge
-	// measurement windows. Until the first update commits, every pinned
-	// view carries nil deltas and the read path is exactly the historical
-	// snapshot builder.
+	// htap is the write path: the PDT store anchored at the catalog's
+	// cached snapshot, the checkpoint trigger, and the merge measurement
+	// windows.
 	htap *htapState
 	// ckptWG tracks in-flight background checkpoint goroutines so Close
 	// does not stop the ABM under a running merge.
 	ckptWG rt.WaitGroup
 
-	// firstArrive is the first admission's clock reading plus one (so
-	// zero means "no query yet"): stats measure the serving window, not
-	// the idle time a server spends listening before traffic shows up.
-	firstArrive atomic.Int64
+	// window is the stats window's opening clock reading plus one (so
+	// zero means "not open yet"): stats measure the serving window, not
+	// the time spent on setup or listening before traffic shows up.
+	window atomic.Int64
 
-	// rng draws server-side predicate windows (requests that ask for a
-	// selectivity rather than an explicit column window); guarded
-	// because handlers race.
+	// rng draws server-side predicate windows and update targets for
+	// requests that name a selectivity or an update kind rather than
+	// explicit values; guarded because handlers race.
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// NewServeEngine builds a serving engine over the generated database.
-// The embedded Config's Real flag is forced on; zero fields default as
-// in RunServe.
-func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
-	cfg.Config.Real = true
-	if cfg.SLO == 0 {
-		cfg.SLO = 250 * time.Millisecond
+// withDefaults resolves the zero fields of a serving configuration, the
+// one place they are defaulted.
+func (cfg ServeConfig) withDefaults() ServeConfig {
+	d := DefaultServeConfig()
+	if cfg.QueriesPerStream <= 0 {
+		cfg.QueriesPerStream = d.QueriesPerStream
 	}
-	if cfg.PoolShards == 0 {
-		cfg.PoolShards = buffer.DefaultShards
+	if cfg.ArrivalRate <= 0 {
+		cfg.ArrivalRate = d.ArrivalRate
 	}
 	if cfg.MPL <= 0 {
-		cfg.MPL = 8
+		cfg.MPL = d.MPL
 	}
-	tenants := cfg.Tenants
-	if tenants <= 0 {
-		tenants = DefaultTenants
+	if cfg.SLO == 0 {
+		cfg.SLO = d.SLO
 	}
+	if cfg.PoolShards == 0 {
+		cfg.PoolShards = d.PoolShards
+	}
+	if cfg.Tenants <= 0 {
+		cfg.Tenants = DefaultTenants
+	}
+	return cfg
+}
+
+// NewServeEngine builds a serving engine over the generated database,
+// on the runtime cfg.Real selects.
+func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
+	cfg = cfg.withDefaults()
 	weights := map[int]float64{}
 	for i, w := range cfg.TenantWeights {
 		if w > 0 {
@@ -84,10 +89,7 @@ func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
 		}
 	}
 	e := newEnv(cfg.Config, MicroAccessedBytes(db))
-	// Requests carry arbitrary selectivities, so the zone maps must
-	// exist regardless of the config's own mix; the probe mix below
-	// only forces the build.
-	e.setupSkipping(db, []float64{0.5})
+	e.setupSkipping(db)
 	en := &ServeEngine{
 		cfg: cfg, db: db, e: e,
 		sch: sched.New(e.rt, sched.Config{
@@ -97,21 +99,22 @@ func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
 			Policy:        cfg.AdmissionPolicy,
 			TenantWeights: weights,
 		}),
-		tenants: tenants,
 		weights: weights,
 		n:       db.Snapshot("lineitem").NumTuples(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
+	// Pricing a query takes the PBM mutex and averages observed speeds;
+	// skip it entirely for policies that never read the estimate.
 	if en.sch.UsesCost() {
 		en.cost = e.costModel()
 	}
-	en.htap = e.newHTAP(db, cfg)
+	en.htap = e.newHTAP(db, cfg.CheckpointOps)
 	en.ckptWG = e.rt.NewWaitGroup()
 	en.start = e.rt.Now()
 	return en
 }
 
-// Runtime exposes the engine's (real) runtime.
+// Runtime exposes the engine's runtime.
 func (en *ServeEngine) Runtime() rt.Runtime { return en.e.rt }
 
 // Now reads the engine clock (nanoseconds since engine creation).
@@ -122,7 +125,7 @@ func (en *ServeEngine) Now() rt.Time { return en.e.rt.Now() }
 func (en *ServeEngine) NumTuples() int64 { return en.n }
 
 // TenantCount is the number of configured fairness domains.
-func (en *ServeEngine) TenantCount() int { return en.tenants }
+func (en *ServeEngine) TenantCount() int { return en.cfg.Tenants }
 
 // Config returns the engine's effective serving configuration.
 func (en *ServeEngine) Config() ServeConfig { return en.cfg }
@@ -130,16 +133,20 @@ func (en *ServeEngine) Config() ServeConfig { return en.cfg }
 // Scheduler exposes the admission scheduler (drain, gauges, stats).
 func (en *ServeEngine) Scheduler() *sched.Scheduler { return en.sch }
 
-// NewQueryCtx mints a lifecycle handle on the engine clock.
-func (en *ServeEngine) NewQueryCtx() *exec.QueryCtx { return exec.NewQueryCtx(en.e.rt) }
+// NewQueryCtx mints a lifecycle handle on the engine clock, armed with
+// an end-to-end deadline relative to now when deadline is positive.
+func (en *ServeEngine) NewQueryCtx(deadline sim.Duration) *exec.QueryCtx {
+	qc := exec.NewQueryCtx(en.e.rt)
+	if deadline > 0 {
+		qc.SetDeadline(en.e.rt.Now() + sim.Time(deadline))
+	}
+	return qc
+}
 
 // ClipRange clamps [lo, hi) to the table; hi <= 0 means the full table.
 func (en *ServeEngine) ClipRange(lo, hi int64) exec.RIDRange {
 	if hi <= 0 || hi > en.n {
 		hi = en.n
-	}
-	if lo < 0 {
-		lo = 0
 	}
 	if lo >= hi {
 		lo = hi - 1
@@ -150,14 +157,19 @@ func (en *ServeEngine) ClipRange(lo, hi int64) exec.RIDRange {
 	return exec.RIDRange{Lo: lo, Hi: hi}
 }
 
+// drawUpdateTarget draws an update's position fraction and a synthesized
+// shipdate inside the loaded date domain. With env.drawWindow it is the
+// Generator's domain hook.
+func (en *ServeEngine) drawUpdateTarget(rng *rand.Rand) (frac float64, date int64) {
+	frac = rng.Float64()
+	return frac, en.htap.dateMin + rng.Int63n(en.htap.dateMax-en.htap.dateMin+1)
+}
+
 // PredicateFor draws an l_shipdate window spanning sel of the date
-// domain at a random position — the same draw discipline the in-process
-// serve sweep uses, with an engine-level rng since requests have no
-// stream. Selectivities outside (0,1) mean an unrestricted scan.
+// domain at a random position, on the engine-level rng, for requests
+// that ask for a selectivity and have no stream of their own.
+// Selectivities outside (0,1) mean an unrestricted scan (nil).
 func (en *ServeEngine) PredicateFor(sel float64) *exec.ScanPredicate {
-	if sel <= 0 || sel >= 1 {
-		return nil
-	}
 	en.mu.Lock()
 	defer en.mu.Unlock()
 	return en.e.drawWindow(en.rng, sel)
@@ -211,13 +223,9 @@ func (en *ServeEngine) PriceUpdate(batch int) float64 {
 // the operations applied plus the store's resulting commit epoch and
 // uncheckpointed-op count.
 func (en *ServeEngine) ApplyUpdate(kind UpdateKind, batch int) (applied int, version, pending int64, err error) {
+	op := UpdateOp{Kind: kind, Batch: batch}
 	en.mu.Lock()
-	op := UpdateOp{
-		Kind:  kind,
-		Frac:  en.rng.Float64(),
-		Date:  en.htap.dateMin + en.rng.Int63n(en.htap.dateMax-en.htap.dateMin+1),
-		Batch: batch,
-	}
+	op.Frac, op.Date = en.drawUpdateTarget(en.rng)
 	en.mu.Unlock()
 	if op.Batch < 1 {
 		op.Batch = 1
@@ -239,15 +247,84 @@ func (en *ServeEngine) Checkpoints() int {
 	return c
 }
 
-// Admit runs the admission scheduler for q, blocking while queued. When
-// the engine's IOPriority knob is on, the query's context receives the
-// policy-derived device priority hint first, exactly as RunServe.
+// openWindow opens the stats window at the current clock reading,
+// unless it is already open.
+func (en *ServeEngine) openWindow() {
+	en.window.CompareAndSwap(0, int64(en.e.rt.Now())+1)
+}
+
+// Admit runs the admission scheduler for q, blocking while queued; the
+// first admission opens the stats window. When the engine's IOPriority
+// knob is on, the query's context receives the policy-derived device
+// priority hint first.
 func (en *ServeEngine) Admit(q sched.Query) (*sched.Ticket, sched.AdmitOutcome) {
-	en.firstArrive.CompareAndSwap(0, int64(en.e.rt.Now())+1)
+	en.openWindow()
 	if en.cfg.IOPriority {
-		q.Ctx.SetPriority(ioPriority(en.cfg.AdmissionPolicy, en.weights, q.Tenant, q.Cost))
+		q.Ctx.SetPriority(en.ioPriority(q.Tenant, q.Cost))
 	}
 	return en.sch.AdmitQueryOutcome(q)
+}
+
+// ioPriority derives a query's device-level priority hint from the
+// admission policy's own ordering signal: under wfq a query carries its
+// tenant's fair-share weight (heavier tenants win ties), under sesf its
+// negated cost estimate (shorter queries win). Under fifo every query is
+// equal, so the elevator falls through to its arrival-ticket tie-break.
+func (en *ServeEngine) ioPriority(tenant int, cost float64) float64 {
+	switch en.cfg.AdmissionPolicy {
+	case "wfq":
+		if w, ok := en.weights[tenant]; ok {
+			return w
+		}
+		return 1
+	case "sesf":
+		return -cost
+	}
+	return 0
+}
+
+// Request prices one generated query at its arrival — the expected-work
+// estimate sesf orders the admission queue by, taken from the cost
+// model's current speed view — and returns its admission request.
+func (en *ServeEngine) Request(stream, seq, tenant int, d Draw, qc *exec.QueryCtx) sched.Query {
+	q := sched.Query{Stream: stream, Seq: seq, Tenant: tenant, Ctx: qc, Write: d.Write}
+	if d.Write {
+		q.Cost = en.PriceUpdate(d.Update.Batch)
+	} else {
+		q.Cost = en.Price(d.Range, d.Pred)
+	}
+	return q
+}
+
+// Run admits one generated query and executes it to completion: the
+// in-process transport, where a network front end would stream the plan
+// to its client instead. A query that is rejected, times out or is
+// cancelled while queued never runs.
+func (en *ServeEngine) Run(q sched.Query, d Draw) {
+	tk, outcome := en.Admit(q)
+	if outcome != sched.AdmitGranted {
+		return
+	}
+	if d.Write {
+		if q.Ctx.Cancelled() {
+			tk.Cancel(q.Ctx.Cause())
+			return
+		}
+		en.htap.apply(d.Update)
+		tk.Done()
+		en.htap.maybeCheckpoint(en.e, en.ckptWG)
+		return
+	}
+	plan, err := en.BuildPlan(q.Ctx, d.Kind, d.Range, d.Pred)
+	if err != nil {
+		panic(err) // the generator draws only q1 and q6
+	}
+	exec.Drain(plan)
+	if q.Ctx.Cancelled() {
+		tk.Cancel(q.Ctx.Cause())
+	} else {
+		tk.Done()
+	}
 }
 
 // BuildPlan builds the physical plan of one request: "q1"/"q6" run the
@@ -262,9 +339,9 @@ func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange
 	if qc != nil {
 		ctx = ctx.WithQuery(qc)
 	}
-	view := en.htap.view()
+	view := en.htap.store.View()
 	r = clipToView(r, view.NumTuples())
-	build := en.e.wrapPred(en.db, en.e.builderView(ctx, en.db, view), pred)
+	build := en.e.wrapPred(en.db, en.e.builderCtx(en.db, ctx, view), pred)
 	switch kind {
 	case "q1", "q6":
 		return en.e.microPlanCtx(ctx, en.db, build, r, kind == "q1"), nil
@@ -285,13 +362,6 @@ func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange
 	return nil, fmt.Errorf("unknown query kind %q (want q1, q6 or scan)", kind)
 }
 
-// Drain stops admitting new queries; already-admitted and queued ones
-// run to completion. Poll Idle for the all-clear.
-func (en *ServeEngine) Drain() { en.sch.Drain() }
-
-// Idle reports whether the scheduler has no running or queued queries.
-func (en *ServeEngine) Idle() bool { return en.sch.Idle() }
-
 // Close releases engine background work (the ABM's scheduler loop),
 // waiting out any in-flight checkpoint/merge first. Call once, after
 // the last query has resolved.
@@ -302,37 +372,26 @@ func (en *ServeEngine) Close() {
 	}
 }
 
-// Stats snapshots the run so far in RunServe's result shape, safe to
-// call concurrently with executing queries. Throughput and ElapsedSec
-// are measured over the serving window — first admission to now — so a
-// server that sat idle before traffic arrived reports the same numbers
-// an in-process sweep of the same workload does; before any admission
-// they fall back to the engine's lifetime.
+// Stats snapshots the run so far, safe to call concurrently with
+// executing queries. Throughput and ElapsedSec are measured over the
+// stats window — opened by RunServe at serving start, otherwise by the
+// first admission — so a server that sat idle before traffic arrived
+// reports the same numbers an in-process sweep of the same workload
+// does; before the window opens they fall back to the engine's lifetime.
 func (en *ServeEngine) Stats() *ServeResult {
-	res := &ServeResult{}
-	res.Result.Policy = en.cfg.Policy.String()
-	res.Result.AccessedBytes = en.e.result.AccessedBytes
-	res.Result.BufferBytes = en.e.result.BufferBytes
-	if en.e.pool != nil {
-		res.PoolStats = en.e.pool.Stats()
-		res.TotalIOBytes = res.PoolStats.BytesLoaded
+	res := &ServeResult{Result: Result{
+		Policy:        en.e.result.Policy,
+		AccessedBytes: en.e.result.AccessedBytes,
+		BufferBytes:   en.e.result.BufferBytes,
+	}}
+	en.e.snapshot(&res.Result)
+	now, start := en.e.rt.Now(), en.start
+	if w := en.window.Load(); w > 0 {
+		start = rt.Time(w - 1)
 	}
-	if en.e.abm != nil {
-		res.ABMStats = en.e.abm.Stats()
-		res.TotalIOBytes = res.ABMStats.BytesLoaded
-	}
-	if en.e.ctx.Skip != nil {
-		res.RequestedTuples, res.SkippedTuples = en.e.ctx.Skip.Counts()
-	}
-	res.DiskStats = en.e.disk.Stats()
-	now := en.e.rt.Now()
-	res.Sched = en.sch.Stats(now)
-	res.Tenants = en.sch.TenantStats(en.tenants)
+	res.Sched = en.sch.StatsSince(start, now)
+	res.Tenants = en.sch.TenantStats(en.cfg.Tenants)
 	res.Checkpoints, res.MergeP95 = en.htap.mergeStats(en.sch.Completed())
-	start := en.start
-	if fa := en.firstArrive.Load(); fa > 0 {
-		start = rt.Time(fa - 1)
-	}
 	res.ElapsedSec = (now - start).Seconds()
 	return res
 }

@@ -11,6 +11,32 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the sim-mode golden output files")
 
+// checkGolden compares got against testdata/<name>, byte for byte; with
+// -update it rewrites the file instead. Every golden was recorded BEFORE
+// the refactor its test names, so regenerate ONLY for an intentional
+// semantic change to the simulation.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (generate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("output diverged from %s\n--- want\n%s--- got\n%s", path, want, got)
+	}
+}
+
 // goldenFingerprint renders every counter of a set of sim-mode runs with
 // full precision. The file it is compared against was generated BEFORE
 // the Runtime seam was introduced, so a passing test proves the sim
@@ -55,23 +81,5 @@ func goldenFingerprint() string {
 // pre-refactor output. Regenerate with `go test -run Golden -update`
 // ONLY for an intentional semantic change to the simulation.
 func TestSimGoldenUnchanged(t *testing.T) {
-	path := filepath.Join("testdata", "sim_golden.txt")
-	got := goldenFingerprint()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (generate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("sim output diverged from pre-refactor golden output\n--- want\n%s--- got\n%s", want, got)
-	}
+	checkGolden(t, "sim_golden.txt", goldenFingerprint())
 }

@@ -2,13 +2,11 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/minmax"
 	"repro/internal/pdt"
 	"repro/internal/rt"
 	"repro/internal/sched"
@@ -77,12 +75,11 @@ type ckptWindow struct {
 	start, end sim.Time
 }
 
-// htapState is the serving run's write path: the PDT store over
-// lineitem, the drawn-update machinery, and the background
-// checkpoint/merge process with its measurement windows. Created only
-// when some write fraction is positive (or unconditionally by the
-// long-lived serving engine), so read-only runs keep the historical
-// engine untouched.
+// htapState is the serving engine's write path: the PDT store over
+// lineitem and the background checkpoint/merge process with its
+// measurement windows. Always wired: until the first update commits,
+// every pinned view carries nil deltas and reads are exactly the plain
+// snapshot scans.
 type htapState struct {
 	store   *pdt.Store
 	schema  storage.Schema
@@ -99,26 +96,11 @@ type htapState struct {
 	// reads keep serving from their pinned views — that coexistence is
 	// exactly what MergeP95 measures.
 	mergeCost sim.Duration
-	// mixIns/mixDel are cumulative kind thresholds from UpdateMix.
-	mixIns, mixDel float64
 
 	mu          sync.Mutex
 	ckptRunning bool
 	checkpoints int
 	windows     []ckptWindow
-}
-
-// hasWrites reports whether any configured write fraction is positive.
-func (cfg *ServeConfig) hasWrites() bool {
-	if cfg.WriteFrac > 0 {
-		return true
-	}
-	for _, f := range cfg.TenantWriteFrac {
-		if f > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // writeFrac resolves the effective write fraction for one tenant: an
@@ -136,20 +118,10 @@ func (cfg *ServeConfig) writeFrac(tenant int) float64 {
 	return cfg.WriteFrac
 }
 
-// setupHTAP wires the write path when the config asks for one, nil
-// otherwise — the nil path is what keeps write-rate-0 runs bit-identical
-// to the historical read-only engine.
-func (e *env) setupHTAP(db *tpch.DB, cfg ServeConfig) *htapState {
-	if !cfg.hasWrites() {
-		return nil
-	}
-	return e.newHTAP(db, cfg)
-}
-
-// newHTAP builds the write path unconditionally: the long-lived serving
-// engine calls it directly so POST /v1/update works whether or not the
-// server was started with a write axis.
-func (e *env) newHTAP(db *tpch.DB, cfg ServeConfig) *htapState {
+// newHTAP builds the write path over the catalog's cached lineitem
+// snapshot. Requires setupSkipping: synthesized shipdates are bounded by
+// the zone map's date domain.
+func (e *env) newHTAP(db *tpch.DB, checkpointOps int) *htapState {
 	snap := db.Snapshot("lineitem")
 	schema := snap.Table().Schema
 	h := &htapState{
@@ -157,29 +129,15 @@ func (e *env) newHTAP(db *tpch.DB, cfg ServeConfig) *htapState {
 		schema:     schema,
 		shipCol:    db.Col("lineitem", "l_shipdate"),
 		baseTuples: snap.NumTuples(),
-		ckptOps:    int64(cfg.CheckpointOps),
-	}
-	if e.predIx != nil {
-		h.dateMin, h.dateMax = e.dateMin, e.dateMax
-	} else {
-		// No zone maps configured: read the date bounds directly (one
-		// throwaway block summary, storage-level reads, no modeled I/O).
-		h.dateMin, h.dateMax, _ = minmax.Build(snap, h.shipCol, snap.NumTuples()).ValueBounds()
+		ckptOps:    int64(checkpointOps),
+		dateMin:    e.dateMin,
+		dateMax:    e.dateMax,
 	}
 	cols := make([]int, len(schema))
 	for i := range cols {
 		cols[i] = i
 	}
 	h.mergeCost = sim.Duration(float64(snap.TotalBytes(cols)) / fallbackScanSpeed * float64(time.Second))
-	ins, del, mod := cfg.UpdateMix[0], cfg.UpdateMix[1], cfg.UpdateMix[2]
-	if ins <= 0 && del <= 0 && mod <= 0 {
-		// Default mix: half modifies (the delta-widening stressor),
-		// inserts and deletes balancing each other.
-		ins, del, mod = 1, 1, 2
-	}
-	sum := ins + del + mod
-	h.mixIns = ins / sum
-	h.mixDel = (ins + del) / sum
 	h.store.SetCheckpointHook(func(old, next *storage.Snapshot) {
 		e.retireSnapshot(old, next)
 	})
@@ -206,28 +164,6 @@ func (e *env) retireSnapshot(old, next *storage.Snapshot) {
 	}
 	if e.abm != nil {
 		e.abm.InvalidateVersions(next.Table(), next.Version())
-	}
-}
-
-// drawUpdate samples one update query's shape from the stream rng.
-// Draw discipline is golden-critical: exactly four draws (kind, position,
-// date, batch) per write query, consumed only after every read-shape and
-// lifecycle draw, and only on streams whose write fraction is positive —
-// so read-only runs consume exactly the historical rng sequence.
-func (h *htapState) drawUpdate(rng *rand.Rand) UpdateOp {
-	c := rng.Float64()
-	kind := UpdateModify
-	switch {
-	case c < h.mixIns:
-		kind = UpdateInsert
-	case c < h.mixDel:
-		kind = UpdateDelete
-	}
-	return UpdateOp{
-		Kind:  kind,
-		Frac:  rng.Float64(),
-		Date:  h.dateMin + rng.Int63n(h.dateMax-h.dateMin+1),
-		Batch: 1 + rng.Intn(maxUpdateBatch),
 	}
 }
 
@@ -295,7 +231,7 @@ func (h *htapState) apply(op UpdateOp) (applied int, err error) {
 // swaps in the fresh stable snapshot — retiring the old one through the
 // invalidation hook. At most one merge runs at a time.
 func (h *htapState) maybeCheckpoint(e *env, wg rt.WaitGroup) {
-	if h == nil || h.ckptOps <= 0 || h.store.Pending() < h.ckptOps {
+	if h.ckptOps <= 0 || h.store.Pending() < h.ckptOps {
 		return
 	}
 	h.mu.Lock()
@@ -305,13 +241,9 @@ func (h *htapState) maybeCheckpoint(e *env, wg rt.WaitGroup) {
 	}
 	h.ckptRunning = true
 	h.mu.Unlock()
-	if wg != nil {
-		wg.Add(1)
-	}
+	wg.Add(1)
 	e.rt.Go("checkpoint", func() {
-		if wg != nil {
-			defer wg.Done()
-		}
+		defer wg.Done()
 		start := e.rt.Now()
 		h.store.PropagateWriteToRead()
 		e.rt.Sleep(h.mergeCost)
@@ -330,9 +262,6 @@ func (h *htapState) maybeCheckpoint(e *env, wg rt.WaitGroup) {
 // end-to-end latency of read queries whose lifetime overlapped a
 // checkpoint/merge window — the "does a merge stall scans" number.
 func (h *htapState) mergeStats(completed []sched.QueryStat) (checkpoints int, mergeP95 sim.Duration) {
-	if h == nil {
-		return 0, 0
-	}
 	h.mu.Lock()
 	windows := h.windows
 	checkpoints = h.checkpoints
@@ -352,15 +281,6 @@ func (h *htapState) mergeStats(completed []sched.QueryStat) (checkpoints int, me
 	return checkpoints, sched.Percentile(lats, 95)
 }
 
-// view pins the query's snapshot/delta pair; nil-safe for read-only
-// runs (zero View means "use the historical builder path").
-func (h *htapState) view() pdt.View {
-	if h == nil {
-		return pdt.View{}
-	}
-	return h.store.View()
-}
-
 // clipToView clamps a drawn scan range (positioned against the loaded
 // tuple count) to the pinned view's current tuple count.
 func clipToView(r exec.RIDRange, n int64) exec.RIDRange {
@@ -371,28 +291,4 @@ func clipToView(r exec.RIDRange, n int64) exec.RIDRange {
 		r.Lo, r.Hi = 0, n
 	}
 	return r
-}
-
-// builderView is builderCtx with the lineitem scan bound to a pinned
-// store view: the scan reads the view's stable snapshot merged with its
-// flattened deltas, so a checkpoint committing mid-scan never tears it.
-// Other tables fall through to the plain snapshot builder.
-func (e *env) builderView(ctx *exec.Ctx, db *tpch.DB, view pdt.View) tpch.ScanBuilder {
-	base := e.builderCtx(db, ctx)
-	return func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
-		if table != "lineitem" || view.Stable == nil {
-			return base(table, cols, ranges, inOrder)
-		}
-		idx := make([]int, len(cols))
-		for i, c := range cols {
-			idx[i] = db.Col(table, c)
-		}
-		if ranges == nil {
-			ranges = []exec.RIDRange{{Lo: 0, Hi: view.NumTuples()}}
-		}
-		if e.abm != nil {
-			return &exec.CScan{Ctx: ctx, Snap: view.Stable, Cols: idx, Ranges: ranges, InOrder: inOrder, PDT: view.Deltas}
-		}
-		return &exec.Scan{Ctx: ctx, Snap: view.Stable, Cols: idx, Ranges: ranges, PDT: view.Deltas}
-	}
 }

@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,23 +79,5 @@ func lifecycleFingerprint() string {
 // with `go test -run LifecycleDisabled -update` ONLY for an intentional
 // semantic change to the simulation.
 func TestLifecycleDisabledBitIdentical(t *testing.T) {
-	path := filepath.Join("testdata", "lifecycle_golden.txt")
-	got := lifecycleFingerprint()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (generate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("lifecycle-disabled output diverged from pre-refactor golden\n--- want\n%s--- got\n%s", want, got)
-	}
+	checkGolden(t, "lifecycle_golden.txt", lifecycleFingerprint())
 }

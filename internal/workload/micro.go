@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/exec"
+	"repro/internal/pdt"
 	"repro/internal/sim"
 	"repro/internal/tpch"
 )
@@ -37,26 +38,37 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 	}
 	accessed := MicroAccessedBytes(db)
 	e := newEnv(cfg, accessed)
-	e.setupSkipping(db, cfg.Selectivities)
-	build := e.builder(db)
+	if anySelective(cfg.Selectivities) {
+		e.setupSkipping(db)
+	}
+	build := e.builderCtx(db, e.ctx, pdt.View{})
 	n := db.Snapshot("lineitem").NumTuples()
 
-	streamEnds := make([]sim.Time, cfg.Streams)
+	return e.runStreams(cfg.Streams, func(s int) {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*7919))
+		for q := 0; q < cfg.QueriesPerStream; q++ {
+			pct := cfg.RangePercents[rng.Intn(len(cfg.RangePercents))]
+			r := RandRange(rng, n, pct, cfg.HotFrac, cfg.HotProb)
+			useQ1 := rng.Intn(2) == 0
+			pred := e.drawWindow(rng, pickSelectivity(rng, cfg.Selectivities))
+			exec.Drain(e.microPlanCtx(e.ctx, db, e.wrapPred(db, build, pred), r, useQ1))
+		}
+	})
+}
+
+// runStreams runs body once per stream, as concurrent processes of the
+// run's runtime, to completion, and collects the run's metrics: the
+// closed-loop scaffold RunMicro and RunTPCH share.
+func (e *env) runStreams(streams int, body func(s int)) *Result {
+	streamEnds := make([]sim.Time, streams)
 	wg := e.rt.NewWaitGroup()
 	stopSampler := e.sharingSampler()
-	for s := 0; s < cfg.Streams; s++ {
+	for s := 0; s < streams; s++ {
 		s := s
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*7919))
 		wg.Add(1)
 		e.rt.Go("stream", func() {
 			defer wg.Done()
-			for q := 0; q < cfg.QueriesPerStream; q++ {
-				pct := cfg.RangePercents[rng.Intn(len(cfg.RangePercents))]
-				r := randRangeSkewed(rng, n, pct, cfg.HotFrac, cfg.HotProb)
-				useQ1 := rng.Intn(2) == 0
-				pred := e.pickPredicate(rng, cfg.Selectivities)
-				exec.Drain(e.microPlan(db, e.wrapPred(db, build, pred), r, useQ1))
-			}
+			body(s)
 			streamEnds[s] = e.rt.Now()
 		})
 	}
@@ -71,17 +83,12 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 	return e.finish(streamEnds)
 }
 
-// microPlan builds a parallel Q1 or Q6 plan over the given range: the
+// microPlanCtx builds a parallel Q1 or Q6 plan over the given range: the
 // range is statically partitioned per Equation 1, each partition runs the
 // scan+select+partial-aggregation subtree, and a final aggregation merges
-// them — the Figure 8 plan transformation.
-func (e *env) microPlan(db *tpch.DB, build tpch.ScanBuilder, r exec.RIDRange, useQ1 bool) exec.Op {
-	return e.microPlanCtx(e.ctx, db, build, r, useQ1)
-}
-
-// microPlanCtx is microPlan with an explicit execution context, so the
-// serving path can bind the whole plan — XChg fan-out included — to one
-// query's lifecycle.
+// them — the Figure 8 plan transformation. The explicit execution context
+// lets the serving path bind the whole plan — XChg fan-out included — to
+// one query's lifecycle.
 func (e *env) microPlanCtx(ctx *exec.Ctx, db *tpch.DB, build tpch.ScanBuilder, r exec.RIDRange, useQ1 bool) exec.Op {
 	threads := e.cfg.ThreadsPerQuery
 	if threads <= 1 {

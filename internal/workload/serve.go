@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/buffer"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tpch"
+	"repro/wire"
 )
 
 // ServeConfig parameterizes an open-loop serving run: Streams client
@@ -87,8 +87,8 @@ type ServeConfig struct {
 	// instead of scans. Writes are admitted through the same policies and
 	// MPL as reads, priced by their delta size, and reported separately
 	// (Sched.WriteCompleted / WriteThroughput). Zero — the default —
-	// builds no store and keeps the read-only path bit-identical to the
-	// historical engine.
+	// draws no write coin and keeps the read-only stream bit-identical to
+	// the historical engine.
 	WriteFrac float64
 	// TenantWriteFrac overrides WriteFrac per tenant (index = tenant id;
 	// an explicit zero entry makes that tenant read-only), so a sweep can
@@ -157,224 +157,146 @@ type ServeResult struct {
 // regardless of completion, so overload manifests as queue wait,
 // admission-queue growth, and ultimately rejections, the serving regime
 // the paper's fixed-stream experiments do not cover.
+//
+// It is the in-process transport of the serving core: a Generator draws
+// each stream's queries and a ServeEngine admits, plans and executes
+// them, on the simulator or the real-threaded runtime.
 func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
-	if cfg.QueriesPerStream <= 0 {
-		cfg.QueriesPerStream = 4
-	}
-	if cfg.ArrivalRate <= 0 {
-		cfg.ArrivalRate = 8
-	}
-	if cfg.SLO == 0 {
-		cfg.SLO = 250 * time.Millisecond
-	}
-	if cfg.PoolShards == 0 {
-		cfg.PoolShards = buffer.DefaultShards
-	}
-	tenants := cfg.Tenants
-	if tenants <= 0 {
-		tenants = DefaultTenants
-	}
-	weights := map[int]float64{}
-	for i, w := range cfg.TenantWeights {
-		if w > 0 {
-			weights[i] = w
-		}
-	}
-	accessed := MicroAccessedBytes(db)
-	e := newEnv(cfg.Config, accessed)
-	e.setupSkipping(db, append([][]float64{cfg.Selectivities}, cfg.TenantSelectivities...)...)
-	build := e.builder(db)
-	n := db.Snapshot("lineitem").NumTuples()
-	// The write path (PDT store, checkpoint process, view pinning) exists
-	// only when some write fraction is positive; read-only runs keep the
-	// historical engine untouched.
-	htap := e.setupHTAP(db, cfg)
-
-	sch := sched.New(e.rt, sched.Config{
-		MPL:           cfg.MPL,
-		QueueDepth:    cfg.QueueDepth,
-		SLO:           cfg.SLO,
-		Policy:        cfg.AdmissionPolicy,
-		TenantWeights: weights,
-	})
-	// Pricing a query takes the PBM mutex and averages observed speeds;
-	// skip it entirely for policies that never read the estimate.
-	var cost exec.ScanCostModel
-	if sch.UsesCost() {
-		cost = e.costModel()
-	}
-
-	wg := e.rt.NewWaitGroup()
-	stopSampler := e.sharingSampler()
+	en := NewServeEngine(db, cfg)
+	cfg = en.Config()
+	r := en.Runtime()
+	gen := NewGenerator(cfg, en.NumTuples(), en)
+	wg := r.NewWaitGroup()
+	stopSampler := en.e.sharingSampler()
 	// Serving starts now: on the real runtime the engine/db setup above
-	// already consumed wall time, and the makespan (the read-bandwidth
-	// denominator) must not include it. Zero in sim mode.
-	servingStart := e.rt.Now()
+	// already consumed wall time, and the stats window (the throughput
+	// and read-bandwidth denominator) must not include it. Zero in sim
+	// mode.
+	en.openWindow()
 	for s := 0; s < cfg.Streams; s++ {
-		s := s
-		tenant := s % tenants
-		mix := cfg.Selectivities
-		if tenant < len(cfg.TenantSelectivities) && len(cfg.TenantSelectivities[tenant]) > 0 {
-			mix = cfg.TenantSelectivities[tenant]
-		}
-		wf := cfg.writeFrac(tenant)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*6271))
+		s, st := s, gen.Stream(s)
 		wg.Add(1)
-		e.rt.Go("client", func() {
+		r.Go("client", func() {
 			defer wg.Done()
 			for q := 0; q < cfg.QueriesPerStream; q++ {
-				e.rt.Sleep(sched.ExpInterarrival(rng, cfg.ArrivalRate))
-				// Sample the query's shape in the generator, in a fixed
-				// per-stream order, so the workload is identical across
-				// policies and runs regardless of execution interleaving.
-				pct := cfg.RangePercents[rng.Intn(len(cfg.RangePercents))]
-				r := randRangeSkewed(rng, n, pct, cfg.HotFrac, cfg.HotProb)
-				useQ1 := rng.Intn(2) == 0
-				pred := e.pickPredicate(rng, mix)
-				q := q
-				// Lifecycle draws come last and only when the feature is
-				// on, so a run with Deadline == 0 and CancelRate == 0
-				// consumes exactly the historical rng sequence.
-				doCancel := false
-				var cancelAfter sim.Duration
-				if cfg.CancelRate > 0 {
-					doCancel = rng.Float64() < cfg.CancelRate
-					if doCancel {
-						cancelAfter = sim.Duration(rng.Float64() * float64(cfg.SLO))
-					}
-				}
+				d := st.Next()
+				r.Sleep(d.Gap)
+				// A lifecycle handle exists only when a feature needs one,
+				// so runs with all of them off take the historical
+				// QueryCtx-free paths.
 				var qc *exec.QueryCtx
-				if cfg.Deadline > 0 || doCancel || cfg.IOPriority {
-					qc = exec.NewQueryCtx(e.rt)
-					if cfg.Deadline > 0 {
-						qc.SetDeadline(e.rt.Now() + sim.Time(cfg.Deadline))
-					}
-					if doCancel {
-						qc := qc
+				if cfg.Deadline > 0 || d.Cancel || cfg.IOPriority {
+					qc = en.NewQueryCtx(cfg.Deadline)
+					if d.Cancel {
 						wg.Add(1)
-						e.rt.Go("canceller", func() {
+						r.Go("canceller", func() {
 							defer wg.Done()
-							e.rt.Sleep(cancelAfter)
+							r.Sleep(d.CancelAfter)
 							qc.Cancel(rt.CauseClientCancel)
 						})
 					}
 				}
-				// Update draws come after every read-shape and lifecycle
-				// draw and only on write-configured streams, so read-only
-				// runs consume exactly the historical rng sequence
-				// (golden-critical).
-				isWrite := false
-				var upd UpdateOp
-				if htap != nil && wf > 0 {
-					isWrite = rng.Float64() < wf
-					if isWrite {
-						upd = htap.drawUpdate(rng)
-					}
-				}
-				// The expected-work estimate is priced at arrival from the
-				// scan's tuple count and the cost model's current speed
-				// view — the signal sesf orders the admission queue by.
-				// Predicate scans are priced skip-aware: only the tuples
-				// the zone map says survive pruning count as work; updates
-				// are priced by their delta size.
-				req := sched.Query{Stream: s, Seq: q, Tenant: tenant, Ctx: qc, Write: isWrite}
-				if cost != nil {
-					if isWrite {
-						req.Cost = cost.EstimateScanTime(int64(upd.Batch)).Seconds()
-					} else {
-						req.Cost = cost.EstimateScanTime(e.survivingTuples(r, pred)).Seconds()
-					}
-				}
-				if cfg.IOPriority {
-					qc.SetPriority(ioPriority(cfg.AdmissionPolicy, weights, tenant, req.Cost))
-				}
-				runOne := func() {
-					tk, ok := sch.AdmitQuery(req)
-					if !ok {
-						return // rejected, timed out, or cancelled while queued
-					}
-					if isWrite {
-						if qc != nil && qc.Cancelled() {
-							tk.Cancel(qc.Cause())
-							return
-						}
-						htap.apply(upd)
-						tk.Done()
-						htap.maybeCheckpoint(e, wg)
-						return
-					}
-					var plan exec.Op
-					if htap != nil {
-						// Pin the (snapshot, PDT-version) pair at plan build:
-						// a checkpoint committing mid-scan retires the old
-						// stable snapshot but never tears this query's view.
-						view := htap.view()
-						vr := clipToView(r, view.NumTuples())
-						ctx := e.ctx
-						if qc != nil {
-							ctx = e.ctx.WithQuery(qc)
-						}
-						plan = e.microPlanCtx(ctx, db, e.wrapPred(db, e.builderView(ctx, db, view), pred), vr, useQ1)
-					} else if qc != nil {
-						ctx := e.ctx.WithQuery(qc)
-						plan = e.microPlanCtx(ctx, db, e.wrapPred(db, e.builderCtx(db, ctx), pred), r, useQ1)
-					} else {
-						plan = e.microPlan(db, e.wrapPred(db, build, pred), r, useQ1)
-					}
-					exec.Drain(plan)
-					if qc.Cancelled() {
-						tk.Cancel(qc.Cause())
-					} else {
-						tk.Done()
-					}
-				}
+				req := en.Request(s, q, st.Tenant, d, qc)
 				if cfg.ClosedLoop {
 					// Closed loop: the stream itself runs the query and only
 					// then loops to draw the next think time.
-					runOne()
+					en.Run(req, d)
 					continue
 				}
 				wg.Add(1)
-				e.rt.Go("query", func() {
+				r.Go("query", func() {
 					defer wg.Done()
-					runOne()
+					en.Run(req, d)
 				})
 			}
 		})
 	}
-	res := &ServeResult{}
-	e.rt.Go("driver", func() {
+	var res *ServeResult
+	r.Go("driver", func() {
 		wg.Wait()
+		en.Close()
 		stopSampler.Fire()
-		if e.abm != nil {
-			e.abm.Stop()
-		}
-		res.Sched = sch.Stats(e.rt.Now())
-		res.Tenants = sch.TenantStats(tenants)
-		res.ElapsedSec = (e.rt.Now() - servingStart).Seconds()
-		res.Checkpoints, res.MergeP95 = htap.mergeStats(sch.Completed())
+		res = en.Stats()
 	})
-	e.rt.Run()
-	res.Result = *e.finish(nil)
+	r.Run()
+	res.Result = *en.e.finish(nil)
 	return res
 }
 
-// ioPriority derives a query's device-level priority hint from the
-// admission policy's own ordering signal: under wfq a query carries its
-// tenant's fair-share weight (heavier tenants win ties), under sesf its
-// negated cost estimate (shorter queries win). Under fifo every query is
-// equal, so the elevator falls through to its arrival-ticket tie-break.
-func ioPriority(policy string, weights map[int]float64, tenant int, cost float64) float64 {
-	switch policy {
-	case "wfq":
-		if w, ok := weights[tenant]; ok {
-			return w
-		}
-		return 1
-	case "sesf":
-		return -cost
+// ServeRowOf flattens one serving result into the serve-table row, in
+// the wire schema, labelled from the configuration that ran: the one
+// place the row's axis labels are derived. The sweep uses it per cell;
+// so does scanserved's /statz endpoint for its live engine.
+func ServeRowOf(res *ServeResult, cfg ServeConfig) wire.ServeStats {
+	ms := func(d sim.Duration) float64 { return float64(d) / 1e6 }
+	mb := func(b int64) float64 { return float64(b) / 1e6 }
+	row := wire.ServeStats{
+		Rate:        cfg.ArrivalRate,
+		MPL:         cfg.MPL,
+		Policy:      cfg.Policy.String(),
+		Shards:      cfg.PoolShards,
+		Devices:     cfg.Devices,
+		IOSched:     cfg.IOScheduler,
+		Tier:        "flat",
+		Admission:   cfg.AdmissionPolicy,
+		Selectivity: 1,
+		Completed:   res.Sched.Completed,
+		Rejected:    res.Sched.Rejected,
+		TimedOut:    res.Sched.TimedOut,
+		Cancelled:   res.Sched.Cancelled,
+		Throughput:  res.Sched.Throughput,
+		P50ms:       ms(res.Sched.Latency.P50),
+		P95ms:       ms(res.Sched.Latency.P95),
+		P99ms:       ms(res.Sched.Latency.P99),
+		QWaitP95ms:  ms(res.Sched.QueueWait.P95),
+		SLOPct:      res.Sched.SLOAttainment * 100,
+		IOMB:        mb(res.TotalIOBytes),
+		Seeks:       res.DiskStats.Seeks,
+		Skew:        1,
+		Writes:      res.Sched.WriteCompleted,
+		WrQps:       res.Sched.WriteThroughput,
+		Checkpoints: res.Checkpoints,
+		MergeP95ms:  ms(res.MergeP95),
 	}
-	return 0
+	if cfg.Policy == CScan {
+		row.Shards = 0 // the ABM replaces the page pool
+	}
+	if row.Devices <= 0 {
+		row.Devices = 1
+	}
+	if row.IOSched == "" {
+		row.IOSched = "fifo"
+	}
+	if cfg.FastDevices > 0 {
+		row.Tier = "tiered-rr"
+		if cfg.ChunkPlacement != nil {
+			row.Tier = "tiered-temp"
+		}
+	}
+	if row.Admission == "" {
+		row.Admission = "fifo"
+	}
+	if len(cfg.Selectivities) > 0 {
+		row.Selectivity = cfg.Selectivities[0]
+	}
+	if res.Sched.Arrived > 0 {
+		row.ToPct = 100 * float64(res.Sched.TimedOut) / float64(res.Sched.Arrived)
+		row.CanPct = 100 * float64(res.Sched.Cancelled) / float64(res.Sched.Arrived)
+	}
+	if res.RequestedTuples > 0 {
+		row.SkipPct = 100 * float64(res.SkippedTuples) / float64(res.RequestedTuples)
+	}
+	if res.ElapsedSec > 0 {
+		row.ReadMBps = mb(res.DiskStats.BytesRead) / res.ElapsedSec
+	}
+	if n := len(res.DiskStats.PerDevice); n > 0 && res.DiskStats.BytesRead > 0 {
+		row.Skew = float64(res.DiskStats.MaxDeviceBytes) * float64(n) / float64(res.DiskStats.BytesRead)
+	}
+	for _, ts := range res.Tenants {
+		row.TenantP95ms = append(row.TenantP95ms, ms(ts.P95))
+		row.TenantSLOPct = append(row.TenantSLOPct, ts.SLOAttainment*100)
+	}
+	return row
 }
 
 // CompareResult pairs an open-loop and a closed-loop run of the same

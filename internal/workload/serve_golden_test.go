@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,23 +52,5 @@ func serveFingerprint() string {
 // output. Regenerate with `go test -run ServeFIFOGolden -update` ONLY for
 // an intentional semantic change to admission or the simulation.
 func TestServeFIFOGoldenUnchanged(t *testing.T) {
-	path := filepath.Join("testdata", "serve_fifo_golden.txt")
-	got := serveFingerprint()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (generate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("serve output diverged from pre-refactor fifo output\n--- want\n%s--- got\n%s", want, got)
-	}
+	checkGolden(t, "serve_fifo_golden.txt", serveFingerprint())
 }

@@ -26,14 +26,11 @@ func anySelective(mixes ...[]float64) bool {
 // setupSkipping builds the lineitem l_shipdate zone map — block size =
 // the ABM chunk granularity, so pruning decisions align with chunk
 // boundaries — and wires pruning and the skip counters into the
-// execution context. A no-op unless some mix entry is selective, so runs
-// without a selectivity axis stay bit-identical to the historical
-// engine. The build reads stable storage directly (no modeled I/O), the
-// way Vectorwise maintains MinMax indexes during load.
-func (e *env) setupSkipping(db *tpch.DB, mixes ...[]float64) {
-	if !anySelective(mixes...) {
-		return
-	}
+// execution context. Pruning is a no-op for scans without a predicate,
+// so wiring it changes nothing for runs that never carry one. The build
+// reads stable storage directly (no modeled I/O), the way Vectorwise
+// maintains MinMax indexes during load.
+func (e *env) setupSkipping(db *tpch.DB) {
 	snap := db.Snapshot("lineitem")
 	col := db.Col("lineitem", "l_shipdate")
 	e.ctx.Zones = exec.NewZoneMaps()
@@ -43,30 +40,28 @@ func (e *env) setupSkipping(db *tpch.DB, mixes ...[]float64) {
 	e.dateMin, e.dateMax, _ = e.predIx.ValueBounds()
 }
 
-// pickPredicate draws one query's shipdate restriction from the
-// selectivity mix: a value window spanning sel of the column's domain at
-// a random position, or nil for an unrestricted scan. The rng discipline
-// is golden-critical: an empty mix draws nothing, a single-entry mix
-// skips the mix draw, and selectivity >= 1 draws no window — so
-// configurations without a selectivity axis consume exactly the
+// pickSelectivity draws one query's predicate selectivity from the mix;
+// 1 means an unrestricted scan. The rng discipline is golden-critical:
+// an empty mix draws nothing and a single-entry mix skips the mix draw,
+// so configurations without a selectivity axis consume exactly the
 // historical rng stream.
-func (e *env) pickPredicate(rng *rand.Rand, mix []float64) *exec.ScanPredicate {
-	if len(mix) == 0 {
-		return nil
+func pickSelectivity(rng *rand.Rand, mix []float64) float64 {
+	switch len(mix) {
+	case 0:
+		return 1
+	case 1:
+		return mix[0]
 	}
-	sel := mix[0]
-	if len(mix) > 1 {
-		sel = mix[rng.Intn(len(mix))]
-	}
-	return e.drawWindow(rng, sel)
+	return mix[rng.Intn(len(mix))]
 }
 
-// drawWindow draws one shipdate window of the given selectivity at a
-// random position — pickPredicate's draw step, shared with the serving
-// engine's per-request predicate service. Consumes exactly one rng draw
-// when the window is placeable and none otherwise (golden-critical).
+// drawWindow draws one shipdate restriction: a value window spanning sel
+// of the column's domain at a random position, or nil for an unrestricted
+// scan (sel outside (0,1), or no zone maps wired). Consumes exactly one
+// rng draw when the window is placeable and none otherwise
+// (golden-critical).
 func (e *env) drawWindow(rng *rand.Rand, sel float64) *exec.ScanPredicate {
-	if sel >= 1 || e.predIx == nil {
+	if sel <= 0 || sel >= 1 || e.predIx == nil {
 		return nil
 	}
 	domain := e.dateMax - e.dateMin + 1
@@ -79,13 +74,6 @@ func (e *env) drawWindow(rng *rand.Rand, sel float64) *exec.ScanPredicate {
 		lo += rng.Int63n(maxStart + 1)
 	}
 	return &exec.ScanPredicate{Col: e.predCol, Lo: lo, Hi: lo + span - 1}
-}
-
-// RandRange draws one query's scan range exactly as the serving
-// driver's stream loop does — exported for cmd/scanload, which
-// reproduces the sweep's query mix client-side over the socket.
-func RandRange(rng *rand.Rand, n int64, pct int, hotFrac, hotProb float64) exec.RIDRange {
-	return randRangeSkewed(rng, n, pct, hotFrac, hotProb)
 }
 
 // survivingTuples prices a predicate scan for admission: the tuples the

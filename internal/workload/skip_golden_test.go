@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -55,25 +53,7 @@ func skipFingerprint() string {
 // four golden surfaces. Regenerate with `go test -run SkipDisabled
 // -update` ONLY for an intentional semantic change to the simulation.
 func TestSkipDisabledBitIdentical(t *testing.T) {
-	path := filepath.Join("testdata", "skip_golden.txt")
-	got := skipFingerprint()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (generate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("skip-disabled output diverged from pre-refactor golden\n--- want\n%s--- got\n%s", want, got)
-	}
+	checkGolden(t, "skip_golden.txt", skipFingerprint())
 }
 
 // TestSelectivityOneBitIdentical pins the other disabled spelling: a

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/exec"
-	"repro/internal/sim"
+	"repro/internal/pdt"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
@@ -55,36 +55,18 @@ func (n *nullScan) Schema() []storage.ColumnType { return n.types }
 func RunTPCH(db *tpch.DB, cfg Config) *Result {
 	accessed := TPCHAccessedBytes(db)
 	e := newEnv(cfg, accessed)
-	build := e.builder(db)
+	build := e.builderCtx(db, e.ctx, pdt.View{})
 	plans := tpch.Queries()
 
-	streamEnds := make([]sim.Time, cfg.Streams)
-	wg := e.rt.NewWaitGroup()
-	stopSampler := e.sharingSampler()
-	for s := 0; s < cfg.Streams; s++ {
-		s := s
+	return e.runStreams(cfg.Streams, func(s int) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*104729))
-		wg.Add(1)
-		e.rt.Go("stream", func() {
-			defer wg.Done()
-			perm := rng.Perm(len(plans))
-			limit := len(perm)
-			if cfg.QueriesPerStream > 0 && cfg.QueriesPerStream < limit {
-				limit = cfg.QueriesPerStream
-			}
-			for _, qi := range perm[:limit] {
-				exec.Drain(plans[qi](db, build))
-			}
-			streamEnds[s] = e.rt.Now()
-		})
-	}
-	e.rt.Go("driver", func() {
-		wg.Wait()
-		stopSampler.Fire()
-		if e.abm != nil {
-			e.abm.Stop()
+		perm := rng.Perm(len(plans))
+		limit := len(perm)
+		if cfg.QueriesPerStream > 0 && cfg.QueriesPerStream < limit {
+			limit = cfg.QueriesPerStream
+		}
+		for _, qi := range perm[:limit] {
+			exec.Drain(plans[qi](db, build))
 		}
 	})
-	e.rt.Run()
-	return e.finish(streamEnds)
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/iosim"
 	"repro/internal/opt"
 	"repro/internal/pbm"
+	"repro/internal/pdt"
 	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/tpch"
@@ -384,37 +385,35 @@ func (e *env) costModel() exec.ScanCostModel {
 	return exec.FixedSpeedCost(fallbackScanSpeed)
 }
 
-// builder returns the ScanBuilder matching the policy: Scan through the
-// pool, or CScan through the ABM.
-func (e *env) builder(db *tpch.DB) tpch.ScanBuilder {
-	return e.builderCtx(db, e.ctx)
-}
-
-// builderCtx is builder with an explicit execution context — the serving
-// path passes a per-query WithQuery copy so every operator of the plan
-// shares that query's lifecycle.
-func (e *env) builderCtx(db *tpch.DB, ctx *exec.Ctx) tpch.ScanBuilder {
+// builderCtx returns the ScanBuilder matching the policy — Scan through
+// the pool, or CScan through the ABM — over an explicit execution
+// context: the serving path passes a per-query WithQuery copy so every
+// operator of the plan shares that query's lifecycle. A non-zero view
+// binds the lineitem scan to that pinned (snapshot, PDT-version) pair:
+// it reads the view's stable snapshot merged with its flattened deltas,
+// so a checkpoint committing mid-scan never tears it. Other tables, and
+// lineitem under the zero View, read the catalog's current snapshot.
+func (e *env) builderCtx(db *tpch.DB, ctx *exec.Ctx, view pdt.View) tpch.ScanBuilder {
 	return func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
-		snap := db.Snapshot(table)
+		v := view
+		if table != "lineitem" || v.Stable == nil {
+			v = pdt.View{Stable: db.Snapshot(table)}
+		}
 		idx := make([]int, len(cols))
 		for i, c := range cols {
 			idx[i] = db.Col(table, c)
 		}
 		if ranges == nil {
-			ranges = []exec.RIDRange{{Lo: 0, Hi: snap.NumTuples()}}
+			ranges = []exec.RIDRange{{Lo: 0, Hi: v.NumTuples()}}
 		}
 		if e.abm != nil {
-			return &exec.CScan{Ctx: ctx, Snap: snap, Cols: idx, Ranges: ranges, InOrder: inOrder}
+			return &exec.CScan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, InOrder: inOrder, PDT: v.Deltas}
 		}
-		return &exec.Scan{Ctx: ctx, Snap: snap, Cols: idx, Ranges: ranges}
+		return &exec.Scan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, PDT: v.Deltas}
 	}
 }
 
-// parallelScanPlan wraps a per-partition plan factory in an XChg per §2.2.
-func (e *env) parallel(parts []func() exec.Op) exec.Op {
-	return e.parallelCtx(e.ctx, parts)
-}
-
+// parallelCtx wraps a per-partition plan factory in an XChg per §2.2.
 func (e *env) parallelCtx(ctx *exec.Ctx, parts []func() exec.Op) exec.Op {
 	if len(parts) == 1 {
 		return parts[0]()
@@ -422,8 +421,26 @@ func (e *env) parallelCtx(ctx *exec.Ctx, parts []func() exec.Op) exec.Op {
 	return &exec.XChg{Ctx: ctx, Parts: parts}
 }
 
-// finish collects run metrics. streamEnds holds each stream's completion
-// time.
+// snapshot fills the engine's live counters into r. It is safe to call
+// concurrently with executing queries, which is what lets the long-lived
+// serving engine and a finished bounded run share it.
+func (e *env) snapshot(r *Result) {
+	if e.pool != nil {
+		r.PoolStats = e.pool.Stats()
+		r.TotalIOBytes = r.PoolStats.BytesLoaded
+	}
+	if e.abm != nil {
+		r.ABMStats = e.abm.Stats()
+		r.TotalIOBytes = r.ABMStats.BytesLoaded
+	}
+	if e.ctx.Skip != nil {
+		r.RequestedTuples, r.SkippedTuples = e.ctx.Skip.Counts()
+	}
+	r.DiskStats = e.disk.Stats()
+}
+
+// finish collects run metrics once the runtime has drained. streamEnds
+// holds each stream's completion time.
 func (e *env) finish(streamEnds []sim.Time) *Result {
 	var sum, max sim.Time
 	for _, t := range streamEnds {
@@ -436,19 +453,9 @@ func (e *env) finish(streamEnds []sim.Time) *Result {
 		e.result.AvgStreamSec = (sum / sim.Time(len(streamEnds))).Seconds()
 	}
 	e.result.MaxStreamSec = max.Seconds()
-	if e.pool != nil {
-		e.result.PoolStats = e.pool.Stats()
-		e.result.TotalIOBytes = e.pool.Stats().BytesLoaded
-	}
-	if e.abm != nil {
-		e.result.ABMStats = e.abm.Stats()
-		e.result.TotalIOBytes = e.abm.Stats().BytesLoaded
-	}
+	e.snapshot(e.result)
 	if e.rec != nil {
 		e.result.Trace = e.rec.Refs()
-	}
-	if e.ctx.Skip != nil {
-		e.result.RequestedTuples, e.result.SkippedTuples = e.ctx.Skip.Counts()
 	}
 	if e.cfg.CollectBlockHeat {
 		if e.abm != nil {
@@ -457,7 +464,6 @@ func (e *env) finish(streamEnds []sim.Time) *Result {
 			e.result.BlockHeat = e.pbm.BlockHeat()
 		}
 	}
-	e.result.DiskStats = e.disk.Stats()
 	return e.result
 }
 
@@ -527,9 +533,14 @@ func (e *env) sharingSampler() rt.Event {
 	return stop
 }
 
-// randRange picks a random scan range of pct% of n tuples, starting at a
-// random position (clipped at the end of the table), per §4.1.
-func randRange(rng *rand.Rand, n int64, pct int) exec.RIDRange {
+// RandRange picks a random scan range of pct% of n tuples, starting at a
+// random position (clipped at the end of the table), per §4.1 — with an
+// access-skew overlay: with probability hotProb the range start is drawn
+// inside the first hotFrac of the table, concentrating heat there (the
+// workload shape temperature-based tiering exploits). hotFrac <= 0 or
+// hotProb <= 0 draws no coin and consumes exactly the uniform draw,
+// keeping disabled runs bit-identical.
+func RandRange(rng *rand.Rand, n int64, pct int, hotFrac, hotProb float64) exec.RIDRange {
 	span := n * int64(pct) / 100
 	if span < 1 {
 		span = 1
@@ -537,38 +548,14 @@ func randRange(rng *rand.Rand, n int64, pct int) exec.RIDRange {
 	maxStart := n - span
 	var start int64
 	if maxStart > 0 {
-		start = rng.Int63n(maxStart)
-	}
-	return exec.RIDRange{Lo: start, Hi: start + span}
-}
-
-// randRangeSkewed is randRange with an access-skew overlay: with
-// probability hotProb the range start is drawn inside the first hotFrac
-// of the table, concentrating heat there (the workload shape temperature
-// -based tiering exploits). hotFrac <= 0 or hotProb <= 0 takes the plain
-// randRange path and consumes exactly its rng draws, keeping disabled
-// runs bit-identical.
-func randRangeSkewed(rng *rand.Rand, n int64, pct int, hotFrac, hotProb float64) exec.RIDRange {
-	if hotFrac <= 0 || hotProb <= 0 {
-		return randRange(rng, n, pct)
-	}
-	span := n * int64(pct) / 100
-	if span < 1 {
-		span = 1
-	}
-	maxStart := n - span
-	var start int64
-	if maxStart > 0 {
-		if rng.Float64() < hotProb {
-			hotMax := int64(float64(n)*hotFrac) - span
-			if hotMax > maxStart {
-				hotMax = maxStart
+		limit := maxStart
+		if hotFrac > 0 && hotProb > 0 && rng.Float64() < hotProb {
+			if hotMax := int64(float64(n)*hotFrac) - span; hotMax < limit {
+				limit = hotMax
 			}
-			if hotMax > 0 {
-				start = rng.Int63n(hotMax)
-			}
-		} else {
-			start = rng.Int63n(maxStart)
+		}
+		if limit > 0 {
+			start = rng.Int63n(limit)
 		}
 	}
 	return exec.RIDRange{Lo: start, Hi: start + span}

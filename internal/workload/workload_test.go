@@ -199,13 +199,13 @@ func TestSharingSamplerProducesSeries(t *testing.T) {
 func TestRandRangeWithinTable(t *testing.T) {
 	n := int64(10000)
 	for seed := int64(0); seed < 20; seed++ {
-		r := randRange(rand.New(rand.NewSource(seed)), n, 50)
+		r := RandRange(rand.New(rand.NewSource(seed)), n, 50, 0, 0)
 		if r.Lo < 0 || r.Hi > n || r.Hi-r.Lo != n/2 {
 			t.Fatalf("bad range %+v", r)
 		}
 	}
 	// 1% of a tiny table still yields at least one tuple.
-	r := randRange(rand.New(rand.NewSource(1)), 10, 1)
+	r := RandRange(rand.New(rand.NewSource(1)), 10, 1, 0, 0)
 	if r.Hi-r.Lo < 1 {
 		t.Fatalf("empty range %+v", r)
 	}

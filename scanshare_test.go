@@ -143,9 +143,10 @@ func TestPartitionRangeReexport(t *testing.T) {
 // Sweeps must reject unknown admission-policy names before generating
 // any data, with a message naming the registered menu.
 func TestServeSweepValidatesAdmissionPolicies(t *testing.T) {
+	bad := ServeAxes{AdmissionPolicies: []string{"ses"}}
 	for name, run := range map[string]func(){
-		"sweep":   func() { ServeSweep(ServeOptions{AdmissionPolicies: []string{"ses"}}) },
-		"compare": func() { Compare(CompareOptions{Admission: "ses"}) },
+		"sweep":   func() { ServeSweep(ServeOptions{ServeAxes: bad}) },
+		"compare": func() { Compare(ServeOptions{ServeAxes: bad}) },
 	} {
 		name, run := name, run
 		t.Run(name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/iosim"
 	"repro/internal/sched"
 	"repro/internal/workload"
+	"repro/wire"
 )
 
 // Serving surface: the open-loop, many-client scenario on top of the
@@ -63,107 +64,21 @@ func DefaultServeConfig() ServeConfig { return workload.DefaultServeConfig() }
 func RunServe(db *TPCHDB, cfg ServeConfig) *ServeResult { return workload.RunServe(db, cfg) }
 
 // ServeOptions parameterizes the serving sweep (cmd/scanbench -serve):
-// the cross product of arrival rates, MPL limits, and policies, each run
-// over Options.Streams open-loop client streams.
+// the cross product of the serving axes and the buffer policies, each
+// cell run over Options.Streams open-loop client streams. The
+// closed-vs-open-loop comparison (Compare) and the single-configuration
+// consumers (NewServeEngineConfig) read the same options at one point.
 type ServeOptions struct {
 	Options
-	// Rates is the per-stream arrival-rate axis in queries per virtual
-	// second (default {1, 5, 20}: light load, near saturation, overload
-	// at the default scale).
-	Rates []float64
-	// MPLs is the concurrency-limit axis (default {8, 32}).
-	MPLs []int
+	// ServeAxes declares the serving axes and knobs (rates, MPLs, pool
+	// shards, devices, admission policies, selectivities, lifecycle and
+	// write knobs, ...), field for field the scanbench command line.
+	// Its Devices and StripeChunk shadow the per-run overrides of the
+	// same names in Options: select them as o.ServeAxes.Devices.
+	ServeAxes
 	// Policies is the buffer-management axis (default LRU, Clock, PBM,
 	// CScan).
 	Policies []Policy
-	// Shards is the buffer-pool shard-count axis (default {1, 8}), so a
-	// sweep measures the sharding effect instead of asserting it. CScan
-	// rows ignore it (the ABM replaces the pool) and run once.
-	Shards []int
-	// Devices is the disk-array spindle-count axis (default {1}): each
-	// cell runs once per device count, rows adjacent, so the I/O-scaling
-	// effect of striping reads off one table (`scanbench -devices 1,4`).
-	// Unlike Shards it applies to CScan rows too — the ABM reads through
-	// the same array.
-	Devices []int
-	// StripeChunk overrides the array striping granularity in blocks for
-	// every multi-device cell (0 = iosim.DefaultStripeChunk).
-	StripeChunk int
-	// IOSchedulers is the device queue-discipline axis (default {"fifo"}):
-	// each cell runs once per discipline, rows adjacent, so the
-	// fifo/elevator seek effect reads off one table
-	// (`scanbench -iosched fifo,elevator`). "fifo" is bit-identical to the
-	// pre-scheduler engine; "elevator" runs a C-SCAN sweep per spindle.
-	IOSchedulers []string
-	// Tiers is the heterogeneous-array axis (default {"flat"}): "flat"
-	// keeps every spindle identical (bit-identical to the homogeneous
-	// engine); "tiered-rr" makes the first half of the devices an SSD-like
-	// fast tier (zero seek, 4x bandwidth) with round-robin chunk
-	// placement; "tiered-temp" additionally runs a profiling pass first
-	// and places the hottest chunks on the fast tier via
-	// iosim.TemperaturePlacement.
-	Tiers []string
-	// StripeRowRA deepens every cell's scan read-ahead to one full stripe
-	// row on multi-device arrays (see workload.Config.StripeRowRA).
-	StripeRowRA bool
-	// IOPriority threads each query's admission-policy signal (wfq tenant
-	// weight / sesf cost) down to the device queue as its I/O priority
-	// hint (see workload.ServeConfig.IOPriority).
-	IOPriority bool
-	// HotFrac and HotProb skew the query mix's range starts: with
-	// probability HotProb a query's scan range is drawn inside the first
-	// HotFrac of the table (the access skew temperature placement
-	// exploits). Zero keeps the historical uniform draws.
-	HotFrac float64
-	HotProb float64
-	// AdmissionPolicies is the admission-policy axis (default {"fifo"}):
-	// each cell of the sweep runs once per named policy, rows adjacent,
-	// so the fifo/sesf/wfq SLO comparison reads off one table. Names must
-	// be registered (see AdmissionPolicyNames).
-	AdmissionPolicies []string
-	// Tenants is the number of fairness domains streams map onto (stream
-	// s belongs to tenant s % Tenants; 0 => default 4). The serve table
-	// reports p95 and SLO attainment per tenant.
-	Tenants int
-	// TenantWeights assigns wfq fair-share weights by tenant id (index =
-	// tenant); missing or non-positive entries weigh 1.
-	TenantWeights []float64
-	// Selectivities is the predicate-selectivity axis (default {1}):
-	// each cell of the sweep runs once per selectivity, rows adjacent,
-	// so the zone-map data-skipping effect reads off one table
-	// (`scanbench -selectivities 1,0.1,0.01`). A selectivity of 1 means
-	// unrestricted scans (bit-identical to the pre-skipping engine);
-	// below 1, every query carries an l_shipdate window spanning that
-	// fraction of the date domain, pushed down to the scans.
-	Selectivities []float64
-	// Clustered generates lineitem sorted by l_shipdate, giving the zone
-	// maps physical structure to exploit; without it TPC-H shipdates are
-	// near-uniform per block and nothing prunes.
-	Clustered bool
-	// QueueDepth bounds the admission queue (0 => default 64).
-	QueueDepth int
-	// SLO is the latency objective (0 => 250 ms).
-	SLO time.Duration
-	// Deadline, when positive, arms every query with an end-to-end
-	// deadline relative to its arrival: queued queries past it are
-	// dropped with a TimedOut outcome, executing ones are killed at
-	// their next lifecycle check. Zero keeps every cell bit-identical to
-	// the deadline-free sweep.
-	Deadline time.Duration
-	// CancelRate is the fraction of queries whose client abandons them
-	// mid-flight (0..1); each such query is cancelled a uniform [0, SLO)
-	// delay after it was issued. Zero draws nothing.
-	CancelRate float64
-	// WriteFrac makes that fraction of every stream's queries updates
-	// (insert/delete/modify through the PDT write path, admitted by the
-	// same scheduler, delta-size-priced). Zero keeps the read-only stream
-	// bit-identical to the pre-HTAP sweep.
-	WriteFrac float64
-	// CheckpointOps triggers a background checkpoint/merge once that many
-	// committed update operations are pending; reads keep serving from
-	// their pinned snapshot views while the merge runs. Zero never
-	// checkpoints.
-	CheckpointOps int
 	// Real runs every cell on the real-threaded runtime (goroutines and
 	// wall-clock time) instead of the deterministic simulator. Latencies
 	// are then real milliseconds and runs are not reproducible.
@@ -173,197 +88,67 @@ type ServeOptions struct {
 // DefaultServeOptions returns the serving-sweep defaults.
 func DefaultServeOptions() ServeOptions {
 	return ServeOptions{
-		Options:           DefaultOptions(),
-		Rates:             []float64{1, 5, 20},
-		MPLs:              []int{8, 32},
-		Policies:          []Policy{LRU, Clock, PBM, CScan},
-		Shards:            []int{1, DefaultPoolShards},
-		Devices:           []int{1},
-		IOSchedulers:      []string{"fifo"},
-		Tiers:             []string{"flat"},
-		AdmissionPolicies: []string{"fifo"},
-		Selectivities:     []float64{1},
-		SLO:               250 * time.Millisecond,
+		Options: DefaultOptions(),
+		ServeAxes: ServeAxes{
+			Rates:             []float64{1, 5, 20},
+			MPLs:              []int{8, 32},
+			Shards:            []int{1, DefaultPoolShards},
+			Devices:           []int{1},
+			IOSchedulers:      []string{"fifo"},
+			Tiers:             []string{"flat"},
+			AdmissionPolicies: []string{"fifo"},
+			Selectivities:     []float64{1},
+			SLO:               250 * time.Millisecond,
+		},
+		Policies: []Policy{LRU, Clock, PBM, CScan},
 	}
+}
+
+// orDefault keeps the elements of axis that pass keep (all of them when
+// keep is nil), or the default axis when none is left.
+func orDefault[T any](axis, def []T, keep func(T) bool) []T {
+	var out []T
+	for _, v := range axis {
+		if keep == nil || keep(v) {
+			out = append(out, v)
+		}
+	}
+	if len(out) == 0 {
+		return def
+	}
+	return out
 }
 
 func (o ServeOptions) fill() ServeOptions {
 	d := DefaultServeOptions()
+	positive := func(n int) bool { return n > 0 }
 	o.Options = o.Options.fill()
-	if len(o.Rates) == 0 {
-		o.Rates = d.Rates
-	}
-	if len(o.MPLs) == 0 {
-		o.MPLs = d.MPLs
-	}
-	if len(o.Policies) == 0 {
-		o.Policies = d.Policies
-	}
-	// Drop non-positive shard counts: 0 is the CScan-only row marker in
-	// the output and must not label a defaulted sharded run.
-	shards := o.Shards[:0:0]
-	for _, s := range o.Shards {
-		if s > 0 {
-			shards = append(shards, s)
-		}
-	}
-	o.Shards = shards
-	if len(o.Shards) == 0 {
-		o.Shards = d.Shards
-	}
-	// Drop non-positive device counts the same way.
-	devices := o.Devices[:0:0]
-	for _, n := range o.Devices {
-		if n > 0 {
-			devices = append(devices, n)
-		}
-	}
-	o.Devices = devices
-	if len(o.Devices) == 0 {
-		o.Devices = d.Devices
-	}
-	if len(o.IOSchedulers) == 0 {
-		o.IOSchedulers = d.IOSchedulers
-	}
-	if len(o.Tiers) == 0 {
-		o.Tiers = d.Tiers
-	}
-	if len(o.AdmissionPolicies) == 0 {
-		o.AdmissionPolicies = d.AdmissionPolicies
-	}
+	o.Rates = orDefault(o.Rates, d.Rates, nil)
+	o.MPLs = orDefault(o.MPLs, d.MPLs, nil)
+	o.Policies = orDefault(o.Policies, d.Policies, nil)
+	// Drop non-positive shard and device counts: 0 is the CScan-only row
+	// marker in the output and must not label a defaulted sharded run.
+	o.Shards = orDefault(o.Shards, d.Shards, positive)
+	o.ServeAxes.Devices = orDefault(o.ServeAxes.Devices, d.ServeAxes.Devices, positive)
+	o.IOSchedulers = orDefault(o.IOSchedulers, d.IOSchedulers, nil)
+	o.Tiers = orDefault(o.Tiers, d.Tiers, nil)
+	o.AdmissionPolicies = orDefault(o.AdmissionPolicies, d.AdmissionPolicies, nil)
 	// Keep only meaningful selectivities (0 < sel <= 1); an empty axis
 	// defaults to {1}, the unrestricted-scan baseline.
-	sels := o.Selectivities[:0:0]
-	for _, s := range o.Selectivities {
-		if s > 0 && s <= 1 {
-			sels = append(sels, s)
-		}
-	}
-	o.Selectivities = sels
-	if len(o.Selectivities) == 0 {
-		o.Selectivities = d.Selectivities
-	}
-	if o.SLO == 0 {
-		o.SLO = d.SLO
-	}
+	o.Selectivities = orDefault(o.Selectivities, d.Selectivities, func(s float64) bool { return s > 0 && s <= 1 })
 	return o
 }
 
-// ServeRow is one cell of the serving sweep: a (rate, MPL, buffer
-// policy, shards, admission policy) configuration and its
-// throughput/latency report, overall and per tenant.
-type ServeRow struct {
-	Rate      float64 // per-stream arrival rate (queries/s)
-	MPL       int
-	Policy    string // buffer-management policy
-	Shards    int    // buffer-pool shard count (0 for CScan rows: no pool)
-	Devices   int    // disk-array spindle count
-	IOSched   string // device queue discipline (fifo/elevator)
-	Tier      string // array tiering (flat/tiered-rr/tiered-temp)
-	Admission string // admission policy (fifo/sesf/wfq)
-	Completed int64
-	Rejected  int64
-	// TimedOut and Cancelled count the queries resolved by the lifecycle
-	// machinery: deadline kills (queued or executing) and client
-	// cancels. Completed+Rejected+TimedOut+Cancelled covers every
-	// arrival; ToPct and CanPct are their shares of arrivals, 0..100.
-	TimedOut   int64
-	Cancelled  int64
-	ToPct      float64
-	CanPct     float64
-	Throughput float64 // completed queries per virtual second
-	P50ms      float64 // end-to-end latency percentiles (virtual ms)
-	P95ms      float64
-	P99ms      float64
-	QWaitP95ms float64 // queue-wait p95 (virtual ms)
-	SLOPct     float64 // fraction of completed queries meeting the SLO, 0..100
-	IOMB       float64
-	// Selectivity is the cell's predicate selectivity (1 = unrestricted
-	// scans); SkipPct is the fraction of requested tuples the zone maps
-	// pruned before any I/O was scheduled, 0..100.
-	Selectivity float64
-	SkipPct     float64
-	// ReadMBps is the achieved aggregate read bandwidth over the run's
-	// makespan (device bytes / elapsed), the column that makes the
-	// multi-device scaling effect measurable.
-	ReadMBps float64
-	// Seeks counts device requests that paid the seek penalty, summed
-	// over spindles — the column the elevator scheduler moves.
-	Seeks int64
-	// Skew is the busiest spindle's byte share relative to a perfect
-	// stripe balance: MaxDeviceBytes / (BytesRead / Devices). 1.00 means
-	// balanced, Devices means one spindle did all the work; 1.00 when the
-	// run transferred nothing.
-	Skew float64
-	// Writes and WrQps report the write side of a mixed cell: update
-	// queries completed and their throughput. Checkpoints counts the
-	// checkpoint/merge cycles that completed mid-run; MergeP95ms is the
-	// p95 end-to-end latency of read queries whose lifetime overlapped a
-	// merge window — the "does a merge stall scans" column.
-	Writes      int64
-	WrQps       float64
-	Checkpoints int
-	MergeP95ms  float64
-	// TenantP95ms and TenantSLOPct break p95 latency and SLO attainment
-	// down by tenant id (index = tenant), exposing what the aggregate
-	// hides: which tenant pays the overload tail under each admission
-	// policy.
-	TenantP95ms  []float64
-	TenantSLOPct []float64
-}
+// ServeRow is one cell of the serving sweep — a (rate, MPL, buffer
+// policy, shards, admission policy, ...) configuration and its
+// throughput/latency report, overall and per tenant — in the wire
+// schema, the JSON shape shared by `scanbench -json`, scanserved's
+// /statz and scanload's reports.
+type ServeRow = wire.ServeStats
 
 // ServeRowOf flattens one serving result into the sweep's row shape,
-// labelled with the configuration axes of the run that produced it. The
-// sweep itself uses it; so does scanserved's /statz endpoint, which
-// exports its live ServeEngine stats in the identical row schema.
-func ServeRowOf(res *ServeResult, rate float64, mpl int, policy string, shards, devices int, iosched, tier, admission string, sel float64) ServeRow {
-	row := ServeRow{
-		Rate:        rate,
-		MPL:         mpl,
-		Policy:      policy,
-		Shards:      shards,
-		Devices:     devices,
-		IOSched:     iosched,
-		Tier:        tier,
-		Admission:   admission,
-		Completed:   res.Sched.Completed,
-		Rejected:    res.Sched.Rejected,
-		TimedOut:    res.Sched.TimedOut,
-		Cancelled:   res.Sched.Cancelled,
-		Throughput:  res.Sched.Throughput,
-		P50ms:       ms(res.Sched.Latency.P50),
-		P95ms:       ms(res.Sched.Latency.P95),
-		P99ms:       ms(res.Sched.Latency.P99),
-		QWaitP95ms:  ms(res.Sched.QueueWait.P95),
-		SLOPct:      res.Sched.SLOAttainment * 100,
-		IOMB:        mb(res.TotalIOBytes),
-		Selectivity: sel,
-	}
-	if res.Sched.Arrived > 0 {
-		row.ToPct = 100 * float64(res.Sched.TimedOut) / float64(res.Sched.Arrived)
-		row.CanPct = 100 * float64(res.Sched.Cancelled) / float64(res.Sched.Arrived)
-	}
-	if res.RequestedTuples > 0 {
-		row.SkipPct = 100 * float64(res.SkippedTuples) / float64(res.RequestedTuples)
-	}
-	if res.ElapsedSec > 0 {
-		row.ReadMBps = mb(res.DiskStats.BytesRead) / res.ElapsedSec
-	}
-	row.Seeks = res.DiskStats.Seeks
-	row.Writes = res.Sched.WriteCompleted
-	row.WrQps = res.Sched.WriteThroughput
-	row.Checkpoints = res.Checkpoints
-	row.MergeP95ms = ms(res.MergeP95)
-	row.Skew = 1
-	if n := len(res.DiskStats.PerDevice); n > 0 && res.DiskStats.BytesRead > 0 {
-		row.Skew = float64(res.DiskStats.MaxDeviceBytes) * float64(n) / float64(res.DiskStats.BytesRead)
-	}
-	for _, ts := range res.Tenants {
-		row.TenantP95ms = append(row.TenantP95ms, ms(ts.P95))
-		row.TenantSLOPct = append(row.TenantSLOPct, ts.SLOAttainment*100)
-	}
-	return row
-}
+// labelled from the configuration of the run that produced it.
+func ServeRowOf(res *ServeResult, cfg ServeConfig) ServeRow { return workload.ServeRowOf(res, cfg) }
 
 // validateAdmission panics on an unregistered admission-policy name,
 // naming the registered menu. Sweeps call it before the expensive data
@@ -389,18 +174,109 @@ func validateTiers(names ...string) {
 	}
 }
 
+// serveCell is one point of the serving cross product. A zero rate, MPL,
+// shard or device count keeps DefaultServeConfig's value.
+type serveCell struct {
+	rate            float64
+	mpl             int
+	policy          Policy
+	shards, devices int
+	iosched, tier   string
+	admission       string
+	sel             float64
+}
+
+// config maps one cell to the ServeConfig that runs it — the one
+// options→config mapping: ServeSweep applies it per cell, Compare and
+// NewServeEngineConfig at their single point. Defaults stay "" / nil
+// rather than "fifo" / {1} so default cells are bit-identical to the
+// engine that predates those axes. A tiered cell gets the round-robin
+// fast tier; tiered-temp's heat placement needs a profiling run and is
+// the sweep's to add.
+func (o ServeOptions) config(c serveCell) ServeConfig {
+	cfg := DefaultServeConfig()
+	cfg.Config = o.apply(cfg.Config)
+	cfg.Real = o.Real
+	cfg.Policy = c.policy
+	if c.rate > 0 {
+		cfg.ArrivalRate = c.rate
+	}
+	if c.mpl > 0 {
+		cfg.MPL = c.mpl
+	}
+	if c.shards > 0 {
+		cfg.PoolShards = c.shards
+	}
+	if c.devices > 0 {
+		cfg.Devices = c.devices
+	}
+	if o.ServeAxes.StripeChunk > 0 {
+		cfg.StripeChunk = o.ServeAxes.StripeChunk
+	}
+	if c.iosched != "fifo" {
+		cfg.IOScheduler = c.iosched
+	}
+	if c.tier != "" && c.tier != "flat" {
+		cfg.FastDevices = cfg.Devices / 2
+		if cfg.FastDevices < 1 {
+			cfg.FastDevices = 1
+		}
+	}
+	cfg.AdmissionPolicy = c.admission
+	if c.sel > 0 && c.sel < 1 {
+		cfg.Selectivities = []float64{c.sel}
+	}
+	cfg.StripeRowRA = o.StripeRowRA
+	cfg.IOPriority = o.IOPriority
+	cfg.HotFrac, cfg.HotProb = o.HotFrac, o.HotProb
+	cfg.Tenants, cfg.TenantWeights = o.Tenants, o.TenantWeights
+	if o.QueueDepth != 0 {
+		cfg.QueueDepth = o.QueueDepth
+	}
+	if o.SLO != 0 {
+		cfg.SLO = o.SLO
+	}
+	cfg.Deadline, cfg.CancelRate = o.Deadline, o.CancelRate
+	cfg.WriteFrac, cfg.CheckpointOps = o.WriteFrac, o.CheckpointOps
+	return cfg
+}
+
+// first returns the axis's first element, or the zero value when the
+// axis is unset.
+func first[T any](axis []T) (v T) {
+	if len(axis) > 0 {
+		v = axis[0]
+	}
+	return v
+}
+
+// point is the cell a single-configuration consumer runs: the first
+// element of each axis and, where an axis is unset, the serving
+// defaults (DefaultServeConfig: 8 q/s, MPL 8, PBM, 8 pool shards, one
+// fifo device, fifo admission) — not the sweep's first-of-axis ones.
+func (o ServeOptions) point() serveCell {
+	c := serveCell{
+		rate: first(o.Rates), mpl: first(o.MPLs), policy: PBM,
+		shards: first(o.Shards), devices: first(o.ServeAxes.Devices),
+		iosched: first(o.IOSchedulers), tier: first(o.Tiers),
+		admission: first(o.AdmissionPolicies), sel: first(o.Selectivities),
+	}
+	if len(o.Policies) > 0 {
+		c.policy = o.Policies[0]
+	}
+	return c
+}
+
 // ServeSweep runs the arrival-rate x MPL x buffer-policy x shard-count x
-// device-count x I/O-scheduler x tier x admission-policy cross product and
-// returns one row per cell: shards=1 and sharded rows adjacent so the
-// sharding effect reads off one table, device counts of one cell adjacent
-// so the striping effect does too, I/O-scheduler and tier rows likewise
-// for the fifo/elevator seek comparison and the flat/tiered placement
-// comparison, and admission-policy rows for the fifo/sesf/wfq SLO
-// comparison. A "tiered-temp" cell runs twice: a profiling pass collects
-// the per-chunk access heat under round-robin placement, then the
-// measured pass re-runs with the hottest chunks placed on the fast tier.
-// Unregistered admission-policy or tier names panic before any data is
-// generated.
+// device-count x I/O-scheduler x tier x admission-policy x selectivity
+// cross product and returns one row per cell, the innermost axes
+// adjacent so each effect (sharding, striping, fifo/elevator seeks,
+// flat/tiered placement, fifo/sesf/wfq SLOs, zone-map skipping) reads
+// off one table. A "tiered-temp" cell runs twice: a profiling pass
+// collects the per-chunk access heat under round-robin placement, then
+// the measured pass re-runs with the hottest chunks placed on the fast
+// tier. Unregistered admission-policy or tier names panic before any
+// data is generated.
 func ServeSweep(o ServeOptions) []ServeRow {
 	o = o.fill()
 	validateAdmission(o.AdmissionPolicies...)
@@ -416,69 +292,19 @@ func ServeSweep(o ServeOptions) []ServeRow {
 					shardAxis = []int{0}
 				}
 				for _, shards := range shardAxis {
-					for _, devices := range o.Devices {
+					for _, devices := range o.ServeAxes.Devices {
 						for _, iosched := range o.IOSchedulers {
 							for _, tier := range o.Tiers {
 								for _, adm := range o.AdmissionPolicies {
 									for _, sel := range o.Selectivities {
-										cfg := DefaultServeConfig()
-										cfg.Config = o.apply(cfg.Config)
-										cfg.Config.Real = o.Real
-										cfg.Policy = pol
-										cfg.ArrivalRate = rate
-										cfg.MPL = mpl
-										cfg.QueueDepth = o.QueueDepth
-										cfg.SLO = o.SLO
-										cfg.AdmissionPolicy = adm
-										cfg.Tenants = o.Tenants
-										cfg.TenantWeights = o.TenantWeights
-										if shards > 0 {
-											cfg.PoolShards = shards
+										cfg := o.config(serveCell{
+											rate: rate, mpl: mpl, policy: pol, shards: shards, devices: devices,
+											iosched: iosched, tier: tier, admission: adm, sel: sel,
+										})
+										if tier == "tiered-temp" {
+											cfg.ChunkPlacement = heatPlacement(db, cfg)
 										}
-										cfg.Config.Devices = devices
-										if o.StripeChunk > 0 {
-											cfg.Config.StripeChunk = o.StripeChunk
-										}
-										if sel < 1 {
-											// sel = 1 leaves Selectivities nil so the run is
-											// bit-identical to the pre-skipping sweep.
-											cfg.Selectivities = []float64{sel}
-										}
-										cfg.Deadline = o.Deadline
-										cfg.CancelRate = o.CancelRate
-										cfg.WriteFrac = o.WriteFrac
-										cfg.CheckpointOps = o.CheckpointOps
-										if iosched != "fifo" {
-											// "fifo" stays "" so the cell is bit-identical
-											// to the pre-scheduler engine.
-											cfg.Config.IOScheduler = iosched
-										}
-										cfg.Config.StripeRowRA = o.StripeRowRA
-										cfg.IOPriority = o.IOPriority
-										cfg.Config.HotFrac = o.HotFrac
-										cfg.Config.HotProb = o.HotProb
-										if tier != "flat" {
-											fd := devices / 2
-											if fd < 1 {
-												fd = 1
-											}
-											cfg.Config.FastDevices = fd
-											if tier == "tiered-temp" {
-												// Profiling pass: same cell, round-robin
-												// placement, heat collection on.
-												prof := cfg
-												prof.CollectBlockHeat = true
-												pres := workload.RunServe(db, prof)
-												heat := workload.ChunkHeat(pres.BlockHeat, cfg.Config.StripeChunk)
-												fast := make([]int, fd)
-												for i := range fast {
-													fast[i] = i
-												}
-												cfg.Config.ChunkPlacement = iosim.TemperaturePlacement(heat, devices, fast)
-											}
-										}
-										res := workload.RunServe(db, cfg)
-										out = append(out, ServeRowOf(res, rate, mpl, pol.String(), shards, devices, iosched, tier, adm, sel))
+										out = append(out, ServeRowOf(workload.RunServe(db, cfg), cfg))
 									}
 								}
 							}
@@ -491,48 +317,20 @@ func ServeSweep(o ServeOptions) []ServeRow {
 	return out
 }
 
-func ms(d time.Duration) float64 { return float64(d) / 1e6 }
-
-// CompareOptions parameterizes the closed-vs-open-loop comparison
-// (cmd/scanbench -compare): one (rate, MPL, policy) point run twice over
-// the identical query mix, once with open-loop Poisson arrivals and once
-// closed-loop (each stream waits for completion before its next query).
-type CompareOptions struct {
-	Options
-	// Rate is the per-stream arrival (open) / think (closed) rate in
-	// queries per virtual second. The default of 20 overloads the default
-	// scale, where the disciplines diverge most visibly.
-	Rate float64
-	// MPL is the scheduler concurrency limit (default 8).
-	MPL int
-	// Policy is the buffer-management policy (default PBM).
-	Policy Policy
-	// Shards is the buffer-pool shard count (default 8).
-	Shards int
-	// Devices is the disk-array spindle count (default 1).
-	Devices int
-	// StripeChunk is the striping granularity in blocks (0 = default).
-	StripeChunk int
-	// Admission names the admission policy for both loops (default
-	// "fifo").
-	Admission string
-	// Tenants is the number of fairness domains streams map onto (0 =>
-	// default 4).
-	Tenants int
-	// TenantWeights assigns wfq weights by tenant id.
-	TenantWeights []float64
-	// QueueDepth bounds the admission queue (0 => default 64, negative
-	// => unbounded).
-	QueueDepth int
-	// SLO is the latency objective (0 => 250 ms).
-	SLO time.Duration
-	// Real runs both loops on the real-threaded runtime.
-	Real bool
-}
-
-// DefaultCompareOptions returns the comparison defaults.
-func DefaultCompareOptions() CompareOptions {
-	return CompareOptions{Options: DefaultOptions(), Rate: 20, MPL: 8, Policy: PBM, Shards: DefaultPoolShards}
+// heatPlacement runs tiered-temp's profiling pass — the same cell under
+// round-robin placement with heat collection on — and returns the chunk
+// placement that puts the hottest chunks on the fast tier. The result is
+// never nil, which is what labels the cell tiered-temp: under LRU and
+// Clock, which keep no temperature map, it is empty and the array stays
+// round-robin.
+func heatPlacement(db *TPCHDB, cfg ServeConfig) []int {
+	cfg.CollectBlockHeat = true
+	heat := workload.ChunkHeat(workload.RunServe(db, cfg).BlockHeat, cfg.StripeChunk)
+	fast := make([]int, cfg.FastDevices)
+	for i := range fast {
+		fast[i] = i
+	}
+	return append([]int{}, iosim.TemperaturePlacement(heat, cfg.Devices, fast)...)
 }
 
 // CompareReport is the result of one closed-vs-open-loop comparison: the
@@ -546,48 +344,28 @@ type CompareReport struct {
 	GapP50ms, GapP95ms, GapP99ms float64
 }
 
-// Compare runs the closed-vs-open-loop comparison at one configuration.
-func Compare(o CompareOptions) CompareReport {
-	d := DefaultCompareOptions()
+// Compare runs the closed-vs-open-loop comparison (cmd/scanbench
+// -compare): one configuration — the first element of each axis of o —
+// run twice over the identical query mix, once with open-loop Poisson
+// arrivals and once closed-loop (each stream waits for completion before
+// its next query). An unset rate defaults to 20 queries per second per
+// stream, which overloads the default scale, where the disciplines
+// diverge most visibly.
+func Compare(o ServeOptions) CompareReport {
 	o.Options = o.Options.fill()
-	if o.Rate <= 0 {
-		o.Rate = d.Rate
+	c := o.point()
+	if c.rate <= 0 {
+		c.rate = 20
 	}
-	if o.MPL <= 0 {
-		o.MPL = d.MPL
+	if c.admission == "" {
+		c.admission = "fifo"
 	}
-	if o.Shards <= 0 {
-		o.Shards = d.Shards
-	}
-	if o.Devices <= 0 {
-		o.Devices = 1
-	}
-	if o.Admission == "" {
-		o.Admission = "fifo"
-	}
-	validateAdmission(o.Admission)
-	db := GenerateTPCH(o.SF, o.Seed)
-	cfg := DefaultServeConfig()
-	cfg.Config = o.apply(cfg.Config)
-	cfg.Config.Real = o.Real
-	cfg.Policy = o.Policy
-	cfg.PoolShards = o.Shards
-	cfg.Config.Devices = o.Devices
-	cfg.Config.StripeChunk = o.StripeChunk
-	cfg.ArrivalRate = o.Rate
-	cfg.MPL = o.MPL
-	cfg.QueueDepth = o.QueueDepth
-	cfg.AdmissionPolicy = o.Admission
-	cfg.Tenants = o.Tenants
-	cfg.TenantWeights = o.TenantWeights
-	if o.SLO != 0 {
-		cfg.SLO = o.SLO
-	}
+	validateAdmission(c.admission)
+	validateTiers(o.Tiers...)
+	db := GenerateTPCHOpt(o.SF, o.Seed, TPCHGenOptions{ClusteredShipdate: o.Clustered})
+	cfg := o.config(c)
 	res := workload.RunCompare(db, cfg)
-	row := func(r *workload.ServeResult) ServeRow {
-		return ServeRowOf(r, o.Rate, o.MPL, o.Policy.String(), o.Shards, o.Devices, "fifo", "flat", o.Admission, 1)
-	}
-	rep := CompareReport{Open: row(res.Open), Closed: row(res.Closed)}
+	rep := CompareReport{Open: ServeRowOf(res.Open, cfg), Closed: ServeRowOf(res.Closed, cfg)}
 	rep.GapP50ms = rep.Open.P50ms - rep.Closed.P50ms
 	rep.GapP95ms = rep.Open.P95ms - rep.Closed.P95ms
 	rep.GapP99ms = rep.Open.P99ms - rep.Closed.P99ms

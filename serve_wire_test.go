@@ -3,15 +3,17 @@ package scanshare_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
+	"time"
 
 	scanshare "repro"
 	"repro/wire"
 )
 
-// TestServeRowWireCompat: the wire schema must marshal byte-for-byte as
-// the historical ServeRow JSON — consumers of old `scanbench -json`
-// files parse new ones and vice versa.
+// TestServeRowWireCompat: ServeRow is the wire schema, and the wire form
+// round-trips into itself — consumers of old `scanbench -json` files
+// parse new ones and vice versa.
 func TestServeRowWireCompat(t *testing.T) {
 	row := scanshare.ServeRow{
 		Rate: 5, MPL: 8, Policy: "PBM", Shards: 8, Devices: 4,
@@ -23,19 +25,10 @@ func TestServeRowWireCompat(t *testing.T) {
 		Seeks: 9, Skew: 1.25,
 		TenantP95ms: []float64{40, 60}, TenantSLOPct: []float64{99, 95},
 	}
-	a, err := json.Marshal(row)
+	b, err := json.Marshal(row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(row.Wire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("wire.ServeStats JSON drifted from ServeRow:\n row: %s\nwire: %s", a, b)
-	}
-
-	// And the wire form round-trips into itself.
 	var back wire.ServeStats
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
@@ -46,5 +39,85 @@ func TestServeRowWireCompat(t *testing.T) {
 	}
 	if !bytes.Equal(b, c) {
 		t.Errorf("wire.ServeStats does not round-trip:\n in: %s\nout: %s", b, c)
+	}
+}
+
+// TestServeRowLabels pins what the one row mapper decides: every axis
+// label of a row derives from the ServeConfig that ran.
+func TestServeRowLabels(t *testing.T) {
+	base := scanshare.DefaultServeConfig()
+	for name, c := range map[string]struct {
+		mutate func(*scanshare.ServeConfig)
+		want   func(*scanshare.ServeRow)
+	}{
+		"defaults": {func(*scanshare.ServeConfig) {}, func(*scanshare.ServeRow) {}},
+		"cscan has no pool shards": {
+			func(c *scanshare.ServeConfig) { c.Policy = scanshare.CScan },
+			func(r *scanshare.ServeRow) { r.Policy, r.Shards = "CScans", 0 },
+		},
+		"explicit axes": {
+			func(c *scanshare.ServeConfig) {
+				c.ArrivalRate, c.MPL, c.PoolShards, c.Devices = 5, 32, 2, 4
+				c.IOScheduler, c.AdmissionPolicy = "elevator", "wfq"
+			},
+			func(r *scanshare.ServeRow) {
+				r.Rate, r.MPL, r.Shards, r.Devices, r.IOSched, r.Admission = 5, 32, 2, 4, "elevator", "wfq"
+			},
+		},
+		"fast devices are tiered-rr": {
+			func(c *scanshare.ServeConfig) { c.Devices, c.FastDevices = 4, 2 },
+			func(r *scanshare.ServeRow) { r.Devices, r.Tier = 4, "tiered-rr" },
+		},
+		"a placement is tiered-temp": {
+			func(c *scanshare.ServeConfig) { c.Devices, c.FastDevices, c.ChunkPlacement = 4, 2, []int{0, 1, 2, 3} },
+			func(r *scanshare.ServeRow) { r.Devices, r.Tier = 4, "tiered-temp" },
+		},
+		"selectivity": {
+			func(c *scanshare.ServeConfig) { c.Selectivities = []float64{0.01} },
+			func(r *scanshare.ServeRow) { r.Selectivity = 0.01 },
+		},
+	} {
+		cfg := base
+		c.mutate(&cfg)
+		// The defaults: "" reads fifo, 0 devices reads 1, no tier is flat.
+		want := scanshare.ServeRow{
+			Rate: 8, MPL: 8, Policy: "PBM", Shards: scanshare.DefaultPoolShards, Devices: 1,
+			IOSched: "fifo", Tier: "flat", Admission: "fifo", Selectivity: 1, Skew: 1,
+		}
+		c.want(&want)
+		if got := scanshare.ServeRowOf(&scanshare.ServeResult{}, cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// TestServeEngineConfigDefaults pins the configuration scanserved runs
+// with no flags — the point the serve-* benchmark workloads run at: the
+// serving defaults, not the sweep's first-of-axis ones.
+func TestServeEngineConfigDefaults(t *testing.T) {
+	cfg := scanshare.NewServeEngineConfig(scanshare.Options{SF: 0.01, Seed: 7}, scanshare.ServeAxes{})
+	want := scanshare.DefaultServeConfig()
+	want.Seed = 7
+	if !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("empty axes:\n got %+v\nwant %+v", cfg, want)
+	}
+	if cfg.Policy != scanshare.PBM || cfg.MPL != 8 || cfg.PoolShards != scanshare.DefaultPoolShards ||
+		cfg.QueueDepth != 64 || cfg.SLO != 250*time.Millisecond || cfg.Devices > 1 ||
+		cfg.IOScheduler != "" || cfg.AdmissionPolicy != "" || cfg.FastDevices != 0 || cfg.Real {
+		t.Fatalf("serving defaults moved: %+v", cfg)
+	}
+	row := scanshare.ServeRowOf(&scanshare.ServeResult{}, cfg)
+	if row.Devices != 1 || row.IOSched != "fifo" || row.Admission != "fifo" || row.Tier != "flat" {
+		t.Fatalf("default labels moved: %+v", row)
+	}
+
+	// Multi-valued axes contribute their first element.
+	var axes scanshare.ServeAxes
+	axes.MPLs, axes.Shards, axes.Devices = []int{4, 8}, []int{2, 4}, []int{4, 1}
+	axes.Tiers, axes.AdmissionPolicies = []string{"tiered-temp"}, []string{"sesf", "wfq"}
+	cfg = scanshare.NewServeEngineConfig(scanshare.Options{}, axes)
+	if cfg.MPL != 4 || cfg.PoolShards != 2 || cfg.Devices != 4 || cfg.FastDevices != 2 ||
+		cfg.ChunkPlacement != nil || cfg.AdmissionPolicy != "sesf" {
+		t.Fatalf("first-of-axis mapping: %+v", cfg)
 	}
 }

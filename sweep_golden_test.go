@@ -9,7 +9,32 @@ import (
 	"testing"
 )
 
-var updateSweepGolden = flag.Bool("update", false, "rewrite the sweep golden output files")
+var updateGolden = flag.Bool("update", false, "rewrite the golden output files")
+
+// checkGolden compares got against testdata/<name>, byte for byte; with
+// -update it rewrites the file instead. Regenerate ONLY for an
+// intentional semantic change to the simulation.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (generate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("output diverged from %s\n--- want\n%s--- got\n%s", path, want, got)
+	}
+}
 
 // sweepGoldenFingerprint renders every numeric result of a tiny serving
 // sweep and a tiny figure sweep with full precision. The file it is
@@ -27,14 +52,16 @@ func sweepGoldenFingerprint() string {
 	var b strings.Builder
 
 	so := ServeOptions{
-		Options:           Options{SF: 0.01, Seed: 42, Streams: 8, QueriesPerStream: 2},
-		Rates:             []float64{50},
-		MPLs:              []int{2},
-		Policies:          []Policy{LRU, PBM, CScan},
-		Shards:            []int{1, 2},
-		AdmissionPolicies: []string{"fifo", "wfq"},
-		Tenants:           2,
-		TenantWeights:     []float64{2, 1},
+		Options: Options{SF: 0.01, Seed: 42, Streams: 8, QueriesPerStream: 2},
+		ServeAxes: ServeAxes{
+			Rates:             []float64{50},
+			MPLs:              []int{2},
+			Shards:            []int{1, 2},
+			AdmissionPolicies: []string{"fifo", "wfq"},
+			Tenants:           2,
+			TenantWeights:     []float64{2, 1},
+		},
+		Policies: []Policy{LRU, PBM, CScan},
 	}
 	for _, r := range ServeSweep(so) {
 		fmt.Fprintf(&b, "serve rate=%g mpl=%d pol=%s shards=%d adm=%s done=%d rej=%d thru=%.9f p50=%.9f p95=%.9f p99=%.9f qwait=%.9f slo=%.9f io=%.9f",
@@ -63,23 +90,5 @@ func TestSweepGoldenUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep golden runs full tiny sweeps; skipped in -short")
 	}
-	path := filepath.Join("testdata", "sweep_golden.txt")
-	got := sweepGoldenFingerprint()
-	if *updateSweepGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (generate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("sweep output diverged from pre-DeviceArray golden output\n--- want\n%s--- got\n%s", want, got)
-	}
+	checkGolden(t, "sweep_golden.txt", sweepGoldenFingerprint())
 }

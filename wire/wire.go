@@ -189,42 +189,68 @@ type UpdateResult struct {
 	Error       string `json:",omitempty"`
 }
 
-// ServeStats is one serving measurement in the serve-table schema: the
-// exact field set (and JSON names) of the in-process sweep's ServeRow,
-// so `scanbench -json` files, /statz exports and scanload reports all
-// parse with one type. See ServeRow in the root package for the field
-// semantics.
+// ServeStats is one serving measurement in the serve-table schema: one
+// cell of the in-process sweep (a rate, MPL, buffer policy, shards,
+// admission policy, ... configuration and its throughput/latency
+// report, overall and per tenant), a /statz export, or a scanload
+// report, so `scanbench -json` files and the socket path all parse with
+// one type. The root package's ServeRow is this type.
 type ServeStats struct {
-	Rate         float64
-	MPL          int
-	Policy       string
-	Shards       int
-	Devices      int
-	IOSched      string
-	Tier         string
-	Admission    string
-	Completed    int64
-	Rejected     int64
-	TimedOut     int64
-	Cancelled    int64
-	ToPct        float64
-	CanPct       float64
-	Throughput   float64
-	P50ms        float64
-	P95ms        float64
-	P99ms        float64
-	QWaitP95ms   float64
-	SLOPct       float64
-	IOMB         float64
-	Selectivity  float64
-	SkipPct      float64
-	ReadMBps     float64
-	Seeks        int64
-	Skew         float64
-	Writes       int64
-	WrQps        float64
-	Checkpoints  int
-	MergeP95ms   float64
+	Rate      float64 // per-stream arrival rate (queries/s)
+	MPL       int
+	Policy    string // buffer-management policy
+	Shards    int    // buffer-pool shard count (0 for CScan rows: no pool)
+	Devices   int    // disk-array spindle count
+	IOSched   string // device queue discipline (fifo/elevator)
+	Tier      string // array tiering (flat/tiered-rr/tiered-temp)
+	Admission string // admission policy (fifo/sesf/wfq)
+	Completed int64
+	Rejected  int64
+	// TimedOut and Cancelled count the queries resolved by the lifecycle
+	// machinery: deadline kills (queued or executing) and client
+	// cancels. Completed+Rejected+TimedOut+Cancelled covers every
+	// arrival; ToPct and CanPct are their shares of arrivals, 0..100.
+	TimedOut   int64
+	Cancelled  int64
+	ToPct      float64
+	CanPct     float64
+	Throughput float64 // completed queries per (virtual or wall) second
+	P50ms      float64 // end-to-end latency percentiles (ms)
+	P95ms      float64
+	P99ms      float64
+	QWaitP95ms float64 // queue-wait p95 (ms)
+	SLOPct     float64 // fraction of completed queries meeting the SLO, 0..100
+	IOMB       float64
+	// Selectivity is the cell's predicate selectivity (1 = unrestricted
+	// scans); SkipPct is the fraction of requested tuples the zone maps
+	// pruned before any I/O was scheduled, 0..100.
+	Selectivity float64
+	SkipPct     float64
+	// ReadMBps is the achieved aggregate read bandwidth over the run's
+	// makespan (device bytes / elapsed), the column that makes the
+	// multi-device scaling effect measurable.
+	ReadMBps float64
+	// Seeks counts device requests that paid the seek penalty, summed
+	// over spindles — the column the elevator scheduler moves.
+	Seeks int64
+	// Skew is the busiest spindle's byte share relative to a perfect
+	// stripe balance: MaxDeviceBytes / (BytesRead / Devices). 1.00 means
+	// balanced, Devices means one spindle did all the work; 1.00 when the
+	// run transferred nothing.
+	Skew float64
+	// Writes and WrQps report the write side of a mixed cell: update
+	// queries completed and their throughput. Checkpoints counts the
+	// checkpoint/merge cycles that completed mid-run; MergeP95ms is the
+	// p95 end-to-end latency of read queries whose lifetime overlapped a
+	// merge window — the "does a merge stall scans" column.
+	Writes      int64
+	WrQps       float64
+	Checkpoints int
+	MergeP95ms  float64
+	// TenantP95ms and TenantSLOPct break p95 latency and SLO attainment
+	// down by tenant id (index = tenant), exposing what the aggregate
+	// hides: which tenant pays the overload tail under each admission
+	// policy.
 	TenantP95ms  []float64
 	TenantSLOPct []float64
 }
