@@ -228,8 +228,14 @@ type CScan struct {
 }
 
 // Bind attaches the owning query's lifecycle handle. Call once, right
-// after RegisterCScan, before the first GetChunk.
-func (cs *CScan) Bind(q *rt.QueryCtx) { cs.qctx = q }
+// after RegisterCScan, before the first GetChunk. RegisterCScan has
+// already published the scan to the loader, which reads the handle when
+// it chooses whom to load for, so the write goes under the ABM's mutex.
+func (cs *CScan) Bind(q *rt.QueryCtx) {
+	cs.abm.mu.Lock()
+	cs.qctx = q
+	cs.abm.mu.Unlock()
+}
 
 // SIDRange is a half-open range of stable tuple positions.
 type SIDRange struct{ Lo, Hi int64 }

@@ -49,6 +49,9 @@ type CScan struct {
 	// nothing to load, so segments are emitted without ABM deliveries.
 	pureInserts bool
 	pureDone    bool
+	// pace is this scan thread's fork of Ctx.Query, the pacing domain of
+	// its CPU charges (the ABM's loader does the device reads).
+	pace *QueryCtx
 }
 
 // Schema implements Operator.
@@ -72,6 +75,7 @@ func (s *CScan) Open() {
 		panic("exec: CScan requires an ABM in the context")
 	}
 	s.out = NewBatch(s.Schema())
+	s.pace = s.Ctx.Query.Fork()
 	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)
 	total := s.Snap.NumTuples()
 	if s.PDT != nil {
@@ -202,7 +206,7 @@ func (s *CScan) Next() *Batch {
 	if s.out.N == 0 {
 		return nil
 	}
-	s.Ctx.work(s.Ctx.PerTupleCPU * sim.Duration(s.out.N))
+	s.Ctx.work(s.pace, s.Ctx.PerTupleCPU*sim.Duration(s.out.N))
 	return s.out
 }
 
@@ -246,6 +250,7 @@ func (s *CScan) Close() {
 		s.cs.Unregister()
 		s.cs = nil
 	}
+	s.pace.Flush()
 }
 
 // readColumnDirect copies values from (ABM-resident, pinned) pages.

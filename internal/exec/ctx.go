@@ -12,8 +12,9 @@ import (
 // occupy one core for their duration, so more threads than cores contend,
 // producing the CPU-bound plateaus of the paper's high-bandwidth
 // configurations. On the real runtime the semaphore is a real one and the
-// burst is a wall-clock sleep, so the model prices CPU work identically
-// in both modes.
+// burst is wall-clock sleep, so the model prices CPU work identically in
+// both modes; a scan thread's bursts are paced (see rt.QueryCtx.Fork), so
+// the core is held for the lump they add up to, not once per burst.
 type CPU struct {
 	r   rt.Runtime
 	res rt.Resource
@@ -24,13 +25,18 @@ func NewCPU(r rt.Runtime, cores int) *CPU {
 	return &CPU{r: r, res: r.NewResource(cores)}
 }
 
-// Work occupies one core for d.
-func (c *CPU) Work(d sim.Duration) {
+// Work occupies one core for d, charged to the thread that owns q (nil:
+// nobody's, the burst is slept as it is).
+func (c *CPU) Work(q *QueryCtx, d sim.Duration) {
 	if d <= 0 {
 		return
 	}
+	lump := q.Owe(d)
+	if lump <= 0 {
+		return
+	}
 	c.res.Acquire()
-	c.r.Sleep(d)
+	q.Pay(c.r, lump)
 	c.res.Release()
 }
 
@@ -78,9 +84,10 @@ type Ctx struct {
 	Query *QueryCtx
 }
 
-// work charges d against the context's CPU model, if any.
-func (c *Ctx) work(d sim.Duration) {
+// work charges d against the context's CPU model, if any, on behalf of
+// the thread that owns q.
+func (c *Ctx) work(q *QueryCtx, d sim.Duration) {
 	if c.CPU != nil {
-		c.CPU.Work(d)
+		c.CPU.Work(q, d)
 	}
 }

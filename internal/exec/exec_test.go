@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -421,7 +422,7 @@ func TestCPUContention(t *testing.T) {
 		wg.Add(1)
 		eng.Go("w", func() {
 			defer wg.Done()
-			cpu.Work(10 * time.Millisecond)
+			cpu.Work(nil, 10*time.Millisecond)
 		})
 	}
 	eng.Go("driver", func() {
@@ -450,4 +451,89 @@ func TestExprBetweenAndIn(t *testing.T) {
 			t.Fatalf("N = %d, want 2 (10 and 15)", res.N)
 		}
 	})
+}
+
+// batchSource replays one prepared batch a fixed number of times.
+type batchSource struct {
+	types []storage.ColumnType
+	b     *Batch
+	times int
+	left  int
+}
+
+func (s *batchSource) Schema() []storage.ColumnType { return s.types }
+func (s *batchSource) Open()                        { s.left = s.times }
+func (s *batchSource) Close()                       {}
+func (s *batchSource) Next() *Batch {
+	if s.left == 0 {
+		return nil
+	}
+	s.left--
+	return s.b
+}
+
+// TestHashAggrMixedKeyNoPerTupleAlloc groups on an int, a float and a
+// string column at once. The groups, their order and their aggregates
+// must be those of the key the operator has always grouped by (each value
+// rendered %d, %g or verbatim, '|'-terminated, groups sorted by it) — and
+// building that key must allocate per new group, not per tuple: a batch
+// that brings no new group allocates nothing.
+func TestHashAggrMixedKeyNoPerTupleAlloc(t *testing.T) {
+	types := []storage.ColumnType{storage.Int64, storage.Float64, storage.String, storage.Int64}
+	b := NewBatch(types)
+	floats := []float64{0.5, -3, 1e21, 1.0 / 3, 0}
+	strs := []string{"", "A", "N|O", "réf"}
+	type want struct {
+		n, sum int64
+	}
+	ref := map[string]*want{}
+	for i := 0; i < VectorSize; i++ {
+		k := int64(i%7) - 3
+		f := floats[i%len(floats)]
+		s := strs[i%len(strs)]
+		b.Vecs[0].I64 = append(b.Vecs[0].I64, k)
+		b.Vecs[1].F64 = append(b.Vecs[1].F64, f)
+		b.Vecs[2].Str = append(b.Vecs[2].Str, s)
+		b.Vecs[3].I64 = append(b.Vecs[3].I64, int64(i))
+		key := fmt.Sprintf("%d|%g|%s|", k, f, s)
+		if ref[key] == nil {
+			ref[key] = &want{}
+		}
+		ref[key].n++
+		ref[key].sum += int64(i)
+	}
+	b.N = VectorSize
+	keys := make([]string, 0, len(ref))
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+
+	run := func(times int) *Batch {
+		return Collect(&HashAggr{
+			Child:  &batchSource{types: types, b: b, times: times},
+			Groups: []int{0, 1, 2},
+			Aggs:   []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 3}},
+		})
+	}
+	res := run(3)
+	if res.N != len(keys) {
+		t.Fatalf("%d groups, want %d", res.N, len(keys))
+	}
+	for i, key := range keys {
+		got := fmt.Sprintf("%d|%g|%s|", res.Vecs[0].I64[i], res.Vecs[1].F64[i], res.Vecs[2].Str[i])
+		if got != key {
+			t.Fatalf("group %d is %q, want %q", i, got, key)
+		}
+		if w := ref[key]; res.Vecs[3].I64[i] != 3*w.n || res.Vecs[4].I64[i] != 3*w.sum {
+			t.Fatalf("group %q: count %d sum %d, want %d %d", key, res.Vecs[3].I64[i], res.Vecs[4].I64[i], 3*w.n, 3*w.sum)
+		}
+	}
+
+	one := testing.AllocsPerRun(20, func() { run(1) })
+	many := testing.AllocsPerRun(20, func() { run(33) })
+	if many > one {
+		t.Fatalf("32 more batches of %d tuples in known groups cost %.0f allocations, want 0 (%.0f for one batch, %d groups)",
+			VectorSize, many-one, one, len(keys))
+	}
 }

@@ -1,8 +1,8 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/sim"
@@ -42,7 +42,7 @@ func (s *Select) Next() *Batch {
 			return nil
 		}
 		if s.Ctx != nil && s.PerTupleCPU > 0 {
-			s.Ctx.work(s.PerTupleCPU * sim.Duration(in.N))
+			s.Ctx.work(nil, s.PerTupleCPU*sim.Duration(in.N))
 		}
 		s.Pred.Eval(in, &s.pred)
 		s.out.Reset()
@@ -261,27 +261,29 @@ func (a *HashAggr) Next() *Batch {
 
 func (a *HashAggr) consume() {
 	child := a.Child.Schema()
-	var keyBuf strings.Builder
+	var kb []byte // the tuple's grouping key, rebuilt in place per tuple
 	for in := a.Child.Next(); in != nil; in = a.Child.Next() {
 		if a.Ctx != nil && a.PerTupleCPU > 0 {
-			a.Ctx.work(a.PerTupleCPU * sim.Duration(in.N))
+			a.Ctx.work(nil, a.PerTupleCPU*sim.Duration(in.N))
 		}
 		for i := 0; i < in.N; i++ {
-			keyBuf.Reset()
+			kb = kb[:0]
 			for _, g := range a.Groups {
 				switch child[g] {
 				case storage.Int64:
-					fmt.Fprintf(&keyBuf, "%d|", in.Vecs[g].I64[i])
+					kb = strconv.AppendInt(kb, in.Vecs[g].I64[i], 10)
 				case storage.Float64:
-					fmt.Fprintf(&keyBuf, "%g|", in.Vecs[g].F64[i])
+					kb = strconv.AppendFloat(kb, in.Vecs[g].F64[i], 'g', -1, 64)
 				case storage.String:
-					keyBuf.WriteString(in.Vecs[g].Str[i])
-					keyBuf.WriteByte('|')
+					kb = append(kb, in.Vecs[g].Str[i]...)
 				}
+				kb = append(kb, '|')
 			}
-			key := keyBuf.String()
-			st, ok := a.groups[key]
+			// A map index by string(kb) does not allocate; the key string
+			// is only materialised for a group seen for the first time.
+			st, ok := a.groups[string(kb)]
 			if !ok {
+				key := string(kb)
 				st = &aggState{
 					sums:   make([]float64, len(a.Aggs)),
 					isums:  make([]int64, len(a.Aggs)),
@@ -400,7 +402,7 @@ func (j *HashJoin) Next() *Batch {
 			return nil
 		}
 		if j.Ctx != nil && j.PerTupleCPU > 0 {
-			j.Ctx.work(j.PerTupleCPU * sim.Duration(in.N))
+			j.Ctx.work(nil, j.PerTupleCPU*sim.Duration(in.N))
 		}
 		keys := in.Vecs[j.ProbeKey]
 		typeCheck(storage.Int64, keys.T, "join probe key")

@@ -20,6 +20,13 @@ import (
 func newRealEnv(t testing.TB, n, workers int) (*env, rt.Runtime) {
 	t.Helper()
 	r := rt.NewReal()
+	return newRealEnvOn(t, r, n, workers), r
+}
+
+// newRealEnvOn is newRealEnv over a given real runtime (a counting
+// wrapper, in the pacing tests).
+func newRealEnvOn(t testing.TB, r rt.Runtime, n, workers int) *env {
+	t.Helper()
 	disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
 	pool := buffer.NewPool(r, disk, buffer.NewLRU(), 1<<30)
 
@@ -60,7 +67,7 @@ func newRealEnv(t testing.TB, n, workers int) (*env, rt.Runtime) {
 			Workers:         rt.NewWorkerPool(r, workers),
 		},
 	}
-	return e, r
+	return e
 }
 
 func TestRealXChgMergesAllPartitions(t *testing.T) {

@@ -56,6 +56,10 @@ type Scan struct {
 	consumed int64 // stable tuples consumed (PBM progress unit)
 	opened   bool
 	closed   bool
+	// pace is this scan thread's fork of Ctx.Query: the owner tag of its
+	// pool requests and the pacing domain its CPU charges and device
+	// waits share (nil when the plan has no lifecycle handle).
+	pace *QueryCtx
 }
 
 // rangePlan is the merge plan of one RID range.
@@ -82,6 +86,7 @@ func (s *Scan) Open() {
 	}
 	s.opened = true
 	s.out = NewBatch(s.Schema())
+	s.pace = s.Ctx.Query.Fork()
 	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)
 	total := s.Snap.NumTuples()
 	if s.PDT != nil {
@@ -206,7 +211,7 @@ func (s *Scan) Next() *Batch {
 	if s.out.N == 0 {
 		return nil
 	}
-	s.Ctx.work(s.Ctx.PerTupleCPU * sim.Duration(s.out.N))
+	s.Ctx.work(s.pace, s.Ctx.PerTupleCPU*sim.Duration(s.out.N))
 	if s.pbmOn {
 		s.Ctx.PBM.ReportScanPosition(s.pbmID, s.consumed)
 		// §5 attach&throttle: pause briefly when PBM advises that slowing
@@ -232,6 +237,7 @@ func (s *Scan) Close() {
 		s.Ctx.PBM.UnregisterScan(s.pbmID)
 		s.pbmOn = false
 	}
+	s.pace.Flush()
 }
 
 func setVec(v *Vec, i int, val pdt.Value) {
@@ -275,7 +281,7 @@ func (r *colReader) release() {}
 func (r *colReader) read(lo, hi, sidEnd int64, out *Vec) error {
 	snap := r.scan.Snap
 	pool := r.scan.Ctx.Pool
-	owner := r.scan.Ctx.Query
+	owner := r.scan.pace
 	for _, pg := range snap.PagesInRange(r.col, lo, hi) {
 		var f *buffer.Frame
 		var err error

@@ -93,7 +93,7 @@ func TestCPUWorkZeroIsFree(t *testing.T) {
 	eng := sim.NewEngine()
 	cpu := NewCPU(rt.Sim(eng), 1)
 	eng.Go("w", func() {
-		cpu.Work(0)
+		cpu.Work(nil, 0)
 		if eng.Now() != 0 {
 			t.Error("zero work advanced the clock")
 		}

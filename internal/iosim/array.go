@@ -318,7 +318,7 @@ func (a *DeviceArray) ReadSpansOwner(q *rt.QueryCtx, spans []Span) {
 			until = u
 		}
 	}
-	a.r.SleepUntil(until)
+	q.SleepUntil(a.r, until)
 	for _, s := range subs {
 		a.devices[s.dev].depart()
 	}
@@ -348,7 +348,7 @@ func (a *DeviceArray) readSubsElevator(q *rt.QueryCtx, subs []subRead) {
 			until = u
 		}
 	}
-	a.r.SleepUntil(until)
+	q.SleepUntil(a.r, until)
 	for _, s := range subs {
 		a.devices[s.dev].depart()
 	}

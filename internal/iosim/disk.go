@@ -107,6 +107,7 @@ type ioReq struct {
 	blocks int
 	bytes  int64
 	prio   float64
+	arrive rt.Time // arrival on the owner's modelled clock (see rt.QueryCtx.Lead)
 	done   bool    // assignment published
 	until  rt.Time // completion time, valid once done
 }
@@ -190,15 +191,21 @@ func (d *Disk) Read(b BlockID, blocks int, bytes int64) {
 // the transfer is skipped at start — no seek, no busy time, no byte
 // accounting — instead of being serviced for a consumer that will never
 // look at the result. A nil owner is a plain Read.
+//
+// The owner is also who waits out the transfer (QueryCtx.SleepUntil): a
+// paced scan thread is charged the wait instead of sleeping it on the
+// spot, so it may use the page up to a quantum before the device
+// timeline says the transfer ended. The timeline itself (busyUntil,
+// BusyTime, Seeks, ticket order) is computed as for any other requester.
 func (d *Disk) ReadOwner(q *rt.QueryCtx, b BlockID, blocks int, bytes int64) {
 	if d.elevator() {
 		req := d.enqueue(q, b, blocks, bytes)
-		d.r.SleepUntil(d.await(req))
+		q.SleepUntil(d.r, d.await(req))
 		d.depart()
 		return
 	}
 	until := d.start(q, b, blocks, bytes)
-	d.r.SleepUntil(until)
+	q.SleepUntil(d.r, until)
 	d.depart()
 }
 
@@ -241,7 +248,9 @@ func (d *Disk) start(q *rt.QueryCtx, b BlockID, blocks int, bytes int64) rt.Time
 		return d.r.Now()
 	}
 
-	start := d.r.Now()
+	// A paced owner still owes the time it is ahead of the wall clock, so
+	// its request arrives on its own modelled clock (zero lead otherwise).
+	start := d.r.Now() + rt.Time(q.Lead())
 	if d.busyUntil > start {
 		start = d.busyUntil
 	}
@@ -290,6 +299,7 @@ func (d *Disk) enqueue(q *rt.QueryCtx, b BlockID, blocks int, bytes int64) *ioRe
 		blocks: blocks,
 		bytes:  bytes,
 		prio:   q.Priority(),
+		arrive: d.r.Now() + rt.Time(q.Lead()),
 	}
 	d.mu.Lock()
 	d.queued++
@@ -363,7 +373,9 @@ func (d *Disk) dispatch() {
 			dur += d.seekLatency
 			d.stats.Seeks++
 		}
-		until := now + rt.Time(dur)
+		// A request picked before its paced owner's modelled clock reaches
+		// its arrival starts then, not now.
+		until := max(now, req.arrive) + rt.Time(dur)
 		d.busyUntil = until
 		d.lastBlock = req.block + BlockID(req.blocks) - 1
 		d.haveLast = true

@@ -1,0 +1,271 @@
+package rt
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+)
+
+// The pacing contract, counted rather than timed wherever it can be: the
+// tests wrap a Runtime and count or log the timer calls that reach it.
+
+// recRT records every Sleep and SleepUntil that reaches the wrapped
+// runtime, with the clock at the call.
+type recRT struct {
+	Runtime
+	sleeps, untils int
+	log            []string
+}
+
+func (r *recRT) Sleep(d Duration) {
+	r.sleeps++
+	r.log = append(r.log, fmt.Sprintf("%d Sleep %d", r.Now(), d))
+	r.Runtime.Sleep(d)
+}
+
+func (r *recRT) SleepUntil(t Time) {
+	r.untils++
+	r.log = append(r.log, fmt.Sprintf("%d SleepUntil %d", r.Now(), t))
+	r.Runtime.SleepUntil(t)
+}
+
+// steppedRT is a real-mode runtime on a hand-driven clock: Sleep(d)
+// advances the clock by d plus the next overshoot of a fixed cycle, so a
+// test decides what the OS timer does.
+type steppedRT struct {
+	Runtime // nil: only the clock and Sleep are implemented
+	now     Time
+	over    []Duration
+	sleeps  int
+	slept   Duration
+}
+
+func (r *steppedRT) Real() bool { return true }
+func (r *steppedRT) Now() Time  { return r.now }
+func (r *steppedRT) Sleep(d Duration) {
+	took := d + r.over[r.sleeps%len(r.over)]
+	r.sleeps++
+	r.slept += took
+	r.now += Time(took)
+}
+
+// charge is what a charge site does: owe, and pay when told to.
+func charge(r Runtime, q *QueryCtx, d Duration) {
+	if lump := q.Owe(d); lump > 0 {
+		q.Pay(r, lump)
+	}
+}
+
+// TestPaceLumpsRealSleeps: a thousand 61 µs charges — a scan's CPU charge
+// per vector — reach the OS timer at most once per quantum of debt, and
+// the wall time they take tracks the 61 ms charged. A sleep per charge
+// takes the timer's overshoot a thousand times (about 17× the charge on
+// the box this was written on).
+func TestPaceLumpsRealSleeps(t *testing.T) {
+	const n, d = 1000, 61 * time.Microsecond
+	r := &recRT{Runtime: NewReal()}
+	q := NewQueryCtx(r).Fork()
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		charge(r, q, d)
+	}
+	q.Flush()
+	wall := time.Since(start)
+	if most := int(n*d/paceQuantum) + 1; r.sleeps > most {
+		t.Errorf("%d charges of %v reached the timer %d times, want <= %d", n, d, r.sleeps, most)
+	}
+	if wall < n*d {
+		t.Errorf("charged %v but only %v passed: under-charged", n*d, wall)
+	}
+	if wall > 2*n*d {
+		t.Errorf("charged %v and %v passed, want <= %v", n*d, wall, 2*n*d)
+	}
+	if q.debt > 0 {
+		t.Errorf("debt %v left after Flush", q.debt)
+	}
+}
+
+// TestPaceDebtBounds drives a mix of charge sizes against a timer that
+// overshoots by a cycle of amounts, one of them a 100 ms stall, and
+// checks the conservation bounds after every charge: unpaid debt below
+// the quantum, credit at most the cap, and time slept never more than a
+// quantum behind time charged. After Flush nothing is owed.
+func TestPaceDebtBounds(t *testing.T) {
+	r := &steppedRT{over: []Duration{
+		80 * time.Microsecond, 1100 * time.Microsecond, 0, 100 * time.Millisecond, 300 * time.Microsecond,
+	}}
+	q := NewQueryCtx(r).Fork()
+	charges := []Duration{61 * time.Microsecond, 120 * time.Microsecond, 7 * time.Microsecond, 2500 * time.Microsecond, 999 * time.Microsecond}
+	var charged Duration
+	for i := 0; i < 5000; i++ {
+		d := charges[i%len(charges)]
+		charge(r, q, d)
+		charged += d
+		if q.debt >= paceQuantum {
+			t.Fatalf("charge %d: debt %v not below the quantum", i, q.debt)
+		}
+		if q.debt < -paceCreditCap {
+			t.Fatalf("charge %d: credit %v above the cap %v", i, -q.debt, paceCreditCap)
+		}
+		if behind := charged - r.slept; behind >= paceQuantum {
+			t.Fatalf("charge %d: slept %v of %v charged, %v behind", i, r.slept, charged, behind)
+		}
+		if q.Lead() != max(q.debt, 0) {
+			t.Fatalf("charge %d: lead %v with debt %v", i, q.Lead(), q.debt)
+		}
+	}
+	q.Flush()
+	if q.debt > 0 || r.slept < charged {
+		t.Fatalf("after Flush: debt %v, slept %v of %v charged", q.debt, r.slept, charged)
+	}
+	// The stall was forgiven down to the cap, not banked: had its 100 ms
+	// all become credit, hundreds of the following charges would have
+	// been free and far fewer lumps slept.
+	if least := int(charged/(paceQuantum+paceCreditCap)) / 2; r.sleeps < least {
+		t.Fatalf("only %d lumps for %v charged: a stall bought free charges", r.sleeps, charged)
+	}
+}
+
+// TestPaceCreditTracksOvershoot: with a timer that always wakes 400 µs
+// late, the lateness of one lump is taken off the next, so the time
+// slept exceeds the time charged by one overshoot, not one per lump.
+func TestPaceCreditTracksOvershoot(t *testing.T) {
+	const over = 400 * time.Microsecond
+	r := &steppedRT{over: []Duration{over}}
+	q := NewQueryCtx(r).Fork()
+	var charged Duration
+	for i := 0; i < 10000; i++ {
+		charge(r, q, 61*time.Microsecond)
+		charged += 61 * time.Microsecond
+	}
+	q.Flush()
+	if extra := r.slept - charged; extra < 0 || extra > over {
+		t.Fatalf("slept %v for %v charged: %v extra, want within one overshoot %v", r.slept, charged, extra, over)
+	}
+}
+
+// TestPaceDeviceWaitOnModelledClock: a thread in debt is ahead of the
+// wall clock by the debt and its device requests arrive there, so
+// reaching a completion time replaces the lead — two back-to-back reads
+// that end 120 µs and 240 µs from now owe 240 µs together, not 360.
+func TestPaceDeviceWaitOnModelledClock(t *testing.T) {
+	r := &steppedRT{over: []Duration{0}}
+	q := NewQueryCtx(r).Fork()
+	q.SleepUntil(r, r.Now()+Time(120*time.Microsecond))
+	q.SleepUntil(r, r.Now()+Time(240*time.Microsecond))
+	if q.debt != 240*time.Microsecond || r.sleeps != 0 {
+		t.Fatalf("debt %v after %d sleeps, want 240µs and none", q.debt, r.sleeps)
+	}
+	// Wall time the thread spends blocked in the device queue comes off
+	// its lead: a third read granted 150 µs later, ending 60 µs after
+	// that, leaves 60 µs owed — and one that ended while the thread was
+	// still blocked leaves nothing.
+	r.now += Time(150 * time.Microsecond)
+	q.SleepUntil(r, r.Now()+Time(60*time.Microsecond))
+	if q.debt != 60*time.Microsecond {
+		t.Fatalf("debt %v after blocking through most of the wait, want 60µs", q.debt)
+	}
+	q.SleepUntil(r, r.Now()-1)
+	if q.debt != 0 || r.sleeps != 0 {
+		t.Fatalf("debt %v after %d sleeps for a wait already over, want none", q.debt, r.sleeps)
+	}
+	// A thread in credit is behind the wall clock; the wait is measured
+	// from the wall clock and the credit pays for part of it.
+	q.debt = -50 * time.Microsecond
+	q.SleepUntil(r, r.Now()+Time(120*time.Microsecond))
+	if q.debt != 70*time.Microsecond {
+		t.Fatalf("debt %v after a 120µs wait on 50µs of credit, want 70µs", q.debt)
+	}
+}
+
+// TestPaceSimPassthrough: on the simulator a fork changes nothing — the
+// sequence of (clock, timer call) pairs of a thread that charges, waits
+// for a device and flushes is the one a thread with no handle makes.
+func TestPaceSimPassthrough(t *testing.T) {
+	script := func(fork bool) []string {
+		r := &recRT{Runtime: Sim(sim.NewEngine())}
+		r.Go("scan", func() {
+			var q *QueryCtx
+			if fork {
+				q = NewQueryCtx(r).Fork()
+			}
+			for i := 0; i < 40; i++ {
+				charge(r, q, 61*time.Microsecond)
+				if i%3 == 0 {
+					q.SleepUntil(r, r.Now()+Time(120*time.Microsecond))
+				}
+				if i%7 == 0 {
+					q.SleepUntil(r, r.Now()-1) // a completion already past
+				}
+			}
+			charge(r, q, 3*time.Millisecond)
+			q.Flush()
+		})
+		r.Run()
+		return r.log
+	}
+	with, without := script(true), script(false)
+	if len(without) != 40+14+6+1 {
+		t.Fatalf("unpaced script made %d timer calls, want %d", len(without), 40+14+6+1)
+	}
+	if !reflect.DeepEqual(with, without) {
+		t.Fatalf("timer calls differ on the simulator:\nfork: %v\nnone: %v", with, without)
+	}
+}
+
+// TestPaceOnlyForksArePaced: a nil handle and a root handle keep raw
+// sleeps on the real runtime — a root is shared by every thread of a
+// plan and must carry no debt.
+func TestPaceOnlyForksArePaced(t *testing.T) {
+	r := &steppedRT{over: []Duration{0}}
+	root := NewQueryCtx(r)
+	for _, q := range []*QueryCtx{nil, root} {
+		before := r.sleeps
+		charge(r, q, 61*time.Microsecond)
+		if r.sleeps != before+1 || q.Lead() != 0 {
+			t.Fatalf("unpaced charge: %d sleeps, lead %v", r.sleeps-before, q.Lead())
+		}
+		q.Flush()
+	}
+	if (*QueryCtx)(nil).Fork() != nil {
+		t.Fatal("nil handle forked to a non-nil one")
+	}
+}
+
+// TestPaceForkSharesLifecycle: a fork is the same query — cancel,
+// deadline, priority and hooks are the root's — and a cancelled query's
+// residual is not paid.
+func TestPaceForkSharesLifecycle(t *testing.T) {
+	r := &steppedRT{over: []Duration{0}}
+	root := NewQueryCtx(r)
+	root.SetPriority(3)
+	a, b := root.Fork(), root.Fork()
+	fired := 0
+	a.OnCancel(func() { fired++ })
+	charge(r, a, 300*time.Microsecond)
+	if b.Lead() != 0 {
+		t.Fatalf("a's debt shows on b: lead %v", b.Lead())
+	}
+	if a.Priority() != 3 || a.Cancelled() {
+		t.Fatalf("fork priority %v cancelled %v", a.Priority(), a.Cancelled())
+	}
+	b.Cancel(CauseClientCancel)
+	if !root.Cancelled() || !a.Cancelled() || a.Cause() != CauseClientCancel || fired != 1 {
+		t.Fatalf("cancel through a fork: root %v a %v cause %v hooks %d", root.Cancelled(), a.Cancelled(), a.Cause(), fired)
+	}
+	a.Flush()
+	if r.sleeps != 0 {
+		t.Fatalf("cancelled query paid its residual: %d sleeps", r.sleeps)
+	}
+
+	late := NewQueryCtx(r)
+	late.SetDeadline(r.Now() + Time(time.Millisecond))
+	f := late.Fork()
+	charge(r, f, 2*time.Millisecond) // sleeps past the deadline
+	if !f.Cancelled() || late.Cause() != CauseDeadlineExceeded {
+		t.Fatalf("deadline through a fork: cancelled %v cause %v", f.Cancelled(), late.Cause())
+	}
+}

@@ -58,7 +58,24 @@ var ErrCancelled = errors.New("rt: query cancelled")
 // CauseDeadlineExceeded once the runtime clock passes it, so no timer
 // process is needed (and the deterministic simulator schedules no extra
 // events for queries that finish in time).
+//
+// A QueryCtx is also the pacing domain of modelled time on the real
+// runtime (see pace.go): the handle a query is admitted with is the root,
+// shared by every thread of the plan and never paced; each scan thread
+// takes its own Fork, which shares the root's lifecycle and carries that
+// one thread's debt.
 type QueryCtx struct {
+	*lifecycle
+
+	// Pacing state of a Fork. Touched only by the scan thread that owns
+	// the fork, so it needs no synchronization.
+	paced bool
+	debt  Duration // modelled time charged and not yet slept; negative is credit
+}
+
+// lifecycle is the cancel/deadline/priority state a root QueryCtx and
+// all its forks share.
+type lifecycle struct {
 	r     Runtime
 	cause atomic.Int32
 	prio  atomic.Uint64 // math.Float64bits of the I/O priority hint
@@ -77,7 +94,7 @@ type cancelHook struct {
 
 // NewQueryCtx returns a live QueryCtx on the given runtime's clock.
 func NewQueryCtx(r Runtime) *QueryCtx {
-	return &QueryCtx{r: r}
+	return &QueryCtx{lifecycle: &lifecycle{r: r}}
 }
 
 // SetDeadline arms the deadline. Call before the query is shared with

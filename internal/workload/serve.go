@@ -182,10 +182,11 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 				d := st.Next()
 				r.Sleep(d.Gap)
 				// A lifecycle handle exists only when a feature needs one,
-				// so runs with all of them off take the historical
-				// QueryCtx-free paths.
+				// so sim runs with all of them off take the historical
+				// QueryCtx-free paths. The real runtime always needs one:
+				// it is what a scan thread paces its modelled time on.
 				var qc *exec.QueryCtx
-				if cfg.Deadline > 0 || d.Cancel || cfg.IOPriority {
+				if cfg.Deadline > 0 || d.Cancel || cfg.IOPriority || r.Real() {
 					qc = en.NewQueryCtx(cfg.Deadline)
 					if d.Cancel {
 						wg.Add(1)
