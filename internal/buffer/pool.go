@@ -521,10 +521,8 @@ func (p *Pool) loadBatchPrefix(q *rt.QueryCtx, batch []*storage.Page) ([]*storag
 		return nil, err
 	}
 	ev := p.r.NewEvent()
-	var kept []*storage.Page
 	var frames []*Frame
 	var rest []*storage.Page
-	var lastBlock iosim.BlockID
 	for i, pg := range batch {
 		s := p.shardOf(pg.ID)
 		s.mu.Lock()
@@ -532,28 +530,15 @@ func (p *Pool) loadBatchPrefix(q *rt.QueryCtx, batch []*storage.Page) ([]*storag
 			s.mu.Unlock()
 			continue
 		}
-		if len(kept) > 0 && pg.Block != lastBlock+1 {
+		if n := len(frames); n > 0 && pg.Block != frames[n-1].Page.Block+1 {
 			s.mu.Unlock()
 			rest = batch[i:] // contiguity broken; re-issue as a new batch
 			break
 		}
-		f := &Frame{Page: pg, loading: true}
-		s.inFlight[pg.ID] = ev
-		s.frames[pg.ID] = f
-		s.used += pg.Bytes
-		s.stats.Misses++
-		s.stats.BytesLoaded += pg.Bytes
-		if p.OnAccess != nil {
-			p.OnAccess(pg)
-		}
+		frames = append(frames, s.admit(pg, ev))
 		s.mu.Unlock()
-		p.used.Add(pg.Bytes)
-		p.nLoading.Add(1)
-		kept = append(kept, pg)
-		frames = append(frames, f)
-		lastBlock = pg.Block
 	}
-	if len(kept) == 0 {
+	if len(frames) == 0 {
 		return rest, nil
 	}
 	// Issue the batch split at stripe-chunk boundaries, one sub-read per
@@ -561,7 +546,8 @@ func (p *Pool) loadBatchPrefix(q *rt.QueryCtx, batch []*storage.Page) ([]*storag
 	// concurrently and ReadSpans returns when the last one completes. On a
 	// single-device array the batch stays one request, as it always was.
 	var spans []iosim.Span
-	for i, pg := range kept {
+	for i, f := range frames {
+		pg := f.Page
 		if i > 0 && !p.disk.StripeBoundary(pg.Block) {
 			s := &spans[len(spans)-1]
 			s.Blocks++
@@ -571,18 +557,46 @@ func (p *Pool) loadBatchPrefix(q *rt.QueryCtx, batch []*storage.Page) ([]*storag
 		spans = append(spans, iosim.Span{Block: pg.Block, Blocks: 1, Bytes: pg.Bytes})
 	}
 	p.disk.ReadSpansOwner(q, spans)
-	for i, pg := range kept {
-		s := p.shardOf(pg.ID)
+	p.loaded(ev, frames...)
+	return rest, nil
+}
+
+// admit installs a loading frame for the absent page pg — the miss
+// bookkeeping of every load: ev is what requests for the page wait on
+// until loaded announces the read. Caller holds s.mu from its absence
+// check (no blocking in between), so no concurrent request can admit the
+// page twice.
+func (s *shard) admit(pg *storage.Page, ev rt.Event) *Frame {
+	p := s.pool
+	f := &Frame{Page: pg, loading: true}
+	s.inFlight[pg.ID] = ev
+	s.frames[pg.ID] = f
+	s.used += pg.Bytes
+	s.stats.Misses++
+	s.stats.BytesLoaded += pg.Bytes
+	if p.OnAccess != nil {
+		p.OnAccess(pg)
+	}
+	p.used.Add(pg.Bytes)
+	p.nLoading.Add(1)
+	return f
+}
+
+// loaded ends the read that admitted frames: each becomes resident and
+// known to its shard's policy, then the requests waiting on the read and
+// one blocked reservation are woken, in that order.
+func (p *Pool) loaded(ev rt.Event, frames ...*Frame) {
+	for _, f := range frames {
+		s := p.shardOf(f.Page.ID)
 		s.mu.Lock()
-		frames[i].loading = false
-		delete(s.inFlight, pg.ID)
-		s.policy.Admitted(frames[i])
+		f.loading = false
+		delete(s.inFlight, f.Page.ID)
+		s.policy.Admitted(f)
 		s.mu.Unlock()
 		p.nLoading.Add(-1)
 	}
 	ev.Fire()
-	p.shardOf(kept[0].ID).wakeReservers(1)
-	return rest, nil
+	p.shardOf(frames[0].Page.ID).wakeReservers(1)
 }
 
 // get is the shared hit/miss path. Cancellation is only checked outside
@@ -628,32 +642,13 @@ func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 		break
 	}
 
-	// Miss: this process performs the read. The shard mutex is held from
-	// the final absence check through admission (no blocking in between),
-	// so no concurrent request can admit the page twice.
+	// Miss: this process performs the read, holding a pin on the frame.
 	ev := p.r.NewEvent()
-	f := &Frame{Page: pg, loading: true}
+	f := s.admit(pg, ev)
 	s.pin(f)
-	s.inFlight[pg.ID] = ev
-	s.frames[pg.ID] = f
-	s.used += pg.Bytes
-	s.stats.Misses++
-	s.stats.BytesLoaded += pg.Bytes
-	if p.OnAccess != nil {
-		p.OnAccess(pg)
-	}
 	s.mu.Unlock()
-	p.used.Add(pg.Bytes)
-	p.nLoading.Add(1)
 	p.disk.ReadOwner(q, pg.Block, 1, pg.Bytes)
-	s.mu.Lock()
-	f.loading = false
-	delete(s.inFlight, pg.ID)
-	s.policy.Admitted(f)
-	s.mu.Unlock()
-	p.nLoading.Add(-1)
-	ev.Fire()
-	s.wakeReservers(1)
+	p.loaded(ev, f)
 	return f, nil
 }
 

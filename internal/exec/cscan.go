@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/abm"
 	"repro/internal/pdt"
 	"repro/internal/sim"
@@ -38,17 +36,16 @@ type CScan struct {
 	types    []storage.ColumnType
 	out      *Batch
 	cs       *abm.CScan
-	cur      *abm.Delivery
-	segs     []pdt.Segment
-	curSeg   int
-	segOff   int64
+	cur      *abm.Delivery // the pinned chunk merge is emitting, if any
+	merge    segCursor     // over the current chunk's segments
 	consumed int64
 	opened   bool
 	// pureInserts is set when the requested ranges touch no stable
 	// tuples (everything comes from PDT-resident inserts): there is
-	// nothing to load, so segments are emitted without ABM deliveries.
+	// nothing to load, so the ranges' segments are emitted, once, without
+	// ABM deliveries.
 	pureInserts bool
-	pureDone    bool
+	pureLoaded  bool
 	// pace is this scan thread's fork of Ctx.Query, the pacing domain of
 	// its CPU charges (the ABM's loader does the device reads).
 	pace *QueryCtx
@@ -57,10 +54,7 @@ type CScan struct {
 // Schema implements Operator.
 func (s *CScan) Schema() []storage.ColumnType {
 	if s.types == nil {
-		s.types = make([]storage.ColumnType, len(s.Cols))
-		for i, c := range s.Cols {
-			s.types[i] = s.Snap.Table().Schema[c].Type
-		}
+		s.types = scanSchema(s.Snap, s.Cols)
 	}
 	return s.types
 }
@@ -76,16 +70,11 @@ func (s *CScan) Open() {
 	}
 	s.out = NewBatch(s.Schema())
 	s.pace = s.Ctx.Query.Fork()
+	s.merge = segCursor{cols: s.Cols, read: s.readCol}
 	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)
-	total := s.Snap.NumTuples()
-	if s.PDT != nil {
-		total = s.PDT.NumTuples()
-	}
+	checkRanges("cscan", s.Snap, s.PDT, s.Ranges)
 	var sids []abm.SIDRange
 	for _, r := range s.Ranges {
-		if r.Lo < 0 || r.Hi > total || r.Lo > r.Hi {
-			panic(fmt.Sprintf("exec: cscan range [%d,%d) out of [0,%d]", r.Lo, r.Hi, total))
-		}
 		if r.Lo == r.Hi {
 			continue
 		}
@@ -95,9 +84,7 @@ func (s *CScan) Open() {
 			lo = s.PDT.RIDtoSID(r.Lo)
 			hi = s.PDT.RIDtoSID(r.Hi-1) + 1
 		}
-		if hi > s.Snap.NumTuples() {
-			hi = s.Snap.NumTuples()
-		}
+		hi = min(hi, s.Snap.NumTuples())
 		if lo < hi {
 			sids = append(sids, abm.SIDRange{Lo: lo, Hi: hi})
 		}
@@ -120,88 +107,14 @@ func (s *CScan) Next() *Batch {
 	}
 	s.out.Reset()
 	for s.out.N < VectorSize {
-		if s.pureInserts {
-			if s.pureDone {
+		if s.merge.done() {
+			if !s.nextSegments() {
 				break
 			}
-			if s.segs == nil {
-				for _, r := range s.Ranges {
-					if r.Lo < r.Hi && s.PDT != nil {
-						s.segs = append(s.segs, s.PDT.SegmentsRID(r.Lo, r.Hi)...)
-					}
-				}
-				s.curSeg, s.segOff = 0, 0
-			}
-			if s.curSeg >= len(s.segs) {
-				s.pureDone = true
-				break
-			}
-		} else if s.cur == nil {
-			d, ok := s.cs.GetChunk()
-			if !ok {
-				break
-			}
-			s.cur = d
-			s.segs = s.chunkSegments(d)
-			s.curSeg, s.segOff = 0, 0
-		}
-		if s.curSeg >= len(s.segs) {
-			s.cur.Release()
-			s.cur = nil
 			continue
 		}
-		seg := &s.segs[s.curSeg]
-		want := int64(VectorSize - s.out.N)
-		switch seg.Kind {
-		case pdt.SegStable:
-			lo := seg.Lo + s.segOff
-			hi := lo + want
-			if hi > seg.Hi {
-				hi = seg.Hi
-			}
-			base := s.out.N
-			for i, c := range s.Cols {
-				readColumnDirect(s.Snap, c, lo, hi, s.out.Vecs[i])
-			}
-			if len(seg.Mods) > 0 {
-				for sid := lo; sid < hi; sid++ {
-					mods, ok := seg.Mods[sid]
-					if !ok {
-						continue
-					}
-					row := base + int(sid-lo)
-					for i, c := range s.Cols {
-						if v, ok := mods[c]; ok {
-							setVec(s.out.Vecs[i], row, v)
-						}
-					}
-				}
-			}
-			n := hi - lo
-			s.out.N += int(n)
-			s.segOff += n
-			s.consumed += n
-			if s.segOff >= seg.Hi-seg.Lo {
-				s.curSeg++
-				s.segOff = 0
-			}
-		case pdt.SegInsert:
-			rows := seg.Rows[s.segOff:]
-			if int64(len(rows)) > want {
-				rows = rows[:want]
-			}
-			for _, row := range rows {
-				for i, c := range s.Cols {
-					appendVal(s.out.Vecs[i], row[c])
-				}
-			}
-			s.out.N += len(rows)
-			s.segOff += int64(len(rows))
-			if s.segOff >= int64(len(seg.Rows)) {
-				s.curSeg++
-				s.segOff = 0
-			}
-		}
+		n, _ := s.merge.fill(s.out) // readCol cannot fail
+		s.consumed += n
 	}
 	if s.out.N == 0 {
 		return nil
@@ -210,32 +123,37 @@ func (s *CScan) Next() *Batch {
 	return s.out
 }
 
-// chunkSegments re-initializes the PDT merge for one delivered chunk: the
-// chunk's SID range becomes a RID window, which is intersected with the
-// requested RID ranges and planned into merge segments.
-func (s *CScan) chunkSegments(d *abm.Delivery) []pdt.Segment {
-	if s.PDT == nil {
-		var out []pdt.Segment
-		for _, r := range s.Ranges {
-			lo, hi := maxI64(r.Lo, d.Lo), minI64(r.Hi, d.Hi)
-			if lo < hi {
-				out = append(out, pdt.Segment{Kind: pdt.SegStable, Lo: lo, Hi: hi})
-			}
+// nextSegments releases the chunk the merge has finished with and
+// re-initializes the merge for the next delivered one: the chunk's SID
+// range becomes a RID window, which is intersected with the requested
+// RID ranges and planned into merge segments. It reports false when
+// nothing is left to deliver.
+func (s *CScan) nextSegments() bool {
+	var ranges []RIDRange
+	if s.pureInserts {
+		if s.pureLoaded {
+			return false
 		}
-		return out
-	}
-	// SIDtoRIDlow at both boundaries tiles RID space across chunks: no
-	// tuple is generated twice (§2.1's trimming, by construction).
-	wLo := s.PDT.SIDtoRIDlow(d.Lo)
-	wHi := s.PDT.SIDtoRIDlow(d.Hi)
-	var out []pdt.Segment
-	for _, r := range s.Ranges {
-		lo, hi := maxI64(r.Lo, wLo), minI64(r.Hi, wHi)
-		if lo < hi {
-			out = append(out, s.PDT.SegmentsRID(lo, hi)...)
+		s.pureLoaded = true
+		ranges = s.Ranges
+	} else {
+		if s.cur != nil {
+			s.cur.Release()
+			s.cur = nil
 		}
+		d, ok := s.cs.GetChunk()
+		if !ok {
+			return false
+		}
+		s.cur = d
+		ranges = clipToSIDs(s.Ranges, s.PDT, d.Lo, d.Hi)
 	}
-	return out
+	var segs []pdt.Segment
+	for _, r := range ranges {
+		segs = append(segs, segmentsOf(s.PDT, r)...)
+	}
+	s.merge.reset(segs)
+	return true
 }
 
 // Close implements Operator. Idempotent: the pinned delivery and the
@@ -253,38 +171,11 @@ func (s *CScan) Close() {
 	s.pace.Flush()
 }
 
-// readColumnDirect copies values from (ABM-resident, pinned) pages.
-func readColumnDirect(snap *storage.Snapshot, col int, lo, hi int64, out *Vec) {
-	for _, pg := range snap.PagesInRange(col, lo, hi) {
-		a := int64(0)
-		if lo > pg.FirstSID {
-			a = lo - pg.FirstSID
-		}
-		b := int64(pg.Tuples)
-		if hi < pg.LastSID() {
-			b = hi - pg.FirstSID
-		}
-		switch out.T {
-		case storage.Int64:
-			out.I64 = append(out.I64, pg.I64[a:b]...)
-		case storage.Float64:
-			out.F64 = append(out.F64, pg.F64[a:b]...)
-		case storage.String:
-			out.Str = append(out.Str, pg.Str[a:b]...)
-		}
+// readCol copies the values of column Cols[i] for SIDs [lo,hi) from the
+// delivered chunk's (ABM-resident, pinned) pages.
+func (s *CScan) readCol(i int, lo, hi int64, out *Vec) error {
+	for _, pg := range s.Snap.PagesInRange(s.Cols[i], lo, hi) {
+		copyPage(pg, lo, hi, out)
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return nil
 }

@@ -74,9 +74,10 @@ type Ctx struct {
 	// Skip, when non-nil, accumulates the run's zone-map pruning
 	// counters (tuples requested by predicate scans vs tuples skipped).
 	Skip *SkipStats
-	// Workers, when non-nil, is the bounded worker pool XChg submits its
-	// subplan producers to (real runtime; sized by the core count). Nil
-	// means one cooperative process per subplan (sim runtime).
+	// Workers, when non-nil, is the bounded worker pool XChg starts its
+	// subplan producers on (real runtime; sized by the core count, so
+	// intra-query parallelism cannot oversubscribe the machine). Nil
+	// means one unbounded process per subplan (sim runtime).
 	Workers *rt.WorkerPool
 	// Query is the lifecycle handle of the query this plan executes (see
 	// WithQuery); nil means the query can never be cancelled and every

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/rt"
 	"repro/internal/storage"
@@ -138,76 +137,4 @@ func TestCScanCancelStopsMidStream(t *testing.T) {
 			t.Fatalf("delivered %d tuples, want a strict mid-stream stop", n)
 		}
 	})
-}
-
-// TestXChgCancelSim: cancelling the query mid-merge must stop the
-// consumer at the next batch and let every producer terminate (the sim
-// engine panics on deadlock if one stays parked).
-func TestXChgCancelSim(t *testing.T) {
-	e := newEnv(t, 16000, false)
-	qc := rt.NewQueryCtx(rt.Sim(e.eng))
-	e.run(func() {
-		ctx := e.ctx.WithQuery(qc)
-		parts := make([]func() Op, 0, 4)
-		for _, r := range PartitionRange(0, 16000, 4) {
-			r := r
-			parts = append(parts, func() Op {
-				return &Scan{Ctx: ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{r}}
-			})
-		}
-		x := &XChg{Ctx: ctx, Parts: parts, QueueCap: 1}
-		x.Open()
-		var n int64
-		if b := x.Next(); b != nil {
-			n += int64(b.N)
-		}
-		qc.Cancel(rt.CauseClientCancel)
-		for b := x.Next(); b != nil; b = x.Next() {
-			n += int64(b.N)
-		}
-		x.Close()
-		x.Close()
-		if n >= 16000 {
-			t.Fatalf("merged all %d tuples despite cancel", n)
-		}
-	})
-}
-
-// TestRealXChgCancelReleasesWorkers is the real-runtime twin: producers
-// blocked on the bounded merge channel must unblock on query cancel and
-// return their pool slots. Run with -race.
-func TestRealXChgCancelReleasesWorkers(t *testing.T) {
-	e, r := newRealEnv(t, 16000, 2)
-	qc := rt.NewQueryCtx(r)
-	var n int64
-	r.Go("query", func() {
-		ctx := e.ctx.WithQuery(qc)
-		parts := make([]func() Op, 0, 4)
-		for _, pr := range PartitionRange(0, 16000, 4) {
-			pr := pr
-			parts = append(parts, func() Op {
-				return &Scan{Ctx: ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{pr}}
-			})
-		}
-		x := &XChg{Ctx: ctx, Parts: parts, QueueCap: 1}
-		x.Open()
-		if b := x.Next(); b != nil {
-			n += int64(b.N)
-		}
-		qc.Cancel(rt.CauseClientCancel)
-		for b := x.Next(); b != nil; b = x.Next() {
-			n += int64(b.N)
-		}
-		x.Close()
-	})
-	done := make(chan struct{})
-	go func() { r.Run(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("cancelled XChg leaked blocked producers")
-	}
-	if n >= 16000 {
-		t.Fatalf("merged all %d tuples despite cancel", n)
-	}
 }

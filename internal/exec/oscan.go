@@ -38,10 +38,7 @@ type section struct {
 // Schema implements Operator.
 func (s *OScan) Schema() []storage.ColumnType {
 	if s.types == nil {
-		s.types = make([]storage.ColumnType, len(s.Cols))
-		for i, c := range s.Cols {
-			s.types[i] = s.Snap.Table().Schema[c].Type
-		}
+		s.types = scanSchema(s.Snap, s.Cols)
 	}
 	return s.types
 }
@@ -141,27 +138,9 @@ func (s *OScan) cachedFraction(sec *section) float64 {
 }
 
 // sectionScan builds the in-order scan of one section, translating the
-// section's SID window back to RID ranges exactly as CScan does (the
-// SIDtoRIDlow tiling guarantees no tuple is produced twice).
+// section's SID window back to RID ranges exactly as CScan does.
 func (s *OScan) sectionScan(sec *section) *Scan {
-	var ranges []RIDRange
-	if s.PDT == nil {
-		for _, r := range s.Ranges {
-			lo, hi := maxI64(r.Lo, sec.lo), minI64(r.Hi, sec.hi)
-			if lo < hi {
-				ranges = append(ranges, RIDRange{Lo: lo, Hi: hi})
-			}
-		}
-	} else {
-		wLo := s.PDT.SIDtoRIDlow(sec.lo)
-		wHi := s.PDT.SIDtoRIDlow(sec.hi)
-		for _, r := range s.Ranges {
-			lo, hi := maxI64(r.Lo, wLo), minI64(r.Hi, wHi)
-			if lo < hi {
-				ranges = append(ranges, RIDRange{Lo: lo, Hi: hi})
-			}
-		}
-	}
+	ranges := clipToSIDs(s.Ranges, s.PDT, sec.lo, sec.hi)
 	return &Scan{Ctx: s.Ctx, Snap: s.Snap, Cols: s.Cols, Ranges: ranges, PDT: s.PDT}
 }
 

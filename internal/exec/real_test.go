@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,9 +10,8 @@ import (
 	"repro/internal/storage"
 )
 
-// Real-runtime executor tests (run with -race): XChg's worker-pool fan
-// -out path, which replaces the cooperative slice queue with a bounded
-// channel and pooled producer goroutines.
+// The real-runtime executor fixture. XChg's tests run on it and on the
+// simulator alike (xchg_test.go: bothRuntimes).
 
 // newRealEnv mirrors newEnv on the real runtime with a worker pool of the
 // given size.
@@ -68,61 +66,4 @@ func newRealEnvOn(t testing.TB, r rt.Runtime, n, workers int) *env {
 		},
 	}
 	return e
-}
-
-func TestRealXChgMergesAllPartitions(t *testing.T) {
-	e, r := newRealEnv(t, 6000, 2)
-	var got atomic.Int64
-	// Several XChg queries share the 2-worker pool concurrently: more
-	// subplans than workers, so producers queue on the pool semaphore.
-	for q := 0; q < 4; q++ {
-		r.Go("query", func() {
-			parts := make([]func() Op, 0, 3)
-			for _, pr := range PartitionRange(0, 6000, 3) {
-				pr := pr
-				parts = append(parts, func() Op {
-					return &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{pr}}
-				})
-			}
-			got.Add(int64(Drain(&XChg{Ctx: e.ctx, Parts: parts})))
-		})
-	}
-	done := make(chan struct{})
-	go func() { r.Run(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("real XChg deadlocked")
-	}
-	if got.Load() != 4*6000 {
-		t.Fatalf("merged %d tuples, want %d", got.Load(), 4*6000)
-	}
-}
-
-func TestRealXChgEarlyCloseStopsProducers(t *testing.T) {
-	e, r := newRealEnv(t, 8000, 2)
-	r.Go("query", func() {
-		parts := make([]func() Op, 0, 2)
-		for _, pr := range PartitionRange(0, 8000, 2) {
-			pr := pr
-			parts = append(parts, func() Op {
-				return &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{pr}}
-			})
-		}
-		x := &XChg{Ctx: e.ctx, Parts: parts, QueueCap: 1}
-		x.Open()
-		if b := x.Next(); b == nil {
-			t.Error("no batch")
-		}
-		// Abandon the rest; Close must cancel the producers or Run hangs
-		// on goroutines blocked sending into the merge channel.
-		x.Close()
-	})
-	done := make(chan struct{})
-	go func() { r.Run(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("early Close leaked blocked producers")
-	}
 }

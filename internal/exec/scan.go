@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/buffer"
 	"repro/internal/pbm"
 	"repro/internal/pdt"
@@ -46,11 +44,10 @@ type Scan struct {
 
 	types    []storage.ColumnType
 	out      *Batch
-	plans    []rangePlan
-	curPlan  int
-	curSeg   int
-	segOff   int64 // tuples of the current segment already produced
-	readers  []*colReader
+	plans    []rangePlan // one per range, in order
+	next     int         // plans[next:] are not started
+	merge    segCursor   // over the current plan's segments
+	sidEnd   int64       // the current plan's read-ahead clip
 	pbmID    pbm.ScanID
 	pbmOn    bool
 	consumed int64 // stable tuples consumed (PBM progress unit)
@@ -71,10 +68,7 @@ type rangePlan struct {
 // Schema implements Operator.
 func (s *Scan) Schema() []storage.ColumnType {
 	if s.types == nil {
-		s.types = make([]storage.ColumnType, len(s.Cols))
-		for i, c := range s.Cols {
-			s.types[i] = s.Snap.Table().Schema[c].Type
-		}
+		s.types = scanSchema(s.Snap, s.Cols)
 	}
 	return s.types
 }
@@ -87,33 +81,17 @@ func (s *Scan) Open() {
 	s.opened = true
 	s.out = NewBatch(s.Schema())
 	s.pace = s.Ctx.Query.Fork()
+	s.merge = segCursor{cols: s.Cols, read: s.readCol}
 	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)
-	total := s.Snap.NumTuples()
-	if s.PDT != nil {
-		total = s.PDT.NumTuples()
-	}
+	checkRanges("scan", s.Snap, s.PDT, s.Ranges)
 	for _, r := range s.Ranges {
-		if r.Lo < 0 || r.Hi > total || r.Lo > r.Hi {
-			panic(fmt.Sprintf("exec: scan range [%d,%d) out of [0,%d]", r.Lo, r.Hi, total))
-		}
-		var plan rangePlan
-		if s.PDT == nil {
-			if r.Lo < r.Hi {
-				plan.segs = []pdt.Segment{{Kind: pdt.SegStable, Lo: r.Lo, Hi: r.Hi}}
-			}
-		} else {
-			plan.segs = s.PDT.SegmentsRID(r.Lo, r.Hi)
-		}
+		plan := rangePlan{segs: segmentsOf(s.PDT, r)}
 		for _, seg := range plan.segs {
 			if seg.Kind == pdt.SegStable && seg.Hi > plan.sidEnd {
 				plan.sidEnd = seg.Hi
 			}
 		}
 		s.plans = append(s.plans, plan)
-	}
-	s.readers = make([]*colReader, len(s.Cols))
-	for i, c := range s.Cols {
-		s.readers[i] = &colReader{scan: s, col: c}
 	}
 	if s.Ctx.PBM != nil {
 		pagesPerCol := make([][]*storage.Page, 0, len(s.Cols))
@@ -141,71 +119,21 @@ func (s *Scan) Next() *Batch {
 	}
 	s.out.Reset()
 	for s.out.N < VectorSize {
-		if s.curPlan >= len(s.plans) {
-			break
-		}
-		plan := &s.plans[s.curPlan]
-		if s.curSeg >= len(plan.segs) {
-			s.curPlan++
-			s.curSeg, s.segOff = 0, 0
+		if s.merge.done() {
+			if s.next >= len(s.plans) {
+				break
+			}
+			s.merge.reset(s.plans[s.next].segs)
+			s.sidEnd = s.plans[s.next].sidEnd
+			s.next++
 			continue
 		}
-		seg := &plan.segs[s.curSeg]
-		want := int64(VectorSize - s.out.N)
-		switch seg.Kind {
-		case pdt.SegStable:
-			lo := seg.Lo + s.segOff
-			hi := lo + want
-			if hi > seg.Hi {
-				hi = seg.Hi
-			}
-			base := s.out.N
-			for i, rd := range s.readers {
-				if err := rd.read(lo, hi, plan.sidEnd, s.out.Vecs[i]); err != nil {
-					// Cancelled at a blocking pool wait: the partial batch
-					// is discarded — nobody will consume it.
-					return nil
-				}
-			}
-			// Apply per-SID modifications.
-			if len(seg.Mods) > 0 {
-				for sid := lo; sid < hi; sid++ {
-					mods, ok := seg.Mods[sid]
-					if !ok {
-						continue
-					}
-					row := base + int(sid-lo)
-					for i, c := range s.Cols {
-						if v, ok := mods[c]; ok {
-							setVec(s.out.Vecs[i], row, v)
-						}
-					}
-				}
-			}
-			n := hi - lo
-			s.out.N += int(n)
-			s.segOff += n
-			s.consumed += n
-			if s.segOff >= seg.Hi-seg.Lo {
-				s.curSeg++
-				s.segOff = 0
-			}
-		case pdt.SegInsert:
-			rows := seg.Rows[s.segOff:]
-			if int64(len(rows)) > want {
-				rows = rows[:want]
-			}
-			for _, row := range rows {
-				for i, c := range s.Cols {
-					appendVal(s.out.Vecs[i], row[c])
-				}
-			}
-			s.out.N += len(rows)
-			s.segOff += int64(len(rows))
-			if s.segOff >= int64(len(seg.Rows)) {
-				s.curSeg++
-				s.segOff = 0
-			}
+		n, err := s.merge.fill(s.out)
+		s.consumed += n
+		if err != nil {
+			// Cancelled at a blocking pool wait: the partial batch is
+			// discarded — nobody will consume it.
+			return nil
 		}
 	}
 	if s.out.N == 0 {
@@ -230,9 +158,6 @@ func (s *Scan) Close() {
 		return
 	}
 	s.closed = true
-	for _, rd := range s.readers {
-		rd.release()
-	}
 	if s.pbmOn {
 		s.Ctx.PBM.UnregisterScan(s.pbmID)
 		s.pbmOn = false
@@ -240,94 +165,43 @@ func (s *Scan) Close() {
 	s.pace.Flush()
 }
 
-func setVec(v *Vec, i int, val pdt.Value) {
-	switch v.T {
-	case storage.Int64:
-		v.I64[i] = val.I64
-	case storage.Float64:
-		v.F64[i] = val.F64
-	case storage.String:
-		v.Str[i] = val.Str
-	}
-}
-
-func appendVal(v *Vec, val pdt.Value) {
-	switch v.T {
-	case storage.Int64:
-		v.I64 = append(v.I64, val.I64)
-	case storage.Float64:
-		v.F64 = append(v.F64, val.F64)
-	case storage.String:
-		v.Str = append(v.Str, val.Str)
-	}
-}
-
-// colReader reads one column through the buffer pool. Pages are pinned
-// only for the duration of the copy, so a scan's pinned working set stays
-// minimal and tiny pools (the paper's 10% configurations) never
-// overcommit; under memory pressure a page evicted between batches is
-// simply faulted again — which is precisely the thrashing the evaluated
-// policies differ on.
-type colReader struct {
-	scan *Scan
-	col  int
-}
-
-func (r *colReader) release() {}
-
-// read appends column values for SIDs [lo,hi) to out, faulting pages via
-// the pool with read-ahead up to sidEnd. It returns buffer.ErrCancelled
-// when the owning query died at a blocking reservation.
-func (r *colReader) read(lo, hi, sidEnd int64, out *Vec) error {
-	snap := r.scan.Snap
-	pool := r.scan.Ctx.Pool
-	owner := r.scan.pace
-	for _, pg := range snap.PagesInRange(r.col, lo, hi) {
+// readCol appends the values of column Cols[i] for SIDs [lo,hi) to out,
+// faulting pages via the pool with read-ahead up to the current range's
+// end. It returns buffer.ErrCancelled when the owning query died at a
+// blocking reservation.
+//
+// Pages are pinned only for the duration of the copy, so a scan's pinned
+// working set stays minimal and tiny pools (the paper's 10%
+// configurations) never overcommit; under memory pressure a page evicted
+// between batches is simply faulted again — which is precisely the
+// thrashing the evaluated policies differ on.
+func (s *Scan) readCol(i int, lo, hi int64, out *Vec) error {
+	col, pool := s.Cols[i], s.Ctx.Pool
+	for _, pg := range s.Snap.PagesInRange(col, lo, hi) {
 		var f *buffer.Frame
 		var err error
 		if pool.Contains(pg) {
-			f, err = pool.GetOwner(owner, pg)
+			f, err = pool.GetOwner(s.pace, pg)
 		} else {
-			ra := r.scan.Ctx.ReadAheadTuples
+			ra := s.Ctx.ReadAheadTuples
 			if ra <= 0 {
 				ra = int64(pg.Tuples)
 			}
 			// Device-aware sizing: a striped array wants the batch to cover
 			// a full stripe row so every spindle gets a piece.
-			if n := r.scan.Ctx.StripeRowBlocks; n > 0 {
-				if minRA := int64(n) * int64(pg.Tuples); ra < minRA {
-					ra = minRA
-				}
+			if n := s.Ctx.StripeRowBlocks; n > 0 {
+				ra = max(ra, int64(n)*int64(pg.Tuples))
 			}
-			raHi := pg.FirstSID + ra
-			if raHi > sidEnd {
-				raHi = sidEnd
-			}
-			run := snap.PagesInRange(r.col, pg.FirstSID, raHi)
+			run := s.Snap.PagesInRange(col, pg.FirstSID, min(pg.FirstSID+ra, s.sidEnd))
 			if len(run) == 0 {
 				run = []*storage.Page{pg}
 			}
-			f, err = pool.GetRunOwner(owner, run)
+			f, err = pool.GetRunOwner(s.pace, run)
 		}
 		if err != nil {
 			return err
 		}
-		a := int64(0)
-		if lo > pg.FirstSID {
-			a = lo - pg.FirstSID
-		}
-		b := int64(pg.Tuples)
-		if hi < pg.LastSID() {
-			b = hi - pg.FirstSID
-		}
-		switch out.T {
-		case storage.Int64:
-			out.I64 = append(out.I64, pg.I64[a:b]...)
-		case storage.Float64:
-			out.F64 = append(out.F64, pg.F64[a:b]...)
-		case storage.String:
-			out.Str = append(out.Str, pg.Str[a:b]...)
-		}
+		copyPage(pg, lo, hi, out)
 		pool.Unpin(f)
 	}
 	return nil

@@ -158,62 +158,6 @@ func (c *Ctx) pruneScanRanges(snap *storage.Snapshot, ranges []RIDRange, pred *S
 	return out
 }
 
-// pruneDeltaRange prunes one requested RID range of a merged
-// (stable+PDT) image, returning surviving RID subranges in order.
-func pruneDeltaRange(ix *minmax.Index, r RIDRange, pred *ScanPredicate, deltas *pdt.PDT) []RIDRange {
-	var kept []RIDRange
-	rid := r.Lo
-	for _, seg := range deltas.SegmentsRID(r.Lo, r.Hi) {
-		switch seg.Kind {
-		case pdt.SegStable:
-			// Prune the stable SID run through the index, then force back
-			// any tuple whose predicate-column modification moved it into
-			// range: the block bounds were recorded before the mod.
-			sids := ix.PruneRange(seg.Lo, seg.Hi, pred.Lo, pred.Hi)
-			for sid, mods := range seg.Mods {
-				v, ok := mods[pred.Col]
-				if !ok || v.T != storage.Int64 || v.I64 < pred.Lo || v.I64 > pred.Hi {
-					continue
-				}
-				sids = append(sids, minmax.Range{Lo: sid, Hi: sid + 1})
-			}
-			sort.Slice(sids, func(i, j int) bool { return sids[i].Lo < sids[j].Lo })
-			base := rid - seg.Lo // SID -> RID offset within this run
-			for _, sr := range sids {
-				kr := RIDRange{Lo: base + sr.Lo, Hi: base + sr.Hi}
-				if n := len(kept); n > 0 && kept[n-1].Hi >= kr.Lo {
-					if kr.Hi > kept[n-1].Hi {
-						kept[n-1].Hi = kr.Hi
-					}
-					continue
-				}
-				kept = append(kept, kr)
-			}
-			rid += seg.Hi - seg.Lo
-		case pdt.SegInsert:
-			// Inserted rows live in the PDT, not under the zone map: keep
-			// the run iff any row can match the predicate.
-			match := false
-			for _, row := range seg.Rows {
-				if v := row[pred.Col]; v.T == storage.Int64 && v.I64 >= pred.Lo && v.I64 <= pred.Hi {
-					match = true
-					break
-				}
-			}
-			if match {
-				kr := RIDRange{Lo: rid, Hi: rid + int64(len(seg.Rows))}
-				if n := len(kept); n > 0 && kept[n-1].Hi == kr.Lo {
-					kept[n-1].Hi = kr.Hi
-				} else {
-					kept = append(kept, kr)
-				}
-			}
-			rid += int64(len(seg.Rows))
-		}
-	}
-	return kept
-}
-
 // appendCoalesced appends ranges to out, merging a run that abuts or
 // overlaps out's tail.
 func appendCoalesced(out, add []RIDRange) []RIDRange {

@@ -13,15 +13,16 @@ import (
 // scanned RID range per Equation 1 and building one subplan per
 // partition.
 //
-// The operator has two fan-out mechanisms behind one interface:
-//
-//   - Sim runtime (Ctx.Workers == nil): one cooperative process per
-//     subplan, a shared slice queue, and engine events for back
-//     pressure — byte-for-byte the historical deterministic behavior.
-//   - Real runtime (Ctx.Workers != nil): producers are submitted to the
-//     shared worker pool (bounded by the core count, so intra-query
-//     parallelism cannot oversubscribe the machine), and the merge queue
-//     is a bounded channel whose send/receive provides the back pressure.
+// The merge is one mechanism on both runtimes: a shared slice queue
+// under a mutex, and two runtime events for back pressure — space wakes
+// producers parked on a full queue, ready wakes the consumer parked on
+// an empty one. Every park takes its Waiter under the mutex, so a Fire
+// between the check and the Wait is never lost on real threads, while on
+// the simulator (lazy waiters, uncontended mutex) the event order is
+// byte-for-byte the historical deterministic one. The only
+// runtime-dependent choice is who starts a producer: Ctx.Workers, when
+// set, bounds real threads by the core count so intra-query parallelism
+// cannot oversubscribe the machine.
 type XChg struct {
 	Ctx *Ctx
 	// Parts builds the i-th parallel subplan.
@@ -30,27 +31,24 @@ type XChg struct {
 	// pressure); default 4.
 	QueueCap int
 
-	schema  []storage.ColumnType
+	schema []storage.ColumnType
+	space  rt.Event
+	ready  rt.Event
+	opened bool
+	closed bool
+
+	// mu guards the merge state below.
+	mu      sync.Mutex
 	queue   []*Batch
-	space   rt.Event
-	ready   rt.Event
-	running int
-	out     *Batch
-	opened  bool
-	closed  bool
+	running int  // producers that have not finished
+	done    bool // the consumer closed: producers stop at their next check
 
 	// stopCancel deregisters the query-cancel hook installed at Open. The
 	// hook is the bridge between the query lifecycle and the operator's
-	// own wake-up machinery: on the sim runtime it fires both queue
-	// events, on the real runtime it closes the cancel channel — the same
-	// channel Close uses — so a client cancel and an early consumer close
-	// travel the identical shutdown path.
+	// own wake-up machinery: it fires both events, so a client cancel
+	// and an early consumer close travel the identical shutdown path. It
+	// takes no lock, so it may run from any lifecycle check.
 	stopCancel func()
-
-	// Real-runtime state.
-	ch        chan *Batch
-	cancel    chan struct{}
-	closeOnce sync.Once
 }
 
 // Schema implements Operator.
@@ -71,58 +69,73 @@ func (x *XChg) Open() {
 	if x.QueueCap <= 0 {
 		x.QueueCap = 4
 	}
-	x.out = NewBatch(x.Schema())
-	if x.Ctx.Workers != nil {
-		x.openReal()
-		return
-	}
+	x.Schema() // resolves x.schema, which the producers copy batches with
 	x.space = x.Ctx.RT.NewEvent()
 	x.ready = x.Ctx.RT.NewEvent()
 	// One persistent hook covers every park in this operator: a cancel
 	// fires both events, waking parked producers (space) and the consumer
-	// (ready), which re-check the lifecycle before parking again. Sim
-	// events are not sticky, but the sim runs one process at a time, so a
-	// check-then-park pair cannot be split by a cancel.
+	// (ready), which re-check the lifecycle before parking again.
 	x.stopCancel = x.Ctx.Query.OnCancel(func() {
 		x.space.Fire()
 		x.ready.Fire()
 	})
 	x.running = len(x.Parts)
-	cap := x.QueueCap * len(x.Parts)
+	spawn := x.Ctx.RT.Go
+	if x.Ctx.Workers != nil {
+		spawn = x.Ctx.Workers.Submit
+	}
 	for _, mk := range x.Parts {
 		mk := mk
-		x.Ctx.RT.Go("xchg-worker", func() {
-			op := mk()
-			op.Open()
-			defer op.Close()
-			for !x.Ctx.Query.Cancelled() {
-				b := op.Next()
-				if b == nil {
-					break
-				}
-				cp := copyBatch(x.schema, b)
-				parked := false
-				for len(x.queue) >= cap {
-					if x.Ctx.Query.Cancelled() {
-						parked = true
-						break
-					}
-					x.space.Wait()
-				}
-				if parked {
-					break
-				}
-				x.queue = append(x.queue, cp)
-				x.ready.Fire()
-			}
-			x.running--
-			x.ready.Fire()
-		})
+		spawn("xchg-worker", func() { x.produce(mk) })
 	}
 }
 
-// copyBatch snapshots b: the producer's batch is reused on its next call,
-// while the consumer drains asynchronously.
+// produce runs one subplan to its end, or until the query is cancelled
+// or the consumer closes, pushing a copy of every batch: the producer's
+// batch is reused on its next call, while the consumer drains
+// asynchronously.
+func (x *XChg) produce(mk func() Op) {
+	op := mk()
+	op.Open()
+	for !x.Ctx.Query.Cancelled() {
+		b := op.Next()
+		if b == nil || !x.push(copyBatch(x.schema, b)) {
+			break
+		}
+	}
+	op.Close()
+	x.mu.Lock()
+	x.running--
+	x.mu.Unlock()
+	x.ready.Fire()
+}
+
+// push appends b to the merge queue, parking while the queue is full. It
+// reports false when the producer must stop instead: the query was
+// cancelled or the consumer closed. The lifecycle check sits between
+// taking the Waiter and parking — outside the mutex, and after the
+// Waiter, so a cancel on either side of it is observed.
+func (x *XChg) push(b *Batch) bool {
+	x.mu.Lock()
+	for len(x.queue) >= x.QueueCap*len(x.Parts) && !x.done {
+		w := x.space.Waiter()
+		x.mu.Unlock()
+		if x.Ctx.Query.Cancelled() {
+			return false
+		}
+		w.Wait()
+		x.mu.Lock()
+	}
+	if x.done {
+		x.mu.Unlock()
+		return false
+	}
+	x.queue = append(x.queue, b)
+	x.mu.Unlock()
+	x.ready.Fire()
+	return true
+}
+
 func copyBatch(schema []storage.ColumnType, b *Batch) *Batch {
 	cp := NewBatch(schema)
 	for i := 0; i < b.N; i++ {
@@ -134,47 +147,6 @@ func copyBatch(schema []storage.ColumnType, b *Batch) *Batch {
 	return cp
 }
 
-// openReal starts the real-runtime fan-out: producers on the worker
-// pool, a bounded channel as the merge queue, and a closer goroutine
-// that seals the channel when the last producer finishes.
-func (x *XChg) openReal() {
-	x.ch = make(chan *Batch, x.QueueCap*len(x.Parts))
-	x.cancel = make(chan struct{})
-	// A query cancel closes the same cancel channel an early consumer
-	// close does: producers parked on a full channel unblock, new sends
-	// stop, the closer seals the channel, and a consumer parked on
-	// receive drains out. closeOnce makes the two paths race-safe.
-	x.stopCancel = x.Ctx.Query.OnCancel(func() {
-		x.closeOnce.Do(func() { close(x.cancel) })
-	})
-	var wg sync.WaitGroup
-	wg.Add(len(x.Parts))
-	for _, mk := range x.Parts {
-		mk := mk
-		x.Ctx.Workers.Submit("xchg-worker", func() {
-			defer wg.Done()
-			op := mk()
-			op.Open()
-			defer op.Close()
-			for !x.Ctx.Query.Cancelled() {
-				b := op.Next()
-				if b == nil {
-					return
-				}
-				select {
-				case x.ch <- copyBatch(x.schema, b):
-				case <-x.cancel:
-					return // consumer closed early or query cancelled
-				}
-			}
-		})
-	}
-	x.Ctx.RT.Go("xchg-closer", func() {
-		wg.Wait()
-		close(x.ch)
-	})
-}
-
 // Next implements Operator: pops merged batches in arrival order. A
 // cancelled query yields end-of-stream; the producers observe the same
 // cancel and wind down on their own.
@@ -182,29 +154,31 @@ func (x *XChg) Next() *Batch {
 	if x.Ctx.Query.Cancelled() {
 		return nil
 	}
-	if x.ch != nil {
-		return <-x.ch // nil when closed and drained
-	}
-	for {
-		if len(x.queue) > 0 {
-			b := x.queue[0]
-			x.queue = x.queue[1:]
-			x.space.Fire()
-			return b
-		}
+	x.mu.Lock()
+	for len(x.queue) == 0 {
 		if x.running == 0 {
+			x.mu.Unlock()
 			return nil
 		}
-		x.ready.Wait()
+		w := x.ready.Waiter()
+		x.mu.Unlock()
+		w.Wait()
 		if x.Ctx.Query.Cancelled() {
 			return nil
 		}
+		x.mu.Lock()
 	}
+	b := x.queue[0]
+	x.queue = x.queue[1:]
+	x.mu.Unlock()
+	x.space.Fire()
+	return b
 }
 
-// Close implements Operator: drains any remaining producer output so the
-// worker processes terminate. Idempotent — the cancel path and the plan
-// driver may both close the operator.
+// Close implements Operator: tells the producers to stop, discards what
+// they queued and waits for them to terminate, so a plan closed early
+// stops charging I/O and CPU for batches nobody will read. Idempotent —
+// the cancel path and the plan driver may both close the operator.
 func (x *XChg) Close() {
 	if x.closed {
 		return
@@ -213,17 +187,15 @@ func (x *XChg) Close() {
 	if x.stopCancel != nil {
 		x.stopCancel()
 	}
-	if x.ch != nil {
-		x.closeOnce.Do(func() { close(x.cancel) })
-		for range x.ch {
-		}
-		return
-	}
-	for x.running > 0 || len(x.queue) > 0 {
-		x.queue = nil
+	x.mu.Lock()
+	x.done = true
+	for x.running > 0 {
+		w := x.ready.Waiter()
+		x.mu.Unlock()
 		x.space.Fire()
-		if x.running > 0 {
-			x.ready.Wait()
-		}
+		w.Wait()
+		x.mu.Lock()
 	}
+	x.queue = nil
+	x.mu.Unlock()
 }

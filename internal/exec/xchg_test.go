@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,69 +10,133 @@ import (
 	"repro/internal/storage"
 )
 
-func TestXChgMergesAllPartitions(t *testing.T) {
-	e := newEnv(t, 6000, false)
-	e.run(func() {
-		parts := make([]func() Op, 0, 3)
-		for _, r := range PartitionRange(0, 6000, 3) {
-			r := r
-			parts = append(parts, func() Op {
-				return &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{r}}
-			})
-		}
-		n := Drain(&XChg{Ctx: e.ctx, Parts: parts})
-		if n != 6000 {
-			t.Fatalf("merged %d tuples, want 6000", n)
+// bothRuntimes runs body as the root process of a fresh n-tuple engine on
+// the simulator and on the real-threaded runtime (two pool workers, so
+// XChg producers queue for a slot; run with -race). XChg is one mechanism
+// on both, so every behaviour is asserted once, over both. body reports
+// with t.Error: on the real runtime it is not the test goroutine.
+func bothRuntimes(t *testing.T, n int, body func(t *testing.T, e *env)) {
+	t.Run("sim", func(t *testing.T) {
+		e := newEnv(t, n, false)
+		e.run(func() { body(t, e) })
+	})
+	t.Run("real", func(t *testing.T) {
+		e, r := newRealEnv(t, n, 2)
+		r.Go("test", func() { body(t, e) })
+		done := make(chan struct{})
+		go func() { r.Run(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatal("XChg left a process parked: Run never returned")
 		}
 	})
 }
 
-func TestXChgBackpressure(t *testing.T) {
-	// A slow consumer must not let producers run unboundedly ahead: the
-	// queue stays within QueueCap*len(parts).
-	e := newEnv(t, 8000, false)
-	e.run(func() {
-		parts := make([]func() Op, 0, 2)
-		for _, r := range PartitionRange(0, 8000, 2) {
-			r := r
-			parts = append(parts, func() Op {
-				return &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{r}}
+// scanParts partitions a scan of column 0 over [0,n) into parts subplans.
+func scanParts(ctx *Ctx, e *env, n int64, parts int) []func() Op {
+	var mk []func() Op
+	for _, r := range PartitionRange(0, n, parts) {
+		r := r
+		mk = append(mk, func() Op {
+			return &Scan{Ctx: ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{r}}
+		})
+	}
+	return mk
+}
+
+// TestXChgMergesAllPartitions: several XChg queries run concurrently —
+// on the real runtime more subplans than pool workers, so producers
+// queue on the pool semaphore — and each merges every tuple of every
+// partition.
+func TestXChgMergesAllPartitions(t *testing.T) {
+	bothRuntimes(t, 6000, func(t *testing.T, e *env) {
+		var got atomic.Int64
+		wg := e.ctx.RT.NewWaitGroup()
+		for q := 0; q < 4; q++ {
+			wg.Add(1)
+			e.ctx.RT.Go("query", func() {
+				defer wg.Done()
+				got.Add(int64(Drain(&XChg{Ctx: e.ctx, Parts: scanParts(e.ctx, e, 6000, 3)})))
 			})
 		}
-		x := &XChg{Ctx: e.ctx, Parts: parts, QueueCap: 2}
+		wg.Wait()
+		if got.Load() != 4*6000 {
+			t.Errorf("merged %d tuples, want %d", got.Load(), 4*6000)
+		}
+	})
+}
+
+// TestXChgBackpressure: a slow consumer must not let producers run
+// unboundedly ahead: the queue stays within QueueCap*len(parts).
+func TestXChgBackpressure(t *testing.T) {
+	bothRuntimes(t, 8000, func(t *testing.T, e *env) {
+		x := &XChg{Ctx: e.ctx, Parts: scanParts(e.ctx, e, 8000, 2), QueueCap: 2}
 		x.Open()
 		maxQueue := 0
 		for b := x.Next(); b != nil; b = x.Next() {
-			e.eng.Sleep(time.Millisecond) // slow consumer
-			if len(x.queue) > maxQueue {
-				maxQueue = len(x.queue)
-			}
+			e.ctx.RT.Sleep(time.Millisecond) // slow consumer
+			x.mu.Lock()
+			maxQueue = max(maxQueue, len(x.queue))
+			x.mu.Unlock()
 		}
 		x.Close()
-		if maxQueue > 2*len(parts) {
-			t.Fatalf("queue grew to %d batches (cap %d)", maxQueue, 2*len(parts))
+		if maxQueue == 0 || maxQueue > 2*len(x.Parts) {
+			t.Errorf("queue grew to %d batches, want within (0, %d]", maxQueue, 2*len(x.Parts))
 		}
 	})
 }
 
-func TestXChgEarlyCloseDrainsWorkers(t *testing.T) {
-	e := newEnv(t, 8000, false)
-	e.run(func() {
-		parts := make([]func() Op, 0, 2)
-		for _, r := range PartitionRange(0, 8000, 2) {
-			r := r
-			parts = append(parts, func() Op {
-				return &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{r}}
-			})
-		}
-		x := &XChg{Ctx: e.ctx, Parts: parts, QueueCap: 1}
+// TestXChgEarlyCloseStopsProducers: a consumer that abandons the stream
+// stops its producers — parked on a full queue or mid-scan — instead of
+// letting them run their subplans to the end for batches nobody reads.
+// Close returns once they have terminated (or Run would hang, and the
+// sim engine panic with a deadlock), and the pool has then loaded only
+// what they had reached, for good.
+func TestXChgEarlyCloseStopsProducers(t *testing.T) {
+	const n = 64000
+	bothRuntimes(t, n, func(t *testing.T, e *env) {
+		ctx := *e.ctx
+		ctx.ReadAheadTuples = 1 // one page a miss: loading tracks scanning
+		x := &XChg{Ctx: &ctx, Parts: scanParts(&ctx, e, n, 2), QueueCap: 1}
 		x.Open()
 		if b := x.Next(); b == nil {
-			t.Fatal("no batch")
+			t.Error("no batch")
 		}
-		// Abandon the rest; Close must let both workers terminate or the
-		// engine would panic with a deadlock at Run's end.
 		x.Close()
+		loaded := ctx.Pool.Stats().BytesLoaded
+		if total := e.snap.TotalBytes([]int{0}); loaded == 0 || loaded > total/2 {
+			t.Errorf("producers loaded %d of %d bytes for a consumer that read one batch", loaded, total)
+		}
+		ctx.RT.Sleep(5 * time.Millisecond)
+		if after := ctx.Pool.Stats().BytesLoaded; after != loaded {
+			t.Errorf("bytes loaded grew %d -> %d after Close returned", loaded, after)
+		}
+	})
+}
+
+// TestXChgCancel: cancelling the query mid-merge must stop the consumer
+// at the next batch and let every producer terminate — parked on the
+// full queue or waiting for a pool worker — and return its slot.
+func TestXChgCancel(t *testing.T) {
+	bothRuntimes(t, 16000, func(t *testing.T, e *env) {
+		qc := rt.NewQueryCtx(e.ctx.RT)
+		ctx := e.ctx.WithQuery(qc)
+		x := &XChg{Ctx: ctx, Parts: scanParts(ctx, e, 16000, 4), QueueCap: 1}
+		x.Open()
+		var n int64
+		if b := x.Next(); b != nil {
+			n += int64(b.N)
+		}
+		qc.Cancel(rt.CauseClientCancel)
+		for b := x.Next(); b != nil; b = x.Next() {
+			n += int64(b.N)
+		}
+		x.Close()
+		x.Close()
+		if n >= 16000 {
+			t.Errorf("merged all %d tuples despite cancel", n)
+		}
 	})
 }
 

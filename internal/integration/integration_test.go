@@ -5,6 +5,7 @@
 package integration
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -156,58 +157,141 @@ func TestAllPoliciesSameAnswers(t *testing.T) {
 	}
 }
 
-// TestUpdatesVisibleUnderEveryScanPath: PDT updates merge identically
-// through Scan, CScan and OScan.
-func TestUpdatesVisibleUnderEveryScanPath(t *testing.T) {
+// TestPropertyScanPathsEmitSameStream: every scan operator runs the same
+// PDT merge loop, so over random delta trees — deletes, modifies, single
+// inserts, insert runs at the table's ends and exactly at the requested
+// ranges' edges — and random RID ranges, one of them made of inserted
+// tuples only, Scan and in-order CScan emit the same tuple stream, and it
+// is the image a naive row-slice model of the same updates predicts;
+// out-of-order CScan and OScan emit the same tuples in some other order.
+func TestPropertyScanPathsEmitSameStream(t *testing.T) {
 	const n = 12000
-	catalogs := map[string]*storage.Catalog{}
-	makeDeltas := func(schema storage.Schema) *pdt.PDT {
-		p := pdt.New(schema, n)
-		p.DeleteAt(0)
-		p.DeleteAt(5000)
-		p.InsertAt(100, pdt.Row{pdt.IntVal(-1), pdt.IntVal(3), pdt.FloatVal(9)})
-		p.ModifyAt(7000, 2, pdt.FloatVal(-5))
-		return p
+	type row struct {
+		k, grp int64
+		v      float64
 	}
-	collectSorted := func(kind string) []int64 {
+	rowLess := func(a, b row) bool {
+		if a.k != b.k {
+			return a.k < b.k
+		}
+		return a.grp < b.grp || (a.grp == b.grp && a.v < b.v)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// The model: the merged image as a plain slice of rows, updated
+		// op by op alongside the PDT.
+		model := make([]row, n)
+		for i := range model {
+			model[i] = row{int64(i), int64(i % 11), float64(i%101) / 3}
+		}
 		cat := storage.NewCatalog()
-		catalogs[kind] = cat
-		var policy workload.Policy = workload.PBM
-		if kind == "cscan" {
-			policy = workload.CScan
-		}
-		s := newSys(policy, 1<<20)
 		snap := buildTable(t, cat, n)
-		deltas := makeDeltas(snap.Table().Schema)
-		var vals []int64
-		s.run(func() {
-			var op exec.Operator
-			switch kind {
-			case "scan":
-				op = &exec.Scan{Ctx: s.ctx, Snap: snap, Cols: []int{0}, Ranges: []exec.RIDRange{{Lo: 0, Hi: deltas.NumTuples()}}, PDT: deltas}
-			case "cscan":
-				op = &exec.CScan{Ctx: s.ctx, Snap: snap, Cols: []int{0}, Ranges: []exec.RIDRange{{Lo: 0, Hi: deltas.NumTuples()}}, PDT: deltas}
-			case "oscan":
-				op = &exec.OScan{Ctx: s.ctx, Snap: snap, Cols: []int{0}, Ranges: []exec.RIDRange{{Lo: 0, Hi: deltas.NumTuples()}}, PDT: deltas, SectionTuples: 3000}
+		deltas := pdt.New(snap.Table().Schema, n)
+		fresh := int64(-1) // inserted keys are negative and distinct
+		insert := func(rid int64, count int) {
+			rows := make([]row, count)
+			for i := range rows {
+				rows[i] = row{fresh, rng.Int63n(11), float64(rng.Intn(100))}
+				fresh--
+				deltas.InsertAt(rid+int64(i), pdt.Row{pdt.IntVal(rows[i].k), pdt.IntVal(rows[i].grp), pdt.FloatVal(rows[i].v)})
 			}
-			res := exec.Collect(op)
-			vals = append(vals, res.Vecs[0].I64[:res.N]...)
-		})
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		return vals
-	}
-	want := collectSorted("scan")
-	if int64(len(want)) != n-2+1 {
-		t.Fatalf("scan rows = %d", len(want))
-	}
-	for _, kind := range []string{"cscan", "oscan"} {
-		got := collectSorted(kind)
-		if len(got) != len(want) {
-			t.Fatalf("%s rows = %d, want %d", kind, len(got), len(want))
+			model = append(model[:rid], append(rows, model[rid:]...)...)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s value mismatch at %d: %d vs %d", kind, i, got[i], want[i])
+		for op := 0; op < 60; op++ {
+			rid := rng.Int63n(int64(len(model)))
+			switch rng.Intn(4) {
+			case 0:
+				deltas.DeleteAt(rid)
+				model = append(model[:rid], model[rid+1:]...)
+			case 1:
+				v := float64(rng.Intn(100))
+				deltas.ModifyAt(rid, 2, pdt.FloatVal(v))
+				model[rid].v = v
+			case 2:
+				insert(rid, 1)
+			case 3:
+				insert(rid, 1+rng.Intn(8))
+			}
+		}
+		insert(0, 3)
+		insert(int64(len(model)), 3)
+		// Three disjoint ranges whose edges fall on inserts, then a run of
+		// inserts that is a range of its own.
+		var ranges []exec.RIDRange
+		lo := rng.Int63n(1000)
+		insert(lo+10, exec.VectorSize+rng.Intn(exec.VectorSize)) // a run longer than a vector, inside the first range
+		for i := 0; i < 3; i++ {
+			hi := lo + 1 + rng.Int63n(2000)
+			if i == 0 {
+				hi += 2 * exec.VectorSize // room for the long run
+			}
+			insert(hi, 2)   // just outside the range's upper edge
+			insert(hi-1, 2) // just inside it
+			insert(lo, 2)   // at its lower edge
+			ranges = append(ranges, exec.RIDRange{Lo: lo, Hi: hi + 4})
+			lo = hi + 4 + 1 + rng.Int63n(500)
+		}
+		insert(lo, 40)
+		pure := exec.RIDRange{Lo: lo + 5, Hi: lo + 35}
+		collect := func(policy workload.Policy, mk func(s *sys) exec.Operator) []row {
+			s := newSys(policy, 1<<20)
+			var got []row
+			s.run(func() {
+				res := exec.Collect(mk(s))
+				for i := 0; i < res.N; i++ {
+					got = append(got, row{res.Vecs[0].I64[i], res.Vecs[1].I64[i], res.Vecs[2].F64[i]})
+				}
+			})
+			return got
+		}
+		cols := []int{0, 1, 2}
+		for name, rs := range map[string][]exec.RIDRange{"mixed": append(ranges, pure), "pure-inserts": {pure}} {
+			clone := func(rs []exec.RIDRange) []exec.RIDRange { return append([]exec.RIDRange(nil), rs...) }
+			paths := []struct {
+				kind    string
+				ordered bool
+				ranges  []exec.RIDRange
+				mk      func(s *sys, rs []exec.RIDRange) exec.Operator
+			}{
+				{"scan", true, rs, func(s *sys, rs []exec.RIDRange) exec.Operator {
+					return &exec.Scan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas}
+				}},
+				{"cscan-inorder", true, rs, func(s *sys, rs []exec.RIDRange) exec.Operator {
+					return &exec.CScan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas, InOrder: true}
+				}},
+				{"cscan", false, rs, func(s *sys, rs []exec.RIDRange) exec.Operator {
+					return &exec.CScan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas}
+				}},
+				// One range only: OScan cuts every range into sections of its
+				// own, and two ranges that meet inside one stable tuple's
+				// insert run get overlapping sections (a known defect, see
+				// ROADMAP; OScan is reachable from examples/extensions only).
+				{"oscan", false, rs[:1], func(s *sys, rs []exec.RIDRange) exec.Operator {
+					return &exec.OScan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas, SectionTuples: 3000}
+				}},
+			}
+			for _, p := range paths {
+				policy := workload.PBM
+				if p.kind != "scan" && p.kind != "oscan" {
+					policy = workload.CScan
+				}
+				got := collect(policy, func(s *sys) exec.Operator { return p.mk(s, clone(p.ranges)) })
+				var want []row
+				for _, r := range p.ranges {
+					want = append(want, model[r.Lo:r.Hi]...)
+				}
+				if !p.ordered {
+					sort.Slice(got, func(i, j int) bool { return rowLess(got[i], got[j]) })
+					sort.Slice(want, func(i, j int) bool { return rowLess(want[i], want[j]) })
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %s %s: %d rows, want %d", seed, name, p.kind, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d %s %s: row %d is %+v, want %+v", seed, name, p.kind, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}

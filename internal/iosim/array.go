@@ -59,7 +59,9 @@ type Span struct {
 // logical run is a sequential local run on every spindle it touches and
 // costs at most one seek per device. Requests to different devices
 // proceed concurrently in both runtimes; requests to the same device
-// queue FIFO behind each other exactly as on a single Disk.
+// share its queue exactly as on a single Disk. Every read is a batch of
+// spans through ReadSpansOwner, whatever the device count or the queue
+// discipline.
 type DeviceArray struct {
 	r       rt.Runtime
 	devices []*Disk
@@ -145,9 +147,6 @@ func (a *DeviceArray) Bandwidth() float64 {
 
 // DeviceFor returns the index of the spindle that owns logical block b.
 func (a *DeviceArray) DeviceFor(b BlockID) int {
-	if len(a.devices) == 1 {
-		return 0
-	}
 	c := int64(b) / a.chunk
 	if c < int64(len(a.placement)) {
 		return a.placement[c]
@@ -161,9 +160,6 @@ func (a *DeviceArray) DeviceFor(b BlockID) int {
 // device (see NewArray); round-robin chunks beyond the placement map
 // continue after them.
 func (a *DeviceArray) localBlock(b BlockID) BlockID {
-	if len(a.devices) == 1 {
-		return b
-	}
 	c := int64(b) / a.chunk
 	off := int64(b) % a.chunk
 	if len(a.placement) == 0 {
@@ -214,30 +210,25 @@ func (a *DeviceArray) Read(b BlockID, blocks int, bytes int64) {
 // cancelled owner's queued sub-reads are skipped at their service turn on
 // every spindle instead of transferring bytes nobody will consume.
 func (a *DeviceArray) ReadOwner(q *rt.QueryCtx, b BlockID, blocks int, bytes int64) {
-	if len(a.devices) == 1 {
-		a.devices[0].ReadOwner(q, b, blocks, bytes)
-		return
-	}
 	a.ReadSpansOwner(q, []Span{{Block: b, Blocks: blocks, Bytes: bytes}})
 }
 
 // ReadSpans issues a batch of block runs as one request: every span is
-// split at stripe-chunk boundaries into per-device sub-reads, the
-// sub-reads are admitted to their owning devices' FIFO queues in span
-// order, and the caller blocks until the last one completes. Sub-reads on
-// different spindles overlap — this is where striping buys I/O
-// parallelism — while sub-reads on the same spindle queue behind each
-// other as usual.
+// split at stripe-chunk boundaries into per-device sub-reads (a
+// single-device array passes spans through unsplit), the sub-reads are
+// submitted to their owning devices' queues in span order, and the caller
+// blocks until the last one completes. Sub-reads on different spindles
+// overlap — this is where striping buys I/O parallelism — while sub-reads
+// on the same spindle queue behind each other as usual, or, under the
+// elevator, are sweep-ordered against competing scans' requests.
 //
-// On a single-device array the spans degrade to plain sequential Reads in
-// order, bit-identical to the historical single-disk model.
-//
-// Queue accounting is batch-granular: every sub-read counts as queued on
-// its device from admission until the WHOLE batch completes (one caller,
-// one wake-up), so a spindle that finishes its share early still shows
-// the request outstanding until the slowest spindle is done. Per-device
-// MaxQueueLen therefore reports batch-level queue pressure, slightly
-// above the pure per-transfer depth.
+// Queue accounting is batch-granular on every array: each sub-read
+// counts as queued on its device from submission until the WHOLE batch
+// completes (one caller, one wake-up), so a spindle that finishes its
+// share early — or the one spindle serving a batch's spans back to back
+// — still shows the request outstanding until the last transfer is done.
+// Per-device MaxQueueLen therefore reports batch-level queue pressure,
+// slightly above the pure per-transfer depth.
 func (a *DeviceArray) ReadSpans(spans []Span) {
 	a.ReadSpansOwner(nil, spans)
 }
@@ -246,112 +237,72 @@ func (a *DeviceArray) ReadSpans(spans []Span) {
 // checks the owner at its own service turn, so a batch whose owner is
 // cancelled while queued is skipped device by device (sub-reads already
 // in service on other spindles complete normally).
+//
+// Every piece is submitted before any is awaited, so each spindle's
+// queue sees its full share of the batch and other spindles are never
+// idled by a busy one. A transfer window never waits on a departure, so
+// two pieces of one batch on the same device cannot deadlock: the second
+// is assigned the window that starts where the first's ends.
 func (a *DeviceArray) ReadSpansOwner(q *rt.QueryCtx, spans []Span) {
-	if len(a.devices) == 1 {
-		if a.devices[0].elevator() {
-			// One pending request per span lets the elevator sweep-order
-			// the whole batch against competing scans' requests.
-			subs := make([]subRead, 0, len(spans))
-			for _, s := range spans {
-				if s.Blocks <= 0 || s.Bytes <= 0 {
-					panic("iosim: bad span")
-				}
-				subs = append(subs, subRead{dev: 0, span: s})
-			}
-			a.readSubsElevator(q, subs)
-			return
-		}
-		for _, s := range spans {
-			a.devices[0].ReadOwner(q, s.Block, s.Blocks, s.Bytes)
-		}
-		return
-	}
-	var subs []subRead
+	subs := make([]subRead, 0, len(spans))
 	for _, s := range spans {
-		b := s.Block
-		remBlocks := s.Blocks
-		remBytes := s.Bytes
-		if remBlocks <= 0 || remBytes <= 0 {
+		if s.Blocks <= 0 || s.Bytes <= 0 {
 			panic("iosim: bad span")
 		}
-		for remBlocks > 0 {
-			if remBytes < int64(remBlocks) {
-				// Degenerate span with fewer bytes than blocks: pro-rata
-				// pricing cannot reserve a positive byte count per chunk
-				// segment, so price the whole remainder on the first
-				// block's owning device (a single-device array accepts
-				// such spans unsplit too).
-				subs = append(subs, subRead{dev: a.DeviceFor(b), span: Span{Block: a.localBlock(b), Blocks: remBlocks, Bytes: remBytes}})
-				break
-			}
-			n := int(a.chunk - int64(b)%a.chunk)
-			if n > remBlocks {
-				n = remBlocks
-			}
-			// Callers that split at stripe boundaries themselves pass
-			// one-chunk spans with exact bytes; a span that does cross
-			// boundaries (the ABM's chunk stretches) is priced pro-rata
-			// by block count, conserving the total. With remBytes >=
-			// remBlocks (guarded above) the quotient is always in
-			// [1, remBytes-(remBlocks-n)], so every sub-read keeps a
-			// positive byte count and so does every later one.
-			by := remBytes
-			if n < remBlocks {
-				by = remBytes * int64(n) / int64(remBlocks)
-			}
-			subs = append(subs, subRead{dev: a.DeviceFor(b), span: Span{Block: a.localBlock(b), Blocks: n, Bytes: by}})
-			b += BlockID(n)
-			remBlocks -= n
-			remBytes -= by
-		}
+		subs = a.split(subs, q, s)
 	}
-	if a.devices[0].elevator() {
-		a.readSubsElevator(q, subs)
-		return
+	// subs no longer grows: the queues may hold pointers into it.
+	for i := range subs {
+		a.devices[subs[i].dev].submit(&subs[i].req)
 	}
-	// Admit every sub-read (device bookkeeping only, no blocking beyond
-	// FIFO admission), then sleep once until the last completes.
 	var until rt.Time
-	for _, s := range subs {
-		u := a.devices[s.dev].start(q, s.span.Block, s.span.Blocks, s.span.Bytes)
-		if u > until {
-			until = u
-		}
+	for i := range subs {
+		until = max(until, a.devices[subs[i].dev].await(&subs[i].req))
 	}
 	q.SleepUntil(a.r, until)
-	for _, s := range subs {
-		a.devices[s.dev].depart()
+	for i := range subs {
+		a.devices[subs[i].dev].depart()
 	}
 }
 
 // subRead is one per-device piece of a spans batch.
 type subRead struct {
-	dev  int
-	span Span
+	dev int
+	req ioReq
 }
 
-// readSubsElevator runs a sub-read batch on elevator-scheduled devices:
-// every piece enqueues first — so each spindle's dispatcher sees its full
-// share of the batch and other spindles are never idled by a busy one —
-// then the caller awaits every assignment and sleeps once until the last
-// completion. Assignment never waits on departure, so two pieces of one
-// batch on the same device cannot deadlock: the dispatcher assigns the
-// second the moment the first's transfer window ends.
-func (a *DeviceArray) readSubsElevator(q *rt.QueryCtx, subs []subRead) {
-	reqs := make([]*ioReq, len(subs))
-	for i, s := range subs {
-		reqs[i] = a.devices[s.dev].enqueue(q, s.span.Block, s.span.Blocks, s.span.Bytes)
-	}
-	var until rt.Time
-	for i, s := range subs {
-		if u := a.devices[s.dev].await(reqs[i]); u > until {
-			until = u
+// split appends span s to subs as per-device sub-reads cut at
+// stripe-chunk boundaries. A single-device array has no boundaries: the
+// span stays one request, whatever its length.
+func (a *DeviceArray) split(subs []subRead, q *rt.QueryCtx, s Span) []subRead {
+	b, remBlocks, remBytes := s.Block, s.Blocks, s.Bytes
+	for remBlocks > 0 {
+		n := remBlocks
+		if len(a.devices) > 1 && remBytes >= int64(remBlocks) {
+			n = min(n, int(a.chunk-int64(b)%a.chunk))
 		}
+		// A degenerate span with fewer bytes than blocks is not cut (n
+		// stays remBlocks): pro-rata pricing cannot reserve a positive
+		// byte count per chunk segment, so the whole remainder is priced
+		// on the first block's owning device.
+		//
+		// Callers that split at stripe boundaries themselves pass
+		// one-chunk spans with exact bytes; a span that does cross
+		// boundaries (the ABM's chunk stretches) is priced pro-rata by
+		// block count, conserving the total. With remBytes >= remBlocks
+		// the quotient is always in [1, remBytes-(remBlocks-n)], so every
+		// sub-read keeps a positive byte count and so does every later
+		// one.
+		by := remBytes
+		if n < remBlocks {
+			by = remBytes * int64(n) / int64(remBlocks)
+		}
+		subs = append(subs, subRead{dev: a.DeviceFor(b), req: ioReq{q: q, block: a.localBlock(b), blocks: n, bytes: by}})
+		b += BlockID(n)
+		remBlocks -= n
+		remBytes -= by
 	}
-	q.SleepUntil(a.r, until)
-	for _, s := range subs {
-		a.devices[s.dev].depart()
-	}
+	return subs
 }
 
 // ArrayStats aggregates the spindle counters of a DeviceArray.

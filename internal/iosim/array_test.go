@@ -57,43 +57,6 @@ func TestSingleDeviceArrayNeverSplits(t *testing.T) {
 	}
 }
 
-// A 1-device array must behave exactly like a bare Disk: same completion
-// times, same counters, for the same request sequence.
-func TestSingleDeviceArrayMatchesDisk(t *testing.T) {
-	reqs := []struct {
-		b      BlockID
-		blocks int
-		bytes  int64
-	}{{0, 4, 4000}, {4, 4, 4000}, {100, 2, 900}, {6, 1, 123}}
-
-	run := func(read func(BlockID, int, int64), eng *sim.Engine) []sim.Time {
-		var ends []sim.Time
-		eng.Go("r", func() {
-			for _, q := range reqs {
-				read(q.b, q.blocks, q.bytes)
-				ends = append(ends, eng.Now())
-			}
-		})
-		eng.Run()
-		return ends
-	}
-	engD := sim.NewEngine()
-	d := NewDisk(rt.Sim(engD), Config{Bandwidth: 1e6, SeekLatency: 5000})
-	endsD := run(d.Read, engD)
-	engA := sim.NewEngine()
-	a := NewArray(rt.Sim(engA), ArrayConfig{Config: Config{Bandwidth: 1e6, SeekLatency: 5000}, Devices: 1})
-	endsA := run(a.Read, engA)
-
-	for i := range endsD {
-		if endsD[i] != endsA[i] {
-			t.Fatalf("completion %d: disk %v, array %v", i, endsD[i], endsA[i])
-		}
-	}
-	if d.Stats() != a.Stats().PerDevice[0] {
-		t.Fatalf("stats diverged: disk %+v, array %+v", d.Stats(), a.Stats().PerDevice[0])
-	}
-}
-
 // A striped sequential read must complete ~N times faster than on one
 // device (each spindle keeps the full per-device bandwidth), and must
 // cost at most one seek per device thanks to the device-local block
@@ -216,7 +179,7 @@ func TestReadSpansProRataConservesBytes(t *testing.T) {
 // Ticketed admission: requests are serviced strictly in ticket order, so
 // the device queue is FIFO by arrival registration even when the
 // bookkeeping of a later ticket would be ready first. The sequence is
-// driven through start/depart directly to pin the order without racing.
+// driven from one process to pin the order without racing.
 func TestTicketedAdmissionServesInTicketOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDisk(rt.Sim(eng), Config{Bandwidth: 1e6, SeekLatency: 0})

@@ -8,11 +8,14 @@
 // other down and destroy sequential locality — the core problem statement
 // of §1).
 //
-// Two layers make up the subsystem: Disk is one spindle with the model
-// above, and DeviceArray (array.go) stripes blocks over N disks RAID-0
-// style so independent requests to different spindles proceed in parallel
-// — the multi-device testbed shape of the paper's SSD RAID. A 1-device
-// array is bit-identical to a bare Disk.
+// One request path runs through the subsystem: a DeviceArray (array.go)
+// stripes blocks over N spindles RAID-0 style — the multi-device testbed
+// shape of the paper's SSD RAID — and every spindle is a Disk, one
+// device queue with the model above. A request is submitted to its
+// spindle's queue, awaited until the queue has given it a transfer
+// window, slept out by the requester, and departs; the queue discipline
+// (FIFO or elevator) decides only who is served next and when a seek is
+// charged. A 1-device array is bit-identical to a bare Disk.
 //
 // The devices are runtime-agnostic: on the sim runtime a read suspends the
 // calling process in virtual time; on the real runtime the same bandwidth
@@ -48,7 +51,8 @@ type Stats struct {
 }
 
 // Disk is one simulated spindle: a block device with fixed sequential
-// bandwidth, a seek penalty, and a FIFO request queue.
+// bandwidth, a seek penalty, and one request queue under a FIFO or an
+// elevator discipline.
 type Disk struct {
 	r rt.Runtime
 
@@ -59,7 +63,8 @@ type Disk struct {
 	// atomic fetch-add on tickets — deliberately OUTSIDE mu, because a
 	// ticket handed out under the mutex would just inherit sync.Mutex's
 	// barging order — and requests are serviced strictly in ticket order
-	// (start waits on admit until serving reaches its ticket). That makes
+	// (a FIFO submit waits on admit until serving reaches its ticket; the
+	// elevator uses the ticket as its fairness tie-break). That makes
 	// the device queue genuinely FIFO by arrival on the real runtime,
 	// where mutex barging would otherwise let a late-arriving goroutine
 	// overtake goroutines that registered long before it and reorder the
@@ -80,14 +85,15 @@ type Disk struct {
 
 	stats Stats
 
-	// Elevator state (Scheduler == SchedElevator). Arrival-time
-	// bookkeeping cannot reorder anything — in sim mode start never
-	// blocks, so service order would equal arrival order by construction
-	// — so the elevator defers the dispatch decision to service-start
-	// time: requests enqueue on pending, and a per-device dispatcher
-	// process (spawned on demand, exiting when the queue drains so the
-	// simulation can drain too) sleeps until the device frees, then picks
-	// the C-SCAN-best pending request and publishes its completion time.
+	// Requests the queue has not yet given a transfer window. FIFO never
+	// leaves one here: arrival order is service order, so submit assigns
+	// the window itself. Arrival-time bookkeeping cannot reorder anything
+	// — in sim mode submit never blocks — so the elevator defers the
+	// decision to service-start time: requests wait on pending, and a
+	// per-device dispatcher process (spawned on demand, exiting when the
+	// queue drains so the simulation can drain too) sleeps until the
+	// device frees, then picks the C-SCAN-best pending request and
+	// publishes its window.
 	sched       string
 	pending     []*ioReq
 	dispatching bool
@@ -99,16 +105,17 @@ type Disk struct {
 	OnRead func(b BlockID, bytes int64)
 }
 
-// ioReq is one request pending on an elevator-scheduled device.
+// ioReq is one request in a device queue. The requester fills in the
+// owner and the block run; submit stamps the rest.
 type ioReq struct {
-	ticket int64
 	q      *rt.QueryCtx
 	block  BlockID
 	blocks int
 	bytes  int64
+	ticket int64
 	prio   float64
 	arrive rt.Time // arrival on the owner's modelled clock (see rt.QueryCtx.Lead)
-	done   bool    // assignment published
+	done   bool    // transfer window assigned
 	until  rt.Time // completion time, valid once done
 }
 
@@ -198,127 +205,110 @@ func (d *Disk) Read(b BlockID, blocks int, bytes int64) {
 // timeline says the transfer ended. The timeline itself (busyUntil,
 // BusyTime, Seeks, ticket order) is computed as for any other requester.
 func (d *Disk) ReadOwner(q *rt.QueryCtx, b BlockID, blocks int, bytes int64) {
-	if d.elevator() {
-		req := d.enqueue(q, b, blocks, bytes)
-		q.SleepUntil(d.r, d.await(req))
-		d.depart()
-		return
-	}
-	until := d.start(q, b, blocks, bytes)
-	q.SleepUntil(d.r, until)
+	req := &ioReq{q: q, block: b, blocks: blocks, bytes: bytes}
+	d.submit(req)
+	q.SleepUntil(d.r, d.await(req))
 	d.depart()
 }
 
-// start admits one request through the ticketed FIFO queue, accounts for
-// it, and returns its completion time WITHOUT blocking for the transfer
-// itself. DeviceArray uses the start/depart split to admit the sub-reads
-// of one striped request on several devices and then sleep once until the
-// last of them completes.
+// submit puts one request in the device queue WITHOUT blocking for the
+// transfer itself. DeviceArray uses the submit/await/depart split to
+// queue the sub-reads of one batch on several devices — so each
+// spindle's queue sees its full share and no spindle is idled by a busy
+// one — and then sleep once until the last of them completes.
 //
-// The owner tag is inspected exactly once, at the request's service turn:
-// a request whose owner is already cancelled is retired immediately with
-// only the Skipped counter touched. The queue accounting (queued,
-// MaxQueueLen, the FIFO ticket) is unchanged either way — a skipped
-// request occupied its queue slot until its turn came, which is what the
-// depth counters measure.
-func (d *Disk) start(q *rt.QueryCtx, b BlockID, blocks int, bytes int64) rt.Time {
-	if bytes <= 0 || blocks <= 0 {
-		panic(fmt.Sprintf("iosim: bad read: %d blocks, %d bytes", blocks, bytes))
+// The request counts as queued from arrival until depart under either
+// discipline, and always takes an arrival ticket: it is FIFO's service
+// order and the elevator's fairness tie-break for same-block requests.
+// FIFO assigns the transfer window here, in ticket order; the elevator
+// leaves the request pending for its dispatcher, spawning one if none is
+// running.
+func (d *Disk) submit(req *ioReq) {
+	if req.bytes <= 0 || req.blocks <= 0 {
+		panic(fmt.Sprintf("iosim: bad read: %d blocks, %d bytes", req.blocks, req.bytes))
 	}
 	// Arrival: the atomic increment is the linearization point that fixes
 	// this request's queue position, before any mutex is contended.
-	ticket := d.tickets.Add(1) - 1
+	req.ticket = d.tickets.Add(1) - 1
+	req.prio = req.q.Priority()
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.queued++
 	if d.queued > d.stats.MaxQueueLen {
 		d.stats.MaxQueueLen = d.queued
 	}
-	// Real runtime: wait for our turn; every admission broadcasts, and
-	// exactly one waiter's ticket matches the new serving value. Sim
-	// runtime: never waits (see the tickets field comment).
-	for ticket != d.serving {
+	fifo := !d.elevator()
+	// Real runtime: a FIFO request waits for its turn; every admission
+	// broadcasts, and exactly one waiter's ticket matches the new serving
+	// value. Sim runtime: never waits (see the tickets field comment).
+	for fifo && req.ticket != d.serving {
 		d.admit.Wait()
 	}
-
-	if q != nil && q.Cancelled() {
-		d.stats.Skipped++
-		d.serving++
-		d.admit.Broadcast()
-		d.mu.Unlock()
-		return d.r.Now()
-	}
-
 	// A paced owner still owes the time it is ahead of the wall clock, so
 	// its request arrives on its own modelled clock (zero lead otherwise).
-	start := d.r.Now() + rt.Time(q.Lead())
-	if d.busyUntil > start {
-		start = d.busyUntil
-	}
-	dur := rt.Duration(float64(bytes) / d.bandwidth * 1e9)
-	if !d.haveLast || b != d.lastBlock+1 {
-		dur += d.seekLatency
-		d.stats.Seeks++
-	}
-	until := start + rt.Time(dur)
-	d.busyUntil = until
-	d.lastBlock = b + BlockID(blocks) - 1
-	d.haveLast = true
-
-	d.stats.Requests++
-	d.stats.BytesRead += bytes
-	d.stats.BusyTime += dur
-	if d.OnRead != nil {
-		d.OnRead(b, bytes)
-	}
-	d.serving++
-	d.admit.Broadcast()
-	d.mu.Unlock()
-	return until
-}
-
-// depart retires one completed request from the queue accounting.
-func (d *Disk) depart() {
-	d.mu.Lock()
-	d.queued--
-	d.mu.Unlock()
-}
-
-// enqueue adds one request to the elevator's pending queue without
-// blocking for service, spawning the dispatcher if none is running. The
-// arrival ticket is still taken — it is the fairness tie-break for
-// same-block requests — and queue-depth accounting matches the FIFO
-// path: the request counts as queued from arrival until depart.
-func (d *Disk) enqueue(q *rt.QueryCtx, b BlockID, blocks int, bytes int64) *ioReq {
-	if bytes <= 0 || blocks <= 0 {
-		panic(fmt.Sprintf("iosim: bad read: %d blocks, %d bytes", blocks, bytes))
-	}
-	req := &ioReq{
-		ticket: d.tickets.Add(1) - 1,
-		q:      q,
-		block:  b,
-		blocks: blocks,
-		bytes:  bytes,
-		prio:   q.Priority(),
-		arrive: d.r.Now() + rt.Time(q.Lead()),
-	}
-	d.mu.Lock()
-	d.queued++
-	if d.queued > d.stats.MaxQueueLen {
-		d.stats.MaxQueueLen = d.queued
+	now := d.r.Now()
+	req.arrive = now + rt.Time(req.q.Lead())
+	if fifo {
+		d.assign(req, now)
+		d.serving++
+		d.admit.Broadcast()
+		return
 	}
 	d.pending = append(d.pending, req)
 	if !d.dispatching {
 		d.dispatching = true
 		d.r.Go("iosim-elevator", d.dispatch)
 	}
-	d.mu.Unlock()
-	return req
 }
 
-// await blocks until the dispatcher has assigned the request a service
-// slot and returns its completion time. The caller then sleeps until
-// that time and departs — the split lets DeviceArray enqueue a batch's
-// sub-reads on several devices before blocking on any of them.
+// assign gives req its transfer window, starting when the device, the
+// clock and the owner's modelled clock have all reached it, and does the
+// accounting: the one service routine of both disciplines. Caller holds
+// d.mu and has chosen req as the next request to serve.
+//
+// The owner tag is inspected exactly once, here at the request's service
+// turn: a request whose owner is already cancelled is retired
+// immediately with only the Skipped counter touched. The queue
+// accounting (queued, MaxQueueLen, the ticket) is unchanged either way —
+// a skipped request occupied its queue slot until its turn came, which
+// is what the depth counters measure.
+func (d *Disk) assign(req *ioReq, now rt.Time) {
+	req.done = true
+	if req.q != nil && req.q.Cancelled() {
+		d.stats.Skipped++
+		req.until = now
+		return
+	}
+	dur := rt.Duration(float64(req.bytes) / d.bandwidth * 1e9)
+	// The seek rule is the discipline's. FIFO pays for any request that
+	// does not continue the previous block run. C-SCAN pays only for the
+	// initial positioning and a direction-breaking wrap (the picked block
+	// is behind the head); forward jumps ride the sweep.
+	head := d.lastBlock + 1
+	seek := req.block != head
+	if d.elevator() {
+		seek = req.block < head
+	}
+	if !d.haveLast || seek {
+		dur += d.seekLatency
+		d.stats.Seeks++
+	}
+	req.until = max(now, req.arrive, d.busyUntil) + rt.Time(dur)
+	d.busyUntil = req.until
+	d.lastBlock = req.block + BlockID(req.blocks) - 1
+	d.haveLast = true
+	d.stats.Requests++
+	d.stats.BytesRead += req.bytes
+	d.stats.BusyTime += dur
+	if d.OnRead != nil {
+		d.OnRead(req.block, req.bytes)
+	}
+}
+
+// await blocks until the queue has assigned the request a transfer
+// window and returns its completion time; the caller then sleeps until
+// that time and departs. A FIFO request was assigned in submit, so it
+// never parks here.
 func (d *Disk) await(req *ioReq) rt.Time {
 	d.mu.Lock()
 	for !req.done {
@@ -332,6 +322,13 @@ func (d *Disk) await(req *ioReq) rt.Time {
 	return until
 }
 
+// depart retires one completed request from the queue accounting.
+func (d *Disk) depart() {
+	d.mu.Lock()
+	d.queued--
+	d.mu.Unlock()
+}
+
 // dispatch is the elevator's per-device dispatcher: it sleeps until the
 // device frees, picks the C-SCAN-best pending request at that instant —
 // late-arriving requests that land ahead of the head join the current
@@ -341,12 +338,7 @@ func (d *Disk) await(req *ioReq) rt.Time {
 // the engine alive (or deadlock it) after the workload completes.
 func (d *Disk) dispatch() {
 	d.mu.Lock()
-	for {
-		if len(d.pending) == 0 {
-			d.dispatching = false
-			d.mu.Unlock()
-			return
-		}
+	for len(d.pending) > 0 {
 		now := d.r.Now()
 		if d.busyUntil > now {
 			until := d.busyUntil
@@ -358,37 +350,11 @@ func (d *Disk) dispatch() {
 		i := d.pickNext()
 		req := d.pending[i]
 		d.pending = append(d.pending[:i], d.pending[i+1:]...)
-		if req.q != nil && req.q.Cancelled() {
-			d.stats.Skipped++
-			req.until = now
-			req.done = true
-			d.assigned.Fire()
-			continue
-		}
-		dur := rt.Duration(float64(req.bytes) / d.bandwidth * 1e9)
-		// C-SCAN seek accounting: only the initial positioning and a
-		// direction-breaking wrap (the picked block is behind the head)
-		// pay the penalty; forward jumps ride the sweep.
-		if !d.haveLast || req.block < d.lastBlock+1 {
-			dur += d.seekLatency
-			d.stats.Seeks++
-		}
-		// A request picked before its paced owner's modelled clock reaches
-		// its arrival starts then, not now.
-		until := max(now, req.arrive) + rt.Time(dur)
-		d.busyUntil = until
-		d.lastBlock = req.block + BlockID(req.blocks) - 1
-		d.haveLast = true
-		d.stats.Requests++
-		d.stats.BytesRead += req.bytes
-		d.stats.BusyTime += dur
-		if d.OnRead != nil {
-			d.OnRead(req.block, req.bytes)
-		}
-		req.until = until
-		req.done = true
+		d.assign(req, now)
 		d.assigned.Fire()
 	}
+	d.dispatching = false
+	d.mu.Unlock()
 }
 
 // pickNext returns the index of the C-SCAN-best pending request: lowest

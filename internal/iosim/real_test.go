@@ -82,7 +82,7 @@ func TestRealTicketedAdmissionIsFIFO(t *testing.T) {
 }
 
 // Concurrent striped reads on the real runtime: a -race smoke over the
-// DeviceArray fan-out (start/depart across devices) with consistency
+// DeviceArray fan-out (submit/await/depart across devices) with consistency
 // checks on the aggregated counters.
 func TestRealArrayConcurrentReads(t *testing.T) {
 	r := rt.NewReal()

@@ -92,7 +92,7 @@ func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
 	e.setupSkipping(db)
 	en := &ServeEngine{
 		cfg: cfg, db: db, e: e,
-		sch: sched.New(e.rt, sched.Config{
+		sch: sched.New(e.RT, sched.Config{
 			MPL:           cfg.MPL,
 			QueueDepth:    cfg.QueueDepth,
 			SLO:           cfg.SLO,
@@ -109,16 +109,16 @@ func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
 		en.cost = e.costModel()
 	}
 	en.htap = e.newHTAP(db, cfg.CheckpointOps)
-	en.ckptWG = e.rt.NewWaitGroup()
-	en.start = e.rt.Now()
+	en.ckptWG = e.RT.NewWaitGroup()
+	en.start = e.RT.Now()
 	return en
 }
 
 // Runtime exposes the engine's runtime.
-func (en *ServeEngine) Runtime() rt.Runtime { return en.e.rt }
+func (en *ServeEngine) Runtime() rt.Runtime { return en.e.RT }
 
 // Now reads the engine clock (nanoseconds since engine creation).
-func (en *ServeEngine) Now() rt.Time { return en.e.rt.Now() }
+func (en *ServeEngine) Now() rt.Time { return en.e.RT.Now() }
 
 // NumTuples is the lineitem row count — the bound request ranges are
 // clipped to, exported on /statz so clients can draw ranges.
@@ -136,9 +136,9 @@ func (en *ServeEngine) Scheduler() *sched.Scheduler { return en.sch }
 // NewQueryCtx mints a lifecycle handle on the engine clock, armed with
 // an end-to-end deadline relative to now when deadline is positive.
 func (en *ServeEngine) NewQueryCtx(deadline sim.Duration) *exec.QueryCtx {
-	qc := exec.NewQueryCtx(en.e.rt)
+	qc := exec.NewQueryCtx(en.e.RT)
 	if deadline > 0 {
-		qc.SetDeadline(en.e.rt.Now() + sim.Time(deadline))
+		qc.SetDeadline(en.e.RT.Now() + sim.Time(deadline))
 	}
 	return qc
 }
@@ -250,7 +250,7 @@ func (en *ServeEngine) Checkpoints() int {
 // openWindow opens the stats window at the current clock reading,
 // unless it is already open.
 func (en *ServeEngine) openWindow() {
-	en.window.CompareAndSwap(0, int64(en.e.rt.Now())+1)
+	en.window.CompareAndSwap(0, int64(en.e.RT.Now())+1)
 }
 
 // Admit runs the admission scheduler for q, blocking while queued; the
@@ -335,7 +335,7 @@ func (en *ServeEngine) Run(q sched.Query, d Draw) {
 // table at build time: a checkpoint committing mid-stream never tears
 // the scan, and updates committed after the pin stay invisible to it.
 func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange, pred *exec.ScanPredicate) (exec.Op, error) {
-	ctx := en.e.ctx
+	ctx := en.e.Ctx
 	if qc != nil {
 		ctx = ctx.WithQuery(qc)
 	}
@@ -367,8 +367,8 @@ func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange
 // the last query has resolved.
 func (en *ServeEngine) Close() {
 	en.ckptWG.Wait()
-	if en.e.abm != nil {
-		en.e.abm.Stop()
+	if en.e.ABM != nil {
+		en.e.ABM.Stop()
 	}
 }
 
@@ -385,7 +385,7 @@ func (en *ServeEngine) Stats() *ServeResult {
 		BufferBytes:   en.e.result.BufferBytes,
 	}}
 	en.e.snapshot(&res.Result)
-	now, start := en.e.rt.Now(), en.start
+	now, start := en.e.RT.Now(), en.start
 	if w := en.window.Load(); w > 0 {
 		start = rt.Time(w - 1)
 	}

@@ -152,18 +152,18 @@ func (e *env) newHTAP(db *tpch.DB, checkpointOps int) *htapState {
 // interest for versions no scan holds. Runs inside the store's critical
 // section, so a view pinned before or after sees a coherent pair.
 func (e *env) retireSnapshot(old, next *storage.Snapshot) {
-	if e.ctx.Zones != nil {
-		for _, col := range e.ctx.Zones.Drop(old) {
-			e.ctx.Zones.Build(next, col, e.cfg.ChunkTuples)
+	if e.Ctx.Zones != nil {
+		for _, col := range e.Ctx.Zones.Drop(old) {
+			e.Ctx.Zones.Build(next, col, e.cfg.ChunkTuples)
 		}
 	}
-	if e.pool != nil {
+	if e.Pool != nil {
 		for col := range old.Table().Schema {
-			e.pool.InvalidatePages(old.Pages(col))
+			e.Pool.InvalidatePages(old.Pages(col))
 		}
 	}
-	if e.abm != nil {
-		e.abm.InvalidateVersions(next.Table(), next.Version())
+	if e.ABM != nil {
+		e.ABM.InvalidateVersions(next.Table(), next.Version())
 	}
 }
 
@@ -242,16 +242,16 @@ func (h *htapState) maybeCheckpoint(e *env, wg rt.WaitGroup) {
 	h.ckptRunning = true
 	h.mu.Unlock()
 	wg.Add(1)
-	e.rt.Go("checkpoint", func() {
+	e.RT.Go("checkpoint", func() {
 		defer wg.Done()
-		start := e.rt.Now()
+		start := e.RT.Now()
 		h.store.PropagateWriteToRead()
-		e.rt.Sleep(h.mergeCost)
+		e.RT.Sleep(h.mergeCost)
 		_, err := h.store.Checkpoint()
 		h.mu.Lock()
 		if err == nil {
 			h.checkpoints++
-			h.windows = append(h.windows, ckptWindow{start: start, end: e.rt.Now()})
+			h.windows = append(h.windows, ckptWindow{start: start, end: e.RT.Now()})
 		}
 		h.ckptRunning = false
 		h.mu.Unlock()

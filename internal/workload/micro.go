@@ -41,7 +41,7 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 	if anySelective(cfg.Selectivities) {
 		e.setupSkipping(db)
 	}
-	build := e.builderCtx(db, e.ctx, pdt.View{})
+	build := e.builderCtx(db, e.Ctx, pdt.View{})
 	n := db.Snapshot("lineitem").NumTuples()
 
 	return e.runStreams(cfg.Streams, func(s int) {
@@ -51,7 +51,7 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 			r := RandRange(rng, n, pct, cfg.HotFrac, cfg.HotProb)
 			useQ1 := rng.Intn(2) == 0
 			pred := e.drawWindow(rng, pickSelectivity(rng, cfg.Selectivities))
-			exec.Drain(e.microPlanCtx(e.ctx, db, e.wrapPred(db, build, pred), r, useQ1))
+			exec.Drain(e.microPlanCtx(e.Ctx, db, e.wrapPred(db, build, pred), r, useQ1))
 		}
 	})
 }
@@ -61,25 +61,25 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 // closed-loop scaffold RunMicro and RunTPCH share.
 func (e *env) runStreams(streams int, body func(s int)) *Result {
 	streamEnds := make([]sim.Time, streams)
-	wg := e.rt.NewWaitGroup()
+	wg := e.RT.NewWaitGroup()
 	stopSampler := e.sharingSampler()
 	for s := 0; s < streams; s++ {
 		s := s
 		wg.Add(1)
-		e.rt.Go("stream", func() {
+		e.RT.Go("stream", func() {
 			defer wg.Done()
 			body(s)
-			streamEnds[s] = e.rt.Now()
+			streamEnds[s] = e.RT.Now()
 		})
 	}
-	e.rt.Go("driver", func() {
+	e.RT.Go("driver", func() {
 		wg.Wait()
 		stopSampler.Fire()
-		if e.abm != nil {
-			e.abm.Stop()
+		if e.ABM != nil {
+			e.ABM.Stop()
 		}
 	})
-	e.rt.Run()
+	e.RT.Run()
 	return e.finish(streamEnds)
 }
 

@@ -33,9 +33,9 @@ func anySelective(mixes ...[]float64) bool {
 func (e *env) setupSkipping(db *tpch.DB) {
 	snap := db.Snapshot("lineitem")
 	col := db.Col("lineitem", "l_shipdate")
-	e.ctx.Zones = exec.NewZoneMaps()
-	e.ctx.Skip = &exec.SkipStats{}
-	e.predIx = e.ctx.Zones.Build(snap, col, e.cfg.ChunkTuples)
+	e.Ctx.Zones = exec.NewZoneMaps()
+	e.Ctx.Skip = &exec.SkipStats{}
+	e.predIx = e.Ctx.Zones.Build(snap, col, e.cfg.ChunkTuples)
 	e.predCol = col
 	e.dateMin, e.dateMax, _ = e.predIx.ValueBounds()
 }

@@ -115,3 +115,35 @@ func TestRunServeRealMixedSelectivitiesSmoke(t *testing.T) {
 		})
 	}
 }
+
+// TestSelectivityOneBitIdentical pins the other disabled spelling: a
+// single-entry selectivity mix of 1.0 consumes no rng draws, registers
+// no predicate and builds no zone map, so runs are bit-identical to runs
+// with no selectivity axis at all.
+func TestSelectivityOneBitIdentical(t *testing.T) {
+	for _, pol := range []Policy{PBM, CScan} {
+		base := tinyMicroConfig()
+		base.Policy = pol
+		a := RunMicro(tinyDB, base)
+		one := base
+		one.Selectivities = []float64{1}
+		b := RunMicro(tinyDB, one)
+		if a.AvgStreamSec != b.AvgStreamSec || a.TotalIOBytes != b.TotalIOBytes {
+			t.Errorf("%v: selectivity {1} diverged: %v/%d vs %v/%d",
+				pol, a.AvgStreamSec, a.TotalIOBytes, b.AvgStreamSec, b.TotalIOBytes)
+		}
+		if b.RequestedTuples != 0 || b.SkippedTuples != 0 {
+			t.Errorf("%v: skip counters active on disabled run: %+v", pol, b)
+		}
+	}
+	base := tinyServeConfig()
+	base.Policy = PBM
+	base.AdmissionPolicy = "sesf"
+	a := RunServe(tinyDB, base)
+	one := base
+	one.Selectivities = []float64{1}
+	b := RunServe(tinyDB, one)
+	if a.Sched != b.Sched || a.TotalIOBytes != b.TotalIOBytes {
+		t.Errorf("serve: selectivity {1} diverged: %+v vs %+v", a.Sched, b.Sched)
+	}
+}

@@ -244,28 +244,35 @@ func (r *Result) OPTIOBytes() int64 {
 	return opt.Simulate(r.Trace, r.BufferBytes).BytesLoaded
 }
 
-// env wires one engine instance for a config, on the simulated or the
-// real-threaded runtime.
-type env struct {
-	cfg    Config
-	rt     rt.Runtime
-	disk   *iosim.DeviceArray
-	pool   *buffer.Pool
-	pbm    *pbm.Group
-	abm    *abm.ABM
-	ctx    *exec.Ctx
-	rec    *trace.Recorder
-	result *Result
-	skipEnv
+// Engine is one wired engine instance: a device array, a buffer manager
+// (a pool under a replacement policy, or the ABM under Cooperative
+// Scans) and the execution context plans run against, all on one
+// runtime.
+type Engine struct {
+	RT   rt.Runtime
+	Eng  *sim.Engine // the simulator behind RT; nil on the real-threaded runtime
+	Disk *iosim.DeviceArray
+	Pool *buffer.Pool // nil under CScan
+	PBM  *pbm.Group   // non-nil under PBM/PBMLRU: one instance per pool shard
+	ABM  *abm.ABM     // non-nil under CScan
+	Ctx  *exec.Ctx
 }
 
-func newEnv(cfg Config, accessedBytes int64) *env {
-	e := &env{cfg: cfg, result: &Result{Policy: cfg.Policy.String()}}
+// NewEngine wires an engine for cfg with a buffer of bufferBytes, on the
+// simulator or (cfg.Real) on real threads: the one constructor behind
+// every experiment, the serving engine and the library's System, so they
+// all run — and measure — the same device model, read-ahead and PBM
+// timeline. It reads cfg's engine fields only (policy, devices, cores,
+// ...), not the workload's.
+func NewEngine(cfg Config, bufferBytes int64) Engine {
+	var e Engine
 	if cfg.Real {
-		e.rt = rt.NewReal()
+		e.RT = rt.NewReal()
 	} else {
-		e.rt = rt.Sim(sim.NewEngine())
+		e.Eng = sim.NewEngine()
+		e.RT = rt.Sim(e.Eng)
 	}
+	r := e.RT
 	base := iosim.Config{
 		Bandwidth:   cfg.BandwidthMB * 1e6,
 		SeekLatency: 50 * time.Microsecond,
@@ -284,44 +291,37 @@ func newEnv(cfg Config, accessedBytes int64) *env {
 			tiers[i] = iosim.Config{Bandwidth: base.Bandwidth * x, SeekLatency: 0}
 		}
 	}
-	e.disk = iosim.NewArray(e.rt, iosim.ArrayConfig{
+	e.Disk = iosim.NewArray(r, iosim.ArrayConfig{
 		Config:         base,
 		Devices:        cfg.Devices,
 		StripeChunk:    cfg.StripeChunk,
 		DeviceConfigs:  tiers,
 		ChunkPlacement: cfg.ChunkPlacement,
 	})
-	capBytes := int64(cfg.BufferFrac * float64(accessedBytes))
-	if capBytes < 256<<10 {
-		capBytes = 256 << 10
-	}
-	e.result.BufferBytes = capBytes
-	e.result.AccessedBytes = accessedBytes
-
 	ra := cfg.ReadAheadTuples
 	if ra <= 0 {
 		ra = 8192
 	}
-	e.ctx = &exec.Ctx{
-		RT:              e.rt,
-		CPU:             exec.NewCPU(e.rt, cfg.Cores),
+	e.Ctx = &exec.Ctx{
+		RT:              r,
+		CPU:             exec.NewCPU(r, cfg.Cores),
 		PerTupleCPU:     cfg.PerTupleCPU,
 		ReadAheadTuples: ra,
 	}
-	if cfg.StripeRowRA && e.disk.Devices() > 1 {
-		e.ctx.StripeRowBlocks = e.disk.Devices() * e.disk.StripeChunk()
+	if cfg.StripeRowRA && e.Disk.Devices() > 1 {
+		e.Ctx.StripeRowBlocks = e.Disk.Devices() * e.Disk.StripeChunk()
 	}
 	if cfg.Real {
-		e.ctx.Workers = rt.NewWorkerPool(e.rt, cfg.Cores)
+		e.Ctx.Workers = rt.NewWorkerPool(r, cfg.Cores)
 	}
 	switch cfg.Policy {
 	case CScan:
-		e.abm = abm.New(e.rt, e.disk, abm.Config{
+		e.ABM = abm.New(r, e.Disk, abm.Config{
 			ChunkTuples:      cfg.ChunkTuples,
-			Capacity:         capBytes,
+			Capacity:         bufferBytes,
 			CollectBlockHeat: cfg.CollectBlockHeat,
 		})
-		e.ctx.ABM = e.abm
+		e.Ctx.ABM = e.ABM
 	default:
 		shards := cfg.PoolShards
 		if shards <= 0 {
@@ -342,26 +342,45 @@ func newEnv(cfg Config, accessedBytes int64) *env {
 			pc.DefaultSpeed = 1e8
 			pc.LRUMode = cfg.Policy == PBMLRU
 			pc.CollectBlockHeat = cfg.CollectBlockHeat
-			g := pbm.NewGroup(e.rt, pc, shards)
+			e.PBM = pbm.NewGroup(r, pc, shards)
 			if cfg.Throttle {
 				tc := pbm.DefaultThrottleConfig()
 				tc.Enabled = true
-				g.SetThrottle(tc)
+				e.PBM.SetThrottle(tc)
 			}
-			e.pbm = g
-			factory = g.PolicyFactory()
-		}
-		e.pool = buffer.NewShardedPool(e.rt, e.disk, factory, capBytes, shards)
-		e.ctx.Pool = e.pool
-		if e.pbm != nil {
-			// Assign only when non-nil: Ctx.PBM is an interface, and a
+			factory = e.PBM.PolicyFactory()
+			// Assigned only here: Ctx.PBM is an interface, and a
 			// typed-nil *Group would defeat the scans' nil check.
-			e.ctx.PBM = e.pbm
+			e.Ctx.PBM = e.PBM
 		}
+		e.Pool = buffer.NewShardedPool(r, e.Disk, factory, bufferBytes, shards)
+		e.Ctx.Pool = e.Pool
 	}
-	if cfg.TraceForOPT && e.pool != nil {
+	return e
+}
+
+// env is one engine instance sized and instrumented for an experiment
+// run, on the simulated or the real-threaded runtime.
+type env struct {
+	Engine
+	cfg    Config
+	rec    *trace.Recorder
+	result *Result
+	skipEnv
+}
+
+func newEnv(cfg Config, accessedBytes int64) *env {
+	e := &env{cfg: cfg, result: &Result{Policy: cfg.Policy.String()}}
+	capBytes := int64(cfg.BufferFrac * float64(accessedBytes))
+	if capBytes < 256<<10 {
+		capBytes = 256 << 10
+	}
+	e.result.BufferBytes = capBytes
+	e.result.AccessedBytes = accessedBytes
+	e.Engine = NewEngine(cfg, capBytes)
+	if cfg.TraceForOPT && e.Pool != nil {
 		e.rec = trace.NewRecorder()
-		e.rec.Attach(e.pool)
+		e.rec.Attach(e.Pool)
 	}
 	return e
 }
@@ -379,8 +398,8 @@ const fallbackScanSpeed = 1e8
 // scales with its scan length, which is what cost-aware admission orders
 // by.
 func (e *env) costModel() exec.ScanCostModel {
-	if e.pbm != nil {
-		return e.pbm
+	if e.PBM != nil {
+		return e.PBM
 	}
 	return exec.FixedSpeedCost(fallbackScanSpeed)
 }
@@ -406,7 +425,7 @@ func (e *env) builderCtx(db *tpch.DB, ctx *exec.Ctx, view pdt.View) tpch.ScanBui
 		if ranges == nil {
 			ranges = []exec.RIDRange{{Lo: 0, Hi: v.NumTuples()}}
 		}
-		if e.abm != nil {
+		if e.ABM != nil {
 			return &exec.CScan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, InOrder: inOrder, PDT: v.Deltas}
 		}
 		return &exec.Scan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, PDT: v.Deltas}
@@ -425,18 +444,18 @@ func (e *env) parallelCtx(ctx *exec.Ctx, parts []func() exec.Op) exec.Op {
 // concurrently with executing queries, which is what lets the long-lived
 // serving engine and a finished bounded run share it.
 func (e *env) snapshot(r *Result) {
-	if e.pool != nil {
-		r.PoolStats = e.pool.Stats()
+	if e.Pool != nil {
+		r.PoolStats = e.Pool.Stats()
 		r.TotalIOBytes = r.PoolStats.BytesLoaded
 	}
-	if e.abm != nil {
-		r.ABMStats = e.abm.Stats()
+	if e.ABM != nil {
+		r.ABMStats = e.ABM.Stats()
 		r.TotalIOBytes = r.ABMStats.BytesLoaded
 	}
-	if e.ctx.Skip != nil {
-		r.RequestedTuples, r.SkippedTuples = e.ctx.Skip.Counts()
+	if e.Ctx.Skip != nil {
+		r.RequestedTuples, r.SkippedTuples = e.Ctx.Skip.Counts()
 	}
-	r.DiskStats = e.disk.Stats()
+	r.DiskStats = e.Disk.Stats()
 }
 
 // finish collects run metrics once the runtime has drained. streamEnds
@@ -458,10 +477,10 @@ func (e *env) finish(streamEnds []sim.Time) *Result {
 		e.result.Trace = e.rec.Refs()
 	}
 	if e.cfg.CollectBlockHeat {
-		if e.abm != nil {
-			e.result.BlockHeat = e.abm.BlockHeat()
-		} else if e.pbm != nil {
-			e.result.BlockHeat = e.pbm.BlockHeat()
+		if e.ABM != nil {
+			e.result.BlockHeat = e.ABM.BlockHeat()
+		} else if e.PBM != nil {
+			e.result.BlockHeat = e.PBM.BlockHeat()
 		}
 	}
 	return e.result
@@ -493,34 +512,34 @@ func ChunkHeat(blockHeat map[iosim.BlockID]float64, stripeChunk int) []float64 {
 // sharingSampler starts the Figure 17/18 sampler process; stop it by
 // firing the returned event after the streams complete.
 func (e *env) sharingSampler() rt.Event {
-	stop := e.rt.NewEvent()
-	if e.cfg.SharingSampler <= 0 || e.pbm == nil {
+	stop := e.RT.NewEvent()
+	if e.cfg.SharingSampler <= 0 || e.PBM == nil {
 		return stop
 	}
 	var done atomic.Bool
 	sample := func() {
-		counts := e.pbm.SharingVolumes()
+		counts := e.PBM.SharingVolumes()
 		var s SharingSample
-		s.T = e.rt.Now()
+		s.T = e.RT.Now()
 		s.Bytes[0] = counts[1]
 		s.Bytes[1] = counts[2]
 		s.Bytes[2] = counts[3]
 		s.Bytes[3] = counts[4]
 		e.result.Sharing = append(e.result.Sharing, s)
 	}
-	e.rt.Go("sharing-sampler", func() {
-		e.rt.Go("sharing-stop", func() {
+	e.RT.Go("sharing-sampler", func() {
+		e.RT.Go("sharing-stop", func() {
 			stop.Wait()
 			done.Store(true)
 		})
 		// An early sample catches short runs that finish within the
 		// first full interval.
-		e.rt.Sleep(e.cfg.SharingSampler / 10)
+		e.RT.Sleep(e.cfg.SharingSampler / 10)
 		if !done.Load() {
 			sample()
 		}
 		for !done.Load() {
-			e.rt.Sleep(e.cfg.SharingSampler)
+			e.RT.Sleep(e.cfg.SharingSampler)
 			if done.Load() {
 				break
 			}

@@ -21,10 +21,8 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/exec"
 	"repro/internal/iosim"
-	"repro/internal/pbm"
 	"repro/internal/pdt"
 	"repro/internal/rt"
-	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -164,21 +162,19 @@ type SystemConfig struct {
 // DefaultPoolShards is the default shard count of a System's buffer pool.
 const DefaultPoolShards = buffer.DefaultShards
 
-// System is a fully wired engine instance: clock, disk, buffer manager
-// (traditional or ABM), and an execution context. Create scans and
-// operators against Ctx, and drive everything inside Run. By default the
-// system runs on the deterministic simulator (Eng is its virtual-clock
-// engine); with SystemConfig.Real it runs on real threads and Eng is nil.
+// System is a fully wired engine instance — runtime, disk array, buffer
+// manager (traditional or ABM) and an execution context — plus a
+// catalog. Create scans and operators against Ctx, and drive everything
+// inside Run. By default the system runs on the deterministic simulator
+// (Eng is its virtual-clock engine); with SystemConfig.Real it runs on
+// real threads and Eng is nil.
 type System struct {
-	// RT is the runtime everything is wired to: the simulator adapter or
-	// the real-threaded runtime.
-	RT      rt.Runtime
-	Eng     *sim.Engine // the simulation engine; nil under SystemConfig.Real
-	Disk    *iosim.DeviceArray
-	Pool    *buffer.Pool // nil under CScan
-	PBM     *pbm.Group   // non-nil under PBM/PBMLRU: one instance per pool shard
-	ABM     *abm.ABM     // non-nil under CScan
-	Ctx     *exec.Ctx
+	// Engine is wired by the constructor every experiment and the server
+	// use, so a System runs the same device model, read-ahead and PBM
+	// timeline they measure. Its fields are the system's: RT (the runtime
+	// everything is wired to), Eng, Disk, Pool (nil under CScan), PBM
+	// (non-nil under PBM/PBMLRU), ABM (non-nil under CScan) and Ctx.
+	workload.Engine
 	Catalog *Catalog
 
 	chunkTuples int64 // zone-map granularity (= the CScan chunk size)
@@ -201,66 +197,25 @@ func NewSystem(cfg SystemConfig) *System {
 	if cfg.PoolShards <= 0 {
 		cfg.PoolShards = DefaultPoolShards
 	}
-	s := &System{Catalog: storage.NewCatalog()}
-	if cfg.Real {
-		s.RT = rt.NewReal()
-	} else {
-		s.Eng = sim.NewEngine()
-		s.RT = rt.Sim(s.Eng)
-	}
-	s.Disk = iosim.NewArray(s.RT, iosim.ArrayConfig{
-		Config: iosim.Config{
-			Bandwidth:   cfg.BandwidthMB * 1e6,
-			SeekLatency: 50 * time.Microsecond,
-		},
-		Devices:     cfg.Devices,
-		StripeChunk: cfg.StripeChunk,
-	})
-	s.Ctx = &exec.Ctx{
-		RT:              s.RT,
-		CPU:             exec.NewCPU(s.RT, cfg.Cores),
-		PerTupleCPU:     cfg.PerTupleCPU,
-		ReadAheadTuples: 16384,
-		// The zone-map registry starts empty, so nothing changes until
-		// BuildZoneMap registers an index and a scan carries a predicate.
-		Zones: exec.NewZoneMaps(),
-		Skip:  &exec.SkipStats{},
-	}
-	s.chunkTuples = cfg.ChunkTuples
-	if cfg.Real {
-		s.Ctx.Workers = rt.NewWorkerPool(s.RT, cfg.Cores)
-	}
-	switch cfg.Policy {
-	case CScan:
-		s.ABM = abm.New(s.RT, s.Disk, abm.Config{
+	s := &System{
+		Engine: workload.NewEngine(workload.Config{
+			Policy:      cfg.Policy,
+			BandwidthMB: cfg.BandwidthMB,
+			Cores:       cfg.Cores,
+			PerTupleCPU: cfg.PerTupleCPU,
 			ChunkTuples: cfg.ChunkTuples,
-			Capacity:    cfg.BufferBytes,
-		})
-		s.Ctx.ABM = s.ABM
-	default:
-		var factory func(int) buffer.Policy
-		switch cfg.Policy {
-		case MRU:
-			factory = buffer.FactoryOf("MRU")
-		case Clock:
-			factory = buffer.FactoryOf("Clock")
-		case PBM, PBMLRU:
-			pc := pbm.DefaultConfig()
-			pc.LRUMode = cfg.Policy == PBMLRU
-			g := pbm.NewGroup(s.RT, pc, cfg.PoolShards)
-			s.PBM = g
-			factory = g.PolicyFactory()
-		default:
-			factory = buffer.FactoryOf("LRU")
-		}
-		s.Pool = buffer.NewShardedPool(s.RT, s.Disk, factory, cfg.BufferBytes, cfg.PoolShards)
-		s.Ctx.Pool = s.Pool
-		if s.PBM != nil {
-			// Guarded: Ctx.PBM is an interface and a typed-nil *Group
-			// would defeat the scans' nil check.
-			s.Ctx.PBM = s.PBM
-		}
+			PoolShards:  cfg.PoolShards,
+			Devices:     cfg.Devices,
+			StripeChunk: cfg.StripeChunk,
+			Real:        cfg.Real,
+		}, cfg.BufferBytes),
+		Catalog:     storage.NewCatalog(),
+		chunkTuples: cfg.ChunkTuples,
 	}
+	// The zone-map registry starts empty, so nothing changes until
+	// BuildZoneMap registers an index and a scan carries a predicate.
+	s.Ctx.Zones = exec.NewZoneMaps()
+	s.Ctx.Skip = &exec.SkipStats{}
 	return s
 }
 
