@@ -432,6 +432,42 @@ func (p *Pool) GetOwner(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 	return p.get(q, pg)
 }
 
+// GetIfResident is GetOwner for a page the caller hopes is resident, in
+// one visit to its shard: a resident page is pinned and returned, counted
+// and reported to the policy like any hit; an absent or still-loading one
+// yields (nil, nil) and leaves no trace — the caller then reads it, with
+// its read-ahead, through GetRunOwner.
+func (p *Pool) GetIfResident(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
+	s := p.shardOf(pg.ID)
+	s.mu.Lock()
+	f, ok := s.frames[pg.ID]
+	if !ok || f.loading {
+		s.mu.Unlock()
+		return nil, nil
+	}
+	// get turns a dead owner away before it counts a hit. The shard mutex
+	// is held here and a self-cancel runs hooks that may need it, so look
+	// without side effects and let Cancelled fire the deadline outside.
+	if q.Cause() != rt.CauseNone || q.Expired(p.r.Now()) {
+		s.mu.Unlock()
+		q.Cancelled()
+		return nil, ErrCancelled
+	}
+	s.hit(f)
+	s.mu.Unlock()
+	return f, nil
+}
+
+// hit pins a resident frame and records the access. Shard mutex held.
+func (s *shard) hit(f *Frame) {
+	s.pin(f)
+	s.stats.Hits++
+	if s.pool.OnAccess != nil {
+		s.pool.OnAccess(f.Page)
+	}
+	s.policy.Accessed(f)
+}
+
 // GetRun returns a pinned frame for run[0] after ensuring every page of
 // run is resident, reading all missing pages in one sequential disk
 // request per contiguous block run. Scans use it for per-column read-ahead
@@ -621,12 +657,7 @@ func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 				s.mu.Lock()
 				continue // re-check: the frame may have been re-evicted
 			}
-			s.pin(f)
-			s.stats.Hits++
-			if p.OnAccess != nil {
-				p.OnAccess(pg)
-			}
-			s.policy.Accessed(f)
+			s.hit(f)
 			s.mu.Unlock()
 			return f, nil
 		}

@@ -69,6 +69,7 @@ func (s *CScan) Open() {
 		panic("exec: CScan requires an ABM in the context")
 	}
 	s.out = NewBatch(s.Schema())
+	s.out.reserve(VectorSize)
 	s.pace = s.Ctx.Query.Fork()
 	s.merge = segCursor{cols: s.Cols, read: s.readCol}
 	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)

@@ -12,8 +12,81 @@ import (
 type Expr interface {
 	Type() storage.ColumnType
 	// Eval computes the expression over b into out (reset by the callee).
+	// b is read-only, and out gets storage of its own: an Eval must never
+	// point out at one of b's vectors, because the next Eval through the
+	// same out (scratch vectors are reused) would overwrite the child's
+	// batch.
 	Eval(b *Batch, out *Vec)
 }
+
+// A narrower is a predicate that can apply itself to a selection vector:
+// instead of a 0/1 value for every tuple of the batch it looks only at
+// the positions still selected and keeps those that qualify. Cmp and And
+// narrow; a Select whose predicate does not falls back to Eval.
+type narrower interface {
+	// narrow keeps the positions of sel (ascending, within [0, b.N))
+	// whose tuple satisfies the predicate, compacting sel in place.
+	narrow(b *Batch, sel []int32) []int32
+}
+
+// narrow applies pred to sel: directly when pred is a narrower, through
+// its 0/1 Eval into scratch otherwise.
+func narrow(pred Expr, b *Batch, sel []int32, scratch *Vec) []int32 {
+	if p, ok := pred.(narrower); ok {
+		return p.narrow(b, sel)
+	}
+	pred.Eval(b, scratch)
+	n := 0
+	for _, i := range sel {
+		if scratch.I64[i] != 0 {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n]
+}
+
+// identity returns buf as the selection of all n positions.
+func identity(buf []int32, n int) []int32 {
+	buf = resize(buf, n)
+	for i := range buf {
+		buf[i] = int32(i)
+	}
+	return buf
+}
+
+// mark sets out to the 0/1 vector of length n that is 1 exactly at sel.
+func mark(out *Vec, n int, sel []int32) {
+	out.Reset()
+	out.T = storage.Int64
+	out.I64 = resize(out.I64, n)
+	clear(out.I64)
+	for _, i := range sel {
+		out.I64[i] = 1
+	}
+}
+
+// operand returns e's values over b for reading: a column reference is
+// the child's own vector, anything else is evaluated into scratch.
+func operand(e Expr, b *Batch, scratch *Vec) *Vec {
+	if c, ok := e.(Col); ok {
+		src := b.Vecs[c.Idx]
+		typeCheck(c.T, src.T, "column ref")
+		return src
+	}
+	e.Eval(b, scratch)
+	return scratch
+}
+
+// Typed views of a vector and of a literal, so one generic body serves
+// every operand type.
+func i64s(v *Vec) []int64   { return v.I64 }
+func f64s(v *Vec) []float64 { return v.F64 }
+func strs(v *Vec) []string  { return v.Str }
+
+func constI(e Expr) (int64, bool)   { k, ok := e.(ConstI); return int64(k), ok }
+func constF(e Expr) (float64, bool) { k, ok := e.(ConstF); return float64(k), ok }
+func constS(Expr) (string, bool)    { return "", false } // there is no string literal
 
 // Col references input column i.
 type Col struct {
@@ -24,20 +97,13 @@ type Col struct {
 // Type implements Expr.
 func (c Col) Type() storage.ColumnType { return c.T }
 
-// Eval implements Expr.
+// Eval implements Expr: a copy, since out may not alias the input.
 func (c Col) Eval(b *Batch, out *Vec) {
 	src := b.Vecs[c.Idx]
 	typeCheck(c.T, src.T, "column ref")
 	out.Reset()
 	out.T = c.T
-	switch c.T {
-	case storage.Int64:
-		out.I64 = append(out.I64, src.I64...)
-	case storage.Float64:
-		out.F64 = append(out.F64, src.F64...)
-	case storage.String:
-		out.Str = append(out.Str, src.Str...)
-	}
+	out.appendVec(src)
 }
 
 // ConstI is an int64 literal.
@@ -46,12 +112,14 @@ type ConstI int64
 // Type implements Expr.
 func (ConstI) Type() storage.ColumnType { return storage.Int64 }
 
-// Eval implements Expr.
+// Eval implements Expr. Arith and Cmp keep a literal operand scalar and
+// never call it.
 func (c ConstI) Eval(b *Batch, out *Vec) {
 	out.Reset()
 	out.T = storage.Int64
-	for i := 0; i < b.N; i++ {
-		out.I64 = append(out.I64, int64(c))
+	out.I64 = resize(out.I64, b.N)
+	for i := range out.I64 {
+		out.I64[i] = int64(c)
 	}
 }
 
@@ -65,8 +133,9 @@ func (ConstF) Type() storage.ColumnType { return storage.Float64 }
 func (c ConstF) Eval(b *Batch, out *Vec) {
 	out.Reset()
 	out.T = storage.Float64
-	for i := 0; i < b.N; i++ {
-		out.F64 = append(out.F64, float64(c))
+	out.F64 = resize(out.F64, b.N)
+	for i := range out.F64 {
+		out.F64[i] = float64(c)
 	}
 }
 
@@ -90,54 +159,114 @@ func (a *Arith) Type() storage.ColumnType { return a.L.Type() }
 
 // Eval implements Expr.
 func (a *Arith) Eval(b *Batch, out *Vec) {
-	a.L.Eval(b, &a.l)
-	a.R.Eval(b, &a.r)
 	out.Reset()
 	out.T = a.Type()
-	switch a.Type() {
+	switch out.T {
 	case storage.Int64:
-		for i := range a.l.I64 {
-			var v int64
-			switch a.Op {
-			case "+":
-				v = a.l.I64[i] + a.r.I64[i]
-			case "-":
-				v = a.l.I64[i] - a.r.I64[i]
-			case "*":
-				v = a.l.I64[i] * a.r.I64[i]
-			case "/":
-				v = a.l.I64[i] / a.r.I64[i]
-			default:
-				panic("exec: bad arith op " + a.Op)
-			}
-			out.I64 = append(out.I64, v)
-		}
+		out.I64 = resize(out.I64, b.N)
+		arithEval(a, b, out.I64, i64s, constI)
 	case storage.Float64:
-		for i := range a.l.F64 {
-			var v float64
-			switch a.Op {
-			case "+":
-				v = a.l.F64[i] + a.r.F64[i]
-			case "-":
-				v = a.l.F64[i] - a.r.F64[i]
-			case "*":
-				v = a.l.F64[i] * a.r.F64[i]
-			case "/":
-				v = a.l.F64[i] / a.r.F64[i]
-			default:
-				panic("exec: bad arith op " + a.Op)
-			}
-			out.F64 = append(out.F64, v)
+		out.F64 = resize(out.F64, b.N)
+		arithEval(a, b, out.F64, f64s, constF)
+	}
+}
+
+// arithEval picks the loop for a's operand shapes — a literal stays a
+// scalar — and runs it over the batch.
+func arithEval[T int64 | float64](a *Arith, b *Batch, out []T, vals func(*Vec) []T, konst func(Expr) (T, bool)) {
+	lk, lconst := konst(a.L)
+	rk, rconst := konst(a.R)
+	switch {
+	case rconst && !lconst:
+		arithVK(a.Op, vals(operand(a.L, b, &a.l)), rk, out)
+	case lconst && !rconst:
+		arithKV(a.Op, lk, vals(operand(a.R, b, &a.r)), out)
+	default:
+		arithVV(a.Op, vals(operand(a.L, b, &a.l)), vals(operand(a.R, b, &a.r)), out)
+	}
+}
+
+func arithVV[T int64 | float64](op string, l, r, out []T) {
+	l, r = l[:len(out)], r[:len(out)]
+	switch op {
+	case "+":
+		for i := range out {
+			out[i] = l[i] + r[i]
 		}
+	case "-":
+		for i := range out {
+			out[i] = l[i] - r[i]
+		}
+	case "*":
+		for i := range out {
+			out[i] = l[i] * r[i]
+		}
+	case "/":
+		for i := range out {
+			out[i] = l[i] / r[i]
+		}
+	default:
+		panic("exec: bad arith op " + op)
+	}
+}
+
+func arithVK[T int64 | float64](op string, l []T, k T, out []T) {
+	l = l[:len(out)]
+	switch op {
+	case "+":
+		for i := range out {
+			out[i] = l[i] + k
+		}
+	case "-":
+		for i := range out {
+			out[i] = l[i] - k
+		}
+	case "*":
+		for i := range out {
+			out[i] = l[i] * k
+		}
+	case "/":
+		for i := range out {
+			out[i] = l[i] / k
+		}
+	default:
+		panic("exec: bad arith op " + op)
+	}
+}
+
+func arithKV[T int64 | float64](op string, k T, r, out []T) {
+	r = r[:len(out)]
+	switch op {
+	case "+":
+		for i := range out {
+			out[i] = k + r[i]
+		}
+	case "-":
+		for i := range out {
+			out[i] = k - r[i]
+		}
+	case "*":
+		for i := range out {
+			out[i] = k * r[i]
+		}
+	case "/":
+		for i := range out {
+			out[i] = k / r[i]
+		}
+	default:
+		panic("exec: bad arith op " + op)
 	}
 }
 
 // Cmp compares two operands with one of "<", "<=", "==", "!=", ">=", ">",
-// yielding 0/1 int64.
+// yielding 0/1 int64. It is a three-way comparison read through the
+// operator, so an unordered pair (a NaN on either side) counts as equal:
+// "<=" is "not greater", "==" is "neither less nor greater".
 type Cmp struct {
 	Op   string
 	L, R Expr
 	l, r Vec
+	sel  []int32
 }
 
 // NewCmp builds a comparison node.
@@ -153,44 +282,123 @@ func (*Cmp) Type() storage.ColumnType { return storage.Int64 }
 
 // Eval implements Expr.
 func (c *Cmp) Eval(b *Batch, out *Vec) {
-	c.L.Eval(b, &c.l)
-	c.R.Eval(b, &c.r)
-	out.Reset()
-	out.T = storage.Int64
-	n := c.l.Len()
-	for i := 0; i < n; i++ {
-		var cm int
-		switch c.l.T {
-		case storage.Int64:
-			cm = cmpOrdered(c.l.I64[i], c.r.I64[i])
-		case storage.Float64:
-			cm = cmpOrdered(c.l.F64[i], c.r.F64[i])
-		case storage.String:
-			cm = strings.Compare(c.l.Str[i], c.r.Str[i])
-		}
-		ok := false
-		switch c.Op {
-		case "<":
-			ok = cm < 0
-		case "<=":
-			ok = cm <= 0
-		case "==":
-			ok = cm == 0
-		case "!=":
-			ok = cm != 0
-		case ">=":
-			ok = cm >= 0
-		case ">":
-			ok = cm > 0
-		default:
-			panic("exec: bad cmp op " + c.Op)
-		}
-		if ok {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
+	c.sel = identity(c.sel, b.N)
+	mark(out, b.N, c.narrow(b, c.sel))
+}
+
+func (c *Cmp) narrow(b *Batch, sel []int32) []int32 {
+	switch c.L.Type() {
+	case storage.Int64:
+		return cmpNarrow(c, b, sel, i64s, constI)
+	case storage.Float64:
+		return cmpNarrow(c, b, sel, f64s, constF)
+	default:
+		return cmpNarrow(c, b, sel, strs, constS)
+	}
+}
+
+// cmpNarrow resolves c once for the vector — a literal on the left is
+// mirrored to the right, the six operators become one of three tests and
+// a negation — and runs the matching loop over sel.
+func cmpNarrow[T int64 | float64 | string](c *Cmp, b *Batch, sel []int32, vals func(*Vec) []T, konst func(Expr) (T, bool)) []int32 {
+	op, l, r := c.Op, c.L, c.R
+	if _, lconst := konst(l); lconst {
+		if _, rconst := konst(r); !rconst {
+			l, r = r, l
+			switch op {
+			case "<":
+				op = ">"
+			case "<=":
+				op = ">="
+			case ">=":
+				op = "<="
+			case ">":
+				op = "<"
+			}
 		}
 	}
+	var test byte
+	var neg bool
+	switch op {
+	case "<":
+		test = '<'
+	case ">=":
+		test, neg = '<', true
+	case ">":
+		test = '>'
+	case "<=":
+		test, neg = '>', true
+	case "!=":
+		test = '!'
+	case "==":
+		test, neg = '!', true
+	default:
+		panic("exec: bad cmp op " + op)
+	}
+	lv := vals(operand(l, b, &c.l))
+	if k, ok := konst(r); ok {
+		return selConst(test, neg, lv, k, sel)
+	}
+	return selVec(test, neg, lv, vals(operand(r, b, &c.r)), sel)
+}
+
+// selConst keeps the positions i of sel at which "v[i] test k" differs
+// from neg.
+func selConst[T int64 | float64 | string](test byte, neg bool, v []T, k T, sel []int32) []int32 {
+	n := 0
+	switch test {
+	case '<':
+		for _, i := range sel {
+			if (v[i] < k) != neg {
+				sel[n] = i
+				n++
+			}
+		}
+	case '>':
+		for _, i := range sel {
+			if (v[i] > k) != neg {
+				sel[n] = i
+				n++
+			}
+		}
+	default:
+		for _, i := range sel {
+			if (v[i] < k || v[i] > k) != neg {
+				sel[n] = i
+				n++
+			}
+		}
+	}
+	return sel[:n]
+}
+
+// selVec is selConst with a vector on the right.
+func selVec[T int64 | float64 | string](test byte, neg bool, l, r []T, sel []int32) []int32 {
+	n := 0
+	switch test {
+	case '<':
+		for _, i := range sel {
+			if (l[i] < r[i]) != neg {
+				sel[n] = i
+				n++
+			}
+		}
+	case '>':
+		for _, i := range sel {
+			if (l[i] > r[i]) != neg {
+				sel[n] = i
+				n++
+			}
+		}
+	default:
+		for _, i := range sel {
+			if (l[i] < r[i] || l[i] > r[i]) != neg {
+				sel[n] = i
+				n++
+			}
+		}
+	}
+	return sel[:n]
 }
 
 func cmpOrdered[T int64 | float64](a, b T) int {
@@ -208,6 +416,7 @@ func cmpOrdered[T int64 | float64](a, b T) int {
 type And struct {
 	Kids []Expr
 	tmp  Vec
+	sel  []int32
 }
 
 // NewAnd builds a conjunction.
@@ -223,19 +432,20 @@ func (*And) Type() storage.ColumnType { return storage.Int64 }
 
 // Eval implements Expr.
 func (a *And) Eval(b *Batch, out *Vec) {
-	out.Reset()
-	out.T = storage.Int64
-	for i := 0; i < b.N; i++ {
-		out.I64 = append(out.I64, 1)
-	}
+	a.sel = identity(a.sel, b.N)
+	mark(out, b.N, a.narrow(b, a.sel))
+}
+
+// narrow runs the conjuncts in order, each over the survivors of the one
+// before; one that cannot narrow is evaluated whole and read at them.
+func (a *And) narrow(b *Batch, sel []int32) []int32 {
 	for _, k := range a.Kids {
-		k.Eval(b, &a.tmp)
-		for i := range out.I64 {
-			if a.tmp.I64[i] == 0 {
-				out.I64[i] = 0
-			}
+		if len(sel) == 0 {
+			break
 		}
+		sel = narrow(k, b, sel, &a.tmp)
 	}
+	return sel
 }
 
 // Or is a boolean disjunction.
@@ -259,13 +469,12 @@ func (*Or) Type() storage.ColumnType { return storage.Int64 }
 func (o *Or) Eval(b *Batch, out *Vec) {
 	out.Reset()
 	out.T = storage.Int64
-	for i := 0; i < b.N; i++ {
-		out.I64 = append(out.I64, 0)
-	}
+	out.I64 = resize(out.I64, b.N)
+	clear(out.I64)
 	for _, k := range o.Kids {
 		k.Eval(b, &o.tmp)
-		for i := range out.I64 {
-			if o.tmp.I64[i] != 0 {
+		for i, v := range o.tmp.I64[:b.N] {
+			if v != 0 {
 				out.I64[i] = 1
 			}
 		}
@@ -351,10 +560,10 @@ func (*InI64) Type() storage.ColumnType { return storage.Int64 }
 
 // Eval implements Expr.
 func (s *InI64) Eval(b *Batch, out *Vec) {
-	s.Expr.Eval(b, &s.tmp)
+	vals := operand(s.Expr, b, &s.tmp).I64
 	out.Reset()
 	out.T = storage.Int64
-	for _, v := range s.tmp.I64 {
+	for _, v := range vals {
 		if s.Set[v] {
 			out.I64 = append(out.I64, 1)
 		} else {

@@ -1,0 +1,384 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// The differential tests run the vector primitives against the per-value
+// engine of reference_test.go over random batches and demand the same
+// answer to the bit; the allocation tests count what a steady-state
+// vector costs. Nothing here measures time.
+
+var (
+	edgeFloats = []float64{math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, -1, 0.05, 0.07, 24, 1e21, -1e-7}
+	edgeInts   = []int64{0, 1, -1, 7, math.MaxInt64, math.MinInt64, 2466, 1 << 32}
+	edgeStrs   = []string{"", "A", "F", "N", "O", "R", "AB", "réf", "a b", "zz"}
+)
+
+// kernelTypes is the schema every random batch has: two columns of each
+// type, so any comparison has a column of its own type to meet.
+var kernelTypes = []storage.ColumnType{
+	storage.Int64, storage.Int64, storage.Float64, storage.Float64, storage.String, storage.String,
+}
+
+// randBatch draws n tuples over kernelTypes, mixing edge values with
+// values from a domain of the given cardinality (small domains make
+// equal pairs and repeated groups likely).
+func randBatch(rng *rand.Rand, n, card int) *Batch {
+	b := NewBatch(kernelTypes)
+	for i := 0; i < n; i++ {
+		for c, v := range b.Vecs {
+			edge := rng.Intn(8) == 0
+			switch v.T {
+			case storage.Int64:
+				x := int64(rng.Intn(card)) - int64(card/2)
+				if edge {
+					x = edgeInts[rng.Intn(len(edgeInts))]
+				}
+				if c == 1 && x == 0 {
+					x = 3 // column 1 is the divisor of the integer "/" cases
+				}
+				v.I64 = append(v.I64, x)
+			case storage.Float64:
+				x := float64(rng.Intn(card))/4 - 1
+				if edge {
+					x = edgeFloats[rng.Intn(len(edgeFloats))]
+				}
+				v.F64 = append(v.F64, x)
+			case storage.String:
+				x := fmt.Sprint("s", rng.Intn(card))
+				if edge {
+					x = edgeStrs[rng.Intn(len(edgeStrs))]
+				}
+				v.Str = append(v.Str, x)
+			}
+		}
+	}
+	b.N = n
+	return b
+}
+
+func cloneBatch(b *Batch) *Batch { return copyBatch(b.Types(), b) }
+
+// sameVec reports whether two vectors hold the same values, floats
+// compared by their bits (0 differs from -0) except that any NaN equals
+// any NaN: which payload "NaN + NaN" keeps depends on the operand order
+// the compiler picked for the add instruction.
+func sameVec(a, b *Vec) bool {
+	if a.T != b.T || a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		switch a.T {
+		case storage.Int64:
+			if a.I64[i] != b.I64[i] {
+				return false
+			}
+		case storage.Float64:
+			x, y := a.F64[i], b.F64[i]
+			if math.Float64bits(x) != math.Float64bits(y) && !(x != x && y != y) {
+				return false
+			}
+		case storage.String:
+			if a.Str[i] != b.Str[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func sameBatch(a, b *Batch) bool {
+	if a.N != b.N || len(a.Vecs) != len(b.Vecs) {
+		return false
+	}
+	for c := range a.Vecs {
+		if !sameVec(a.Vecs[c], b.Vecs[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// oddExpr is a predicate the engine knows nothing about — the stand-in
+// for the custom Exprs of internal/tpch: it cannot narrow, so a Select or
+// an And must take it through its 0/1 Eval.
+type oddExpr struct{ col int }
+
+func (oddExpr) Type() storage.ColumnType { return storage.Int64 }
+
+func (e oddExpr) Eval(b *Batch, out *Vec) {
+	out.Reset()
+	out.T = storage.Int64
+	for _, v := range b.Vecs[e.col].I64 {
+		out.I64 = append(out.I64, v&1)
+	}
+}
+
+func col(i int) Col { return Col{Idx: i, T: kernelTypes[i]} }
+
+var (
+	cmpOps   = []string{"<", "<=", "==", "!=", ">=", ">"}
+	arithOps = []string{"+", "-", "*", "/"}
+)
+
+// kernelExprs is every operator over every operand shape — column,
+// literal on either side, computed operand — for all three types, plus
+// conjunctions and disjunctions of them. A fresh set per call: nodes
+// carry scratch state.
+func kernelExprs(rng *rand.Rand) (preds, values []Expr) {
+	ki := ConstI(edgeInts[rng.Intn(len(edgeInts))])
+	kf := ConstF(edgeFloats[rng.Intn(len(edgeFloats))])
+	if rng.Intn(2) == 0 {
+		ki, kf = ConstI(rng.Intn(9)-4), ConstF(float64(rng.Intn(9))/4-1)
+	}
+	for i := range kernelTypes {
+		values = append(values, col(i))
+	}
+	for _, op := range arithOps {
+		div := op == "/"
+		values = append(values,
+			NewArith(op, col(2), col(3)), NewArith(op, col(2), kf), NewArith(op, kf, col(3)), NewArith(op, kf, ConstF(2)),
+			NewArith(op, NewArith("-", ConstF(1), col(2)), NewArith("*", col(3), col(2))),
+			NewArith(op, col(0), col(1)), NewArith(op, ConstI(5), col(1)))
+		if !div || ki != 0 {
+			values = append(values, NewArith(op, col(0), ki))
+		}
+	}
+	for _, op := range cmpOps {
+		preds = append(preds,
+			NewCmp(op, col(0), col(1)), NewCmp(op, col(0), ki), NewCmp(op, ki, col(1)), NewCmp(op, ki, ConstI(0)),
+			NewCmp(op, col(2), col(3)), NewCmp(op, col(2), kf), NewCmp(op, kf, col(3)),
+			NewCmp(op, NewArith("*", col(2), col(3)), kf), NewCmp(op, kf, NewArith("+", col(2), kf)),
+			NewCmp(op, col(4), col(5)))
+	}
+	pick := func() Expr { return preds[rng.Intn(len(preds))] }
+	for i := 0; i < 12; i++ {
+		preds = append(preds,
+			NewAnd(pick(), pick()),
+			NewAnd(pick(), oddExpr{col: rng.Intn(2)}, pick()),
+			NewOr(pick(), NewAnd(pick(), pick()), oddExpr{col: 0}),
+			NewAnd(NewOr(pick(), pick()), Between(col(0), -3, 3)),
+			NewAnd(), NewOr())
+	}
+	return preds, values
+}
+
+var kernelSizes = []int{0, 1, 2, 63, VectorSize, VectorSize + 500}
+
+func TestDifferentialExprEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260930))
+	for round := 0; round < 6; round++ {
+		for _, n := range kernelSizes {
+			b := randBatch(rng, n, []int{1, 3, 40}[round%3])
+			keep := cloneBatch(b)
+			preds, values := kernelExprs(rng)
+			for i, e := range append(preds, values...) {
+				var got, want Vec
+				// Twice through the same node and the same out: scratch
+				// left over from one vector must not leak into the next.
+				e.Eval(b, &got)
+				e.Eval(b, &got)
+				refEval(e, b, &want)
+				if !sameVec(&got, &want) {
+					t.Fatalf("round %d n=%d expr %d (%T %+v): primitives and reference differ", round, n, i, e, e)
+				}
+				// out is the caller's to reuse: scribbling over it must not
+				// reach the input either.
+				for j := 0; j < got.Len(); j++ {
+					got.I64, got.F64, got.Str = append(got.I64[:0], -7), append(got.F64[:0], -7), append(got.Str[:0], "scribble")
+				}
+				if !sameBatch(b, keep) {
+					t.Fatalf("round %d n=%d expr %d (%T): Eval wrote into its input or aliased it into out", round, n, i, e)
+				}
+			}
+		}
+	}
+}
+
+// manyBatches replays prepared batches through one reused batch, the way
+// a scan hands out the same vectors refilled on every Next.
+type manyBatches struct {
+	batches []*Batch
+	cur     *Batch
+	next    int
+}
+
+func (s *manyBatches) Schema() []storage.ColumnType { return kernelTypes }
+func (s *manyBatches) Open()                        { s.next, s.cur = 0, NewBatch(kernelTypes) }
+func (s *manyBatches) Close()                       {}
+func (s *manyBatches) Next() *Batch {
+	if s.next == len(s.batches) {
+		return nil
+	}
+	src := s.batches[s.next]
+	s.next++
+	s.cur.Reset()
+	for c, v := range s.cur.Vecs {
+		v.appendVec(src.Vecs[c])
+	}
+	s.cur.N = src.N
+	return s.cur
+}
+
+func randBatches(rng *rand.Rand, card int) []*Batch {
+	var out []*Batch
+	for _, n := range kernelSizes {
+		if n > 0 {
+			out = append(out, randBatch(rng, n, card))
+		}
+	}
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+func TestDifferentialSelect(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	none, all := NewCmp("<", col(0), col(0)), NewCmp("==", col(4), col(4))
+	for round := 0; round < 8; round++ {
+		batches := randBatches(rng, []int{1, 3, 40}[round%3])
+		preds, _ := kernelExprs(rng)
+		preds = append(preds, none, all, oddExpr{col: 1}, StrEq{Col: 4, Val: "A"}, NewAnd(all, all), NewAnd(all, none))
+		for i, p := range preds {
+			got := Collect(&Select{Child: &manyBatches{batches: batches}, Pred: p})
+			want := Collect(&refSelect{Child: &manyBatches{batches: batches}, Pred: p})
+			if !sameBatch(got, want) {
+				t.Fatalf("round %d pred %d (%T %+v): %d rows, reference %d", round, i, p, p, got.N, want.N)
+			}
+		}
+	}
+}
+
+// TestKernelSelectPassThrough: a batch in which every tuple qualifies is
+// the child's own, and a consumer that reads each result before its next
+// call — all the Operator contract entitles it to — sees every tuple
+// intact whichever way the batches alternate between passed through and
+// gathered; the child's batch is never written.
+func TestKernelSelectPassThrough(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	mk := func(lo, hi int64) *Batch {
+		b := randBatch(rng, 700, 40)
+		for i := range b.Vecs[0].I64 {
+			b.Vecs[0].I64[i] = lo + int64(i)%(hi-lo)
+		}
+		return b
+	}
+	// x in [0,10) qualifies: all, some, all, none, some, all.
+	batches := []*Batch{mk(0, 10), mk(5, 15), mk(0, 10), mk(10, 20), mk(8, 12), mk(0, 10)}
+	src := &manyBatches{batches: batches}
+	sel := &Select{Child: src, Pred: NewAnd(NewCmp(">=", col(0), ConstI(0)), NewCmp("<", col(0), ConstI(10)))}
+	sel.Open()
+	defer sel.Close()
+	passed := 0
+	for i, in := range batches {
+		want := Collect(&refSelect{Child: &manyBatches{batches: batches[i : i+1]}, Pred: sel.Pred})
+		if want.N == 0 {
+			continue // Select skips it
+		}
+		got := sel.Next()
+		if got == nil || !sameBatch(got, want) {
+			t.Fatalf("batch %d: wrong survivors", i)
+		}
+		if got == src.cur {
+			passed++
+			if want.N != in.N {
+				t.Fatalf("batch %d: passed through with %d of %d tuples qualifying", i, want.N, in.N)
+			}
+		}
+		if !sameBatch(src.cur, in) {
+			t.Fatalf("batch %d: Select wrote into its child's batch", i)
+		}
+	}
+	if sel.Next() != nil {
+		t.Fatal("extra batch")
+	}
+	if passed != 3 {
+		t.Fatalf("%d batches passed through, want 3", passed)
+	}
+}
+
+func TestDifferentialHashAggr(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	aggs := []AggSpec{
+		{Kind: AggCount}, {Kind: AggSum, Col: 2}, {Kind: AggAvg, Col: 3}, {Kind: AggMin, Col: 2}, {Kind: AggMax, Col: 3},
+		{Kind: AggSum, Col: 0}, {Kind: AggAvg, Col: 1}, {Kind: AggMin, Col: 0}, {Kind: AggMax, Col: 1},
+	}
+	groupings := [][]int{nil, {0}, {2}, {4}, {4, 5}, {0, 2, 4}, {5, 1}, {3, 2}}
+	for _, card := range []int{1, 4, 140, 3000} {
+		batches := randBatches(rng, card)
+		for _, groups := range groupings {
+			got := Collect(&HashAggr{Child: &manyBatches{batches: batches}, Groups: groups, Aggs: aggs})
+			want := Collect(&refHashAggr{Child: &manyBatches{batches: batches}, Groups: groups, Aggs: aggs})
+			if !sameBatch(got, want) {
+				t.Fatalf("cardinality %d groups %v: %d groups, reference %d; rows, order or sums differ", card, groups, got.N, want.N)
+			}
+			if len(groups) > 0 && card == 3000 && got.N <= VectorSize {
+				t.Fatalf("cardinality %d groups %v: only %d groups, want more than a vector", card, groups, got.N)
+			}
+		}
+	}
+	// No tuple, no group: a global aggregate over nothing yields no row.
+	if res := Collect(&HashAggr{Child: &manyBatches{}, Aggs: aggs}); res.N != 0 {
+		t.Fatalf("global aggregate over an empty input: %d rows", res.N)
+	}
+}
+
+// TestAllocsSteadyStateVector: once an operator has seen a vector of the
+// size it will see again, the next one allocates nothing.
+func TestAllocsSteadyStateVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := randBatch(rng, VectorSize, 40)
+	src := &batchSource{types: kernelTypes, b: b, times: 1 << 30}
+	disc := NewArith("-", ConstF(1), col(2))
+	ops := map[string]Op{
+		"Select": &Select{Child: src, Pred: NewAnd(
+			Between(col(0), -10, 10), NewCmp(">=", col(2), ConstF(0)), oddExpr{col: 1}, NewCmp("<", col(4), col(5)))},
+		"Project": &Project{Child: src, Exprs: []Expr{
+			col(4), col(2), NewArith("*", col(3), disc), NewArith("*", NewArith("*", col(3), disc), NewArith("+", ConstF(1), col(2))),
+			NewCmp("<=", col(0), ConstI(3))}},
+	}
+	for name, op := range ops {
+		op.Open()
+		op.Next()
+		if n := testing.AllocsPerRun(50, func() { op.Next() }); n != 0 {
+			t.Errorf("%s: %.0f allocations per steady-state vector, want 0", name, n)
+		}
+		op.Close()
+	}
+
+	aggr := &HashAggr{Child: src, Groups: []int{0, 2, 4}, Aggs: []AggSpec{
+		{Kind: AggCount}, {Kind: AggSum, Col: 3}, {Kind: AggAvg, Col: 1}, {Kind: AggMin, Col: 2}, {Kind: AggMax, Col: 0}}}
+	aggr.Open()
+	aggr.add(b)
+	if n := testing.AllocsPerRun(50, func() { aggr.add(b) }); n != 0 {
+		t.Errorf("HashAggr: %.0f allocations for a vector that opens no group, want 0", n)
+	}
+}
+
+// TestAllocsCopyBatch: the copy an exchange queues is sized to the batch
+// — a partial aggregate of four rows costs four rows — at one allocation
+// per column plus the batch's own three.
+func TestAllocsCopyBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{4, 700, VectorSize} {
+		b := randBatch(rng, n, 40)
+		b.reserve(VectorSize)
+		cp := copyBatch(kernelTypes, b)
+		if !sameBatch(cp, b) {
+			t.Fatalf("n=%d: copy differs", n)
+		}
+		for c, v := range cp.Vecs {
+			if got := cap(v.I64) + cap(v.F64) + cap(v.Str); got != n {
+				t.Errorf("n=%d column %d: capacity %d, want %d", n, c, got, n)
+			}
+		}
+		if got, max := testing.AllocsPerRun(50, func() { copyBatch(kernelTypes, b) }), float64(len(kernelTypes)+3); got > max {
+			t.Errorf("n=%d: %.0f allocations, want at most %.0f", n, got, max)
+		}
+	}
+}

@@ -1,24 +1,28 @@
 package exec
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
-// Select filters its child by a boolean (0/1 int64) predicate.
+// Select filters its child by a boolean (0/1 int64) predicate. It narrows
+// a selection vector — through the predicate itself when that is a
+// narrower (a Cmp, an And), through its 0/1 Eval otherwise — and gathers
+// the survivors column by column. A batch in which every tuple qualifies
+// is the child's own batch, handed on untouched.
 type Select struct {
 	Child Op
 	Pred  Expr
-	Ctx   *Ctx
-	// PerTupleCPU, if nonzero, is charged per input tuple.
-	PerTupleCPU sim.Duration
 
 	out    *Batch
 	pred   Vec
+	sel    []int32
 	closed bool
 }
 
@@ -41,21 +45,13 @@ func (s *Select) Next() *Batch {
 		if in == nil {
 			return nil
 		}
-		if s.Ctx != nil && s.PerTupleCPU > 0 {
-			s.Ctx.work(nil, s.PerTupleCPU*sim.Duration(in.N))
-		}
-		s.Pred.Eval(in, &s.pred)
-		s.out.Reset()
-		for i := 0; i < in.N; i++ {
-			if s.pred.I64[i] == 0 {
-				continue
-			}
-			for c := range s.out.Vecs {
-				s.out.Vecs[c].AppendFrom(in.Vecs[c], i)
-			}
-			s.out.N++
-		}
-		if s.out.N > 0 {
+		s.sel = identity(s.sel, in.N)
+		switch sel := narrow(s.Pred, in, s.sel, &s.pred); len(sel) {
+		case 0:
+		case in.N:
+			return in
+		default:
+			s.out.gather(in, sel)
 			return s.out
 		}
 	}
@@ -71,12 +67,14 @@ func (s *Select) Close() {
 	s.Child.Close()
 }
 
-// Project computes expressions over its child.
+// Project computes expressions over its child. A bare column reference
+// is not computed: the output batch carries the child's own vector.
 type Project struct {
 	Child Op
 	Exprs []Expr
 
 	out    *Batch
+	own    []*Vec // per expression, the vector a computed one evaluates into
 	closed bool
 }
 
@@ -93,6 +91,7 @@ func (p *Project) Schema() []storage.ColumnType {
 func (p *Project) Open() {
 	p.Child.Open()
 	p.out = NewBatch(p.Schema())
+	p.own = slices.Clone(p.out.Vecs)
 }
 
 // Next implements Operator.
@@ -102,7 +101,7 @@ func (p *Project) Next() *Batch {
 		return nil
 	}
 	for i, e := range p.Exprs {
-		e.Eval(in, p.out.Vecs[i])
+		p.out.Vecs[i] = operand(e, in, p.own[i])
 	}
 	p.out.N = in.N
 	return p.out
@@ -136,36 +135,84 @@ type AggSpec struct {
 	Col  int
 }
 
-// aggState accumulates one group.
-type aggState struct {
-	sums   []float64
-	isums  []int64
-	mins   []float64
-	imins  []int64
-	maxs   []float64
-	imaxs  []int64
-	counts []int64
-	n      int64
-	key    []string // rendered group key values for deterministic order
-	keyI   []int64
-	keyF   []float64
-	keyS   []string
+// aggAcc accumulates one aggregate for every group, indexed by group id.
+type aggAcc struct {
+	spec AggSpec
+	f    []float64 // a float sum, min or max; the sum of any average
+	i    []int64   // an int sum, min or max
+}
+
+// update folds one batch into the accumulator: col holds the aggregated
+// column, gids each tuple's group, fresh the positions of the tuples that
+// opened a group in this batch (their ids follow the known ones, in order).
+func (acc *aggAcc) update(col *Vec, gids, fresh []int32) {
+	switch {
+	case col.T == storage.Float64:
+		acc.f = accumulate(acc.spec.Kind, acc.f, col.F64, gids, fresh)
+	case acc.spec.Kind == AggAvg:
+		acc.f = append(acc.f, make([]float64, len(fresh))...)
+		for i, g := range gids {
+			acc.f[g] += float64(col.I64[i])
+		}
+	default:
+		acc.i = accumulate(acc.spec.Kind, acc.i, col.I64, gids, fresh)
+	}
+}
+
+// accumulate is one tight loop over (gids[i], col[i]). Every group's
+// value is built in input order — what keeps a float sum bit-identical to
+// a tuple-at-a-time one — and a min or max starts from the group's first
+// tuple.
+func accumulate[T int64 | float64](kind AggKind, acc, col []T, gids, fresh []int32) []T {
+	col = col[:len(gids)]
+	switch kind {
+	case AggMin:
+		acc = gather(acc, col, fresh)
+		for i, g := range gids {
+			if col[i] < acc[g] {
+				acc[g] = col[i]
+			}
+		}
+	case AggMax:
+		acc = gather(acc, col, fresh)
+		for i, g := range gids {
+			if col[i] > acc[g] {
+				acc[g] = col[i]
+			}
+		}
+	default:
+		acc = append(acc, make([]T, len(fresh))...)
+		for i, g := range gids {
+			acc[g] += col[i]
+		}
+	}
+	return acc
 }
 
 // HashAggr is a blocking hash aggregation with optional group-by columns.
+// Per batch, one pass turns the group columns into dense group ids (in
+// order of first sight), then each aggregate runs one loop over them.
 type HashAggr struct {
 	Child  Op
 	Groups []int
 	Aggs   []AggSpec
-	Ctx    *Ctx
-	// PerTupleCPU, if nonzero, is charged per input tuple.
-	PerTupleCPU sim.Duration
 
-	groups  map[string]*aggState
-	order   []*aggState
-	emitted bool
-	out     *Batch
-	closed  bool
+	ids      map[string]int32 // binary group key -> group id
+	rendered []string         // by group id: the decimal key that fixes the output order
+	keys     []*Vec           // per group column, its value by group id
+	counts   []int64          // by group id
+	accs     []aggAcc
+	order    []int32 // group ids not yet emitted, in output order
+	emitted  bool
+	out      *Batch
+	closed   bool
+
+	// Per-batch scratch, kept across batches so a batch that meets no
+	// new group allocates nothing.
+	kb    []byte  // the batch's binary keys, end to end
+	ends  []int32 // by tuple: where its key ends in kb
+	gids  []int32 // by tuple: its group
+	fresh []int32 // tuples that opened a group
 }
 
 // Schema implements Operator: group columns followed by aggregates
@@ -192,8 +239,16 @@ func (a *HashAggr) Schema() []storage.ColumnType {
 // Open implements Operator.
 func (a *HashAggr) Open() {
 	a.Child.Open()
-	a.groups = make(map[string]*aggState)
+	a.ids = make(map[string]int32)
 	a.out = NewBatch(a.Schema())
+	a.keys = nil
+	for _, v := range a.out.Vecs[:len(a.Groups)] {
+		a.keys = append(a.keys, &Vec{T: v.T})
+	}
+	a.accs = make([]aggAcc, len(a.Aggs))
+	for i, spec := range a.Aggs {
+		a.accs[i].spec = spec
+	}
 }
 
 // Next implements Operator: consumes the whole child on first call, then
@@ -206,144 +261,153 @@ func (a *HashAggr) Next() *Batch {
 	if len(a.order) == 0 {
 		return nil
 	}
-	a.out.Reset()
-	child := a.Child.Schema()
-	n := len(a.order)
-	if n > VectorSize {
-		n = VectorSize
-	}
-	for _, st := range a.order[:n] {
-		col := 0
-		for gi, g := range a.Groups {
-			switch child[g] {
-			case storage.Int64:
-				a.out.Vecs[col].I64 = append(a.out.Vecs[col].I64, st.keyI[gi])
-			case storage.Float64:
-				a.out.Vecs[col].F64 = append(a.out.Vecs[col].F64, st.keyF[gi])
-			case storage.String:
-				a.out.Vecs[col].Str = append(a.out.Vecs[col].Str, st.keyS[gi])
-			}
-			col++
-		}
-		for si, spec := range a.Aggs {
-			v := a.out.Vecs[col]
-			switch spec.Kind {
-			case AggCount:
-				v.I64 = append(v.I64, st.n)
-			case AggAvg:
-				v.F64 = append(v.F64, st.sums[si]/float64(st.n))
-			case AggSum:
-				if v.T == storage.Int64 {
-					v.I64 = append(v.I64, st.isums[si])
-				} else {
-					v.F64 = append(v.F64, st.sums[si])
-				}
-			case AggMin:
-				if v.T == storage.Int64 {
-					v.I64 = append(v.I64, st.imins[si])
-				} else {
-					v.F64 = append(v.F64, st.mins[si])
-				}
-			case AggMax:
-				if v.T == storage.Int64 {
-					v.I64 = append(v.I64, st.imaxs[si])
-				} else {
-					v.F64 = append(v.F64, st.maxs[si])
-				}
-			}
-			col++
-		}
-		a.out.N++
-	}
+	n := min(len(a.order), VectorSize)
+	idx := a.order[:n]
 	a.order = a.order[n:]
+	a.out.Reset()
+	for c, k := range a.keys {
+		a.out.Vecs[c].gather(k, idx)
+	}
+	for si := range a.accs {
+		acc, v := &a.accs[si], a.out.Vecs[len(a.keys)+si]
+		switch {
+		case acc.spec.Kind == AggCount:
+			v.I64 = gather(v.I64, a.counts, idx)
+		case acc.spec.Kind == AggAvg:
+			for _, g := range idx {
+				v.F64 = append(v.F64, acc.f[g]/float64(a.counts[g]))
+			}
+		case v.T == storage.Int64:
+			v.I64 = gather(v.I64, acc.i, idx)
+		default:
+			v.F64 = gather(v.F64, acc.f, idx)
+		}
+	}
+	a.out.N = n
 	return a.out
 }
 
 func (a *HashAggr) consume() {
-	child := a.Child.Schema()
-	var kb []byte // the tuple's grouping key, rebuilt in place per tuple
 	for in := a.Child.Next(); in != nil; in = a.Child.Next() {
-		if a.Ctx != nil && a.PerTupleCPU > 0 {
-			a.Ctx.work(nil, a.PerTupleCPU*sim.Duration(in.N))
+		a.add(in)
+	}
+	a.order = identity(nil, len(a.rendered))
+	sort.Slice(a.order, func(i, j int) bool { return a.rendered[a.order[i]] < a.rendered[a.order[j]] })
+}
+
+// add folds one batch into the groups.
+func (a *HashAggr) add(in *Batch) {
+	a.groupIDs(in)
+	for c, g := range a.Groups {
+		a.keys[c].gather(in.Vecs[g], a.fresh)
+	}
+	a.counts = append(a.counts, make([]int64, len(a.fresh))...)
+	for _, g := range a.gids {
+		a.counts[g]++
+	}
+	for si := range a.accs {
+		if acc := &a.accs[si]; acc.spec.Kind != AggCount {
+			acc.update(in.Vecs[acc.spec.Col], a.gids, a.fresh)
 		}
-		for i := 0; i < in.N; i++ {
-			kb = kb[:0]
-			for _, g := range a.Groups {
-				switch child[g] {
-				case storage.Int64:
-					kb = strconv.AppendInt(kb, in.Vecs[g].I64[i], 10)
-				case storage.Float64:
-					kb = strconv.AppendFloat(kb, in.Vecs[g].F64[i], 'g', -1, 64)
-				case storage.String:
-					kb = append(kb, in.Vecs[g].Str[i]...)
-				}
-				kb = append(kb, '|')
+	}
+}
+
+// groupIDs sets gids to the group of each tuple of in, and fresh to the
+// tuples that opened one. Groups are told apart by a binary key — eight
+// bytes per number, a string's bytes and a '|' — laid out for the whole
+// batch column by column, so no value is rendered or type-switched per
+// tuple; a new group's decimal key is rendered once, when it opens.
+func (a *HashAggr) groupIDs(in *Batch) {
+	n := in.N
+	a.gids = resize(a.gids, n)
+	a.fresh = a.fresh[:0]
+	if len(a.Groups) == 0 {
+		// A global aggregate is one group, opened by the first tuple.
+		clear(a.gids)
+		if n > 0 && len(a.rendered) == 0 {
+			a.rendered = append(a.rendered, "")
+			a.fresh = append(a.fresh, 0)
+		}
+		return
+	}
+
+	// Key lengths, then each tuple's start offset in kb.
+	ends := resize(a.ends, n)
+	clear(ends)
+	fixed := int32(0)
+	for _, g := range a.Groups {
+		if v := in.Vecs[g]; v.T == storage.String {
+			for i, s := range v.Str[:n] {
+				ends[i] += int32(len(s)) + 1
 			}
-			// A map index by string(kb) does not allocate; the key string
-			// is only materialised for a group seen for the first time.
-			st, ok := a.groups[string(kb)]
-			if !ok {
-				key := string(kb)
-				st = &aggState{
-					sums:   make([]float64, len(a.Aggs)),
-					isums:  make([]int64, len(a.Aggs)),
-					mins:   make([]float64, len(a.Aggs)),
-					imins:  make([]int64, len(a.Aggs)),
-					maxs:   make([]float64, len(a.Aggs)),
-					imaxs:  make([]int64, len(a.Aggs)),
-					counts: make([]int64, len(a.Aggs)),
-				}
-				for _, g := range a.Groups {
-					switch child[g] {
-					case storage.Int64:
-						st.keyI = append(st.keyI, in.Vecs[g].I64[i])
-						st.keyF = append(st.keyF, 0)
-						st.keyS = append(st.keyS, "")
-					case storage.Float64:
-						st.keyI = append(st.keyI, 0)
-						st.keyF = append(st.keyF, in.Vecs[g].F64[i])
-						st.keyS = append(st.keyS, "")
-					case storage.String:
-						st.keyI = append(st.keyI, 0)
-						st.keyF = append(st.keyF, 0)
-						st.keyS = append(st.keyS, in.Vecs[g].Str[i])
-					}
-				}
-				st.key = []string{key}
-				a.groups[key] = st
-				a.order = append(a.order, st)
+		} else {
+			fixed += 8
+		}
+	}
+	total := int32(0)
+	for i, l := range ends {
+		ends[i] = total
+		total += l + fixed
+	}
+	kb := resize(a.kb, int(total))
+	// Each column appends its value to every tuple's key, moving the
+	// tuple's cursor from the start of its key to the end.
+	for _, g := range a.Groups {
+		switch v := in.Vecs[g]; v.T {
+		case storage.Int64:
+			for i, x := range v.I64[:n] {
+				binary.LittleEndian.PutUint64(kb[ends[i]:], uint64(x))
+				ends[i] += 8
 			}
-			st.n++
-			for si, spec := range a.Aggs {
-				if spec.Kind == AggCount {
-					continue
+		case storage.Float64:
+			for i, x := range v.F64[:n] {
+				if x != x {
+					x = math.NaN() // every NaN renders "NaN": one group
 				}
-				switch child[spec.Col] {
-				case storage.Int64:
-					v := in.Vecs[spec.Col].I64[i]
-					st.isums[si] += v
-					st.sums[si] += float64(v)
-					if st.counts[si] == 0 || v < st.imins[si] {
-						st.imins[si] = v
-					}
-					if st.counts[si] == 0 || v > st.imaxs[si] {
-						st.imaxs[si] = v
-					}
-				case storage.Float64:
-					v := in.Vecs[spec.Col].F64[i]
-					st.sums[si] += v
-					if st.counts[si] == 0 || v < st.mins[si] {
-						st.mins[si] = v
-					}
-					if st.counts[si] == 0 || v > st.maxs[si] {
-						st.maxs[si] = v
-					}
-				}
-				st.counts[si]++
+				binary.LittleEndian.PutUint64(kb[ends[i]:], math.Float64bits(x))
+				ends[i] += 8
+			}
+		case storage.String:
+			for i, s := range v.Str[:n] {
+				end := ends[i] + int32(copy(kb[ends[i]:], s))
+				kb[end] = '|'
+				ends[i] = end + 1
 			}
 		}
 	}
-	sort.Slice(a.order, func(i, j int) bool { return a.order[i].key[0] < a.order[j].key[0] })
+	a.kb, a.ends = kb, ends
+
+	start := int32(0)
+	for i, end := range ends {
+		// A map index by string(bytes) does not allocate; the key string
+		// is only materialised for a group seen for the first time.
+		id, ok := a.ids[string(kb[start:end])]
+		if !ok {
+			id = int32(len(a.rendered))
+			a.ids[string(kb[start:end])] = id
+			a.rendered = append(a.rendered, a.render(in, i))
+			a.fresh = append(a.fresh, int32(i))
+		}
+		a.gids[i] = id
+		start = end
+	}
+}
+
+// render is tuple i's group key in decimal, '|' after every value.
+func (a *HashAggr) render(in *Batch, i int) string {
+	var kb []byte
+	for _, g := range a.Groups {
+		switch v := in.Vecs[g]; v.T {
+		case storage.Int64:
+			kb = strconv.AppendInt(kb, v.I64[i], 10)
+		case storage.Float64:
+			kb = strconv.AppendFloat(kb, v.F64[i], 'g', -1, 64)
+		case storage.String:
+			kb = append(kb, v.Str[i]...)
+		}
+		kb = append(kb, '|')
+	}
+	return string(kb)
 }
 
 // Close implements Operator. Idempotent: a second Close does not reach
@@ -365,14 +429,13 @@ type HashJoin struct {
 	Probe    Op
 	BuildKey int
 	ProbeKey int
-	Ctx      *Ctx
-	// PerTupleCPU, if nonzero, is charged per probe tuple.
-	PerTupleCPU sim.Duration
 
-	table  map[int64][]int // key -> row indexes in built
+	table  map[int64][]int32 // key -> row indexes in built
 	built  *Batch
 	out    *Batch
 	closed bool
+	// Matching (probe row, build row) pairs of the current probe batch.
+	probeIdx, buildIdx []int32
 }
 
 // Schema implements Operator.
@@ -384,12 +447,11 @@ func (j *HashJoin) Schema() []storage.ColumnType {
 func (j *HashJoin) Open() {
 	j.Probe.Open()
 	j.built = Collect(j.Build)
-	j.table = make(map[int64][]int)
+	j.table = make(map[int64][]int32)
 	keys := j.built.Vecs[j.BuildKey]
 	typeCheck(storage.Int64, keys.T, "join build key")
-	for i := 0; i < j.built.N; i++ {
-		k := keys.I64[i]
-		j.table[k] = append(j.table[k], i)
+	for i, k := range keys.I64[:j.built.N] {
+		j.table[k] = append(j.table[k], int32(i))
 	}
 	j.out = NewBatch(j.Schema())
 }
@@ -401,27 +463,28 @@ func (j *HashJoin) Next() *Batch {
 		if in == nil {
 			return nil
 		}
-		if j.Ctx != nil && j.PerTupleCPU > 0 {
-			j.Ctx.work(nil, j.PerTupleCPU*sim.Duration(in.N))
-		}
 		keys := in.Vecs[j.ProbeKey]
 		typeCheck(storage.Int64, keys.T, "join probe key")
-		j.out.Reset()
-		np := len(in.Vecs)
-		for i := 0; i < in.N; i++ {
-			for _, bi := range j.table[keys.I64[i]] {
-				for c := range in.Vecs {
-					j.out.Vecs[c].AppendFrom(in.Vecs[c], i)
-				}
-				for c := range j.built.Vecs {
-					j.out.Vecs[np+c].AppendFrom(j.built.Vecs[c], bi)
-				}
-				j.out.N++
+		j.probeIdx, j.buildIdx = j.probeIdx[:0], j.buildIdx[:0]
+		for i, k := range keys.I64[:in.N] {
+			for _, bi := range j.table[k] {
+				j.probeIdx = append(j.probeIdx, int32(i))
+				j.buildIdx = append(j.buildIdx, bi)
 			}
 		}
-		if j.out.N > 0 {
-			return j.out
+		if len(j.probeIdx) == 0 {
+			continue
 		}
+		j.out.Reset()
+		np := len(in.Vecs)
+		for c, v := range in.Vecs {
+			j.out.Vecs[c].gather(v, j.probeIdx)
+		}
+		for c, v := range j.built.Vecs {
+			j.out.Vecs[np+c].gather(v, j.buildIdx)
+		}
+		j.out.N = len(j.probeIdx)
+		return j.out
 	}
 }
 
@@ -451,7 +514,7 @@ type Sort struct {
 	Limit int
 
 	all    *Batch
-	perm   []int
+	perm   []int32
 	pos    int
 	opened bool
 	sorted bool
@@ -473,10 +536,7 @@ func (s *Sort) Open() {
 func (s *Sort) Next() *Batch {
 	if !s.sorted {
 		s.all = Collect(&nopClose{s.Child})
-		s.perm = make([]int, s.all.N)
-		for i := range s.perm {
-			s.perm[i] = i
-		}
+		s.perm = identity(nil, s.all.N)
 		sort.SliceStable(s.perm, func(a, b int) bool {
 			ra, rb := s.perm[a], s.perm[b]
 			for _, spec := range s.By {
@@ -507,15 +567,9 @@ func (s *Sort) Next() *Batch {
 	if s.pos >= len(s.perm) {
 		return nil
 	}
-	s.out.Reset()
-	for s.pos < len(s.perm) && s.out.N < VectorSize {
-		ri := s.perm[s.pos]
-		for c := range s.out.Vecs {
-			s.out.Vecs[c].AppendFrom(s.all.Vecs[c], ri)
-		}
-		s.out.N++
-		s.pos++
-	}
+	n := min(len(s.perm)-s.pos, VectorSize)
+	s.out.gather(s.all, s.perm[s.pos:s.pos+n])
+	s.pos += n
 	return s.out
 }
 

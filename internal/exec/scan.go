@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"repro/internal/buffer"
 	"repro/internal/pbm"
 	"repro/internal/pdt"
 	"repro/internal/sim"
@@ -80,6 +79,7 @@ func (s *Scan) Open() {
 	}
 	s.opened = true
 	s.out = NewBatch(s.Schema())
+	s.out.reserve(VectorSize)
 	s.pace = s.Ctx.Query.Fork()
 	s.merge = segCursor{cols: s.Cols, read: s.readCol}
 	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)
@@ -178,11 +178,8 @@ func (s *Scan) Close() {
 func (s *Scan) readCol(i int, lo, hi int64, out *Vec) error {
 	col, pool := s.Cols[i], s.Ctx.Pool
 	for _, pg := range s.Snap.PagesInRange(col, lo, hi) {
-		var f *buffer.Frame
-		var err error
-		if pool.Contains(pg) {
-			f, err = pool.GetOwner(s.pace, pg)
-		} else {
+		f, err := pool.GetIfResident(s.pace, pg)
+		if f == nil && err == nil {
 			ra := s.Ctx.ReadAheadTuples
 			if ra <= 0 {
 				ra = int64(pg.Tuples)

@@ -5,6 +5,15 @@
 // parallelism uses Exchange operators with static range partitioning
 // (§2.2, Equation 1).
 //
+// Work on a batch is done by per-vector primitives: whatever has to be
+// interpreted — the operand types, the operator, whether an operand is a
+// constant — is decided once per vector, and the values then run through
+// a tight type-specialised loop (expr.go for comparisons and arithmetic,
+// gather below for moving tuples, HashAggr's accumulators). Batches
+// between operators are dense; a filter keeps its selection vector (the
+// positions of the surviving tuples) to itself and gathers the survivors
+// before handing them on.
+//
 // Execution happens inside the virtual-time simulation: operators charge
 // per-tuple CPU cost against a shared CPU resource, and page misses block
 // on the simulated disk, so query latency reflects both I/O and CPU as in
@@ -13,6 +22,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -26,20 +36,6 @@ type Vec struct {
 	I64 []int64
 	F64 []float64
 	Str []string
-}
-
-// NewVec allocates a vector of the given type with capacity VectorSize.
-func NewVec(t storage.ColumnType) *Vec {
-	v := &Vec{T: t}
-	switch t {
-	case storage.Int64:
-		v.I64 = make([]int64, 0, VectorSize)
-	case storage.Float64:
-		v.F64 = make([]float64, 0, VectorSize)
-	case storage.String:
-		v.Str = make([]string, 0, VectorSize)
-	}
-	return v
 }
 
 // Len returns the number of values.
@@ -61,16 +57,45 @@ func (v *Vec) Reset() {
 	v.Str = v.Str[:0]
 }
 
-// AppendFrom copies value i of src onto the end of v.
-func (v *Vec) AppendFrom(src *Vec, i int) {
+// appendVec appends every value of src to v.
+func (v *Vec) appendVec(src *Vec) {
 	switch v.T {
 	case storage.Int64:
-		v.I64 = append(v.I64, src.I64[i])
+		v.I64 = append(v.I64, src.I64...)
 	case storage.Float64:
-		v.F64 = append(v.F64, src.F64[i])
+		v.F64 = append(v.F64, src.F64...)
 	case storage.String:
-		v.Str = append(v.Str, src.Str[i])
+		v.Str = append(v.Str, src.Str...)
 	}
+}
+
+// gather appends src's values at the positions idx to v: the one way
+// tuples move between vectors, a typed loop per column.
+func (v *Vec) gather(src *Vec, idx []int32) {
+	switch v.T {
+	case storage.Int64:
+		v.I64 = gather(v.I64, src.I64, idx)
+	case storage.Float64:
+		v.F64 = gather(v.F64, src.F64, idx)
+	case storage.String:
+		v.Str = gather(v.Str, src.Str, idx)
+	}
+}
+
+func gather[T any](dst, src []T, idx []int32) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	out := dst[n:][:len(idx)]
+	for j, i := range idx {
+		out[j] = src[i]
+	}
+	return dst
+}
+
+// resize returns s with length n, reusing its capacity when it can; the
+// contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // Batch is a set of equal-length vectors.
@@ -79,13 +104,32 @@ type Batch struct {
 	Vecs []*Vec
 }
 
-// NewBatch allocates a batch with the given column types.
+// NewBatch allocates a batch with the given column types. Its vectors
+// start empty and grow to what they come to hold (Reset keeps it), so the
+// output of a filter or an aggregate costs what it outputs; a scan, which
+// fills whole vectors, reserves them up front.
 func NewBatch(types []storage.ColumnType) *Batch {
+	vecs := make([]Vec, len(types))
 	b := &Batch{Vecs: make([]*Vec, len(types))}
 	for i, t := range types {
-		b.Vecs[i] = NewVec(t)
+		vecs[i].T = t
+		b.Vecs[i] = &vecs[i]
 	}
 	return b
+}
+
+// reserve gives every vector room for n values.
+func (b *Batch) reserve(n int) {
+	for _, v := range b.Vecs {
+		switch v.T {
+		case storage.Int64:
+			v.I64 = slices.Grow(v.I64, n)
+		case storage.Float64:
+			v.F64 = slices.Grow(v.F64, n)
+		case storage.String:
+			v.Str = slices.Grow(v.Str, n)
+		}
+	}
 }
 
 // Reset truncates all vectors.
@@ -94,6 +138,15 @@ func (b *Batch) Reset() {
 	for _, v := range b.Vecs {
 		v.Reset()
 	}
+}
+
+// gather resets b to src's tuples at the positions idx.
+func (b *Batch) gather(src *Batch, idx []int32) {
+	b.Reset()
+	for c, v := range b.Vecs {
+		v.gather(src.Vecs[c], idx)
+	}
+	b.N = len(idx)
 }
 
 // Types returns the column types of the batch.
@@ -106,8 +159,11 @@ func (b *Batch) Types() []storage.ColumnType {
 }
 
 // Operator is the pull-based iterator every physical operator implements.
-// Next returns nil at end of stream. The returned batch is owned by the
-// operator and valid until the following Next call.
+// Next returns nil at end of stream. The returned batch is valid until the
+// following Next call and is read-only to the consumer: no operator writes
+// into a batch it was handed. That is what lets an operator hand its
+// child's batch on unchanged (Select does, when every tuple qualifies) and
+// lets expressions read a column operand in place.
 type Operator interface {
 	// Open prepares the operator (registers scans, spawns workers).
 	Open()
@@ -137,10 +193,8 @@ func Collect(op Operator) *Batch {
 	defer op.Close()
 	out := NewBatch(op.Schema())
 	for b := op.Next(); b != nil; b = op.Next() {
-		for i := 0; i < b.N; i++ {
-			for c := range out.Vecs {
-				out.Vecs[c].AppendFrom(b.Vecs[c], i)
-			}
+		for c, v := range out.Vecs {
+			v.appendVec(b.Vecs[c])
 		}
 		out.N += b.N
 	}

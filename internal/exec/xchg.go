@@ -136,14 +136,24 @@ func (x *XChg) push(b *Batch) bool {
 	return true
 }
 
+// copyBatch is a copy of b the consumer may keep, its vectors sized to
+// the batch: a partial aggregate of four rows costs four rows.
 func copyBatch(schema []storage.ColumnType, b *Batch) *Batch {
 	cp := NewBatch(schema)
-	for i := 0; i < b.N; i++ {
-		for c := range cp.Vecs {
-			cp.Vecs[c].AppendFrom(b.Vecs[c], i)
+	cp.N = b.N
+	for c, v := range cp.Vecs {
+		switch src := b.Vecs[c]; v.T {
+		case storage.Int64:
+			v.I64 = make([]int64, b.N)
+			copy(v.I64, src.I64)
+		case storage.Float64:
+			v.F64 = make([]float64, b.N)
+			copy(v.F64, src.F64)
+		case storage.String:
+			v.Str = make([]string, b.N)
+			copy(v.Str, src.Str)
 		}
 	}
-	cp.N = b.N
 	return cp
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -392,12 +393,14 @@ func (s *Server) stream(w http.ResponseWriter, qc *exec.QueryCtx, plan exec.Op) 
 		plan.Open()
 		defer plan.Close()
 		schema := plan.Schema()
+		rowBytes := 16 // sizes the next chunk from the last one's rows
 		for {
 			b := plan.Next()
 			if b == nil {
 				return
 			}
-			chunk := batchChunk{data: encodeBatch(schema, b), n: int64(b.N)}
+			chunk := batchChunk{data: encodeBatch(schema, b, rowBytes), n: int64(b.N)}
+			rowBytes = len(chunk.data)/max(b.N, 1) + 4
 			s.produced.Add(chunk.n)
 			select {
 			case buf <- chunk:
@@ -429,9 +432,12 @@ func (s *Server) stream(w http.ResponseWriter, qc *exec.QueryCtx, plan exec.Op) 
 	return rows, bytes, writeOK
 }
 
-// encodeBatch renders a batch as NDJSON rows: one JSON array per row.
-func encodeBatch(schema []storage.ColumnType, b *exec.Batch) []byte {
-	out := make([]byte, 0, b.N*16)
+// encodeBatch renders a batch as NDJSON rows, one JSON array per row,
+// into a fresh buffer of rowBytes per row (the chunk owns its bytes until
+// the writer goroutine has written it, so nothing is reused). The common
+// values take fast paths that emit exactly what strconv would.
+func encodeBatch(schema []storage.ColumnType, b *exec.Batch, rowBytes int) []byte {
+	out := make([]byte, 0, b.N*rowBytes)
 	for i := 0; i < b.N; i++ {
 		out = append(out, '[')
 		for j, v := range b.Vecs {
@@ -442,12 +448,49 @@ func encodeBatch(schema []storage.ColumnType, b *exec.Batch) []byte {
 			case storage.Int64:
 				out = strconv.AppendInt(out, v.I64[i], 10)
 			case storage.Float64:
-				out = strconv.AppendFloat(out, v.F64[i], 'g', -1, 64)
+				out = appendFloat(out, v.F64[i])
 			default:
-				out = strconv.AppendQuote(out, v.Str[i])
+				out = appendString(out, v.Str[i])
 			}
 		}
 		out = append(out, ']', '\n')
 	}
 	return out
+}
+
+// appendFloat is strconv.AppendFloat(out, f, 'g', -1, 64). Below 1e6 in
+// magnitude 'g' has not yet switched to an exponent, so an integer prints
+// as that integer, and a value that is the double nearest to k/100 prints
+// as the decimal k/100 — no shorter or other decimal of so few digits
+// can round to the same double. Negative zero ("-0") and everything else
+// go to strconv.
+func appendFloat(out []byte, f float64) []byte {
+	if i := int64(f); float64(i) == f && -1e6 < i && i < 1e6 && (i != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(out, i, 10)
+	}
+	if k := int64(math.Round(f * 100)); float64(k)/100 == f && -1e8 < k && k < 1e8 && k != 0 {
+		if k < 0 {
+			out, k = append(out, '-'), -k
+		}
+		out = strconv.AppendInt(out, k/100, 10)
+		out = append(out, '.', byte('0'+k%100/10))
+		if d := k % 10; d != 0 {
+			out = append(out, byte('0'+d))
+		}
+		return out
+	}
+	return strconv.AppendFloat(out, f, 'g', -1, 64)
+}
+
+// appendString is strconv.AppendQuote(out, s). Printable ASCII without a
+// quote or a backslash needs no escaping: two quotes around the bytes.
+func appendString(out []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(out, s)
+		}
+	}
+	out = append(out, '"')
+	out = append(out, s...)
+	return append(out, '"')
 }

@@ -6,9 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -462,5 +466,81 @@ func TestDrain(t *testing.T) {
 	}
 	if st.Arrived != 1 || st.Stats.Completed != 1 {
 		t.Errorf("drain polluted stats: %+v", st)
+	}
+}
+
+// TestNDJSONBodiesUnchanged pins the row bytes of a scan, a q1 and a q6
+// response. The hashes were recorded from the per-value engine and the
+// strconv-only encoder before either was rewritten, so they hold the
+// vector primitives, the NDJSON fast paths and the generator to "same
+// bytes on the wire". One thread per query: an XChg merges partitions in
+// arrival order, which is not reproducible on real threads.
+func TestNDJSONBodiesUnchanged(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.Serve.ThreadsPerQuery = 1 })
+	for _, tc := range []struct {
+		body string
+		rows int
+		want uint64
+	}{
+		{`{"Kind":"scan","Lo":1000,"Hi":31000}`, 30000, 0x42ebfa002125a91c},
+		{`{"Kind":"scan","Hi":20000,"Predicate":{"Col":"l_shipdate","Lo":300,"Hi":900}}`, 4902, 0x7955c3e0ebe2ff89},
+		{`{"Kind":"q1"}`, 4, 0x9900ce8d16d0824d},
+		{`{"Kind":"q6"}`, 1, 0x80860a05b2b21b35},
+	} {
+		rows, _ := postQuery(t, ts, tc.body)
+		h := fnv.New64a()
+		for _, r := range rows {
+			h.Write([]byte(r))
+			h.Write([]byte{'\n'})
+		}
+		if got := h.Sum64(); got != tc.want || len(rows) != tc.rows {
+			t.Errorf("%s: %d rows, body hash %#x; want %d rows, %#x", tc.body, len(rows), got, tc.rows, tc.want)
+		}
+	}
+}
+
+// TestNDJSONFastPathsMatchStrconv: the encoder's shortcuts emit exactly
+// the bytes of the strconv rendering they stand in for.
+func TestNDJSONFastPathsMatchStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, -0.1, 0.05, 0.07, 0.29, 1.15, 999999, 1e6, -1e6, 999999.99, 1e6 + 0.25,
+		0.01, 0.001, 0.005, 1e-5, 123456.78, 1e8, 1e21, 1e-7, 0.1 + 0.2, 2.675, 1.005, 4.35,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64, math.MaxInt64, math.MinInt64}
+	for k := -20000; k <= 20000; k++ {
+		floats = append(floats, float64(k)/100, float64(k)/1000, float64(k)*50.5)
+	}
+	for i := 0; i < 200000; i++ {
+		switch i % 4 {
+		case 0:
+			floats = append(floats, math.Float64frombits(rng.Uint64()))
+		case 1:
+			floats = append(floats, float64(rng.Int63n(4e8)-2e8)/100)
+		case 2:
+			floats = append(floats, math.Nextafter(float64(rng.Int63n(2e8)-1e8)/100, rng.NormFloat64()))
+		case 3:
+			floats = append(floats, rng.NormFloat64()*1e6)
+		}
+	}
+	for _, f := range floats {
+		if got, want := string(appendFloat(nil, f)), strconv.FormatFloat(f, 'g', -1, 64); got != want {
+			t.Fatalf("float %x: %q, strconv %q", math.Float64bits(f), got, want)
+		}
+	}
+
+	strs := []string{"", "A", "N", "lineitem comment", "a b~!#[]{}", `quo"te`, `back\slash`, "tab\t", "nl\n", "del\x7f", "réf", "\xff\xfe", "nul\x00", "日本"}
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(12))
+		for j := range b {
+			b[j] = byte(rng.Intn(256))
+			if rng.Intn(4) > 0 {
+				b[j] = byte(' ' + rng.Intn(95))
+			}
+		}
+		strs = append(strs, string(b))
+	}
+	for _, s := range strs {
+		if got, want := string(appendString(nil, s)), strconv.Quote(s); got != want {
+			t.Fatalf("string %q: %s, strconv %s", s, got, want)
+		}
 	}
 }

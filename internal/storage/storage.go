@@ -378,7 +378,9 @@ func (t *Table) Checkpoint(data *ColumnData) (*Snapshot, error) {
 }
 
 // PagesInRange returns the pages of column col overlapping SID range
-// [lo, hi). Pages are returned in SID order.
+// [lo, hi), in SID order. The result is a window on the snapshot's own
+// page list — read-only, and capacity-limited so that appending to it
+// copies instead of writing into the snapshot.
 func (s *Snapshot) PagesInRange(col int, lo, hi int64) []*Page {
 	pages := s.cols[col]
 	if lo >= hi || len(pages) == 0 {
@@ -394,11 +396,12 @@ func (s *Snapshot) PagesInRange(col int, lo, hi int64) []*Page {
 			j = m
 		}
 	}
-	var out []*Page
-	for ; i < len(pages) && pages[i].FirstSID < hi; i++ {
-		out = append(out, pages[i])
+	for j = i; j < len(pages) && pages[j].FirstSID < hi; j++ {
 	}
-	return out
+	if i == j {
+		return nil
+	}
+	return pages[i:j:j]
 }
 
 // SharedPrefixPages returns, per column, the number of leading pages s and

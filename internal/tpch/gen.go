@@ -13,6 +13,7 @@ package tpch
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -376,8 +377,22 @@ func (db *DB) genOrdersAndLineitem(rng *rand.Rand, nOrd, nCust, nPart, nSupp int
 		{Name: "l_shipmode", Type: storage.String, Width: 1},
 		{Name: "l_comment", Type: storage.String, Width: 16},
 	}
-	od := storage.NewColumnData()
-	ld := storage.NewColumnData()
+	// Orders carry 1-7 lines uniformly: 4*nOrd lines expected, and four
+	// standard deviations (sd = 2*sqrt(nOrd)) of headroom overshoot by
+	// under 1%; a miss just grows once. Values are appended through local
+	// slices and installed in the ColumnData at the end.
+	nLine := 4*nOrd + 8*int(math.Sqrt(float64(nOrd))) + 7
+	ints := func(n int) []int64 { return make([]int64, 0, n) }
+	floats := func(n int) []float64 { return make([]float64, 0, n) }
+	strs := func(n int) []string { return make([]string, 0, n) }
+	lOrderkey, lPartkey, lSuppkey, lLinenumber := ints(nLine), ints(nLine), ints(nLine), ints(nLine)
+	lQuantity, lPrice, lDiscount, lTax := floats(nLine), floats(nLine), floats(nLine), floats(nLine)
+	lReturnflag, lLinestatus := strs(nLine), strs(nLine)
+	lShipdate, lCommitdate, lReceiptdate := ints(nLine), ints(nLine), ints(nLine)
+	lShipinstruct, lShipmode, lComment := strs(nLine), strs(nLine), strs(nLine)
+	oOrderkey, oCustkey, oStatus, oTotalprice := ints(nOrd), ints(nOrd), strs(nOrd), floats(nOrd)
+	oOrderdate, oPriority, oClerk := ints(nOrd), strs(nOrd), strs(nOrd)
+	oShippriority, oComment := ints(nOrd), strs(nOrd)
 	currentDate := Date(1995, 6, 17)
 	for o := 0; o < nOrd; o++ {
 		okey := int64(o + 1)
@@ -412,22 +427,22 @@ func (db *DB) genOrdersAndLineitem(rng *rand.Rand, nOrd, nCust, nPart, nSupp int
 			} else {
 				allF = false
 			}
-			ld.I64[0] = append(ld.I64[0], okey)
-			ld.I64[1] = append(ld.I64[1], pk)
-			ld.I64[2] = append(ld.I64[2], sk)
-			ld.I64[3] = append(ld.I64[3], int64(ln+1))
-			ld.F64[4] = append(ld.F64[4], qty)
-			ld.F64[5] = append(ld.F64[5], price)
-			ld.F64[6] = append(ld.F64[6], disc)
-			ld.F64[7] = append(ld.F64[7], tax)
-			ld.Str[8] = append(ld.Str[8], rf)
-			ld.Str[9] = append(ld.Str[9], ls)
-			ld.I64[10] = append(ld.I64[10], ship)
-			ld.I64[11] = append(ld.I64[11], commit)
-			ld.I64[12] = append(ld.I64[12], receipt)
-			ld.Str[13] = append(ld.Str[13], instructs[rng.Intn(4)])
-			ld.Str[14] = append(ld.Str[14], shipModes[rng.Intn(7)])
-			ld.Str[15] = append(ld.Str[15], "lineitem comment")
+			lOrderkey = append(lOrderkey, okey)
+			lPartkey = append(lPartkey, pk)
+			lSuppkey = append(lSuppkey, sk)
+			lLinenumber = append(lLinenumber, int64(ln+1))
+			lQuantity = append(lQuantity, qty)
+			lPrice = append(lPrice, price)
+			lDiscount = append(lDiscount, disc)
+			lTax = append(lTax, tax)
+			lReturnflag = append(lReturnflag, rf)
+			lLinestatus = append(lLinestatus, ls)
+			lShipdate = append(lShipdate, ship)
+			lCommitdate = append(lCommitdate, commit)
+			lReceiptdate = append(lReceiptdate, receipt)
+			lShipinstruct = append(lShipinstruct, instructs[rng.Intn(4)])
+			lShipmode = append(lShipmode, shipModes[rng.Intn(7)])
+			lComment = append(lComment, "lineitem comment")
 			total += price * (1 - disc) * (1 + tax)
 		}
 		if allF && anyF {
@@ -435,15 +450,26 @@ func (db *DB) genOrdersAndLineitem(rng *rand.Rand, nOrd, nCust, nPart, nSupp int
 		} else if anyF {
 			status = "P"
 		}
-		od.I64[0] = append(od.I64[0], okey)
-		od.I64[1] = append(od.I64[1], int64(rng.Intn(nCust)+1))
-		od.Str[2] = append(od.Str[2], status)
-		od.F64[3] = append(od.F64[3], total)
-		od.I64[4] = append(od.I64[4], odate)
-		od.Str[5] = append(od.Str[5], priorities[rng.Intn(5)])
-		od.Str[6] = append(od.Str[6], fmt.Sprintf("Clerk#%06d", rng.Intn(1000)))
-		od.I64[7] = append(od.I64[7], 0)
-		od.Str[8] = append(od.Str[8], "order comment")
+		oOrderkey = append(oOrderkey, okey)
+		oCustkey = append(oCustkey, int64(rng.Intn(nCust)+1))
+		oStatus = append(oStatus, status)
+		oTotalprice = append(oTotalprice, total)
+		oOrderdate = append(oOrderdate, odate)
+		oPriority = append(oPriority, priorities[rng.Intn(5)])
+		oClerk = append(oClerk, fmt.Sprintf("Clerk#%06d", rng.Intn(1000)))
+		oShippriority = append(oShippriority, 0)
+		oComment = append(oComment, "order comment")
+	}
+	od := &storage.ColumnData{
+		I64: map[int][]int64{0: oOrderkey, 1: oCustkey, 4: oOrderdate, 7: oShippriority},
+		F64: map[int][]float64{3: oTotalprice},
+		Str: map[int][]string{2: oStatus, 5: oPriority, 6: oClerk, 8: oComment},
+	}
+	ld := &storage.ColumnData{
+		I64: map[int][]int64{0: lOrderkey, 1: lPartkey, 2: lSuppkey, 3: lLinenumber,
+			10: lShipdate, 11: lCommitdate, 12: lReceiptdate},
+		F64: map[int][]float64{4: lQuantity, 5: lPrice, 6: lDiscount, 7: lTax},
+		Str: map[int][]string{8: lReturnflag, 9: lLinestatus, 13: lShipinstruct, 14: lShipmode, 15: lComment},
 	}
 	db.create("orders", oSchema, od)
 	if opt.ClusteredShipdate {
