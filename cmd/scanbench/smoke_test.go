@@ -105,7 +105,7 @@ func TestServeTableHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	printServe([]scanshare.ServeRow{{Policy: "PBM", Admission: "fifo", IOSched: "fifo", Tier: "flat", Shards: 8, Devices: 1}}, false, false)
+	printServe([]scanshare.ServeRow{{Policy: "PBM", Admission: "fifo", IOSched: "fifo", Tier: "flat", Shards: 1, Devices: 1}}, false, false)
 	os.Stdout = stdout
 	w.Close()
 	out, err := io.ReadAll(r)

@@ -62,6 +62,7 @@ func goldenServeConfig() ServeConfig {
 	cfg.QueriesPerStream = 3
 	cfg.ArrivalRate = 20
 	cfg.MPL = 4
+	cfg.PoolShards = 1
 	return cfg
 }
 
@@ -195,10 +196,9 @@ var goldens = []struct {
 	rows []goldenRow
 }{
 	// The Runtime seam (sim vs. real-threaded execution): every counter of
-	// the three main policies, a 4-shard pool, and the serving stack.
+	// the three main policies and the serving stack.
 	{path: "internal/workload/testdata/sim_golden.txt", rows: concat(
 		perPolicy("micro+stats", "", mainPolicies, nil, plainMicro, nil),
-		[]goldenRow{{format: "micro+stats", name: "PBM-4shards", micro: func(c *Config) { c.Policy, c.PoolShards = PBM, 4 }}},
 		perPolicy("serve+stats", "", mainPolicies, nil, nil, plainServe),
 	)},
 	// Pluggable admission policies: fifo is the historical hard-coded
@@ -310,7 +310,7 @@ func sweepServeRows() string {
 		ServeAxes: ServeAxes{
 			Rates:             []float64{50},
 			MPLs:              []int{2},
-			Shards:            []int{1, 2},
+			Shards:            []int{1},
 			AdmissionPolicies: []string{"fifo", "wfq"},
 			Tenants:           2,
 			TenantWeights:     []float64{2, 1},
@@ -318,8 +318,8 @@ func sweepServeRows() string {
 		Policies: []Policy{LRU, PBM, CScan},
 	}
 	for _, r := range ServeSweep(so) {
-		fmt.Fprintf(&b, "serve rate=%g mpl=%d pol=%s shards=%d adm=%s done=%d rej=%d thru=%.9f p50=%.9f p95=%.9f p99=%.9f qwait=%.9f slo=%.9f io=%.9f",
-			r.Rate, r.MPL, r.Policy, r.Shards, r.Admission, r.Completed, r.Rejected,
+		fmt.Fprintf(&b, "serve rate=%g mpl=%d pol=%s adm=%s done=%d rej=%d thru=%.9f p50=%.9f p95=%.9f p99=%.9f qwait=%.9f slo=%.9f io=%.9f",
+			r.Rate, r.MPL, r.Policy, r.Admission, r.Completed, r.Rejected,
 			r.Throughput, r.P50ms, r.P95ms, r.P99ms, r.QWaitP95ms, r.SLOPct, r.IOMB)
 		for i := range r.TenantP95ms {
 			fmt.Fprintf(&b, " t%d=%.9f/%.9f", i, r.TenantP95ms[i], r.TenantSLOPct[i])

@@ -22,7 +22,7 @@ func parseAxes(t *testing.T, args ...string) (*ServeAxes, error) {
 
 func TestServeAxesParse(t *testing.T) {
 	a, err := parseAxes(t,
-		"-rates", "1,5.5", "-mpls", "8, 32", "-shards", "1,8",
+		"-rates", "1,5.5", "-mpls", "8, 32",
 		"-iosched", "fifo,elevator", "-tiers", "tiered-temp",
 		"-policies", "fifo,wfq", "-weights", "2,1",
 		"-selectivities", "0.1,1", "-slo", "100ms", "-deadline", "1s",
@@ -81,7 +81,7 @@ func TestServeAxesScopes(t *testing.T) {
 	a, err := parseAxes(t,
 		"-rates", "1", "-queue", "8", "-slo", "50ms", // serve/compare scope
 		"-iosched", "elevator", "-json", "/tmp/x", "-clustered", // serve-only scope
-		"-shards", "4", "-devices", "2", "-stripe", "8", // figure scope: never rejected
+		"-devices", "2", "-stripe", "8", // figure scope: never rejected
 	)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)

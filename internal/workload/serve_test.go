@@ -50,30 +50,24 @@ func TestRunServeAllPolicies(t *testing.T) {
 	}
 }
 
-// The sharded pool must stay deterministic, and the shard axis must be
-// honored end to end: both shard counts serve the full workload with
-// aggregated (summed-over-shards) pool counters.
-func TestServeShardedPoolDeterministicAndAccounted(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		run := func() *ServeResult {
-			cfg := tinyServeConfig()
-			cfg.Policy = PBM
-			cfg.PoolShards = shards
-			return RunServe(tinyDB, cfg)
-		}
-		a, b := run(), run()
-		if a.Sched != b.Sched || a.TotalIOBytes != b.TotalIOBytes {
-			t.Fatalf("shards=%d nondeterministic: %+v/%d vs %+v/%d",
-				shards, a.Sched, a.TotalIOBytes, b.Sched, b.TotalIOBytes)
-		}
-		if a.PoolStats.Hits+a.PoolStats.Misses == 0 {
-			t.Fatalf("shards=%d: empty aggregated pool stats", shards)
-		}
-		if a.PoolStats.BytesLoaded != a.TotalIOBytes {
-			t.Fatalf("shards=%d: pool bytes %d != total I/O %d",
-				shards, a.PoolStats.BytesLoaded, a.TotalIOBytes)
-		}
+// The serving stack must stay deterministic on a PBM pool, and the pool
+// counters it reports must account for every byte the run read.
+func TestServePoolDeterministicAndAccounted(t *testing.T) {
+	run := func() *ServeResult {
+		cfg := tinyServeConfig()
+		cfg.Policy = PBM
+		cfg.PoolShards = 1
+		return RunServe(tinyDB, cfg)
+	}
+	a, b := run(), run()
+	if a.Sched != b.Sched || a.TotalIOBytes != b.TotalIOBytes {
+		t.Fatalf("nondeterministic: %+v/%d vs %+v/%d", a.Sched, a.TotalIOBytes, b.Sched, b.TotalIOBytes)
+	}
+	if a.PoolStats.Hits+a.PoolStats.Misses == 0 {
+		t.Fatal("empty pool stats")
+	}
+	if a.PoolStats.BytesLoaded != a.TotalIOBytes {
+		t.Fatalf("pool bytes %d != total I/O %d", a.PoolStats.BytesLoaded, a.TotalIOBytes)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // parse new ones and vice versa.
 func TestServeRowWireCompat(t *testing.T) {
 	row := scanshare.ServeRow{
-		Rate: 5, MPL: 8, Policy: "PBM", Shards: 8, Devices: 4,
+		Rate: 5, MPL: 8, Policy: "PBM", Shards: 1, Devices: 4,
 		IOSched: "elevator", Tier: "tiered-rr", Admission: "wfq",
 		Completed: 100, Rejected: 3, TimedOut: 2, Cancelled: 1,
 		ToPct: 1.9, CanPct: 0.9, Throughput: 42.5,
@@ -57,11 +57,11 @@ func TestServeRowLabels(t *testing.T) {
 		},
 		"explicit axes": {
 			func(c *scanshare.ServeConfig) {
-				c.ArrivalRate, c.MPL, c.PoolShards, c.Devices = 5, 32, 2, 4
+				c.ArrivalRate, c.MPL, c.PoolShards, c.Devices = 5, 32, 1, 4
 				c.IOScheduler, c.AdmissionPolicy = "elevator", "wfq"
 			},
 			func(r *scanshare.ServeRow) {
-				r.Rate, r.MPL, r.Shards, r.Devices, r.IOSched, r.Admission = 5, 32, 2, 4, "elevator", "wfq"
+				r.Rate, r.MPL, r.Shards, r.Devices, r.IOSched, r.Admission = 5, 32, 1, 4, "elevator", "wfq"
 			},
 		},
 		"fast devices are tiered-rr": {
@@ -113,10 +113,10 @@ func TestServeEngineConfigDefaults(t *testing.T) {
 
 	// Multi-valued axes contribute their first element.
 	var axes scanshare.ServeAxes
-	axes.MPLs, axes.Shards, axes.Devices = []int{4, 8}, []int{2, 4}, []int{4, 1}
+	axes.MPLs, axes.Shards, axes.Devices = []int{4, 8}, []int{1}, []int{4, 1}
 	axes.Tiers, axes.AdmissionPolicies = []string{"tiered-temp"}, []string{"sesf", "wfq"}
 	cfg = scanshare.NewServeEngineConfig(scanshare.Options{}, axes)
-	if cfg.MPL != 4 || cfg.PoolShards != 2 || cfg.Devices != 4 || cfg.FastDevices != 2 ||
+	if cfg.MPL != 4 || cfg.PoolShards != 1 || cfg.Devices != 4 || cfg.FastDevices != 2 ||
 		cfg.ChunkPlacement != nil || cfg.AdmissionPolicy != "sesf" {
 		t.Fatalf("first-of-axis mapping: %+v", cfg)
 	}
