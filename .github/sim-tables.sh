@@ -14,7 +14,7 @@ cell() { # cell <name> <scanbench args...>
 	shift
 	"$bin" "$@" | grep -v 'done in' >"$out/$name.txt"
 }
-serve=(-serve -sf 0.01 -streams 8 -rates 50 -shards 4)
+serve=(-serve -sf 0.01 -streams 8 -rates 50)
 cell policy "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 \
 	-policies fifo,sesf,wfq -tenants 2 -weights 3,1 -selectivities 1,0.01 -clustered
 cell lifecycle "${serve[@]}" -queries 2 -mpls 1 \
@@ -25,7 +25,7 @@ cell device-intel "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 -iosched fifo,el
 cell tiering "${serve[@]}" -queries 2 -mpls 4 -devices 4 -tiers flat,tiered-temp -hotfrac 0.1 -hotprob 0.9
 cell ioprio "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 -iosched elevator \
 	-ioprio -policies wfq -tenants 2 -weights 3,1
-cell sharding -serve -sf 0.01 -rates 5 -mpls 8 -shards 1,8 -devices 1,4
+cell devices -serve -sf 0.01 -rates 5 -mpls 8 -devices 1,4
 cell compare -compare -sf 0.01 -streams 8 -queries 2 -rates 30 -mpls 2
 cell fig11 -sf 0.01 fig11
 cell fig14 -sf 0.01 fig14

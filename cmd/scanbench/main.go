@@ -17,8 +17,8 @@
 // many-client serving scenario — Poisson arrivals on N concurrent
 // streams mapped onto tenants, a bounded admission queue with a
 // concurrency limit (MPL) and a pluggable admission policy (-policies
-// fifo,sesf,wfq) — and sweeps arrival rate x MPL x buffer policy x pool
-// shards x admission policy, reporting throughput, latency percentiles
+// fifo,sesf,wfq) — and sweeps arrival rate x MPL x buffer policy x
+// devices x admission policy, reporting throughput, latency percentiles
 // (p50/p95/p99, queue-wait split), and SLO attainment, overall and per
 // tenant.
 //
@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -59,7 +58,7 @@ func main() {
 		cpu     = flag.Duration("cpu", 0, "override per-tuple CPU cost")
 		tsv     = flag.Bool("tsv", false, "emit tab-separated values")
 
-		serve   = flag.Bool("serve", false, "run the open-loop serving sweep (arrival rate x MPL x policy x pool shards x devices x admission policy)")
+		serve   = flag.Bool("serve", false, "run the open-loop serving sweep (arrival rate x MPL x policy x devices x admission policy)")
 		compare = flag.Bool("compare", false, "run the closed-vs-open-loop comparison at one serving configuration")
 		real    = flag.Bool("real", false, "run -serve/-compare on the real-threaded runtime (goroutines, wall-clock time) instead of the simulator")
 	)
@@ -77,9 +76,6 @@ func main() {
 		SF: *sf, Seed: *seed, Streams: *streams, QueriesPerStream: *queries,
 		ThreadsPerQuery: *threads, Cores: *cores, PerTupleCPU: *cpu,
 		StripeChunk: axes.StripeChunk,
-	}
-	if len(axes.Shards) > 0 {
-		opts.PoolShards = axes.Shards[0]
 	}
 	if len(axes.Devices) > 0 {
 		opts.Devices = axes.Devices[0]
@@ -268,30 +264,22 @@ func printAblation(rows []scanshare.AblationRow, tsv bool) {
 }
 
 // printServe renders the serving sweep: one row per (rate, MPL, policy,
-// pool shards, devices, I/O scheduler, tiering, admission policy,
-// selectivity) cell with
+// devices, I/O scheduler, tiering, admission policy, selectivity) cell with
 // throughput, latency percentiles, the lifecycle outcome shares (to% =
 // deadline kills, can% = client cancels, as fractions of arrivals), SLO
 // attainment, the per-tenant p95/SLO breakdown, the zone-map skip rate,
 // the achieved aggregate read bandwidth, and — on mixed read/write cells
 // (-writefrac) — the write throughput, completed checkpoint/merge count
-// and the p95 of reads overlapping a merge window; shard counts, device counts, admission policies and
-// selectivities of the same cell print adjacent so all four effects read
-// off directly. CScan rows print "-" for shards (the ABM replaces the
-// page pool).
+// and the p95 of reads overlapping a merge window; device counts,
+// admission policies and selectivities of the same cell print adjacent
+// so their effects read off directly.
 func printServe(rows []scanshare.ServeRow, real, tsv bool) {
-	fmt.Printf("== Serving sweep: open-loop arrivals, admission control, sharded pool, striped disk array (latencies in %s ms) ==\n", clockName(real))
-	shardCol := func(r scanshare.ServeRow) string {
-		if r.Shards <= 0 {
-			return "-"
-		}
-		return strconv.Itoa(r.Shards)
-	}
+	fmt.Printf("== Serving sweep: open-loop arrivals, admission control, striped disk array (latencies in %s ms) ==\n", clockName(real))
 	if tsv {
-		fmt.Printf("rate_qps\tmpl\tpolicy\tadmission\tpool_shards\tdevices\tiosched\ttier\tselectivity\tcompleted\trejected\ttimedout_pct\tcancelled_pct\tthroughput_qps\twrites\twr_qps\tcheckpoints\tmerge_p95_ms\tp50_ms\tp95_ms\tp99_ms\tqwait_p95_ms\tslo_pct\ttenant_p95_ms\ttenant_slo_pct\tskip_pct\tio_mb\tread_mbps\tseeks\tskew\n")
+		fmt.Printf("rate_qps\tmpl\tpolicy\tadmission\tdevices\tiosched\ttier\tselectivity\tcompleted\trejected\ttimedout_pct\tcancelled_pct\tthroughput_qps\twrites\twr_qps\tcheckpoints\tmerge_p95_ms\tp50_ms\tp95_ms\tp99_ms\tqwait_p95_ms\tslo_pct\ttenant_p95_ms\ttenant_slo_pct\tskip_pct\tio_mb\tread_mbps\tseeks\tskew\n")
 		for _, r := range rows {
-			fmt.Printf("%g\t%d\t%s\t%s\t%s\t%d\t%s\t%s\t%g\t%d\t%d\t%.1f\t%.1f\t%.1f\t%d\t%.1f\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f\t%s\t%s\t%.1f\t%.1f\t%.1f\t%d\t%.2f\n",
-				r.Rate, r.MPL, r.Policy, r.Admission, shardCol(r), r.Devices, r.IOSched, r.Tier, r.Selectivity, r.Completed, r.Rejected, r.ToPct, r.CanPct, r.Throughput,
+			fmt.Printf("%g\t%d\t%s\t%s\t%d\t%s\t%s\t%g\t%d\t%d\t%.1f\t%.1f\t%.1f\t%d\t%.1f\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f\t%s\t%s\t%.1f\t%.1f\t%.1f\t%d\t%.2f\n",
+				r.Rate, r.MPL, r.Policy, r.Admission, r.Devices, r.IOSched, r.Tier, r.Selectivity, r.Completed, r.Rejected, r.ToPct, r.CanPct, r.Throughput,
 				r.Writes, r.WrQps, r.Checkpoints, r.MergeP95ms,
 				r.P50ms, r.P95ms, r.P99ms, r.QWaitP95ms, r.SLOPct,
 				joinFloats(r.TenantP95ms, "%.3f"), joinFloats(r.TenantSLOPct, "%.1f"), r.SkipPct, r.IOMB, r.ReadMBps, r.Seeks, r.Skew)
@@ -299,10 +287,10 @@ func printServe(rows []scanshare.ServeRow, real, tsv bool) {
 		return
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "rate/stream\tMPL\tpolicy\tadmit\tshards\tdevs\tiosched\ttier\tsel\tdone\trej\tto%\tcan%\tthru (q/s)\twr q/s\tckpts\tmrg p95\tp50\tp95\tp99\tqwait p95\tSLO %\tp95/tenant\tSLO %/tenant\tskip%\tI/O MB\trd MB/s\tseeks\tskew")
+	fmt.Fprintln(w, "rate/stream\tMPL\tpolicy\tadmit\tdevs\tiosched\ttier\tsel\tdone\trej\tto%\tcan%\tthru (q/s)\twr q/s\tckpts\tmrg p95\tp50\tp95\tp99\tqwait p95\tSLO %\tp95/tenant\tSLO %/tenant\tskip%\tI/O MB\trd MB/s\tseeks\tskew")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%g\t%d\t%s\t%s\t%s\t%d\t%s\t%s\t%g\t%d\t%d\t%.1f\t%.1f\t%.1f\t%.2f\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.1f\t%s\t%s\t%.1f\t%.1f\t%.1f\t%d\t%.2f\n",
-			r.Rate, r.MPL, r.Policy, r.Admission, shardCol(r), r.Devices, r.IOSched, r.Tier, r.Selectivity, r.Completed, r.Rejected, r.ToPct, r.CanPct, r.Throughput,
+		fmt.Fprintf(w, "%g\t%d\t%s\t%s\t%d\t%s\t%s\t%g\t%d\t%d\t%.1f\t%.1f\t%.1f\t%.2f\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.1f\t%s\t%s\t%.1f\t%.1f\t%.1f\t%d\t%.2f\n",
+			r.Rate, r.MPL, r.Policy, r.Admission, r.Devices, r.IOSched, r.Tier, r.Selectivity, r.Completed, r.Rejected, r.ToPct, r.CanPct, r.Throughput,
 			r.WrQps, r.Checkpoints, r.MergeP95ms,
 			r.P50ms, r.P95ms, r.P99ms, r.QWaitP95ms, r.SLOPct,
 			joinFloats(r.TenantP95ms, "%.2f"), joinFloats(r.TenantSLOPct, "%.0f"), r.SkipPct, r.IOMB, r.ReadMBps, r.Seeks, r.Skew)
@@ -352,17 +340,17 @@ func clockName(real bool) string {
 func printCompare(rep scanshare.CompareReport, real, tsv bool) {
 	fmt.Printf("== Closed vs open loop: same query mix, same engine, two arrival disciplines (latencies in %s ms) ==\n", clockName(real))
 	if tsv {
-		fmt.Printf("loop\trate_qps\tmpl\tpolicy\tadmission\tpool_shards\tdevices\tcompleted\trejected\tthroughput_qps\tp50_ms\tp95_ms\tp99_ms\tqwait_p95_ms\tslo_pct\tio_mb\n")
+		fmt.Printf("loop\trate_qps\tmpl\tpolicy\tadmission\tdevices\tcompleted\trejected\tthroughput_qps\tp50_ms\tp95_ms\tp99_ms\tqwait_p95_ms\tslo_pct\tio_mb\n")
 		for _, e := range []struct {
 			name string
 			r    scanshare.ServeRow
 		}{{"open", rep.Open}, {"closed", rep.Closed}} {
-			fmt.Printf("%s\t%g\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%.1f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f\t%.1f\n",
-				e.name, e.r.Rate, e.r.MPL, e.r.Policy, e.r.Admission, e.r.Shards, e.r.Devices, e.r.Completed, e.r.Rejected,
+			fmt.Printf("%s\t%g\t%d\t%s\t%s\t%d\t%d\t%d\t%.1f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f\t%.1f\n",
+				e.name, e.r.Rate, e.r.MPL, e.r.Policy, e.r.Admission, e.r.Devices, e.r.Completed, e.r.Rejected,
 				e.r.Throughput, e.r.P50ms, e.r.P95ms, e.r.P99ms, e.r.QWaitP95ms, e.r.SLOPct, e.r.IOMB)
 		}
-		fmt.Printf("gap\t%g\t%d\t%s\t%s\t%d\t%d\t-\t-\t-\t%.3f\t%.3f\t%.3f\t-\t-\t-\n",
-			rep.Open.Rate, rep.Open.MPL, rep.Open.Policy, rep.Open.Admission, rep.Open.Shards, rep.Open.Devices,
+		fmt.Printf("gap\t%g\t%d\t%s\t%s\t%d\t-\t-\t-\t%.3f\t%.3f\t%.3f\t-\t-\t-\n",
+			rep.Open.Rate, rep.Open.MPL, rep.Open.Policy, rep.Open.Admission, rep.Open.Devices,
 			rep.GapP50ms, rep.GapP95ms, rep.GapP99ms)
 		return
 	}

@@ -39,8 +39,7 @@ func TestSmokeRows(t *testing.T) {
 	for _, c := range []struct {
 		file string
 		// perAdmission is the row count wanted per admission policy: 4
-		// buffer policies x 1 shard count x the cell's device counts x its
-		// selectivities. Zero skips the check.
+		// buffer policies x the cell's device counts x its selectivities. Zero skips the check.
 		perAdmission int
 		// atLeast4 names a label at least four rows must carry.
 		atLeast4 string
@@ -105,7 +104,7 @@ func TestServeTableHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	printServe([]scanshare.ServeRow{{Policy: "PBM", Admission: "fifo", IOSched: "fifo", Tier: "flat", Shards: 1, Devices: 1}}, false, false)
+	printServe([]scanshare.ServeRow{{Policy: "PBM", Admission: "fifo", IOSched: "fifo", Tier: "flat", Devices: 1}}, false, false)
 	os.Stdout = stdout
 	w.Close()
 	out, err := io.ReadAll(r)
@@ -117,7 +116,7 @@ func TestServeTableHeader(t *testing.T) {
 		t.Fatalf("want title, header and one row, got:\n%s", out)
 	}
 	cells := func(line string) []string { return regexp.MustCompile(` {2,}`).Split(strings.TrimSpace(line), -1) }
-	want := []string{"rate/stream", "MPL", "policy", "admit", "shards", "devs", "iosched", "tier", "sel", "done", "rej",
+	want := []string{"rate/stream", "MPL", "policy", "admit", "devs", "iosched", "tier", "sel", "done", "rej",
 		"to%", "can%", "thru (q/s)", "wr q/s", "ckpts", "mrg p95", "p50", "p95", "p99", "qwait p95", "SLO %",
 		"p95/tenant", "SLO %/tenant", "skip%", "I/O MB", "rd MB/s", "seeks", "skew"}
 	if got := cells(lines[1]); strings.Join(got, "|") != strings.Join(want, "|") {

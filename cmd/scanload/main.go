@@ -29,7 +29,7 @@
 // fewer rng draws per query than RunServe does. Default runs match
 // exactly.
 //
-// Server-shaping axes (-mpls, -shards, -policies, ...) belong to
+// Server-shaping axes (-mpls, -devices, -policies, ...) belong to
 // scanserved and are rejected here.
 package main
 

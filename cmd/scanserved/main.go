@@ -15,8 +15,8 @@
 //	GET  /v1/statz   wire.Statz (the live serve-table row)
 //	GET  /healthz    "ok", or 503 "draining" during shutdown
 //
-// Engine knobs reuse scanbench's serving axes (-mpls, -shards,
-// -devices, -iosched, -policies, ...; multi-valued axes contribute
+// Engine knobs reuse scanbench's serving axes (-mpls, -devices,
+// -iosched, -policies, ...; multi-valued axes contribute
 // their first element). Client-mix axes (-rates, -selectivities,
 // -deadline, -cancel, ...) belong to the load generator (cmd/scanload)
 // and are rejected.

@@ -21,10 +21,6 @@ type Options struct {
 	Cores            int
 	// PerTupleCPU overrides the calibrated per-tuple CPU cost.
 	PerTupleCPU time.Duration
-	// PoolShards overrides the buffer-pool shard count when nonzero
-	// (figure experiments default to the paper's single pool; the serve
-	// sweep has its own shard axis, see ServeOptions.Shards).
-	PoolShards int
 	// Devices overrides the disk-array spindle count when nonzero (figure
 	// experiments default to the paper's single device; the serve sweep
 	// has its own devices axis, see ServeOptions.Devices).
@@ -66,9 +62,6 @@ func (o Options) apply(cfg workload.Config) workload.Config {
 	}
 	if o.PerTupleCPU > 0 {
 		cfg.PerTupleCPU = o.PerTupleCPU
-	}
-	if o.PoolShards > 0 {
-		cfg.PoolShards = o.PoolShards
 	}
 	if o.Devices > 0 {
 		cfg.Devices = o.Devices

@@ -62,7 +62,6 @@ func goldenServeConfig() ServeConfig {
 	cfg.QueriesPerStream = 3
 	cfg.ArrivalRate = 20
 	cfg.MPL = 4
-	cfg.PoolShards = 1
 	return cfg
 }
 
@@ -187,9 +186,13 @@ func concat(parts ...[]goldenRow) (rows []goldenRow) {
 }
 
 // goldens is every pinned simulator surface, one entry per file. Each of
-// the first six files was generated BEFORE the refactor named beside it
-// and has never been regenerated, so a passing run proves that refactor —
-// and every one since — left the disabled/default path bit-identical.
+// the first six files was generated BEFORE the refactor named beside it,
+// so a passing run proves that refactor — and every one since — left the
+// disabled/default path bit-identical. Their LRU/PBM serve rows (and only
+// those) were re-recorded once, by the parent engine running its
+// one-partition pool, in the commit before PR 19 deleted pool
+// partitioning: the serving default had been an 8-way partitioned pool,
+// a path that no longer exists.
 var goldens = []struct {
 	path string
 	long bool // full tiny sweeps: skipped under -short
@@ -310,7 +313,6 @@ func sweepServeRows() string {
 		ServeAxes: ServeAxes{
 			Rates:             []float64{50},
 			MPLs:              []int{2},
-			Shards:            []int{1},
 			AdmissionPolicies: []string{"fifo", "wfq"},
 			Tenants:           2,
 			TenantWeights:     []float64{2, 1},

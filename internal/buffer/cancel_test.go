@@ -64,10 +64,10 @@ func TestSimCancelledGetFailsFast(t *testing.T) {
 }
 
 // TestRealReservationCancelUnblocks is the real-runtime twin of the sim
-// test: the blocked reservation waits on the shard condvar, and the
+// test: the blocked reservation waits on the pool's condvar, and the
 // cancel hook's Broadcast must wake it. Run with -race.
 func TestRealReservationCancelUnblocks(t *testing.T) {
-	r, pool, pages := realPoolEnv(t, 1, 4, 1)
+	r, pool, pages := realPoolEnv(t, 1, 4)
 	qc := rt.NewQueryCtx(r)
 	pinned := make(chan *Frame, 1)
 	release := make(chan struct{})

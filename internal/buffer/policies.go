@@ -1,69 +1,5 @@
 package buffer
 
-import (
-	"fmt"
-	"sort"
-)
-
-// NewPolicyFunc constructs one replacement-policy instance. Sharded
-// pools call the constructor once per shard so each shard owns private
-// policy state; see NewShardedPool and FactoryOf.
-type NewPolicyFunc func() Policy
-
-var policyConstructors = map[string]NewPolicyFunc{}
-
-// RegisterPolicy registers a replacement-policy constructor under name.
-// The built-in LRU, MRU and Clock policies are pre-registered; PBM-family
-// policies are wired through their own per-shard group instead (they
-// need a clock and configuration at construction time).
-func RegisterPolicy(name string, ctor NewPolicyFunc) {
-	if ctor == nil {
-		panic("buffer: RegisterPolicy with nil constructor")
-	}
-	if _, dup := policyConstructors[name]; dup {
-		panic(fmt.Sprintf("buffer: policy %q registered twice", name))
-	}
-	policyConstructors[name] = ctor
-}
-
-// NewNamedPolicy returns a fresh instance of the policy registered under
-// name, or ok=false when the name is unknown.
-func NewNamedPolicy(name string) (Policy, bool) {
-	ctor, ok := policyConstructors[name]
-	if !ok {
-		return nil, false
-	}
-	return ctor(), true
-}
-
-// PolicyNames returns the registered policy names, sorted.
-func PolicyNames() []string {
-	out := make([]string, 0, len(policyConstructors))
-	for name := range policyConstructors {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FactoryOf returns a per-shard policy factory for a registered policy
-// name, for use with NewShardedPool. It panics on unknown names.
-func FactoryOf(name string) func(shard int) Policy {
-	if _, ok := policyConstructors[name]; !ok {
-		panic(fmt.Sprintf("buffer: unknown policy %q (registered: %v)", name, PolicyNames()))
-	}
-	return func(int) Policy {
-		pol, _ := NewNamedPolicy(name)
-		return pol
-	}
-}
-
-func init() {
-	RegisterPolicy("LRU", func() Policy { return NewLRU() })
-	RegisterPolicy("MRU", func() Policy { return NewMRU() })
-	RegisterPolicy("Clock", func() Policy { return NewClock() })
-}
-
 // frameList is an intrusive doubly-linked list of frames with a sentinel,
 // ordered from least- to most-recently used for the recency policies.
 type frameList struct {

@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -381,150 +383,105 @@ func TestGetRunReissuesRemainderAfterRace(t *testing.T) {
 	eng.Run()
 }
 
-func shardedFixture(t testing.TB, shards, capPages, nPages int) (*sim.Engine, *Pool, []*storage.Page) {
+// checkIdle asserts what must hold of a pool nobody is using: nothing
+// pinned, loading or parked, the byte counter equal to the resident pages
+// and within capacity, and every reference counted as a hit or a miss.
+func checkIdle(t *testing.T, pool *Pool, refs int64) {
 	t.Helper()
-	eng := sim.NewEngine()
-	disk := iosim.New(rt.Sim(eng), iosim.Config{Bandwidth: 1e9, SeekLatency: 10 * time.Microsecond})
-	pool := NewShardedPool(rt.Sim(eng), disk, FactoryOf("LRU"), int64(capPages)*storage.PageSize, shards)
-	return eng, pool, makePages(t, nPages)
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	var resident int64
+	for id, f := range pool.frames {
+		resident += f.Page.Bytes
+		if f.pins != 0 || f.loading {
+			t.Errorf("page %d left with %d pins, loading=%v", id, f.pins, f.loading)
+		}
+	}
+	if n, l := pool.nPinned.Load(), pool.nLoading.Load(); n != 0 || l != 0 {
+		t.Errorf("pinned = %d, loading = %d at idle", n, l)
+	}
+	if len(pool.inFlight) != 0 || len(pool.freedQ) != 0 || pool.stalled.Load() != 0 {
+		t.Errorf("%d reads in flight, %d+%d reservations parked at idle", len(pool.inFlight), len(pool.freedQ), pool.stalled.Load())
+	}
+	if used := pool.Used(); used != resident || used > pool.Capacity() {
+		t.Errorf("used %d, resident pages %d, capacity %d", used, resident, pool.Capacity())
+	}
+	if s := pool.stats; s.Hits+s.Misses != refs {
+		t.Errorf("hits %d + misses %d != %d references", s.Hits, s.Misses, refs)
+	}
 }
 
-// Property: under any access pattern on a sharded pool, every resident
-// page lives in the shard its hash selects, the aggregate Used equals
-// the sum over shards, aggregate Stats equal the shard sums, and the
-// global capacity holds.
-func TestPropertyShardInvariants(t *testing.T) {
-	f := func(accesses []uint8) bool {
-		if len(accesses) == 0 {
-			return true
+// Property: after random Get/GetRun/Unpin/InvalidatePages/FlushAll
+// traffic from four processes, on either runtime, the pool is idle and
+// its books balance (checkIdle), every miss was read from the device
+// exactly once, and every call was answered. Run with -race: on the real
+// runtime the four are goroutines contending for the pool mutex.
+func TestPropertyPoolInvariants(t *testing.T) {
+	for _, real := range []bool{false, true} {
+		real := real
+		name := "sim"
+		if real {
+			name = "real"
 		}
-		eng, pool, pages := shardedFixture(t, 5, 8, 32)
-		ok := true
-		eng.Go("q", func() {
-			for _, a := range accesses {
-				fr := pool.Get(pages[int(a)%len(pages)])
-				pool.Unpin(fr)
-				if pool.Used() > pool.Capacity() {
-					ok = false
-				}
+		t.Run(name, func(t *testing.T) {
+			var r rt.Runtime = rt.Sim(sim.NewEngine())
+			if real {
+				r = rt.NewReal()
+			}
+			const workers, ops, capPages = 4, 400, 8
+			disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
+			pool := NewPool(r, disk, NewLRU(), capPages*storage.PageSize)
+			pages := makePages(t, 32)
+			var refs, calls atomic.Int64
+			pool.OnAccess = func(*storage.Page) { refs.Add(1) }
+			for w := 0; w < workers; w++ {
+				rng := rand.New(rand.NewSource(int64(w) + 1))
+				r.Go("worker", func() {
+					// At most one pin is held across another request, so the
+					// workers' pins plus the largest read-ahead run always fit.
+					var held *Frame
+					for i := 0; i < ops; i++ {
+						at := rng.Intn(len(pages) - 4)
+						var f *Frame
+						switch op := rng.Intn(20); {
+						case op < 12:
+							f = pool.Get(pages[at])
+						case op < 17:
+							f = pool.GetRun(pages[at : at+2+rng.Intn(3)])
+						case op < 19:
+							pool.InvalidatePages(pages[at : at+4])
+							continue
+						default:
+							pool.FlushAll()
+							continue
+						}
+						calls.Add(1)
+						if f.Page != pages[at] || f.Loading() {
+							t.Errorf("got frame of page %d (loading=%v), want page %d", f.Page.ID, f.Loading(), pages[at].ID)
+						}
+						if held != nil {
+							pool.Unpin(held)
+						}
+						held = f
+						if rng.Intn(2) == 0 {
+							pool.Unpin(held)
+							held = nil
+						}
+					}
+					if held != nil {
+						pool.Unpin(held)
+					}
+				})
+			}
+			r.Run()
+			checkIdle(t, pool, refs.Load())
+			if refs.Load() < calls.Load() {
+				t.Errorf("%d references for %d calls", refs.Load(), calls.Load())
+			}
+			if s := pool.Stats(); s.BytesLoaded != s.Misses*storage.PageSize || s.BytesLoaded != disk.Stats().BytesRead {
+				t.Errorf("misses %d, bytes loaded %d, device read %d", s.Misses, s.BytesLoaded, disk.Stats().BytesRead)
 			}
 		})
-		eng.Run()
-		var used int64
-		var sum Stats
-		for i, sh := range pool.shards {
-			for id := range sh.frames {
-				if pool.ShardFor(id) != i {
-					t.Errorf("page %d resident in shard %d, hashes to %d", id, i, pool.ShardFor(id))
-					ok = false
-				}
-			}
-			used += sh.used
-			sum.add(sh.stats)
-		}
-		if used != pool.Used() {
-			t.Errorf("sum of shard used %d != pool used %d", used, pool.Used())
-			ok = false
-		}
-		if sum != pool.Stats() {
-			t.Errorf("sum of shard stats %+v != pool stats %+v", sum, pool.Stats())
-			ok = false
-		}
-		if s := pool.Stats(); s.Hits+s.Misses != int64(len(accesses)) {
-			t.Errorf("hits %d + misses %d != accesses %d", s.Hits, s.Misses, len(accesses))
-			ok = false
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A shard may borrow free capacity beyond its slice of the budget; when
-// the pool fills up, eviction pays the borrowed capacity back before
-// disturbing shards within their slice.
-func TestShardCapacityBorrowing(t *testing.T) {
-	eng, pool, pages := shardedFixture(t, 4, 4, 64)
-	byShard := make([][]*storage.Page, 4)
-	for _, pg := range pages {
-		s := pool.ShardFor(pg.ID)
-		byShard[s] = append(byShard[s], pg)
-	}
-	target := -1
-	for s, pgs := range byShard {
-		if len(pgs) >= 3 {
-			target = s
-			break
-		}
-	}
-	var others []*storage.Page
-	for s, pgs := range byShard {
-		if s != target && len(pgs) > 0 {
-			others = append(others, pgs[0])
-		}
-	}
-	if target < 0 || len(others) < 2 {
-		t.Fatalf("hash did not spread 64 pages usefully: %v", byShard)
-	}
-	// Distinct non-target shards for the two probe pages.
-	if pool.ShardFor(others[0].ID) == pool.ShardFor(others[1].ID) {
-		t.Fatal("probe pages share a shard")
-	}
-	eng.Go("q", func() {
-		own := byShard[target]
-		// Three pages in one shard: two beyond its 1-page slice, borrowed
-		// from the global budget.
-		for i := 0; i < 3; i++ {
-			pool.Unpin(pool.Get(own[i]))
-		}
-		if got := pool.shards[target].used; got != 3*storage.PageSize {
-			t.Errorf("borrowing shard used = %d, want 3 pages", got)
-		}
-		// A fourth page elsewhere still fits without eviction.
-		pool.Unpin(pool.Get(others[0]))
-		if ev := pool.Stats().Evictions; ev != 0 {
-			t.Errorf("evictions = %d before the pool filled", ev)
-		}
-		// The fifth page must evict, and the victim comes from the
-		// borrowing (over-slice) shard, not the probe's own empty shard.
-		pool.Unpin(pool.Get(others[1]))
-		if pool.Contains(own[0]) {
-			t.Error("expected payback eviction of the borrowing shard's LRU page")
-		}
-		if pool.Used() > pool.Capacity() {
-			t.Errorf("used %d exceeds capacity %d", pool.Used(), pool.Capacity())
-		}
-	})
-	eng.Run()
-}
-
-// A 1-shard pool must behave exactly like the historical unsharded pool;
-// the sharded constructor with n=1 and NewPool must agree counter for
-// counter on any trace.
-func TestSingleShardMatchesNewPool(t *testing.T) {
-	trace := []int{0, 1, 2, 3, 0, 4, 5, 1, 6, 2, 7, 0, 3, 3, 5}
-	run := func(mk func(eng *sim.Engine, disk *iosim.DeviceArray) *Pool) (Stats, sim.Time) {
-		eng := sim.NewEngine()
-		disk := iosim.New(rt.Sim(eng), iosim.Config{Bandwidth: 1e9, SeekLatency: 10 * time.Microsecond})
-		pool := mk(eng, disk)
-		pages := makePages(t, 8)
-		eng.Go("q", func() {
-			for _, i := range trace {
-				pool.Unpin(pool.Get(pages[i]))
-			}
-		})
-		eng.Run()
-		return pool.Stats(), eng.Now()
-	}
-	sa, ta := run(func(eng *sim.Engine, disk *iosim.DeviceArray) *Pool {
-		return NewPool(rt.Sim(eng), disk, NewLRU(), 4*storage.PageSize)
-	})
-	sb, tb := run(func(eng *sim.Engine, disk *iosim.DeviceArray) *Pool {
-		return NewShardedPool(rt.Sim(eng), disk, FactoryOf("LRU"), 4*storage.PageSize, 1)
-	})
-	if sa != sb || ta != tb {
-		t.Fatalf("single-shard divergence: %+v at %v vs %+v at %v", sa, ta, sb, tb)
 	}
 }
 
@@ -548,8 +505,8 @@ func TestPropertyAccountingBalances(t *testing.T) {
 				}
 			})
 			eng.Run()
-			s := pool.Stats()
-			return s.Hits+s.Misses == int64(len(accesses))
+			checkIdle(t, pool, int64(len(accesses)))
+			return !t.Failed()
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Fatalf("%s: %v", mk().Name(), err)

@@ -5,17 +5,13 @@ import (
 	"repro/internal/sim"
 )
 
-// The PBM policy layer provides the live implementations of the cost
-// hook (a single instance and the sharded group).
-var (
-	_ ScanCostModel = (*pbm.PBM)(nil)
-	_ ScanCostModel = (*pbm.Group)(nil)
-)
+// The PBM policy provides the live implementation of the cost hook.
+var _ ScanCostModel = (*pbm.PBM)(nil)
 
 // ScanCostModel estimates the expected execution time of a scan over n
 // tuples — the per-query expected-work signal a cost-aware admission
 // policy (sched's shortest-expected-scan-first) orders by. The PBM
-// policy group implements it from its live scan-speed estimates;
+// policy implements it from its live scan-speed estimates;
 // FixedSpeedCost is the fallback for buffer policies with no prediction
 // machinery.
 type ScanCostModel interface {

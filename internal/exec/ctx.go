@@ -52,11 +52,9 @@ type Ctx struct {
 	PerTupleCPU sim.Duration
 	// Pool is the traditional buffer pool used by Scan operators.
 	Pool *buffer.Pool
-	// PBM, when non-nil, is the Pool's policy surface and scans register
-	// with it: a single *pbm.PBM for an unsharded pool, a *pbm.Group
-	// fanning out to one instance per shard otherwise. Leave nil (not a
-	// typed-nil pointer) when the pool runs a non-PBM policy.
-	PBM pbm.Registry
+	// PBM, when non-nil, is the Pool's policy and scans register their
+	// future accesses with it. Nil when the pool runs a non-PBM policy.
+	PBM *pbm.PBM
 	// ABM, when non-nil, serves CScan operators.
 	ABM *abm.ABM
 	// ReadAheadTuples is the per-column read-ahead window of the Scan

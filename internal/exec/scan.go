@@ -141,11 +141,10 @@ func (s *Scan) Next() *Batch {
 	}
 	s.Ctx.work(s.pace, s.Ctx.PerTupleCPU*sim.Duration(s.out.N))
 	if s.pbmOn {
-		s.Ctx.PBM.ReportScanPosition(s.pbmID, s.consumed)
 		// §5 attach&throttle: pause briefly when PBM advises that slowing
 		// down lets trailing scans reuse our pages before eviction.
-		if s.Ctx.PBM.ThrottleEnabled() && s.Ctx.PBM.ShouldThrottle(s.pbmID) {
-			s.Ctx.RT.Sleep(s.Ctx.PBM.ThrottlePause())
+		if pause := s.Ctx.PBM.ReportScanPosition(s.pbmID, s.consumed); pause > 0 {
+			s.Ctx.RT.Sleep(pause)
 		}
 	}
 	return s.out

@@ -56,11 +56,7 @@ func newSys(policy workload.Policy, capBytes int64) *sys {
 		}
 		s.pool = buffer.NewPool(rt.Sim(s.eng), s.disk, pol, capBytes)
 		s.ctx.Pool = s.pool
-		if s.pbm != nil {
-			// Ctx.PBM is an interface; assigning a typed-nil *pbm.PBM
-			// would defeat the scans' nil check.
-			s.ctx.PBM = s.pbm
-		}
+		s.ctx.PBM = s.pbm
 	}
 	return s
 }

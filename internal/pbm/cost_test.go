@@ -78,8 +78,8 @@ func TestCostHookTracksObservedSpeeds(t *testing.T) {
 	}
 }
 
-// The sharded group must price scans exactly as a single instance:
-// every member sees the identical registration stream.
+// bench/ builds its PBM through NewGroup until the next [benchmark] PR:
+// what it gets must price scans exactly as New's does.
 func TestGroupCostHookMatchesSingle(t *testing.T) {
 	clk := &fakeClock{}
 	cfg := testCfg()

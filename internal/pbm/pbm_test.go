@@ -245,6 +245,67 @@ func TestRefreshShiftsTimeline(t *testing.T) {
 	eng.Run()
 }
 
+// After an idle period the next entry point catches the timeline up in
+// at most one span of shifts, however long the idle was (replaying every
+// missed slice cost ~3 s of mutex-held work per idle hour), and pages
+// cached before the jump are still bucketed by their estimate and
+// evicted in the right order after it. Engine constants (NewEngine).
+func TestRefreshBoundedAfterIdle(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TimeSlice = 500 * time.Microsecond
+	cfg.NumGroups = 12
+	cfg.DefaultSpeed = 1e8
+	cfg.EvictBatch = 1
+	clk := &fakeClock{}
+	p := New(clk, cfg)
+	pages := make([]*storage.Page, 41)
+	for i := range pages {
+		pages[i] = &storage.Page{ID: storage.PageID(i + 1), Tuples: 100_000, Bytes: storage.PageSize}
+	}
+	scanned, unwanted := pages[:40], pages[40]
+	id := p.RegisterScan([][]*storage.Page{scanned})
+	near, far := &buffer.Frame{Page: scanned[1]}, &buffer.Frame{Page: scanned[39]}
+	idle := &buffer.Frame{Page: unwanted}
+	for _, f := range []*buffer.Frame{near, far, idle} {
+		p.Admitted(f)
+	}
+	nearWas, farWas := bucketOf(p, near.Page), bucketOf(p, far.Page)
+	if nearWas <= 0 || farWas <= nearWas {
+		t.Fatalf("fixture: near page in bucket %d, far page in %d", nearWas, farWas)
+	}
+
+	clk.t = sim.Time(time.Hour)
+	before := p.shifts
+	p.ReportScanPosition(id, 0)
+	span := sim.Duration(cfg.BucketsPerGroup) * cfg.TimeSlice * (1<<uint(cfg.NumGroups) - 1)
+	if got, max := p.shifts-before, int64(span/cfg.TimeSlice)+1; got > max {
+		t.Fatalf("%d shifts after a 1 h jump, want at most %d (one span)", got, max)
+	}
+	if p.timePassed+sim.Time(cfg.TimeSlice) <= clk.t {
+		t.Fatalf("timeline at %v after catching up to %v", p.timePassed, clk.t)
+	}
+	// The scan has not moved, so the estimates have not: each page was
+	// re-pushed at its estimate's bucket and has drifted left of it at most.
+	for _, c := range []struct {
+		f   *buffer.Frame
+		was int
+	}{{near, nearWas}, {far, farWas}} {
+		if b := bucketOf(p, c.f.Page); b < 0 || b > c.was {
+			t.Errorf("page %d in bucket %d after the jump, was in %d", c.f.Page.ID, b, c.was)
+		}
+	}
+	if b := bucketOf(p, unwanted); b != len(p.buckets) {
+		t.Errorf("unrequested page in bucket %d, want the not-requested bucket", b)
+	}
+	for _, want := range []*buffer.Frame{idle, far, near} {
+		got := p.Victim()
+		if got != want {
+			t.Fatalf("victim order after the jump: got %v, want page %d", got, want.Page.ID)
+		}
+		p.Removed(got)
+	}
+}
+
 func bucketOf(p *PBM, pg *storage.Page) int {
 	m := p.pages[pg.ID]
 	if m == nil || m.bucket == nil {

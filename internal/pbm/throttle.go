@@ -22,8 +22,8 @@ import "repro/internal/sim"
 //     the trailing scan's arrival below the eviction horizon, PBM advises
 //     the scan to throttle.
 //
-// Scan operators consult ShouldThrottle periodically and sleep briefly
-// when advised; see exec.Scan's ThrottleCheck wiring.
+// Scan operators get the advice back from every progress report and
+// sleep for it; see exec.Scan.Next.
 
 // ThrottleConfig tunes the attach&throttle extension.
 type ThrottleConfig struct {
@@ -64,21 +64,23 @@ func (p *PBM) EvictionHorizon() float64 {
 	return p.evictHorizon
 }
 
-// ShouldThrottle advises whether the given scan should pause to let
-// trailing scans catch up. The test is the paper's: find the soonest
-// trailing scan behind this one on overlapping pages; if the pages the
-// leading scan is about to consume would next be consumed (by that
-// trailing scan) beyond the eviction horizon, but throttling brings the
-// gap within the horizon, advise a pause.
-func (p *PBM) ShouldThrottle(id ScanID) bool {
+// ThrottleAdvice returns how long the given scan should pause to let
+// trailing scans catch up; 0 means carry on. The test is the paper's:
+// find the soonest trailing scan behind this one on overlapping pages; if
+// the pages the leading scan is about to consume would next be consumed
+// (by that trailing scan) beyond the eviction horizon, but throttling
+// brings the gap within the horizon, advise the configured pause.
+func (p *PBM) ThrottleAdvice(id ScanID) sim.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.throttle.Enabled || p.evictHorizon <= 0 {
-		return false
-	}
-	lead, ok := p.scans[id]
-	if !ok || lead.speed <= 0 {
-		return false
+	return p.throttleAdvice(p.scans[id])
+}
+
+// throttleAdvice is ThrottleAdvice for a scan's state (nil: unknown scan,
+// no advice). Mutex held.
+func (p *PBM) throttleAdvice(lead *scanState) sim.Duration {
+	if !p.throttle.Enabled || p.evictHorizon <= 0 || lead == nil || lead.speed <= 0 {
+		return 0
 	}
 	// Find the closest trailing scan: smallest positive tuple gap to any
 	// other scan (an O(#scans) scan-position comparison; positions are
@@ -103,7 +105,7 @@ func (p *PBM) ShouldThrottle(id ScanID) bool {
 		}
 	}
 	if trailer == nil {
-		return false
+		return 0
 	}
 	speed := trailer.speed
 	if speed <= 0 {
@@ -117,8 +119,10 @@ func (p *PBM) ShouldThrottle(id ScanID) bool {
 	// hence catchUp) bounded. Throttling only helps when the trailer is
 	// close enough that a bounded pause can bridge the gap; for distant
 	// trailers it just slows the system, so the advice window is capped.
-	lo := p.evictHorizon * p.throttle.Margin
-	return catchUp >= lo && catchUp <= lo*8
+	if lo := p.evictHorizon * p.throttle.Margin; catchUp >= lo && catchUp <= lo*8 {
+		return p.throttle.Pause
+	}
+	return 0
 }
 
 // SetThrottle configures the attach&throttle extension.
@@ -126,18 +130,4 @@ func (p *PBM) SetThrottle(cfg ThrottleConfig) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.throttle = cfg
-}
-
-// ThrottlePause returns the configured pause duration.
-func (p *PBM) ThrottlePause() sim.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.throttle.Pause
-}
-
-// ThrottleEnabled reports whether the extension is active.
-func (p *PBM) ThrottleEnabled() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.throttle.Enabled
 }

@@ -9,13 +9,42 @@ import (
 )
 
 func TestThrottleDisabledByDefault(t *testing.T) {
-	p := New(&fakeClock{}, testCfg())
-	if p.ThrottleEnabled() {
-		t.Fatal("throttle enabled by default")
+	p, lead, _ := throttleScenario(t, DefaultThrottleConfig())
+	if d := p.ThrottleAdvice(lead); d != 0 {
+		t.Fatalf("disabled throttle advised a %v pause", d)
 	}
-	if p.ShouldThrottle(1) {
-		t.Fatal("disabled throttle advised a pause")
+}
+
+// throttleScenario builds the case the advice exists for — a leading scan
+// racing ahead of a crawling trailer over the same pages, with requested
+// pages already evicted so the horizon is set — under throttle
+// configuration tc, and returns the two scans.
+func throttleScenario(t *testing.T, tc ThrottleConfig) (p *PBM, lead, trail ScanID) {
+	t.Helper()
+	cfg := testCfg()
+	cfg.EvictBatch = 1
+	eng, p, pool, pages := pbmFixture(t, 2, 8, cfg)
+	p.SetThrottle(tc)
+	eng.Go("q", func() {
+		lead = p.RegisterScan([][]*storage.Page{pages[:8]})
+		trail = p.RegisterScan([][]*storage.Page{pages[:8]})
+		// Leader races ahead, trailer crawls.
+		eng.Sleep(10 * time.Millisecond)
+		p.ReportScanPosition(lead, 8000)
+		p.ReportScanPosition(trail, 100)
+		eng.Sleep(10 * time.Millisecond)
+		p.ReportScanPosition(lead, 16000)
+		p.ReportScanPosition(trail, 200)
+		// Force evictions of requested pages to set a short horizon.
+		pool.Unpin(pool.Get(pages[5]))
+		pool.Unpin(pool.Get(pages[6]))
+		pool.Unpin(pool.Get(pages[7]))
+	})
+	eng.Run()
+	if p.EvictionHorizon() <= 0 {
+		t.Fatal("no horizon")
 	}
+	return p, lead, trail
 }
 
 func TestEvictionHorizonTracksEvictedPages(t *testing.T) {
@@ -39,37 +68,19 @@ func TestEvictionHorizonTracksEvictedPages(t *testing.T) {
 }
 
 func TestShouldThrottleLeadingScan(t *testing.T) {
-	cfg := testCfg()
-	cfg.EvictBatch = 1
-	eng, p, pool, pages := pbmFixture(t, 2, 8, cfg)
 	tc := DefaultThrottleConfig()
 	tc.Enabled = true
-	p.SetThrottle(tc)
-	eng.Go("q", func() {
-		lead := p.RegisterScan([][]*storage.Page{pages[:8]})
-		trail := p.RegisterScan([][]*storage.Page{pages[:8]})
-		// Leader races ahead, trailer crawls.
-		eng.Sleep(10 * time.Millisecond)
-		p.ReportScanPosition(lead, 8000)
-		p.ReportScanPosition(trail, 100)
-		eng.Sleep(10 * time.Millisecond)
-		p.ReportScanPosition(lead, 16000)
-		p.ReportScanPosition(trail, 200)
-		// Force evictions of requested pages to set a short horizon.
-		pool.Unpin(pool.Get(pages[5]))
-		pool.Unpin(pool.Get(pages[6]))
-		pool.Unpin(pool.Get(pages[7]))
-		if p.EvictionHorizon() <= 0 {
-			t.Fatal("no horizon")
-		}
-		if !p.ShouldThrottle(lead) {
-			t.Error("leading scan not advised to throttle despite trailing scan beyond horizon")
-		}
-		if p.ShouldThrottle(trail) {
-			t.Error("trailing scan advised to throttle")
-		}
-	})
-	eng.Run()
+	p, lead, trail := throttleScenario(t, tc)
+	if d := p.ThrottleAdvice(lead); d != tc.Pause {
+		t.Errorf("leading scan advised %v despite trailing scan beyond horizon, want the %v pause", d, tc.Pause)
+	}
+	if d := p.ThrottleAdvice(trail); d != 0 {
+		t.Errorf("trailing scan advised to pause %v", d)
+	}
+	// A progress report carries the same advice back to the scan.
+	if d := p.ReportScanPosition(lead, 16000); d != tc.Pause {
+		t.Errorf("report returned advice %v, want %v", d, tc.Pause)
+	}
 }
 
 func TestShouldThrottleNoTrailerNoAdvice(t *testing.T) {
@@ -83,21 +94,17 @@ func TestShouldThrottleNoTrailerNoAdvice(t *testing.T) {
 		eng.Sleep(10 * time.Millisecond)
 		p.ReportScanPosition(id, 1000)
 		p.evictHorizon = 1e6 // pretend evictions happened
-		if p.ShouldThrottle(id) {
-			t.Error("sole scan advised to throttle")
+		if d := p.ThrottleAdvice(id); d != 0 {
+			t.Errorf("sole scan advised to pause %v", d)
 		}
 	})
 	eng.Run()
 }
 
 func TestThrottlePauseConfigured(t *testing.T) {
-	p := New(&fakeClock{}, testCfg())
-	tc := ThrottleConfig{Enabled: true, Pause: sim.Duration(5 * time.Millisecond), Margin: 2}
-	p.SetThrottle(tc)
-	if p.ThrottlePause() != sim.Duration(5*time.Millisecond) {
-		t.Fatalf("pause = %v", p.ThrottlePause())
-	}
-	if !p.ThrottleEnabled() {
-		t.Fatal("not enabled")
+	tc := ThrottleConfig{Enabled: true, Pause: sim.Duration(5 * time.Millisecond), Margin: 1}
+	p, lead, _ := throttleScenario(t, tc)
+	if d := p.ThrottleAdvice(lead); d != tc.Pause {
+		t.Fatalf("advice = %v, want the configured %v", d, tc.Pause)
 	}
 }

@@ -10,10 +10,12 @@ import (
 	"repro/internal/storage"
 )
 
-// Recorder accumulates page references in request order. It is safe for
-// concurrent use: on the real-threaded runtime the pool's per-shard
-// OnAccess callbacks fire from many goroutines (request order then means
-// mutex-acquisition order; replay determinism is a sim-mode property).
+// Recorder accumulates page references in request order. The pool calls
+// OnAccess under its own mutex, so writes arrive one at a time (on the
+// real-threaded runtime request order means the order that mutex was
+// taken in; replay determinism is a sim-mode property); the recorder's
+// mutex is for Record from the ABM path and for readers — Refs, Len and
+// Reset run beside a live real-mode pool.
 type Recorder struct {
 	mu   sync.Mutex
 	refs []opt.Ref

@@ -28,13 +28,8 @@ type ServeAxes struct {
 	Rates []float64
 	// MPLs is the scheduler's concurrency limit (sweep default {8, 32}).
 	MPLs []int
-	// Shards is the buffer-pool shard count (sweep default {1, 8}), so a
-	// sweep measures the sharding effect instead of asserting it. CScan
-	// rows ignore it (the ABM replaces the pool) and run once.
-	Shards []int
-	// Devices is the disk-array spindle count (default {1}). Unlike
-	// Shards it applies to CScan rows too — the ABM reads through the
-	// same array.
+	// Devices is the disk-array spindle count (default {1}). It applies
+	// to CScan rows too — the ABM reads through the same array.
 	Devices []int
 	// StripeChunk overrides the array striping granularity in blocks for
 	// every multi-device cell (0 = iosim.DefaultStripeChunk).
@@ -99,9 +94,9 @@ type ServeAxes struct {
 	JSONOut string
 
 	raw struct {
-		rates, mpls, shards, devices string
-		iosched, tiers, policies     string
-		weights, sels                string
+		rates, mpls, devices     string
+		iosched, tiers, policies string
+		weights, sels            string
 	}
 }
 
@@ -143,7 +138,6 @@ func (a *ServeAxes) flagTable() []axisFlag {
 	return []axisFlag{
 		{"rates", scopeServeCompare, sideClient, func() bool { return a.raw.rates != "" }},
 		{"mpls", scopeServeCompare, sideServer, func() bool { return a.raw.mpls != "" }},
-		{"shards", scopeFigure, sideServer, func() bool { return a.raw.shards != "" }},
 		{"devices", scopeFigure, sideServer, func() bool { return a.raw.devices != "" }},
 		{"stripe", scopeFigure, sideServer, func() bool { return a.StripeChunk != 0 }},
 		{"iosched", scopeServe, sideServer, func() bool { return a.raw.iosched != "" }},
@@ -174,7 +168,6 @@ func (a *ServeAxes) flagTable() []axisFlag {
 func (a *ServeAxes) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&a.raw.rates, "rates", "", "serve: comma-separated per-stream arrival rates in queries/s (default 1,5,20); -compare uses the first")
 	fs.StringVar(&a.raw.mpls, "mpls", "", "serve: comma-separated MPL concurrency limits (default 8,32); -compare uses the first")
-	fs.StringVar(&a.raw.shards, "shards", "", "buffer-pool shard counts: a comma-separated axis for -serve (default 1,8); the first value overrides the figure experiments' single pool")
 	fs.StringVar(&a.raw.devices, "devices", "", "disk-array spindle counts: a comma-separated axis for -serve (default 1); the first value overrides the figure experiments' and -compare's single device")
 	fs.IntVar(&a.StripeChunk, "stripe", 0, "disk-array stripe chunk in blocks (0 = default 16); meaningful with -devices > 1")
 	fs.StringVar(&a.raw.iosched, "iosched", "", "serve: comma-separated device queue disciplines (fifo, elevator; default fifo); elevator services each spindle's queue as a C-SCAN sweep")
@@ -206,9 +199,6 @@ func (a *ServeAxes) Parse() error {
 		return err
 	}
 	if a.MPLs, err = parseAxisElems(a.raw.mpls, "mpls", strconv.Atoi); err != nil {
-		return err
-	}
-	if a.Shards, err = parseAxisElems(a.raw.shards, "shards", strconv.Atoi); err != nil {
 		return err
 	}
 	if a.Devices, err = parseAxisElems(a.raw.devices, "devices", strconv.Atoi); err != nil {

@@ -69,9 +69,6 @@ func (cfg ServeConfig) withDefaults() ServeConfig {
 	if cfg.SLO == 0 {
 		cfg.SLO = d.SLO
 	}
-	if cfg.PoolShards == 0 {
-		cfg.PoolShards = d.PoolShards
-	}
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = DefaultTenants
 	}

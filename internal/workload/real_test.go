@@ -19,7 +19,7 @@ func tinyRealServeConfig() ServeConfig {
 }
 
 // TestRunServeRealSmoke runs the full serving stack — open-loop clients,
-// scheduler, sharded pool (and the ABM for CScan) — on the real-threaded
+// scheduler, buffer pool (and the ABM for CScan) — on the real-threaded
 // runtime. Run under -race this is the end-to-end concurrency check of
 // the Runtime refactor.
 func TestRunServeRealSmoke(t *testing.T) {

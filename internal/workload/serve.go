@@ -3,7 +3,6 @@ package workload
 import (
 	"time"
 
-	"repro/internal/buffer"
 	"repro/internal/exec"
 	"repro/internal/rt"
 	"repro/internal/sched"
@@ -112,15 +111,13 @@ const DefaultTenants = 4
 
 // DefaultServeConfig returns serving defaults: 64 streams of 4 queries
 // each arriving at 8 qps/stream, MPL 8, a 64-deep fifo admission queue,
-// a 250 ms latency SLO, DefaultTenants fairness domains, and a buffer
-// pool of buffer.DefaultShards shards, over the §4.1 microbenchmark
-// query mix.
+// a 250 ms latency SLO and DefaultTenants fairness domains, over the
+// §4.1 microbenchmark query mix.
 func DefaultServeConfig() ServeConfig {
 	cfg := DefaultMicroConfig()
 	cfg.Streams = 64
 	cfg.QueriesPerStream = 4
 	cfg.ThreadsPerQuery = 1
-	cfg.PoolShards = buffer.DefaultShards
 	return ServeConfig{
 		Config:      cfg,
 		ArrivalRate: 8,
@@ -235,7 +232,6 @@ func ServeRowOf(res *ServeResult, cfg ServeConfig) wire.ServeStats {
 		Rate:        cfg.ArrivalRate,
 		MPL:         cfg.MPL,
 		Policy:      cfg.Policy.String(),
-		Shards:      cfg.PoolShards,
 		Devices:     cfg.Devices,
 		IOSched:     cfg.IOScheduler,
 		Tier:        "flat",
@@ -258,9 +254,6 @@ func ServeRowOf(res *ServeResult, cfg ServeConfig) wire.ServeStats {
 		WrQps:       res.Sched.WriteThroughput,
 		Checkpoints: res.Checkpoints,
 		MergeP95ms:  ms(res.MergeP95),
-	}
-	if cfg.Policy == CScan {
-		row.Shards = 0 // the ABM replaces the page pool
 	}
 	if row.Devices <= 0 {
 		row.Devices = 1

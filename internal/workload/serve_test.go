@@ -56,7 +56,6 @@ func TestServePoolDeterministicAndAccounted(t *testing.T) {
 	run := func() *ServeResult {
 		cfg := tinyServeConfig()
 		cfg.Policy = PBM
-		cfg.PoolShards = 1
 		return RunServe(tinyDB, cfg)
 	}
 	a, b := run(), run()

@@ -112,10 +112,6 @@ type Config struct {
 	SharingSampler sim.Duration
 	// Throttle enables the §5 PBM attach&throttle extension.
 	Throttle bool
-	// PoolShards is the buffer-pool shard count; 0 (and 1) mean the
-	// single-pool baseline the paper's figures are reproduced with. The
-	// serving driver defaults to buffer.DefaultShards instead.
-	PoolShards int
 	// Devices is the number of independent spindles in the striped disk
 	// array; 0 (and 1) mean the single-device model the paper's figures
 	// are reproduced with. Each device keeps the full BandwidthMB, so
@@ -253,7 +249,7 @@ type Engine struct {
 	Eng  *sim.Engine // the simulator behind RT; nil on the real-threaded runtime
 	Disk *iosim.DeviceArray
 	Pool *buffer.Pool // nil under CScan
-	PBM  *pbm.Group   // non-nil under PBM/PBMLRU: one instance per pool shard
+	PBM  *pbm.PBM     // non-nil under PBM/PBMLRU: the pool's policy
 	ABM  *abm.ABM     // non-nil under CScan
 	Ctx  *exec.Ctx
 }
@@ -323,14 +319,14 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 		})
 		e.Ctx.ABM = e.ABM
 	default:
-		shards := cfg.PoolShards
-		if shards <= 0 {
-			shards = 1
-		}
-		var factory func(int) buffer.Policy
+		var policy buffer.Policy
 		switch cfg.Policy {
-		case LRU, MRU, Clock:
-			factory = buffer.FactoryOf(cfg.Policy.String())
+		case LRU:
+			policy = buffer.NewLRU()
+		case MRU:
+			policy = buffer.NewMRU()
+		case Clock:
+			policy = buffer.NewClock()
 		case PBM, PBMLRU:
 			pc := pbm.DefaultConfig()
 			// The bucket timeline must resolve the simulation's
@@ -342,18 +338,16 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 			pc.DefaultSpeed = 1e8
 			pc.LRUMode = cfg.Policy == PBMLRU
 			pc.CollectBlockHeat = cfg.CollectBlockHeat
-			e.PBM = pbm.NewGroup(r, pc, shards)
+			e.PBM = pbm.New(r, pc)
 			if cfg.Throttle {
 				tc := pbm.DefaultThrottleConfig()
 				tc.Enabled = true
 				e.PBM.SetThrottle(tc)
 			}
-			factory = e.PBM.PolicyFactory()
-			// Assigned only here: Ctx.PBM is an interface, and a
-			// typed-nil *Group would defeat the scans' nil check.
+			policy = e.PBM
 			e.Ctx.PBM = e.PBM
 		}
-		e.Pool = buffer.NewShardedPool(r, e.Disk, factory, bufferBytes, shards)
+		e.Pool = buffer.NewPool(r, e.Disk, policy, bufferBytes)
 		e.Ctx.Pool = e.Pool
 	}
 	return e
@@ -392,7 +386,7 @@ func newEnv(cfg Config, accessedBytes int64) *env {
 // estimates.
 const fallbackScanSpeed = 1e8
 
-// costModel returns the admission cost hook for the run: the PBM group's
+// costModel returns the admission cost hook for the run: PBM's
 // live estimate when predictive buffer management is active, a constant
 // tuples-per-second model otherwise. Either way, a query's expected work
 // scales with its scan length, which is what cost-aware admission orders

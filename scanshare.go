@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/abm"
-	"repro/internal/buffer"
 	"repro/internal/exec"
 	"repro/internal/iosim"
 	"repro/internal/pdt"
@@ -140,9 +139,7 @@ type SystemConfig struct {
 	PerTupleCPU time.Duration
 	// ChunkTuples is the Cooperative Scans chunk size (default 8192).
 	ChunkTuples int64
-	// PoolShards is the buffer-pool shard count (default 8; ignored
-	// under CScan, whose ABM replaces the pool). A 1-shard pool is
-	// bit-identical to the historical unsharded buffer manager.
+	// PoolShards is ignored (the pool is not sharded); bench/ still sets it and the next [benchmark] PR drops it.
 	PoolShards int
 	// Devices is the number of independent spindles in the striped disk
 	// array (default 1, bit-identical to the historical single-disk
@@ -158,9 +155,6 @@ type SystemConfig struct {
 	// reproducible. Eng is nil in this mode; use RT.
 	Real bool
 }
-
-// DefaultPoolShards is the default shard count of a System's buffer pool.
-const DefaultPoolShards = buffer.DefaultShards
 
 // System is a fully wired engine instance — runtime, disk array, buffer
 // manager (traditional or ABM) and an execution context — plus a
@@ -194,9 +188,6 @@ func NewSystem(cfg SystemConfig) *System {
 	if cfg.ChunkTuples <= 0 {
 		cfg.ChunkTuples = abm.DefaultChunkTuples
 	}
-	if cfg.PoolShards <= 0 {
-		cfg.PoolShards = DefaultPoolShards
-	}
 	s := &System{
 		Engine: workload.NewEngine(workload.Config{
 			Policy:      cfg.Policy,
@@ -204,7 +195,6 @@ func NewSystem(cfg SystemConfig) *System {
 			Cores:       cfg.Cores,
 			PerTupleCPU: cfg.PerTupleCPU,
 			ChunkTuples: cfg.ChunkTuples,
-			PoolShards:  cfg.PoolShards,
 			Devices:     cfg.Devices,
 			StripeChunk: cfg.StripeChunk,
 			Real:        cfg.Real,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/storage"
 )
 
 func TestSystemQuickstartFlow(t *testing.T) {
@@ -93,6 +94,50 @@ func TestSystemWithPDTDeltas(t *testing.T) {
 }
 
 // tinyFigOptions shrinks the figure sweeps for test speed.
+// One pool, one policy: the victim is the policy's choice over every
+// cached page — the page no scan wants under PBM, the coldest under LRU —
+// whichever page's miss asked for the room.
+func TestVictimIsChosenOverTheWholePool(t *testing.T) {
+	const capPages, asks = 16, 8
+	for _, pol := range []Policy{PBM, LRU} {
+		for ask := 0; ask < asks; ask++ {
+			sys := NewSystem(SystemConfig{Policy: pol, BufferBytes: capPages * storage.PageSize})
+			table, err := sys.Catalog.CreateTable("t", Schema{{Name: "k", Type: Int64, Width: 8}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := NewColumnData()
+			data.I64[0] = make([]int64, (capPages+asks)*storage.PageSize/8)
+			snap, err := table.Master().Append(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages := snap.Pages(0)
+			unwanted, wanted, asked := pages[0], pages[1:capPages], pages[capPages+ask]
+			sys.Run(func() {
+				if sys.PBM != nil {
+					sys.PBM.RegisterScan([][]*storage.Page{pages[1:]})
+				}
+				// Fill the pool: the page no scan registered first (so it is
+				// also LRU's coldest), then pages the scan needs soon.
+				sys.Pool.Unpin(sys.Pool.Get(unwanted))
+				for _, pg := range wanted {
+					sys.Pool.Unpin(sys.Pool.Get(pg))
+				}
+				sys.Pool.Unpin(sys.Pool.Get(asked))
+				if sys.Pool.Contains(unwanted) {
+					t.Errorf("%v, asking for page %d: the unrequested page survived", pol, asked.ID)
+				}
+				for _, pg := range wanted {
+					if !sys.Pool.Contains(pg) {
+						t.Errorf("%v, asking for page %d: evicted page %d, which a scan needs", pol, asked.ID, pg.ID)
+					}
+				}
+			})
+		}
+	}
+}
+
 func tinyFigOptions() Options {
 	return Options{SF: 0.004, Seed: 3, Streams: 2, QueriesPerStream: 3, ThreadsPerQuery: 2}
 }

@@ -70,9 +70,9 @@ func RunServe(db *TPCHDB, cfg ServeConfig) *ServeResult { return workload.RunSer
 // consumers (NewServeEngineConfig) read the same options at one point.
 type ServeOptions struct {
 	Options
-	// ServeAxes declares the serving axes and knobs (rates, MPLs, pool
-	// shards, devices, admission policies, selectivities, lifecycle and
-	// write knobs, ...), field for field the scanbench command line.
+	// ServeAxes declares the serving axes and knobs (rates, MPLs,
+	// devices, admission policies, selectivities, lifecycle and write
+	// knobs, ...), field for field the scanbench command line.
 	// Its Devices and StripeChunk shadow the per-run overrides of the
 	// same names in Options: select them as o.ServeAxes.Devices.
 	ServeAxes
@@ -92,7 +92,6 @@ func DefaultServeOptions() ServeOptions {
 		ServeAxes: ServeAxes{
 			Rates:             []float64{1, 5, 20},
 			MPLs:              []int{8, 32},
-			Shards:            []int{1, DefaultPoolShards},
 			Devices:           []int{1},
 			IOSchedulers:      []string{"fifo"},
 			Tiers:             []string{"flat"},
@@ -121,15 +120,11 @@ func orDefault[T any](axis, def []T, keep func(T) bool) []T {
 
 func (o ServeOptions) fill() ServeOptions {
 	d := DefaultServeOptions()
-	positive := func(n int) bool { return n > 0 }
 	o.Options = o.Options.fill()
 	o.Rates = orDefault(o.Rates, d.Rates, nil)
 	o.MPLs = orDefault(o.MPLs, d.MPLs, nil)
 	o.Policies = orDefault(o.Policies, d.Policies, nil)
-	// Drop non-positive shard and device counts: 0 is the CScan-only row
-	// marker in the output and must not label a defaulted sharded run.
-	o.Shards = orDefault(o.Shards, d.Shards, positive)
-	o.ServeAxes.Devices = orDefault(o.ServeAxes.Devices, d.ServeAxes.Devices, positive)
+	o.ServeAxes.Devices = orDefault(o.ServeAxes.Devices, d.ServeAxes.Devices, func(n int) bool { return n > 0 })
 	o.IOSchedulers = orDefault(o.IOSchedulers, d.IOSchedulers, nil)
 	o.Tiers = orDefault(o.Tiers, d.Tiers, nil)
 	o.AdmissionPolicies = orDefault(o.AdmissionPolicies, d.AdmissionPolicies, nil)
@@ -140,7 +135,7 @@ func (o ServeOptions) fill() ServeOptions {
 }
 
 // ServeRow is one cell of the serving sweep — a (rate, MPL, buffer
-// policy, shards, admission policy, ...) configuration and its
+// policy, devices, admission policy, ...) configuration and its
 // throughput/latency report, overall and per tenant — in the wire
 // schema, the JSON shape shared by `scanbench -json`, scanserved's
 // /statz and scanload's reports.
@@ -174,16 +169,16 @@ func validateTiers(names ...string) {
 	}
 }
 
-// serveCell is one point of the serving cross product. A zero rate, MPL,
-// shard or device count keeps DefaultServeConfig's value.
+// serveCell is one point of the serving cross product. A zero rate, MPL
+// or device count keeps DefaultServeConfig's value.
 type serveCell struct {
-	rate            float64
-	mpl             int
-	policy          Policy
-	shards, devices int
-	iosched, tier   string
-	admission       string
-	sel             float64
+	rate          float64
+	mpl           int
+	policy        Policy
+	devices       int
+	iosched, tier string
+	admission     string
+	sel           float64
 }
 
 // config maps one cell to the ServeConfig that runs it — the one
@@ -203,9 +198,6 @@ func (o ServeOptions) config(c serveCell) ServeConfig {
 	}
 	if c.mpl > 0 {
 		cfg.MPL = c.mpl
-	}
-	if c.shards > 0 {
-		cfg.PoolShards = c.shards
 	}
 	if c.devices > 0 {
 		cfg.Devices = c.devices
@@ -252,12 +244,12 @@ func first[T any](axis []T) (v T) {
 
 // point is the cell a single-configuration consumer runs: the first
 // element of each axis and, where an axis is unset, the serving
-// defaults (DefaultServeConfig: 8 q/s, MPL 8, PBM, 8 pool shards, one
-// fifo device, fifo admission) — not the sweep's first-of-axis ones.
+// defaults (DefaultServeConfig: 8 q/s, MPL 8, PBM, one fifo device,
+// fifo admission) — not the sweep's first-of-axis ones.
 func (o ServeOptions) point() serveCell {
 	c := serveCell{
 		rate: first(o.Rates), mpl: first(o.MPLs), policy: PBM,
-		shards: first(o.Shards), devices: first(o.ServeAxes.Devices),
+		devices: first(o.ServeAxes.Devices),
 		iosched: first(o.IOSchedulers), tier: first(o.Tiers),
 		admission: first(o.AdmissionPolicies), sel: first(o.Selectivities),
 	}
@@ -267,10 +259,10 @@ func (o ServeOptions) point() serveCell {
 	return c
 }
 
-// ServeSweep runs the arrival-rate x MPL x buffer-policy x shard-count x
-// device-count x I/O-scheduler x tier x admission-policy x selectivity
-// cross product and returns one row per cell, the innermost axes
-// adjacent so each effect (sharding, striping, fifo/elevator seeks,
+// ServeSweep runs the arrival-rate x MPL x buffer-policy x device-count
+// x I/O-scheduler x tier x admission-policy x selectivity cross product
+// and returns one row per cell, the innermost axes adjacent so each
+// effect (striping, fifo/elevator seeks,
 // flat/tiered placement, fifo/sesf/wfq SLOs, zone-map skipping) reads
 // off one table. A "tiered-temp" cell runs twice: a profiling pass
 // collects the per-chunk access heat under round-robin placement, then
@@ -286,26 +278,19 @@ func ServeSweep(o ServeOptions) []ServeRow {
 	for _, rate := range o.Rates {
 		for _, mpl := range o.MPLs {
 			for _, pol := range o.Policies {
-				shardAxis := o.Shards
-				if pol == CScan {
-					// The ABM replaces the page pool; one row suffices.
-					shardAxis = []int{0}
-				}
-				for _, shards := range shardAxis {
-					for _, devices := range o.ServeAxes.Devices {
-						for _, iosched := range o.IOSchedulers {
-							for _, tier := range o.Tiers {
-								for _, adm := range o.AdmissionPolicies {
-									for _, sel := range o.Selectivities {
-										cfg := o.config(serveCell{
-											rate: rate, mpl: mpl, policy: pol, shards: shards, devices: devices,
-											iosched: iosched, tier: tier, admission: adm, sel: sel,
-										})
-										if tier == "tiered-temp" {
-											cfg.ChunkPlacement = heatPlacement(db, cfg)
-										}
-										out = append(out, ServeRowOf(workload.RunServe(db, cfg), cfg))
+				for _, devices := range o.ServeAxes.Devices {
+					for _, iosched := range o.IOSchedulers {
+						for _, tier := range o.Tiers {
+							for _, adm := range o.AdmissionPolicies {
+								for _, sel := range o.Selectivities {
+									cfg := o.config(serveCell{
+										rate: rate, mpl: mpl, policy: pol, devices: devices,
+										iosched: iosched, tier: tier, admission: adm, sel: sel,
+									})
+									if tier == "tiered-temp" {
+										cfg.ChunkPlacement = heatPlacement(db, cfg)
 									}
+									out = append(out, ServeRowOf(workload.RunServe(db, cfg), cfg))
 								}
 							}
 						}

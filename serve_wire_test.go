@@ -16,7 +16,7 @@ import (
 // parse new ones and vice versa.
 func TestServeRowWireCompat(t *testing.T) {
 	row := scanshare.ServeRow{
-		Rate: 5, MPL: 8, Policy: "PBM", Shards: 1, Devices: 4,
+		Rate: 5, MPL: 8, Policy: "PBM", Devices: 4,
 		IOSched: "elevator", Tier: "tiered-rr", Admission: "wfq",
 		Completed: 100, Rejected: 3, TimedOut: 2, Cancelled: 1,
 		ToPct: 1.9, CanPct: 0.9, Throughput: 42.5,
@@ -51,17 +51,17 @@ func TestServeRowLabels(t *testing.T) {
 		want   func(*scanshare.ServeRow)
 	}{
 		"defaults": {func(*scanshare.ServeConfig) {}, func(*scanshare.ServeRow) {}},
-		"cscan has no pool shards": {
+		"cscan": {
 			func(c *scanshare.ServeConfig) { c.Policy = scanshare.CScan },
-			func(r *scanshare.ServeRow) { r.Policy, r.Shards = "CScans", 0 },
+			func(r *scanshare.ServeRow) { r.Policy = "CScans" },
 		},
 		"explicit axes": {
 			func(c *scanshare.ServeConfig) {
-				c.ArrivalRate, c.MPL, c.PoolShards, c.Devices = 5, 32, 1, 4
+				c.ArrivalRate, c.MPL, c.Devices = 5, 32, 4
 				c.IOScheduler, c.AdmissionPolicy = "elevator", "wfq"
 			},
 			func(r *scanshare.ServeRow) {
-				r.Rate, r.MPL, r.Shards, r.Devices, r.IOSched, r.Admission = 5, 32, 1, 4, "elevator", "wfq"
+				r.Rate, r.MPL, r.Devices, r.IOSched, r.Admission = 5, 32, 4, "elevator", "wfq"
 			},
 		},
 		"fast devices are tiered-rr": {
@@ -81,7 +81,7 @@ func TestServeRowLabels(t *testing.T) {
 		c.mutate(&cfg)
 		// The defaults: "" reads fifo, 0 devices reads 1, no tier is flat.
 		want := scanshare.ServeRow{
-			Rate: 8, MPL: 8, Policy: "PBM", Shards: scanshare.DefaultPoolShards, Devices: 1,
+			Rate: 8, MPL: 8, Policy: "PBM", Devices: 1,
 			IOSched: "fifo", Tier: "flat", Admission: "fifo", Selectivity: 1, Skew: 1,
 		}
 		c.want(&want)
@@ -101,7 +101,7 @@ func TestServeEngineConfigDefaults(t *testing.T) {
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("empty axes:\n got %+v\nwant %+v", cfg, want)
 	}
-	if cfg.Policy != scanshare.PBM || cfg.MPL != 8 || cfg.PoolShards != scanshare.DefaultPoolShards ||
+	if cfg.Policy != scanshare.PBM || cfg.MPL != 8 ||
 		cfg.QueueDepth != 64 || cfg.SLO != 250*time.Millisecond || cfg.Devices > 1 ||
 		cfg.IOScheduler != "" || cfg.AdmissionPolicy != "" || cfg.FastDevices != 0 || cfg.Real {
 		t.Fatalf("serving defaults moved: %+v", cfg)
@@ -113,10 +113,10 @@ func TestServeEngineConfigDefaults(t *testing.T) {
 
 	// Multi-valued axes contribute their first element.
 	var axes scanshare.ServeAxes
-	axes.MPLs, axes.Shards, axes.Devices = []int{4, 8}, []int{1}, []int{4, 1}
+	axes.MPLs, axes.Devices = []int{4, 8}, []int{4, 1}
 	axes.Tiers, axes.AdmissionPolicies = []string{"tiered-temp"}, []string{"sesf", "wfq"}
 	cfg = scanshare.NewServeEngineConfig(scanshare.Options{}, axes)
-	if cfg.MPL != 4 || cfg.PoolShards != 1 || cfg.Devices != 4 || cfg.FastDevices != 2 ||
+	if cfg.MPL != 4 || cfg.Devices != 4 || cfg.FastDevices != 2 ||
 		cfg.ChunkPlacement != nil || cfg.AdmissionPolicy != "sesf" {
 		t.Fatalf("first-of-axis mapping: %+v", cfg)
 	}

@@ -190,7 +190,7 @@ type UpdateResult struct {
 }
 
 // ServeStats is one serving measurement in the serve-table schema: one
-// cell of the in-process sweep (a rate, MPL, buffer policy, shards,
+// cell of the in-process sweep (a rate, MPL, buffer policy, devices,
 // admission policy, ... configuration and its throughput/latency
 // report, overall and per tenant), a /statz export, or a scanload
 // report, so `scanbench -json` files and the socket path all parse with
@@ -199,7 +199,6 @@ type ServeStats struct {
 	Rate      float64 // per-stream arrival rate (queries/s)
 	MPL       int
 	Policy    string // buffer-management policy
-	Shards    int    // buffer-pool shard count (0 for CScan rows: no pool)
 	Devices   int    // disk-array spindle count
 	IOSched   string // device queue discipline (fifo/elevator)
 	Tier      string // array tiering (flat/tiered-rr/tiered-temp)
