@@ -264,9 +264,9 @@ var goldens = []struct {
 	}},
 	// One read path (one device queue, one exchange, one scan loop): the
 	// device configurations no older file covers — the elevator on 1 and
-	// 4 spindles, a tiered array, I/O priorities reaching the device
-	// queue, Cooperative Scans on a striped array, and cancelled owners
-	// skipped in a device queue — with the per-device counters.
+	// 4 spindles, a tiered array, weighted-wfq admission above the
+	// device queues, Cooperative Scans on a striped array, and cancelled
+	// owners skipped in a device queue — with the per-device counters.
 	{path: "testdata/readpath_golden.txt", rows: concat(
 		perPolicy("micro+disk", "elevator/1/", scanPolicies, nil, func(c *Config) { c.IOScheduler = "elevator" }, nil),
 		perPolicy("micro+disk", "elevator/4/", scanPolicies, nil, func(c *Config) { c.IOScheduler, c.Devices, c.StripeChunk = "elevator", 4, 2 }, nil),
@@ -276,21 +276,22 @@ var goldens = []struct {
 		perPolicy("serve+disk", "elevator/1/", scanPolicies, nil, nil, func(c *ServeConfig) { c.IOScheduler = "elevator" }),
 		perPolicy("serve+disk", "elevator/4/", scanPolicies, nil, nil, func(c *ServeConfig) { c.IOScheduler, c.Devices, c.StripeChunk = "elevator", 4, 2 }),
 		perPolicy("serve+disk", "fifo/4/", []Policy{CScan}, nil, nil, func(c *ServeConfig) { c.Devices, c.StripeChunk = 4, 2 }),
-		perPolicy("serve+disk", "ioprio/fifo/", scanPolicies, nil, nil, ioprio("fifo", 1)),
-		perPolicy("serve+disk", "ioprio/elevator/1/", scanPolicies, nil, nil, ioprio("elevator", 1)),
-		perPolicy("serve+disk", "ioprio/elevator/4/", scanPolicies, nil, nil, ioprio("elevator", 4)),
+		perPolicy("serve+disk", "wfq/fifo/", scanPolicies, nil, nil, weightedWFQ("fifo", 1)),
+		perPolicy("serve+disk", "wfq/elevator/1/", scanPolicies, nil, nil, weightedWFQ("elevator", 1)),
+		perPolicy("serve+disk", "wfq/elevator/4/", scanPolicies, nil, nil, weightedWFQ("elevator", 4)),
 		perPolicy("serve+disk", "cancel/fifo/", scanPolicies, nil, nil, cancels("fifo", 1)),
 		perPolicy("serve+disk", "cancel/elevator/1/", scanPolicies, nil, nil, cancels("elevator", 1)),
 		perPolicy("serve+disk", "cancel/elevator/4/", scanPolicies, nil, nil, cancels("elevator", 4)),
 	)},
 }
 
-// ioprio is a saturated weighted-wfq serving run whose admission signal
-// reaches the device queue as each query's I/O priority.
-func ioprio(iosched string, devices int) func(*ServeConfig) {
+// weightedWFQ is a saturated serving run under weighted wfq admission,
+// so the device queues see four tenants' queries admitted out of arrival
+// order.
+func weightedWFQ(iosched string, devices int) func(*ServeConfig) {
 	return func(c *ServeConfig) {
 		c.IOScheduler, c.Devices, c.StripeChunk = iosched, devices, 2
-		c.AdmissionPolicy, c.IOPriority, c.ArrivalRate = "wfq", true, 500
+		c.AdmissionPolicy, c.ArrivalRate = "wfq", 500
 		c.Tenants, c.TenantWeights = 4, []float64{4, 2, 1, 1}
 	}
 }
