@@ -2,7 +2,7 @@
 # Usage: sim-tables.sh <scanbench binary> <output dir>
 #
 # Runs every deterministic (simulator) scanbench cell CI prints, plus two
-# figure sweeps and an I/O-priority elevator cell, and writes one table
+# figure sweeps and a weighted-wfq elevator cell, and writes one table
 # per cell without its wall-clock "# ... done in" trailer. Two builds
 # whose simulations follow the same trajectory produce identical
 # directories (`diff -r`); CI's `full` job holds a PR to its base that way.
@@ -23,8 +23,8 @@ cell update-mix "${serve[@]}" -queries 4 -mpls 4 \
 	-policies fifo,sesf,wfq -writefrac 0.1 -ckptops 2 -clustered -selectivities 0.1
 cell device-intel "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 -iosched fifo,elevator
 cell tiering "${serve[@]}" -queries 2 -mpls 4 -devices 4 -tiers flat,tiered-temp -hotfrac 0.1 -hotprob 0.9
-cell ioprio "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 -iosched elevator \
-	-ioprio -policies wfq -tenants 2 -weights 3,1
+cell wfq-elevator "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 -iosched elevator \
+	-policies wfq -tenants 2 -weights 3,1
 cell devices -serve -sf 0.01 -rates 5 -mpls 8 -devices 1,4
 cell compare -compare -sf 0.01 -streams 8 -queries 2 -rates 30 -mpls 2
 cell fig11 -sf 0.01 fig11

@@ -171,36 +171,6 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationThrottle compares plain PBM against the §5
-// attach&throttle extension at the paper-identified weak point: extreme
-// memory pressure with maximal sharing potential.
-func BenchmarkAblationThrottle(b *testing.B) {
-	skipIfShort(b)
-	db := GenerateTPCH(0.008, 42)
-	for _, throttle := range []bool{false, true} {
-		throttle := throttle
-		name := "plain"
-		if throttle {
-			name = "throttled"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := workload.DefaultMicroConfig()
-				cfg.Policy = PBM
-				cfg.Streams = 6
-				cfg.QueriesPerStream = 4
-				cfg.ThreadsPerQuery = 1
-				cfg.BufferFrac = 0.1
-				cfg.RangePercents = []int{100}
-				cfg.Throttle = throttle
-				res := workload.RunMicro(db, cfg)
-				b.ReportMetric(float64(res.TotalIOBytes)/1e6, "sim-IO-MB")
-				b.ReportMetric(res.AvgStreamSec, "sim-stream-s")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationReadAhead sweeps the Scan operator's per-column
 // read-ahead window — the knob that trades sequential locality against
 // pool churn.

@@ -139,13 +139,13 @@ func main() {
 		start := time.Now()
 		switch target {
 		case "fig11":
-			printSweep(figTitle("Figure 11: microbenchmark, varying buffer pool size"), "pool %%", scanshare.Fig11(opts), *tsv)
+			printSweep(figTitle("Figure 11: microbenchmark, varying buffer pool size"), "pool %", scanshare.Fig11(opts), *tsv)
 		case "fig12":
 			printSweep(figTitle("Figure 12: microbenchmark, varying I/O bandwidth"), "MB/s", scanshare.Fig12(opts), *tsv)
 		case "fig13":
 			printSweep(figTitle("Figure 13: microbenchmark, varying number of streams"), "streams", scanshare.Fig13(opts), *tsv)
 		case "fig14":
-			printSweep(figTitle("Figure 14: TPC-H throughput, varying buffer pool size"), "pool %%", scanshare.Fig14(opts), *tsv)
+			printSweep(figTitle("Figure 14: TPC-H throughput, varying buffer pool size"), "pool %", scanshare.Fig14(opts), *tsv)
 		case "fig15":
 			printSweep(figTitle("Figure 15: TPC-H throughput, varying I/O bandwidth"), "MB/s", scanshare.Fig15(opts), *tsv)
 		case "fig16":

@@ -7,11 +7,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
 	scanshare "repro"
+	"repro/wire"
 )
 
 var tablesDir = flag.String("tables", "", "directory holding the `-json` outputs of CI's policy-smoke runs; TestSmokeRows is skipped without it")
@@ -88,6 +90,69 @@ func TestSmokeRows(t *testing.T) {
 				if n := count(rows, func(r scanshare.ServeRow) bool { return r.IOSched == c.atLeast4 || r.Tier == c.atLeast4 }); n < 4 {
 					t.Errorf("%d %s rows, want at least 4", n, c.atLeast4)
 				}
+			}
+		})
+	}
+}
+
+var e2eDir = flag.String("e2e", "", "directory holding the /v1/statz snapshots of CI's serve-e2e runs; TestE2EStatz is skipped without it")
+
+// TestE2EStatz checks the /v1/statz snapshot CI's serve-e2e job saves per
+// admission policy, after scanload has finished and before the drain:
+// it parses strictly as wire.Statz, it carries every field of that
+// schema (re-encoding the decoded value must yield the same tree of
+// keys, so a field the server dropped or renamed shows up), and it
+// counts the updates scanload's write stream applied. Run it as
+//
+//	go test ./cmd/scanbench -run TestE2EStatz -args -e2e "$PWD/e2e"
+func TestE2EStatz(t *testing.T) {
+	if *e2eDir == "" {
+		t.Skip("no -e2e directory")
+	}
+	// keys reduces a decoded JSON document to its tree of object keys.
+	var keys func(v any) any
+	keys = func(v any) any {
+		obj, ok := v.(map[string]any)
+		if !ok {
+			return nil
+		}
+		out := map[string]any{}
+		for k, f := range obj {
+			out[k] = keys(f)
+		}
+		return out
+	}
+	for _, pol := range []string{"fifo", "sesf", "wfq"} {
+		t.Run(pol, func(t *testing.T) {
+			b, err := os.ReadFile(filepath.Join(*e2eDir, "statz-"+pol+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var z wire.Statz
+			dec := json.NewDecoder(bytes.NewReader(b))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&z); err != nil {
+				t.Fatalf("not the wire.Statz schema: %v", err)
+			}
+			again, err := json.Marshal(z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want any
+			if err := json.Unmarshal(b, &got); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(again, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(keys(got), keys(want)) {
+				t.Errorf("/v1/statz fields differ from wire.Statz:\n got %s\nwant %s", b, again)
+			}
+			if z.Version == "" || z.NumTuples <= 0 || z.Arrived <= 0 || z.Stats.Completed <= 0 {
+				t.Errorf("implausible snapshot: %+v", z)
+			}
+			if z.Stats.Writes <= 0 {
+				t.Errorf("the write stream never reached the PDT store: Writes = %d", z.Stats.Writes)
 			}
 		})
 	}

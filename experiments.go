@@ -277,26 +277,19 @@ type AblationRow struct {
 }
 
 // Ablation runs every policy variant — the paper's three plus the
-// MRU/Clock baselines, the PBM/LRU extension and PBM with §5
-// attach&throttle — at the default microbenchmark point.
+// MRU/Clock baselines and the PBM/LRU extension — at the default
+// microbenchmark point.
 func Ablation(o Options) []AblationRow {
 	o = o.fill()
 	db := GenerateTPCH(o.SF, o.Seed)
 	var out []AblationRow
-	run := func(name string, cfg workload.Config) {
-		res := workload.RunMicro(db, cfg)
-		out = append(out, AblationRow{Variant: name,
-			AvgStreamSec: res.AvgStreamSec, IOMB: mb(res.TotalIOBytes)})
-	}
 	for _, pol := range []Policy{LRU, MRU, Clock, PBM, PBMLRU, CScan} {
 		cfg := o.apply(workload.DefaultMicroConfig())
 		cfg.Policy = pol
-		run(pol.String(), cfg)
+		res := workload.RunMicro(db, cfg)
+		out = append(out, AblationRow{Variant: pol.String(),
+			AvgStreamSec: res.AvgStreamSec, IOMB: mb(res.TotalIOBytes)})
 	}
-	cfg := o.apply(workload.DefaultMicroConfig())
-	cfg.Policy = PBM
-	cfg.Throttle = true
-	run("PBM+throttle", cfg)
 	return out
 }
 

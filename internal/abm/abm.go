@@ -585,16 +585,12 @@ func (a *ABM) waitWork() {
 }
 
 // chooseQuery implements QueryRelevance: prefer starved queries, then
-// higher I/O priority (the admission policy's hint on the owning
-// QueryCtx — zero for every scan unless the serving layer sets it, in
-// which case this clause never discriminates), then shorter ones (fewest
-// chunks remaining). Scans whose owning query is cancelled are never
-// chosen: between the cancel and the consumer's Unregister the ABM must
-// not burn I/O loading chunks for a dead query.
+// shorter ones (fewest chunks remaining). Scans whose owning query is
+// cancelled are never chosen: between the cancel and the consumer's
+// Unregister the ABM must not burn I/O loading chunks for a dead query.
 func (a *ABM) chooseQuery() *CScan {
 	var best *CScan
 	bestStarved := false
-	bestPrio := 0.0
 	bestRemaining := 0
 	for _, tm := range a.tabOrder {
 		for _, cs := range tm.scans {
@@ -605,12 +601,10 @@ func (a *ABM) chooseQuery() *CScan {
 				continue
 			}
 			starved := a.isStarved(cs)
-			prio := cs.qctx.Priority()
 			if best == nil ||
 				(starved && !bestStarved) ||
-				(starved == bestStarved && prio > bestPrio) ||
-				(starved == bestStarved && prio == bestPrio && cs.remaining < bestRemaining) {
-				best, bestStarved, bestPrio, bestRemaining = cs, starved, prio, cs.remaining
+				(starved == bestStarved && cs.remaining < bestRemaining) {
+				best, bestStarved, bestRemaining = cs, starved, cs.remaining
 			}
 		}
 	}

@@ -60,12 +60,6 @@ type Ctx struct {
 	// ReadAheadTuples is the per-column read-ahead window of the Scan
 	// operator, in tuples.
 	ReadAheadTuples int64
-	// StripeRowBlocks, when > 0, deepens the effective read-ahead window
-	// to at least this many blocks' worth of tuples — device-aware sizing
-	// set to one full stripe row (Devices × StripeChunk) of the backing
-	// array, so a single scan's read batch can land a piece on every
-	// spindle instead of draining one. Zero keeps the historical window.
-	StripeRowBlocks int
 	// Zones, when non-nil, holds the per-(snapshot, column) MinMax
 	// indexes predicate scans prune their ranges through.
 	Zones *ZoneMaps

@@ -23,9 +23,6 @@ func TestOperatorsCloseTwice(t *testing.T) {
 		{"CScan", true, func(e *env) Operator {
 			return &CScan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{{0, 2000}}}
 		}},
-		{"OScan", false, func(e *env) Operator {
-			return &OScan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{{0, 2000}}, SectionTuples: 512}
-		}},
 		{"Select", false, func(e *env) Operator {
 			return &Select{
 				Child: &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0, 2}, Ranges: []RIDRange{{0, 2000}}},

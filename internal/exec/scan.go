@@ -141,11 +141,7 @@ func (s *Scan) Next() *Batch {
 	}
 	s.Ctx.work(s.pace, s.Ctx.PerTupleCPU*sim.Duration(s.out.N))
 	if s.pbmOn {
-		// §5 attach&throttle: pause briefly when PBM advises that slowing
-		// down lets trailing scans reuse our pages before eviction.
-		if pause := s.Ctx.PBM.ReportScanPosition(s.pbmID, s.consumed); pause > 0 {
-			s.Ctx.RT.Sleep(pause)
-		}
+		s.Ctx.PBM.ReportScanPosition(s.pbmID, s.consumed)
 	}
 	return s.out
 }
@@ -182,11 +178,6 @@ func (s *Scan) readCol(i int, lo, hi int64, out *Vec) error {
 			ra := s.Ctx.ReadAheadTuples
 			if ra <= 0 {
 				ra = int64(pg.Tuples)
-			}
-			// Device-aware sizing: a striped array wants the batch to cover
-			// a full stripe row so every spindle gets a piece.
-			if n := s.Ctx.StripeRowBlocks; n > 0 {
-				ra = max(ra, int64(n)*int64(pg.Tuples))
 			}
 			run := s.Snap.PagesInRange(col, pg.FirstSID, min(pg.FirstSID+ra, s.sidEnd))
 			if len(run) == 0 {

@@ -51,10 +51,10 @@ func segmentsOf(deltas *pdt.PDT, r RIDRange) []pdt.Segment {
 }
 
 // clipToSIDs intersects ranges with the RID window a stable SID range
-// [sidLo,sidHi) maps to — how an out-of-order scan (CScan per chunk,
-// OScan per section) re-initializes its merge. SIDtoRIDlow at both
-// boundaries tiles RID space across windows: no tuple is generated twice
-// (§2.1's trimming, by construction).
+// [sidLo,sidHi) maps to — how an out-of-order scan (CScan, per chunk)
+// re-initializes its merge. SIDtoRIDlow at both boundaries tiles RID
+// space across windows: no tuple is generated twice (§2.1's trimming, by
+// construction).
 func clipToSIDs(ranges []RIDRange, deltas *pdt.PDT, sidLo, sidHi int64) []RIDRange {
 	wLo, wHi := sidLo, sidHi
 	if deltas != nil {

@@ -159,7 +159,7 @@ func TestAllPoliciesSameAnswers(t *testing.T) {
 // ranges' edges — and random RID ranges, one of them made of inserted
 // tuples only, Scan and in-order CScan emit the same tuple stream, and it
 // is the image a naive row-slice model of the same updates predicts;
-// out-of-order CScan and OScan emit the same tuples in some other order.
+// out-of-order CScan emits the same tuples in some other order.
 func TestPropertyScanPathsEmitSameStream(t *testing.T) {
 	const n = 12000
 	type row struct {
@@ -246,34 +246,26 @@ func TestPropertyScanPathsEmitSameStream(t *testing.T) {
 			paths := []struct {
 				kind    string
 				ordered bool
-				ranges  []exec.RIDRange
 				mk      func(s *sys, rs []exec.RIDRange) exec.Operator
 			}{
-				{"scan", true, rs, func(s *sys, rs []exec.RIDRange) exec.Operator {
+				{"scan", true, func(s *sys, rs []exec.RIDRange) exec.Operator {
 					return &exec.Scan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas}
 				}},
-				{"cscan-inorder", true, rs, func(s *sys, rs []exec.RIDRange) exec.Operator {
+				{"cscan-inorder", true, func(s *sys, rs []exec.RIDRange) exec.Operator {
 					return &exec.CScan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas, InOrder: true}
 				}},
-				{"cscan", false, rs, func(s *sys, rs []exec.RIDRange) exec.Operator {
+				{"cscan", false, func(s *sys, rs []exec.RIDRange) exec.Operator {
 					return &exec.CScan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas}
-				}},
-				// One range only: OScan cuts every range into sections of its
-				// own, and two ranges that meet inside one stable tuple's
-				// insert run get overlapping sections (a known defect, see
-				// ROADMAP; OScan is reachable from examples/extensions only).
-				{"oscan", false, rs[:1], func(s *sys, rs []exec.RIDRange) exec.Operator {
-					return &exec.OScan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas, SectionTuples: 3000}
 				}},
 			}
 			for _, p := range paths {
 				policy := workload.PBM
-				if p.kind != "scan" && p.kind != "oscan" {
+				if p.kind != "scan" {
 					policy = workload.CScan
 				}
-				got := collect(policy, func(s *sys) exec.Operator { return p.mk(s, clone(p.ranges)) })
+				got := collect(policy, func(s *sys) exec.Operator { return p.mk(s, clone(rs)) })
 				var want []row
-				for _, r := range p.ranges {
+				for _, r := range rs {
 					want = append(want, model[r.Lo:r.Hi]...)
 				}
 				if !p.ordered {
@@ -335,39 +327,6 @@ func TestCheckpointDuringConcurrentScans(t *testing.T) {
 	if newCount != n-1 {
 		t.Fatalf("new reader saw %d rows, want %d", newCount, n-1)
 	}
-}
-
-// TestThrottleReducesIOUnderPressure compares PBM with and without the
-// §5 attach&throttle extension at extreme memory pressure with many
-// overlapping full scans — the regime the paper identifies as PBM's weak
-// point.
-func TestThrottleReducesIOUnderPressure(t *testing.T) {
-	db := tpch.Generate(0.004, 5)
-	run := func(throttle bool) int64 {
-		cfg := workload.DefaultMicroConfig()
-		cfg.Policy = workload.PBM
-		cfg.Streams = 6
-		cfg.QueriesPerStream = 4
-		cfg.ThreadsPerQuery = 1
-		cfg.BufferFrac = 0.1
-		cfg.RangePercents = []int{100}
-		cfg.Throttle = throttle
-		return workload.RunMicro(db, cfg).TotalIOBytes
-	}
-	plain := run(false)
-	throttled := run(true)
-	// The paper only sketches attach&throttle (§5) without evaluating
-	// it; at simulation scale the pause heuristic can go either way, so
-	// the honest requirements are that the mechanism engages (the I/O
-	// changes), results stay correct (checked by the drivers), and the
-	// regression is bounded.
-	if throttled == plain {
-		t.Log("throttle advice never fired at this configuration")
-	}
-	if throttled > plain*2 {
-		t.Fatalf("throttled I/O %d more than doubles plain %d", throttled, plain)
-	}
-	t.Logf("10%% pool, 100%% scans: plain PBM I/O %d, throttled %d", plain, throttled)
 }
 
 // TestExperimentPipelineEndToEnd runs one full figure point per driver

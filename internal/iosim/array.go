@@ -128,9 +128,6 @@ func (a *DeviceArray) Devices() int { return len(a.devices) }
 // Device returns the i-th spindle (tests and trace hooks).
 func (a *DeviceArray) Device(i int) *Disk { return a.devices[i] }
 
-// StripeChunk reports the striping granularity in blocks.
-func (a *DeviceArray) StripeChunk() int { return int(a.chunk) }
-
 // Bandwidth reports the aggregate sequential bandwidth in bytes/second.
 // Homogeneous arrays multiply (the historical, bit-pinned formula);
 // heterogeneous arrays sum the per-device rates.

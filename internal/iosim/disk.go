@@ -113,7 +113,6 @@ type ioReq struct {
 	blocks int
 	bytes  int64
 	ticket int64
-	prio   float64
 	arrive rt.Time // arrival on the owner's modelled clock (see rt.QueryCtx.Lead)
 	done   bool    // transfer window assigned
 	until  rt.Time // completion time, valid once done
@@ -145,9 +144,8 @@ const (
 	// at or ahead of the head; when nothing is ahead, wrap to the lowest
 	// pending block. Only the wrap (and the initial positioning) pays the
 	// seek penalty — forward jumps within a sweep ride the arm's travel.
-	// Ties at the same block are broken by I/O priority (higher first,
-	// see rt.QueryCtx.SetPriority), then by arrival ticket, preserving
-	// the ticketed-admission fairness of the FIFO path.
+	// Ties at the same block are broken by arrival ticket, preserving the
+	// ticketed-admission fairness of the FIFO path.
 	SchedElevator = "elevator"
 )
 
@@ -230,7 +228,6 @@ func (d *Disk) submit(req *ioReq) {
 	// Arrival: the atomic increment is the linearization point that fixes
 	// this request's queue position, before any mutex is contended.
 	req.ticket = d.tickets.Add(1) - 1
-	req.prio = req.q.Priority()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.queued++
@@ -359,7 +356,7 @@ func (d *Disk) dispatch() {
 
 // pickNext returns the index of the C-SCAN-best pending request: lowest
 // block at or ahead of the head, else (wrap) the lowest pending block;
-// equal blocks order by priority (higher first), then arrival ticket.
+// equal blocks order by arrival ticket.
 // Caller holds d.mu; pending is non-empty.
 func (d *Disk) pickNext() int {
 	head := BlockID(0)
@@ -376,8 +373,6 @@ func (d *Disk) pickNext() int {
 			better = rAhead
 		case r.block != b.block:
 			better = r.block < b.block
-		case r.prio != b.prio:
-			better = r.prio > b.prio
 		default:
 			better = r.ticket < b.ticket
 		}

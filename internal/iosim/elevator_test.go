@@ -52,31 +52,17 @@ func TestElevatorSeeksOnlyOnDirectionBreak(t *testing.T) {
 	}
 }
 
-// Same-block ties order by I/O priority (higher first), then by arrival
-// ticket — the ticketed-admission fairness of the FIFO path.
-func TestElevatorTieBreaksByPriorityThenTicket(t *testing.T) {
+// Same-block ties are served in arrival-ticket order — the
+// ticketed-admission fairness of the FIFO path.
+func TestElevatorTieBreaksByTicket(t *testing.T) {
 	eng := sim.NewEngine()
-	r := rt.Sim(eng)
-	d := NewDisk(r, Config{Bandwidth: 1e6, SeekLatency: 0, Scheduler: SchedElevator})
-
-	lo, hi := rt.NewQueryCtx(r), rt.NewQueryCtx(r)
-	hi.SetPriority(5)
-	var loEnd, hiEnd, eqAEnd, eqBEnd sim.Time
-	eng.Go("lo", func() { d.ReadOwner(lo, 20, 1, 100_000); loEnd = eng.Now() })
-	eng.Go("hi", func() { d.ReadOwner(hi, 20, 1, 100_000); hiEnd = eng.Now() })
+	d := newElevatorDisk(eng, 1e6)
+	var aEnd, bEnd sim.Time
+	eng.Go("a", func() { d.Read(20, 1, 100_000); aEnd = eng.Now() })
+	eng.Go("b", func() { d.Read(20, 1, 100_000); bEnd = eng.Now() })
 	eng.Run()
-	if hiEnd >= loEnd {
-		t.Fatalf("high-priority tie lost: hi end %v, lo end %v", hiEnd, loEnd)
-	}
-
-	// Equal priority: arrival ticket order.
-	eng2 := sim.NewEngine()
-	d2 := NewDisk(rt.Sim(eng2), Config{Bandwidth: 1e6, SeekLatency: 0, Scheduler: SchedElevator})
-	eng2.Go("a", func() { d2.Read(20, 1, 100_000); eqAEnd = eng2.Now() })
-	eng2.Go("b", func() { d2.Read(20, 1, 100_000); eqBEnd = eng2.Now() })
-	eng2.Run()
-	if eqAEnd >= eqBEnd {
-		t.Fatalf("ticket tie broken: first arrival ended %v, second %v", eqAEnd, eqBEnd)
+	if aEnd >= bEnd {
+		t.Fatalf("ticket tie broken: first arrival ended %v, second %v", aEnd, bEnd)
 	}
 }
 

@@ -88,25 +88,23 @@ type scriptedRead struct {
 	block    BlockID
 	blocks   int
 	bytes    int64
-	prio     float64
 	cancelAt time.Duration // 0: never
 }
 
 // queueScript puts everything a discipline decides in one queue: the
 // first two requests form a sequential run that keeps the device busy
 // for 10 ms while the rest arrive behind it — a forward and a backward
-// jump, two requests for the same block with different I/O priorities,
-// one whose owner is cancelled before it arrives (skipped at its turn by
-// either discipline) and one whose owner is cancelled mid-queue (FIFO
-// gave it its window on arrival; only the elevator still finds it
-// waiting).
+// jump, two requests for the same block, one whose owner is cancelled
+// before it arrives (skipped at its turn by either discipline) and one
+// whose owner is cancelled mid-queue (FIFO gave it its window on arrival;
+// only the elevator still finds it waiting).
 var queueScript = []scriptedRead{
 	{at: 0, block: 0, blocks: 4, bytes: 4000},
 	{at: 0, block: 4, blocks: 4, bytes: 4000},
 	{at: time.Millisecond, block: 100, blocks: 2, bytes: 900},
 	{at: time.Millisecond, block: 6, blocks: 1, bytes: 123},
-	{at: 2 * time.Millisecond, block: 50, blocks: 1, bytes: 500, prio: 1},
-	{at: 2 * time.Millisecond, block: 50, blocks: 1, bytes: 500, prio: 5},
+	{at: 2 * time.Millisecond, block: 50, blocks: 1, bytes: 500},
+	{at: 2 * time.Millisecond, block: 50, blocks: 1, bytes: 500},
 	{at: 2 * time.Millisecond, block: 60, blocks: 1, bytes: 800, cancelAt: 3 * time.Millisecond},
 	{at: 3 * time.Millisecond, block: 70, blocks: 1, bytes: 600, cancelAt: time.Millisecond},
 	{at: 3 * time.Millisecond, block: 61, blocks: 1, bytes: 700},
@@ -119,7 +117,6 @@ func runQueueScript(eng *sim.Engine, read func(q *rt.QueryCtx, b BlockID, blocks
 	for i, s := range queueScript {
 		i, s := i, s
 		q := rt.NewQueryCtx(rt.Sim(eng))
-		q.SetPriority(s.prio)
 		eng.Go("reader", func() {
 			eng.Sleep(s.at)
 			read(q, s.block, s.blocks, s.bytes)
@@ -169,8 +166,8 @@ func TestSingleDeviceArrayMatchesDisk(t *testing.T) {
 		t.Errorf("backward jump to block 6: FIFO ended it at %v, the next arrival at %v (want arrival order); the elevator at %v, the last arrival at %v (want it served after the sweep wraps)",
 			fifo[3], fifo[4], elev[3], elev[last])
 	}
-	if fifo[4] > fifo[5] || elev[5] > elev[4] {
-		t.Errorf("same-block tie: FIFO ended prio 1, 5 at %v, %v (want arrival order), the elevator at %v, %v (want the higher priority first)",
+	if fifo[4] > fifo[5] || elev[4] > elev[5] {
+		t.Errorf("same-block tie: FIFO ended the two at %v, %v, the elevator at %v, %v (want arrival order from both)",
 			fifo[4], fifo[5], elev[4], elev[5])
 	}
 }

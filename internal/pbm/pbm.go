@@ -179,10 +179,6 @@ type PBM struct {
 
 	victims []*pageMeta // pre-selected eviction batch
 
-	// Attach&throttle state (§5 extension; see throttle.go).
-	throttle     ThrottleConfig
-	evictHorizon float64 // EWMA of evicted pages' next-consumption (ns)
-
 	blockHeat map[iosim.BlockID]float64 // non-nil iff cfg.CollectBlockHeat
 }
 
@@ -327,9 +323,7 @@ const speedWindowTuples = 4096
 // total tuples the scan has consumed per column (scans move through all
 // their columns at the same tuple position). The scan's speed estimate is
 // an exponentially-weighted average of windowed progress observations.
-// It returns the throttle advice for the scan at its new position (see
-// ThrottleAdvice), so a scan enters PBM once per report.
-func (p *PBM) ReportScanPosition(id ScanID, tuplesConsumed int64) sim.Duration {
+func (p *PBM) ReportScanPosition(id ScanID, tuplesConsumed int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st, ok := p.scans[id]
@@ -351,7 +345,6 @@ func (p *PBM) ReportScanPosition(id ScanID, tuplesConsumed int64) sim.Duration {
 	}
 	st.tuplesConsumed = tuplesConsumed
 	p.refresh()
-	return p.throttleAdvice(st)
 }
 
 // UnregisterScan removes the scan and drops its claim on all pages it
@@ -607,7 +600,6 @@ func (p *PBM) Removed(f *buffer.Frame) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	m := f.PolicyState.(*pageMeta)
-	p.noteEviction(m)
 	if m.bucket != nil {
 		m.bucket.remove(m)
 	}
@@ -725,7 +717,7 @@ func (p *PBM) selectVictims() {
 }
 
 // ScanSpeed reports the current speed estimate for a scan (tuples/second),
-// exposed for tests and the attach/throttle extension.
+// exposed for tests.
 func (p *PBM) ScanSpeed(id ScanID) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -41,8 +41,8 @@ const (
 )
 
 // Fork returns the pacing domain of one scan thread of query q: a handle
-// that shares q's cancel signal, deadline, priority and hooks, and owns
-// its own debt. The thread that forks must be the one that charges and,
+// that shares q's cancel signal, deadline and hooks, and owns its own
+// debt. The thread that forks must be the one that charges and,
 // when its plan closes, calls Flush. A nil q forks to nil.
 func (q *QueryCtx) Fork() *QueryCtx {
 	if q == nil {

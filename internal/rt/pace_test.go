@@ -236,12 +236,11 @@ func TestPaceOnlyForksArePaced(t *testing.T) {
 }
 
 // TestPaceForkSharesLifecycle: a fork is the same query — cancel,
-// deadline, priority and hooks are the root's — and a cancelled query's
-// residual is not paid.
+// deadline and hooks are the root's — and a cancelled query's residual
+// is not paid.
 func TestPaceForkSharesLifecycle(t *testing.T) {
 	r := &steppedRT{over: []Duration{0}}
 	root := NewQueryCtx(r)
-	root.SetPriority(3)
 	a, b := root.Fork(), root.Fork()
 	fired := 0
 	a.OnCancel(func() { fired++ })
@@ -249,8 +248,8 @@ func TestPaceForkSharesLifecycle(t *testing.T) {
 	if b.Lead() != 0 {
 		t.Fatalf("a's debt shows on b: lead %v", b.Lead())
 	}
-	if a.Priority() != 3 || a.Cancelled() {
-		t.Fatalf("fork priority %v cancelled %v", a.Priority(), a.Cancelled())
+	if a.Cancelled() {
+		t.Fatal("fork of a live query is cancelled")
 	}
 	b.Cancel(CauseClientCancel)
 	if !root.Cancelled() || !a.Cancelled() || a.Cause() != CauseClientCancel || fired != 1 {

@@ -3,7 +3,6 @@ package rt
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -73,12 +72,11 @@ type QueryCtx struct {
 	debt  Duration // modelled time charged and not yet slept; negative is credit
 }
 
-// lifecycle is the cancel/deadline/priority state a root QueryCtx and
-// all its forks share.
+// lifecycle is the cancel/deadline state a root QueryCtx and all its
+// forks share.
 type lifecycle struct {
 	r     Runtime
 	cause atomic.Int32
-	prio  atomic.Uint64 // math.Float64bits of the I/O priority hint
 
 	mu          sync.Mutex
 	deadline    Time
@@ -189,26 +187,6 @@ func (q *QueryCtx) Err() error {
 		return nil
 	}
 	return fmt.Errorf("%w (%s)", ErrCancelled, c)
-}
-
-// SetPriority records the query's I/O priority hint — higher is more
-// urgent. Device schedulers use it only to order ties (same sweep
-// position), and buffer managers may consult it when choosing whom to
-// serve, so it biases rather than overrides position-aware scheduling.
-func (q *QueryCtx) SetPriority(p float64) {
-	if q == nil {
-		return
-	}
-	q.prio.Store(math.Float64bits(p))
-}
-
-// Priority returns the I/O priority hint (0 when unset or nil — every
-// query is equal by default).
-func (q *QueryCtx) Priority() float64 {
-	if q == nil {
-		return 0
-	}
-	return math.Float64frombits(q.prio.Load())
 }
 
 // OnCancel registers fn to run when the query is cancelled and returns a

@@ -3,6 +3,7 @@ package workload
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -45,12 +46,6 @@ type ServeAxes struct {
 	// first and places the hottest chunks on the fast tier via
 	// iosim.TemperaturePlacement.
 	Tiers []string
-	// StripeRowRA deepens scan read-ahead to one full stripe row on
-	// multi-device arrays (see Config.StripeRowRA).
-	StripeRowRA bool
-	// IOPriority threads each query's admission-policy signal down to
-	// the device queue (see ServeConfig.IOPriority).
-	IOPriority bool
 	// HotFrac and HotProb skew the query mix's range starts: with
 	// probability HotProb a query's scan range is drawn inside the first
 	// HotFrac of the table (the access skew temperature placement
@@ -123,130 +118,147 @@ const (
 	sideBoth
 )
 
-// axisFlag describes one registered flag: its name, where it is legal,
-// which end of the socket it configures, and whether the command line
-// set it (by value, matching the historical checks — an explicit
-// `-rowra=false` counts as unset).
+// axisFlag is the one declaration of a serving flag: its name, where it
+// is legal, which end of the socket it configures, its binding to a
+// ServeAxes field and its usage string. RegisterFlags, Parse and the scope
+// and side helpers are all loops over flagTable, so a flag cannot be in
+// one of them and not the others.
 type axisFlag struct {
 	name  string
 	scope axisScope
 	side  axisSide
-	set   func() bool
+	axisBinding
+	usage string
+}
+
+// axisBinding ties a flag to the field it fills: how to register it,
+// whether the command line set it (by value — an explicit `=false` or
+// `=0` counts as unset), and the parse or range check Parse runs on it
+// (nil: every value is legal).
+type axisBinding struct {
+	register func(fs *flag.FlagSet, name, usage string)
+	set      func() bool
+	check    func(name string) error
 }
 
 func (a *ServeAxes) flagTable() []axisFlag {
 	return []axisFlag{
-		{"rates", scopeServeCompare, sideClient, func() bool { return a.raw.rates != "" }},
-		{"mpls", scopeServeCompare, sideServer, func() bool { return a.raw.mpls != "" }},
-		{"devices", scopeFigure, sideServer, func() bool { return a.raw.devices != "" }},
-		{"stripe", scopeFigure, sideServer, func() bool { return a.StripeChunk != 0 }},
-		{"iosched", scopeServe, sideServer, func() bool { return a.raw.iosched != "" }},
-		{"tiers", scopeServe, sideServer, func() bool { return a.raw.tiers != "" }},
-		{"rowra", scopeServe, sideServer, func() bool { return a.StripeRowRA }},
-		{"ioprio", scopeServe, sideServer, func() bool { return a.IOPriority }},
-		{"hotfrac", scopeServe, sideClient, func() bool { return a.HotFrac != 0 }},
-		{"hotprob", scopeServe, sideClient, func() bool { return a.HotProb != 0 }},
-		{"json", scopeServe, sideClient, func() bool { return a.JSONOut != "" }},
-		{"policies", scopeServeCompare, sideServer, func() bool { return a.raw.policies != "" }},
-		{"tenants", scopeServeCompare, sideServer, func() bool { return a.Tenants != 0 }},
-		{"weights", scopeServeCompare, sideServer, func() bool { return a.raw.weights != "" }},
-		{"queue", scopeServeCompare, sideServer, func() bool { return a.QueueDepth != 0 }},
+		{"rates", scopeServeCompare, sideClient, list(&a.raw.rates, &a.Rates, positive(parseFloat)), "serve: comma-separated per-stream arrival rates in queries/s (default 1,5,20); -compare uses the first"},
+		{"mpls", scopeServeCompare, sideServer, list(&a.raw.mpls, &a.MPLs, positive(strconv.Atoi)), "serve: comma-separated MPL concurrency limits (default 8,32); -compare uses the first"},
+		{"devices", scopeFigure, sideServer, list(&a.raw.devices, &a.Devices, positive(strconv.Atoi)), "disk-array spindle counts: a comma-separated axis for -serve (default 1); the first value overrides the figure experiments' and -compare's single device"},
+		{"stripe", scopeFigure, sideServer, knob(&a.StripeChunk, notNegative[int]("default")), "disk-array stripe chunk in blocks (0 = default 16); meaningful with -devices > 1"},
+		{"iosched", scopeServe, sideServer, list(&a.raw.iosched, &a.IOSchedulers, oneOf(notOnMenu, "fifo", "elevator")), "serve: comma-separated device queue disciplines (fifo, elevator; default fifo); elevator services each spindle's queue as a C-SCAN sweep"},
+		{"tiers", scopeServe, sideServer, list(&a.raw.tiers, &a.Tiers, oneOf(notOnMenu, "flat", "tiered-rr", "tiered-temp")), "serve: comma-separated array tierings (flat, tiered-rr, tiered-temp; default flat); tiered cells make the first half of the devices an SSD-like fast tier, tiered-temp places the hottest chunks there from a profiling pass"},
+		{"hotfrac", scopeServe, sideClient, knob(&a.HotFrac, fraction), "serve: fraction of the table forming the hot region of a skewed query mix (0 = uniform)"},
+		{"hotprob", scopeServe, sideClient, knob(&a.HotProb, fraction), "serve: probability a query's range is drawn from the hot region (0 = uniform)"},
+		{"json", scopeServe, sideClient, knob(&a.JSONOut, nil), "serve: also write the sweep rows as JSON to this file (machine-readable benchmark output, wire.ServeStats schema)"},
+		{"policies", scopeServeCompare, sideServer, list(&a.raw.policies, &a.AdmissionPolicies, oneOf(unknownPolicy, sched.PolicyNames()...)), "serve: comma-separated admission policies (fifo, sesf, wfq; default fifo); -compare uses the first"},
+		{"tenants", scopeServeCompare, sideServer, knob(&a.Tenants, notNegative[int]("default")), "serve/compare: number of tenants streams are mapped onto (default 4)"},
+		{"weights", scopeServeCompare, sideServer, list(&a.raw.weights, &a.TenantWeights, positive(parseFloat)), "serve/compare: comma-separated per-tenant wfq weights, index = tenant id (default all 1)"},
+		{"queue", scopeServeCompare, sideServer, knob(&a.QueueDepth, nil), "serve/compare: admission queue depth (0 = default 64, negative = unbounded)"},
 		// The server measures SLO attainment against -slo; the load
 		// generator draws its cancel delays inside it.
-		{"slo", scopeServeCompare, sideBoth, func() bool { return a.SLO != 0 }},
-		{"selectivities", scopeServe, sideClient, func() bool { return a.raw.sels != "" }},
-		{"clustered", scopeServe, sideServer, func() bool { return a.Clustered }},
-		{"deadline", scopeServe, sideClient, func() bool { return a.Deadline != 0 }},
-		{"cancel", scopeServe, sideClient, func() bool { return a.CancelRate != 0 }},
-		{"writefrac", scopeServe, sideClient, func() bool { return a.WriteFrac != 0 }},
-		{"ckptops", scopeServe, sideServer, func() bool { return a.CheckpointOps != 0 }},
+		{"slo", scopeServeCompare, sideBoth, knob(&a.SLO, nil), "serve/compare: end-to-end latency SLO (default 250ms)"},
+		{"selectivities", scopeServe, sideClient, list(&a.raw.sels, &a.Selectivities, upToOne), "serve: comma-separated predicate selectivities in (0,1] (default 1 = unrestricted scans); below 1 every query carries an l_shipdate window of that fraction of the date domain, pruned by the zone maps"},
+		{"clustered", scopeServe, sideServer, knob(&a.Clustered, nil), "serve: generate lineitem sorted by l_shipdate so the zone maps have physical structure to prune against"},
+		{"deadline", scopeServe, sideClient, knob(&a.Deadline, notNegative[time.Duration]("disabled")), "serve: per-query end-to-end deadline; queued queries past it are dropped (to%), executing ones killed at the next lifecycle check (0 = no deadlines)"},
+		{"cancel", scopeServe, sideClient, knob(&a.CancelRate, fraction), "serve: fraction of queries whose client cancels them mid-flight, 0..1 (can%); each cancel lands a uniform [0,SLO) delay after issue"},
+		{"writefrac", scopeServe, sideClient, knob(&a.WriteFrac, fraction), "serve: fraction of queries that are updates (insert/delete/modify through the PDT write path), 0..1; 0 keeps the read-only stream"},
+		{"ckptops", scopeServe, sideServer, knob(&a.CheckpointOps, notNegative[int]("never")), "serve: committed update operations that trigger a background checkpoint/merge (0 = never); reads keep serving pinned snapshot views while the merge runs"},
+	}
+}
+
+// knob binds a single-valued flag straight onto its field; check, when
+// non-nil, is its range check.
+func knob[T bool | int | float64 | string | time.Duration](p *T, check func(name string, v T) error) axisBinding {
+	b := axisBinding{
+		register: func(fs *flag.FlagSet, name, usage string) {
+			switch p := any(p).(type) {
+			case *bool:
+				fs.BoolVar(p, name, false, usage)
+			case *int:
+				fs.IntVar(p, name, 0, usage)
+			case *float64:
+				fs.Float64Var(p, name, 0, usage)
+			case *string:
+				fs.StringVar(p, name, "", usage)
+			case *time.Duration:
+				fs.DurationVar(p, name, 0, usage)
+			}
+		},
+		set: func() bool { var zero T; return *p != zero },
+	}
+	if check != nil {
+		b.check = func(name string) error { return check(name, *p) }
+	}
+	return b
+}
+
+// list binds a comma-separated axis: the flag fills raw, and Parse
+// materializes dst from it, one element at a time through elem (which
+// gets the element as typed, untrimmed, for its complaint). Empty input
+// yields nil.
+func list[T any](raw *string, dst *[]T, elem func(name, f string) (T, error)) axisBinding {
+	return axisBinding{
+		register: func(fs *flag.FlagSet, name, usage string) { fs.StringVar(raw, name, "", usage) },
+		set:      func() bool { return *raw != "" },
+		check: func(name string) error {
+			*dst = nil
+			if *raw == "" {
+				return nil
+			}
+			var out []T
+			for _, f := range strings.Split(*raw, ",") {
+				v, err := elem(name, f)
+				if err != nil {
+					return err
+				}
+				out = append(out, v)
+			}
+			*dst = out
+			return nil
+		},
+	}
+}
+
+// fraction rejects a value outside [0,1].
+func fraction(name string, v float64) error {
+	if v < 0 || v > 1 {
+		return fmt.Errorf("-%s: bad value %g: must be in [0,1]", name, v)
+	}
+	return nil
+}
+
+// notNegative rejects a negative count or duration; zero is the flag's
+// "not set", which means what the note says.
+func notNegative[T int | time.Duration](zeroMeans string) func(name string, v T) error {
+	return func(name string, v T) error {
+		if v < 0 {
+			return fmt.Errorf("-%s: bad value %v: must be positive (0 = %s)", name, v, zeroMeans)
+		}
+		return nil
 	}
 }
 
 // RegisterFlags binds every serving flag onto fs with the historical
 // names and usage strings. Call Parse after fs.Parse.
 func (a *ServeAxes) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&a.raw.rates, "rates", "", "serve: comma-separated per-stream arrival rates in queries/s (default 1,5,20); -compare uses the first")
-	fs.StringVar(&a.raw.mpls, "mpls", "", "serve: comma-separated MPL concurrency limits (default 8,32); -compare uses the first")
-	fs.StringVar(&a.raw.devices, "devices", "", "disk-array spindle counts: a comma-separated axis for -serve (default 1); the first value overrides the figure experiments' and -compare's single device")
-	fs.IntVar(&a.StripeChunk, "stripe", 0, "disk-array stripe chunk in blocks (0 = default 16); meaningful with -devices > 1")
-	fs.StringVar(&a.raw.iosched, "iosched", "", "serve: comma-separated device queue disciplines (fifo, elevator; default fifo); elevator services each spindle's queue as a C-SCAN sweep")
-	fs.StringVar(&a.raw.tiers, "tiers", "", "serve: comma-separated array tierings (flat, tiered-rr, tiered-temp; default flat); tiered cells make the first half of the devices an SSD-like fast tier, tiered-temp places the hottest chunks there from a profiling pass")
-	fs.BoolVar(&a.StripeRowRA, "rowra", false, "serve: deepen scan read-ahead to one full stripe row on multi-device arrays (device-aware batch sizing)")
-	fs.BoolVar(&a.IOPriority, "ioprio", false, "serve: thread the admission policy's signal (wfq weight / sesf cost) to the device queue as per-query I/O priority")
-	fs.Float64Var(&a.HotFrac, "hotfrac", 0, "serve: fraction of the table forming the hot region of a skewed query mix (0 = uniform)")
-	fs.Float64Var(&a.HotProb, "hotprob", 0, "serve: probability a query's range is drawn from the hot region (0 = uniform)")
-	fs.StringVar(&a.JSONOut, "json", "", "serve: also write the sweep rows as JSON to this file (machine-readable benchmark output, wire.ServeStats schema)")
-	fs.StringVar(&a.raw.policies, "policies", "", "serve: comma-separated admission policies (fifo, sesf, wfq; default fifo); -compare uses the first")
-	fs.IntVar(&a.Tenants, "tenants", 0, "serve/compare: number of tenants streams are mapped onto (default 4)")
-	fs.StringVar(&a.raw.weights, "weights", "", "serve/compare: comma-separated per-tenant wfq weights, index = tenant id (default all 1)")
-	fs.IntVar(&a.QueueDepth, "queue", 0, "serve/compare: admission queue depth (0 = default 64, negative = unbounded)")
-	fs.DurationVar(&a.SLO, "slo", 0, "serve/compare: end-to-end latency SLO (default 250ms)")
-	fs.StringVar(&a.raw.sels, "selectivities", "", "serve: comma-separated predicate selectivities in (0,1] (default 1 = unrestricted scans); below 1 every query carries an l_shipdate window of that fraction of the date domain, pruned by the zone maps")
-	fs.BoolVar(&a.Clustered, "clustered", false, "serve: generate lineitem sorted by l_shipdate so the zone maps have physical structure to prune against")
-	fs.DurationVar(&a.Deadline, "deadline", 0, "serve: per-query end-to-end deadline; queued queries past it are dropped (to%), executing ones killed at the next lifecycle check (0 = no deadlines)")
-	fs.Float64Var(&a.CancelRate, "cancel", 0, "serve: fraction of queries whose client cancels them mid-flight, 0..1 (can%); each cancel lands a uniform [0,SLO) delay after issue")
-	fs.Float64Var(&a.WriteFrac, "writefrac", 0, "serve: fraction of queries that are updates (insert/delete/modify through the PDT write path), 0..1; 0 keeps the read-only stream")
-	fs.IntVar(&a.CheckpointOps, "ckptops", 0, "serve: committed update operations that trigger a background checkpoint/merge (0 = never); reads keep serving pinned snapshot views while the merge runs")
+	for _, f := range a.flagTable() {
+		f.register(fs, f.name, f.usage)
+	}
 }
 
 // Parse materializes and validates the typed axes from the raw flag
 // values. Errors name the flag and offending element in the historical
 // style (the caller prefixes the program name).
 func (a *ServeAxes) Parse() error {
-	var err error
-	if a.Rates, err = parseAxisElems(a.raw.rates, "rates", parseFloat); err != nil {
-		return err
-	}
-	if a.MPLs, err = parseAxisElems(a.raw.mpls, "mpls", strconv.Atoi); err != nil {
-		return err
-	}
-	if a.Devices, err = parseAxisElems(a.raw.devices, "devices", strconv.Atoi); err != nil {
-		return err
-	}
-	if a.TenantWeights, err = parseAxisElems(a.raw.weights, "weights", parseFloat); err != nil {
-		return err
-	}
-	if a.Selectivities, err = parseAxisElems(a.raw.sels, "selectivities", parseFloat); err != nil {
-		return err
-	}
-	for _, s := range a.Selectivities {
-		if s > 1 {
-			return fmt.Errorf("-selectivities: bad element %g: must be in (0,1]", s)
+	for _, f := range a.flagTable() {
+		if f.check == nil {
+			continue
 		}
-	}
-	if a.IOSchedulers, err = parseNameElems(a.raw.iosched, "iosched", "fifo", "elevator"); err != nil {
-		return err
-	}
-	if a.Tiers, err = parseNameElems(a.raw.tiers, "tiers", "flat", "tiered-rr", "tiered-temp"); err != nil {
-		return err
-	}
-	if a.AdmissionPolicies, err = parsePolicyElems(a.raw.policies); err != nil {
-		return err
-	}
-	if a.CancelRate < 0 || a.CancelRate > 1 {
-		return fmt.Errorf("-cancel: bad value %g: must be in [0,1]", a.CancelRate)
-	}
-	if a.WriteFrac < 0 || a.WriteFrac > 1 {
-		return fmt.Errorf("-writefrac: bad value %g: must be in [0,1]", a.WriteFrac)
-	}
-	if a.CheckpointOps < 0 {
-		return fmt.Errorf("-ckptops: bad value %d: must be positive (0 = never)", a.CheckpointOps)
-	}
-	if a.Deadline < 0 {
-		return fmt.Errorf("-deadline: bad value %v: must be positive (0 = disabled)", a.Deadline)
-	}
-	if a.Tenants < 0 {
-		return fmt.Errorf("-tenants: bad value %d: must be positive (0 = default)", a.Tenants)
-	}
-	if a.StripeChunk < 0 {
-		return fmt.Errorf("-stripe: bad value %d: must be positive (0 = default)", a.StripeChunk)
-	}
-	if a.HotFrac < 0 || a.HotFrac > 1 {
-		return fmt.Errorf("-hotfrac: bad value %g: must be in [0,1]", a.HotFrac)
-	}
-	if a.HotProb < 0 || a.HotProb > 1 {
-		return fmt.Errorf("-hotprob: bad value %g: must be in [0,1]", a.HotProb)
+		if err := f.check(f.name); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -288,68 +300,48 @@ func (a *ServeAxes) setWhere(match func(axisFlag) bool) []string {
 	return out
 }
 
-// parseAxisElems parses the comma-separated value of axis flag -name
-// into positive values; empty input yields nil. Every axis flag reports
-// mistakes the same way instead of hand-rolling its own validation.
-func parseAxisElems[T int | float64](s, name string, parse func(string) (T, error)) ([]T, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []T
-	for _, f := range strings.Split(s, ",") {
+// positive returns the element parser of a numeric axis: the element
+// must parse and be positive. Every axis flag reports mistakes the same
+// way instead of hand-rolling its own validation.
+func positive[T int | float64](parse func(string) (T, error)) func(name, f string) (T, error) {
+	return func(name, f string) (T, error) {
 		v, err := parse(strings.TrimSpace(f))
 		if err != nil {
-			return nil, fmt.Errorf("-%s: bad element %q: not a number", name, f)
+			return v, fmt.Errorf("-%s: bad element %q: not a number", name, f)
 		}
 		if v <= 0 {
-			return nil, fmt.Errorf("-%s: bad element %q: must be positive", name, f)
+			return v, fmt.Errorf("-%s: bad element %q: must be positive", name, f)
 		}
-		out = append(out, v)
+		return v, nil
 	}
-	return out, nil
 }
 
-// parseNameElems parses an enumerated axis, validating every element
-// against the menu so a typo fails with the valid set listed.
-func parseNameElems(s, name string, valid ...string) ([]string, error) {
-	if s == "" {
-		return nil, nil
+// upToOne parses a positive element that is at most 1.
+func upToOne(name, f string) (float64, error) {
+	v, err := positive(parseFloat)(name, f)
+	if err == nil && v > 1 {
+		err = fmt.Errorf("-%s: bad element %g: must be in (0,1]", name, v)
 	}
-	known := map[string]bool{}
-	for _, v := range valid {
-		known[v] = true
-	}
-	var out []string
-	for _, f := range strings.Split(s, ",") {
+	return v, err
+}
+
+// Complaint formats of the enumerated axes: flag name, offending
+// element, menu.
+const (
+	notOnMenu     = "-%s: bad element %q (valid: %s)"
+	unknownPolicy = "-%s: unknown admission policy %q (registered: %s)"
+)
+
+// oneOf returns the element parser of an enumerated axis, validating the
+// element against the menu so a typo fails with the valid set listed.
+func oneOf(complaint string, valid ...string) func(name, f string) (string, error) {
+	return func(name, f string) (string, error) {
 		v := strings.TrimSpace(f)
-		if !known[v] {
-			return nil, fmt.Errorf("-%s: bad element %q (valid: %s)", name, v, strings.Join(valid, ", "))
+		if !slices.Contains(valid, v) {
+			return v, fmt.Errorf(complaint, name, v, strings.Join(valid, ", "))
 		}
-		out = append(out, v)
+		return v, nil
 	}
-	return out, nil
-}
-
-// parsePolicyElems validates the -policies axis against the registered
-// admission policies.
-func parsePolicyElems(s string) ([]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	valid := sched.PolicyNames()
-	known := map[string]bool{}
-	for _, name := range valid {
-		known[name] = true
-	}
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		name := strings.TrimSpace(f)
-		if !known[name] {
-			return nil, fmt.Errorf("-policies: unknown admission policy %q (registered: %s)", name, strings.Join(valid, ", "))
-		}
-		out = append(out, name)
-	}
-	return out, nil
 }
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"flag"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +102,45 @@ func TestServeAxesScopes(t *testing.T) {
 	}
 	if got := b.ServeOrCompareOnly(); len(got) != 0 {
 		t.Errorf("ServeOrCompareOnly() on defaults = %v, want empty", got)
+	}
+}
+
+// TestServeAxesRegisteredFlagsAreClassified: every name RegisterFlags
+// binds is one the scope and side helpers know. With each flag set to a
+// legal non-zero value, the flags some mode or binary would reject —
+// serve/compare-scoped, client-side, server-side — must be all of them,
+// so a flag can never be registered without being classified, or
+// classified into no list at all.
+func TestServeAxesRegisteredFlagsAreClassified(t *testing.T) {
+	var a ServeAxes
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	a.RegisterFlags(fs)
+	values := map[string]string{ // everything else takes "1"
+		"iosched": "elevator", "tiers": "tiered-rr", "policies": "wfq",
+		"clustered": "true", "slo": "1s", "deadline": "1s",
+	}
+	registered := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) {
+		registered[f.Name] = true
+		v, ok := values[f.Name]
+		if !ok {
+			v = "1"
+		}
+		if err := fs.Set(f.Name, v); err != nil {
+			t.Fatalf("-%s=%s: %v (give the flag a legal value in this test)", f.Name, v, err)
+		}
+	})
+	if err := a.Parse(); err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	classified := map[string]bool{}
+	for _, names := range [][]string{a.ServeOrCompareOnly(), a.ClientSide(), a.ServerSide()} {
+		for _, n := range names {
+			classified[n] = true
+		}
+	}
+	if !reflect.DeepEqual(registered, classified) {
+		t.Errorf("registered flags %v, classified flags %v", registered, classified)
 	}
 }
 

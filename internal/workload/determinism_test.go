@@ -21,21 +21,6 @@ func TestRunMicroBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunMicroThrottleBitIdentical pins the §5 attach&throttle variant,
-// which historically was the one nondeterministic configuration: the
-// throttle advice picked the trailing scan out of a map iteration, so
-// equally-distant trailers tie-broke on randomized map order.
-func TestRunMicroThrottleBitIdentical(t *testing.T) {
-	cfg := tinyMicroConfig()
-	cfg.Policy = PBM
-	cfg.Throttle = true
-	a := RunMicro(tinyDB, cfg)
-	b := RunMicro(tinyDB, cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("RunMicro with throttle not bit-identical across runs:\n%+v\n%+v", a, b)
-	}
-}
-
 func TestRunTPCHBitIdentical(t *testing.T) {
 	cfg := DefaultTPCHConfig()
 	cfg.Policy = CScan

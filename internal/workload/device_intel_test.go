@@ -8,47 +8,10 @@ import (
 	"repro/internal/tpch"
 )
 
-// smallDB is a step up from tinyDB for the device-intelligence tests:
-// tinyDB's columns span too few 16 KB pages for a stripe row to fan out
-// or for block heat to have a visible shape.
+// smallDB is a step up from tinyDB for the block-heat test: tinyDB's
+// columns span too few 16 KB pages for block heat to have a visible
+// shape.
 var smallDB = tpch.Generate(0.02, 11)
-
-// TestStripeRowRAAggregateBandwidth pins the device-aware read-ahead
-// win: a single cold stream with a shallow base window reads one block
-// at a time, so a 4-spindle array serves it at roughly one spindle's
-// bandwidth. Deepening to a stripe row (StripeRowRA) makes every load
-// batch span all spindles, so the achieved aggregate bandwidth must
-// clear at least twice a single spindle's.
-func TestStripeRowRAAggregateBandwidth(t *testing.T) {
-	run := func(rowRA bool) *Result {
-		cfg := tinyMicroConfig()
-		cfg.Policy = LRU
-		cfg.Streams = 1
-		cfg.ThreadsPerQuery = 1
-		cfg.QueriesPerStream = 1
-		cfg.RangePercents = []int{100}
-		cfg.BufferFrac = 1.0 // cold pass only: every load is a read batch
-		cfg.BandwidthMB = 2  // slow spindles so I/O dominates the makespan
-		cfg.Devices = 4
-		cfg.StripeChunk = 4
-		cfg.ReadAheadTuples = 1 // shallow base window: one block per batch
-		cfg.StripeRowRA = rowRA
-		return RunMicro(smallDB, cfg)
-	}
-	off, on := run(false), run(true)
-	if off.TotalIOBytes != on.TotalIOBytes {
-		t.Fatalf("cold-pass I/O volume diverged: %d vs %d", off.TotalIOBytes, on.TotalIOBytes)
-	}
-	mbps := func(r *Result) float64 {
-		return float64(r.DiskStats.BytesRead) / 1e6 / r.MaxStreamSec
-	}
-	if mbps(on) <= mbps(off) {
-		t.Fatalf("stripe-row RA bandwidth %.2f MB/s not above base %.2f MB/s", mbps(on), mbps(off))
-	}
-	if want := 2 * 2.0; mbps(on) < want {
-		t.Fatalf("stripe-row RA bandwidth %.2f MB/s below 2x one spindle (%.1f MB/s)", mbps(on), want)
-	}
-}
 
 // The elevator discipline must stay bit-reproducible on the simulator
 // and must actually reduce seeks against FIFO service at an I/O-bound
@@ -74,34 +37,6 @@ func TestServeElevatorDeterministicAndFewerSeeks(t *testing.T) {
 	}
 	if a.DiskStats.Seeks >= fifo.DiskStats.Seeks {
 		t.Fatalf("elevator seeks %d not below fifo seeks %d", a.DiskStats.Seeks, fifo.DiskStats.Seeks)
-	}
-}
-
-// I/O priority threading is a smoke-plus-determinism check: wfq weights
-// reach the device queue as per-query hints without disturbing the
-// scheduler's accounting, on both the pool path and the ABM path.
-func TestServeIOPriorityDeterministic(t *testing.T) {
-	for _, pol := range []Policy{PBM, CScan} {
-		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
-			run := func() *ServeResult {
-				cfg := ioBoundServeConfig()
-				cfg.Policy = pol
-				cfg.Devices = 4
-				cfg.IOScheduler = "elevator"
-				cfg.AdmissionPolicy = "wfq"
-				cfg.TenantWeights = []float64{4, 1, 1, 1}
-				cfg.IOPriority = true
-				return RunServe(tinyDB, cfg)
-			}
-			a, b := run(), run()
-			if a.Sched.Completed+a.Sched.Rejected+a.Sched.TimedOut != a.Sched.Arrived {
-				t.Fatalf("accounting leak: %+v", a.Sched)
-			}
-			if a.Sched != b.Sched || !reflect.DeepEqual(a.DiskStats, b.DiskStats) {
-				t.Fatalf("ioprio nondeterministic:\n%+v %+v\n%+v %+v", a.Sched, a.DiskStats, b.Sched, b.DiskStats)
-			}
-		})
 	}
 }
 

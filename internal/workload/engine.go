@@ -24,14 +24,13 @@ import (
 // carry arbitrary predicates and updates; both are inert until a query
 // uses them. Methods are safe for concurrent use by handler goroutines.
 type ServeEngine struct {
-	cfg     ServeConfig
-	db      *tpch.DB
-	e       *env
-	sch     *sched.Scheduler
-	cost    exec.ScanCostModel
-	weights map[int]float64
-	n       int64
-	start   rt.Time
+	cfg   ServeConfig
+	db    *tpch.DB
+	e     *env
+	sch   *sched.Scheduler
+	cost  exec.ScanCostModel
+	n     int64
+	start rt.Time
 
 	// htap is the write path: the PDT store anchored at the catalog's
 	// cached snapshot, the checkpoint trigger, and the merge measurement
@@ -96,9 +95,8 @@ func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
 			Policy:        cfg.AdmissionPolicy,
 			TenantWeights: weights,
 		}),
-		weights: weights,
-		n:       db.Snapshot("lineitem").NumTuples(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		n:   db.Snapshot("lineitem").NumTuples(),
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	// Pricing a query takes the PBM mutex and averages observed speeds;
 	// skip it entirely for policies that never read the estimate.
@@ -251,33 +249,10 @@ func (en *ServeEngine) openWindow() {
 }
 
 // Admit runs the admission scheduler for q, blocking while queued; the
-// first admission opens the stats window. When the engine's IOPriority
-// knob is on, the query's context receives the policy-derived device
-// priority hint first.
+// first admission opens the stats window.
 func (en *ServeEngine) Admit(q sched.Query) (*sched.Ticket, sched.AdmitOutcome) {
 	en.openWindow()
-	if en.cfg.IOPriority {
-		q.Ctx.SetPriority(en.ioPriority(q.Tenant, q.Cost))
-	}
 	return en.sch.AdmitQueryOutcome(q)
-}
-
-// ioPriority derives a query's device-level priority hint from the
-// admission policy's own ordering signal: under wfq a query carries its
-// tenant's fair-share weight (heavier tenants win ties), under sesf its
-// negated cost estimate (shorter queries win). Under fifo every query is
-// equal, so the elevator falls through to its arrival-ticket tie-break.
-func (en *ServeEngine) ioPriority(tenant int, cost float64) float64 {
-	switch en.cfg.AdmissionPolicy {
-	case "wfq":
-		if w, ok := en.weights[tenant]; ok {
-			return w
-		}
-		return 1
-	case "sesf":
-		return -cost
-	}
-	return 0
 }
 
 // Request prices one generated query at its arrival — the expected-work

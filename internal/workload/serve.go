@@ -73,14 +73,6 @@ type ServeConfig struct {
 	// issued, whether it is still queued or already executing. Zero (the
 	// default) draws nothing and changes nothing.
 	CancelRate float64
-	// IOPriority threads the admission policy's ordering signal down to
-	// the device queue as each query's I/O priority hint: wfq queries
-	// carry their tenant weight, sesf queries their negated cost estimate
-	// (shorter first). The elevator scheduler uses the hint to order
-	// same-position ties and ABM's chooseQuery consults it. Off by
-	// default: enabling it creates a QueryCtx per query, which the
-	// historical paths do not.
-	IOPriority bool
 	// WriteFrac is the fraction of each stream's queries that are update
 	// statements (insert/delete/modify against the lineitem PDT store)
 	// instead of scans. Writes are admitted through the same policies and
@@ -183,7 +175,7 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 				// QueryCtx-free paths. The real runtime always needs one:
 				// it is what a scan thread paces its modelled time on.
 				var qc *exec.QueryCtx
-				if cfg.Deadline > 0 || d.Cancel || cfg.IOPriority || r.Real() {
+				if cfg.Deadline > 0 || d.Cancel || r.Real() {
 					qc = en.NewQueryCtx(cfg.Deadline)
 					if d.Cancel {
 						wg.Add(1)

@@ -110,8 +110,6 @@ type Config struct {
 	// SharingSampler, when positive, samples the sharing-potential
 	// histogram every interval (PBM-family policies only).
 	SharingSampler sim.Duration
-	// Throttle enables the §5 PBM attach&throttle extension.
-	Throttle bool
 	// Devices is the number of independent spindles in the striped disk
 	// array; 0 (and 1) mean the single-device model the paper's figures
 	// are reproduced with. Each device keeps the full BandwidthMB, so
@@ -129,12 +127,6 @@ type Config struct {
 	// (iosim.Config.Scheduler): "" or "fifo" keeps the historical FIFO
 	// service bit-identical; "elevator" runs a C-SCAN sweep per spindle.
 	IOScheduler string
-	// StripeRowRA deepens the scans' read-ahead window to at least one
-	// full stripe row (Devices × StripeChunk blocks) when the array has
-	// more than one device, so a single scan's read batch lands a piece on
-	// every spindle. Off by default: it changes load batching on existing
-	// multi-device configurations.
-	StripeRowRA bool
 	// FastDevices makes the first N spindles an SSD-like fast tier: zero
 	// seek latency and FastBandwidthX times the base bandwidth. Zero keeps
 	// the array homogeneous (bit-identical).
@@ -304,9 +296,6 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 		PerTupleCPU:     cfg.PerTupleCPU,
 		ReadAheadTuples: ra,
 	}
-	if cfg.StripeRowRA && e.Disk.Devices() > 1 {
-		e.Ctx.StripeRowBlocks = e.Disk.Devices() * e.Disk.StripeChunk()
-	}
 	if cfg.Real {
 		e.Ctx.Workers = rt.NewWorkerPool(r, cfg.Cores)
 	}
@@ -339,11 +328,6 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 			pc.LRUMode = cfg.Policy == PBMLRU
 			pc.CollectBlockHeat = cfg.CollectBlockHeat
 			e.PBM = pbm.New(r, pc)
-			if cfg.Throttle {
-				tc := pbm.DefaultThrottleConfig()
-				tc.Enabled = true
-				e.PBM.SetThrottle(tc)
-			}
 			policy = e.PBM
 			e.Ctx.PBM = e.PBM
 		}

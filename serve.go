@@ -218,8 +218,6 @@ func (o ServeOptions) config(c serveCell) ServeConfig {
 	if c.sel > 0 && c.sel < 1 {
 		cfg.Selectivities = []float64{c.sel}
 	}
-	cfg.StripeRowRA = o.StripeRowRA
-	cfg.IOPriority = o.IOPriority
 	cfg.HotFrac, cfg.HotProb = o.HotFrac, o.HotProb
 	cfg.Tenants, cfg.TenantWeights = o.Tenants, o.TenantWeights
 	if o.QueueDepth != 0 {
