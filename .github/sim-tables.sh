@@ -1,22 +1,29 @@
 #!/usr/bin/env bash
-# Usage: sim-tables.sh <scanbench binary> <output dir>
+# Usage: sim-tables.sh <dir holding scanbench, scanserved and scanload> <output dir>
 #
 # Runs every deterministic (simulator) scanbench cell CI prints, plus two
 # figure sweeps and a weighted-wfq elevator cell, and writes one table
-# per cell without its wall-clock "# ... done in" trailer. Two builds
-# whose simulations follow the same trajectory produce identical
-# directories (`diff -r`); CI's `full` job holds a PR to its base that way.
+# per cell without its wall-clock "# ... done in" trailer; the policy
+# and compare cells also in their -tsv form, so both renderings of the
+# serve columns are held. The -h text of the three binaries (minus the
+# line naming the binary's path) pins the flag surface. Two builds whose
+# simulations follow the same trajectory and whose command lines are the
+# same produce identical directories (`diff -r`); CI's `full` job holds a
+# PR to its base that way.
 set -euo pipefail
 bin=$1 out=$2
 mkdir -p "$out"
 cell() { # cell <name> <scanbench args...>
 	local name=$1
 	shift
-	"$bin" "$@" | grep -v 'done in' >"$out/$name.txt"
+	"$bin/scanbench" "$@" | grep -v 'done in' >"$out/$name.txt"
 }
 serve=(-serve -sf 0.01 -streams 8 -rates 50)
-cell policy "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 \
-	-policies fifo,sesf,wfq -tenants 2 -weights 3,1 -selectivities 1,0.01 -clustered
+policy=("${serve[@]}" -queries 2 -mpls 4 -devices 1,4
+	-policies fifo,sesf,wfq -tenants 2 -weights 3,1 -selectivities 1,0.01 -clustered)
+compare=(-compare -sf 0.01 -streams 8 -queries 2 -rates 30 -mpls 2)
+cell policy "${policy[@]}"
+cell policy-tsv -tsv "${policy[@]}"
 cell lifecycle "${serve[@]}" -queries 2 -mpls 1 \
 	-policies fifo,sesf,wfq -tenants 2 -weights 3,1 -slo 20ms -deadline 30ms -cancel 0.3
 cell update-mix "${serve[@]}" -queries 4 -mpls 4 \
@@ -26,6 +33,10 @@ cell tiering "${serve[@]}" -queries 2 -mpls 4 -devices 4 -tiers flat,tiered-temp
 cell wfq-elevator "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 -iosched elevator \
 	-policies wfq -tenants 2 -weights 3,1
 cell devices -serve -sf 0.01 -rates 5 -mpls 8 -devices 1,4
-cell compare -compare -sf 0.01 -streams 8 -queries 2 -rates 30 -mpls 2
+cell compare "${compare[@]}"
+cell compare-tsv -tsv "${compare[@]}"
 cell fig11 -sf 0.01 fig11
 cell fig14 -sf 0.01 fig14
+for b in scanbench scanserved scanload; do
+	"$bin/$b" -h 2>&1 | grep -v '^Usage of ' >"$out/help-$b.txt"
+done

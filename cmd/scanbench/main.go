@@ -35,10 +35,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -49,34 +50,26 @@ import (
 
 func main() {
 	var (
-		sf      = flag.Float64("sf", 0.05, "TPC-H scale factor of the generated data")
-		seed    = flag.Int64("seed", 42, "workload and generator seed")
-		streams = flag.Int("streams", 0, "override concurrent streams")
-		queries = flag.Int("queries", 0, "override queries per stream")
-		threads = flag.Int("threads", 0, "override threads per query")
-		cores   = flag.Int("cores", 0, "override simulated cores")
-		cpu     = flag.Duration("cpu", 0, "override per-tuple CPU cost")
-		tsv     = flag.Bool("tsv", false, "emit tab-separated values")
+		tsv = flag.Bool("tsv", false, "emit tab-separated values")
 
 		serve   = flag.Bool("serve", false, "run the open-loop serving sweep (arrival rate x MPL x policy x devices x admission policy)")
 		compare = flag.Bool("compare", false, "run the closed-vs-open-loop comparison at one serving configuration")
 		real    = flag.Bool("real", false, "run -serve/-compare on the real-threaded runtime (goroutines, wall-clock time) instead of the simulator")
 	)
-	// Every serving axis and knob (-rates, -mpls, -iosched, -deadline, ...)
-	// is declared once in scanshare.ServeAxes — shared with cmd/scanserved
-	// and cmd/scanload — instead of per-binary flag lists.
+	// The per-run flags (-sf, -seed, -streams, ...) and every serving axis
+	// and knob (-rates, -mpls, -iosched, -deadline, ...) are declared once,
+	// on scanshare.Options and scanshare.ServeAxes — shared with
+	// cmd/scanserved and cmd/scanload — instead of per-binary flag lists.
+	opts := scanshare.DefaultOptions()
 	var axes scanshare.ServeAxes
+	opts.RegisterFlags(flag.CommandLine, true, true)
 	axes.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if err := axes.Parse(); err != nil {
 		fmt.Fprintf(os.Stderr, "scanbench: %v\n", err)
 		os.Exit(2)
 	}
-	opts := scanshare.Options{
-		SF: *sf, Seed: *seed, Streams: *streams, QueriesPerStream: *queries,
-		ThreadsPerQuery: *threads, Cores: *cores, PerTupleCPU: *cpu,
-		StripeChunk: axes.StripeChunk,
-	}
+	opts.StripeChunk = axes.StripeChunk
 	if len(axes.Devices) > 0 {
 		opts.Devices = axes.Devices[0]
 	}
@@ -102,7 +95,11 @@ func main() {
 		rows := scanshare.ServeSweep(scanshare.ServeOptions{Options: opts, ServeAxes: axes, Real: *real})
 		printServe(rows, *real, *tsv)
 		if axes.JSONOut != "" {
-			writeServeJSON(axes.JSONOut, rows)
+			if err := scanshare.WriteServeRows(axes.JSONOut, rows); err != nil {
+				fmt.Fprintf(os.Stderr, "scanbench: -json: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Printf("# wrote %d rows to %s\n", len(rows), axes.JSONOut)
 		}
 		fmt.Printf("# serve done in %v\n", time.Since(start).Round(time.Millisecond))
 		return
@@ -191,37 +188,28 @@ func printSweep(title, xlabel string, rows []scanshare.SweepRow, tsv bool) {
 	sort.Float64s(xs)
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "-- average stream time (s) --\n")
-	fmt.Fprintf(w, "%s", xlabel)
-	for _, p := range policies {
-		if p == "OPT" {
-			continue // OPT has no time series (I/O-only simulation, §4)
+	for _, panel := range []struct {
+		title, verb string
+		series      []string
+		value       func(scanshare.SweepRow) float64
+	}{
+		// OPT has no time series (I/O-only simulation, §4).
+		{"-- average stream time (s) --", "\t%.3f", policies[:3], func(r scanshare.SweepRow) float64 { return r.AvgStreamSec }},
+		{"-- total I/O volume (MB) --", "\t%.1f", policies, func(r scanshare.SweepRow) float64 { return r.IOMB }},
+	} {
+		fmt.Fprintln(w, panel.title)
+		fmt.Fprint(w, xlabel)
+		for _, p := range panel.series {
+			fmt.Fprintf(w, "\t%s", p)
 		}
-		fmt.Fprintf(w, "\t%s", p)
-	}
-	fmt.Fprintln(w)
-	for _, x := range xs {
-		fmt.Fprintf(w, "%g", x)
-		for _, p := range policies {
-			if p == "OPT" {
-				continue
+		fmt.Fprintln(w)
+		for _, x := range xs {
+			fmt.Fprintf(w, "%g", x)
+			for _, p := range panel.series {
+				fmt.Fprintf(w, panel.verb, panel.value(cell[x][p]))
 			}
-			fmt.Fprintf(w, "\t%.3f", cell[x][p].AvgStreamSec)
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "-- total I/O volume (MB) --\n")
-	fmt.Fprintf(w, "%s", xlabel)
-	for _, p := range policies {
-		fmt.Fprintf(w, "\t%s", p)
-	}
-	fmt.Fprintln(w)
-	for _, x := range xs {
-		fmt.Fprintf(w, "%g", x)
-		for _, p := range policies {
-			fmt.Fprintf(w, "\t%.1f", cell[x][p].IOMB)
-		}
-		fmt.Fprintln(w)
 	}
 	w.Flush()
 }
@@ -263,55 +251,103 @@ func printAblation(rows []scanshare.AblationRow, tsv bool) {
 	w.Flush()
 }
 
-// printServe renders the serving sweep: one row per (rate, MPL, policy,
-// devices, I/O scheduler, tiering, admission policy, selectivity) cell with
-// throughput, latency percentiles, the lifecycle outcome shares (to% =
-// deadline kills, can% = client cancels, as fractions of arrivals), SLO
-// attainment, the per-tenant p95/SLO breakdown, the zone-map skip rate,
-// the achieved aggregate read bandwidth, and — on mixed read/write cells
-// (-writefrac) — the write throughput, completed checkpoint/merge count
-// and the p95 of reads overlapping a merge window; device counts,
+// column is one column of the serve table: its -tsv name and its
+// aligned-table header (empty: -tsv only), the verb of each rendering,
+// and the value it prints. A []float64 value is a per-tenant cell: the
+// verb formats each element, comma-joined, index = tenant id.
+type column struct {
+	tsv, head     string
+	tsvVerb, verb string
+	value         func(scanshare.ServeRow) any
+}
+
+// serveColumns is the serve table, both renderings: the axis labels of
+// a (rate, MPL, policy, admission policy, devices, I/O scheduler,
+// tiering, selectivity) cell, then throughput, the lifecycle outcome
+// shares (to% = deadline kills, can% = client cancels, as fractions of
+// arrivals), on mixed read/write cells (-writefrac) the write
+// throughput, completed checkpoint/merge count and the p95 of reads
+// overlapping a merge window, the latency percentiles, SLO attainment
+// overall and per tenant, the zone-map skip rate, and the device
+// counters. printServe prints all of it and printCompare a named subset.
+var serveColumns = []column{
+	{"rate_qps", "rate/stream", "%g", "%g", func(r scanshare.ServeRow) any { return r.Rate }},
+	{"mpl", "MPL", "%d", "%d", func(r scanshare.ServeRow) any { return r.MPL }},
+	{"policy", "policy", "%s", "%s", func(r scanshare.ServeRow) any { return r.Policy }},
+	{"admission", "admit", "%s", "%s", func(r scanshare.ServeRow) any { return r.Admission }},
+	{"devices", "devs", "%d", "%d", func(r scanshare.ServeRow) any { return r.Devices }},
+	{"iosched", "iosched", "%s", "%s", func(r scanshare.ServeRow) any { return r.IOSched }},
+	{"tier", "tier", "%s", "%s", func(r scanshare.ServeRow) any { return r.Tier }},
+	{"selectivity", "sel", "%g", "%g", func(r scanshare.ServeRow) any { return r.Selectivity }},
+	{"completed", "done", "%d", "%d", func(r scanshare.ServeRow) any { return r.Completed }},
+	{"rejected", "rej", "%d", "%d", func(r scanshare.ServeRow) any { return r.Rejected }},
+	{"timedout_pct", "to%", "%.1f", "%.1f", func(r scanshare.ServeRow) any { return r.ToPct }},
+	{"cancelled_pct", "can%", "%.1f", "%.1f", func(r scanshare.ServeRow) any { return r.CanPct }},
+	{"throughput_qps", "thru (q/s)", "%.1f", "%.1f", func(r scanshare.ServeRow) any { return r.Throughput }},
+	{"writes", "", "%d", "", func(r scanshare.ServeRow) any { return r.Writes }},
+	{"wr_qps", "wr q/s", "%.1f", "%.2f", func(r scanshare.ServeRow) any { return r.WrQps }},
+	{"checkpoints", "ckpts", "%d", "%d", func(r scanshare.ServeRow) any { return r.Checkpoints }},
+	{"merge_p95_ms", "mrg p95", "%.3f", "%.2f", func(r scanshare.ServeRow) any { return r.MergeP95ms }},
+	{"p50_ms", "p50", "%.3f", "%.2f", func(r scanshare.ServeRow) any { return r.P50ms }},
+	{"p95_ms", "p95", "%.3f", "%.2f", func(r scanshare.ServeRow) any { return r.P95ms }},
+	{"p99_ms", "p99", "%.3f", "%.2f", func(r scanshare.ServeRow) any { return r.P99ms }},
+	{"qwait_p95_ms", "qwait p95", "%.3f", "%.2f", func(r scanshare.ServeRow) any { return r.QWaitP95ms }},
+	{"slo_pct", "SLO %", "%.1f", "%.1f", func(r scanshare.ServeRow) any { return r.SLOPct }},
+	{"tenant_p95_ms", "p95/tenant", "%.3f", "%.2f", func(r scanshare.ServeRow) any { return r.TenantP95ms }},
+	{"tenant_slo_pct", "SLO %/tenant", "%.1f", "%.0f", func(r scanshare.ServeRow) any { return r.TenantSLOPct }},
+	{"skip_pct", "skip%", "%.1f", "%.1f", func(r scanshare.ServeRow) any { return r.SkipPct }},
+	{"io_mb", "I/O MB", "%.1f", "%.1f", func(r scanshare.ServeRow) any { return r.IOMB }},
+	{"read_mbps", "rd MB/s", "%.1f", "%.1f", func(r scanshare.ServeRow) any { return r.ReadMBps }},
+	{"seeks", "seeks", "%d", "%d", func(r scanshare.ServeRow) any { return r.Seeks }},
+	{"skew", "skew", "%.2f", "%.2f", func(r scanshare.ServeRow) any { return r.Skew }},
+}
+
+// cell renders the column's value of r for one of the two renderings.
+func (c column) cell(r scanshare.ServeRow, tsv bool) string {
+	verb := c.verb
+	if tsv {
+		verb = c.tsvVerb
+	}
+	v := c.value(r)
+	if vs, ok := v.([]float64); ok {
+		return joinFloats(vs, verb)
+	}
+	return fmt.Sprintf(verb, v)
+}
+
+// printTable prints a header and n rows under cols: tab-separated under
+// the -tsv names, or aligned under the table headers (the columns that
+// have one). cell renders row i's cell of a column.
+func printTable(cols []column, tsv bool, n int, cell func(i int, c column) string) {
+	var w io.Writer = os.Stdout
+	if !tsv {
+		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		defer tw.Flush()
+		w = tw
+	}
+	for i := -1; i < n; i++ {
+		var line []string
+		for _, c := range cols {
+			switch {
+			case !tsv && c.head == "":
+			case i >= 0:
+				line = append(line, cell(i, c))
+			case tsv:
+				line = append(line, c.tsv)
+			default:
+				line = append(line, c.head)
+			}
+		}
+		fmt.Fprintln(w, strings.Join(line, "\t"))
+	}
+}
+
+// printServe renders the serving sweep, one row per cell; device counts,
 // admission policies and selectivities of the same cell print adjacent
 // so their effects read off directly.
 func printServe(rows []scanshare.ServeRow, real, tsv bool) {
-	fmt.Printf("== Serving sweep: open-loop arrivals, admission control, striped disk array (latencies in %s ms) ==\n", clockName(real))
-	if tsv {
-		fmt.Printf("rate_qps\tmpl\tpolicy\tadmission\tdevices\tiosched\ttier\tselectivity\tcompleted\trejected\ttimedout_pct\tcancelled_pct\tthroughput_qps\twrites\twr_qps\tcheckpoints\tmerge_p95_ms\tp50_ms\tp95_ms\tp99_ms\tqwait_p95_ms\tslo_pct\ttenant_p95_ms\ttenant_slo_pct\tskip_pct\tio_mb\tread_mbps\tseeks\tskew\n")
-		for _, r := range rows {
-			fmt.Printf("%g\t%d\t%s\t%s\t%d\t%s\t%s\t%g\t%d\t%d\t%.1f\t%.1f\t%.1f\t%d\t%.1f\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f\t%s\t%s\t%.1f\t%.1f\t%.1f\t%d\t%.2f\n",
-				r.Rate, r.MPL, r.Policy, r.Admission, r.Devices, r.IOSched, r.Tier, r.Selectivity, r.Completed, r.Rejected, r.ToPct, r.CanPct, r.Throughput,
-				r.Writes, r.WrQps, r.Checkpoints, r.MergeP95ms,
-				r.P50ms, r.P95ms, r.P99ms, r.QWaitP95ms, r.SLOPct,
-				joinFloats(r.TenantP95ms, "%.3f"), joinFloats(r.TenantSLOPct, "%.1f"), r.SkipPct, r.IOMB, r.ReadMBps, r.Seeks, r.Skew)
-		}
-		return
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "rate/stream\tMPL\tpolicy\tadmit\tdevs\tiosched\ttier\tsel\tdone\trej\tto%\tcan%\tthru (q/s)\twr q/s\tckpts\tmrg p95\tp50\tp95\tp99\tqwait p95\tSLO %\tp95/tenant\tSLO %/tenant\tskip%\tI/O MB\trd MB/s\tseeks\tskew")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%g\t%d\t%s\t%s\t%d\t%s\t%s\t%g\t%d\t%d\t%.1f\t%.1f\t%.1f\t%.2f\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.1f\t%s\t%s\t%.1f\t%.1f\t%.1f\t%d\t%.2f\n",
-			r.Rate, r.MPL, r.Policy, r.Admission, r.Devices, r.IOSched, r.Tier, r.Selectivity, r.Completed, r.Rejected, r.ToPct, r.CanPct, r.Throughput,
-			r.WrQps, r.Checkpoints, r.MergeP95ms,
-			r.P50ms, r.P95ms, r.P99ms, r.QWaitP95ms, r.SLOPct,
-			joinFloats(r.TenantP95ms, "%.2f"), joinFloats(r.TenantSLOPct, "%.0f"), r.SkipPct, r.IOMB, r.ReadMBps, r.Seeks, r.Skew)
-	}
-	w.Flush()
-}
-
-// writeServeJSON writes the sweep rows to path as a JSON array in the
-// wire schema (ServeRow is wire.ServeStats), the machine-readable
-// counterpart of the -tsv table and the same shape scanserved's /statz
-// and scanload's -json emit. CI archives it as a benchmark artifact.
-func writeServeJSON(path string, rows []scanshare.ServeRow) {
-	b, err := json.MarshalIndent(rows, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(b, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scanbench: -json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("# wrote %d rows to %s\n", len(rows), path)
+	fmt.Println("== Serving sweep: open-loop arrivals, admission control, striped disk array (latencies in " + clockName(real) + " ms) ==")
+	printTable(serveColumns, tsv, len(rows), func(i int, c column) string { return c.cell(rows[i], tsv) })
 }
 
 // joinFloats renders one compact comma-joined cell (index = tenant id)
@@ -334,39 +370,47 @@ func clockName(real bool) string {
 	return "virtual"
 }
 
+// The serve columns -compare prints after its loop column, by -tsv
+// name. compareLabels are the axis labels of the one configuration both
+// rows ran: -tsv repeats them on every row, the aligned table leaves
+// them to the command line. Of compareMeasures the gap row carries only
+// the latency percentiles of compareGap.
+var (
+	loopColumn      = column{tsv: "loop", head: "loop"}
+	compareLabels   = []string{"rate_qps", "mpl", "policy", "admission", "devices"}
+	compareMeasures = []string{"completed", "rejected", "throughput_qps", "p50_ms", "p95_ms", "p99_ms", "qwait_p95_ms", "slo_pct", "io_mb"}
+	compareGap      = []string{"p50_ms", "p95_ms", "p99_ms"}
+)
+
 // printCompare renders the closed-vs-open-loop comparison: the same
 // latency table for both disciplines plus the per-percentile gap — the
 // queueing delay a closed-loop benchmark's latency report omits.
 func printCompare(rep scanshare.CompareReport, real, tsv bool) {
-	fmt.Printf("== Closed vs open loop: same query mix, same engine, two arrival disciplines (latencies in %s ms) ==\n", clockName(real))
+	fmt.Println("== Closed vs open loop: same query mix, same engine, two arrival disciplines (latencies in " + clockName(real) + " ms) ==")
+	names, missing := compareMeasures, ""
 	if tsv {
-		fmt.Printf("loop\trate_qps\tmpl\tpolicy\tadmission\tdevices\tcompleted\trejected\tthroughput_qps\tp50_ms\tp95_ms\tp99_ms\tqwait_p95_ms\tslo_pct\tio_mb\n")
-		for _, e := range []struct {
-			name string
-			r    scanshare.ServeRow
-		}{{"open", rep.Open}, {"closed", rep.Closed}} {
-			fmt.Printf("%s\t%g\t%d\t%s\t%s\t%d\t%d\t%d\t%.1f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f\t%.1f\n",
-				e.name, e.r.Rate, e.r.MPL, e.r.Policy, e.r.Admission, e.r.Devices, e.r.Completed, e.r.Rejected,
-				e.r.Throughput, e.r.P50ms, e.r.P95ms, e.r.P99ms, e.r.QWaitP95ms, e.r.SLOPct, e.r.IOMB)
+		names, missing = append(slices.Clone(compareLabels), compareMeasures...), "-"
+	}
+	cols := []column{loopColumn}
+	for _, name := range names {
+		cols = append(cols, serveColumns[slices.IndexFunc(serveColumns, func(c column) bool { return c.tsv == name })])
+	}
+	gap := rep.Open
+	gap.P50ms, gap.P95ms, gap.P99ms = rep.GapP50ms, rep.GapP95ms, rep.GapP99ms
+	loops := []string{"open", "closed", "gap"}
+	rows := []scanshare.ServeRow{rep.Open, rep.Closed, gap}
+	printTable(cols, tsv, len(rows), func(i int, c column) string {
+		switch {
+		case c.value == nil:
+			return loops[i]
+		case loops[i] == "gap" && slices.Contains(compareMeasures, c.tsv) && !slices.Contains(compareGap, c.tsv):
+			return missing
 		}
-		fmt.Printf("gap\t%g\t%d\t%s\t%s\t%d\t-\t-\t-\t%.3f\t%.3f\t%.3f\t-\t-\t-\n",
-			rep.Open.Rate, rep.Open.MPL, rep.Open.Policy, rep.Open.Admission, rep.Open.Devices,
-			rep.GapP50ms, rep.GapP95ms, rep.GapP99ms)
-		return
+		return c.cell(rows[i], tsv)
+	})
+	if !tsv {
+		fmt.Println("# gap = open - closed latency: the queueing delay closed-loop measurement omits (coordinated omission)")
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "loop\tdone\trej\tthru (q/s)\tp50\tp95\tp99\tqwait p95\tSLO %\tI/O MB")
-	for _, e := range []struct {
-		name string
-		r    scanshare.ServeRow
-	}{{"open", rep.Open}, {"closed", rep.Closed}} {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.1f\t%.2f\t%.2f\t%.2f\t%.2f\t%.1f\t%.1f\n",
-			e.name, e.r.Completed, e.r.Rejected, e.r.Throughput,
-			e.r.P50ms, e.r.P95ms, e.r.P99ms, e.r.QWaitP95ms, e.r.SLOPct, e.r.IOMB)
-	}
-	fmt.Fprintf(w, "gap\t\t\t\t%.2f\t%.2f\t%.2f\t\t\t\n", rep.GapP50ms, rep.GapP95ms, rep.GapP99ms)
-	w.Flush()
-	fmt.Println("# gap = open - closed latency: the queueing delay closed-loop measurement omits (coordinated omission)")
 }
 
 // rejectAxes exits when a mode was given flags outside its scope: bad

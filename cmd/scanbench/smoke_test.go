@@ -70,7 +70,7 @@ func TestSmokeRows(t *testing.T) {
 			}
 			for _, r := range rows {
 				resolved := r.Completed + r.Rejected + r.TimedOut + r.Cancelled
-				if _, ok := scanshare.ParsePolicy(r.Policy); !ok || r.MPL <= 0 || r.Devices <= 0 || resolved <= 0 {
+				if _, err := scanshare.ParsePolicy(r.Policy); err != nil || r.MPL <= 0 || r.Devices <= 0 || resolved <= 0 {
 					t.Errorf("implausible row: %+v", r)
 				}
 				// The update-mix cells must exercise the write path, not
@@ -158,27 +158,35 @@ func TestE2EStatz(t *testing.T) {
 	}
 }
 
-// TestServeTableHeader pins the printed serve table's column set — the
-// lifecycle (to%, can%), write (wr q/s, ckpts, mrg p95), data-skipping
-// (sel, skip%) and device (seeks, skew) columns included — and that a
-// row fills every column.
-func TestServeTableHeader(t *testing.T) {
+// capture returns what fn prints to os.Stdout.
+func capture(t *testing.T, fn func()) string {
+	t.Helper()
 	stdout := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	printServe([]scanshare.ServeRow{{Policy: "PBM", Admission: "fifo", IOSched: "fifo", Tier: "flat", Devices: 1}}, false, false)
+	fn()
 	os.Stdout = stdout
 	w.Close()
 	out, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	return string(out)
+}
+
+// TestServeTableHeader pins the printed serve table's column set — the
+// lifecycle (to%, can%), write (wr q/s, ckpts, mrg p95), data-skipping
+// (sel, skip%) and device (seeks, skew) columns included — in both
+// renderings, the -tsv header as the literal line the binary printed
+// before the columns were one table, and that a row fills every column.
+func TestServeTableHeader(t *testing.T) {
+	rows := []scanshare.ServeRow{{Policy: "PBM", Admission: "fifo", IOSched: "fifo", Tier: "flat", Devices: 1}}
+	lines := strings.Split(strings.TrimSpace(capture(t, func() { printServe(rows, false, false) })), "\n")
 	if len(lines) != 3 {
-		t.Fatalf("want title, header and one row, got:\n%s", out)
+		t.Fatalf("want title, header and one row, got:\n%s", strings.Join(lines, "\n"))
 	}
 	cells := func(line string) []string { return regexp.MustCompile(` {2,}`).Split(strings.TrimSpace(line), -1) }
 	want := []string{"rate/stream", "MPL", "policy", "admit", "devs", "iosched", "tier", "sel", "done", "rej",
@@ -189,5 +197,36 @@ func TestServeTableHeader(t *testing.T) {
 	}
 	if got := cells(lines[2]); len(got) != len(want) {
 		t.Errorf("row has %d cells, header %d: %q", len(got), len(want), got)
+	}
+
+	const tsvHeader = "rate_qps\tmpl\tpolicy\tadmission\tdevices\tiosched\ttier\tselectivity\tcompleted\trejected\ttimedout_pct\tcancelled_pct\tthroughput_qps\twrites\twr_qps\tcheckpoints\tmerge_p95_ms\tp50_ms\tp95_ms\tp99_ms\tqwait_p95_ms\tslo_pct\ttenant_p95_ms\ttenant_slo_pct\tskip_pct\tio_mb\tread_mbps\tseeks\tskew"
+	lines = strings.Split(strings.TrimRight(capture(t, func() { printServe(rows, false, true) }), "\n"), "\n")
+	if len(lines) != 3 || lines[1] != tsvHeader {
+		t.Errorf("-tsv header:\n got %q\nwant %q", lines[1:], tsvHeader)
+	} else if got, want := strings.Count(lines[2], "\t"), strings.Count(tsvHeader, "\t"); got != want {
+		t.Errorf("-tsv row has %d tabs, header %d: %q", got, want, lines[2])
+	}
+}
+
+// TestCompareColumnsAreServeColumns: -compare prints a named subset of
+// the serve table, so every name must be a serve column; both headers
+// are the literal lines recorded before the subset was named.
+func TestCompareColumnsAreServeColumns(t *testing.T) {
+	var rep scanshare.CompareReport
+	for tsv, want := range map[bool]string{
+		true:  "loop\trate_qps\tmpl\tpolicy\tadmission\tdevices\tcompleted\trejected\tthroughput_qps\tp50_ms\tp95_ms\tp99_ms\tqwait_p95_ms\tslo_pct\tio_mb",
+		false: "loop\tdone\trej\tthru (q/s)\tp50\tp95\tp99\tqwait p95\tSLO %\tI/O MB",
+	} {
+		lines := strings.Split(capture(t, func() { printCompare(rep, false, tsv) }), "\n")
+		if len(lines) < 5 {
+			t.Fatalf("tsv=%v: want title, header and three rows, got %q", tsv, lines)
+		}
+		got := lines[1]
+		if !tsv { // aligned: columns are two or more spaces apart
+			got = regexp.MustCompile(` {2,}`).ReplaceAllString(got, "\t")
+		}
+		if got != want {
+			t.Errorf("tsv=%v header:\n got %q\nwant %q", tsv, got, want)
+		}
 	}
 }

@@ -53,13 +53,11 @@ import (
 )
 
 func main() {
-	var (
-		addr    = flag.String("addr", "http://localhost:8080", "scanserved base URL")
-		streams = flag.Int("streams", 64, "concurrent client streams")
-		queries = flag.Int("queries", 4, "queries per stream")
-		seed    = flag.Int64("seed", 42, "per-stream rng seed base (matches scanbench)")
-	)
+	addr := flag.String("addr", "http://localhost:8080", "scanserved base URL")
+	def := scanshare.DefaultServeConfig()
+	base := scanshare.Options{Seed: def.Seed, Streams: def.Streams, QueriesPerStream: def.QueriesPerStream}
 	var axes scanshare.ServeAxes
+	base.RegisterFlags(flag.CommandLine, false, true)
 	axes.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if err := axes.Parse(); err != nil {
@@ -73,7 +71,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *streams}}
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: base.Streams}}
 	st, err := fetchStatz(client, *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanload: %s: %v\n", *addr, err)
@@ -83,25 +81,25 @@ func main() {
 	// SLO, skew, cancel and write fractions, seed). Unlike a sweep, where
 	// each selectivity is a cell, here the whole list is the mix every
 	// query draws from.
-	cfg := scanshare.NewServeEngineConfig(scanshare.Options{Seed: *seed}, axes)
+	cfg := scanshare.NewServeEngineConfig(base, axes)
 	cfg.Selectivities = axes.Selectivities
 	cfg.Tenants = st.Tenants
 	gen := workload.NewGenerator(cfg, st.NumTuples, nil)
 	rate := cfg.ArrivalRate
 	fmt.Printf("scanload: %s serving %d tuples, %d tenants; %d streams x %d queries at %g q/s/stream\n",
-		*addr, st.NumTuples, cfg.Tenants, *streams, *queries, rate)
+		*addr, st.NumTuples, cfg.Tenants, base.Streams, base.QueriesPerStream, rate)
 
 	deadline := wire.Duration(axes.Deadline)
 	agg := &aggregate{}
 	start := time.Now()
 	var wg sync.WaitGroup
-	for s := 0; s < *streams; s++ {
+	for s := 0; s < base.Streams; s++ {
 		stream := gen.Stream(s)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var qwg sync.WaitGroup
-			for q := 0; q < *queries; q++ {
+			for q := 0; q < base.QueriesPerStream; q++ {
 				d := stream.Next()
 				time.Sleep(d.Gap)
 				var path string
@@ -154,11 +152,7 @@ func main() {
 		row.Throughput, row.Writes, row.WrQps, row.Checkpoints, row.MergeP95ms,
 		row.P50ms, row.P95ms, row.P99ms, row.QWaitP95ms, row.SLOPct)
 	if axes.JSONOut != "" {
-		b, err := json.MarshalIndent([]wire.ServeStats{row}, "", "  ")
-		if err == nil {
-			err = os.WriteFile(axes.JSONOut, append(b, '\n'), 0o644)
-		}
-		if err != nil {
+		if err := scanshare.WriteServeRows(axes.JSONOut, []wire.ServeStats{row}); err != nil {
 			fmt.Fprintf(os.Stderr, "scanload: -json: %v\n", err)
 			os.Exit(1)
 		}

@@ -47,19 +47,22 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		sf       = flag.Float64("sf", 0.05, "TPC-H scale factor of the generated data")
-		seed     = flag.Int64("seed", 42, "generator seed")
-		threads  = flag.Int("threads", 0, "override threads per query")
-		cores    = flag.Int("cores", 0, "override worker-pool cores")
-		cpu      = flag.Duration("cpu", 0, "override per-tuple CPU cost")
 		policy   = flag.String("policy", "pbm", "buffer-management policy (lru, mru, clock, pbm, pbm-lru, cscans)")
 		sendbuf  = flag.Int("sendbuf", 8, "per-query send buffer in batches; a full buffer backpressures the plan")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	)
+	base := scanshare.DefaultOptions()
 	var axes scanshare.ServeAxes
+	base.RegisterFlags(flag.CommandLine, true, false)
 	axes.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	if err := axes.Parse(); err != nil {
+	// A server is one configuration: it takes the first element of each
+	// axis, and only values that need no sweep around them.
+	err := axes.Parse()
+	if err == nil {
+		err = axes.Check(false)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanserved: %v\n", err)
 		os.Exit(2)
 	}
@@ -69,25 +72,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scanserved: -%s are client-mix knobs; pass them to scanload\n", strings.Join(clientSide, "/-"))
 		os.Exit(2)
 	}
-	pol, ok := scanshare.ParsePolicy(*policy)
-	if !ok {
-		names := make([]string, 0, 6)
-		for _, p := range scanshare.BufferPolicies() {
-			names = append(names, p.String())
-		}
-		fmt.Fprintf(os.Stderr, "scanserved: unknown policy %q (valid: %s)\n", *policy, strings.Join(names, ", "))
+	pol, err := scanshare.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "scanserved: %v\n", err)
 		os.Exit(2)
 	}
 
-	base := scanshare.Options{
-		SF: *sf, Seed: *seed, ThreadsPerQuery: *threads, Cores: *cores,
-		PerTupleCPU: *cpu, StripeChunk: axes.StripeChunk,
-	}
 	cfg := scanshare.NewServeEngineConfig(base, axes)
 	cfg.Policy = pol
 
-	fmt.Printf("scanserved: generating TPC-H sf=%g (clustered=%v)\n", *sf, axes.Clustered)
-	db := scanshare.GenerateTPCHOpt(*sf, *seed, scanshare.TPCHGenOptions{ClusteredShipdate: axes.Clustered})
+	fmt.Printf("scanserved: generating TPC-H sf=%g (clustered=%v)\n", base.SF, axes.Clustered)
+	db := scanshare.GenerateTPCHOpt(base.SF, base.Seed, scanshare.TPCHGenOptions{ClusteredShipdate: axes.Clustered})
 	srv := server.New(db, server.Config{Serve: cfg, SendBuf: *sendbuf, DrainTimeout: *drainFor})
 
 	ln, err := net.Listen("tcp", *addr)

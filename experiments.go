@@ -94,38 +94,6 @@ type SharingRow struct {
 // scan-sharing approaches; OPT is derived from the PBM trace.
 var sweepPolicies = []Policy{LRU, CScan, PBM}
 
-// runMicroPoint runs all policies at one microbenchmark configuration and
-// appends rows (including the OPT row) to out.
-func runMicroPoint(db *TPCHDB, cfg workload.Config, x float64, out []SweepRow) []SweepRow {
-	for _, pol := range sweepPolicies {
-		c := cfg
-		c.Policy = pol
-		c.TraceForOPT = pol == PBM
-		res := workload.RunMicro(db, c)
-		out = append(out, SweepRow{X: x, Policy: pol.String(),
-			AvgStreamSec: res.AvgStreamSec, IOMB: mb(res.TotalIOBytes)})
-		if pol == PBM {
-			out = append(out, SweepRow{X: x, Policy: "OPT", IOMB: mb(res.OPTIOBytes())})
-		}
-	}
-	return out
-}
-
-func runTPCHPoint(db *TPCHDB, cfg workload.Config, x float64, out []SweepRow) []SweepRow {
-	for _, pol := range sweepPolicies {
-		c := cfg
-		c.Policy = pol
-		c.TraceForOPT = pol == PBM
-		res := workload.RunTPCH(db, c)
-		out = append(out, SweepRow{X: x, Policy: pol.String(),
-			AvgStreamSec: res.AvgStreamSec, IOMB: mb(res.TotalIOBytes)})
-		if pol == PBM {
-			out = append(out, SweepRow{X: x, Policy: "OPT", IOMB: mb(res.OPTIOBytes())})
-		}
-	}
-	return out
-}
-
 func mb(b int64) float64 { return float64(b) / 1e6 }
 
 // BufferFracs is the x-axis of Figures 11 and 14 (fraction of the
@@ -145,115 +113,108 @@ var MicroStreams = []int{1, 2, 4, 8}
 // TPCHStreams is the x-axis of Figure 16 (the paper tops out at 24).
 var TPCHStreams = []int{1, 2, 4, 8}
 
-// Fig11 regenerates Figure 11: microbenchmark average stream time and
-// total I/O volume as the buffer pool shrinks from 100% to 10% of the
-// accessed data.
-func Fig11(o Options) []SweepRow {
+// driver returns the default configuration and the run function of the
+// §4.1 microbenchmark or (tpch) the §4.2 TPC-H throughput run.
+func driver(tpch bool) (workload.Config, func(*TPCHDB, workload.Config) *Result) {
+	if tpch {
+		return workload.DefaultTPCHConfig(), workload.RunTPCH
+	}
+	return workload.DefaultMicroConfig(), workload.RunMicro
+}
+
+// figureSweep is the shape of Figures 11–16: one parameter of a driver's
+// default configuration moves over xs and every policy runs at each
+// value (OPT is derived from the PBM run's trace). move sets the
+// parameter and returns the value's place on the x-axis.
+func figureSweep[X any](o Options, tpch bool, xs []X, move func(cfg *workload.Config, x X) float64) []SweepRow {
 	o = o.fill()
 	db := GenerateTPCH(o.SF, o.Seed)
+	base, run := driver(tpch)
 	var out []SweepRow
-	for _, frac := range BufferFracs {
-		cfg := o.apply(workload.DefaultMicroConfig())
-		cfg.BufferFrac = frac
-		out = runMicroPoint(db, cfg, frac*100, out)
+	for _, x := range xs {
+		cfg := o.apply(base)
+		at := move(&cfg, x)
+		for _, pol := range sweepPolicies {
+			cfg.Policy = pol
+			cfg.TraceForOPT = pol == PBM
+			res := run(db, cfg)
+			out = append(out, SweepRow{X: at, Policy: pol.String(),
+				AvgStreamSec: res.AvgStreamSec, IOMB: mb(res.TotalIOBytes)})
+			if pol == PBM {
+				out = append(out, SweepRow{X: at, Policy: "OPT", IOMB: mb(res.OPTIOBytes())})
+			}
+		}
 	}
 	return out
 }
 
+// The parameters the figures move: the pool as a fraction of the
+// accessed volume (plotted in percent), the I/O bandwidth in MB/s, and
+// the number of concurrent streams.
+func moveBufferFrac(cfg *workload.Config, frac float64) float64 {
+	cfg.BufferFrac = frac
+	return frac * 100
+}
+
+func moveBandwidth(cfg *workload.Config, bw float64) float64 {
+	cfg.BandwidthMB = bw
+	return bw
+}
+
+func moveStreams(cfg *workload.Config, n int) float64 {
+	cfg.Streams = n
+	return float64(n)
+}
+
+// Fig11 regenerates Figure 11: microbenchmark average stream time and
+// total I/O volume as the buffer pool shrinks from 100% to 10% of the
+// accessed data.
+func Fig11(o Options) []SweepRow { return figureSweep(o, false, BufferFracs, moveBufferFrac) }
+
 // Fig12 regenerates Figure 12: the microbenchmark under varying I/O
 // bandwidth at a 40% buffer pool.
-func Fig12(o Options) []SweepRow {
-	o = o.fill()
-	db := GenerateTPCH(o.SF, o.Seed)
-	var out []SweepRow
-	for _, bw := range Bandwidths {
-		cfg := o.apply(workload.DefaultMicroConfig())
-		cfg.BandwidthMB = bw
-		out = runMicroPoint(db, cfg, bw, out)
-	}
-	return out
-}
+func Fig12(o Options) []SweepRow { return figureSweep(o, false, Bandwidths, moveBandwidth) }
 
 // Fig13 regenerates Figure 13: the microbenchmark with 1–32 concurrent
 // streams, all queries scanning 50% of the table (homogeneous streams).
 func Fig13(o Options) []SweepRow {
-	o = o.fill()
-	db := GenerateTPCH(o.SF, o.Seed)
-	var out []SweepRow
-	for _, n := range MicroStreams {
-		cfg := o.apply(workload.DefaultMicroConfig())
-		cfg.Streams = n
+	return figureSweep(o, false, MicroStreams, func(cfg *workload.Config, n int) float64 {
 		cfg.RangePercents = []int{50}
-		out = runMicroPoint(db, cfg, float64(n), out)
-	}
-	return out
+		return moveStreams(cfg, n)
+	})
 }
 
 // Fig14 regenerates Figure 14: the TPC-H throughput run under varying
 // buffer pool size.
-func Fig14(o Options) []SweepRow {
-	o = o.fill()
-	db := GenerateTPCH(o.SF, o.Seed)
-	var out []SweepRow
-	for _, frac := range BufferFracs {
-		cfg := o.apply(workload.DefaultTPCHConfig())
-		cfg.BufferFrac = frac
-		out = runTPCHPoint(db, cfg, frac*100, out)
-	}
-	return out
-}
+func Fig14(o Options) []SweepRow { return figureSweep(o, true, BufferFracs, moveBufferFrac) }
 
 // Fig15 regenerates Figure 15: the TPC-H throughput run under varying
 // I/O bandwidth at a 30% buffer pool.
-func Fig15(o Options) []SweepRow {
-	o = o.fill()
-	db := GenerateTPCH(o.SF, o.Seed)
-	var out []SweepRow
-	for _, bw := range Bandwidths {
-		cfg := o.apply(workload.DefaultTPCHConfig())
-		cfg.BandwidthMB = bw
-		out = runTPCHPoint(db, cfg, bw, out)
-	}
-	return out
-}
+func Fig15(o Options) []SweepRow { return figureSweep(o, true, Bandwidths, moveBandwidth) }
 
 // Fig16 regenerates Figure 16: the TPC-H throughput run with 1–24
 // concurrent streams.
-func Fig16(o Options) []SweepRow {
-	o = o.fill()
-	db := GenerateTPCH(o.SF, o.Seed)
-	var out []SweepRow
-	for _, n := range TPCHStreams {
-		cfg := o.apply(workload.DefaultTPCHConfig())
-		cfg.Streams = n
-		out = runTPCHPoint(db, cfg, float64(n), out)
-	}
-	return out
-}
+func Fig16(o Options) []SweepRow { return figureSweep(o, true, TPCHStreams, moveStreams) }
 
-// Fig17 regenerates Figure 17: the sharing-potential time series of the
-// microbenchmark (volume of data wanted by exactly k concurrent scans).
-func Fig17(o Options) []SharingRow {
+// sharingSeries is the shape of Figures 17 and 18: the sharing-potential
+// time series (volume of data wanted by exactly k concurrent scans) of a
+// driver's default run under PBM.
+func sharingSeries(o Options, tpch bool) []SharingRow {
 	o = o.fill()
-	db := GenerateTPCH(o.SF, o.Seed)
-	cfg := o.apply(workload.DefaultMicroConfig())
+	base, run := driver(tpch)
+	cfg := o.apply(base)
 	cfg.Policy = PBM
 	cfg.SharingSampler = 5 * time.Millisecond
-	res := workload.RunMicro(db, cfg)
-	return sharingRows(res)
+	return sharingRows(run(GenerateTPCH(o.SF, o.Seed), cfg))
 }
+
+// Fig17 regenerates Figure 17: the sharing potential of the
+// microbenchmark.
+func Fig17(o Options) []SharingRow { return sharingSeries(o, false) }
 
 // Fig18 regenerates Figure 18: the sharing potential of the TPC-H
 // throughput run.
-func Fig18(o Options) []SharingRow {
-	o = o.fill()
-	db := GenerateTPCH(o.SF, o.Seed)
-	cfg := o.apply(workload.DefaultTPCHConfig())
-	cfg.Policy = PBM
-	cfg.SharingSampler = 5 * time.Millisecond
-	res := workload.RunTPCH(db, cfg)
-	return sharingRows(res)
-}
+func Fig18(o Options) []SharingRow { return sharingSeries(o, true) }
 
 func sharingRows(res *Result) []SharingRow {
 	out := make([]SharingRow, 0, len(res.Sharing))

@@ -314,11 +314,11 @@ func sweepServeRows() string {
 		ServeAxes: ServeAxes{
 			Rates:             []float64{50},
 			MPLs:              []int{2},
+			Policies:          []Policy{LRU, PBM, CScan},
 			AdmissionPolicies: []string{"fifo", "wfq"},
 			Tenants:           2,
 			TenantWeights:     []float64{2, 1},
 		},
-		Policies: []Policy{LRU, PBM, CScan},
 	}
 	for _, r := range ServeSweep(so) {
 		fmt.Fprintf(&b, "serve rate=%g mpl=%d pol=%s adm=%s done=%d rej=%d thru=%.9f p50=%.9f p95=%.9f p99=%.9f qwait=%.9f slo=%.9f io=%.9f",

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/rt"
@@ -49,7 +48,7 @@ type Pending struct {
 // Enqueue/Next call sequence they must return the same queries in the
 // same order, or simulator runs stop being reproducible.
 type AdmissionPolicy interface {
-	// Name reports the registered policy name.
+	// Name reports the policy's name on the menu.
 	Name() string
 	// Enqueue adds a query to the waiting set.
 	Enqueue(p *Pending)
@@ -68,56 +67,24 @@ type AdmissionPolicy interface {
 	UsesCost() bool
 }
 
-// PolicyConfig parameterizes admission-policy construction.
-type PolicyConfig struct {
-	// TenantWeights maps tenant id to its fair-share weight; tenants
-	// absent from the map (or with non-positive entries) weigh 1. Only
-	// weighted policies (wfq) consult it.
-	TenantWeights map[int]float64
-}
-
-// NewPolicyFunc constructs one admission-policy instance.
-type NewPolicyFunc func(cfg PolicyConfig) AdmissionPolicy
-
-var policyConstructors = map[string]NewPolicyFunc{}
-
-// RegisterPolicy registers an admission-policy constructor under name.
-// The built-in fifo, sesf and wfq policies are pre-registered.
-func RegisterPolicy(name string, ctor NewPolicyFunc) {
-	if ctor == nil {
-		panic("sched: RegisterPolicy with nil constructor")
+// NewPolicy returns a fresh instance of the named admission policy, or
+// ok=false when the name is not on the menu. weights maps tenant id to
+// its fair-share weight; tenants absent from the map (or with
+// non-positive entries) weigh 1. Only wfq consults it.
+func NewPolicy(name string, weights map[int]float64) (AdmissionPolicy, bool) {
+	switch name {
+	case "fifo":
+		return &fifoPolicy{}, true
+	case "sesf":
+		return &sesfPolicy{}, true
+	case "wfq":
+		return newWFQ(weights), true
 	}
-	if _, dup := policyConstructors[name]; dup {
-		panic(fmt.Sprintf("sched: admission policy %q registered twice", name))
-	}
-	policyConstructors[name] = ctor
+	return nil, false
 }
 
-// NewPolicy returns a fresh instance of the admission policy registered
-// under name, or ok=false when the name is unknown.
-func NewPolicy(name string, cfg PolicyConfig) (AdmissionPolicy, bool) {
-	ctor, ok := policyConstructors[name]
-	if !ok {
-		return nil, false
-	}
-	return ctor(cfg), true
-}
-
-// PolicyNames returns the registered admission-policy names, sorted.
-func PolicyNames() []string {
-	out := make([]string, 0, len(policyConstructors))
-	for name := range policyConstructors {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	RegisterPolicy("fifo", func(PolicyConfig) AdmissionPolicy { return &fifoPolicy{} })
-	RegisterPolicy("sesf", func(PolicyConfig) AdmissionPolicy { return &sesfPolicy{} })
-	RegisterPolicy("wfq", func(cfg PolicyConfig) AdmissionPolicy { return newWFQ(cfg.TenantWeights) })
-}
+// PolicyNames lists the admission policies, sorted.
+func PolicyNames() []string { return []string{"fifo", "sesf", "wfq"} }
 
 // fifoPolicy admits in arrival order — the scheduler's historical
 // behavior, bit-identical to the pre-policy hard-coded queue.

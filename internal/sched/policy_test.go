@@ -19,7 +19,7 @@ func TestPolicyRegistry(t *testing.T) {
 		t.Fatalf("built-in policies missing from %v", names)
 	}
 	for _, n := range []string{"fifo", "sesf", "wfq"} {
-		pol, ok := NewPolicy(n, PolicyConfig{})
+		pol, ok := NewPolicy(n, nil)
 		if !ok {
 			t.Fatalf("NewPolicy(%q) unknown", n)
 		}
@@ -27,24 +27,9 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Fatalf("policy %q reports name %q", n, pol.Name())
 		}
 	}
-	if _, ok := NewPolicy("nope", PolicyConfig{}); ok {
+	if _, ok := NewPolicy("nope", nil); ok {
 		t.Fatal("unknown policy constructed")
 	}
-}
-
-func TestRegisterPolicyValidates(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("nil constructor", func() { RegisterPolicy("broken", nil) })
-	mustPanic("duplicate name", func() {
-		RegisterPolicy("fifo", func(PolicyConfig) AdmissionPolicy { return &fifoPolicy{} })
-	})
 }
 
 func TestNewPanicsOnUnknownPolicy(t *testing.T) {

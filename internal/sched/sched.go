@@ -38,7 +38,7 @@ type Config struct {
 	// SLO is the end-to-end latency objective used for attainment
 	// accounting; zero disables SLO tracking.
 	SLO sim.Duration
-	// Policy names the admission-ordering policy (see RegisterPolicy):
+	// Policy names the admission-ordering policy (see PolicyNames):
 	// "fifo" (arrival order, the historical behavior), "sesf"
 	// (shortest-expected-scan-first by Query.Cost), or "wfq" (per-tenant
 	// weighted fair queueing). Empty means fifo.
@@ -125,11 +125,11 @@ type Scheduler struct {
 }
 
 // New creates a scheduler bound to the runtime. It panics on an
-// unregistered Config.Policy name; validate user input against
+// unknown Config.Policy name; validate user input against
 // PolicyNames first.
 func New(r rt.Runtime, cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
-	pol, ok := NewPolicy(cfg.Policy, PolicyConfig{TenantWeights: cfg.TenantWeights})
+	pol, ok := NewPolicy(cfg.Policy, cfg.TenantWeights)
 	if !ok {
 		panic(fmt.Sprintf("sched: unknown admission policy %q (registered: %v)", cfg.Policy, PolicyNames()))
 	}

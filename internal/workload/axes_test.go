@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/wire"
 )
 
 // parseAxes runs one simulated command line through the full
@@ -154,4 +156,93 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestServeAxisTable walks every axis row of the table — the rows that
+// own a column. With no axis set, the single point is labelled with the
+// documented serving defaults and the sweep's first cell with the
+// documented sweep defaults; with every axis set to two values, the
+// sweep's cells are labelled with exactly those values, in table order
+// with the last axis varying fastest, so the two values of any one axis
+// sit in adjacent blocks.
+func TestServeAxisTable(t *testing.T) {
+	type row = wire.ServeStats
+	axes := []struct {
+		flag         string // "" = the flagless buffer-policy axis
+		label        func(row) any
+		point, sweep any // default labels: the serving default, the sweep's first element
+		set          func(*ServeAxes)
+		vals         [2]any
+	}{
+		{"rates", func(r row) any { return r.Rate }, 8.0, 1.0, func(a *ServeAxes) { a.Rates = []float64{3, 7} }, [2]any{3.0, 7.0}},
+		{"mpls", func(r row) any { return r.MPL }, 8, 8, func(a *ServeAxes) { a.MPLs = []int{2, 16} }, [2]any{2, 16}},
+		{"", func(r row) any { return r.Policy }, "PBM", "LRU", func(a *ServeAxes) { a.Policies = []Policy{CScan, MRU} }, [2]any{"CScans", "MRU"}},
+		{"devices", func(r row) any { return r.Devices }, 1, 1, func(a *ServeAxes) { a.Devices = []int{4, 2} }, [2]any{4, 2}},
+		{"iosched", func(r row) any { return r.IOSched }, "fifo", "fifo", func(a *ServeAxes) { a.IOSchedulers = []string{"elevator", "fifo"} }, [2]any{"elevator", "fifo"}},
+		{"tiers", func(r row) any { return r.Tier }, "flat", "flat", func(a *ServeAxes) { a.Tiers = []string{"tiered-temp", "tiered-rr"} }, [2]any{"tiered-temp", "tiered-rr"}},
+		{"policies", func(r row) any { return r.Admission }, "fifo", "fifo", func(a *ServeAxes) { a.AdmissionPolicies = []string{"wfq", "sesf"} }, [2]any{"wfq", "sesf"}},
+		{"selectivities", func(r row) any { return r.Selectivity }, 1.0, 1.0, func(a *ServeAxes) { a.Selectivities = []float64{0.5, 1} }, [2]any{0.5, 1.0}},
+	}
+	var labelled []string
+	for _, f := range new(ServeAxes).flagTable(true) {
+		if f.label != nil {
+			labelled = append(labelled, f.name)
+		}
+	}
+	for i, ax := range axes {
+		if i >= len(labelled) || labelled[i] != ax.flag {
+			t.Fatalf("table rows with a column are %q; this test walks them in that order and must cover each", labelled)
+		}
+	}
+	if len(labelled) != len(axes) {
+		t.Fatalf("table rows with a column are %q; this test covers %d", labelled, len(axes))
+	}
+
+	rows := func(a ServeAxes, sweep bool) []row {
+		cells, err := a.Cells(DefaultServeConfig(), sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]row, len(cells))
+		for i, c := range cells {
+			out[i] = c.Row(&ServeResult{})
+		}
+		return out
+	}
+	point, sweep := rows(ServeAxes{}, false), rows(ServeAxes{}, true)
+	if len(point) != 1 || len(sweep) != 3*2*4 {
+		t.Fatalf("unset axes: %d point cells, %d sweep cells; want 1 and 24 (rates 1,5,20 x MPLs 8,32 x four buffer policies)", len(point), len(sweep))
+	}
+	var two ServeAxes
+	for _, ax := range axes {
+		if got := ax.label(point[0]); got != ax.point {
+			t.Errorf("-%s: single-point default label %v, want %v", ax.flag, got, ax.point)
+		}
+		if got := ax.label(sweep[0]); got != ax.sweep {
+			t.Errorf("-%s: sweep default label %v, want %v", ax.flag, got, ax.sweep)
+		}
+		ax.set(&two)
+	}
+	cells := rows(two, true)
+	if len(cells) != 1<<len(axes) {
+		t.Fatalf("two values on each of %d axes gave %d cells", len(axes), len(cells))
+	}
+	for k, r := range cells {
+		for i, ax := range axes {
+			if got, want := ax.label(r), ax.vals[k>>(len(axes)-1-i)&1]; got != want {
+				t.Fatalf("cell %d, -%s: label %v, want %v", k, ax.flag, got, want)
+			}
+		}
+	}
+	// A single point takes the first of the two.
+	two.Tiers = two.Tiers[1:] // tiered-temp is the sweep's alone
+	for _, ax := range axes {
+		want := ax.vals[0]
+		if ax.flag == "tiers" {
+			want = ax.vals[1]
+		}
+		if got := ax.label(rows(two, false)[0]); got != want {
+			t.Errorf("-%s: single point labelled %v, want the first element %v", ax.flag, got, want)
+		}
+	}
 }

@@ -52,10 +52,25 @@ type ServeEngine struct {
 	rng *rand.Rand
 }
 
-// withDefaults resolves the zero fields of a serving configuration, the
-// one place they are defaulted.
+// withDefaults resolves the zero fields of a serving configuration to
+// their canonical values — the one place they are defaulted, and the
+// form the engine runs and ServeRowOf labels a row from.
 func (cfg ServeConfig) withDefaults() ServeConfig {
 	d := DefaultServeConfig()
+	if cfg.Devices <= 0 {
+		cfg.Devices = 1
+	}
+	if cfg.IOScheduler == "" {
+		cfg.IOScheduler = "fifo"
+	}
+	if cfg.AdmissionPolicy == "" {
+		cfg.AdmissionPolicy = "fifo"
+	}
+	if len(cfg.Selectivities) == 0 {
+		// The one-element mix draws no coin: unrestricted scans, as in
+		// the engine that predates the axis.
+		cfg.Selectivities = []float64{1}
+	}
 	if cfg.QueriesPerStream <= 0 {
 		cfg.QueriesPerStream = d.QueriesPerStream
 	}

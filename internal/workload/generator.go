@@ -22,26 +22,18 @@ type Generator struct {
 	// zero; the request then carries the selectivity or the update kind
 	// and batch, and the server draws the rest.
 	dom *ServeEngine
-	// mixIns and mixDel are cumulative update-kind thresholds from
-	// ServeConfig.UpdateMix.
-	mixIns, mixDel float64
 }
+
+// The update kinds mix 1:1:2 insert:delete:modify — half modifies (the
+// delta-widening stressor), inserts and deletes balancing each other.
+// mixIns and mixDel are the kind coin's cumulative thresholds.
+const mixIns, mixDel = 0.25, 0.5
 
 // NewGenerator builds the workload cfg describes over a table of
 // numTuples rows. dom is the engine whose domain places predicate
 // windows and update targets, or nil when the server will.
 func NewGenerator(cfg ServeConfig, numTuples int64, dom *ServeEngine) *Generator {
-	g := &Generator{cfg: cfg.withDefaults(), n: numTuples, dom: dom}
-	ins, del, mod := cfg.UpdateMix[0], cfg.UpdateMix[1], cfg.UpdateMix[2]
-	if ins <= 0 && del <= 0 && mod <= 0 {
-		// Default mix: half modifies (the delta-widening stressor),
-		// inserts and deletes balancing each other.
-		ins, del, mod = 1, 1, 2
-	}
-	sum := ins + del + mod
-	g.mixIns = ins / sum
-	g.mixDel = (ins + del) / sum
-	return g
+	return &Generator{cfg: cfg.withDefaults(), n: numTuples, dom: dom}
 }
 
 // Stream is one client stream's draw sequence.
@@ -133,9 +125,9 @@ func (st *Stream) Next() Draw {
 func (st *Stream) drawUpdate() UpdateOp {
 	op := UpdateOp{Kind: UpdateModify}
 	switch c := st.rng.Float64(); {
-	case c < st.g.mixIns:
+	case c < mixIns:
 		op.Kind = UpdateInsert
-	case c < st.g.mixDel:
+	case c < mixDel:
 		op.Kind = UpdateDelete
 	}
 	if st.g.dom != nil {

@@ -42,8 +42,7 @@ type ServeConfig struct {
 	// AdmissionPolicy names the scheduler's admission-ordering policy:
 	// "fifo" (arrival order, the historical behavior and the default),
 	// "sesf" (shortest-expected-scan-first, fed by the exec/pbm cost
-	// hook), or "wfq" (per-tenant weighted fair queueing). See
-	// sched.RegisterPolicy.
+	// hook), or "wfq" (per-tenant weighted fair queueing).
 	AdmissionPolicy string
 	// Tenants is the number of fairness domains the client streams are
 	// mapped onto (stream s belongs to tenant s % Tenants; default
@@ -85,10 +84,6 @@ type ServeConfig struct {
 	// an explicit zero entry makes that tenant read-only), so a sweep can
 	// pit a write-heavy tenant against read-only ones.
 	TenantWriteFrac []float64
-	// UpdateMix weighs the update kinds {insert, delete, modify}; all
-	// zero defaults to {1, 1, 2} (half modifies, the delta-widening
-	// stressor).
-	UpdateMix [3]float64
 	// CheckpointOps triggers the background checkpoint/merge process:
 	// when the committed-but-uncheckpointed delta count reaches it, an
 	// online checkpoint materializes the store to a fresh stable snapshot
@@ -214,21 +209,14 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 }
 
 // ServeRowOf flattens one serving result into the serve-table row, in
-// the wire schema, labelled from the configuration that ran: the one
-// place the row's axis labels are derived. The sweep uses it per cell;
-// so does scanserved's /statz endpoint for its live engine.
+// the wire schema. The axis labels are read off the effective
+// configuration that ran, one axis-table row at a time; the sweep uses
+// it per cell, and so does scanserved's /statz endpoint for its live
+// engine.
 func ServeRowOf(res *ServeResult, cfg ServeConfig) wire.ServeStats {
 	ms := func(d sim.Duration) float64 { return float64(d) / 1e6 }
 	mb := func(b int64) float64 { return float64(b) / 1e6 }
 	row := wire.ServeStats{
-		Rate:        cfg.ArrivalRate,
-		MPL:         cfg.MPL,
-		Policy:      cfg.Policy.String(),
-		Devices:     cfg.Devices,
-		IOSched:     cfg.IOScheduler,
-		Tier:        "flat",
-		Admission:   cfg.AdmissionPolicy,
-		Selectivity: 1,
 		Completed:   res.Sched.Completed,
 		Rejected:    res.Sched.Rejected,
 		TimedOut:    res.Sched.TimedOut,
@@ -247,23 +235,11 @@ func ServeRowOf(res *ServeResult, cfg ServeConfig) wire.ServeStats {
 		Checkpoints: res.Checkpoints,
 		MergeP95ms:  ms(res.MergeP95),
 	}
-	if row.Devices <= 0 {
-		row.Devices = 1
-	}
-	if row.IOSched == "" {
-		row.IOSched = "fifo"
-	}
-	if cfg.FastDevices > 0 {
-		row.Tier = "tiered-rr"
-		if cfg.ChunkPlacement != nil {
-			row.Tier = "tiered-temp"
+	cfg = cfg.withDefaults()
+	for _, f := range new(ServeAxes).flagTable(false) {
+		if f.label != nil {
+			f.label(&row, &cfg)
 		}
-	}
-	if row.Admission == "" {
-		row.Admission = "fifo"
-	}
-	if len(cfg.Selectivities) > 0 {
-		row.Selectivity = cfg.Selectivities[0]
 	}
 	if res.Sched.Arrived > 0 {
 		row.ToPct = 100 * float64(res.Sched.TimedOut) / float64(res.Sched.Arrived)

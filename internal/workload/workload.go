@@ -38,20 +38,13 @@ const (
 	CScan
 )
 
+// policyNames is the buffer-policy menu: what Policy.String prints and
+// ParsePolicy reads back.
+var policyNames = [...]string{LRU: "LRU", MRU: "MRU", Clock: "Clock", PBM: "PBM", PBMLRU: "PBM/LRU", CScan: "CScans"}
+
 func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "LRU"
-	case MRU:
-		return "MRU"
-	case Clock:
-		return "Clock"
-	case PBM:
-		return "PBM"
-	case PBMLRU:
-		return "PBM/LRU"
-	case CScan:
-		return "CScans"
+	if p >= 0 && int(p) < len(policyNames) {
+		return policyNames[p]
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
@@ -62,14 +55,16 @@ func Policies() []Policy { return []Policy{LRU, MRU, Clock, PBM, PBMLRU, CScan} 
 
 // ParsePolicy maps a buffer-policy name (as Policy.String prints it,
 // case-insensitively) back to its constant — the inverse command-line
-// binaries need.
-func ParsePolicy(name string) (Policy, bool) {
+// binaries need; the error lists the menu.
+func ParsePolicy(name string) (Policy, error) {
+	var menu []string
 	for _, p := range Policies() {
 		if strings.EqualFold(name, p.String()) {
-			return p, true
+			return p, nil
 		}
+		menu = append(menu, p.String())
 	}
-	return 0, false
+	return 0, fmt.Errorf("unknown policy %q (valid: %s)", name, strings.Join(menu, ", "))
 }
 
 // Config parameterizes one experiment run.
@@ -128,12 +123,9 @@ type Config struct {
 	// service bit-identical; "elevator" runs a C-SCAN sweep per spindle.
 	IOScheduler string
 	// FastDevices makes the first N spindles an SSD-like fast tier: zero
-	// seek latency and FastBandwidthX times the base bandwidth. Zero keeps
+	// seek latency and fastBandwidthX times the base bandwidth. Zero keeps
 	// the array homogeneous (bit-identical).
 	FastDevices int
-	// FastBandwidthX is the fast tier's bandwidth multiple (default 4;
-	// used only when FastDevices > 0).
-	FastBandwidthX float64
 	// ChunkPlacement optionally overrides the array's round-robin chunk
 	// striping (iosim.ArrayConfig.ChunkPlacement) — temperature-based
 	// tiering feeds iosim.TemperaturePlacement output here.
@@ -156,6 +148,9 @@ type Config struct {
 	// regression tests stay on the simulator.
 	Real bool
 }
+
+// fastBandwidthX is the fast tier's bandwidth multiple.
+const fastBandwidthX = 4
 
 // DefaultMicroConfig returns §4.1's defaults: 8 streams, 16-query
 // batches, buffer 40% of accessed volume, 700 MB/s, 8 threads/query.
@@ -268,15 +263,11 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 	}
 	var tiers []iosim.Config
 	if cfg.FastDevices > 0 {
-		x := cfg.FastBandwidthX
-		if x <= 0 {
-			x = 4
-		}
 		tiers = make([]iosim.Config, cfg.FastDevices)
 		for i := range tiers {
 			// SSD-like fast tier: no seek penalty, a multiple of the base
 			// bandwidth.
-			tiers[i] = iosim.Config{Bandwidth: base.Bandwidth * x, SeekLatency: 0}
+			tiers[i] = iosim.Config{Bandwidth: base.Bandwidth * fastBandwidthX, SeekLatency: 0}
 		}
 	}
 	e.Disk = iosim.NewArray(r, iosim.ArrayConfig{

@@ -1,6 +1,7 @@
 package scanshare
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -185,22 +186,31 @@ func TestPartitionRangeReexport(t *testing.T) {
 	}
 }
 
-// Sweeps must reject unknown admission-policy names before generating
-// any data, with a message naming the registered menu.
+// Sweeps must reject an axis value off its menu before generating any
+// data — admission policies, tiers and device queue disciplines alike —
+// with the table's message, which names the flag and its menu, not with
+// iosim.NewDisk's or sched.New's panic from inside a cell.
 func TestServeSweepValidatesAdmissionPolicies(t *testing.T) {
-	bad := ServeAxes{AdmissionPolicies: []string{"ses"}}
-	for name, run := range map[string]func(){
-		"sweep":   func() { ServeSweep(ServeOptions{ServeAxes: bad}) },
-		"compare": func() { Compare(ServeOptions{ServeAxes: bad}) },
+	for name, run := range map[string]func(ServeAxes){
+		"sweep":   func(bad ServeAxes) { ServeSweep(ServeOptions{ServeAxes: bad}) },
+		"compare": func(bad ServeAxes) { Compare(ServeOptions{ServeAxes: bad}) },
 	} {
-		name, run := name, run
+		run := run
 		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("unknown admission policy did not panic")
-				}
-			}()
-			run()
+			for want, bad := range map[string]ServeAxes{
+				`scanshare: -policies: unknown admission policy "ses" (registered: fifo, sesf, wfq)`: {AdmissionPolicies: []string{"ses"}},
+				`scanshare: -tiers: bad element "warm" (valid`:                                       {Tiers: []string{"warm"}},
+				`scanshare: -iosched: bad element "lifo" (valid: fifo, elevator)`:                    {IOSchedulers: []string{"lifo"}},
+			} {
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.HasPrefix(msg, want) {
+							t.Errorf("panic %q, want %q", msg, want)
+						}
+					}()
+					run(bad)
+				}()
+			}
 		})
 	}
 }

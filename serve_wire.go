@@ -1,53 +1,89 @@
 package scanshare
 
 import (
+	"encoding/json"
+	"flag"
+	"os"
+
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 // Bridges between the library surface and the command-line binaries:
-// the axis declaration they share, the long-lived engine and workload
-// generator behind the socket path, and the options the parsed axes
-// materialize into.
+// the flag and axis declarations they share and the configuration the
+// parsed axes materialize into.
 
 // ServeAxes declares the full serving axis surface of the scanbench
 // command line once: RegisterFlags binds the flags, Parse validates,
-// and the scope helpers say which set flags a mode must reject — one
-// declaration instead of per-mode rejection lists.
+// the scope helpers say which set flags a mode must reject, and the
+// sweep and the single-configuration consumers land its values on a
+// ServeConfig — one declaration per axis instead of per-layer copies.
 type ServeAxes = workload.ServeAxes
 
-// ServingEngine is the long-lived serving surface behind cmd/scanserved:
-// the sweep's per-run wiring held open so a network front end can
-// admit, plan and execute queries for the life of a process.
-type ServingEngine = workload.ServeEngine
-
-// NewServingEngine builds a serving engine over the generated database,
-// on the real-threaded runtime (the config's Real flag is forced on: a
-// server serves wall-clock traffic).
-func NewServingEngine(db *TPCHDB, cfg ServeConfig) *ServingEngine {
-	cfg.Real = true
-	return workload.NewServeEngine(db, cfg)
-}
-
 // ParsePolicy parses a buffer-management policy name ("lru", "mru",
-// "clock", "pbm", "pbm-lru", "cscans"), case-insensitively.
-func ParsePolicy(name string) (Policy, bool) { return workload.ParsePolicy(name) }
-
-// BufferPolicies lists the buffer-management policies in menu order.
-func BufferPolicies() []Policy { return workload.Policies() }
+// "clock", "pbm", "pbm/lru", "cscans"), case-insensitively; the error
+// lists the menu.
+func ParsePolicy(name string) (Policy, error) { return workload.ParsePolicy(name) }
 
 // Percentile reports the nearest-rank p-quantile of a duration sample,
 // the same estimator the scheduler's latency report uses.
 var Percentile = sched.Percentile
+
+// WriteServeRows writes rows to path as a JSON array in the wire schema
+// (ServeRow is wire.ServeStats): the -json output of scanbench and
+// scanload, the machine-readable counterpart of the -tsv table and the
+// shape of scanserved's /statz row. CI archives it as a benchmark
+// artifact.
+func WriteServeRows(path string, rows []ServeRow) error {
+	b, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
 
 // NewServeEngineConfig materializes one serving configuration — a
 // single cell rather than a sweep — from the base options and the
 // parsed axes; multi-valued axes contribute their first element, unset
 // ones keep DefaultServeConfig's value. cmd/scanserved uses it so the
 // server's knobs are exactly scanbench's, and cmd/scanload so its
-// generator's are. A tiered first element maps to "tiered-rr" placement
-// ("tiered-temp" needs a profiling pass a live server does not have).
+// generator's are. It panics on a value a single configuration cannot
+// take (see ServeAxes.Check) — "tiered-temp" needs the sweep's profiling
+// pass.
 func NewServeEngineConfig(base Options, a ServeAxes) ServeConfig {
-	o := ServeOptions{Options: base.fill(), ServeAxes: a}
-	return o.config(o.point())
+	return ServeOptions{Options: base.fill(), ServeAxes: a}.cells(false)[0].ServeConfig
+}
+
+// RegisterFlags binds the per-run flags the command-line binaries share
+// onto fs, each with the value o holds as its default. server and client
+// say which ends of the socket the binary holds — scanbench both,
+// scanserved and scanload one — and so which flags it takes: the rest
+// shape the other end. Where a one-ended binary words a flag its own
+// way, the row says how.
+func (o *Options) RegisterFlags(fs *flag.FlagSet, server, client bool) {
+	for _, f := range []struct {
+		name                string
+		server, client      bool
+		bind                func(name, usage string)
+		usage, served, load string
+	}{
+		{"sf", true, false, func(n, u string) { fs.Float64Var(&o.SF, n, o.SF, u) }, "TPC-H scale factor of the generated data", "", ""},
+		{"seed", true, true, func(n, u string) { fs.Int64Var(&o.Seed, n, o.Seed, u) }, "workload and generator seed", "generator seed", "per-stream rng seed base (matches scanbench)"},
+		{"streams", false, true, func(n, u string) { fs.IntVar(&o.Streams, n, o.Streams, u) }, "override concurrent streams", "", "concurrent client streams"},
+		{"queries", false, true, func(n, u string) { fs.IntVar(&o.QueriesPerStream, n, o.QueriesPerStream, u) }, "override queries per stream", "", "queries per stream"},
+		{"threads", true, false, func(n, u string) { fs.IntVar(&o.ThreadsPerQuery, n, o.ThreadsPerQuery, u) }, "override threads per query", "", ""},
+		{"cores", true, false, func(n, u string) { fs.IntVar(&o.Cores, n, o.Cores, u) }, "override simulated cores", "override worker-pool cores", ""},
+		{"cpu", true, false, func(n, u string) { fs.DurationVar(&o.PerTupleCPU, n, o.PerTupleCPU, u) }, "override per-tuple CPU cost", "", ""},
+	} {
+		usage := f.usage
+		if !client && f.served != "" {
+			usage = f.served
+		}
+		if !server && f.load != "" {
+			usage = f.load
+		}
+		if server && f.server || client && f.client {
+			f.bind(f.name, usage)
+		}
+	}
 }

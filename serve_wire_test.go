@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,7 +44,9 @@ func TestServeRowWireCompat(t *testing.T) {
 }
 
 // TestServeRowLabels pins what the one row mapper decides: every axis
-// label of a row derives from the ServeConfig that ran.
+// label of a row is read off the effective ServeConfig that ran. It
+// tells flat from tiered and no more — a tiered-temp label is the
+// sweep's, from the axis value (TestServeAxisTable).
 func TestServeRowLabels(t *testing.T) {
 	base := scanshare.DefaultServeConfig()
 	for name, c := range map[string]struct {
@@ -68,9 +71,9 @@ func TestServeRowLabels(t *testing.T) {
 			func(c *scanshare.ServeConfig) { c.Devices, c.FastDevices = 4, 2 },
 			func(r *scanshare.ServeRow) { r.Devices, r.Tier = 4, "tiered-rr" },
 		},
-		"a placement is tiered-temp": {
+		"a placement does not rename the tier": {
 			func(c *scanshare.ServeConfig) { c.Devices, c.FastDevices, c.ChunkPlacement = 4, 2, []int{0, 1, 2, 3} },
-			func(r *scanshare.ServeRow) { r.Devices, r.Tier = 4, "tiered-temp" },
+			func(r *scanshare.ServeRow) { r.Devices, r.Tier = 4, "tiered-rr" },
 		},
 		"selectivity": {
 			func(c *scanshare.ServeConfig) { c.Selectivities = []float64{0.01} },
@@ -114,10 +117,41 @@ func TestServeEngineConfigDefaults(t *testing.T) {
 	// Multi-valued axes contribute their first element.
 	var axes scanshare.ServeAxes
 	axes.MPLs, axes.Devices = []int{4, 8}, []int{4, 1}
-	axes.Tiers, axes.AdmissionPolicies = []string{"tiered-temp"}, []string{"sesf", "wfq"}
+	axes.Tiers, axes.AdmissionPolicies = []string{"tiered-rr", "tiered-temp"}, []string{"sesf", "wfq"}
 	cfg = scanshare.NewServeEngineConfig(scanshare.Options{}, axes)
 	if cfg.MPL != 4 || cfg.Devices != 4 || cfg.FastDevices != 2 ||
 		cfg.ChunkPlacement != nil || cfg.AdmissionPolicy != "sesf" {
 		t.Fatalf("first-of-axis mapping: %+v", cfg)
+	}
+	if row := scanshare.ServeRowOf(&scanshare.ServeResult{}, cfg); row.Tier != "tiered-rr" {
+		t.Fatalf("tier label %q, want tiered-rr", row.Tier)
+	}
+}
+
+// TestSinglePointRefusesTieredTemp: a single configuration has no
+// profiling pass, so tiered-temp as the tier it would run is refused —
+// by Check for a binary, by a panic for a library caller — instead of
+// silently served, and reported, as tiered-rr.
+func TestSinglePointRefusesTieredTemp(t *testing.T) {
+	axes := scanshare.ServeAxes{Tiers: []string{"tiered-temp"}}
+	if err := axes.Check(true); err != nil {
+		t.Fatalf("a sweep takes tiered-temp: %v", err)
+	}
+	err := axes.Check(false)
+	if err == nil || !strings.Contains(err.Error(), `-tiers: bad element "tiered-temp" (valid in a single configuration, which has no profiling pass`) {
+		t.Fatalf("Check(false) = %v, want the profiling-pass refusal", err)
+	}
+	for name, run := range map[string]func(){
+		"NewServeEngineConfig": func() { scanshare.NewServeEngineConfig(scanshare.Options{}, axes) },
+		"Compare":              func() { scanshare.Compare(scanshare.ServeOptions{ServeAxes: axes}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s took tiered-temp", name)
+				}
+			}()
+			run()
+		}()
 	}
 }
