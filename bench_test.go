@@ -123,6 +123,30 @@ func BenchmarkFig18TPCHSharingPotential(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroRep is one rep of the paper's §4.1 point (8 streams × 16
+// Q1/Q6 queries, 8 threads per query, pool 40% of the accessed bytes) at
+// sf 0.05 — what bench/'s micro-pbm and micro-cscan time, here so that a
+// CPU profile of a rep needs no second module (README "Test layout").
+func BenchmarkMicroRep(b *testing.B) {
+	skipIfShort(b)
+	db := GenerateTPCH(0.05, 7)
+	for _, rep := range []struct {
+		name   string
+		policy Policy
+	}{{"pbm", PBM}, {"cscan", CScan}} {
+		cfg := workload.DefaultMicroConfig()
+		cfg.Policy = rep.policy
+		cfg.Seed = 42
+		b.Run(rep.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := workload.RunMicro(db, cfg)
+				b.ReportMetric(float64(res.TotalIOBytes)/1e6, "sim-IO-MB")
+				b.ReportMetric(res.AvgStreamSec, "sim-stream-s")
+			}
+		})
+	}
+}
+
 // Ablation benches: design choices DESIGN.md calls out.
 
 // BenchmarkAblationPolicyMicro compares every policy (including the

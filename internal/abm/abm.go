@@ -352,14 +352,32 @@ func (a *ABM) dropStaleVersions(t *storage.Table, current int) {
 
 // remarkShared recomputes shared/local chunk marking: the longest prefix
 // of tuples covered by pages common to at least two registered scans'
-// snapshots (§2.1). Chunks fully inside the prefix are shared.
+// snapshots (§2.1). Chunks fully inside the prefix are shared. Scans of
+// one snapshot share all of it, so pages are compared only between the
+// distinct snapshots held — in a read-only run there is one.
 func (tm *tableMeta) remarkShared() {
-	var best int64
-	for i := 0; i < len(tm.scans); i++ {
-		for j := i + 1; j < len(tm.scans); j++ {
-			if p := tm.scans[i].snap.SharedPrefixTuples(tm.scans[j].snap); p > best {
-				best = p
+	type heldSnap struct {
+		snap  *storage.Snapshot
+		scans int
+	}
+	held := make([]heldSnap, 0, 4)
+scans:
+	for _, cs := range tm.scans {
+		for i := range held {
+			if held[i].snap == cs.snap {
+				held[i].scans++
+				continue scans
 			}
+		}
+		held = append(held, heldSnap{cs.snap, 1})
+	}
+	var best int64
+	for i, h := range held {
+		if h.scans >= 2 {
+			best = max(best, h.snap.SharedPrefixTuples(h.snap))
+		}
+		for _, o := range held[i+1:] {
+			best = max(best, h.snap.SharedPrefixTuples(o.snap))
 		}
 	}
 	limit := int(best / tm.abm.cfg.ChunkTuples) // chunks fully below the prefix bound

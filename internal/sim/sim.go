@@ -1,13 +1,20 @@
+//go:build go1.23
+
+// The build line above lets this file import iter while both go.mod lines
+// still say go 1.21 (bench/go.mod may only be raised by a [benchmark] PR,
+// and the two must agree); delete it when they say 1.23.
+
 // Package sim implements a deterministic, cooperative discrete-event
 // simulation engine with a virtual clock.
 //
-// The engine runs each simulated process on its own goroutine but enforces
-// strictly cooperative scheduling: exactly one process executes at any
-// moment, and control is handed over explicitly when a process sleeps,
-// waits on an event, or terminates. Ties between timers that expire at the
-// same virtual instant are broken by creation order. Together these rules
-// make every simulation bit-reproducible, which the experiment harness
-// relies on.
+// A simulated process is a coroutine (iter.Pull around its body), so
+// exactly one goroutine is runnable at any moment: Run resumes the next
+// process, which runs until it sleeps, waits on an event or terminates
+// and then parks back into Run — a direct goroutine switch with no
+// scheduler, channel or thread wake-up in between. Ties between timers
+// that expire at the same virtual instant are broken by creation order.
+// Together these rules make every simulation bit-reproducible, which the
+// experiment harness relies on.
 //
 // All Engine methods except Run must be called either before Run starts or
 // from within a running process; the engine's state is only ever touched by
@@ -15,8 +22,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -33,9 +40,13 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
+// proc is one simulated process: a coroutine around its body. Run calls
+// resume to run it until it next blocks; the process calls park, naming
+// the process Run must resume in its place.
 type proc struct {
-	name string
-	wake chan struct{}
+	name   string
+	resume func() (next *proc, parked bool) // false once the body returned
+	park   func(next *proc) bool
 }
 
 type timer struct {
@@ -44,42 +55,72 @@ type timer struct {
 	p   *proc
 }
 
+func (t timer) before(o timer) bool {
+	if t.at != o.at {
+		return t.at < o.at
+	}
+	return t.seq < o.seq
+}
+
+// timerHeap is a binary min-heap on (at, seq).
 type timerHeap []timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *timerHeap) push(t timer) {
+	s := append(*h, t)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	s[i] = t
+	*h = s
 }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(timer)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *timerHeap) pop() timer {
+	s := *h
+	top, last := s[0], s[len(s)-1]
+	s[len(s)-1] = timer{}
+	s = s[:len(s)-1]
+	*h = s
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(s) {
+			break
+		}
+		if r := child + 1; r < len(s) && s[r].before(s[child]) {
+			child = r
+		}
+		if !s[child].before(last) {
+			break
+		}
+		s[i] = s[child]
+		i = child
+	}
+	if len(s) > 0 {
+		s[i] = last
+	}
+	return top
 }
 
 // Engine is a virtual-time discrete-event scheduler.
 type Engine struct {
 	now     Time
 	seq     uint64
-	ready   []*proc
+	ready   []*proc // FIFO; ready[:head] has been popped
+	head    int
 	timers  timerHeap
 	current *proc
 	alive   int
-	done    chan struct{}
-	main    *proc // sentinel representing the caller of Run
 	running bool
 }
 
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{done: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -88,43 +129,31 @@ func (e *Engine) Now() Time { return e.now }
 // within a running process. The process does not start executing until the
 // scheduler hands it the execution token.
 func (e *Engine) Go(name string, fn func()) {
-	p := &proc{name: name, wake: make(chan struct{})}
+	p := &proc{name: name}
+	p.resume, _ = iter.Pull(func(park func(*proc) bool) {
+		p.park = park
+		fn()
+	})
 	e.alive++
 	e.ready = append(e.ready, p)
-	go func() {
-		<-p.wake
-		fn()
-		e.exit()
-	}()
-}
-
-// exit terminates the current process and hands control to the next
-// runnable process, or wakes the Run caller when the simulation drains.
-func (e *Engine) exit() {
-	e.alive--
-	next := e.next()
-	if next == nil {
-		if e.alive > 0 {
-			panic(fmt.Sprintf("sim: deadlock: %d processes blocked with no pending timers", e.alive))
-		}
-		e.current = nil
-		e.done <- struct{}{}
-		return
-	}
-	e.current = next
-	next.wake <- struct{}{}
 }
 
 // next picks the next runnable process, advancing the clock to the earliest
 // timer if the ready queue is empty. It returns nil when nothing can run.
 func (e *Engine) next() *proc {
-	if len(e.ready) > 0 {
-		p := e.ready[0]
-		e.ready = e.ready[1:]
+	if e.head < len(e.ready) {
+		p := e.ready[e.head]
+		e.ready[e.head] = nil
+		e.head++
+		if e.head == len(e.ready) {
+			// Drained: reuse the array from its front instead of
+			// abandoning it one popped slot at a time.
+			e.ready, e.head = e.ready[:0], 0
+		}
 		return p
 	}
 	if len(e.timers) > 0 {
-		t := heap.Pop(&e.timers).(timer)
+		t := e.timers.pop()
 		if t.at > e.now {
 			e.now = t.at
 		}
@@ -144,37 +173,35 @@ func (e *Engine) yield(self *proc) {
 		panic(fmt.Sprintf("sim: deadlock: process %q blocked with nothing runnable", self.name))
 	}
 	if next == self {
-		e.current = self
 		return
 	}
-	e.current = next
-	next.wake <- struct{}{}
-	<-self.wake
+	self.park(next)
 }
 
 // Sleep suspends the current process for d of virtual time. Negative or
 // zero durations still yield, waking at the current instant after other
 // already-runnable processes.
 func (e *Engine) Sleep(d Duration) {
-	self := e.mustCurrent("Sleep")
 	at := e.now
 	if d > 0 {
 		at += Time(d)
 	}
-	e.seq++
-	heap.Push(&e.timers, timer{at: at, seq: e.seq, p: self})
-	e.yield(self)
+	e.sleepUntil("Sleep", at)
 }
 
 // SleepUntil suspends the current process until virtual time t (or yields
 // immediately if t is in the past).
 func (e *Engine) SleepUntil(t Time) {
-	self := e.mustCurrent("SleepUntil")
 	if t < e.now {
 		t = e.now
 	}
+	e.sleepUntil("SleepUntil", t)
+}
+
+func (e *Engine) sleepUntil(op string, at Time) {
+	self := e.mustCurrent(op)
 	e.seq++
-	heap.Push(&e.timers, timer{at: t, seq: e.seq, p: self})
+	e.timers.push(timer{at: at, seq: e.seq, p: self})
 	e.yield(self)
 }
 
@@ -189,20 +216,28 @@ func (e *Engine) mustCurrent(op string) *proc {
 }
 
 // Run executes the simulation until every process has terminated. It must
-// be called exactly once, from the (real) goroutine that created the
-// engine. It panics if a deadlock is detected.
+// be called exactly once. A panic inside a simulated process — a deadlock
+// included — unwinds that process and then surfaces here, in Run's
+// caller, with no process current; processes still blocked at that point
+// are abandoned.
 func (e *Engine) Run() {
 	if e.running {
 		panic("sim: Run called twice")
 	}
 	e.running = true
-	if e.alive == 0 {
-		return
+	defer func() { e.current = nil }()
+	for p := e.next(); p != nil; {
+		e.current = p
+		next, parked := p.resume()
+		if !parked { // the process terminated
+			e.alive--
+			next = e.next()
+			if next == nil && e.alive > 0 {
+				panic(fmt.Sprintf("sim: deadlock: %d processes blocked with no pending timers", e.alive))
+			}
+		}
+		p = next
 	}
-	next := e.next()
-	e.current = next
-	next.wake <- struct{}{}
-	<-e.done
 }
 
 // Event is a broadcast synchronization point. Processes Wait on it; a Fire
@@ -231,7 +266,8 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.e.ready = append(ev.e.ready, ev.waiters...)
-	ev.waiters = nil
+	clear(ev.waiters)
+	ev.waiters = ev.waiters[:0] // keep the array for the next Wait
 }
 
 // WaiterCount reports how many processes are currently blocked on the event.

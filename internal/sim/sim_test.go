@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -143,8 +145,9 @@ func TestDeadlockPanics(t *testing.T) {
 	e := NewEngine()
 	ev := e.NewEvent()
 	panicked := false
-	// The deadlock panic fires on the stuck process's goroutine; recover
-	// there and let the process exit so Run can drain.
+	// The deadlock panic is raised inside the stuck process; recovering it
+	// there lets the process exit and Run drain. Unrecovered it reaches
+	// Run's caller: TestPanicsReachRun.
 	e.Go("stuck", func() {
 		defer func() {
 			if recover() != nil {
@@ -156,6 +159,86 @@ func TestDeadlockPanics(t *testing.T) {
 	e.Run()
 	if !panicked {
 		t.Fatal("expected deadlock panic")
+	}
+}
+
+// TestPanicsReachRun pins the failure contract: a panic raised inside a
+// simulated process — its own or either deadlock panic — unwinds into
+// Run's caller, which finds no process current.
+func TestPanicsReachRun(t *testing.T) {
+	for name, tc := range map[string]struct {
+		spawn func(e *Engine)
+		want  string
+	}{
+		"process panic": {
+			spawn: func(e *Engine) {
+				e.Go("bystander", func() { e.Sleep(time.Second) })
+				e.Go("p", func() {
+					e.Sleep(time.Millisecond)
+					panic("boom")
+				})
+			},
+			want: "boom",
+		},
+		"deadlock in yield names the process": {
+			spawn: func(e *Engine) {
+				ev := e.NewEvent()
+				e.Go("stuck", func() { ev.Wait() })
+			},
+			want: `process "stuck" blocked`,
+		},
+		"deadlock at exit counts the blocked": {
+			spawn: func(e *Engine) {
+				ev := e.NewEvent()
+				e.Go("stuck", func() { ev.Wait() })
+				e.Go("leaver", func() {})
+			},
+			want: "1 processes blocked",
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			tc.spawn(e)
+			var got string
+			func() {
+				defer func() { got = fmt.Sprint(recover()) }()
+				e.Run()
+			}()
+			if !strings.Contains(got, tc.want) {
+				t.Fatalf("Run panicked with %q, want it to contain %q", got, tc.want)
+			}
+			if e.current != nil {
+				t.Fatalf("Run left process %q current", e.current.name)
+			}
+		})
+	}
+}
+
+// TestHandOffsDoNotAllocate pins the steady-state cost of the two
+// hand-offs a rep is made of: a timer sleep and an event wake.
+func TestHandOffsDoNotAllocate(t *testing.T) {
+	const rounds = 1000
+	e := NewEngine()
+	ping, pong := e.NewEvent(), e.NewEvent()
+	var sleeps, wakes float64
+	e.Go("pong", func() {
+		for i := 0; i < 2*(rounds+1); i++ { // AllocsPerRun adds a warm-up call
+			ping.Wait()
+			pong.Fire()
+		}
+	})
+	e.Go("ping", func() {
+		sleeps = testing.AllocsPerRun(rounds, func() { e.Sleep(time.Microsecond) })
+		wakes = testing.AllocsPerRun(rounds, func() {
+			ping.Fire()
+			pong.Wait()
+			ping.Fire()
+			pong.Wait()
+		})
+	})
+	e.Run()
+	if sleeps != 0 || wakes != 0 {
+		t.Fatalf("allocs per hand-off: sleep %v, event wake %v; want 0, 0", sleeps, wakes)
 	}
 }
 

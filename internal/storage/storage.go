@@ -412,41 +412,41 @@ func (s *Snapshot) SharedPrefixPages(o *Snapshot) []int {
 		return out
 	}
 	for c := range s.cols {
-		n := len(s.cols[c])
-		if len(o.cols[c]) < n {
-			n = len(o.cols[c])
-		}
-		k := 0
-		for k < n && s.cols[c][k] == o.cols[c][k] {
-			k++
-		}
-		out[c] = k
+		out[c] = s.sharedPages(o, c)
 	}
 	return out
 }
 
+// sharedPages counts the leading pages of column c that s and o, two
+// snapshots of one table version, have in common. A snapshot shares all
+// of its pages with itself, which needs no walk.
+func (s *Snapshot) sharedPages(o *Snapshot, c int) int {
+	if s == o {
+		return len(s.cols[c])
+	}
+	sp, op := s.cols[c], o.cols[c]
+	n := min(len(sp), len(op))
+	k := 0
+	for k < n && sp[k] == op[k] {
+		k++
+	}
+	return k
+}
+
 // SharedPrefixTuples returns the largest SID bound t such that all pages
-// covering SIDs [0, t) in every column are shared between s and o.
+// covering SIDs [0, t) in every column are shared between s and o. It
+// does not allocate; s.SharedPrefixTuples(s) costs O(columns).
 func (s *Snapshot) SharedPrefixTuples(o *Snapshot) int64 {
 	if s.table != o.table || s.version != o.version {
 		return 0
 	}
-	prefix := s.SharedPrefixPages(o)
-	bound := s.tuples
-	if o.tuples < bound {
-		bound = o.tuples
-	}
-	for c, k := range prefix {
+	bound := min(s.tuples, o.tuples)
+	for c := range s.cols {
 		var covered int64
-		if k > 0 {
+		if k := s.sharedPages(o, c); k > 0 {
 			covered = s.cols[c][k-1].LastSID()
 		}
-		if covered < bound {
-			bound = covered
-		}
-	}
-	if bound < 0 {
-		bound = 0
+		bound = min(bound, covered)
 	}
 	return bound
 }

@@ -145,6 +145,64 @@ func TestSharedPrefixAcrossCommit(t *testing.T) {
 	}
 }
 
+// pagewisePrefixTuples is SharedPrefixTuples as first written: walk every
+// column's pages of both snapshots, identical or not.
+func pagewisePrefixTuples(s, o *Snapshot) int64 {
+	if s.table != o.table || s.version != o.version {
+		return 0
+	}
+	bound := min(s.tuples, o.tuples)
+	for c := range s.cols {
+		k := 0
+		for k < len(s.cols[c]) && k < len(o.cols[c]) && s.cols[c][k] == o.cols[c][k] {
+			k++
+		}
+		var covered int64
+		if k > 0 {
+			covered = s.cols[c][k-1].LastSID()
+		}
+		bound = min(bound, covered)
+	}
+	return max(bound, 0)
+}
+
+// TestSharedPrefixTuplesMatchesPagewiseWalk covers the snapshot pairs the
+// ABM's marking meets — a snapshot with itself (answered without a walk),
+// forks of one master, a fork of a fork, an empty snapshot, another
+// version — and pins the call at zero allocations.
+func TestSharedPrefixTuplesMatchesPagewiseWalk(t *testing.T) {
+	c := NewCatalog()
+	tb, _ := c.CreateTable("t", twoColSchema())
+	empty := tb.Master()
+	base, _ := empty.Append(dataN(5000, 0))
+	_ = base.Commit()
+	forkA, _ := base.Append(dataN(10, 5000))
+	forkB, _ := base.Append(dataN(3000, 5000))
+	forkAA, _ := forkA.Append(dataN(7, 5010))
+	v2, err := tb.Checkpoint(dataN(5000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := []*Snapshot{empty, base, forkA, forkB, forkAA, v2}
+	for i, s := range snaps {
+		for j, o := range snaps {
+			got, want := s.SharedPrefixTuples(o), pagewisePrefixTuples(s, o)
+			if got != want {
+				t.Errorf("snaps[%d].SharedPrefixTuples(snaps[%d]) = %d, page-wise walk gives %d", i, j, got, want)
+			}
+			if i == j && got != s.NumTuples() {
+				t.Errorf("snaps[%d] shares %d tuples with itself, has %d", i, got, s.NumTuples())
+			}
+			if n := testing.AllocsPerRun(10, func() { s.SharedPrefixTuples(o) }); n != 0 {
+				t.Errorf("snaps[%d].SharedPrefixTuples(snaps[%d]) allocates %v times", i, j, n)
+			}
+		}
+	}
+	if got := forkAA.SharedPrefixTuples(forkB); got != 5000 {
+		t.Fatalf("fork of a fork shares %d tuples with its sibling branch, want the master's 5000", got)
+	}
+}
+
 func TestCheckpointNewVersionSharesNothing(t *testing.T) {
 	c := NewCatalog()
 	tb, _ := c.CreateTable("t", twoColSchema())
