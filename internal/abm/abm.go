@@ -45,11 +45,6 @@ type Config struct {
 	// SharedBonus is added to load/keep relevance of snapshot-shared
 	// chunks.
 	SharedBonus float64
-	// CollectBlockHeat enables the per-block access-temperature map fed
-	// by scan registrations (see BlockHeat). Off by default: the counting
-	// walks every registered page range, a cost the historical paths do
-	// not pay.
-	CollectBlockHeat bool
 }
 
 // DefaultChunkTuples is the default chunk granularity.
@@ -127,10 +122,9 @@ type ABM struct {
 	resident map[storage.PageID]*residentPage
 	used     int64
 
-	work      rt.Event
-	stopped   bool
-	stats     Stats
-	blockHeat map[iosim.BlockID]float64 // non-nil iff cfg.CollectBlockHeat
+	work    rt.Event
+	stopped bool
+	stats   Stats
 	// pinnedDeliveries counts outstanding (un-Released) deliveries; used
 	// by the scheduler's liveness safeguard.
 	pinnedDeliveries int
@@ -157,9 +151,6 @@ func New(r rt.Runtime, disk *iosim.DeviceArray, cfg Config) *ABM {
 		tables:   make(map[tableKey]*tableMeta),
 		resident: make(map[storage.PageID]*residentPage),
 	}
-	if cfg.CollectBlockHeat {
-		a.blockHeat = make(map[iosim.BlockID]float64)
-	}
 	a.work = r.NewEvent()
 	r.Go("abm-scheduler", a.run)
 	return a
@@ -170,23 +161,6 @@ func (a *ABM) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.stats
-}
-
-// BlockHeat returns a copy of the per-block access-temperature map —
-// how many (scan, column) registrations covered each physical block —
-// or nil when Config.CollectBlockHeat is off. Temperature-based chunk
-// placement (iosim.TemperaturePlacement) aggregates it per stripe chunk.
-func (a *ABM) BlockHeat() map[iosim.BlockID]float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.blockHeat == nil {
-		return nil
-	}
-	out := make(map[iosim.BlockID]float64, len(a.blockHeat))
-	for b, h := range a.blockHeat {
-		out[b] = h
-	}
-	return out
 }
 
 // Used returns the resident byte volume.
@@ -277,13 +251,6 @@ func (a *ABM) RegisterCScan(snap *storage.Snapshot, cols []int, ranges []SIDRang
 			}
 			if i < cs.nextIdx {
 				cs.nextIdx = i
-			}
-		}
-		if a.blockHeat != nil {
-			for _, col := range cs.sorted {
-				for _, pg := range snap.PagesInRange(col, r.Lo, r.Hi) {
-					a.blockHeat[pg.Block]++
-				}
 			}
 		}
 	}

@@ -88,6 +88,7 @@ func (s *CScan) Open() {
 		hi = min(hi, s.Snap.NumTuples())
 		if lo < hi {
 			sids = append(sids, abm.SIDRange{Lo: lo, Hi: hi})
+			s.Ctx.Heat.count(s.Snap, s.Cols, lo, hi)
 		}
 	}
 	if len(sids) == 0 {

@@ -66,6 +66,9 @@ type Ctx struct {
 	// Skip, when non-nil, accumulates the run's zone-map pruning
 	// counters (tuples requested by predicate scans vs tuples skipped).
 	Skip *SkipStats
+	// Heat, when non-nil, counts the access temperature of the stable
+	// ranges scans declare at Open (tiered-temp's profiling pass).
+	Heat *ChunkHeat
 	// Workers, when non-nil, is the bounded worker pool XChg starts its
 	// subplan producers on (real runtime; sized by the core count, so
 	// intra-query parallelism cannot oversubscribe the machine). Nil

@@ -87,8 +87,9 @@ func (s *Scan) Open() {
 	for _, r := range s.Ranges {
 		plan := rangePlan{segs: segmentsOf(s.PDT, r)}
 		for _, seg := range plan.segs {
-			if seg.Kind == pdt.SegStable && seg.Hi > plan.sidEnd {
-				plan.sidEnd = seg.Hi
+			if seg.Kind == pdt.SegStable {
+				plan.sidEnd = max(plan.sidEnd, seg.Hi)
+				s.Ctx.Heat.count(s.Snap, s.Cols, seg.Lo, seg.Hi)
 			}
 		}
 		s.plans = append(s.plans, plan)

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/buffer"
-	"repro/internal/iosim"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -61,9 +60,6 @@ type Config struct {
 	// buckets positioned by their historical reuse distance, instead of a
 	// single LRU tail bucket.
 	LRUMode bool
-	// CollectBlockHeat enables the per-block access-temperature map fed
-	// by scan registrations (see BlockHeat). Off by default.
-	CollectBlockHeat bool
 }
 
 // DefaultConfig mirrors the paper's example parameters at a scale suited
@@ -178,8 +174,6 @@ type PBM struct {
 	shifts     int64    // shiftOnce calls so far (tests bound catch-up work by it)
 
 	victims []*pageMeta // pre-selected eviction batch
-
-	blockHeat map[iosim.BlockID]float64 // non-nil iff cfg.CollectBlockHeat
 }
 
 // New creates a PBM policy.
@@ -211,9 +205,6 @@ func New(clock Clock, cfg Config) *PBM {
 		for i := range p.lruBuckets {
 			p.lruBuckets[i] = newBucket()
 		}
-	}
-	if cfg.CollectBlockHeat {
-		p.blockHeat = make(map[iosim.BlockID]float64)
 	}
 	return p
 }
@@ -286,29 +277,9 @@ func (p *PBM) RegisterScan(pagesPerColumn [][]*storage.Page) ScanID {
 			if m.frame != nil {
 				p.pagePush(m)
 			}
-			if p.blockHeat != nil {
-				p.blockHeat[pg.Block]++
-			}
 		}
 	}
 	return id
-}
-
-// BlockHeat returns a copy of the per-block access-temperature map — how
-// many scan registrations covered each physical block — or nil when
-// Config.CollectBlockHeat is off. Temperature-based chunk placement
-// (iosim.TemperaturePlacement) aggregates it per stripe chunk.
-func (p *PBM) BlockHeat() map[iosim.BlockID]float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.blockHeat == nil {
-		return nil
-	}
-	out := make(map[iosim.BlockID]float64, len(p.blockHeat))
-	for b, h := range p.blockHeat {
-		out[b] = h
-	}
-	return out
 }
 
 // speedWindowTuples is the minimum progress between speed re-estimates.

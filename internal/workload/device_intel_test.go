@@ -50,14 +50,15 @@ func TestBlockHeatSeesAccessSkew(t *testing.T) {
 		cfg := tinyMicroConfig()
 		cfg.Policy = PBM
 		cfg.RangePercents = []int{1, 10}
+		cfg.StripeChunk = 4
 		cfg.CollectBlockHeat = true
 		cfg.HotFrac = hotFrac
 		cfg.HotProb = hotProb
 		res := RunMicro(smallDB, cfg)
-		if len(res.BlockHeat) == 0 {
-			t.Fatal("no block heat collected")
+		if len(res.ChunkHeat) == 0 {
+			t.Fatal("no heat collected")
 		}
-		return ChunkHeat(res.BlockHeat, 4)
+		return res.ChunkHeat
 	}
 	hhi := func(heat []float64) float64 {
 		var total, sq float64
@@ -81,36 +82,40 @@ func TestBlockHeatSeesAccessSkew(t *testing.T) {
 
 // TestTieredTempBeatsRoundRobin is the tiering acceptance point: on a
 // skew-heavy serving mix over a 2-fast/2-slow array, placing the hottest
-// chunks on the fast tier (from a profiling pass's heat map) must finish
-// the same workload sooner than round-robin striping.
+// chunks on the fast tier (from a profiling pass's heat) must finish the
+// same workload sooner than round-robin striping — under every policy,
+// since the scans count the heat whatever buffer manager serves them.
 func TestTieredTempBeatsRoundRobin(t *testing.T) {
-	base := func() ServeConfig {
-		cfg := ioBoundServeConfig()
-		cfg.Devices = 4
-		cfg.FastDevices = 2
-		cfg.HotFrac = 0.1
-		cfg.HotProb = 0.9
-		return cfg
-	}
-	// Profiling pass: identical mix, round-robin placement, heat on.
-	prof := base()
-	prof.CollectBlockHeat = true
-	pres := RunServe(tinyDB, prof)
-	heat := ChunkHeat(pres.BlockHeat, prof.StripeChunk)
-	if len(heat) == 0 {
-		t.Fatal("profiling pass collected no heat")
-	}
-	place := iosim.TemperaturePlacement(heat, 4, []int{0, 1})
-
-	rr := RunServe(tinyDB, base())
-	tempCfg := base()
-	tempCfg.ChunkPlacement = place
-	temp := RunServe(tinyDB, tempCfg)
-	if temp.Sched.Completed != rr.Sched.Completed {
-		t.Fatalf("completions diverged: temp %d, rr %d", temp.Sched.Completed, rr.Sched.Completed)
-	}
-	if temp.ElapsedSec >= rr.ElapsedSec {
-		t.Fatalf("temperature placement makespan %.4fs not below round-robin %.4fs",
-			temp.ElapsedSec, rr.ElapsedSec)
+	for _, pol := range []Policy{LRU, Clock, PBM, CScan} {
+		t.Run(pol.String(), func(t *testing.T) {
+			base := func() ServeConfig {
+				cfg := ioBoundServeConfig()
+				cfg.Policy = pol
+				cfg.Devices = 4
+				cfg.FastDevices = 2
+				cfg.HotFrac = 0.1
+				cfg.HotProb = 0.9
+				return cfg
+			}
+			// Profiling pass: identical mix, round-robin placement, heat on.
+			prof := base()
+			prof.CollectBlockHeat = true
+			heat := RunServe(tinyDB, prof).ChunkHeat
+			if len(heat) == 0 {
+				t.Fatal("profiling pass collected no heat")
+			}
+			rr := RunServe(tinyDB, base())
+			tempCfg := base()
+			tempCfg.ChunkPlacement = iosim.TemperaturePlacement(heat, 4, []int{0, 1})
+			temp := RunServe(tinyDB, tempCfg)
+			if temp.Sched.Completed != rr.Sched.Completed {
+				t.Fatalf("completions diverged: temp %d, rr %d", temp.Sched.Completed, rr.Sched.Completed)
+			}
+			t.Logf("makespan rr %.2f ms, temp %.2f ms", rr.ElapsedSec*1e3, temp.ElapsedSec*1e3)
+			if temp.ElapsedSec >= rr.ElapsedSec {
+				t.Fatalf("temperature placement makespan %.4fs not below round-robin %.4fs",
+					temp.ElapsedSec, rr.ElapsedSec)
+			}
+		})
 	}
 }

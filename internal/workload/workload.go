@@ -130,9 +130,9 @@ type Config struct {
 	// striping (iosim.ArrayConfig.ChunkPlacement) — temperature-based
 	// tiering feeds iosim.TemperaturePlacement output here.
 	ChunkPlacement []int
-	// CollectBlockHeat enables the buffer managers' per-block
-	// access-temperature map, reported as Result.BlockHeat. Off by
-	// default (the counting walks every registered page range).
+	// CollectBlockHeat has the scans count their declared ranges' access
+	// heat per stripe chunk (exec.ChunkHeat), reported as
+	// Result.ChunkHeat. Off by default.
 	CollectBlockHeat bool
 	// HotFrac and HotProb skew the microbenchmark's range starts: with
 	// probability HotProb a query's scan range is drawn inside the first
@@ -211,11 +211,11 @@ type Result struct {
 	// Both zero when no selectivity axis is configured.
 	RequestedTuples int64
 	SkippedTuples   int64
-	// BlockHeat is the per-block access-temperature map collected by the
-	// run's buffer manager; nil unless Config.CollectBlockHeat is set.
-	// Feed it through ChunkHeat/iosim.TemperaturePlacement to build a
-	// tiered ChunkPlacement for a follow-up run.
-	BlockHeat map[iosim.BlockID]float64
+	// ChunkHeat is the run's per-stripe-chunk access heat; nil unless
+	// Config.CollectBlockHeat is set. Feed it to
+	// iosim.TemperaturePlacement to build a tiered ChunkPlacement for a
+	// follow-up run.
+	ChunkHeat []float64
 }
 
 // OPTIOBytes replays the run's trace under Belady's OPT (§4's
@@ -287,15 +287,17 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 		PerTupleCPU:     cfg.PerTupleCPU,
 		ReadAheadTuples: ra,
 	}
+	if cfg.CollectBlockHeat {
+		e.Ctx.Heat = exec.NewChunkHeat(cfg.StripeChunk)
+	}
 	if cfg.Real {
 		e.Ctx.Workers = rt.NewWorkerPool(r, cfg.Cores)
 	}
 	switch cfg.Policy {
 	case CScan:
 		e.ABM = abm.New(r, e.Disk, abm.Config{
-			ChunkTuples:      cfg.ChunkTuples,
-			Capacity:         bufferBytes,
-			CollectBlockHeat: cfg.CollectBlockHeat,
+			ChunkTuples: cfg.ChunkTuples,
+			Capacity:    bufferBytes,
 		})
 		e.Ctx.ABM = e.ABM
 	default:
@@ -317,7 +319,6 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 			pc.NumGroups = 12
 			pc.DefaultSpeed = 1e8
 			pc.LRUMode = cfg.Policy == PBMLRU
-			pc.CollectBlockHeat = cfg.CollectBlockHeat
 			e.PBM = pbm.New(r, pc)
 			policy = e.PBM
 			e.Ctx.PBM = e.PBM
@@ -445,37 +446,10 @@ func (e *env) finish(streamEnds []sim.Time) *Result {
 	if e.rec != nil {
 		e.result.Trace = e.rec.Refs()
 	}
-	if e.cfg.CollectBlockHeat {
-		if e.ABM != nil {
-			e.result.BlockHeat = e.ABM.BlockHeat()
-		} else if e.PBM != nil {
-			e.result.BlockHeat = e.PBM.BlockHeat()
-		}
+	if e.Ctx.Heat != nil {
+		e.result.ChunkHeat = e.Ctx.Heat.Chunks()
 	}
 	return e.result
-}
-
-// ChunkHeat folds a per-block temperature map into per-stripe-chunk heat,
-// sized to cover the hottest observed block — the input shape
-// iosim.TemperaturePlacement consumes.
-func ChunkHeat(blockHeat map[iosim.BlockID]float64, stripeChunk int) []float64 {
-	if len(blockHeat) == 0 {
-		return nil
-	}
-	if stripeChunk <= 0 {
-		stripeChunk = iosim.DefaultStripeChunk
-	}
-	maxChunk := 0
-	for b := range blockHeat {
-		if c := int(int64(b) / int64(stripeChunk)); c > maxChunk {
-			maxChunk = c
-		}
-	}
-	heat := make([]float64, maxChunk+1)
-	for b, h := range blockHeat {
-		heat[int64(b)/int64(stripeChunk)] += h
-	}
-	return heat
 }
 
 // sharingSampler starts the Figure 17/18 sampler process; stop it by

@@ -123,7 +123,7 @@ func ServeSweep(o ServeOptions) []ServeRow {
 // placement that puts the hottest chunks on the fast tier.
 func heatPlacement(db *TPCHDB, cfg ServeConfig) []int {
 	cfg.CollectBlockHeat = true
-	heat := workload.ChunkHeat(workload.RunServe(db, cfg).BlockHeat, cfg.StripeChunk)
+	heat := workload.RunServe(db, cfg).ChunkHeat
 	fast := make([]int, cfg.FastDevices)
 	for i := range fast {
 		fast[i] = i
