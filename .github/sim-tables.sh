@@ -29,7 +29,7 @@ cell lifecycle "${serve[@]}" -queries 2 -mpls 1 \
 cell update-mix "${serve[@]}" -queries 4 -mpls 4 \
 	-policies fifo,sesf,wfq -writefrac 0.1 -ckptops 2 -clustered -selectivities 0.1
 cell device-intel "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 -iosched fifo,elevator
-cell tiering "${serve[@]}" -queries 2 -mpls 4 -devices 4 -tiers flat,tiered-temp -hotfrac 0.1 -hotprob 0.9
+cell tiering "${serve[@]}" -queries 2 -mpls 4 -devices 4 -tiers flat,tiered-rr,tiered-temp -hotfrac 0.1 -hotprob 0.9
 cell wfq-elevator "${serve[@]}" -queries 2 -mpls 4 -devices 1,4 -iosched elevator \
 	-policies wfq -tenants 2 -weights 3,1
 cell devices -serve -sf 0.01 -rates 5 -mpls 8 -devices 1,4

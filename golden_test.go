@@ -271,8 +271,8 @@ var goldens = []struct {
 		perPolicy("micro+disk", "elevator/1/", scanPolicies, nil, func(c *Config) { c.IOScheduler = "elevator" }, nil),
 		perPolicy("micro+disk", "elevator/4/", scanPolicies, nil, func(c *Config) { c.IOScheduler, c.Devices, c.StripeChunk = "elevator", 4, 2 }, nil),
 		perPolicy("micro+disk", "fifo/4/", []Policy{CScan}, nil, func(c *Config) { c.Devices, c.StripeChunk = 4, 2 }, nil),
-		perPolicy("micro+disk", "tiered/fifo/", scanPolicies, nil, func(c *Config) { c.Devices, c.StripeChunk, c.FastDevices = 4, 2, 2 }, nil),
-		perPolicy("micro+disk", "tiered/elevator/", scanPolicies, nil, func(c *Config) { c.IOScheduler, c.Devices, c.StripeChunk, c.FastDevices = "elevator", 4, 2, 2 }, nil),
+		perPolicy("micro+disk", "tiered/fifo/", scanPolicies, nil, func(c *Config) { c.Devices, c.StripeChunk, c.Tier = 4, 2, "tiered-rr" }, nil),
+		perPolicy("micro+disk", "tiered/elevator/", scanPolicies, nil, func(c *Config) { c.IOScheduler, c.Devices, c.StripeChunk, c.Tier = "elevator", 4, 2, "tiered-rr" }, nil),
 		perPolicy("serve+disk", "elevator/1/", scanPolicies, nil, nil, func(c *ServeConfig) { c.IOScheduler = "elevator" }),
 		perPolicy("serve+disk", "elevator/4/", scanPolicies, nil, nil, func(c *ServeConfig) { c.IOScheduler, c.Devices, c.StripeChunk = "elevator", 4, 2 }),
 		perPolicy("serve+disk", "fifo/4/", []Policy{CScan}, nil, nil, func(c *ServeConfig) { c.Devices, c.StripeChunk = 4, 2 }),

@@ -42,13 +42,14 @@ type Config struct {
 	// Capacity is the buffer budget in bytes (ABM owns the full pool,
 	// §2.3).
 	Capacity int64
-	// SharedBonus is added to load/keep relevance of snapshot-shared
-	// chunks.
-	SharedBonus float64
 }
 
 // DefaultChunkTuples is the default chunk granularity.
 const DefaultChunkTuples = 8192
+
+// sharedBonus is what being in the snapshot-shared prefix (§2.1) adds to
+// a chunk's relevance, and subtracts from its use relevance.
+const sharedBonus = 0.5
 
 // Stats aggregates ABM activity.
 type Stats struct {
@@ -140,9 +141,6 @@ func New(r rt.Runtime, disk *iosim.DeviceArray, cfg Config) *ABM {
 	}
 	if cfg.Capacity <= 0 {
 		panic("abm: capacity must be positive")
-	}
-	if cfg.SharedBonus == 0 {
-		cfg.SharedBonus = 0.5
 	}
 	a := &ABM{
 		r:        r,
@@ -400,7 +398,7 @@ func (cs *CScan) GetChunk() (*Delivery, bool) {
 				}
 				rel := -float64(c.interest - 1)
 				if c.shared {
-					rel -= cs.abm.cfg.SharedBonus
+					rel -= sharedBonus
 				}
 				if pick == nil || rel > bestRel {
 					pick, bestRel = c, rel
@@ -656,7 +654,7 @@ func (a *ABM) chooseChunk(cs *CScan) *chunk {
 		if c.loading || a.chunkCachedFor(cs, c) {
 			continue
 		}
-		rel := a.loadRelevance(c)
+		rel := c.relevance()
 		if best == nil || rel > bestRel {
 			best, bestRel = c, rel
 		}
@@ -664,20 +662,13 @@ func (a *ABM) chooseChunk(cs *CScan) *chunk {
 	return best
 }
 
-func (a *ABM) loadRelevance(c *chunk) float64 {
+// relevance is the chunk's LoadRelevance and KeepRelevance alike: how
+// many scans still want it, shared chunks boosted. Chunks nobody wants
+// score lowest.
+func (c *chunk) relevance() float64 {
 	rel := float64(c.interest)
 	if c.shared {
-		rel += a.cfg.SharedBonus
-	}
-	return rel
-}
-
-// keepRelevance scores a cached chunk for retention: how many scans still
-// want it (shared chunks boosted). Chunks nobody wants score lowest.
-func (a *ABM) keepRelevance(c *chunk) float64 {
-	rel := float64(c.interest)
-	if c.shared {
-		rel += a.cfg.SharedBonus
+		rel += sharedBonus
 	}
 	return rel
 }
@@ -695,11 +686,11 @@ func (a *ABM) loadChunk(cs *CScan, c *chunk) bool {
 	for _, pg := range pages {
 		bytes += pg.Bytes
 	}
-	if !a.makeRoom(bytes, a.loadRelevance(c), c, false) {
+	if !a.makeRoom(bytes, c.relevance(), c, false) {
 		// Liveness safeguard: when no delivery is outstanding, every scan
 		// is blocked waiting for a load, so the keep-relevance guard must
 		// yield — evict the lowest scorer regardless and proceed.
-		if a.pinnedDeliveries > 0 || !a.makeRoom(bytes, a.loadRelevance(c), c, true) {
+		if a.pinnedDeliveries > 0 || !a.makeRoom(bytes, c.relevance(), c, true) {
 			return false
 		}
 	}
@@ -807,7 +798,7 @@ func (a *ABM) wakeInterested(tm *tableMeta, loChunk, hiChunk int) {
 	}
 }
 
-// makeRoom evicts chunks with keepRelevance strictly below loadRel (the
+// makeRoom evicts chunks with relevance strictly below loadRel (the
 // paper's rule: evict the lowest scorer if it scores lower than the
 // pending load) until bytes fit. With force set the relevance guard is
 // waived (liveness safeguard), though pinned chunks are never evicted.
@@ -820,7 +811,7 @@ func (a *ABM) makeRoom(bytes int64, loadRel float64, loading *chunk, force bool)
 				if c == loading || c.bytes == 0 || c.loading || a.chunkPinned(c) {
 					continue
 				}
-				rel := a.keepRelevance(c)
+				rel := c.relevance()
 				if victim == nil || rel < victimRel {
 					victim, victimRel = c, rel
 				}

@@ -28,14 +28,10 @@ type ArrayConfig struct {
 	// DefaultStripeChunk). Block b lives on device (b/StripeChunk) mod
 	// Devices.
 	StripeChunk int
-	// DeviceConfigs optionally overrides the device model per spindle
-	// (index = device), making the array heterogeneous — e.g. an SSD-like
-	// fast tier with zero SeekLatency and a multiple of the base
-	// bandwidth. An entry with Bandwidth > 0 replaces the base Config for
-	// that device verbatim (its Scheduler field is ignored; the array
-	// -wide discipline applies); other entries, and devices beyond the
-	// slice, keep the base Config.
-	DeviceConfigs []Config
+	// FastDevices makes the first N spindles an SSD-like fast tier: zero
+	// SeekLatency and FastBandwidthX times the base Bandwidth. Zero keeps
+	// the array homogeneous.
+	FastDevices int
 	// ChunkPlacement optionally overrides the round-robin striping: entry
 	// c is the device owning stripe chunk c (blocks [c*StripeChunk,
 	// (c+1)*StripeChunk)). Chunks beyond the slice fall back to round
@@ -44,6 +40,9 @@ type ArrayConfig struct {
 	// fast devices.
 	ChunkPlacement []int
 }
+
+// FastBandwidthX is the fast tier's bandwidth multiple.
+const FastBandwidthX = 4
 
 // Span is one block-contiguous read request: a run of consecutive logical
 // blocks and its exact byte volume.
@@ -66,7 +65,6 @@ type DeviceArray struct {
 	r       rt.Runtime
 	devices []*Disk
 	chunk   int64
-	hetero  bool // any DeviceConfigs override applied
 
 	// Placement state (nil placement = pure round-robin striping).
 	placement []int
@@ -81,7 +79,7 @@ func New(r rt.Runtime, cfg Config) *DeviceArray {
 }
 
 // NewArray creates a striped array of devices; identical spindles unless
-// DeviceConfigs overrides some of them.
+// the first FastDevices of them form a fast tier.
 func NewArray(r rt.Runtime, cfg ArrayConfig) *DeviceArray {
 	if cfg.Devices < 0 {
 		panic(fmt.Sprintf("iosim: negative device count %d", cfg.Devices))
@@ -97,10 +95,9 @@ func NewArray(r rt.Runtime, cfg ArrayConfig) *DeviceArray {
 	a := &DeviceArray{r: r, devices: make([]*Disk, n), chunk: int64(chunk)}
 	for i := range a.devices {
 		dc := cfg.Config
-		if i < len(cfg.DeviceConfigs) && cfg.DeviceConfigs[i].Bandwidth > 0 {
-			dc = cfg.DeviceConfigs[i]
-			dc.Scheduler = cfg.Config.Scheduler
-			a.hetero = true
+		if i < cfg.FastDevices {
+			dc.Bandwidth *= FastBandwidthX
+			dc.SeekLatency = 0
 		}
 		a.devices[i] = NewDisk(r, dc)
 	}
@@ -127,20 +124,6 @@ func (a *DeviceArray) Devices() int { return len(a.devices) }
 
 // Device returns the i-th spindle (tests and trace hooks).
 func (a *DeviceArray) Device(i int) *Disk { return a.devices[i] }
-
-// Bandwidth reports the aggregate sequential bandwidth in bytes/second.
-// Homogeneous arrays multiply (the historical, bit-pinned formula);
-// heterogeneous arrays sum the per-device rates.
-func (a *DeviceArray) Bandwidth() float64 {
-	if !a.hetero {
-		return a.devices[0].Bandwidth() * float64(len(a.devices))
-	}
-	var sum float64
-	for _, d := range a.devices {
-		sum += d.Bandwidth()
-	}
-	return sum
-}
 
 // DeviceFor returns the index of the spindle that owns logical block b.
 func (a *DeviceArray) DeviceFor(b BlockID) int {
@@ -350,35 +333,18 @@ func (a *DeviceArray) ResetStats() {
 }
 
 // TemperaturePlacement builds a ChunkPlacement map from observed per-chunk
-// access heat: the hottest len(fast)/devices fraction of chunks is placed
-// round-robin over the fast devices, the rest round-robin over the slow
-// ones, so a tiered array serves the skewed head of the access
+// access heat for an array whose first fast devices are its fast tier
+// (ArrayConfig.FastDevices): the hottest fast/devices fraction of chunks
+// is placed round-robin over the fast devices, the rest round-robin over
+// the slow ones, so a tiered array serves the skewed head of the access
 // distribution from its fast spindles. Ties in heat break toward the lower
 // chunk index (deterministic); with no fast devices the map degenerates to
 // round-robin over all devices.
-func TemperaturePlacement(heat []float64, devices int, fast []int) []int {
+func TemperaturePlacement(heat []float64, devices, fast int) []int {
 	if devices <= 0 || len(heat) == 0 {
 		return nil
 	}
-	isFast := make([]bool, devices)
-	nFast := 0
-	for _, d := range fast {
-		if d >= 0 && d < devices && !isFast[d] {
-			isFast[d] = true
-			nFast++
-		}
-	}
-	var fastDevs, slowDevs []int
-	for d := 0; d < devices; d++ {
-		if isFast[d] {
-			fastDevs = append(fastDevs, d)
-		} else {
-			slowDevs = append(slowDevs, d)
-		}
-	}
-	if len(slowDevs) == 0 {
-		slowDevs = fastDevs // all-fast array: one tier
-	}
+	fast = max(0, min(fast, devices))
 	order := make([]int, len(heat))
 	for i := range order {
 		order[i] = i
@@ -386,13 +352,15 @@ func TemperaturePlacement(heat []float64, devices int, fast []int) []int {
 	sort.SliceStable(order, func(i, j int) bool {
 		return heat[order[i]] > heat[order[j]]
 	})
-	hot := len(heat) * nFast / devices
+	// An all-fast array places every chunk as hot, so the slow branch
+	// never divides by zero.
+	hot := len(heat) * fast / devices
 	place := make([]int, len(heat))
 	for rank, c := range order {
 		if rank < hot {
-			place[c] = fastDevs[rank%len(fastDevs)]
+			place[c] = rank % fast
 		} else {
-			place[c] = slowDevs[(rank-hot)%len(slowDevs)]
+			place[c] = fast + (rank-hot)%(devices-fast)
 		}
 	}
 	return place

@@ -179,9 +179,6 @@ func NewDisk(r rt.Runtime, cfg Config) *Disk {
 // elevator reports whether the device runs the C-SCAN discipline.
 func (d *Disk) elevator() bool { return d.sched == SchedElevator }
 
-// Bandwidth reports the configured sequential bandwidth in bytes/second.
-func (d *Disk) Bandwidth() float64 { return d.bandwidth }
-
 // Read transfers a run of blocks starting at block b, totalling the given
 // number of bytes, blocking the calling process for the simulated device
 // time. Concurrent readers queue FIFO in ticket order. blocks is the

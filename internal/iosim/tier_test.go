@@ -10,22 +10,17 @@ import (
 	"repro/internal/sim"
 )
 
-// DeviceConfigs overrides make the array heterogeneous: the fast device
-// transfers its stripe share faster, and Bandwidth() switches from the
-// homogeneous multiply to a per-device sum.
-func TestHeterogeneousDeviceConfigs(t *testing.T) {
+// FastDevices makes the array heterogeneous: the fast device transfers
+// its stripe share FastBandwidthX times faster with no seek, the others
+// keep the base model.
+func TestFastDevicesTier(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewArray(rt.Sim(eng), ArrayConfig{
 		Config:      Config{Bandwidth: 1e6, SeekLatency: time.Millisecond},
 		Devices:     2,
 		StripeChunk: 4,
-		DeviceConfigs: []Config{
-			{Bandwidth: 4e6, SeekLatency: 0}, // SSD-like fast tier on device 0
-		},
+		FastDevices: 1, // SSD-like fast tier on device 0
 	})
-	if got, want := a.Bandwidth(), 5e6; got != want {
-		t.Fatalf("Bandwidth() = %v, want %v (sum of tiers)", got, want)
-	}
 	var fastEnd, slowEnd sim.Time
 	eng.Go("fast", func() {
 		a.Read(0, 4, 400_000) // chunk 0 -> device 0: 0.1 s, no seek
@@ -41,16 +36,6 @@ func TestHeterogeneousDeviceConfigs(t *testing.T) {
 	}
 	if want := sim.Time(401 * time.Millisecond); slowEnd != want {
 		t.Fatalf("slow-device read end = %v, want %v (base config untouched)", slowEnd, want)
-	}
-}
-
-// A homogeneous array must keep the historical multiply formula for
-// Bandwidth() bit-for-bit (goldens depend on the float result).
-func TestHomogeneousBandwidthFormulaPinned(t *testing.T) {
-	eng := sim.NewEngine()
-	a := newTestArray(eng, 3, 4, 1e6/3)
-	if got, want := a.Bandwidth(), (1e6/3)*float64(3); got != want {
-		t.Fatalf("Bandwidth() = %v, want the multiply formula's %v", got, want)
 	}
 }
 
@@ -104,7 +89,7 @@ func TestChunkPlacementMapsAndSlots(t *testing.T) {
 // devices, round-robin within each tier, deterministically.
 func TestTemperaturePlacement(t *testing.T) {
 	heat := []float64{0, 9, 3, 7, 0, 5, 1, 2}
-	got := TemperaturePlacement(heat, 4, []int{0, 1})
+	got := TemperaturePlacement(heat, 4, 2)
 	// Heat rank: 1(9) 3(7) 5(5) 2(3) 7(2) 6(1) 0(0) 4(0). Hot fraction =
 	// 8*2/4 = 4 chunks -> fast {0,1} round-robin: 1->0, 3->1, 5->0, 2->1.
 	// Cold rank 7,6,0,4 -> slow {2,3} round-robin: 7->2, 6->3, 0->2, 4->3.
@@ -113,11 +98,11 @@ func TestTemperaturePlacement(t *testing.T) {
 		t.Fatalf("placement = %v, want %v", got, want)
 	}
 	// Determinism incl. heat ties (chunks 0 and 4 tie at 0 -> lower index first).
-	if again := TemperaturePlacement(heat, 4, []int{0, 1}); !reflect.DeepEqual(again, got) {
+	if again := TemperaturePlacement(heat, 4, 2); !reflect.DeepEqual(again, got) {
 		t.Fatalf("not deterministic: %v vs %v", again, got)
 	}
 	// No fast devices: plain round-robin over the slow tier by rank.
-	rr := TemperaturePlacement([]float64{1, 1, 1, 1}, 2, nil)
+	rr := TemperaturePlacement([]float64{1, 1, 1, 1}, 2, 0)
 	if !reflect.DeepEqual(rr, []int{0, 1, 0, 1}) {
 		t.Fatalf("no-fast placement = %v", rr)
 	}

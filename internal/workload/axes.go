@@ -46,12 +46,8 @@ type ServeAxes struct {
 	// bit-identical to the pre-scheduler engine; "elevator" runs a C-SCAN
 	// sweep per spindle).
 	IOSchedulers []string
-	// Tiers is the heterogeneous-array axis (default {"flat"}, every
-	// spindle identical): "tiered-rr" makes the first half of the devices
-	// an SSD-like fast tier (zero seek, 4x bandwidth) with round-robin
-	// chunk placement; "tiered-temp" additionally runs a profiling pass
-	// first and places the hottest chunks on the fast tier via
-	// iosim.TemperaturePlacement.
+	// Tiers is the heterogeneous-array axis, Config.Tier's values
+	// (default {"flat"}, every spindle identical).
 	Tiers []string
 	// HotFrac and HotProb skew the query mix's range starts: with
 	// probability HotProb a query's scan range is drawn inside the first
@@ -134,28 +130,6 @@ const (
 	sideBoth
 )
 
-// ServeCell is one point of the serving cross product: the
-// configuration that runs it plus the one axis value a ServeConfig
-// cannot hold — a tiered-temp cell's chunk placement exists only after
-// the sweep's profiling pass, and stays empty under the policies that
-// keep no heat map.
-type ServeCell struct {
-	ServeConfig
-	// Tier is the cell's -tiers value ("" where the axis is unset).
-	Tier string
-}
-
-// Row is ServeRowOf for a cell's run, with the tier named by the axis
-// value where the cell has one: the effective configuration only tells
-// flat from tiered.
-func (c ServeCell) Row(res *ServeResult) wire.ServeStats {
-	row := ServeRowOf(res, c.ServeConfig)
-	if c.Tier != "" {
-		row.Tier = c.Tier
-	}
-	return row
-}
-
 // axisFlag is the one declaration of a serving axis or knob: its flag
 // name, where the flag is legal, which end of the socket it configures,
 // its binding to a ServeAxes field — sweep default, menu or range check,
@@ -187,7 +161,7 @@ type axisBinding struct {
 	// returns one cell edit per value: for a sweep every element (the
 	// sweep default when there is none), for a single point the first,
 	// and none — the serving defaults stand — when the field is unset.
-	edits func(name string) ([]func(*ServeCell), error)
+	edits func(name string) ([]func(*ServeConfig), error)
 	// label writes the axis's column of a row from the effective
 	// configuration (nil: a knob has no column).
 	label func(*wire.ServeStats, *ServeConfig)
@@ -199,37 +173,36 @@ type axisBinding struct {
 func (a *ServeAxes) flagTable(sweep bool) []axisFlag {
 	t := axisSource{a, sweep}
 	type (
-		cell = ServeCell
-		row  = wire.ServeStats
-		cfg  = ServeConfig
+		row = wire.ServeStats
+		cfg = ServeConfig
 	)
 	// The flag package's binders of the knob types.
 	intVar, floatVar, durationVar := (*flag.FlagSet).IntVar, (*flag.FlagSet).Float64Var, (*flag.FlagSet).DurationVar
 	boolVar, stringVar := (*flag.FlagSet).BoolVar, (*flag.FlagSet).StringVar
 	return []axisFlag{
-		{"rates", scopeServeCompare, sideClient, axis(t, &a.Rates, []float64{1, 5, 20}, parseFloat, positive[float64], func(c *cell, v float64) { c.ArrivalRate = v }, func(r *row, c *cfg) { r.Rate = c.ArrivalRate }), "serve: comma-separated per-stream arrival rates in queries/s (default 1,5,20); -compare uses the first"},
-		{"mpls", scopeServeCompare, sideServer, axis(t, &a.MPLs, []int{8, 32}, strconv.Atoi, positive[int], func(c *cell, v int) { c.MPL = v }, func(r *row, c *cfg) { r.MPL = c.MPL }), "serve: comma-separated MPL concurrency limits (default 8,32); -compare uses the first"},
-		{"", scopeServeCompare, sideServer, axis(t, &a.Policies, []Policy{LRU, Clock, PBM, CScan}, nil, nil, func(c *cell, v Policy) { c.Policy = v }, func(r *row, c *cfg) { r.Policy = c.Policy.String() }), ""},
-		{"devices", scopeFigure, sideServer, axis(t, &a.Devices, []int{1}, strconv.Atoi, positive[int], func(c *cell, v int) { c.Devices = v }, func(r *row, c *cfg) { r.Devices = c.Devices }), "disk-array spindle counts: a comma-separated axis for -serve (default 1); the first value overrides the figure experiments' and -compare's single device"},
-		{"stripe", scopeFigure, sideServer, knob(&a.StripeChunk, intVar, notNegative[int]("default"), func(c *cell, v int) { c.StripeChunk = v }), "disk-array stripe chunk in blocks (0 = default 16); meaningful with -devices > 1"},
-		{"iosched", scopeServe, sideServer, axis(t, &a.IOSchedulers, []string{"fifo"}, word, oneOf(notOnMenu, "fifo", "elevator"), func(c *cell, v string) { c.IOScheduler = v }, func(r *row, c *cfg) { r.IOSched = c.IOScheduler }), "serve: comma-separated device queue disciplines (fifo, elevator; default fifo); elevator services each spindle's queue as a C-SCAN sweep"},
-		{"tiers", scopeServe, sideServer, axis(t, &a.Tiers, []string{"flat"}, word, tierMenu(sweep), landTier, labelTier), "serve: comma-separated array tierings (flat, tiered-rr, tiered-temp; default flat); tiered cells make the first half of the devices an SSD-like fast tier, tiered-temp places the hottest chunks there from a profiling pass"},
-		{"hotfrac", scopeServe, sideClient, knob(&a.HotFrac, floatVar, fraction, func(c *cell, v float64) { c.HotFrac = v }), "serve: fraction of the table forming the hot region of a skewed query mix (0 = uniform)"},
-		{"hotprob", scopeServe, sideClient, knob(&a.HotProb, floatVar, fraction, func(c *cell, v float64) { c.HotProb = v }), "serve: probability a query's range is drawn from the hot region (0 = uniform)"},
+		{"rates", scopeServeCompare, sideClient, axis(t, &a.Rates, []float64{1, 5, 20}, parseFloat, positive[float64], func(c *cfg, v float64) { c.ArrivalRate = v }, func(r *row, c *cfg) { r.Rate = c.ArrivalRate }), "serve: comma-separated per-stream arrival rates in queries/s (default 1,5,20); -compare uses the first"},
+		{"mpls", scopeServeCompare, sideServer, axis(t, &a.MPLs, []int{8, 32}, strconv.Atoi, positive[int], func(c *cfg, v int) { c.MPL = v }, func(r *row, c *cfg) { r.MPL = c.MPL }), "serve: comma-separated MPL concurrency limits (default 8,32); -compare uses the first"},
+		{"", scopeServeCompare, sideServer, axis(t, &a.Policies, []Policy{LRU, Clock, PBM, CScan}, nil, nil, func(c *cfg, v Policy) { c.Policy = v }, func(r *row, c *cfg) { r.Policy = c.Policy.String() }), ""},
+		{"devices", scopeFigure, sideServer, axis(t, &a.Devices, []int{1}, strconv.Atoi, positive[int], func(c *cfg, v int) { c.Devices = v }, func(r *row, c *cfg) { r.Devices = c.Devices }), "disk-array spindle counts: a comma-separated axis for -serve (default 1); the first value overrides the figure experiments' and -compare's single device"},
+		{"stripe", scopeFigure, sideServer, knob(&a.StripeChunk, intVar, notNegative[int]("default"), func(c *cfg, v int) { c.StripeChunk = v }), "disk-array stripe chunk in blocks (0 = default 16); meaningful with -devices > 1"},
+		{"iosched", scopeServe, sideServer, axis(t, &a.IOSchedulers, []string{"fifo"}, word, oneOf(notOnMenu, "fifo", "elevator"), func(c *cfg, v string) { c.IOScheduler = v }, func(r *row, c *cfg) { r.IOSched = c.IOScheduler }), "serve: comma-separated device queue disciplines (fifo, elevator; default fifo); elevator services each spindle's queue as a C-SCAN sweep"},
+		{"tiers", scopeServe, sideServer, axis(t, &a.Tiers, []string{"flat"}, word, tierMenu(sweep), func(c *cfg, v string) { c.Tier = v }, func(r *row, c *cfg) { r.Tier = c.Tier }), "serve: comma-separated array tierings (flat, tiered-rr, tiered-temp; default flat); tiered cells make the first half of the devices an SSD-like fast tier, tiered-temp places the hottest chunks there from a profiling pass"},
+		{"hotfrac", scopeServe, sideClient, knob(&a.HotFrac, floatVar, fraction, func(c *cfg, v float64) { c.HotFrac = v }), "serve: fraction of the table forming the hot region of a skewed query mix (0 = uniform)"},
+		{"hotprob", scopeServe, sideClient, knob(&a.HotProb, floatVar, fraction, func(c *cfg, v float64) { c.HotProb = v }), "serve: probability a query's range is drawn from the hot region (0 = uniform)"},
 		{"json", scopeServe, sideClient, knob(&a.JSONOut, stringVar, nil, nil), "serve: also write the sweep rows as JSON to this file (machine-readable benchmark output, wire.ServeStats schema)"},
-		{"policies", scopeServeCompare, sideServer, axis(t, &a.AdmissionPolicies, []string{"fifo"}, word, oneOf(unknownPolicy, sched.PolicyNames()...), func(c *cell, v string) { c.AdmissionPolicy = v }, func(r *row, c *cfg) { r.Admission = c.AdmissionPolicy }), "serve: comma-separated admission policies (fifo, sesf, wfq; default fifo); -compare uses the first"},
-		{"tenants", scopeServeCompare, sideServer, knob(&a.Tenants, intVar, notNegative[int]("default"), func(c *cell, v int) { c.Tenants = v }), "serve/compare: number of tenants streams are mapped onto (default 4)"},
-		{"weights", scopeServeCompare, sideServer, vector(t, &a.TenantWeights, parseFloat, positive[float64], func(c *cell, v []float64) { c.TenantWeights = v }), "serve/compare: comma-separated per-tenant wfq weights, index = tenant id (default all 1)"},
-		{"queue", scopeServeCompare, sideServer, knob(&a.QueueDepth, intVar, nil, func(c *cell, v int) { c.QueueDepth = v }), "serve/compare: admission queue depth (0 = default 64, negative = unbounded)"},
+		{"policies", scopeServeCompare, sideServer, axis(t, &a.AdmissionPolicies, []string{"fifo"}, word, oneOf(unknownPolicy, sched.PolicyNames()...), func(c *cfg, v string) { c.AdmissionPolicy = v }, func(r *row, c *cfg) { r.Admission = c.AdmissionPolicy }), "serve: comma-separated admission policies (fifo, sesf, wfq; default fifo); -compare uses the first"},
+		{"tenants", scopeServeCompare, sideServer, knob(&a.Tenants, intVar, notNegative[int]("default"), func(c *cfg, v int) { c.Tenants = v }), "serve/compare: number of tenants streams are mapped onto (default 4)"},
+		{"weights", scopeServeCompare, sideServer, vector(t, &a.TenantWeights, parseFloat, positive[float64], func(c *cfg, v []float64) { c.TenantWeights = v }), "serve/compare: comma-separated per-tenant wfq weights, index = tenant id (default all 1)"},
+		{"queue", scopeServeCompare, sideServer, knob(&a.QueueDepth, intVar, nil, func(c *cfg, v int) { c.QueueDepth = v }), "serve/compare: admission queue depth (0 = default 64, negative = unbounded)"},
 		// The server measures SLO attainment against -slo; the load
 		// generator draws its cancel delays inside it.
-		{"slo", scopeServeCompare, sideBoth, knob(&a.SLO, durationVar, nil, func(c *cell, v time.Duration) { c.SLO = v }), "serve/compare: end-to-end latency SLO (default 250ms)"},
-		{"selectivities", scopeServe, sideClient, axis(t, &a.Selectivities, []float64{1}, parseFloat, upToOne, func(c *cell, v float64) { c.Selectivities = []float64{v} }, func(r *row, c *cfg) { r.Selectivity = c.Selectivities[0] }), "serve: comma-separated predicate selectivities in (0,1] (default 1 = unrestricted scans); below 1 every query carries an l_shipdate window of that fraction of the date domain, pruned by the zone maps"},
+		{"slo", scopeServeCompare, sideBoth, knob(&a.SLO, durationVar, nil, func(c *cfg, v time.Duration) { c.SLO = v }), "serve/compare: end-to-end latency SLO (default 250ms)"},
+		{"selectivities", scopeServe, sideClient, axis(t, &a.Selectivities, []float64{1}, parseFloat, upToOne, func(c *cfg, v float64) { c.Selectivities = []float64{v} }, func(r *row, c *cfg) { r.Selectivity = c.Selectivities[0] }), "serve: comma-separated predicate selectivities in (0,1] (default 1 = unrestricted scans); below 1 every query carries an l_shipdate window of that fraction of the date domain, pruned by the zone maps"},
 		{"clustered", scopeServe, sideServer, knob(&a.Clustered, boolVar, nil, nil), "serve: generate lineitem sorted by l_shipdate so the zone maps have physical structure to prune against"},
-		{"deadline", scopeServe, sideClient, knob(&a.Deadline, durationVar, notNegative[time.Duration]("disabled"), func(c *cell, v time.Duration) { c.Deadline = v }), "serve: per-query end-to-end deadline; queued queries past it are dropped (to%), executing ones killed at the next lifecycle check (0 = no deadlines)"},
-		{"cancel", scopeServe, sideClient, knob(&a.CancelRate, floatVar, fraction, func(c *cell, v float64) { c.CancelRate = v }), "serve: fraction of queries whose client cancels them mid-flight, 0..1 (can%); each cancel lands a uniform [0,SLO) delay after issue"},
-		{"writefrac", scopeServe, sideClient, knob(&a.WriteFrac, floatVar, fraction, func(c *cell, v float64) { c.WriteFrac = v }), "serve: fraction of queries that are updates (insert/delete/modify through the PDT write path), 0..1; 0 keeps the read-only stream"},
-		{"ckptops", scopeServe, sideServer, knob(&a.CheckpointOps, intVar, notNegative[int]("never"), func(c *cell, v int) { c.CheckpointOps = v }), "serve: committed update operations that trigger a background checkpoint/merge (0 = never); reads keep serving pinned snapshot views while the merge runs"},
+		{"deadline", scopeServe, sideClient, knob(&a.Deadline, durationVar, notNegative[time.Duration]("disabled"), func(c *cfg, v time.Duration) { c.Deadline = v }), "serve: per-query end-to-end deadline; queued queries past it are dropped (to%), executing ones killed at the next lifecycle check (0 = no deadlines)"},
+		{"cancel", scopeServe, sideClient, knob(&a.CancelRate, floatVar, fraction, func(c *cfg, v float64) { c.CancelRate = v }), "serve: fraction of queries whose client cancels them mid-flight, 0..1 (can%); each cancel lands a uniform [0,SLO) delay after issue"},
+		{"writefrac", scopeServe, sideClient, knob(&a.WriteFrac, floatVar, fraction, func(c *cfg, v float64) { c.WriteFrac = v }), "serve: fraction of queries that are updates (insert/delete/modify through the PDT write path), 0..1; 0 keeps the read-only stream"},
+		{"ckptops", scopeServe, sideServer, knob(&a.CheckpointOps, intVar, notNegative[int]("never"), func(c *cfg, v int) { c.CheckpointOps = v }), "serve: committed update operations that trigger a background checkpoint/merge (0 = never); reads keep serving pinned snapshot views while the merge runs"},
 	}
 }
 
@@ -246,12 +219,12 @@ type axisSource struct {
 // non-nil, is its range check, and land, when non-nil, puts a set value
 // into a cell's configuration.
 func knob[T comparable](p *T, bind func(fs *flag.FlagSet, p *T, name string, value T, usage string),
-	check func(name string, v T) error, land func(*ServeCell, T)) axisBinding {
+	check func(name string, v T) error, land func(*ServeConfig, T)) axisBinding {
 	var zero T
 	return axisBinding{
 		register: func(fs *flag.FlagSet, name, usage string) { bind(fs, p, name, zero, usage) },
 		set:      func(string) bool { return *p != zero },
-		edits: func(name string) ([]func(*ServeCell), error) {
+		edits: func(name string) ([]func(*ServeConfig), error) {
 			if *p == zero || land == nil {
 				return nil, nil
 			}
@@ -262,8 +235,8 @@ func knob[T comparable](p *T, bind func(fs *flag.FlagSet, p *T, name string, val
 
 // landing holds vals to check (nil: every value is legal) and returns,
 // for each, the cell edit that lands it.
-func landing[T any](name string, vals []T, check func(name string, v T) error, land func(*ServeCell, T)) ([]func(*ServeCell), error) {
-	out := make([]func(*ServeCell), len(vals))
+func landing[T any](name string, vals []T, check func(name string, v T) error, land func(*ServeConfig, T)) ([]func(*ServeConfig), error) {
+	out := make([]func(*ServeConfig), len(vals))
 	for i, v := range vals {
 		if check != nil {
 			if err := check(name, v); err != nil {
@@ -271,7 +244,7 @@ func landing[T any](name string, vals []T, check func(name string, v T) error, l
 			}
 		}
 		v := v
-		out[i] = func(c *ServeCell) { land(c, v) }
+		out[i] = func(c *ServeConfig) { land(c, v) }
 	}
 	return out, nil
 }
@@ -309,10 +282,10 @@ func listFlag[T any](t axisSource, dst *[]T, parse func(string) (T, error)) axis
 // all legal), land how one element lands in a cell and label the axis's
 // column.
 func axis[T any](t axisSource, dst *[]T, def []T, parse func(string) (T, error), check func(name string, v T) error,
-	land func(*ServeCell, T), label func(*wire.ServeStats, *ServeConfig)) axisBinding {
+	land func(*ServeConfig, T), label func(*wire.ServeStats, *ServeConfig)) axisBinding {
 	b := listFlag(t, dst, parse)
 	b.label = label
-	b.edits = func(name string) ([]func(*ServeCell), error) {
+	b.edits = func(name string) ([]func(*ServeConfig), error) {
 		vals := *dst
 		switch {
 		case t.sweep && len(vals) == 0:
@@ -326,9 +299,9 @@ func axis[T any](t axisSource, dst *[]T, def []T, parse func(string) (T, error),
 }
 
 // vector binds a list-valued knob: the whole list is one value.
-func vector[T any](t axisSource, dst *[]T, parse func(string) (T, error), check func(name string, v T) error, land func(*ServeCell, []T)) axisBinding {
+func vector[T any](t axisSource, dst *[]T, parse func(string) (T, error), check func(name string, v T) error, land func(*ServeConfig, []T)) axisBinding {
 	b := listFlag(t, dst, parse)
-	b.edits = func(name string) ([]func(*ServeCell), error) {
+	b.edits = func(name string) ([]func(*ServeConfig), error) {
 		for _, v := range *dst {
 			if err := check(name, v); err != nil {
 				return nil, err
@@ -337,7 +310,7 @@ func vector[T any](t axisSource, dst *[]T, parse func(string) (T, error), check 
 		if len(*dst) == 0 {
 			return nil, nil
 		}
-		return []func(*ServeCell){func(c *ServeCell) { land(c, *dst) }}, nil
+		return []func(*ServeConfig){func(c *ServeConfig) { land(c, *dst) }}, nil
 	}
 	return b
 }
@@ -381,8 +354,8 @@ func (a *ServeAxes) Check(sweep bool) error {
 // consumer runs — the first element of each axis and, where an axis is
 // unset, base's value (the serving default), not the sweep's. The first
 // illegal value is the error.
-func (a *ServeAxes) Cells(base ServeConfig, sweep bool) ([]ServeCell, error) {
-	cells := []ServeCell{{ServeConfig: base}}
+func (a *ServeAxes) Cells(base ServeConfig, sweep bool) ([]ServeConfig, error) {
+	cells := []ServeConfig{base}
 	for _, f := range a.flagTable(sweep) {
 		edits, err := f.edits(f.name)
 		if err != nil {
@@ -391,7 +364,7 @@ func (a *ServeAxes) Cells(base ServeConfig, sweep bool) ([]ServeCell, error) {
 		if len(edits) == 0 {
 			continue
 		}
-		next := make([]ServeCell, 0, len(cells)*len(edits))
+		next := make([]ServeConfig, 0, len(cells)*len(edits))
 		for _, c := range cells {
 			for _, edit := range edits {
 				n := c
@@ -497,33 +470,14 @@ func oneOf(complaint string, valid ...string) func(name, v string) error {
 }
 
 // tierMenu is the -tiers check. tiered-temp is on the sweep's menu only:
-// its chunk placement comes from a profiling pass, and a single
-// configuration — a live server, -compare — runs none, so it would serve
-// and report tiered-rr.
+// its chunk placement comes from RunServe's profiling pass, which a live
+// server cannot run, so there it would serve tiered-rr; a single
+// configuration — the server's, -compare's — takes the server's menu.
 func tierMenu(sweep bool) func(name, v string) error {
 	if sweep {
 		return oneOf(notOnMenu, "flat", "tiered-rr", "tiered-temp")
 	}
 	return oneOf(notOnPointMenu, "flat", "tiered-rr")
-}
-
-// landTier makes the first half of a tiered cell's devices (at least
-// one) the fast tier, round-robin placed; tiered-temp's heat placement
-// is the sweep's to add, which finds those cells by c.Tier.
-func landTier(c *ServeCell, v string) {
-	c.Tier = v
-	if v != "flat" {
-		c.FastDevices = max(c.Devices/2, 1)
-	}
-}
-
-// labelTier tells flat from tiered, all an effective configuration
-// knows; ServeCell.Row names the tier by the cell's axis value instead.
-func labelTier(r *wire.ServeStats, c *ServeConfig) {
-	r.Tier = "flat"
-	if c.FastDevices > 0 {
-		r.Tier = "tiered-rr"
-	}
 }
 
 // word is the parse of an enumerated axis's element: the name itself.

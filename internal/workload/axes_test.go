@@ -205,7 +205,7 @@ func TestServeAxisTable(t *testing.T) {
 		}
 		out := make([]row, len(cells))
 		for i, c := range cells {
-			out[i] = c.Row(&ServeResult{})
+			out[i] = ServeRowOf(&ServeResult{}, c)
 		}
 		return out
 	}

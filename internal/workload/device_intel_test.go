@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/iosim"
 	"repro/internal/tpch"
 )
 
@@ -40,25 +39,25 @@ func TestServeElevatorDeterministicAndFewerSeeks(t *testing.T) {
 	}
 }
 
-// Block-heat collection must see the configured access skew. Block ids
+// The heat count must see the configured access skew. Block ids
 // interleave all columns, so "the first tenth of the table" is not a
 // prefix of block space; instead the skewed mix must concentrate heat:
 // its chunk-heat Herfindahl index (sum of squared heat shares) has to be
 // well above the uniform mix's.
-func TestBlockHeatSeesAccessSkew(t *testing.T) {
+func TestChunkHeatSeesAccessSkew(t *testing.T) {
 	run := func(hotFrac, hotProb float64) []float64 {
 		cfg := tinyMicroConfig()
 		cfg.Policy = PBM
 		cfg.RangePercents = []int{1, 10}
 		cfg.StripeChunk = 4
-		cfg.CollectBlockHeat = true
+		cfg.collectHeat = true
 		cfg.HotFrac = hotFrac
 		cfg.HotProb = hotProb
 		res := RunMicro(smallDB, cfg)
-		if len(res.ChunkHeat) == 0 {
+		if len(res.heat) == 0 {
 			t.Fatal("no heat collected")
 		}
-		return res.ChunkHeat
+		return res.heat
 	}
 	hhi := func(heat []float64) float64 {
 		var total, sq float64
@@ -82,32 +81,23 @@ func TestBlockHeatSeesAccessSkew(t *testing.T) {
 
 // TestTieredTempBeatsRoundRobin is the tiering acceptance point: on a
 // skew-heavy serving mix over a 2-fast/2-slow array, placing the hottest
-// chunks on the fast tier (from a profiling pass's heat) must finish the
-// same workload sooner than round-robin striping — under every policy,
-// since the scans count the heat whatever buffer manager serves them.
+// chunks on the fast tier (from RunServe's profiling pass) must finish
+// the same workload sooner than round-robin striping — under every
+// policy, since the scans count the heat whatever buffer manager serves
+// them.
 func TestTieredTempBeatsRoundRobin(t *testing.T) {
 	for _, pol := range []Policy{LRU, Clock, PBM, CScan} {
 		t.Run(pol.String(), func(t *testing.T) {
-			base := func() ServeConfig {
+			run := func(tier string) *ServeResult {
 				cfg := ioBoundServeConfig()
 				cfg.Policy = pol
 				cfg.Devices = 4
-				cfg.FastDevices = 2
+				cfg.Tier = tier
 				cfg.HotFrac = 0.1
 				cfg.HotProb = 0.9
-				return cfg
+				return RunServe(tinyDB, cfg)
 			}
-			// Profiling pass: identical mix, round-robin placement, heat on.
-			prof := base()
-			prof.CollectBlockHeat = true
-			heat := RunServe(tinyDB, prof).ChunkHeat
-			if len(heat) == 0 {
-				t.Fatal("profiling pass collected no heat")
-			}
-			rr := RunServe(tinyDB, base())
-			tempCfg := base()
-			tempCfg.ChunkPlacement = iosim.TemperaturePlacement(heat, 4, []int{0, 1})
-			temp := RunServe(tinyDB, tempCfg)
+			rr, temp := run("tiered-rr"), run("tiered-temp")
 			if temp.Sched.Completed != rr.Sched.Completed {
 				t.Fatalf("completions diverged: temp %d, rr %d", temp.Sched.Completed, rr.Sched.Completed)
 			}

@@ -63,6 +63,9 @@ func (cfg ServeConfig) withDefaults() ServeConfig {
 	if cfg.IOScheduler == "" {
 		cfg.IOScheduler = "fifo"
 	}
+	if cfg.Tier == "" {
+		cfg.Tier = "flat"
+	}
 	if cfg.AdmissionPolicy == "" {
 		cfg.AdmissionPolicy = "fifo"
 	}

@@ -43,24 +43,16 @@ type Stream struct {
 
 	g   *Generator
 	rng *rand.Rand
-	mix []float64
-	wf  float64
 }
 
 // Stream returns client stream s, seeded from the config seed and s
 // alone, so its sequence is the same whatever the other streams do.
 func (g *Generator) Stream(s int) *Stream {
-	st := &Stream{
+	return &Stream{
 		Tenant: s % g.cfg.Tenants,
 		g:      g,
 		rng:    rand.New(rand.NewSource(g.cfg.Seed + int64(s)*6271)),
-		mix:    g.cfg.Selectivities,
 	}
-	if ts := g.cfg.TenantSelectivities; st.Tenant < len(ts) && len(ts[st.Tenant]) > 0 {
-		st.mix = ts[st.Tenant]
-	}
-	st.wf = g.cfg.writeFrac(st.Tenant)
-	return st
 }
 
 // Draw is one generated query: the arrival gap that precedes it and its
@@ -74,7 +66,7 @@ type Draw struct {
 	// independent of the write coin.
 	Kind  string
 	Range exec.RIDRange
-	// Selectivity is the predicate selectivity drawn from the stream's
+	// Selectivity is the predicate selectivity drawn from the configured
 	// mix (1 = unrestricted) and Pred the window the domain hook placed
 	// for it.
 	Selectivity float64
@@ -101,7 +93,7 @@ func (st *Stream) Next() Draw {
 	if rng.Intn(2) == 0 {
 		d.Kind = "q1"
 	}
-	d.Selectivity = pickSelectivity(rng, st.mix)
+	d.Selectivity = pickSelectivity(rng, cfg.Selectivities)
 	if st.g.dom != nil {
 		d.Pred = st.g.dom.e.drawWindow(rng, d.Selectivity)
 	}
@@ -111,8 +103,8 @@ func (st *Stream) Next() Draw {
 			d.CancelAfter = sim.Duration(rng.Float64() * float64(cfg.SLO))
 		}
 	}
-	if st.wf > 0 {
-		d.Write = rng.Float64() < st.wf
+	if cfg.WriteFrac > 0 {
+		d.Write = rng.Float64() < cfg.WriteFrac
 		if d.Write {
 			d.Update = st.drawUpdate()
 		}

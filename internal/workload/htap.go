@@ -103,21 +103,6 @@ type htapState struct {
 	windows     []ckptWindow
 }
 
-// writeFrac resolves the effective write fraction for one tenant: an
-// explicit TenantWriteFrac entry (index = tenant id, zero allowed, so a
-// sweep can pit a write-heavy tenant against read-only ones) overrides
-// the global WriteFrac.
-func (cfg *ServeConfig) writeFrac(tenant int) float64 {
-	if tenant < len(cfg.TenantWriteFrac) {
-		f := cfg.TenantWriteFrac[tenant]
-		if f < 0 {
-			return 0
-		}
-		return f
-	}
-	return cfg.WriteFrac
-}
-
 // newHTAP builds the write path over the catalog's cached lineitem
 // snapshot. Requires setupSkipping: synthesized shipdates are bounded by
 // the zone map's date domain.

@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/tpch"
 )
 
@@ -80,31 +79,5 @@ func TestServeWithUpdatesDeterministic(t *testing.T) {
 	}
 	if a.TotalIOBytes != b.TotalIOBytes {
 		t.Fatalf("I/O diverged: %d vs %d", a.TotalIOBytes, b.TotalIOBytes)
-	}
-}
-
-// TestServeTenantWriteFracOverride: TenantWriteFrac entries override the
-// global fraction per tenant — a single write-heavy tenant among
-// explicit zeros produces strictly fewer writes than everyone at the
-// same fraction, and the ledger still reconciles.
-func TestServeTenantWriteFracOverride(t *testing.T) {
-	one := htapServeConfig(PBM)
-	one.WriteFrac = 0
-	one.TenantWriteFrac = []float64{0.5, 0, 0, 0}
-	all := htapServeConfig(PBM)
-	all.WriteFrac = 0.5
-	ro := RunServe(freshClusteredTinyDB(), one)
-	rw := RunServe(freshClusteredTinyDB(), all)
-	if ro.Sched.WriteCompleted == 0 {
-		t.Fatal("tenant 0 never wrote")
-	}
-	if ro.Sched.WriteCompleted >= rw.Sched.WriteCompleted {
-		t.Fatalf("override did not restrict writes: %d with one tenant, %d with all",
-			ro.Sched.WriteCompleted, rw.Sched.WriteCompleted)
-	}
-	for _, st := range []sched.Stats{ro.Sched, rw.Sched} {
-		if got := st.Completed + st.Rejected + st.TimedOut + st.Cancelled; got != st.Arrived {
-			t.Fatalf("ledger does not reconcile: %d resolved, %d arrived", got, st.Arrived)
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/iosim"
 	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -53,13 +54,6 @@ type ServeConfig struct {
 	// TenantWeights assigns wfq fair-share weights by tenant id (index =
 	// tenant). Missing or non-positive entries weigh 1.
 	TenantWeights []float64
-	// TenantSelectivities overrides the embedded Config.Selectivities
-	// per tenant (index = tenant id): each tenant's streams draw their
-	// predicate selectivity from their own mix, so a sweep can pit
-	// narrow-predicate tenants against full-scan tenants under one
-	// admission policy. Missing or empty entries fall back to
-	// Config.Selectivities.
-	TenantSelectivities [][]float64
 	// Deadline, when positive, arms every query with an end-to-end
 	// deadline relative to its arrival: queries still queued past it are
 	// dropped with a TimedOut outcome (they never occupy an MPL slot),
@@ -80,10 +74,6 @@ type ServeConfig struct {
 	// draws no write coin and keeps the read-only stream bit-identical to
 	// the historical engine.
 	WriteFrac float64
-	// TenantWriteFrac overrides WriteFrac per tenant (index = tenant id;
-	// an explicit zero entry makes that tenant read-only), so a sweep can
-	// pit a write-heavy tenant against read-only ones.
-	TenantWriteFrac []float64
 	// CheckpointOps triggers the background checkpoint/merge process:
 	// when the committed-but-uncheckpointed delta count reaches it, an
 	// online checkpoint materializes the store to a fresh stable snapshot
@@ -144,8 +134,16 @@ type ServeResult struct {
 //
 // It is the in-process transport of the serving core: a Generator draws
 // each stream's queries and a ServeEngine admits, plans and executes
-// them, on the simulator or the real-threaded runtime.
+// them, on the simulator or the real-threaded runtime. A tiered-temp
+// configuration runs twice: a profiling pass counts the per-chunk access
+// heat under round-robin placement, then the measured run places the
+// hottest chunks on the fast tier.
 func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
+	if cfg.Tier == "tiered-temp" && !cfg.collectHeat {
+		prof := cfg
+		prof.collectHeat = true
+		cfg.chunkPlacement = iosim.TemperaturePlacement(RunServe(db, prof).heat, cfg.Devices, cfg.fastDevices())
+	}
 	en := NewServeEngine(db, cfg)
 	cfg = en.Config()
 	r := en.Runtime()

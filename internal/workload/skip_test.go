@@ -75,9 +75,8 @@ func TestSelectivityDeterministicWithPredicates(t *testing.T) {
 }
 
 // TestRunServeRealMixedSelectivitiesSmoke runs the full serving stack on
-// the real-threaded runtime with a mixed selectivity axis and a
-// per-tenant override, under sesf so the skip-aware admission pricing
-// path runs concurrently too. Under -race this is the concurrency check
+// the real-threaded runtime with a mixed selectivity axis, under sesf so
+// the skip-aware admission pricing path runs concurrently too. Under -race this is the concurrency check
 // of the zone-map registry and the atomic skip counters.
 func TestRunServeRealMixedSelectivitiesSmoke(t *testing.T) {
 	for _, pol := range []Policy{PBM, CScan} {
@@ -87,7 +86,6 @@ func TestRunServeRealMixedSelectivitiesSmoke(t *testing.T) {
 			cfg.Policy = pol
 			cfg.AdmissionPolicy = "sesf"
 			cfg.Selectivities = []float64{1, 0.01}
-			cfg.TenantSelectivities = [][]float64{{0.01}} // tenant 0 always selective
 			type outcome struct{ res *ServeResult }
 			ch := make(chan outcome, 1)
 			go func() { ch <- outcome{RunServe(clusteredTinyDB, cfg)} }()

@@ -122,18 +122,20 @@ type Config struct {
 	// (iosim.Config.Scheduler): "" or "fifo" keeps the historical FIFO
 	// service bit-identical; "elevator" runs a C-SCAN sweep per spindle.
 	IOScheduler string
-	// FastDevices makes the first N spindles an SSD-like fast tier: zero
-	// seek latency and fastBandwidthX times the base bandwidth. Zero keeps
-	// the array homogeneous (bit-identical).
-	FastDevices int
-	// ChunkPlacement optionally overrides the array's round-robin chunk
-	// striping (iosim.ArrayConfig.ChunkPlacement) — temperature-based
-	// tiering feeds iosim.TemperaturePlacement output here.
-	ChunkPlacement []int
-	// CollectBlockHeat has the scans count their declared ranges' access
-	// heat per stripe chunk (exec.ChunkHeat), reported as
-	// Result.ChunkHeat. Off by default.
-	CollectBlockHeat bool
+	// Tier is the array's tiering: "" or "flat" keeps every spindle
+	// identical; "tiered-rr" makes the first half of the devices (at
+	// least one) an SSD-like fast tier (iosim.ArrayConfig.FastDevices)
+	// under round-robin chunk striping; "tiered-temp", which only RunServe
+	// places (the closed-loop experiments run it as tiered-rr),
+	// additionally puts the hottest stripe chunks on the fast tier, from
+	// a profiling pass RunServe runs first.
+	Tier string
+	// chunkPlacement and collectHeat wire tiered-temp's profiling pass:
+	// the pass counts the scans' access heat per stripe chunk
+	// (Result.heat), the measured run stripes by the placement built from
+	// it (iosim.ArrayConfig.ChunkPlacement).
+	chunkPlacement []int
+	collectHeat    bool
 	// HotFrac and HotProb skew the microbenchmark's range starts: with
 	// probability HotProb a query's scan range is drawn inside the first
 	// HotFrac of the table, concentrating access heat there. HotFrac <= 0
@@ -149,8 +151,16 @@ type Config struct {
 	Real bool
 }
 
-// fastBandwidthX is the fast tier's bandwidth multiple.
-const fastBandwidthX = 4
+// fastDevices is the fast-tier spindle count Tier asks for.
+func (cfg Config) fastDevices() int {
+	switch cfg.Tier {
+	case "", "flat":
+		return 0
+	case "tiered-rr", "tiered-temp":
+		return max(cfg.Devices/2, 1)
+	}
+	panic(fmt.Sprintf("workload: unknown tier %q (want flat, tiered-rr or tiered-temp)", cfg.Tier))
+}
 
 // DefaultMicroConfig returns §4.1's defaults: 8 streams, 16-query
 // batches, buffer 40% of accessed volume, 700 MB/s, 8 threads/query.
@@ -211,11 +221,9 @@ type Result struct {
 	// Both zero when no selectivity axis is configured.
 	RequestedTuples int64
 	SkippedTuples   int64
-	// ChunkHeat is the run's per-stripe-chunk access heat; nil unless
-	// Config.CollectBlockHeat is set. Feed it to
-	// iosim.TemperaturePlacement to build a tiered ChunkPlacement for a
-	// follow-up run.
-	ChunkHeat []float64
+	// heat is the run's per-stripe-chunk access heat, counted only by a
+	// profiling pass (Config.collectHeat).
+	heat []float64
 }
 
 // OPTIOBytes replays the run's trace under Belady's OPT (§4's
@@ -261,21 +269,12 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 		SeekLatency: 50 * time.Microsecond,
 		Scheduler:   cfg.IOScheduler,
 	}
-	var tiers []iosim.Config
-	if cfg.FastDevices > 0 {
-		tiers = make([]iosim.Config, cfg.FastDevices)
-		for i := range tiers {
-			// SSD-like fast tier: no seek penalty, a multiple of the base
-			// bandwidth.
-			tiers[i] = iosim.Config{Bandwidth: base.Bandwidth * fastBandwidthX, SeekLatency: 0}
-		}
-	}
 	e.Disk = iosim.NewArray(r, iosim.ArrayConfig{
 		Config:         base,
 		Devices:        cfg.Devices,
 		StripeChunk:    cfg.StripeChunk,
-		DeviceConfigs:  tiers,
-		ChunkPlacement: cfg.ChunkPlacement,
+		FastDevices:    cfg.fastDevices(),
+		ChunkPlacement: cfg.chunkPlacement,
 	})
 	ra := cfg.ReadAheadTuples
 	if ra <= 0 {
@@ -287,7 +286,7 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 		PerTupleCPU:     cfg.PerTupleCPU,
 		ReadAheadTuples: ra,
 	}
-	if cfg.CollectBlockHeat {
+	if cfg.collectHeat {
 		e.Ctx.Heat = exec.NewChunkHeat(cfg.StripeChunk)
 	}
 	if cfg.Real {
@@ -447,7 +446,7 @@ func (e *env) finish(streamEnds []sim.Time) *Result {
 		e.result.Trace = e.rec.Refs()
 	}
 	if e.Ctx.Heat != nil {
-		e.result.ChunkHeat = e.Ctx.Heat.Chunks()
+		e.result.heat = e.Ctx.Heat.Chunks()
 	}
 	return e.result
 }

@@ -1,7 +1,6 @@
 package scanshare
 
 import (
-	"repro/internal/iosim"
 	"repro/internal/sched"
 	"repro/internal/workload"
 	"repro/wire"
@@ -85,7 +84,7 @@ func ServeRowOf(res *ServeResult, cfg ServeConfig) ServeRow { return workload.Se
 // product for ServeSweep, the single point Compare and
 // NewServeEngineConfig run otherwise. An axis value off its menu or out
 // of its range panics here, before any data is generated.
-func (o ServeOptions) cells(sweep bool) []workload.ServeCell {
+func (o ServeOptions) cells(sweep bool) []ServeConfig {
 	base := DefaultServeConfig()
 	base.Config = o.apply(base.Config)
 	base.Real = o.Real
@@ -100,35 +99,16 @@ func (o ServeOptions) cells(sweep bool) []workload.ServeCell {
 // x I/O-scheduler x tier x admission-policy x selectivity cross product
 // and returns one row per cell, the innermost axes adjacent so each
 // effect (striping, fifo/elevator seeks, flat/tiered placement,
-// fifo/sesf/wfq SLOs, zone-map skipping) reads off one table. A
-// "tiered-temp" cell runs twice: a profiling pass collects the per-chunk
-// access heat under round-robin placement, then the measured pass
-// re-runs with the hottest chunks placed on the fast tier.
+// fifo/sesf/wfq SLOs, zone-map skipping) reads off one table.
 func ServeSweep(o ServeOptions) []ServeRow {
 	o.Options = o.Options.fill()
 	cells := o.cells(true)
 	db := GenerateTPCHOpt(o.SF, o.Seed, TPCHGenOptions{ClusteredShipdate: o.Clustered})
 	out := make([]ServeRow, len(cells))
 	for i, c := range cells {
-		if c.Tier == "tiered-temp" {
-			c.ChunkPlacement = heatPlacement(db, c.ServeConfig)
-		}
-		out[i] = c.Row(workload.RunServe(db, c.ServeConfig))
+		out[i] = ServeRowOf(workload.RunServe(db, c), c)
 	}
 	return out
-}
-
-// heatPlacement runs tiered-temp's profiling pass — the same cell under
-// round-robin placement with heat collection on — and returns the chunk
-// placement that puts the hottest chunks on the fast tier.
-func heatPlacement(db *TPCHDB, cfg ServeConfig) []int {
-	cfg.CollectBlockHeat = true
-	heat := workload.RunServe(db, cfg).ChunkHeat
-	fast := make([]int, cfg.FastDevices)
-	for i := range fast {
-		fast[i] = i
-	}
-	return iosim.TemperaturePlacement(heat, cfg.Devices, fast)
 }
 
 // CompareReport is the result of one closed-vs-open-loop comparison: the
@@ -156,8 +136,8 @@ func Compare(o ServeOptions) CompareReport {
 	}
 	c := o.cells(false)[0]
 	db := GenerateTPCHOpt(o.SF, o.Seed, TPCHGenOptions{ClusteredShipdate: o.Clustered})
-	res := workload.RunCompare(db, c.ServeConfig)
-	rep := CompareReport{Open: c.Row(res.Open), Closed: c.Row(res.Closed)}
+	res := workload.RunCompare(db, c)
+	rep := CompareReport{Open: ServeRowOf(res.Open, c), Closed: ServeRowOf(res.Closed, c)}
 	rep.GapP50ms = rep.Open.P50ms - rep.Closed.P50ms
 	rep.GapP95ms = rep.Open.P95ms - rep.Closed.P95ms
 	rep.GapP99ms = rep.Open.P99ms - rep.Closed.P99ms

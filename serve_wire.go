@@ -51,7 +51,7 @@ func WriteServeRows(path string, rows []ServeRow) error {
 // take (see ServeAxes.Check) — "tiered-temp" needs the sweep's profiling
 // pass.
 func NewServeEngineConfig(base Options, a ServeAxes) ServeConfig {
-	return ServeOptions{Options: base.fill(), ServeAxes: a}.cells(false)[0].ServeConfig
+	return ServeOptions{Options: base.fill(), ServeAxes: a}.cells(false)[0]
 }
 
 // RegisterFlags binds the per-run flags the command-line binaries share

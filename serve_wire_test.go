@@ -44,9 +44,8 @@ func TestServeRowWireCompat(t *testing.T) {
 }
 
 // TestServeRowLabels pins what the one row mapper decides: every axis
-// label of a row is read off the effective ServeConfig that ran. It
-// tells flat from tiered and no more — a tiered-temp label is the
-// sweep's, from the axis value (TestServeAxisTable).
+// label of a row, the tier's included, is read off the effective
+// ServeConfig that ran.
 func TestServeRowLabels(t *testing.T) {
 	base := scanshare.DefaultServeConfig()
 	for name, c := range map[string]struct {
@@ -67,13 +66,13 @@ func TestServeRowLabels(t *testing.T) {
 				r.Rate, r.MPL, r.Devices, r.IOSched, r.Admission = 5, 32, 4, "elevator", "wfq"
 			},
 		},
-		"fast devices are tiered-rr": {
-			func(c *scanshare.ServeConfig) { c.Devices, c.FastDevices = 4, 2 },
+		"tiered-rr": {
+			func(c *scanshare.ServeConfig) { c.Devices, c.Tier = 4, "tiered-rr" },
 			func(r *scanshare.ServeRow) { r.Devices, r.Tier = 4, "tiered-rr" },
 		},
-		"a placement does not rename the tier": {
-			func(c *scanshare.ServeConfig) { c.Devices, c.FastDevices, c.ChunkPlacement = 4, 2, []int{0, 1, 2, 3} },
-			func(r *scanshare.ServeRow) { r.Devices, r.Tier = 4, "tiered-rr" },
+		"tiered-temp": {
+			func(c *scanshare.ServeConfig) { c.Devices, c.Tier = 4, "tiered-temp" },
+			func(r *scanshare.ServeRow) { r.Devices, r.Tier = 4, "tiered-temp" },
 		},
 		"selectivity": {
 			func(c *scanshare.ServeConfig) { c.Selectivities = []float64{0.01} },
@@ -106,7 +105,7 @@ func TestServeEngineConfigDefaults(t *testing.T) {
 	}
 	if cfg.Policy != scanshare.PBM || cfg.MPL != 8 ||
 		cfg.QueueDepth != 64 || cfg.SLO != 250*time.Millisecond || cfg.Devices > 1 ||
-		cfg.IOScheduler != "" || cfg.AdmissionPolicy != "" || cfg.FastDevices != 0 || cfg.Real {
+		cfg.IOScheduler != "" || cfg.AdmissionPolicy != "" || cfg.Tier != "" || cfg.Real {
 		t.Fatalf("serving defaults moved: %+v", cfg)
 	}
 	row := scanshare.ServeRowOf(&scanshare.ServeResult{}, cfg)
@@ -119,8 +118,7 @@ func TestServeEngineConfigDefaults(t *testing.T) {
 	axes.MPLs, axes.Devices = []int{4, 8}, []int{4, 1}
 	axes.Tiers, axes.AdmissionPolicies = []string{"tiered-rr", "tiered-temp"}, []string{"sesf", "wfq"}
 	cfg = scanshare.NewServeEngineConfig(scanshare.Options{}, axes)
-	if cfg.MPL != 4 || cfg.Devices != 4 || cfg.FastDevices != 2 ||
-		cfg.ChunkPlacement != nil || cfg.AdmissionPolicy != "sesf" {
+	if cfg.MPL != 4 || cfg.Devices != 4 || cfg.Tier != "tiered-rr" || cfg.AdmissionPolicy != "sesf" {
 		t.Fatalf("first-of-axis mapping: %+v", cfg)
 	}
 	if row := scanshare.ServeRowOf(&scanshare.ServeResult{}, cfg); row.Tier != "tiered-rr" {
