@@ -1,8 +1,8 @@
 // Command scanserved serves the scan-sharing engine over HTTP: the
 // admission scheduler is the front door, query lifecycles are wired to
 // their connections (disconnect cancels, request deadlines kill), and
-// results stream back as NDJSON through bounded send buffers so slow
-// clients backpressure into the engine instead of ballooning memory.
+// results stream back as NDJSON, each batch written before the next is
+// pulled, so a slow client stalls its scan instead of ballooning memory.
 //
 // Usage:
 //
@@ -48,7 +48,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		policy   = flag.String("policy", "pbm", "buffer-management policy (lru, mru, clock, pbm, pbm-lru, cscans)")
-		sendbuf  = flag.Int("sendbuf", 8, "per-query send buffer in batches; a full buffer backpressures the plan")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	)
 	base := scanshare.DefaultOptions()
@@ -83,7 +82,7 @@ func main() {
 
 	fmt.Printf("scanserved: generating TPC-H sf=%g (clustered=%v)\n", base.SF, axes.Clustered)
 	db := scanshare.GenerateTPCHOpt(base.SF, base.Seed, scanshare.TPCHGenOptions{ClusteredShipdate: axes.Clustered})
-	srv := server.New(db, server.Config{Serve: cfg, SendBuf: *sendbuf, DrainTimeout: *drainFor})
+	srv := server.New(db, server.Config{Serve: cfg, DrainTimeout: *drainFor})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -1,9 +1,10 @@
 // Package server fronts the serving engine with HTTP: the admission
 // scheduler is the front door, every request's lifecycle handle is tied
 // to its HTTP context (disconnect → client-cancel, request deadline →
-// query deadline), and results stream back as NDJSON through a bounded
-// per-query send buffer — so a slow client backpressures through the
-// plan into XChg instead of buffering the result set in server memory.
+// query deadline), and results stream back as NDJSON. The handler pulls
+// the plan itself and writes each batch before pulling the next, so a
+// slow client blocks the write and the scan stalls behind it, with no
+// result set buffered in server memory.
 package server
 
 import (
@@ -31,11 +32,6 @@ type Config struct {
 	// Serve configures the underlying engine (policy, MPL, admission
 	// policy, devices, ...); its Real flag is forced on.
 	Serve workload.ServeConfig
-	// SendBuf bounds each query's send buffer in batches (default 8).
-	// When a client reads slower than the plan produces, the buffer
-	// fills, the producer parks, and the stall propagates down the plan:
-	// XChg's bounded exchange channels fill and its workers park too.
-	SendBuf int
 	// DrainTimeout bounds how long Drain waits for in-flight queries
 	// (0 = wait until the caller's context expires).
 	DrainTimeout time.Duration
@@ -52,18 +48,14 @@ type Server struct {
 	draining atomic.Bool
 	inflight atomic.Int64 // admitted queries still streaming
 
-	// produced counts rows encoded by plan producers, delivered rows
-	// written to clients; their gap is bounded by the send buffer —
-	// the observable the backpressure test pins down.
+	// produced counts rows encoded from the plans, delivered rows written
+	// to clients; they differ only by the batch a failed write dropped.
 	produced  atomic.Int64
 	delivered atomic.Int64
 }
 
 // New builds a server over the generated database.
 func New(db *tpch.DB, cfg Config) *Server {
-	if cfg.SendBuf <= 0 {
-		cfg.SendBuf = 8
-	}
 	// A server serves wall-clock traffic, whatever the config says.
 	cfg.Serve.Real = true
 	s := &Server{cfg: cfg, eng: workload.NewServeEngine(db, cfg.Serve)}
@@ -81,8 +73,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Engine exposes the underlying serving engine (stats, scheduler).
 func (s *Server) Engine() *workload.ServeEngine { return s.eng }
 
-// Produced and Delivered report the cumulative row counts on either
-// side of the send buffers.
+// Produced and Delivered report the cumulative row counts encoded from
+// the plans and written to clients.
 func (s *Server) Produced() int64  { return s.produced.Load() }
 func (s *Server) Delivered() int64 { return s.delivered.Load() }
 
@@ -202,20 +194,13 @@ func (a *admitted) timing(now rt.Time) (latencyMS, queueWaitMS float64) {
 // the tenant and mints the lifecycle handle — one handle from admission
 // to the device queue: the request deadline arms it, and the HTTP context
 // cancels it the moment the client disconnects, wherever the query is —
-// then runs the scheduler, blocking while queued. On refusal it answers
-// the client itself and returns nil.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, pin *int, deadline wire.Duration, cost float64, write bool) *admitted {
+// then prices the request and runs the scheduler, blocking while queued.
+// On refusal it answers the client itself and returns nil.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, pin *int, deadline wire.Duration, d workload.Draw) *admitted {
 	a := &admitted{tenant: s.tenantOf(r, pin), qc: s.eng.NewQueryCtx(time.Duration(deadline))}
 	stop := context.AfterFunc(r.Context(), func() { a.qc.Cancel(rt.CauseClientCancel) })
 	var outcome sched.AdmitOutcome
-	a.tk, outcome = s.eng.Admit(sched.Query{
-		Stream: a.tenant,
-		Seq:    int(s.querySeq.Add(1) - 1),
-		Tenant: a.tenant,
-		Cost:   cost,
-		Ctx:    a.qc,
-		Write:  write,
-	})
+	a.tk, outcome = s.eng.Admit(s.eng.Request(a.tenant, int(s.querySeq.Add(1)-1), a.tenant, d, a.qc))
 	switch outcome {
 	case sched.AdmitGranted:
 		s.inflight.Add(1)
@@ -243,60 +228,67 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodePost(w, r, &req) {
 		return
 	}
-	kind := req.Kind
-	if kind == "" {
-		kind = wire.KindQ6
+	d := workload.Draw{Kind: req.Kind, Range: s.eng.ClipRange(req.Lo, req.Hi)}
+	if d.Kind == "" {
+		d.Kind = wire.KindQ6
 	}
-	switch kind {
+	switch d.Kind {
 	case wire.KindQ1, wire.KindQ6, wire.KindScan:
 	default:
-		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: fmt.Sprintf("unknown kind %q (want q1, q6 or scan)", kind)})
+		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: fmt.Sprintf("unknown kind %q (want q1, q6 or scan)", d.Kind)})
 		return
 	}
-	rng := s.eng.ClipRange(req.Lo, req.Hi)
-	var pred *exec.ScanPredicate
 	if req.Predicate != nil {
 		var err error
-		pred, err = s.eng.PredicateNamed(req.Predicate.Col, req.Predicate.Lo, req.Predicate.Hi)
+		d.Pred, err = s.eng.PredicateNamed(req.Predicate.Col, req.Predicate.Lo, req.Predicate.Hi)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: "bad predicate: " + err.Error()})
 			return
 		}
 	} else if req.Selectivity > 0 {
-		pred = s.eng.PredicateFor(req.Selectivity)
+		d.Pred = s.eng.PredicateFor(req.Selectivity)
 	}
 
-	a := s.admit(w, r, req.Tenant, req.Deadline, s.eng.Price(rng, pred), false)
+	a := s.admit(w, r, req.Tenant, req.Deadline, d)
 	if a == nil {
 		return
 	}
 	defer a.release()
 
-	plan, err := s.eng.BuildPlan(a.qc, kind, rng, pred)
+	// Each batch is encoded into the one buffer and written before the
+	// next pull. A failed write means the client is gone: emit says so,
+	// and Execute cancels the query and stops pulling.
+	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+	flusher, _ := w.(http.Flusher)
+	var buf []byte
+	var rows, bytes int64
+	writeOK := true
+	_, err := s.eng.Execute(a.tk, a.qc, d, func(b *exec.Batch) bool {
+		buf = encodeBatch(buf[:0], b)
+		s.produced.Add(int64(b.N))
+		if _, err := w.Write(buf); err != nil {
+			writeOK = false
+			return false
+		}
+		rows += int64(b.N)
+		bytes += int64(len(buf))
+		s.delivered.Add(int64(b.N))
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	})
 	if err != nil {
-		a.tk.Done()
 		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: err.Error()})
 		return
-	}
-
-	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
-	rows, bytes, writeOK := s.stream(w, a.qc, plan)
-
-	// Resolve the ticket first so /statz reconciles even while the
-	// trailer is in flight.
-	cancelled := a.qc.Cancelled()
-	if cancelled {
-		a.tk.Cancel(a.qc.Cause())
-	} else {
-		a.tk.Done()
 	}
 	if !writeOK {
 		return
 	}
 	trailer := wire.QueryResult{Rows: rows, Bytes: bytes, Tenant: a.tenant, Outcome: wire.OutcomeOK}
 	trailer.LatencyMS, trailer.QueueWaitMS = a.timing(s.eng.Now())
-	if cancelled {
-		trailer.Outcome = a.qc.Cause().String()
+	if cause := a.qc.Cause(); cause != rt.CauseNone {
+		trailer.Outcome = cause.String()
 		trailer.Error = a.qc.Err().Error()
 	}
 	b, _ := json.Marshal(trailer)
@@ -323,7 +315,7 @@ func (s *Server) tenantOf(r *http.Request, explicit *int) int {
 // reads — delta-size-priced, so sesf/wfq weigh writes against scans —
 // and applies it to the engine's PDT store. The lifecycle binding
 // matches reads: the HTTP context cancels a queued write the moment the
-// client disconnects, and a cancelled write is never applied.
+// client disconnects, and a write dead at its grant is never applied.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req wire.UpdateRequest
 	if !decodePost(w, r, &req) {
@@ -338,113 +330,44 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: err.Error()})
 		return
 	}
+	d := s.eng.DrawUpdate(kind, req.Batch)
 
-	a := s.admit(w, r, req.Tenant, req.Deadline, s.eng.PriceUpdate(req.Batch), true)
+	a := s.admit(w, r, req.Tenant, req.Deadline, d)
 	if a == nil {
 		return
 	}
 	defer a.release()
-	if a.qc.Cancelled() {
-		// Granted but already dead (disconnect or deadline raced the
-		// grant): resolve the ticket, skip the write.
-		a.tk.Cancel(a.qc.Cause())
-		return
-	}
-
-	applied, version, pending, err := s.eng.ApplyUpdate(kind, req.Batch)
-	a.tk.Done()
+	applied, err := s.eng.Execute(a.tk, a.qc, d, nil)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, wire.ErrorReply{Error: err.Error()})
 		return
+	}
+	if a.qc.Cause() != rt.CauseNone {
+		return // dead before the write, or the client left after it
 	}
 	res := wire.UpdateResult{
 		Applied:     applied,
 		Tenant:      a.tenant,
 		Outcome:     wire.OutcomeOK,
-		Version:     version,
-		Pending:     pending,
 		Checkpoints: s.eng.Checkpoints(),
 	}
+	res.Version, res.Pending = s.eng.StoreVersion()
 	res.LatencyMS, res.QueueWaitMS = a.timing(s.eng.Now())
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
 }
 
-// batchChunk is one encoded batch in flight between producer and writer.
-type batchChunk struct {
-	data []byte
-	n    int64
-}
-
-// stream runs the plan and writes its rows as NDJSON. The producer
-// goroutine drives the plan and parks on the bounded buf channel when
-// the writer (i.e. the client) falls behind — plan.Next is then not
-// called, XChg's exchange channels fill, and its workers park: client
-// backpressure reaches the scan. Cancellation (client disconnect,
-// deadline) unblocks both sides.
-func (s *Server) stream(w http.ResponseWriter, qc *exec.QueryCtx, plan exec.Op) (rows, bytes int64, writeOK bool) {
-	buf := make(chan batchChunk, s.cfg.SendBuf)
-	cancelCh := make(chan struct{})
-	remove := qc.OnCancel(func() { close(cancelCh) })
-	defer remove()
-
-	go func() {
-		defer close(buf)
-		plan.Open()
-		defer plan.Close()
-		schema := plan.Schema()
-		rowBytes := 16 // sizes the next chunk from the last one's rows
-		for {
-			b := plan.Next()
-			if b == nil {
-				return
-			}
-			chunk := batchChunk{data: encodeBatch(schema, b, rowBytes), n: int64(b.N)}
-			rowBytes = len(chunk.data)/max(b.N, 1) + 4
-			s.produced.Add(chunk.n)
-			select {
-			case buf <- chunk:
-			case <-cancelCh:
-				return
-			}
-		}
-	}()
-
-	flusher, _ := w.(http.Flusher)
-	writeOK = true
-	for chunk := range buf {
-		if !writeOK {
-			continue // drain so the producer finishes its in-flight send
-		}
-		if _, err := w.Write(chunk.data); err != nil {
-			// The client is gone; kill the query at its next check.
-			qc.Cancel(rt.CauseClientCancel)
-			writeOK = false
-			continue
-		}
-		rows += chunk.n
-		bytes += int64(len(chunk.data))
-		s.delivered.Add(chunk.n)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	return rows, bytes, writeOK
-}
-
-// encodeBatch renders a batch as NDJSON rows, one JSON array per row,
-// into a fresh buffer of rowBytes per row (the chunk owns its bytes until
-// the writer goroutine has written it, so nothing is reused). The common
-// values take fast paths that emit exactly what strconv would.
-func encodeBatch(schema []storage.ColumnType, b *exec.Batch, rowBytes int) []byte {
-	out := make([]byte, 0, b.N*rowBytes)
+// encodeBatch appends a batch to out as NDJSON rows, one JSON array per
+// row, reading each column's type off its vector. The common values take
+// fast paths that emit exactly what strconv would.
+func encodeBatch(out []byte, b *exec.Batch) []byte {
 	for i := 0; i < b.N; i++ {
 		out = append(out, '[')
 		for j, v := range b.Vecs {
 			if j > 0 {
 				out = append(out, ',')
 			}
-			switch schema[j] {
+			switch v.T {
 			case storage.Int64:
 				out = strconv.AppendInt(out, v.I64[i], 10)
 			case storage.Float64:

@@ -18,6 +18,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 	"repro/wire"
@@ -151,6 +153,9 @@ func TestBadRequests(t *testing.T) {
 		{`not json`, http.StatusBadRequest},
 		{`{"Predicate":{"Col":"no_such_col","Lo":0,"Hi":1}}`, http.StatusBadRequest},
 		{`{"Predicate":{"Col":"l_shipdate","Lo":9,"Hi":3}}`, http.StatusBadRequest},
+		// A column the plan may not read could not be filtered on.
+		{`{"Kind":"scan","Hi":5000,"Predicate":{"Col":"l_commitdate","Lo":0,"Hi":0}}`, http.StatusBadRequest},
+		{`{"Kind":"q6","Predicate":{"Col":"l_orderkey","Lo":-5,"Hi":-1}}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+wire.PathQuery, "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -217,9 +222,10 @@ func TestStatsWindowExcludesIdle(t *testing.T) {
 
 // TestClientDisconnectCancels: dropping the connection mid-stream must
 // cancel the query (client-cancel cause) and account it as Cancelled —
-// run under -race this also exercises the handler/producer teardown.
+// run under -race this also exercises the cancel racing the handler's
+// pull.
 func TestClientDisconnectCancels(t *testing.T) {
-	srv, ts := newTestServer(t, func(c *Config) { c.SendBuf = 2 })
+	srv, ts := newTestServer(t, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+wire.PathQuery,
@@ -272,13 +278,12 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 	return g.buf.Write(p)
 }
 
-// TestSlowReaderBackpressure: with the client stalled, the producer must
-// park once the bounded send buffer fills — produced plateaus at most
-// SendBuf+2 batches (buffer + writer-held + producer-held) into the
-// table — and resume to completion when the client drains.
+// TestSlowReaderBackpressure: with the client stalled, the handler is
+// blocked writing the first batch and pulls nothing more — produced is
+// exactly that batch — and the stream resumes to completion when the
+// client drains.
 func TestSlowReaderBackpressure(t *testing.T) {
-	const sendBuf = 2
-	srv, _ := newTestServer(t, func(c *Config) { c.SendBuf = sendBuf })
+	srv, _ := newTestServer(t, nil)
 	total := srv.eng.NumTuples()
 
 	w := &gatedWriter{gate: make(chan struct{}), header: http.Header{}}
@@ -289,27 +294,19 @@ func TestSlowReaderBackpressure(t *testing.T) {
 		srv.Handler().ServeHTTP(w, req)
 	}()
 
-	// Wait for the producer to stall: produced stops moving well short
-	// of the table.
-	var last, stable int64 = -1, 0
+	// Wait for the first batch, then hold the writer a while longer: the
+	// plan must not be pulled past it.
+	want := min(int64(exec.VectorSize), total)
 	deadline := time.Now().Add(10 * time.Second)
-	for stable < 20 {
+	for srv.Produced() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("producer never stalled (produced %d of %d)", srv.Produced(), total)
+			t.Fatal("the first batch was never produced")
 		}
-		time.Sleep(10 * time.Millisecond)
-		if p := srv.Produced(); p == last && p > 0 {
-			stable++
-		} else {
-			last, stable = srv.Produced(), 0
-		}
+		time.Sleep(time.Millisecond)
 	}
-	const batch = 1024 // exec.VectorSize: the largest batch a chunk holds
-	if limit := int64((sendBuf + 2) * batch); last > limit {
-		t.Errorf("produced %d rows while stalled, want <= %d (send buffer must bound it)", last, limit)
-	}
-	if last >= total {
-		t.Fatalf("produced the whole table (%d rows) with a stalled client", last)
+	time.Sleep(100 * time.Millisecond)
+	if got := srv.Produced(); got != want {
+		t.Errorf("produced %d rows while the client is stalled, want exactly the first batch (%d)", got, want)
 	}
 
 	// Release the client; the stream must run to completion.
@@ -496,6 +493,23 @@ func TestNDJSONBodiesUnchanged(t *testing.T) {
 		if got := h.Sum64(); got != tc.want || len(rows) != tc.rows {
 			t.Errorf("%s: %d rows, body hash %#x; want %d rows, %#x", tc.body, len(rows), got, tc.rows, tc.want)
 		}
+	}
+}
+
+// TestEncodeBatchAllocs: encoding into a buffer already grown by one
+// batch allocates nothing, so a stream costs one buffer however many
+// batches it writes.
+func TestEncodeBatchAllocs(t *testing.T) {
+	b := exec.NewBatch([]storage.ColumnType{storage.Int64, storage.Float64, storage.String})
+	for i := 0; i < exec.VectorSize; i++ {
+		b.Vecs[0].I64 = append(b.Vecs[0].I64, int64(i)*7919)
+		b.Vecs[1].F64 = append(b.Vecs[1].F64, float64(i)/100+1e-9*float64(i%3))
+		b.Vecs[2].Str = append(b.Vecs[2].Str, []string{"A", "N", `quo"te`, "réf"}[i%4])
+	}
+	b.N = exec.VectorSize
+	buf := encodeBatch(nil, b)
+	if allocs := testing.AllocsPerRun(20, func() { buf = encodeBatch(buf[:0], b) }); allocs != 0 {
+		t.Errorf("encodeBatch into a grown buffer: %v allocs, want 0", allocs)
 	}
 }
 

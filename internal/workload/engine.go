@@ -10,7 +10,6 @@ import (
 	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -188,70 +187,37 @@ func (en *ServeEngine) PredicateFor(sel float64) *exec.ScanPredicate {
 	return en.e.drawWindow(en.rng, sel)
 }
 
-// PredicateNamed builds an explicit [lo, hi] window on a lineitem int64
-// column. Only the zone-mapped l_shipdate column prunes I/O; any other
-// int64 column still filters exactly through the plan's Select.
+// PredicateNamed builds an explicit [lo, hi] window on l_shipdate: the
+// one zone-mapped column, and the one column every request kind (q1, q6,
+// scan) reads, so its scans prune I/O on it and the plan's Select filters
+// exactly. Any other column is refused: a plan that does not read it
+// could not filter on it.
 func (en *ServeEngine) PredicateNamed(col string, lo, hi int64) (*exec.ScanPredicate, error) {
-	schema := en.db.Snapshot("lineitem").Table().Schema
-	ix := schema.ColIndex(col)
-	if ix < 0 {
-		return nil, fmt.Errorf("unknown lineitem column %q", col)
-	}
-	if schema[ix].Type != storage.Int64 {
-		return nil, fmt.Errorf("column %q is not int64", col)
+	if col != "l_shipdate" {
+		return nil, fmt.Errorf("predicate column %q: only l_shipdate is supported", col)
 	}
 	if lo > hi {
 		return nil, fmt.Errorf("empty predicate window [%d, %d]", lo, hi)
 	}
-	return &exec.ScanPredicate{Col: ix, Lo: lo, Hi: hi}, nil
+	return &exec.ScanPredicate{Col: en.e.predCol, Lo: lo, Hi: hi}, nil
 }
 
-// Price estimates the query's expected work in seconds, skip-aware —
-// zero when the admission policy never reads it.
-func (en *ServeEngine) Price(r exec.RIDRange, pred *exec.ScanPredicate) float64 {
-	if en.cost == nil {
-		return 0
-	}
-	return en.cost.EstimateScanTime(en.e.survivingTuples(r, pred)).Seconds()
-}
-
-// PriceUpdate estimates an update's expected work from its delta size
-// (batch operations), the same cost currency reads are priced in — so
-// sesf/wfq admission weighs writes against scans directly.
-func (en *ServeEngine) PriceUpdate(batch int) float64 {
-	if en.cost == nil {
-		return 0
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	return en.cost.EstimateScanTime(int64(batch)).Seconds()
-}
-
-// ApplyUpdate commits one update transaction of batch delta operations
-// of the given kind against the engine's PDT store (positions and
-// synthesized dates are drawn from the engine rng, inside the loaded
-// date domain), then checks the checkpoint trigger — crossing it starts
-// a background merge while reads keep serving pinned views. It returns
-// the operations applied plus the store's resulting commit epoch and
-// uncheckpointed-op count.
-func (en *ServeEngine) ApplyUpdate(kind UpdateKind, batch int) (applied int, version, pending int64, err error) {
-	op := UpdateOp{Kind: kind, Batch: batch}
+// DrawUpdate completes an update request that names only its kind and
+// delta size: the batch is clamped to [1, maxUpdateBatch], and the
+// position and synthesized date are drawn on the engine-level rng, as
+// PredicateFor draws a window.
+func (en *ServeEngine) DrawUpdate(kind UpdateKind, batch int) Draw {
+	op := UpdateOp{Kind: kind, Batch: min(max(batch, 1), maxUpdateBatch)}
 	en.mu.Lock()
 	op.Frac, op.Date = en.drawUpdateTarget(en.rng)
 	en.mu.Unlock()
-	if op.Batch < 1 {
-		op.Batch = 1
-	}
-	if op.Batch > maxUpdateBatch {
-		op.Batch = maxUpdateBatch
-	}
-	applied, err = en.htap.apply(op)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	en.htap.maybeCheckpoint(en.e, en.ckptWG)
-	return applied, en.htap.store.Version(), en.htap.store.Pending(), nil
+	return Draw{Write: true, Update: op}
+}
+
+// StoreVersion reports the PDT store's commit epoch and its
+// committed-but-uncheckpointed operation count.
+func (en *ServeEngine) StoreVersion() (version, pending int64) {
+	return en.htap.store.Version(), en.htap.store.Pending()
 }
 
 // Checkpoints reports the completed background checkpoint/merge cycles.
@@ -273,48 +239,81 @@ func (en *ServeEngine) Admit(q sched.Query) (*sched.Ticket, sched.AdmitOutcome) 
 	return en.sch.AdmitQueryOutcome(q)
 }
 
-// Request prices one generated query at its arrival — the expected-work
-// estimate sesf orders the admission queue by, taken from the cost
-// model's current speed view — and returns its admission request.
+// Request prices one query at its arrival and returns its admission
+// request; both transports price through it. The price is the query's
+// expected work in seconds from the cost model's current speed view, the
+// estimate sesf orders the admission queue by: a read's tuples that
+// survive zone-map pruning, a write's delta operations, in the one
+// currency, so sesf/wfq weigh writes against scans directly. It stays
+// zero when the admission policy never reads it.
 func (en *ServeEngine) Request(stream, seq, tenant int, d Draw, qc *exec.QueryCtx) sched.Query {
 	q := sched.Query{Stream: stream, Seq: seq, Tenant: tenant, Ctx: qc, Write: d.Write}
-	if d.Write {
-		q.Cost = en.PriceUpdate(d.Update.Batch)
-	} else {
-		q.Cost = en.Price(d.Range, d.Pred)
+	if en.cost == nil {
+		return q
 	}
+	work := int64(max(d.Update.Batch, 1))
+	if !d.Write {
+		work = en.e.survivingTuples(d.Range, d.Pred)
+	}
+	q.Cost = en.cost.EstimateScanTime(work).Seconds()
 	return q
 }
 
-// Run admits one generated query and executes it to completion: the
-// in-process transport, where a network front end would stream the plan
-// to its client instead. A query that is rejected, times out or is
-// cancelled while queued never runs.
+// Run admits one generated query and executes it to completion,
+// discarding its rows: the in-process transport. A query that is
+// rejected, times out or is cancelled while queued never runs.
 func (en *ServeEngine) Run(q sched.Query, d Draw) {
 	tk, outcome := en.Admit(q)
 	if outcome != sched.AdmitGranted {
 		return
 	}
-	if d.Write {
-		if q.Ctx.Cancelled() {
-			tk.Cancel(q.Ctx.Cause())
-			return
-		}
-		en.htap.apply(d.Update)
-		tk.Done()
-		en.htap.maybeCheckpoint(en.e, en.ckptWG)
-		return
-	}
-	plan, err := en.BuildPlan(q.Ctx, d.Kind, d.Range, d.Pred)
-	if err != nil {
+	if _, err := en.Execute(tk, q.Ctx, d, nil); err != nil {
 		panic(err) // the generator draws only q1 and q6
 	}
-	exec.Drain(plan)
-	if q.Ctx.Cancelled() {
-		tk.Cancel(q.Ctx.Cause())
+}
+
+// Execute runs one admitted request to its end and resolves its ticket
+// exactly once: the one request path, which Run drives in process and
+// the HTTP server drives for its clients.
+//
+// A write already dead at its grant is skipped; otherwise it is applied,
+// then the checkpoint trigger is checked. A read builds its plan and
+// pulls every batch into emit: the caller consumes the batch before the
+// next pull, so a slow consumer stalls the plan behind it. A nil emit
+// discards the rows; an emit returning false is the client leaving, which
+// cancels the query with CauseClientCancel and stops the pull. The ticket
+// ends Cancel(cause) if the query died, Done otherwise. applied counts a
+// write's delta operations; err is a plan or store failure.
+func (en *ServeEngine) Execute(tk *sched.Ticket, qc *exec.QueryCtx, d Draw, emit func(*exec.Batch) bool) (applied int, err error) {
+	if d.Write {
+		if qc.Cancelled() {
+			tk.Cancel(qc.Cause())
+			return 0, nil
+		}
+		applied, err = en.htap.apply(d.Update)
+		tk.Done()
+		en.htap.maybeCheckpoint(en.e, en.ckptWG)
+		return applied, err
+	}
+	plan, err := en.BuildPlan(qc, d.Kind, d.Range, d.Pred)
+	if err != nil {
+		tk.Done()
+		return 0, err
+	}
+	plan.Open()
+	for b := plan.Next(); b != nil; b = plan.Next() {
+		if emit != nil && !emit(b) {
+			qc.Cancel(rt.CauseClientCancel)
+			break
+		}
+	}
+	plan.Close()
+	if qc.Cancelled() {
+		tk.Cancel(qc.Cause())
 	} else {
 		tk.Done()
 	}
+	return 0, nil
 }
 
 // BuildPlan builds the physical plan of one request: "q1"/"q6" run the

@@ -84,7 +84,9 @@ const (
 )
 
 // Predicate is an explicit int64 range restriction [Lo, Hi] on a
-// lineitem column, pushed down to the scans for zone-map pruning.
+// lineitem column, pushed down to the scans for zone-map pruning and
+// filtered exactly. Col must be "l_shipdate", the one column every query
+// kind reads; the server answers 400 for any other.
 type Predicate struct {
 	Col    string
 	Lo, Hi int64
@@ -103,7 +105,7 @@ type QueryRequest struct {
 	// Hi == 0 means the full table. Out-of-range bounds are clipped.
 	Lo int64 `json:",omitempty"`
 	Hi int64 `json:",omitempty"`
-	// Predicate carries an explicit column window; Selectivity (in
+	// Predicate carries an explicit l_shipdate window; Selectivity (in
 	// (0,1)) instead asks the server to draw an l_shipdate window
 	// spanning that fraction of the date domain, the same discipline
 	// the in-process serve sweep uses. Predicate wins if both are set.
