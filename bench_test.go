@@ -147,7 +147,7 @@ func BenchmarkMicroRep(b *testing.B) {
 	}
 }
 
-// Ablation benches: design choices DESIGN.md calls out.
+// Ablation benches: the buffer-management design choices side by side.
 
 // BenchmarkAblationPolicyMicro compares every policy (including the
 // MRU/Clock baselines and the PBM/LRU future-work variant) at the

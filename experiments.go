@@ -9,7 +9,7 @@ import (
 // Options parameterizes the figure-regeneration experiments.
 type Options struct {
 	// SF is the TPC-H scale factor of the generated data (default 0.05;
-	// the paper uses 30 GB — shapes are scale-free, see DESIGN.md).
+	// the paper uses 30 GB — the shapes are scale-free).
 	SF float64
 	// Seed drives data generation and workload randomness.
 	Seed int64
@@ -106,8 +106,7 @@ var BufferFracs = []float64{0.2, 0.4, 0.6, 1.0}
 var Bandwidths = []float64{200, 400, 700, 1400, 2000}
 
 // MicroStreams is the x-axis of Figure 13. The paper sweeps to 32;
-// the default grid stops at 8 to keep the sweep fast (the recorded
-// scanbench_output.txt session includes a full 1–32 run).
+// the default grid stops at 8 to keep the sweep fast.
 var MicroStreams = []int{1, 2, 4, 8}
 
 // TPCHStreams is the x-axis of Figure 16 (the paper tops out at 24).

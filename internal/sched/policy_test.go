@@ -19,16 +19,9 @@ func TestPolicyRegistry(t *testing.T) {
 		t.Fatalf("built-in policies missing from %v", names)
 	}
 	for _, n := range []string{"fifo", "sesf", "wfq"} {
-		pol, ok := NewPolicy(n, nil)
-		if !ok {
-			t.Fatalf("NewPolicy(%q) unknown", n)
+		if got := New(rt.Sim(sim.NewEngine()), Config{Policy: n}).Policy(); got != n {
+			t.Fatalf("policy %q reports name %q", n, got)
 		}
-		if pol.Name() != n {
-			t.Fatalf("policy %q reports name %q", n, pol.Name())
-		}
-	}
-	if _, ok := NewPolicy("nope", nil); ok {
-		t.Fatal("unknown policy constructed")
 	}
 }
 
@@ -184,32 +177,37 @@ func TestWFQEqualWeightsRoundRobin(t *testing.T) {
 	}
 }
 
+// wfqQueue is a wfq scheduler whose queue a test drives directly, and
+// waiter a bare waiting ticket for it.
+func wfqQueue(weights map[int]float64) *Scheduler {
+	return New(rt.Sim(sim.NewEngine()), Config{Policy: "wfq", TenantWeights: weights})
+}
+
+func waiter(tenant, seq int) *Ticket { return &Ticket{q: Query{Tenant: tenant, Seq: seq}} }
+
 // A drained tenant must not bank credit for its idle period: after its
 // queue empties, its next query is tagged from the current virtual time,
 // not from its stale last tag.
 func TestWFQNoCreditForIdleTenant(t *testing.T) {
-	w := newWFQ(nil)
-	mk := func(tenant int, order int64) *Pending {
-		return &Pending{Tenant: tenant, Order: order}
-	}
+	w := wfqQueue(nil)
 	// Tenant 0 enqueues once and is served; vtime advances to 1.
-	w.Enqueue(mk(0, 1))
-	if got := w.Next(); got.Tenant != 0 {
-		t.Fatalf("first pick tenant %d", got.Tenant)
+	w.enqueueLocked(waiter(0, 1))
+	if got := w.popLocked(); got.q.Tenant != 0 {
+		t.Fatalf("first pick tenant %d", got.q.Tenant)
 	}
 	// Tenant 1 builds a backlog; its tags chain 1+1=2, 2+1=3.
-	w.Enqueue(mk(1, 2))
-	w.Enqueue(mk(1, 3))
+	w.enqueueLocked(waiter(1, 2))
+	w.enqueueLocked(waiter(1, 3))
 	// Tenant 0 returns after idling: its tag must start from vtime (1),
 	// giving tag 2 — tied with tenant 1's head, broken by tenant id — not
 	// from its own stale tag 1 (which would unfairly jump the queue) nor
 	// accumulate arrears.
-	w.Enqueue(mk(0, 4))
-	if got := w.Next(); got.Tenant != 0 {
-		t.Fatalf("returning tenant pick = tenant %d, want 0 via tie-break at equal tags", got.Tenant)
+	w.enqueueLocked(waiter(0, 4))
+	if got := w.popLocked(); got.q.Tenant != 0 {
+		t.Fatalf("returning tenant pick = tenant %d, want 0 via tie-break at equal tags", got.q.Tenant)
 	}
-	if got := w.Next(); got.Tenant != 1 {
-		t.Fatalf("next pick tenant %d, want 1", got.Tenant)
+	if got := w.popLocked(); got.q.Tenant != 1 {
+		t.Fatalf("next pick tenant %d, want 1", got.q.Tenant)
 	}
 }
 
@@ -266,23 +264,21 @@ func TestTenantStats(t *testing.T) {
 // virtual clock, its bookkeeping is dropped (an absent entry restarts
 // from vtime, which is semantically identical).
 func TestWFQPrunesDepartedTenants(t *testing.T) {
-	w := newWFQ(nil)
-	order := int64(0)
+	w := wfqQueue(nil)
 	for tenant := 0; tenant < 10_000; tenant++ {
-		w.Enqueue(&Pending{Tenant: tenant, Order: order})
-		order++
-		if w.Next() == nil {
+		w.enqueueLocked(waiter(tenant, tenant))
+		if w.popLocked() == nil {
 			t.Fatal("queued query not admitted")
 		}
 	}
-	if w.Len() != 0 {
-		t.Fatalf("queue len %d after draining", w.Len())
+	if len(w.queue) != 0 {
+		t.Fatalf("queue len %d after draining", len(w.queue))
 	}
 	// Admitting a tenant's last query advances vtime to its tag, so every
 	// departed tenant is immediately prunable.
-	if len(w.lastTag) > 1 || len(w.queues) != 0 {
-		t.Fatalf("state leaked across tenant churn: %d lastTag, %d queues",
-			len(w.lastTag), len(w.queues))
+	if len(w.lastTag) > 1 || len(w.queue) != 0 {
+		t.Fatalf("state leaked across tenant churn: %d lastTag, %d queued",
+			len(w.lastTag), len(w.queue))
 	}
 }
 
@@ -291,16 +287,16 @@ func TestWFQPrunesDepartedTenants(t *testing.T) {
 // by draining and re-enqueueing, while a fallen-behind tenant restarts
 // from vtime exactly as if it had never been seen.
 func TestWFQPruneKeepsAheadTenants(t *testing.T) {
-	w := newWFQ(map[int]float64{0: 1, 1: 4})
+	w := wfqQueue(map[int]float64{0: 1, 1: 4})
 	// Tenant 0 (weight 1) enqueues twice: tags 1 and 2. Tenant 1 (weight
 	// 4) enqueues once: tag 0.25.
-	w.Enqueue(&Pending{Tenant: 0, Order: 0})
-	w.Enqueue(&Pending{Tenant: 0, Order: 1})
-	w.Enqueue(&Pending{Tenant: 1, Order: 2})
+	w.enqueueLocked(waiter(0, 0))
+	w.enqueueLocked(waiter(0, 1))
+	w.enqueueLocked(waiter(1, 2))
 	// Admit tenant 1's query (tag 0.25 < 1): it drains, and vtime=0.25 is
 	// behind tenant 0's lastTag=2, so tenant 0's entry must survive.
-	if p := w.Next(); p.Tenant != 1 {
-		t.Fatalf("admitted tenant %d, want 1", p.Tenant)
+	if p := w.popLocked(); p.q.Tenant != 1 {
+		t.Fatalf("admitted tenant %d, want 1", p.q.Tenant)
 	}
 	if _, ok := w.lastTag[0]; !ok {
 		t.Fatal("backlogged tenant pruned")
@@ -310,17 +306,17 @@ func TestWFQPruneKeepsAheadTenants(t *testing.T) {
 	}
 	// Tenant 0's two queries still admit in FIFO order with their original
 	// tags (1 then 2), proving pruning left its state untouched.
-	if p := w.Next(); p.Tenant != 0 || p.Order != 0 {
-		t.Fatalf("got %+v, want tenant 0 order 0", p)
+	if p := w.popLocked(); p.q.Tenant != 0 || p.q.Seq != 0 {
+		t.Fatalf("got %+v, want tenant 0 seq 0", p.q)
 	}
 	// vtime is now 1, still behind tenant 0's lastTag 2: entry survives
 	// while its queue is non-empty either way.
-	if p := w.Next(); p.Tenant != 0 || p.Order != 1 {
-		t.Fatalf("got %+v, want tenant 0 order 1", p)
+	if p := w.popLocked(); p.q.Tenant != 0 || p.q.Seq != 1 {
+		t.Fatalf("got %+v, want tenant 0 seq 1", p.q)
 	}
 	// Everything drained and vtime caught up: all state gone.
-	if len(w.lastTag) != 0 || len(w.queues) != 0 || w.Len() != 0 {
-		t.Fatalf("state not fully pruned: %d lastTag, %d queues, len %d",
-			len(w.lastTag), len(w.queues), w.Len())
+	if len(w.lastTag) != 0 || len(w.queue) != 0 {
+		t.Fatalf("state not fully pruned: %d lastTag, %d queued",
+			len(w.lastTag), len(w.queue))
 	}
 }

@@ -1,7 +1,8 @@
 // Package sched implements a multi-tenant query scheduler for the
 // simulated engine: queries arriving from many concurrent client streams
 // are admitted under a concurrency limit (the multi-programming level,
-// MPL) through a bounded FIFO admission queue, and every query's life
+// MPL) through one bounded admission queue, drained in the order of the
+// configured admission policy (fifo, sesf or wfq), and every query's life
 // cycle — arrival, admission, completion — is timestamped on the virtual
 // clock so the serving harness can report queue-wait and execution
 // latency percentiles and SLO attainment.
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,21 +95,27 @@ func (q QueryStat) ExecTime() sim.Duration { return sim.Duration(q.Finish - q.Ad
 // Latency is the end-to-end latency (queue wait plus execution).
 func (q QueryStat) Latency() sim.Duration { return sim.Duration(q.Finish - q.Arrive) }
 
-// Scheduler admits queries under an MPL limit through a bounded queue
-// whose ordering is delegated to a pluggable AdmissionPolicy. All
-// methods must be called from processes of the runtime the scheduler is
-// bound to. The instance mutex makes admission and completion atomic on
-// the real-threaded runtime; in sim mode it is uncontended. The policy
-// is only ever driven under that mutex.
+// Scheduler admits queries under an MPL limit through one bounded queue
+// of waiting tickets, kept in arrival order; the admission policy is only
+// the order that queue is drained in (see policies). All methods must be
+// called from processes of the runtime the scheduler is bound to. The
+// instance mutex makes admission and completion atomic on the
+// real-threaded runtime; in sim mode it is uncontended.
 type Scheduler struct {
-	r   rt.Runtime
-	cfg Config
+	r      rt.Runtime
+	cfg    Config
+	before func(a, b *Ticket) bool // the policy's order; nil is arrival order
 
 	mu       sync.Mutex
 	running  int
-	policy   AdmissionPolicy
-	order    int64 // arrival sequence for deterministic tie-breaks
+	queue    []*Ticket // waiting tickets, in arrival order
 	draining bool
+
+	// lastTag and vtime are wfq's books (nil map otherwise): each tenant's
+	// most recently stamped finish tag, and the tag of the last ticket to
+	// leave the queue.
+	lastTag map[int]float64
+	vtime   float64
 
 	arrived       int64
 	rejected      int64
@@ -116,12 +124,6 @@ type Scheduler struct {
 	dropped       []QueryStat // queue drops: entries that died before admission
 	killed        []QueryStat // mid-execution kills: admitted, then cancelled/expired
 	maxQueue      int
-
-	// pending mirrors the policy's waiting set in arrival order, so the
-	// scheduler can reap expired entries without asking the policy to
-	// enumerate its queue. Every entry in pending is also in the policy
-	// until it is granted or dropped.
-	pending []*Pending
 }
 
 // New creates a scheduler bound to the runtime. It panics on an
@@ -129,19 +131,23 @@ type Scheduler struct {
 // PolicyNames first.
 func New(r rt.Runtime, cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
-	pol, ok := NewPolicy(cfg.Policy, cfg.TenantWeights)
+	before, ok := policies[cfg.Policy]
 	if !ok {
 		panic(fmt.Sprintf("sched: unknown admission policy %q (registered: %v)", cfg.Policy, PolicyNames()))
 	}
-	return &Scheduler{r: r, cfg: cfg, policy: pol}
+	s := &Scheduler{r: r, cfg: cfg, before: before}
+	if cfg.Policy == "wfq" {
+		s.lastTag = map[int]float64{}
+	}
+	return s
 }
 
 // Policy reports the name of the scheduler's admission policy.
-func (s *Scheduler) Policy() string { return s.policy.Name() }
+func (s *Scheduler) Policy() string { return s.cfg.Policy }
 
-// UsesCost reports whether the admission policy consults Query.Cost;
-// drivers can skip pricing queries when it does not.
-func (s *Scheduler) UsesCost() bool { return s.policy.UsesCost() }
+// UsesCost reports whether the admission policy consults Query.Cost
+// (only sesf does); drivers can skip pricing queries when it does not.
+func (s *Scheduler) UsesCost() bool { return s.cfg.Policy == "sesf" }
 
 // Query identifies and prices one admission request.
 type Query struct {
@@ -166,19 +172,28 @@ type Query struct {
 	Ctx *rt.QueryCtx
 }
 
-// Ticket is the admission handle of a running query. Resolve it exactly
-// once: Done when the query finishes, Cancel when it dies mid-execution.
-// The terminal transition is atomic — the first of Done/Cancel wins and
-// the other is a no-op — so a client cancel racing a natural completion
-// needs no external coordination.
+// Ticket is one query's record from arrival to resolution: it waits in
+// the scheduler's queue, and once granted it is the admission handle of
+// the running query. Resolve a granted ticket exactly once: Done when the
+// query finishes, Cancel when it dies mid-execution. The terminal
+// transition is atomic — the first of Done/Cancel wins and the other is a
+// no-op — so a client cancel racing a natural completion needs no
+// external coordination.
 type Ticket struct {
-	s                   *Scheduler
-	stream, seq, tenant int
-	write               bool
-	arrive              sim.Time
-	admit               sim.Time
-	qctx                *rt.QueryCtx
-	state               atomic.Int32
+	s      *Scheduler
+	q      Query
+	arrive sim.Time
+	admit  sim.Time // for a queue drop, the drop time
+	state  atomic.Int32
+
+	// Queue state, guarded by s.mu. tag is wfq's finish tag, stamped when
+	// the ticket joins the queue. ev hands the ticket a freed MPL slot or
+	// wakes it dropped; granted and dropCause record which, and exactly
+	// one of them is set before ev fires.
+	tag       float64
+	ev        rt.Event
+	granted   bool
+	dropCause rt.CancelCause
 }
 
 // Ticket terminal states: the first CompareAndSwap out of ticketActive
@@ -195,10 +210,12 @@ func (t *Ticket) Arrive() sim.Time { return t.arrive }
 // Admit reports when the ticket's query was admitted to execution.
 func (t *Ticket) Admit() sim.Time { return t.admit }
 
-// Admit requests admission for a query identified as (stream, seq), with
-// no tenant and no cost estimate. See AdmitQuery.
-func (s *Scheduler) Admit(stream, seq int) (*Ticket, bool) {
-	return s.AdmitQuery(Query{Stream: stream, Seq: seq})
+// stat is the ticket's record, resolved at finish with cause.
+func (t *Ticket) stat(finish sim.Time, cause rt.CancelCause) QueryStat {
+	return QueryStat{
+		Stream: t.q.Stream, Seq: t.q.Seq, Tenant: t.q.Tenant,
+		Arrive: t.arrive, Admit: t.admit, Finish: finish, Cause: cause, Write: t.q.Write,
+	}
 }
 
 // AdmitOutcome classifies how an admission request resolved.
@@ -264,7 +281,7 @@ func (s *Scheduler) Draining() bool {
 func (s *Scheduler) Idle() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.running == 0 && s.policy.Len() == 0
+	return s.running == 0 && len(s.queue) == 0
 }
 
 // AdmitQueryOutcome is AdmitQuery with the resolution classified: the
@@ -281,19 +298,19 @@ func (s *Scheduler) AdmitQueryOutcome(q Query) (*Ticket, AdmitOutcome) {
 		return nil, AdmitDraining
 	}
 	s.arrived++
-	t := &Ticket{s: s, stream: q.Stream, seq: q.Seq, tenant: q.Tenant, write: q.Write, arrive: s.r.Now(), qctx: q.Ctx}
+	t := &Ticket{s: s, q: q, arrive: s.r.Now()}
 	if s.running < s.cfg.MPL {
 		s.running++
 		t.admit = t.arrive
 		s.mu.Unlock()
 		return t, AdmitGranted
 	}
-	if s.cfg.QueueDepth >= 0 && s.policy.Len() >= s.cfg.QueueDepth {
+	if s.cfg.QueueDepth >= 0 && len(s.queue) >= s.cfg.QueueDepth {
 		// Before rejecting a live arrival, reap queued entries that are
 		// already dead: a cancelled or expired entry must not hold a
 		// queue slot against queries that could still run.
 		s.reapDeadLocked()
-		if s.policy.Len() >= s.cfg.QueueDepth {
+		if len(s.queue) >= s.cfg.QueueDepth {
 			s.rejected++
 			s.mu.Unlock()
 			return nil, AdmitRejected
@@ -304,22 +321,13 @@ func (s *Scheduler) AdmitQueryOutcome(q Query) (*Ticket, AdmitOutcome) {
 		// OnCancel hook would fire the slot event before anyone waits on
 		// it — on the simulator that wake-up is lost and the entry would
 		// park forever.)
-		cause := q.Ctx.Cause()
-		s.recordDropLocked(q.Stream, q.Seq, q.Tenant, t.arrive, cause)
+		s.dropLocked(t, q.Ctx.Cause())
 		s.mu.Unlock()
 		return nil, AdmitDropped
 	}
-	s.order++
-	p := &Pending{
-		Stream: q.Stream, Seq: q.Seq, Tenant: q.Tenant,
-		Cost: q.Cost, Order: s.order, ev: s.r.NewEvent(),
-		arrive: t.arrive, qctx: q.Ctx,
-	}
-	s.policy.Enqueue(p)
-	s.pending = append(s.pending, p)
-	if n := s.policy.Len(); n > s.maxQueue {
-		s.maxQueue = n
-	}
+	t.ev = s.r.NewEvent()
+	s.enqueueLocked(t)
+	s.maxQueue = max(s.maxQueue, len(s.queue))
 	// The releasing query transfers its MPL slot directly to the policy's
 	// pick before firing the event, so on wake-up the slot is ours.
 	// Interest is registered before the mutex is dropped, so a transfer
@@ -327,8 +335,8 @@ func (s *Scheduler) AdmitQueryOutcome(q Query) (*Ticket, AdmitOutcome) {
 	// same event (the Waiter is taken first, so a cancel landing between
 	// hook registration and the park still wakes the captured
 	// generation); the entry then removes itself below.
-	waitSlot := p.ev.Waiter()
-	stop := q.Ctx.OnCancel(p.ev.Fire)
+	waitSlot := t.ev.Waiter()
+	stop := q.Ctx.OnCancel(t.ev.Fire)
 	s.mu.Unlock()
 	waitSlot.Wait()
 	stop()
@@ -338,43 +346,37 @@ func (s *Scheduler) AdmitQueryOutcome(q Query) (*Ticket, AdmitOutcome) {
 		return t, AdmitGranted
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch {
-	case p.granted:
+	case t.granted:
 		// The slot is ours — even if the query was cancelled while the
 		// grant was in flight. It counts as admitted; the executor sees
 		// the cancel at its first check and resolves the ticket with
 		// Cancel, so the accounting stays single-bucket.
 		t.admit = s.r.Now()
-		s.mu.Unlock()
 		return t, AdmitGranted
-	case p.dropCause != rt.CauseNone:
-		// A slot-releasing query or the queue-full reaper already removed
-		// and recorded this entry.
-		s.mu.Unlock()
-		return nil, AdmitDropped
-	default:
+	case t.dropCause == rt.CauseNone:
 		// Woken by our own cancel hook while still queued: take the entry
 		// out of the queue and record the drop.
 		cause := q.Ctx.Cause()
 		if cause == rt.CauseNone {
 			cause = rt.CauseAdmissionTimeout
 		}
-		p.dropCause = cause
-		s.policy.Remove(p)
-		s.unpendLocked(p)
-		s.recordDropLocked(p.Stream, p.Seq, p.Tenant, p.arrive, cause)
-		s.mu.Unlock()
-		return nil, AdmitDropped
+		s.removeLocked(t)
+		s.dropLocked(t, cause)
 	}
+	// Otherwise a slot-releasing query or the queue-full reaper already
+	// removed and recorded this entry.
+	return nil, AdmitDropped
 }
 
-// pendingDeadCause classifies a queued entry at time now: the cause it
-// should be dropped with, or rt.CauseNone while it is still admittable.
-func pendingDeadCause(p *Pending, now sim.Time) rt.CancelCause {
-	if c := p.qctx.Cause(); c != rt.CauseNone {
+// deadCause classifies a queued ticket at time now: the cause it should
+// be dropped with, or rt.CauseNone while it is still admittable.
+func (t *Ticket) deadCause(now sim.Time) rt.CancelCause {
+	if c := t.q.Ctx.Cause(); c != rt.CauseNone {
 		return c
 	}
-	if p.qctx.Expired(now) {
+	if t.q.Ctx.Expired(now) {
 		return rt.CauseAdmissionTimeout
 	}
 	return rt.CauseNone
@@ -384,49 +386,32 @@ func pendingDeadCause(p *Pending, now sim.Time) rt.CancelCause {
 // past its deadline, freeing their queue slots. Caller holds s.mu.
 func (s *Scheduler) reapDeadLocked() {
 	now := s.r.Now()
-	for i := 0; i < len(s.pending); {
-		p := s.pending[i]
-		if p.granted || p.dropCause != rt.CauseNone {
-			i++
-			continue
+	s.queue = slices.DeleteFunc(s.queue, func(t *Ticket) bool {
+		cause := t.deadCause(now)
+		if cause != rt.CauseNone {
+			s.expelLocked(t, cause)
 		}
-		cause := pendingDeadCause(p, now)
-		if cause == rt.CauseNone {
-			i++
-			continue
-		}
-		p.dropCause = cause
-		s.policy.Remove(p)
-		s.pending = append(s.pending[:i], s.pending[i+1:]...)
-		s.recordDropLocked(p.Stream, p.Seq, p.Tenant, p.arrive, cause)
-		// An expiry must also cancel the query's context so every layer
-		// agrees it is dead; the entry's own parked AdmitQuery wakes via
-		// the cancel hook (or the explicit Fire below, if the hook ran
-		// before the entry parked) and observes dropCause.
-		p.qctx.Cancel(cause)
-		p.ev.Fire()
-	}
-}
-
-// unpendLocked removes p from the arrival-order mirror. Caller holds s.mu.
-func (s *Scheduler) unpendLocked(p *Pending) {
-	for i, q := range s.pending {
-		if q == p {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			return
-		}
-	}
-}
-
-// recordDropLocked records a queue drop: the entry left the queue dead at
-// time now, so Admit == Finish == now and Latency() is its queue
-// residence time. Caller holds s.mu.
-func (s *Scheduler) recordDropLocked(stream, seq, tenant int, arrive sim.Time, cause rt.CancelCause) {
-	now := s.r.Now()
-	s.dropped = append(s.dropped, QueryStat{
-		Stream: stream, Seq: seq, Tenant: tenant,
-		Arrive: arrive, Admit: now, Finish: now, Cause: cause,
+		return cause != rt.CauseNone
 	})
+}
+
+// dropLocked records t as dropped before admission: Admit == Finish ==
+// now, so Latency() is its queue residence time. Caller holds s.mu.
+func (s *Scheduler) dropLocked(t *Ticket, cause rt.CancelCause) {
+	t.dropCause = cause
+	t.admit = s.r.Now()
+	s.dropped = append(s.dropped, t.stat(t.admit, cause))
+}
+
+// expelLocked drops a dead ticket the scheduler took out of the queue.
+// Its context is cancelled too, so every layer agrees it is dead; its
+// parked AdmitQuery wakes via the cancel hook (or the explicit Fire, if
+// the hook ran before it parked) and observes dropCause. Caller holds
+// s.mu.
+func (s *Scheduler) expelLocked(t *Ticket, cause rt.CancelCause) {
+	s.dropLocked(t, cause)
+	t.q.Ctx.Cancel(cause)
+	t.ev.Fire()
 }
 
 // Done releases the query's MPL slot, recording its completion. The slot
@@ -439,11 +424,7 @@ func (t *Ticket) Done() {
 	}
 	s := t.s
 	s.mu.Lock()
-	s.completed = append(s.completed, QueryStat{
-		Stream: t.stream, Seq: t.seq, Tenant: t.tenant,
-		Arrive: t.arrive, Admit: t.admit, Finish: s.r.Now(),
-		Write: t.write,
-	})
+	s.completed = append(s.completed, t.stat(s.r.Now(), rt.CauseNone))
 	s.releaseSlotLocked()
 }
 
@@ -459,14 +440,10 @@ func (t *Ticket) Cancel(cause rt.CancelCause) {
 	if !t.state.CompareAndSwap(ticketActive, ticketCancelled) {
 		return
 	}
-	t.qctx.Cancel(cause) // no-op if the context is already dead
+	t.q.Ctx.Cancel(cause) // no-op if the context is already dead
 	s := t.s
 	s.mu.Lock()
-	s.killed = append(s.killed, QueryStat{
-		Stream: t.stream, Seq: t.seq, Tenant: t.tenant,
-		Arrive: t.arrive, Admit: t.admit, Finish: s.r.Now(),
-		Cause: cause, Write: t.write,
-	})
+	s.killed = append(s.killed, t.stat(s.r.Now(), cause))
 	s.releaseSlotLocked()
 }
 
@@ -479,18 +456,14 @@ func (t *Ticket) Cancel(cause rt.CancelCause) {
 func (s *Scheduler) releaseSlotLocked() {
 	now := s.r.Now()
 	for {
-		next := s.policy.Next()
+		next := s.popLocked()
 		if next == nil {
 			s.running--
 			s.mu.Unlock()
 			return
 		}
-		s.unpendLocked(next)
-		if cause := pendingDeadCause(next, now); cause != rt.CauseNone {
-			next.dropCause = cause
-			s.recordDropLocked(next.Stream, next.Seq, next.Tenant, next.arrive, cause)
-			next.qctx.Cancel(cause)
-			next.ev.Fire()
+		if cause := next.deadCause(now); cause != rt.CauseNone {
+			s.expelLocked(next, cause)
 			continue
 		}
 		next.granted = true
@@ -511,12 +484,14 @@ func (s *Scheduler) Running() int {
 func (s *Scheduler) Queued() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.policy.Len()
+	return len(s.queue)
 }
 
 // Completed returns the recorded per-query statistics, in completion
-// order. The returned slice is shared; do not call while queries are
-// still completing on the real runtime.
+// order. The records are append-only and never modified once written,
+// so the returned prefix is safe to read, on either runtime, while later
+// completions append behind it; it just does not grow. Do not write to
+// it.
 func (s *Scheduler) Completed() []QueryStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -525,7 +500,7 @@ func (s *Scheduler) Completed() []QueryStat {
 
 // Dropped returns the queue-drop records (queries that died waiting, in
 // drop order): Cause says why, Latency() how long they held a queue
-// slot. Same sharing caveat as Completed.
+// slot. Same contract as Completed.
 func (s *Scheduler) Dropped() []QueryStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -533,8 +508,7 @@ func (s *Scheduler) Dropped() []QueryStat {
 }
 
 // Killed returns the mid-execution kill records (admitted queries
-// resolved by Ticket.Cancel), in kill order. Same sharing caveat as
-// Completed.
+// resolved by Ticket.Cancel), in kill order. Same contract as Completed.
 func (s *Scheduler) Killed() []QueryStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()

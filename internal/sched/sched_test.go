@@ -10,6 +10,12 @@ import (
 	"repro/internal/sim"
 )
 
+// Admit requests admission for a query identified as (stream, seq), with
+// no tenant and no cost estimate. See AdmitQuery.
+func (s *Scheduler) Admit(stream, seq int) (*Ticket, bool) {
+	return s.AdmitQuery(Query{Stream: stream, Seq: seq})
+}
+
 // runQueries drives n queries through a scheduler, each executing for
 // execTime of virtual time, arriving gap apart, and returns the stats.
 func runQueries(t *testing.T, cfg Config, n int, gap, execTime sim.Duration) (Stats, *Scheduler) {

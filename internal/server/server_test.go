@@ -423,6 +423,61 @@ func TestUpdateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatzUnderTraffic polls Statz while two clients run q6, scan and
+// update traffic: the scheduler's records are read live while later
+// completions append to them (run with -race). Every snapshot must
+// resolve no more queries than have arrived, and once the clients are
+// done the ledger must reconcile exactly.
+func TestStatzUnderTraffic(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	const clients, requests = 2, 12
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				switch i % 3 {
+				case 0:
+					postQuery(t, ts, `{"Kind":"q6","Hi":5000}`)
+				case 1:
+					postQuery(t, ts, `{"Kind":"scan","Hi":2000}`)
+				default:
+					resp, err := http.Post(ts.URL+wire.PathUpdate, "application/json", strings.NewReader(`{"Kind":"modify","Batch":2}`))
+					if err != nil {
+						t.Errorf("POST update: %v", err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	polls := 0
+	for live := true; live; polls++ {
+		select {
+		case <-done:
+			live = false
+		default:
+		}
+		st := srv.Statz()
+		if resolved := st.Stats.Completed + st.Stats.Rejected + st.Stats.TimedOut + st.Stats.Cancelled; resolved > st.Arrived {
+			t.Fatalf("poll %d: %d resolved > %d arrived", polls, resolved, st.Arrived)
+		}
+	}
+
+	st := srv.Statz()
+	resolved := st.Stats.Completed + st.Stats.Rejected + st.Stats.TimedOut + st.Stats.Cancelled
+	if st.Arrived != clients*requests || resolved != st.Arrived {
+		t.Errorf("after %d polls: arrived %d, resolved %d, want both %d (%+v)", polls, st.Arrived, resolved, clients*requests, st.Stats)
+	}
+}
+
 // TestDrain: after Drain, health flips to 503, new queries resolve
 // "draining" without polluting the arrival stats, and the reconciliation
 // invariant holds.

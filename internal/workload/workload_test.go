@@ -62,8 +62,8 @@ func TestMicroShapePBMBeatsLRUSmallPool(t *testing.T) {
 	}
 	// The configuration mirrors the regime the paper evaluates in: the
 	// disk is the bottleneck, so scans are long-lived and overlap — the
-	// precondition for scan-aware buffering to pay off (see
-	// EXPERIMENTS.md for the CPU-bound inversion at simulation scale).
+	// precondition for scan-aware buffering to pay off (at simulation
+	// scale a CPU-bound configuration inverts the ordering).
 	db := tpch.Generate(0.02, 11)
 	base := tinyMicroConfig()
 	base.Streams = 8
