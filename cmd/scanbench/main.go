@@ -28,8 +28,9 @@
 // omission).
 //
 // -real switches -serve and -compare from the deterministic simulator to
-// the real-threaded runtime: streams are goroutines, latencies are wall
-// -clock, and XChg subplans fan out on a worker pool sized by -cores.
+// the real-threaded runtime: streams and XChg subplans are goroutines,
+// latencies are wall-clock, and -cores sizes the CPU model as it does on
+// the simulator.
 // Figure targets always run on the simulator (reproducibility is the
 // point of the figures), so -real rejects them.
 package main

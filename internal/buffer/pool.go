@@ -14,12 +14,13 @@
 // consistent with the paper is a cheaper critical section or a
 // partitioned frame table under one policy, not partitioned policies.
 //
-// The pool is runtime-agnostic (internal/rt): metadata is guarded by the
-// mutex and the used/pinned/loading counters are atomics, so on the
-// real-threaded runtime concurrent scans serialize only per page
-// reference. On the sim runtime exactly one process runs at a time, the
-// mutex is uncontended, and the virtual-time trajectory is identical to
-// the historical engine-only code. The two runtimes differ in exactly one
+// The pool is runtime-agnostic (internal/rt): metadata, the pin and load
+// counts included, is guarded by the mutex, so on the real-threaded
+// runtime concurrent scans serialize only per page reference, and every
+// decision about the pool's state is taken on an exact view of it. On the
+// sim runtime exactly one process runs at a time, the mutex is
+// uncontended, and the virtual-time trajectory is identical to the
+// historical engine-only code. The two runtimes differ in exactly one
 // mechanism: blocked reservations park on a deterministic FIFO of events
 // in sim mode, and on a sync.Cond in real mode (see
 // waitFreed/wakeReservers).
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/iosim"
 	"repro/internal/rt"
@@ -102,6 +102,9 @@ type Pool struct {
 	frames   map[storage.PageID]*Frame
 	inFlight map[storage.PageID]rt.Event
 	stats    Stats
+	// nPinned and nLoading count the frames that are pinned and the
+	// frames whose read is in flight: what a blocked reservation waits on.
+	nPinned, nLoading int
 
 	// freedQ holds one event per blocked reservation (sim runtime); each
 	// frame release wakes one waiter per freed frame, avoiding a
@@ -120,11 +123,9 @@ type Pool struct {
 	// other.
 	cond *sync.Cond
 
-	// The byte budget and the pin/load counts, which reserve reads outside
-	// mu.
-	used     atomic.Int64
-	nPinned  atomic.Int64
-	nLoading atomic.Int64
+	// used is the bytes cached, changed only under mu and read without it
+	// by reserve's budget check and by Used.
+	used atomic.Int64
 
 	// stalled counts reservations currently parked (or about to park) in
 	// waitFreed; frame frees skip the broadcast while it is zero, which
@@ -223,32 +224,30 @@ func (p *Pool) wakeReservers(n int) {
 // event landed since the caller's eviction attempts — see freeEpoch).
 // Called WITHOUT the pool mutex held.
 //
-// Real runtime: the caller's decision to stall was made outside the
-// lock, so a concurrent free may have landed (and found nobody to wake)
-// before we park — re-checking proceed after registering in p.stalled
+// Real runtime: the caller decided to stall in an earlier critical
+// section (evictFor), so a concurrent free may have landed (and found
+// nobody to wake) before we park — re-checking proceed after registering in p.stalled
 // and taking the mutex closes that window: a waker either sees our
 // registration (and broadcasts under the mutex, which cannot happen
 // until cond.Wait has parked us) or bumped the epoch / freed the bytes
 // before our re-check (which then observes it and returns).
 //
-// A non-nil owner makes the park cancellation-aware: cancelling q wakes
-// the waiter (the caller's loop then observes the cancellation and bails
-// with ErrCancelled). Real runtime: the cancel hook broadcasts under the
-// mutex, closing the same register-then-park window as above. Sim
-// runtime: the hook fires the parked event; if it was still sitting in
-// freedQ the entry is removed, and if a genuine free had already consumed
-// it the wake is passed on so no other blocked reservation is starved by
-// a wake spent on a dead query.
+// The park is cancellation-aware: cancelling the owner q wakes the waiter
+// (the caller's loop then observes the cancellation and bails with
+// ErrCancelled); a nil owner is never cancelled. Real runtime: the cancel
+// hook broadcasts under the mutex, closing the same register-then-park
+// window as above. Sim runtime: the hook fires the parked event; if it
+// was still sitting in freedQ the entry is removed, and if a genuine free
+// had already consumed it the wake is passed on so no other blocked
+// reservation is starved by a wake spent on a dead query.
 func (p *Pool) waitFreed(q *rt.QueryCtx, proceed func() bool) {
 	if p.r.Real() {
-		if q != nil {
-			stop := q.OnCancel(func() {
-				p.mu.Lock()
-				p.cond.Broadcast()
-				p.mu.Unlock()
-			})
-			defer stop()
-		}
+		stop := q.OnCancel(func() {
+			p.mu.Lock()
+			p.cond.Broadcast()
+			p.mu.Unlock()
+		})
+		defer stop()
 		p.stalled.Add(1)
 		defer p.stalled.Add(-1)
 		p.mu.Lock()
@@ -256,12 +255,6 @@ func (p *Pool) waitFreed(q *rt.QueryCtx, proceed func() bool) {
 			p.cond.Wait()
 		}
 		p.mu.Unlock()
-		return
-	}
-	if q == nil {
-		ev := p.r.NewEvent()
-		p.freedQ = append(p.freedQ, ev)
-		ev.Wait()
 		return
 	}
 	// Sim events are not sticky (a Fire with no waiter is lost), so a
@@ -484,7 +477,7 @@ func (p *Pool) admit(pg *storage.Page, ev rt.Event) *Frame {
 		p.OnAccess(pg)
 	}
 	p.used.Add(pg.Bytes)
-	p.nLoading.Add(1)
+	p.nLoading++
 	return f
 }
 
@@ -498,8 +491,8 @@ func (p *Pool) loaded(ev rt.Event, frames ...*Frame) {
 		delete(p.inFlight, f.Page.ID)
 		p.policy.Admitted(f)
 	}
+	p.nLoading -= len(frames)
 	p.mu.Unlock()
-	p.nLoading.Add(-int64(len(frames)))
 	ev.Fire()
 	p.wakeReservers(1)
 }
@@ -509,7 +502,7 @@ func (p *Pool) loaded(ev rt.Event, frames ...*Frame) {
 // cancel hooks, and a hook registered by another process of the same
 // query (an XChg sibling parked in waitFreed) needs this very mutex.
 func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
-	if q != nil && q.Cancelled() {
+	if q.Cancelled() {
 		return nil, ErrCancelled
 	}
 	p.mu.Lock()
@@ -519,7 +512,7 @@ func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 				w := p.inFlight[pg.ID].Waiter()
 				p.mu.Unlock()
 				w.Wait()
-				if q != nil && q.Cancelled() {
+				if q.Cancelled() {
 					return nil, ErrCancelled
 				}
 				p.mu.Lock()
@@ -554,8 +547,8 @@ func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 // reserve evicts the policy's victims until bytes fit within the
 // capacity, blocking until pinned or in-flight frames become evictable
 // when the policy has no victim to offer. It panics only when blocking
-// cannot help: a request larger than the pool, or nothing pinned or
-// loading.
+// cannot help: a request larger than the pool, or a full pool with
+// nothing pinned or loading (see evictFor).
 //
 // The budget check is advisory on the real runtime: concurrent reservers
 // can each see the last free bytes and both admit, overshooting the
@@ -564,16 +557,14 @@ func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 // overshoot is paid back by the very next reservation's evictions.
 // Called WITHOUT the pool mutex held.
 //
-// A non-nil owner turns a blocked reservation into a cancellable one:
-// cancelling q wakes the park (waitFreed) and reserve returns
-// ErrCancelled without reserving.
+// Cancelling the owner q wakes a blocked reservation (waitFreed), and
+// reserve returns ErrCancelled without reserving.
 func (p *Pool) reserve(q *rt.QueryCtx, bytes int64) error {
 	if bytes > p.capacity {
 		panic(fmt.Sprintf("buffer: request of %d bytes exceeds pool capacity %d", bytes, p.capacity))
 	}
-	idleSpins := 0
 	for p.used.Load()+bytes > p.capacity {
-		if q != nil && q.Cancelled() {
+		if q.Cancelled() {
 			return ErrCancelled
 		}
 		// Snapshot the wake epoch before trying to evict: any unpin,
@@ -582,27 +573,9 @@ func (p *Pool) reserve(q *rt.QueryCtx, bytes int64) error {
 		// (the event may have made a victim available without changing
 		// any byte counter).
 		epoch := p.freeEpoch.Load()
-		if p.evictOne() {
-			idleSpins = 0
+		if p.evictFor(bytes) {
 			continue
 		}
-		if p.nPinned.Load() == 0 && p.nLoading.Load() == 0 {
-			if p.r.Real() {
-				// The counters are read outside the mutex, so an unpin or
-				// a load completion can land between the eviction attempt
-				// and this check; back off and re-check instead of
-				// declaring overcommit. Persistent emptiness means a real
-				// accounting bug: fail loudly.
-				if idleSpins++; idleSpins < 10000 {
-					p.r.Sleep(50 * time.Microsecond)
-					continue
-				}
-			}
-			panic(fmt.Sprintf("buffer: pool overcommitted: %d/%d bytes with nothing pinned or loading", p.used.Load(), p.capacity))
-		}
-		p.mu.Lock()
-		p.stats.Stalls++
-		p.mu.Unlock()
 		p.waitFreed(q, func() bool {
 			return p.used.Load()+bytes <= p.capacity || p.freeEpoch.Load() != epoch || q.Cause() != rt.CauseNone
 		})
@@ -610,12 +583,24 @@ func (p *Pool) reserve(q *rt.QueryCtx, bytes int64) error {
 	return nil
 }
 
-// evictOne removes the policy's victim, reporting whether it had one.
-func (p *Pool) evictOne() bool {
+// evictFor makes room for a reservation of bytes in one critical section:
+// it reports true when they fit after all (a concurrent free on the real
+// runtime) or the policy's victim was evicted, and false, counting the
+// stall, when the caller must wait for a pinned or in-flight frame. The
+// pin and load counts are exact under the mutex, so a full pool with
+// neither is an accounting error no wait can repair.
+func (p *Pool) evictFor(bytes int64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.used.Load()+bytes <= p.capacity {
+		return true
+	}
 	v := p.policy.Victim()
 	if v == nil {
+		if p.nPinned == 0 && p.nLoading == 0 {
+			panic(fmt.Sprintf("buffer: pool overcommitted: %d/%d bytes with nothing pinned or loading", p.used.Load(), p.capacity))
+		}
+		p.stats.Stalls++
 		return false
 	}
 	if v.Pinned() || v.Loading() {
@@ -637,7 +622,7 @@ func (p *Pool) drop(f *Frame) {
 // pin marks one more user of f. Mutex held.
 func (p *Pool) pin(f *Frame) {
 	if f.pins == 0 {
-		p.nPinned.Add(1)
+		p.nPinned++
 	}
 	f.pins++
 }
@@ -650,12 +635,13 @@ func (p *Pool) Unpin(f *Frame) {
 		panic("buffer: Unpin without pin")
 	}
 	f.pins--
-	freed := f.pins == 0
-	p.mu.Unlock()
-	if freed {
-		p.nPinned.Add(-1)
-		p.wakeReservers(1)
+	freed := 0
+	if f.pins == 0 {
+		p.nPinned--
+		freed = 1
 	}
+	p.mu.Unlock()
+	p.wakeReservers(freed)
 }
 
 // InvalidatePages drops the given pages' frames wherever they are

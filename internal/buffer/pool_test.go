@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -287,6 +288,41 @@ func (neverEvict) Accessed(*Frame) {}
 func (neverEvict) Removed(*Frame)  {}
 func (neverEvict) Victim() *Frame  { return nil }
 
+// TestOvercommitPanicsAtOnce: a full pool with nothing pinned or loading,
+// whose policy offers no victim, can never make room, and Get says so on
+// both runtimes without waiting first: the pin and load counts it checks
+// are exact under the pool mutex, so there is nothing to poll for.
+func TestOvercommitPanicsAtOnce(t *testing.T) {
+	for _, name := range []string{"sim", "real"} {
+		t.Run(name, func(t *testing.T) {
+			var r rt.Runtime = rt.Sim(sim.NewEngine())
+			if name == "real" {
+				r = rt.NewReal()
+			}
+			disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
+			pool := NewPool(r, disk, neverEvict{}, storage.PageSize)
+			pages := makePages(t, 2)
+			var got any
+			var took time.Duration
+			r.Go("q", func() {
+				pool.Unpin(pool.Get(pages[0])) // full, nothing pinned
+				start := time.Now()
+				defer func() {
+					got, took = recover(), time.Since(start)
+				}()
+				pool.Get(pages[1])
+			})
+			r.Run()
+			if msg, _ := got.(string); !strings.Contains(msg, "pool overcommitted") {
+				t.Fatalf("Get recovered %v, want a pool overcommitted panic", got)
+			}
+			if took > 100*time.Millisecond {
+				t.Errorf("panicked after %v, want within 100ms", took)
+			}
+		})
+	}
+}
+
 // Regression: FlushAll must wake one blocked reserver per freed frame.
 // Waking just one stranded the rest forever when a woken reserver's page
 // had been admitted meanwhile: it takes the hit path and never passes
@@ -397,7 +433,7 @@ func checkIdle(t *testing.T, pool *Pool, refs int64) {
 			t.Errorf("page %d left with %d pins, loading=%v", id, f.pins, f.loading)
 		}
 	}
-	if n, l := pool.nPinned.Load(), pool.nLoading.Load(); n != 0 || l != 0 {
+	if n, l := pool.nPinned, pool.nLoading; n != 0 || l != 0 {
 		t.Errorf("pinned = %d, loading = %d at idle", n, l)
 	}
 	if len(pool.inFlight) != 0 || len(pool.freedQ) != 0 || pool.stalled.Load() != 0 {

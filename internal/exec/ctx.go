@@ -11,10 +11,13 @@ import (
 // CPU models a fixed number of cores: operators charge work bursts that
 // occupy one core for their duration, so more threads than cores contend,
 // producing the CPU-bound plateaus of the paper's high-bandwidth
-// configurations. On the real runtime the semaphore is a real one and the
-// burst is wall-clock sleep, so the model prices CPU work identically in
-// both modes; a scan thread's bursts are paced (see rt.QueryCtx.Fork), so
-// the core is held for the lump they add up to, not once per burst.
+// configurations. It is the only bound on concurrent threads in both
+// modes: XChg starts every subplan as a process of its own, and the core
+// semaphore decides which of them work. On the real runtime the semaphore
+// is a real one and the burst is wall-clock sleep, so the model prices CPU
+// work identically in both modes; a scan thread's bursts are paced (see
+// rt.QueryCtx.Fork), so the core is held for the lump they add up to, not
+// once per burst.
 type CPU struct {
 	r   rt.Runtime
 	res rt.Resource
@@ -69,14 +72,9 @@ type Ctx struct {
 	// Heat, when non-nil, counts the access temperature of the stable
 	// ranges scans declare at Open (tiered-temp's profiling pass).
 	Heat *ChunkHeat
-	// Workers, when non-nil, is the bounded worker pool XChg starts its
-	// subplan producers on (real runtime; sized by the core count, so
-	// intra-query parallelism cannot oversubscribe the machine). Nil
-	// means one unbounded process per subplan (sim runtime).
-	Workers *rt.WorkerPool
 	// Query is the lifecycle handle of the query this plan executes (see
-	// WithQuery); nil means the query can never be cancelled and every
-	// operator runs its historical, check-free path.
+	// WithQuery); nil means a query that can never be cancelled, which
+	// every operator runs exactly as it runs a live handle nobody cancels.
 	Query *QueryCtx
 }
 

@@ -43,7 +43,7 @@ func TestChunkHeatScanAndCScanCountTheSame(t *testing.T) {
 			if mode == "sim" {
 				e = newEnv(t, n, true)
 			} else {
-				e, _ = newRealEnv(t, n, 2)
+				e, _ = newRealEnv(t, n)
 				r := e.ctx.RT
 				e.abm = abm.New(r, iosim.New(r, iosim.Config{Bandwidth: 10e9}), abm.Config{ChunkTuples: 2048, Capacity: 1 << 30})
 				e.ctx.ABM = e.abm

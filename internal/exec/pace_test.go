@@ -30,7 +30,7 @@ func (c *sleepCounter) Sleep(d rt.Duration) {
 func TestPaceXChgPartsPaceIndependently(t *testing.T) {
 	const n, parts, perTuple = 128 * VectorSize, 4, 500 * time.Nanosecond
 	r := &sleepCounter{Runtime: rt.NewReal()}
-	e := newRealEnvOn(t, r, n, parts)
+	e := newRealEnvOn(t, r, n)
 	e.ctx.CPU = NewCPU(r, parts)
 	e.ctx.PerTupleCPU = perTuple
 	ctx := e.ctx.WithQuery(NewQueryCtx(r))
@@ -71,7 +71,7 @@ func TestPaceXChgPartsPaceIndependently(t *testing.T) {
 func TestPaceCancelPaysNoResidual(t *testing.T) {
 	const n = 16 * VectorSize
 	r := &sleepCounter{Runtime: rt.NewReal()}
-	e := newRealEnvOn(t, r, n, 1)
+	e := newRealEnvOn(t, r, n)
 	e.ctx.CPU = NewCPU(r, 1)
 	e.ctx.PerTupleCPU = 100 * time.Nanosecond // 102 µs a vector
 	qc := NewQueryCtx(r)

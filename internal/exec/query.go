@@ -22,9 +22,9 @@ const (
 func NewQueryCtx(r rt.Runtime) *QueryCtx { return rt.NewQueryCtx(r) }
 
 // WithQuery returns a shallow copy of the context bound to the given
-// query lifecycle. The engine wiring (pool, ABM, CPU, workers) is
-// shared; only the lifecycle differs, so one environment serves many
-// concurrent queries each with its own cancel scope.
+// query lifecycle. The engine wiring (pool, ABM, CPU) is shared; only
+// the lifecycle differs, so one environment serves many concurrent
+// queries each with its own cancel scope.
 func (c *Ctx) WithQuery(q *QueryCtx) *Ctx {
 	cp := *c
 	cp.Query = q

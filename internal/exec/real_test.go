@@ -13,17 +13,16 @@ import (
 // The real-runtime executor fixture. XChg's tests run on it and on the
 // simulator alike (xchg_test.go: bothRuntimes).
 
-// newRealEnv mirrors newEnv on the real runtime with a worker pool of the
-// given size.
-func newRealEnv(t testing.TB, n, workers int) (*env, rt.Runtime) {
+// newRealEnv mirrors newEnv on the real runtime.
+func newRealEnv(t testing.TB, n int) (*env, rt.Runtime) {
 	t.Helper()
 	r := rt.NewReal()
-	return newRealEnvOn(t, r, n, workers), r
+	return newRealEnvOn(t, r, n), r
 }
 
 // newRealEnvOn is newRealEnv over a given real runtime (a counting
 // wrapper, in the pacing tests).
-func newRealEnvOn(t testing.TB, r rt.Runtime, n, workers int) *env {
+func newRealEnvOn(t testing.TB, r rt.Runtime, n int) *env {
 	t.Helper()
 	disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
 	pool := buffer.NewPool(r, disk, buffer.NewLRU(), 1<<30)
@@ -62,7 +61,6 @@ func newRealEnvOn(t testing.TB, r rt.Runtime, n, workers int) *env {
 			RT:              r,
 			Pool:            pool,
 			ReadAheadTuples: 8192,
-			Workers:         rt.NewWorkerPool(r, workers),
 		},
 	}
 	return e

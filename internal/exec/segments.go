@@ -186,11 +186,12 @@ func appendVal(v *Vec, val pdt.Value) {
 }
 
 // pruneDeltaRange prunes one requested RID range of a merged
-// (stable+PDT) image, returning surviving RID subranges in order.
-func pruneDeltaRange(ix *minmax.Index, r RIDRange, pred *ScanPredicate, deltas *pdt.PDT) []RIDRange {
+// (stable+PDT) image, given as its merge segments starting at RID lo,
+// returning surviving RID subranges in order.
+func pruneDeltaRange(ix *minmax.Index, lo int64, segs []pdt.Segment, pred *ScanPredicate) []RIDRange {
 	var kept []RIDRange
-	rid := r.Lo
-	for _, seg := range deltas.SegmentsRID(r.Lo, r.Hi) {
+	rid := lo
+	for _, seg := range segs {
 		switch seg.Kind {
 		case pdt.SegStable:
 			// Prune the stable SID run through the index, then force back
@@ -207,14 +208,7 @@ func pruneDeltaRange(ix *minmax.Index, r RIDRange, pred *ScanPredicate, deltas *
 			sort.Slice(sids, func(i, j int) bool { return sids[i].Lo < sids[j].Lo })
 			base := rid - seg.Lo // SID -> RID offset within this run
 			for _, sr := range sids {
-				kr := RIDRange{Lo: base + sr.Lo, Hi: base + sr.Hi}
-				if n := len(kept); n > 0 && kept[n-1].Hi >= kr.Lo {
-					if kr.Hi > kept[n-1].Hi {
-						kept[n-1].Hi = kr.Hi
-					}
-					continue
-				}
-				kept = append(kept, kr)
+				kept = appendCoalesced(kept, RIDRange{Lo: base + sr.Lo, Hi: base + sr.Hi})
 			}
 			rid += seg.Hi - seg.Lo
 		case pdt.SegInsert:
@@ -228,12 +222,7 @@ func pruneDeltaRange(ix *minmax.Index, r RIDRange, pred *ScanPredicate, deltas *
 				}
 			}
 			if match {
-				kr := RIDRange{Lo: rid, Hi: rid + int64(len(seg.Rows))}
-				if n := len(kept); n > 0 && kept[n-1].Hi == kr.Lo {
-					kept[n-1].Hi = kr.Hi
-				} else {
-					kept = append(kept, kr)
-				}
+				kept = appendCoalesced(kept, RIDRange{Lo: rid, Hi: rid + int64(len(seg.Rows))})
 			}
 			rid += int64(len(seg.Rows))
 		}

@@ -117,10 +117,11 @@ func (s *SkipStats) Counts() (requested, skipped int64) {
 // PBM page registration, read-ahead runs, admission-cost accounting —
 // sees only the survivors.
 //
-// A scan over pending updates (non-nil deltas) prunes through
-// delta-widened bounds: the zone maps summarize stable storage only, so
-// each requested RID range is decomposed into the delta's merge
-// segments. Stable runs prune in SID space through the index, except
+// Each requested RID range is decomposed into its merge segments — one
+// stable run when deltas is nil — and pruned through delta-widened
+// bounds: the zone maps summarize stable storage only, so a scan over
+// pending updates must not trust them for what the deltas changed.
+// Stable runs prune in SID space through the index, except
 // that a modification on the predicate column carrying an in-range
 // value forces its tuple back in (the block's recorded bounds no longer
 // cover it); inserted runs survive iff any inserted row matches.
@@ -139,18 +140,11 @@ func (c *Ctx) pruneScanRanges(snap *storage.Snapshot, ranges []RIDRange, pred *S
 	var requested, surviving int64
 	for _, r := range ranges {
 		requested += r.Hi - r.Lo
-		var kept []RIDRange
-		if deltas == nil {
-			for _, kr := range ix.PruneRange(r.Lo, r.Hi, pred.Lo, pred.Hi) {
-				kept = append(kept, RIDRange{Lo: kr.Lo, Hi: kr.Hi})
-			}
-		} else {
-			kept = pruneDeltaRange(ix, r, pred, deltas)
-		}
+		kept := pruneDeltaRange(ix, r.Lo, segmentsOf(deltas, r), pred)
 		for _, kr := range kept {
 			surviving += kr.Hi - kr.Lo
 		}
-		out = appendCoalesced(out, kept)
+		out = appendCoalesced(out, kept...)
 	}
 	if c.Skip != nil {
 		c.Skip.add(requested, requested-surviving)
@@ -160,7 +154,7 @@ func (c *Ctx) pruneScanRanges(snap *storage.Snapshot, ranges []RIDRange, pred *S
 
 // appendCoalesced appends ranges to out, merging a run that abuts or
 // overlaps out's tail.
-func appendCoalesced(out, add []RIDRange) []RIDRange {
+func appendCoalesced(out []RIDRange, add ...RIDRange) []RIDRange {
 	for _, kr := range add {
 		if n := len(out); n > 0 && out[n-1].Hi >= kr.Lo {
 			if kr.Hi > out[n-1].Hi {

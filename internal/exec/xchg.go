@@ -19,10 +19,9 @@ import (
 // an empty one. Every park takes its Waiter under the mutex, so a Fire
 // between the check and the Wait is never lost on real threads, while on
 // the simulator (lazy waiters, uncontended mutex) the event order is
-// byte-for-byte the historical deterministic one. The only
-// runtime-dependent choice is who starts a producer: Ctx.Workers, when
-// set, bounds real threads by the core count so intra-query parallelism
-// cannot oversubscribe the machine.
+// byte-for-byte the historical deterministic one. Every producer starts
+// at Open as a runtime process of its own; the CPU model's cores, not a
+// thread pool, bound how many of them work at once.
 type XChg struct {
 	Ctx *Ctx
 	// Parts builds the i-th parallel subplan.
@@ -80,13 +79,9 @@ func (x *XChg) Open() {
 		x.ready.Fire()
 	})
 	x.running = len(x.Parts)
-	spawn := x.Ctx.RT.Go
-	if x.Ctx.Workers != nil {
-		spawn = x.Ctx.Workers.Submit
-	}
 	for _, mk := range x.Parts {
 		mk := mk
-		spawn("xchg-worker", func() { x.produce(mk) })
+		x.Ctx.RT.Go("xchg-worker", func() { x.produce(mk) })
 	}
 }
 

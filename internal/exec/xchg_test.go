@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,17 +12,17 @@ import (
 )
 
 // bothRuntimes runs body as the root process of a fresh n-tuple engine on
-// the simulator and on the real-threaded runtime (two pool workers, so
-// XChg producers queue for a slot; run with -race). XChg is one mechanism
-// on both, so every behaviour is asserted once, over both. body reports
-// with t.Error: on the real runtime it is not the test goroutine.
+// the simulator and on the real-threaded runtime (run with -race). XChg is
+// one mechanism on both, so every behaviour is asserted once, over both.
+// body reports with t.Error: on the real runtime it is not the test
+// goroutine.
 func bothRuntimes(t *testing.T, n int, body func(t *testing.T, e *env)) {
 	t.Run("sim", func(t *testing.T) {
 		e := newEnv(t, n, false)
 		e.run(func() { body(t, e) })
 	})
 	t.Run("real", func(t *testing.T) {
-		e, r := newRealEnv(t, n, 2)
+		e, r := newRealEnv(t, n)
 		r.Go("test", func() { body(t, e) })
 		done := make(chan struct{})
 		go func() { r.Run(); close(done) }()
@@ -45,9 +46,8 @@ func scanParts(ctx *Ctx, e *env, n int64, parts int) []func() Op {
 	return mk
 }
 
-// TestXChgMergesAllPartitions: several XChg queries run concurrently —
-// on the real runtime more subplans than pool workers, so producers
-// queue on the pool semaphore — and each merges every tuple of every
+// TestXChgMergesAllPartitions: several XChg queries run concurrently,
+// twelve producers at once, and each merges every tuple of every
 // partition.
 func TestXChgMergesAllPartitions(t *testing.T) {
 	bothRuntimes(t, 6000, func(t *testing.T, e *env) {
@@ -63,6 +63,51 @@ func TestXChgMergesAllPartitions(t *testing.T) {
 		wg.Wait()
 		if got.Load() != 4*6000 {
 			t.Errorf("merged %d tuples, want %d", got.Load(), 4*6000)
+		}
+	})
+}
+
+// waitOpen is a subplan whose Open first waits at a rendezvous.
+type waitOpen struct {
+	Op
+	wait func()
+}
+
+func (w waitOpen) Open() { w.wait(); w.Op.Open() }
+
+// rendezvous returns a function each of n callers blocks in until all n
+// have called it.
+func rendezvous(r rt.Runtime, n int) func() {
+	var mu sync.Mutex
+	all := r.NewEvent()
+	return func() {
+		mu.Lock()
+		if n--; n == 0 {
+			mu.Unlock()
+			all.Fire()
+			return
+		}
+		w := all.Waiter()
+		mu.Unlock()
+		w.Wait()
+	}
+}
+
+// TestXChgRunsEveryPartAtOnce: XChg starts every producer at Open, on
+// both runtimes, so four parts that each wait in Open until all four
+// have opened complete. A bound on producers below the part count would
+// leave the last parts unstarted and the first ones waiting for good.
+func TestXChgRunsEveryPartAtOnce(t *testing.T) {
+	const n, parts = 8000, 4
+	bothRuntimes(t, n, func(t *testing.T, e *env) {
+		wait := rendezvous(e.ctx.RT, parts)
+		var mk []func() Op
+		for _, part := range scanParts(e.ctx, e, n, parts) {
+			part := part
+			mk = append(mk, func() Op { return waitOpen{Op: part(), wait: wait} })
+		}
+		if got := Drain(&XChg{Ctx: e.ctx, Parts: mk}); got != n {
+			t.Errorf("merged %d tuples, want %d", got, n)
 		}
 	})
 }
@@ -116,8 +161,8 @@ func TestXChgEarlyCloseStopsProducers(t *testing.T) {
 }
 
 // TestXChgCancel: cancelling the query mid-merge must stop the consumer
-// at the next batch and let every producer terminate — parked on the
-// full queue or waiting for a pool worker — and return its slot.
+// at the next batch and let every producer terminate, parked on the full
+// queue or mid-scan.
 func TestXChgCancel(t *testing.T) {
 	bothRuntimes(t, 16000, func(t *testing.T, e *env) {
 		qc := rt.NewQueryCtx(e.ctx.RT)

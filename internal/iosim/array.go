@@ -122,9 +122,6 @@ func NewArray(r rt.Runtime, cfg ArrayConfig) *DeviceArray {
 // Devices reports the number of spindles.
 func (a *DeviceArray) Devices() int { return len(a.devices) }
 
-// Device returns the i-th spindle (tests and trace hooks).
-func (a *DeviceArray) Device(i int) *Disk { return a.devices[i] }
-
 // DeviceFor returns the index of the spindle that owns logical block b.
 func (a *DeviceArray) DeviceFor(b BlockID) int {
 	c := int64(b) / a.chunk

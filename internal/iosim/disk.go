@@ -268,7 +268,7 @@ func (d *Disk) submit(req *ioReq) {
 // is what the depth counters measure.
 func (d *Disk) assign(req *ioReq, now rt.Time) {
 	req.done = true
-	if req.q != nil && req.q.Cancelled() {
+	if req.q.Cancelled() {
 		d.stats.Skipped++
 		req.until = now
 		return

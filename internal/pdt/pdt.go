@@ -109,9 +109,6 @@ func New(schema storage.Schema, n int64) *PDT {
 // Schema returns the tuple schema.
 func (p *PDT) Schema() storage.Schema { return p.schema }
 
-// StableCount returns the number of tuples in the underlying stream.
-func (p *PDT) StableCount() int64 { return p.stableCount }
-
 // NumOps returns the number of non-empty update nodes (for tests and
 // memory accounting).
 func (p *PDT) NumOps() int {

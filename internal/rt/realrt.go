@@ -115,33 +115,3 @@ func (r *realResource) Release() {
 
 func (r *realResource) InUse() int    { return len(r.ch) }
 func (r *realResource) Capacity() int { return cap(r.ch) }
-
-// WorkerPool bounds the number of concurrently executing tasks, modeling
-// a fixed pool of worker threads (the executor sizes one by -cores for
-// XChg subplan fan-out in real mode). Tasks beyond the bound queue on the
-// semaphore in spawn order. Each task is still a tracked process, so
-// Runtime.Run accounts for queued work and no teardown call is needed.
-type WorkerPool struct {
-	r   Runtime
-	sem chan struct{}
-}
-
-// NewWorkerPool creates a pool of the given size on the runtime.
-func NewWorkerPool(r Runtime, size int) *WorkerPool {
-	if size <= 0 {
-		size = 1
-	}
-	return &WorkerPool{r: r, sem: make(chan struct{}, size)}
-}
-
-// Size returns the pool's concurrency bound.
-func (p *WorkerPool) Size() int { return cap(p.sem) }
-
-// Submit schedules task; it runs as soon as a worker slot is free.
-func (p *WorkerPool) Submit(name string, task func()) {
-	p.r.Go(name, func() {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		task()
-	})
-}

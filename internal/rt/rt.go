@@ -16,6 +16,12 @@
 // executes at any moment) and never held across a yield point from the
 // engine's point of view, so they cost nanoseconds and cannot perturb the
 // virtual-time trajectory; in real mode they are load-bearing.
+//
+// Every component runs one mechanism in both modes. Two places branch on
+// Real, on purpose: the buffer pool's wake-up of blocked reservations (a
+// deterministic FIFO hand-off in sim mode, a condvar broadcast in real
+// mode) and QueryCtx.Fork, which paces a scan thread's modelled time on
+// the wall clock (pace.go).
 package rt
 
 import (

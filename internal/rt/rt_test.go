@@ -130,38 +130,14 @@ func TestRealResourceBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestWorkerPoolBoundsConcurrency(t *testing.T) {
-	r := NewReal()
-	p := NewWorkerPool(r, 2)
-	var cur, peak atomic.Int64
-	for i := 0; i < 16; i++ {
-		p.Submit("task", func() {
-			c := cur.Add(1)
-			for {
-				pk := peak.Load()
-				if c <= pk || peak.CompareAndSwap(pk, c) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-		})
-	}
-	r.Run()
-	if pk := peak.Load(); pk > 2 {
-		t.Fatalf("pool of 2 ran %d tasks concurrently", pk)
-	}
-}
-
-// TestWorkerPoolRunsTasksInParallel proves the real runtime actually uses
-// more than one OS thread: two tasks rendezvous, which can only complete
-// if they execute simultaneously.
-func TestWorkerPoolRunsTasksInParallel(t *testing.T) {
+// TestRealRunsProcessesInParallel proves the real runtime actually uses
+// more than one OS thread: two processes rendezvous, which can only
+// complete if they execute simultaneously.
+func TestRealRunsProcessesInParallel(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs >=2 procs")
 	}
 	r := NewReal()
-	p := NewWorkerPool(r, 2)
 	a, b := make(chan struct{}), make(chan struct{})
 	ok := make(chan struct{}, 2)
 	rendezvous := func(mine, theirs chan struct{}) func() {
@@ -174,11 +150,11 @@ func TestWorkerPoolRunsTasksInParallel(t *testing.T) {
 			}
 		}
 	}
-	p.Submit("a", rendezvous(a, b))
-	p.Submit("b", rendezvous(b, a))
+	r.Go("a", rendezvous(a, b))
+	r.Go("b", rendezvous(b, a))
 	r.Run()
 	if len(ok) != 2 {
-		t.Fatal("tasks did not overlap: the pool is not running on multiple threads")
+		t.Fatal("processes did not overlap: the runtime is not running on multiple threads")
 	}
 }
 

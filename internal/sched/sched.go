@@ -167,8 +167,8 @@ type Query struct {
 	Write bool
 	// Ctx is the query's lifecycle handle: a query cancelled while queued
 	// is dropped instead of admitted, and a queued query whose deadline
-	// passes is dropped with rt.CauseAdmissionTimeout. Nil disables
-	// lifecycle handling for this query (the historical behavior).
+	// passes is dropped with rt.CauseAdmissionTimeout. Nil is a query that
+	// is never cancelled and has no deadline.
 	Ctx *rt.QueryCtx
 }
 
@@ -340,11 +340,6 @@ func (s *Scheduler) AdmitQueryOutcome(q Query) (*Ticket, AdmitOutcome) {
 	s.mu.Unlock()
 	waitSlot.Wait()
 	stop()
-	if q.Ctx == nil {
-		// Historical path: the only possible wake-up is a slot grant.
-		t.admit = s.r.Now()
-		return t, AdmitGranted
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {

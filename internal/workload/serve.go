@@ -3,7 +3,6 @@ package workload
 import (
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/iosim"
 	"repro/internal/rt"
 	"repro/internal/sched"
@@ -163,21 +162,17 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 			for q := 0; q < cfg.QueriesPerStream; q++ {
 				d := st.Next()
 				r.Sleep(d.Gap)
-				// A lifecycle handle exists only when a feature needs one,
-				// so sim runs with all of them off take the historical
-				// QueryCtx-free paths. The real runtime always needs one:
-				// it is what a scan thread paces its modelled time on.
-				var qc *exec.QueryCtx
-				if cfg.Deadline > 0 || d.Cancel || r.Real() {
-					qc = en.NewQueryCtx(cfg.Deadline)
-					if d.Cancel {
-						wg.Add(1)
-						r.Go("canceller", func() {
-							defer wg.Done()
-							r.Sleep(d.CancelAfter)
-							qc.Cancel(rt.CauseClientCancel)
-						})
-					}
+				// Every query gets a lifecycle handle, as every server
+				// request does. On the simulator one nobody cancels runs
+				// exactly as no handle would.
+				qc := en.NewQueryCtx(cfg.Deadline)
+				if d.Cancel {
+					wg.Add(1)
+					r.Go("canceller", func() {
+						defer wg.Done()
+						r.Sleep(d.CancelAfter)
+						qc.Cancel(rt.CauseClientCancel)
+					})
 				}
 				req := en.Request(s, q, st.Tenant, d, qc)
 				if cfg.ClosedLoop {

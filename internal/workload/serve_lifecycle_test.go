@@ -1,8 +1,12 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/exec"
+	"repro/internal/sim"
 )
 
 // lifecycleServeConfig overloads a tiny serving run so the lifecycle
@@ -89,6 +93,67 @@ func TestServeLifecycleQueueDropKeepsLatencyClean(t *testing.T) {
 	if dl.Sched.Latency.P95 > noDeadline.Sched.Latency.P95 {
 		t.Fatalf("completed p95 with queue drops %v exceeds no-deadline p95 %v",
 			dl.Sched.Latency.P95, noDeadline.Sched.Latency.P95)
+	}
+}
+
+// TestLiveHandleMatchesNilOnSim: on the simulator a lifecycle handle that
+// is never cancelled changes nothing, which is what lets RunServe give
+// every query one. Four staggered, overlapping scans — a Scan or a CScan
+// each, or a four-part XChg of them — over a small pool with deep
+// read-ahead, so reservations stall under the XChg plans, read the same
+// bytes, end at the same virtual instants and leave the same pool, ABM
+// and device counters with no handle as with a live one.
+func TestLiveHandleMatchesNilOnSim(t *testing.T) {
+	const queries = 4
+	for _, pol := range []Policy{LRU, PBM, CScan} {
+		for _, threads := range []int{1, 4} {
+			run := func(live bool) Result {
+				cfg := tinyServeConfig()
+				cfg.Policy = pol
+				cfg.ThreadsPerQuery = threads
+				cfg.BufferFrac = 0.1
+				cfg.ReadAheadTuples = 32768
+				en := NewServeEngine(smallDB, cfg)
+				r, n := en.Runtime(), en.NumTuples()
+				wg := r.NewWaitGroup()
+				ends := make([]sim.Time, queries)
+				for i := range ends {
+					i := i
+					wg.Add(1)
+					r.Go("query", func() {
+						defer wg.Done()
+						r.Sleep(time.Duration(i) * time.Millisecond)
+						var qc *exec.QueryCtx
+						if live {
+							qc = en.NewQueryCtx(0)
+						}
+						lo := int64(i) * n / 8
+						plan, err := en.BuildPlan(qc, "scan", en.ClipRange(lo, lo+n/2), nil)
+						if err != nil {
+							panic(err)
+						}
+						exec.Drain(plan)
+						ends[i] = r.Now()
+					})
+				}
+				r.Go("driver", func() {
+					wg.Wait()
+					en.Close()
+				})
+				r.Run()
+				return *en.e.finish(ends)
+			}
+			none, live := run(false), run(true)
+			if !reflect.DeepEqual(none, live) {
+				t.Errorf("%v, %d threads: a live handle changed the run:\nnone %+v\nlive %+v", pol, threads, none, live)
+			}
+			if none.PoolStats.Evictions+none.ABMStats.BytesEvicted == 0 {
+				t.Errorf("%v, %d threads: nothing was evicted", pol, threads)
+			}
+			if pol != CScan && threads > 1 && none.PoolStats.Stalls == 0 {
+				t.Errorf("%v, %d threads: no reservation stalled", pol, threads)
+			}
+		}
 	}
 }
 

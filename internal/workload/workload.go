@@ -144,10 +144,11 @@ type Config struct {
 	HotFrac float64
 	HotProb float64
 	// Real selects the real-threaded wall-clock runtime instead of the
-	// deterministic simulator: streams run as goroutines, the disk model
-	// prices reads in real sleeps, and XChg fans out on a worker pool of
-	// Cores workers. Results are NOT reproducible run-to-run; figures and
-	// regression tests stay on the simulator.
+	// deterministic simulator: streams and XChg producers run as
+	// goroutines, and the disk and CPU models price their work in real
+	// sleeps, on Cores modelled cores as in the simulator. Results are NOT
+	// reproducible run-to-run; figures and regression tests stay on the
+	// simulator.
 	Real bool
 }
 
@@ -241,7 +242,6 @@ func (r *Result) OPTIOBytes() int64 {
 // runtime.
 type Engine struct {
 	RT   rt.Runtime
-	Eng  *sim.Engine // the simulator behind RT; nil on the real-threaded runtime
 	Disk *iosim.DeviceArray
 	Pool *buffer.Pool // nil under CScan
 	PBM  *pbm.PBM     // non-nil under PBM/PBMLRU: the pool's policy
@@ -260,8 +260,7 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 	if cfg.Real {
 		e.RT = rt.NewReal()
 	} else {
-		e.Eng = sim.NewEngine()
-		e.RT = rt.Sim(e.Eng)
+		e.RT = rt.Sim(sim.NewEngine())
 	}
 	r := e.RT
 	base := iosim.Config{
@@ -288,9 +287,6 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 	}
 	if cfg.collectHeat {
 		e.Ctx.Heat = exec.NewChunkHeat(cfg.StripeChunk)
-	}
-	if cfg.Real {
-		e.Ctx.Workers = rt.NewWorkerPool(r, cfg.Cores)
 	}
 	switch cfg.Policy {
 	case CScan:

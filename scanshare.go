@@ -152,22 +152,21 @@ type SystemConfig struct {
 	// Real runs the system on the real-threaded wall-clock runtime
 	// instead of the deterministic simulator: Go spawns goroutines,
 	// sleeps and modeled disk time are wall time, and runs are not
-	// reproducible. Eng is nil in this mode; use RT.
+	// reproducible.
 	Real bool
 }
 
 // System is a fully wired engine instance — runtime, disk array, buffer
 // manager (traditional or ABM) and an execution context — plus a
 // catalog. Create scans and operators against Ctx, and drive everything
-// inside Run. By default the system runs on the deterministic simulator
-// (Eng is its virtual-clock engine); with SystemConfig.Real it runs on
-// real threads and Eng is nil.
+// inside Run. By default the system runs on the deterministic simulator;
+// with SystemConfig.Real it runs on real threads.
 type System struct {
 	// Engine is wired by the constructor every experiment and the server
 	// use, so a System runs the same device model, read-ahead and PBM
 	// timeline they measure. Its fields are the system's: RT (the runtime
-	// everything is wired to), Eng, Disk, Pool (nil under CScan), PBM
-	// (non-nil under PBM/PBMLRU), ABM (non-nil under CScan) and Ctx.
+	// everything is wired to), Disk, Pool (nil under CScan), PBM (non-nil
+	// under PBM/PBMLRU), ABM (non-nil under CScan) and Ctx.
 	workload.Engine
 	Catalog *Catalog
 
@@ -256,23 +255,6 @@ func (s *System) NewScan(snap *Snapshot, cols []int, ranges []RIDRange, deltas *
 // maintains MinMax indexes during load; call it once after loading.
 func (s *System) BuildZoneMap(snap *Snapshot, col int) {
 	s.Ctx.Zones.Build(snap, col, s.chunkTuples)
-}
-
-// NewPredScan is NewScan with a pushed-down predicate: the scan prunes
-// provably-excluded ranges through the registered zone maps at Open, so
-// the buffer manager never schedules, loads, or accounts I/O for them.
-// Pruning is conservative (block granularity) — wrap the result in a
-// Select for exact filtering. Scans over pending updates (deltas != nil)
-// are never pruned.
-func (s *System) NewPredScan(snap *Snapshot, cols []int, ranges []RIDRange, deltas *PDT, pred *ScanPredicate) Operator {
-	op := s.NewScan(snap, cols, ranges, deltas)
-	switch sc := op.(type) {
-	case *exec.Scan:
-		sc.Pred = pred
-	case *exec.CScan:
-		sc.Pred = pred
-	}
-	return op
 }
 
 // SkipCounts reports the run's zone-map pruning counters: tuples
