@@ -2,11 +2,12 @@
 # Usage: sim-tables.sh <dir holding scanbench, scanserved and scanload> <output dir>
 #
 # Runs every deterministic (simulator) scanbench cell CI prints, plus two
-# figure sweeps and a weighted-wfq elevator cell, and writes one table
-# per cell without its wall-clock "# ... done in" trailer; the policy
-# and compare cells also in their -tsv form, so both renderings of the
-# serve columns are held. The -h text of the three binaries (minus the
-# line naming the binary's path) pins the flag surface. Two builds whose
+# figure sweeps, the every-policy ablation at the §4.1 point and a
+# weighted-wfq elevator cell, and writes one table per cell without its
+# wall-clock "# ... done in" trailer; the policy, compare and ablation
+# cells also in their -tsv form, so both renderings are held. The -h
+# text of the three binaries (minus the line naming the binary's path)
+# pins the flag surface. Two builds whose
 # simulations follow the same trajectory and whose command lines are the
 # same produce identical directories (`diff -r`); CI's `full` job holds a
 # PR to its base that way.
@@ -37,6 +38,8 @@ cell compare "${compare[@]}"
 cell compare-tsv -tsv "${compare[@]}"
 cell fig11 -sf 0.01 fig11
 cell fig14 -sf 0.01 fig14
+cell ablation -sf 0.01 ablation
+cell ablation-tsv -tsv -sf 0.01 ablation
 for b in scanbench scanserved scanload; do
 	"$bin/$b" -h 2>&1 | grep -v '^Usage of ' >"$out/help-$b.txt"
 done

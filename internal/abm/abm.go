@@ -21,8 +21,10 @@
 //
 // The package also implements the production-hardening described in §2.1
 // and §2.3: shared/local chunk marking from longest common snapshot
-// prefixes, the four registration cases for snapshot/version changes, and
-// an in-order delivery mode that makes a CScan a drop-in Scan replacement.
+// prefixes and the four registration cases for snapshot/version changes.
+// §2.3's in-order delivery mode is not offered: every plan here tolerates
+// out-of-order chunks, and forcing order cost the §4.1 point 23–32% more
+// I/O (README "Knob verdicts").
 package abm
 
 import (
@@ -67,9 +69,8 @@ type tableKey struct {
 
 // residentPage tracks one ABM-cached page.
 type residentPage struct {
-	page  *storage.Page
-	owner *chunk // the chunk whose load brought the page in
-	pins  int
+	page *storage.Page
+	pins int
 }
 
 // chunk is the ABM metadata for one logical tuple range of a table
@@ -186,8 +187,6 @@ type CScan struct {
 
 	need      []bool // per chunk: interested and not yet delivered
 	remaining int
-	inOrder   bool
-	nextIdx   int // next chunk index (in-order mode)
 
 	avail rt.Event // fired when a chunk of interest becomes cached
 
@@ -213,25 +212,26 @@ func (cs *CScan) Bind(q *rt.QueryCtx) {
 type SIDRange struct{ Lo, Hi int64 }
 
 // RegisterCScan registers a scan over the given snapshot, columns and SID
-// ranges; the paper's RegisterCScan. inOrder requests strictly ascending
-// chunk delivery (§2.3), making the CScan a drop-in Scan replacement at
-// chunk granularity.
+// ranges; the paper's RegisterCScan. Chunks arrive out of order. inOrder
+// must be false: the in-order delivery mode was removed, and the parameter
+// stays only for callers compiled against the old signature.
 func (a *ABM) RegisterCScan(snap *storage.Snapshot, cols []int, ranges []SIDRange, inOrder bool) *CScan {
+	if inOrder {
+		panic("abm: in-order chunk delivery was removed; CScans deliver out of order")
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	tm := a.tableMetaFor(snap)
 	cs := &CScan{
-		abm:     a,
-		tm:      tm,
-		snap:    snap,
-		cols:    cols,
-		inOrder: inOrder,
-		avail:   a.r.NewEvent(),
-		need:    make([]bool, len(tm.chunks)),
+		abm:   a,
+		tm:    tm,
+		snap:  snap,
+		cols:  cols,
+		avail: a.r.NewEvent(),
+		need:  make([]bool, len(tm.chunks)),
 	}
 	cs.sorted = append(cs.sorted, cols...)
 	sort.Ints(cs.sorted)
-	cs.nextIdx = len(tm.chunks)
 	for _, r := range ranges {
 		if r.Lo < 0 || r.Hi > snap.NumTuples() || r.Lo > r.Hi {
 			panic(fmt.Sprintf("abm: bad SID range [%d,%d)", r.Lo, r.Hi))
@@ -246,9 +246,6 @@ func (a *ABM) RegisterCScan(snap *storage.Snapshot, cols []int, ranges []SIDRang
 				cs.need[i] = true
 				cs.remaining++
 				tm.chunks[i].interest++
-			}
-			if i < cs.nextIdx {
-				cs.nextIdx = i
 			}
 		}
 	}
@@ -378,31 +375,24 @@ func (cs *CScan) GetChunk() (*Delivery, bool) {
 			a.mu.Unlock()
 			return nil, false
 		}
+		// UseRelevance: among cached chunks of interest, take the one
+		// fewest other scans want.
 		var pick *chunk
-		if cs.inOrder {
-			c := cs.tm.chunks[cs.nextIdx]
-			if cs.abm.chunkCachedFor(cs, c) {
-				pick = c
+		bestRel := 0.0
+		for i, needed := range cs.need {
+			if !needed {
+				continue
 			}
-		} else {
-			// UseRelevance: among cached chunks of interest, take the one
-			// fewest other scans want.
-			bestRel := 0.0
-			for i, needed := range cs.need {
-				if !needed {
-					continue
-				}
-				c := cs.tm.chunks[i]
-				if !cs.abm.chunkCachedFor(cs, c) {
-					continue
-				}
-				rel := -float64(c.interest - 1)
-				if c.shared {
-					rel -= sharedBonus
-				}
-				if pick == nil || rel > bestRel {
-					pick, bestRel = c, rel
-				}
+			c := cs.tm.chunks[i]
+			if !cs.abm.chunkCachedFor(cs, c) {
+				continue
+			}
+			rel := -float64(c.interest - 1)
+			if c.shared {
+				rel -= sharedBonus
+			}
+			if pick == nil || rel > bestRel {
+				pick, bestRel = c, rel
 			}
 		}
 		if pick != nil {
@@ -442,18 +432,9 @@ func (cs *CScan) deliver(c *chunk) *Delivery {
 	cs.need[c.idx] = false
 	cs.remaining--
 	c.interest--
-	if cs.inOrder {
-		cs.advanceNext()
-	}
 	cs.abm.stats.Deliveries++
 	cs.abm.pinnedDeliveries++
 	return d
-}
-
-func (cs *CScan) advanceNext() {
-	for cs.nextIdx < len(cs.need) && !cs.need[cs.nextIdx] {
-		cs.nextIdx++
-	}
 }
 
 // Release unpins the delivery's pages and wakes the scheduler (consumed
@@ -599,9 +580,6 @@ func (a *ABM) isStarved(cs *CScan) bool {
 	if cs.remaining == 0 {
 		return false
 	}
-	if cs.inOrder {
-		return !a.chunkCachedFor(cs, cs.tm.chunks[cs.nextIdx])
-	}
 	for i, needed := range cs.need {
 		if needed && a.chunkCachedFor(cs, cs.tm.chunks[i]) {
 			return false
@@ -626,24 +604,8 @@ func (a *ABM) hasLoadableChunk(cs *CScan) bool {
 }
 
 // chooseChunk implements LoadRelevance for the chosen query: the chunk
-// most concurrent scans are interested in, shared chunks boosted; for
-// in-order scans, their next pending chunk.
+// most concurrent scans are interested in, shared chunks boosted.
 func (a *ABM) chooseChunk(cs *CScan) *chunk {
-	if cs.inOrder {
-		for i := cs.nextIdx; i < len(cs.need); i++ {
-			if !cs.need[i] {
-				continue
-			}
-			c := cs.tm.chunks[i]
-			if !c.loading && !a.chunkCachedFor(cs, c) {
-				return c
-			}
-			if !a.chunkCachedFor(cs, c) {
-				return nil // next chunk is loading: nothing else helps
-			}
-		}
-		return nil
-	}
 	var best *chunk
 	bestRel := 0.0
 	for i, needed := range cs.need {
@@ -721,7 +683,7 @@ func (a *ABM) loadChunk(cs *CScan, c *chunk) bool {
 	// chunk the pages overlap.
 	loChunk, hiChunk := c.idx, c.idx
 	for _, pg := range pages {
-		rp := &residentPage{page: pg, owner: c}
+		rp := &residentPage{page: pg}
 		a.resident[pg.ID] = rp
 		c.owned = append(c.owned, rp)
 		c.bytes += pg.Bytes
@@ -845,7 +807,6 @@ func (a *ABM) evictChunk(c *chunk) {
 			panic("abm: evicting pinned page")
 		}
 		if heir := a.interestedHeir(rp.page, c); heir != nil {
-			rp.owner = heir
 			heir.owned = append(heir.owned, rp)
 			heir.bytes += rp.page.Bytes
 			continue

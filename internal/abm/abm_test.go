@@ -1,6 +1,7 @@
 package abm
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -76,32 +77,6 @@ func TestSingleCScanDeliversAllChunks(t *testing.T) {
 	}
 	if a.Stats().BytesLoaded != snap.TotalBytes(nil) {
 		t.Fatalf("loaded %d bytes, want %d", a.Stats().BytesLoaded, snap.TotalBytes(nil))
-	}
-}
-
-func TestInOrderDelivery(t *testing.T) {
-	_, snap := fixture(t, 20000)
-	eng := sim.NewEngine()
-	a := newABM(eng, 1<<30)
-	var got []int
-	eng.Go("scan", func() {
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, true)
-		for {
-			d, ok := cs.GetChunk()
-			if !ok {
-				break
-			}
-			got = append(got, d.Chunk)
-			d.Release()
-		}
-		cs.Unregister()
-		a.Stop()
-	})
-	eng.Run()
-	for i, c := range got {
-		if c != i {
-			t.Fatalf("in-order delivery violated: %v", got)
-		}
 	}
 }
 
@@ -433,5 +408,23 @@ func TestBadRangePanics(t *testing.T) {
 	eng.Run()
 	if !panicked {
 		t.Fatal("expected panic")
+	}
+}
+
+// TestInOrderRefused: the in-order delivery mode is gone, so asking for
+// it panics instead of silently delivering out of order.
+func TestInOrderRefused(t *testing.T) {
+	_, snap := fixture(t, 8192)
+	eng := sim.NewEngine()
+	a := newABM(eng, 1<<30)
+	var msg any
+	eng.Go("scan", func() {
+		defer a.Stop()
+		defer func() { msg = recover() }()
+		a.RegisterCScan(snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, true)
+	})
+	eng.Run()
+	if s, _ := msg.(string); !strings.Contains(s, "removed") {
+		t.Fatalf("RegisterCScan(..., true) recovered %v, want a panic saying the mode was removed", msg)
 	}
 }

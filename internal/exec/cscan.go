@@ -16,8 +16,8 @@ import (
 // trimming requirement), intersected with the requested RID ranges, and
 // the merge is re-initialized per chunk.
 //
-// With InOrder set the CScan demands ascending chunk delivery and becomes
-// a drop-in replacement for Scan at chunk granularity (§2.3).
+// A plan that needs physical order reads through Scan instead: none here
+// does, so the CScan has no in-order mode.
 type CScan struct {
 	Ctx    *Ctx
 	Snap   *storage.Snapshot
@@ -25,8 +25,7 @@ type CScan struct {
 	Ranges []RIDRange
 	// PDT is the flattened delta layer for this scan's snapshot; nil
 	// means RID == SID.
-	PDT     *pdt.PDT
-	InOrder bool
+	PDT *pdt.PDT
 	// Pred, when non-nil, is the sargable value restriction the scan
 	// prunes its ranges by at Open: the ABM is only told about the
 	// surviving SID ranges, so pruned chunks gain no interest, are never
@@ -95,7 +94,7 @@ func (s *CScan) Open() {
 		s.pureInserts = true
 		return
 	}
-	s.cs = s.Ctx.ABM.RegisterCScan(s.Snap, s.Cols, sids, s.InOrder)
+	s.cs = s.Ctx.ABM.RegisterCScan(s.Snap, s.Cols, sids, false)
 	// Bind the owning query before the first GetChunk: once the query is
 	// cancelled the ABM scheduler stops loading chunks for this scan and
 	// GetChunk returns immediately.

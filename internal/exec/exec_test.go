@@ -161,21 +161,6 @@ func TestCScanMatchesScan(t *testing.T) {
 	})
 }
 
-func TestCScanInOrderIsOrdered(t *testing.T) {
-	e := newEnv(t, 10000, true)
-	e.run(func() {
-		got := Collect(&CScan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{{100, 9000}}, InOrder: true})
-		if got.N != 8900 {
-			t.Fatalf("N = %d", got.N)
-		}
-		for i := 0; i < got.N; i++ {
-			if got.Vecs[0].I64[i] != int64(100+i) {
-				t.Fatalf("order violated at %d: %d", i, got.Vecs[0].I64[i])
-			}
-		}
-	})
-}
-
 func TestCScanWithPDT(t *testing.T) {
 	e := newEnv(t, 6000, true)
 	p := pdt.New(e.snap.Table().Schema, 6000)

@@ -55,13 +55,6 @@ func TestOperatorsCloseTwice(t *testing.T) {
 				By:    []SortSpec{{Col: 0, Desc: true}},
 			}
 		}},
-		{"OrderedAggr", false, func(e *env) Operator {
-			return &OrderedAggr{
-				Child:  &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{2}, Ranges: []RIDRange{{0, 2000}}},
-				Groups: []int{0},
-				Aggs:   []AggSpec{{Kind: AggCount}},
-			}
-		}},
 		{"XChg", false, func(e *env) Operator {
 			parts := make([]func() Op, 0, 2)
 			for _, r := range PartitionRange(0, 2000, 2) {

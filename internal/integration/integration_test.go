@@ -157,9 +157,9 @@ func TestAllPoliciesSameAnswers(t *testing.T) {
 // PDT merge loop, so over random delta trees — deletes, modifies, single
 // inserts, insert runs at the table's ends and exactly at the requested
 // ranges' edges — and random RID ranges, one of them made of inserted
-// tuples only, Scan and in-order CScan emit the same tuple stream, and it
-// is the image a naive row-slice model of the same updates predicts;
-// out-of-order CScan emits the same tuples in some other order.
+// tuples only, Scan emits exactly the tuple stream a naive row-slice model
+// of the same updates predicts, and CScan, whose chunks arrive out of
+// order, emits the same tuples in some order.
 func TestPropertyScanPathsEmitSameStream(t *testing.T) {
 	const n = 12000
 	type row struct {
@@ -250,9 +250,6 @@ func TestPropertyScanPathsEmitSameStream(t *testing.T) {
 			}{
 				{"scan", true, func(s *sys, rs []exec.RIDRange) exec.Operator {
 					return &exec.Scan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas}
-				}},
-				{"cscan-inorder", true, func(s *sys, rs []exec.RIDRange) exec.Operator {
-					return &exec.CScan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas, InOrder: true}
 				}},
 				{"cscan", false, func(s *sys, rs []exec.RIDRange) exec.Operator {
 					return &exec.CScan{Ctx: s.ctx, Snap: snap, Cols: cols, Ranges: rs, PDT: deltas}

@@ -10,9 +10,9 @@ import (
 // ScanBuilder abstracts how a query plan obtains its scans, so the same
 // plan runs over a traditional Scan (LRU/PBM pools) or a CScan (ABM).
 // cols are column names of the table; ranges are RID ranges (nil = full
-// table); inOrder requests order-preserving delivery (needed by plans
-// that exploit physical order — all plans here tolerate out-of-order, so
-// it is false throughout, but the knob exists per §2.3).
+// table). Every plan here tolerates tuples in any order, so inOrder is
+// false at every call; a builder refuses true, since a CScan has no
+// in-order mode. The parameter stays for callers compiled against it.
 type ScanBuilder func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op
 
 // Plan is a ready-to-run query plan factory.

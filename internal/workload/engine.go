@@ -330,7 +330,7 @@ func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange
 	}
 	view := en.htap.store.View()
 	r = clipToView(r, view.NumTuples())
-	build := en.e.wrapPred(en.db, en.e.builderCtx(en.db, ctx, view), pred)
+	build := en.e.builderCtx(en.db, ctx, view, pred)
 	switch kind {
 	case "q1", "q6":
 		return en.e.microPlanCtx(ctx, en.db, build, r, kind == "q1"), nil

@@ -41,7 +41,6 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 	if anySelective(cfg.Selectivities) {
 		e.setupSkipping(db)
 	}
-	build := e.builderCtx(db, e.Ctx, pdt.View{})
 	n := db.Snapshot("lineitem").NumTuples()
 
 	return e.runStreams(cfg.Streams, func(s int) {
@@ -51,7 +50,7 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 			r := RandRange(rng, n, pct, cfg.HotFrac, cfg.HotProb)
 			useQ1 := rng.Intn(2) == 0
 			pred := e.drawWindow(rng, pickSelectivity(rng, cfg.Selectivities))
-			exec.Drain(e.microPlanCtx(e.Ctx, db, e.wrapPred(db, build, pred), r, useQ1))
+			exec.Drain(e.microPlanCtx(e.Ctx, db, e.builderCtx(db, e.Ctx, pdt.View{}, pred), r, useQ1))
 		}
 	})
 }

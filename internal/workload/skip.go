@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/minmax"
-	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -86,43 +85,6 @@ func (e *env) survivingTuples(r exec.RIDRange, pred *exec.ScanPredicate) int64 {
 		return r.Hi - r.Lo
 	}
 	return e.predIx.CountRange(r.Lo, r.Hi, pred.Lo, pred.Hi)
-}
-
-// wrapPred decorates the policy builder for one query: lineitem scans
-// carry the predicate (zone-map pruning at Open), and a Select applies
-// the exact filter on top, since block-granular pruning is conservative.
-func (e *env) wrapPred(db *tpch.DB, base tpch.ScanBuilder, pred *exec.ScanPredicate) tpch.ScanBuilder {
-	if pred == nil {
-		return base
-	}
-	return func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
-		op := base(table, cols, ranges, inOrder)
-		if table != "lineitem" {
-			return op
-		}
-		switch s := op.(type) {
-		case *exec.Scan:
-			s.Pred = pred
-		case *exec.CScan:
-			s.Pred = pred
-		}
-		pos := -1
-		for i, c := range cols {
-			if db.Col(table, c) == pred.Col {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			// The scan does not produce the predicate column; pruning
-			// still applies, exact filtering is the plan's own job.
-			return op
-		}
-		return &exec.Select{
-			Child: op,
-			Pred:  exec.Between(exec.Col{Idx: pos, T: storage.Int64}, pred.Lo, pred.Hi),
-		}
-	}
 }
 
 // skipEnv is the per-env zone-map state (fields live on env; declared

@@ -55,7 +55,7 @@ func (n *nullScan) Schema() []storage.ColumnType { return n.types }
 func RunTPCH(db *tpch.DB, cfg Config) *Result {
 	accessed := TPCHAccessedBytes(db)
 	e := newEnv(cfg, accessed)
-	build := e.builderCtx(db, e.Ctx, pdt.View{})
+	build := e.builderCtx(db, e.Ctx, pdt.View{}, nil)
 	plans := tpch.Queries()
 
 	return e.runStreams(cfg.Streams, func(s int) {

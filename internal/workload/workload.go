@@ -7,6 +7,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/pdt"
 	"repro/internal/rt"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/trace"
 )
@@ -377,11 +379,23 @@ func (e *env) costModel() exec.ScanCostModel {
 // it reads the view's stable snapshot merged with its flattened deltas,
 // so a checkpoint committing mid-scan never tears it. Other tables, and
 // lineitem under the zero View, read the catalog's current snapshot.
-func (e *env) builderCtx(db *tpch.DB, ctx *exec.Ctx, view pdt.View) tpch.ScanBuilder {
+//
+// A non-nil pred restricts the lineitem scans: the scan prunes its ranges
+// by it at Open, and a Select applies the exact filter on top, since
+// block-granular pruning is conservative. Every plan that carries one
+// (Q1, Q6, "scan") reads the predicate's column, l_shipdate.
+func (e *env) builderCtx(db *tpch.DB, ctx *exec.Ctx, view pdt.View, pred *exec.ScanPredicate) tpch.ScanBuilder {
 	return func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
+		if inOrder {
+			panic("workload: in-order scan delivery was removed; a plan must accept tuples in any order")
+		}
 		v := view
 		if table != "lineitem" || v.Stable == nil {
 			v = pdt.View{Stable: db.Snapshot(table)}
+		}
+		p := pred
+		if table != "lineitem" {
+			p = nil
 		}
 		idx := make([]int, len(cols))
 		for i, c := range cols {
@@ -390,10 +404,17 @@ func (e *env) builderCtx(db *tpch.DB, ctx *exec.Ctx, view pdt.View) tpch.ScanBui
 		if ranges == nil {
 			ranges = []exec.RIDRange{{Lo: 0, Hi: v.NumTuples()}}
 		}
+		var op exec.Op
 		if e.ABM != nil {
-			return &exec.CScan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, InOrder: inOrder, PDT: v.Deltas}
+			op = &exec.CScan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, PDT: v.Deltas, Pred: p}
+		} else {
+			op = &exec.Scan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, PDT: v.Deltas, Pred: p}
 		}
-		return &exec.Scan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, PDT: v.Deltas}
+		if p == nil {
+			return op
+		}
+		pos := slices.Index(idx, p.Col)
+		return &exec.Select{Child: op, Pred: exec.Between(exec.Col{Idx: pos, T: storage.Int64}, p.Lo, p.Hi)}
 	}
 }
 
