@@ -83,7 +83,7 @@ func schedStr(s sched.Stats) string {
 
 // diskStr renders the device counters a trajectory change shows up in.
 // MaxQueueLen is left out on purpose: it measures batch-level queue
-// pressure (see iosim.DeviceArray.ReadSpans), not the timeline.
+// pressure (see iosim.DeviceArray.ReadSpansOwner), not the timeline.
 func diskStr(r *Result) string {
 	var b strings.Builder
 	for i, d := range r.DiskStats.PerDevice {

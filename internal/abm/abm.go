@@ -657,26 +657,17 @@ func (a *ABM) loadChunk(cs *CScan, c *chunk) bool {
 		}
 	}
 	c.loading = true
-	// Read block-contiguous stretches as one batch of spans: each stretch
-	// is priced on the device(s) owning its stripe chunks, and stretches
-	// on different devices transfer concurrently (a single-device array
-	// degrades to the historical sequential per-stretch reads). The mutex
-	// is released for the transfer: consumers keep draining cached chunks
-	// (and the eviction guard skips the loading chunk) meanwhile.
+	// Read the pages as one device batch: the array cuts it into spans
+	// (see iosim.DeviceArray.AppendSpan), and spans on different devices
+	// transfer concurrently. The mutex is released for the transfer:
+	// consumers keep draining cached chunks (and the eviction guard skips
+	// the loading chunk) meanwhile.
 	a.mu.Unlock()
 	var spans []iosim.Span
-	start := 0
-	for i := 1; i <= len(pages); i++ {
-		if i == len(pages) || pages[i].Block != pages[i-1].Block+1 {
-			var n int64
-			for _, pg := range pages[start:i] {
-				n += pg.Bytes
-			}
-			spans = append(spans, iosim.Span{Block: pages[start].Block, Blocks: i - start, Bytes: n})
-			start = i
-		}
+	for _, pg := range pages {
+		spans = a.disk.AppendSpan(spans, pg.Block, pg.Bytes)
 	}
-	a.disk.ReadSpans(spans)
+	a.disk.ReadSpansOwner(nil, spans)
 	a.mu.Lock()
 	// The loaded pages may complete residency for neighbouring chunks too
 	// (narrow-column pages span chunks), so the wake set covers every

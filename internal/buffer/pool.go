@@ -341,10 +341,11 @@ func (p *Pool) hit(f *Frame) {
 }
 
 // GetRun returns a pinned frame for run[0] after ensuring every page of
-// run is resident, reading all missing pages in one sequential disk
-// request per contiguous block run. Scans use it for per-column read-ahead
-// so a single stream achieves sequential bandwidth. Pages run[1:] are
-// admitted unpinned and may be evicted again under pressure before use.
+// run is resident: the missing pages of run[1:] are read as one device
+// batch per contiguous block stretch, then run[0] as Get reads it. Scans
+// use it for per-column read-ahead so a single stream achieves sequential
+// bandwidth. Pages run[1:] are admitted unpinned and may be evicted again
+// under pressure before use.
 func (p *Pool) GetRun(run []*storage.Page) *Frame {
 	f, _ := p.GetRunOwner(nil, run)
 	return f
@@ -395,15 +396,15 @@ func (p *Pool) loadRun(q *rt.QueryCtx, run []*storage.Page) error {
 	return flush()
 }
 
-// loadBatch reads a block-contiguous batch of absent pages, one disk
-// request per stretch that is still absent and contiguous when the
+// loadBatch reads a block-contiguous batch of absent pages, one device
+// batch per stretch that is still absent and contiguous when the
 // reservation is granted. A remainder cut off by a concurrent admission
 // is re-issued as a fresh batch instead of being dropped — GetRun's
 // run[1:] pages have no later call that would pick them up.
 func (p *Pool) loadBatch(q *rt.QueryCtx, batch []*storage.Page) error {
 	for len(batch) > 0 {
 		var err error
-		batch, err = p.loadBatchPrefix(q, batch)
+		batch, _, err = p.loadBatchPrefix(q, batch, false)
 		if err != nil {
 			return err
 		}
@@ -411,22 +412,28 @@ func (p *Pool) loadBatch(q *rt.QueryCtx, batch []*storage.Page) error {
 	return nil
 }
 
-// loadBatchPrefix loads the longest still-absent block-contiguous prefix
-// of batch in one disk request and returns the unprocessed remainder.
-// The absence re-check and the admissions are one atomic step (under the
-// mutex): the reservation may have blocked, and another process may have
-// started loading some of these pages meanwhile.
-func (p *Pool) loadBatchPrefix(q *rt.QueryCtx, batch []*storage.Page) ([]*storage.Page, error) {
+// loadBatchPrefix is the pool's one miss routine: it loads the longest
+// still-absent block-contiguous prefix of batch in one device batch and
+// returns the unprocessed remainder. The absence re-check and the
+// admissions are one atomic step (under the mutex): the reservation may
+// have blocked, and another process may have started loading some of
+// these pages meanwhile. With pinHead, batch[0]'s frame is pinned when
+// this call admits it and returned as head (nil if another process
+// admitted it first).
+func (p *Pool) loadBatchPrefix(q *rt.QueryCtx, batch []*storage.Page, pinHead bool) (rest []*storage.Page, head *Frame, err error) {
 	var bytes int64
 	for _, pg := range batch {
 		bytes += pg.Bytes
 	}
 	if err := p.reserve(q, bytes); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ev := p.r.NewEvent()
-	var frames []*Frame
-	var rest []*storage.Page
+	// One-element backing arrays keep a one-page miss free of slice
+	// allocations; a longer batch grows onto the heap.
+	var frameBuf [1]*Frame
+	var spanBuf [1]iosim.Span
+	frames, spans := frameBuf[:0], spanBuf[:0]
 	p.mu.Lock()
 	for i, pg := range batch {
 		if _, ok := p.frames[pg.ID]; ok {
@@ -436,37 +443,27 @@ func (p *Pool) loadBatchPrefix(q *rt.QueryCtx, batch []*storage.Page) ([]*storag
 			rest = batch[i:] // contiguity broken; re-issue as a new batch
 			break
 		}
-		frames = append(frames, p.admit(pg, ev))
+		f := p.admit(pg, ev)
+		if pinHead && i == 0 {
+			p.pin(f)
+			head = f
+		}
+		frames = append(frames, f)
+		spans = p.disk.AppendSpan(spans, pg.Block, pg.Bytes)
 	}
 	p.mu.Unlock()
 	if len(frames) == 0 {
-		return rest, nil
-	}
-	// Issue the batch split at stripe-chunk boundaries, one sub-read per
-	// owning device with its exact page-byte volume; the devices transfer
-	// concurrently and ReadSpans returns when the last one completes. On a
-	// single-device array the batch stays one request, as it always was.
-	var spans []iosim.Span
-	for i, f := range frames {
-		pg := f.Page
-		if i > 0 && !p.disk.StripeBoundary(pg.Block) {
-			s := &spans[len(spans)-1]
-			s.Blocks++
-			s.Bytes += pg.Bytes
-			continue
-		}
-		spans = append(spans, iosim.Span{Block: pg.Block, Blocks: 1, Bytes: pg.Bytes})
+		return rest, nil, nil
 	}
 	p.disk.ReadSpansOwner(q, spans)
 	p.loaded(ev, frames...)
-	return rest, nil
+	return rest, head, nil
 }
 
-// admit installs a loading frame for the absent page pg — the miss
-// bookkeeping of every load: ev is what requests for the page wait on
-// until loaded announces the read. Caller holds the mutex from its
-// absence check (no blocking in between), so no concurrent request can
-// admit the page twice.
+// admit installs a loading frame for the absent page pg: ev is what
+// requests for the page wait on until loaded announces the read. Caller
+// holds the mutex from its absence check (no blocking in between), so no
+// concurrent request can admit the page twice.
 func (p *Pool) admit(pg *storage.Page, ev rt.Event) *Frame {
 	f := &Frame{Page: pg, loading: true}
 	p.inFlight[pg.ID] = ev
@@ -523,25 +520,14 @@ func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 			return f, nil
 		}
 		p.mu.Unlock()
-		if err := p.reserve(q, pg.Bytes); err != nil {
-			return nil, err
+		// Miss: this process performs the read, holding a pin on the frame.
+		_, f, err := p.loadBatchPrefix(q, []*storage.Page{pg}, true)
+		if err != nil || f != nil {
+			return f, err
 		}
+		// The reservation blocked and another process admitted the page.
 		p.mu.Lock()
-		// reserve may block: another process may have admitted the page.
-		if _, ok := p.frames[pg.ID]; ok {
-			continue
-		}
-		break
 	}
-
-	// Miss: this process performs the read, holding a pin on the frame.
-	ev := p.r.NewEvent()
-	f := p.admit(pg, ev)
-	p.pin(f)
-	p.mu.Unlock()
-	p.disk.ReadOwner(q, pg.Block, 1, pg.Bytes)
-	p.loaded(ev, f)
-	return f, nil
 }
 
 // reserve evicts the policy's victims until bytes fit within the

@@ -233,18 +233,26 @@ func TestFlushAll(t *testing.T) {
 	eng.Run()
 }
 
+// OnAccess sees every reference, hits and misses alike, in request order:
+// the OPT replay's trace is built from it.
 func TestOnAccessSeesEveryReference(t *testing.T) {
 	eng, pool, pages := poolFixture(t, NewLRU(), 4, 8)
 	var refs []storage.PageID
 	pool.OnAccess = func(p *storage.Page) { refs = append(refs, p.ID) }
+	order := []int{2, 0, 2, 3, 1}
 	eng.Go("q", func() {
-		pool.Unpin(pool.Get(pages[0]))
-		pool.Unpin(pool.Get(pages[0]))
-		pool.Unpin(pool.Get(pages[1]))
+		for _, i := range order {
+			pool.Unpin(pool.Get(pages[i]))
+		}
 	})
 	eng.Run()
-	if len(refs) != 3 {
-		t.Fatalf("refs = %v", refs)
+	if len(refs) != len(order) {
+		t.Fatalf("refs = %v, want %d", refs, len(order))
+	}
+	for i, want := range order {
+		if refs[i] != pages[want].ID {
+			t.Fatalf("refs = %v, want pages %v in that order", refs, order)
+		}
 	}
 }
 
@@ -607,6 +615,75 @@ func TestLoadBatchSplitsAtStripeBoundaries(t *testing.T) {
 	eng1.Run()
 	if s1 := disk1.Stats(); s1.Requests != 2 {
 		t.Fatalf("single-device requests = %d, want 1 unsplit batch + 1 head page", s1.Requests)
+	}
+}
+
+// Property: on a 4-device array each device transfers exactly the bytes
+// of the pages it owns, whatever batches the pool loads — random Get and
+// GetRun calls over columns of widths 8, 3 and 5, so page sizes mix and
+// every column ends in a partial page. The pool cuts its batches into
+// spans at stripe-chunk starts (iosim.DeviceArray.AppendSpan) with exact
+// page bytes; nothing is re-priced on the way to the devices.
+func TestPropertyPoolSpansExactBytes(t *testing.T) {
+	cat := storage.NewCatalog()
+	tb, err := cat.CreateTable("t", storage.Schema{
+		{Name: "a", Type: storage.Int64, Width: 8},
+		{Name: "b", Type: storage.Int64, Width: 3},
+		{Name: "c", Type: storage.Int64, Width: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := storage.NewColumnData()
+	for c := 0; c < 3; c++ {
+		data.I64[c] = make([]int64, 20000)
+	}
+	snap, err := tb.Master().Append(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages []*storage.Page
+	var total int64
+	for c := 0; c < 3; c++ {
+		for _, pg := range snap.Pages(c) {
+			pages = append(pages, pg)
+			total += pg.Bytes
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		eng := sim.NewEngine()
+		disk := iosim.NewArray(rt.Sim(eng), iosim.ArrayConfig{
+			Config:      iosim.Config{Bandwidth: 1e9, SeekLatency: time.Microsecond},
+			Devices:     4,
+			StripeChunk: 4,
+		})
+		pool := NewPool(rt.Sim(eng), disk, NewLRU(), total)
+		want := make([]int64, disk.Devices())
+		loaded := map[*storage.Page]bool{}
+		eng.Go("q", func() {
+			for i := 0; i < 12; i++ {
+				at := rng.Intn(len(pages))
+				run := pages[at : at+1+rng.Intn(min(10, len(pages)-at))]
+				pool.Unpin(pool.GetRun(run))
+				for _, pg := range run {
+					if !loaded[pg] {
+						loaded[pg] = true
+						want[disk.DeviceFor(pg.Block)] += pg.Bytes
+					}
+				}
+			}
+		})
+		eng.Run()
+		for d, s := range disk.Stats().PerDevice {
+			if s.BytesRead != want[d] {
+				t.Errorf("seed %d: device %d read %d bytes, owns %d of the loaded pages", seed, d, s.BytesRead, want[d])
+			}
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -21,8 +21,7 @@ type ArrayConfig struct {
 	// scales with Devices. Config.Scheduler applies array-wide — every
 	// spindle runs the same queue discipline.
 	Config
-	// Devices is the number of independent spindles (<= 0 means 1; a
-	// 1-device array is bit-identical to a bare Disk).
+	// Devices is the number of independent spindles (<= 0 means 1).
 	Devices int
 	// StripeChunk is the striping granularity in blocks (<= 0 means
 	// DefaultStripeChunk). Block b lives on device (b/StripeChunk) mod
@@ -44,8 +43,9 @@ type ArrayConfig struct {
 // FastBandwidthX is the fast tier's bandwidth multiple.
 const FastBandwidthX = 4
 
-// Span is one block-contiguous read request: a run of consecutive logical
-// blocks and its exact byte volume.
+// Span is one device request: a run of consecutive logical blocks inside
+// one stripe chunk (any run on a 1-device array) and its exact byte
+// volume. Callers build spans with AppendSpan.
 type Span struct {
 	Block  BlockID
 	Blocks int
@@ -58,9 +58,8 @@ type Span struct {
 // logical run is a sequential local run on every spindle it touches and
 // costs at most one seek per device. Requests to different devices
 // proceed concurrently in both runtimes; requests to the same device
-// share its queue exactly as on a single Disk. Every read is a batch of
-// spans through ReadSpansOwner, whatever the device count or the queue
-// discipline.
+// share its queue. Every read is a batch of spans through ReadSpansOwner,
+// whatever the device count or the queue discipline.
 type DeviceArray struct {
 	r       rt.Runtime
 	devices []*Disk
@@ -72,8 +71,8 @@ type DeviceArray struct {
 	placedOn  []int64 // per device: number of placed chunks it owns
 }
 
-// New creates a single-device array — the historical one-disk model, used
-// by every figure experiment and bit-identical to the pre-array code.
+// New creates a single-device array — the one-disk model every figure
+// experiment runs on.
 func New(r rt.Runtime, cfg Config) *DeviceArray {
 	return NewArray(r, ArrayConfig{Config: cfg, Devices: 1})
 }
@@ -99,7 +98,7 @@ func NewArray(r rt.Runtime, cfg ArrayConfig) *DeviceArray {
 			dc.Bandwidth *= FastBandwidthX
 			dc.SeekLatency = 0
 		}
-		a.devices[i] = NewDisk(r, dc)
+		a.devices[i] = newDisk(r, dc)
 	}
 	if len(cfg.ChunkPlacement) > 0 {
 		a.placement = append([]int(nil), cfg.ChunkPlacement...)
@@ -166,69 +165,64 @@ func countCongruent(lo, hi, r, n int64) int64 {
 	return f(hi) - f(lo)
 }
 
-// StripeBoundary reports whether logical block b begins a new stripe
-// chunk — the points where callers batching contiguous reads (the buffer
-// pool's read-ahead) must split a run so each piece carries its exact
-// byte volume to its owning device. Always false on a single-device
-// array, whose runs are never split.
-func (a *DeviceArray) StripeBoundary(b BlockID) bool {
-	return len(a.devices) > 1 && int64(b)%a.chunk == 0
-}
-
-// Read transfers a run of logical blocks, blocking the caller for the
-// modeled time. On a multi-device array the run is split at stripe-chunk
-// boundaries and the pieces proceed concurrently on their owning devices;
-// the call returns when the last piece completes.
-func (a *DeviceArray) Read(b BlockID, blocks int, bytes int64) {
-	a.ReadOwner(nil, b, blocks, bytes)
-}
-
-// ReadOwner is Read with a lifecycle owner tag (see Disk.ReadOwner): a
-// cancelled owner's queued sub-reads are skipped at their service turn on
-// every spindle instead of transferring bytes nobody will consume.
-func (a *DeviceArray) ReadOwner(q *rt.QueryCtx, b BlockID, blocks int, bytes int64) {
-	a.ReadSpansOwner(q, []Span{{Block: b, Blocks: blocks, Bytes: bytes}})
-}
-
-// ReadSpans issues a batch of block runs as one request: every span is
-// split at stripe-chunk boundaries into per-device sub-reads (a
-// single-device array passes spans through unsplit), the sub-reads are
-// submitted to their owning devices' queues in span order, and the caller
-// blocks until the last one completes. Sub-reads on different spindles
-// overlap — this is where striping buys I/O parallelism — while sub-reads
-// on the same spindle queue behind each other as usual, or, under the
-// elevator, are sweep-ordered against competing scans' requests.
-//
-// Queue accounting is batch-granular on every array: each sub-read
-// counts as queued on its device from submission until the WHOLE batch
-// completes (one caller, one wake-up), so a spindle that finishes its
-// share early — or the one spindle serving a batch's spans back to back
-// — still shows the request outstanding until the last transfer is done.
-// Per-device MaxQueueLen therefore reports batch-level queue pressure,
-// slightly above the pure per-transfer depth.
-func (a *DeviceArray) ReadSpans(spans []Span) {
-	a.ReadSpansOwner(nil, spans)
-}
-
-// ReadSpansOwner is ReadSpans with a lifecycle owner tag: each sub-read
-// checks the owner at its own service turn, so a batch whose owner is
-// cancelled while queued is skipped device by device (sub-reads already
-// in service on other spindles complete normally).
-//
-// Every piece is submitted before any is awaited, so each spindle's
-// queue sees its full share of the batch and other spindles are never
-// idled by a busy one. A transfer window never waits on a departure, so
-// two pieces of one batch on the same device cannot deadlock: the second
-// is assigned the window that starts where the first's ends.
-func (a *DeviceArray) ReadSpansOwner(q *rt.QueryCtx, spans []Span) {
-	subs := make([]subRead, 0, len(spans))
-	for _, s := range spans {
-		if s.Blocks <= 0 || s.Bytes <= 0 {
-			panic("iosim: bad span")
+// AppendSpan adds one block of the given bytes to a batch of spans: the
+// one place that decides how a batch of pages becomes device requests.
+// The block extends the last span when it continues it inside one stripe
+// chunk (on a 1-device array, whenever it continues it), and starts a new
+// span otherwise — so every span lies on one spindle at its exact bytes.
+func (a *DeviceArray) AppendSpan(spans []Span, b BlockID, bytes int64) []Span {
+	if n := len(spans); n > 0 {
+		s := &spans[n-1]
+		if s.Block+BlockID(s.Blocks) == b && (len(a.devices) == 1 || int64(b)%a.chunk != 0) {
+			s.Blocks++
+			s.Bytes += bytes
+			return spans
 		}
-		subs = a.split(subs, q, s)
 	}
-	// subs no longer grows: the queues may hold pointers into it.
+	return append(spans, Span{Block: b, Blocks: 1, Bytes: bytes})
+}
+
+// Read transfers one span with no owner, blocking the caller for the
+// modeled time (see ReadSpansOwner).
+func (a *DeviceArray) Read(b BlockID, blocks int, bytes int64) {
+	a.ReadSpansOwner(nil, []Span{{Block: b, Blocks: blocks, Bytes: bytes}})
+}
+
+// ReadSpansOwner issues a batch of spans (see AppendSpan) as one request
+// and blocks the caller until the last completes: each span goes to the
+// queue of the spindle owning it, in span order. Spans on different
+// spindles overlap — this is where striping buys I/O parallelism — while
+// spans on the same spindle queue behind each other as usual, or, under
+// the elevator, are sweep-ordered against competing scans' requests. A
+// span that crosses a stripe chunk on a multi-device array is refused.
+//
+// Every span is submitted before any is awaited, so each spindle's queue
+// sees its full share of the batch and other spindles are never idled by
+// a busy one. A transfer window never waits on a departure, so two spans
+// of one batch on the same device cannot deadlock: the second is
+// assigned the window that starts where the first's ends.
+//
+// Queue accounting is batch-granular: each span counts as queued on its
+// device from submission until the WHOLE batch completes (one caller, one
+// wake-up), so per-device MaxQueueLen reports batch-level queue pressure,
+// slightly above the pure per-transfer depth.
+//
+// The owner q (nil for none) is checked by each span at its own service
+// turn: a span whose owner is cancelled by then is skipped — no seek, no
+// busy time, no byte accounting — while spans already in service on
+// other spindles complete normally. The owner is also who waits out the
+// transfer (QueryCtx.SleepUntil): a paced scan thread is charged the wait
+// instead of sleeping it on the spot, and the device timeline is computed
+// as for any other requester.
+func (a *DeviceArray) ReadSpansOwner(q *rt.QueryCtx, spans []Span) {
+	subs := make([]subRead, len(spans))
+	for i, s := range spans {
+		if len(a.devices) > 1 && int64(s.Block)%a.chunk+int64(s.Blocks) > a.chunk {
+			panic(fmt.Sprintf("iosim: span %+v crosses a stripe chunk of %d blocks", s, a.chunk))
+		}
+		subs[i] = subRead{dev: a.DeviceFor(s.Block), req: ioReq{q: q, block: a.localBlock(s.Block), blocks: s.Blocks, bytes: s.Bytes}}
+	}
+	// The queues may hold pointers into subs.
 	for i := range subs {
 		a.devices[subs[i].dev].submit(&subs[i].req)
 	}
@@ -242,44 +236,10 @@ func (a *DeviceArray) ReadSpansOwner(q *rt.QueryCtx, spans []Span) {
 	}
 }
 
-// subRead is one per-device piece of a spans batch.
+// subRead is one span of a batch, bound to its device.
 type subRead struct {
 	dev int
 	req ioReq
-}
-
-// split appends span s to subs as per-device sub-reads cut at
-// stripe-chunk boundaries. A single-device array has no boundaries: the
-// span stays one request, whatever its length.
-func (a *DeviceArray) split(subs []subRead, q *rt.QueryCtx, s Span) []subRead {
-	b, remBlocks, remBytes := s.Block, s.Blocks, s.Bytes
-	for remBlocks > 0 {
-		n := remBlocks
-		if len(a.devices) > 1 && remBytes >= int64(remBlocks) {
-			n = min(n, int(a.chunk-int64(b)%a.chunk))
-		}
-		// A degenerate span with fewer bytes than blocks is not cut (n
-		// stays remBlocks): pro-rata pricing cannot reserve a positive
-		// byte count per chunk segment, so the whole remainder is priced
-		// on the first block's owning device.
-		//
-		// Callers that split at stripe boundaries themselves pass
-		// one-chunk spans with exact bytes; a span that does cross
-		// boundaries (the ABM's chunk stretches) is priced pro-rata by
-		// block count, conserving the total. With remBytes >= remBlocks
-		// the quotient is always in [1, remBytes-(remBlocks-n)], so every
-		// sub-read keeps a positive byte count and so does every later
-		// one.
-		by := remBytes
-		if n < remBlocks {
-			by = remBytes * int64(n) / int64(remBlocks)
-		}
-		subs = append(subs, subRead{dev: a.DeviceFor(b), req: ioReq{q: q, block: a.localBlock(b), blocks: n, bytes: by}})
-		b += BlockID(n)
-		remBlocks -= n
-		remBytes -= by
-	}
-	return subs
 }
 
 // ArrayStats aggregates the spindle counters of a DeviceArray.

@@ -1,6 +1,8 @@
 package iosim
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/rt"
@@ -15,19 +17,33 @@ func newTestArray(eng *sim.Engine, devices, chunk int, bw float64) *DeviceArray 
 	})
 }
 
+// span is a batch of one span, for reads that lie inside one stripe chunk.
+func span(b BlockID, blocks int, bytes int64) []Span {
+	return []Span{{Block: b, Blocks: blocks, Bytes: bytes}}
+}
+
+// runSpans builds the batch for blocks consecutive blocks from b, each of
+// bytesPerBlock, the way callers do: one AppendSpan per block.
+func runSpans(a *DeviceArray, b BlockID, blocks int, bytesPerBlock int64) []Span {
+	var spans []Span
+	for i := 0; i < blocks; i++ {
+		spans = a.AppendSpan(spans, b+BlockID(i), bytesPerBlock)
+	}
+	return spans
+}
+
 func TestStripingMapsChunksRoundRobin(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newTestArray(eng, 3, 4, 1e6)
 	// Blocks 0..3 -> dev 0, 4..7 -> dev 1, 8..11 -> dev 2, 12..15 -> dev 0.
 	for _, tc := range []struct {
-		b    BlockID
-		dev  int
-		loc  BlockID
-		edge bool
+		b   BlockID
+		dev int
+		loc BlockID
 	}{
-		{0, 0, 0, true}, {3, 0, 3, false}, {4, 1, 0, true}, {7, 1, 3, false},
-		{8, 2, 0, true}, {11, 2, 3, false}, {12, 0, 4, true}, {15, 0, 7, false},
-		{16, 1, 4, true}, {23, 2, 7, false},
+		{0, 0, 0}, {3, 0, 3}, {4, 1, 0}, {7, 1, 3},
+		{8, 2, 0}, {11, 2, 3}, {12, 0, 4}, {15, 0, 7},
+		{16, 1, 4}, {23, 2, 7},
 	} {
 		if got := a.DeviceFor(tc.b); got != tc.dev {
 			t.Errorf("DeviceFor(%d) = %d, want %d", tc.b, got, tc.dev)
@@ -35,8 +51,47 @@ func TestStripingMapsChunksRoundRobin(t *testing.T) {
 		if got := a.localBlock(tc.b); got != tc.loc {
 			t.Errorf("localBlock(%d) = %d, want %d", tc.b, got, tc.loc)
 		}
-		if got := a.StripeBoundary(tc.b); got != tc.edge {
-			t.Errorf("StripeBoundary(%d) = %v, want %v", tc.b, got, tc.edge)
+	}
+}
+
+// TestAppendSpan: a 1-device array never cuts a contiguous run; a
+// multi-device array cuts it exactly at stripe-chunk starts; a block that
+// does not continue the last span starts a new one on either. Bytes are
+// summed exactly per span.
+func TestAppendSpan(t *testing.T) {
+	type blk struct {
+		b     BlockID
+		bytes int64
+	}
+	for _, tc := range []struct {
+		name    string
+		devices int
+		blocks  []blk
+		want    []Span
+	}{
+		{"one device never cuts", 1,
+			[]blk{{2, 10}, {3, 20}, {4, 30}, {5, 40}, {6, 50}, {7, 60}, {8, 70}, {9, 80}},
+			[]Span{{2, 8, 360}}},
+		{"one device gap", 1,
+			[]blk{{2, 10}, {3, 20}, {7, 5}},
+			[]Span{{2, 2, 30}, {7, 1, 5}}},
+		{"four devices cut at chunk starts", 4,
+			[]blk{{2, 10}, {3, 20}, {4, 30}, {5, 40}, {6, 50}, {7, 60}, {8, 70}, {9, 80}},
+			[]Span{{2, 2, 30}, {4, 4, 180}, {8, 2, 150}}},
+		{"four devices gap inside a chunk", 4,
+			[]blk{{4, 1}, {6, 2}, {7, 3}},
+			[]Span{{4, 1, 1}, {6, 2, 5}}},
+		{"four devices backwards", 4,
+			[]blk{{5, 1}, {4, 2}},
+			[]Span{{5, 1, 1}, {4, 1, 2}}},
+	} {
+		a := newTestArray(sim.NewEngine(), tc.devices, 4, 1e6)
+		var got []Span
+		for _, b := range tc.blocks {
+			got = a.AppendSpan(got, b.b, b.bytes)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: spans = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -44,16 +99,38 @@ func TestStripingMapsChunksRoundRobin(t *testing.T) {
 func TestSingleDeviceArrayNeverSplits(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newTestArray(eng, 1, 4, 1e6)
-	if a.StripeBoundary(0) || a.StripeBoundary(4) {
-		t.Fatal("single-device array reported a stripe boundary")
+	spans := runSpans(a, 0, 64, 1000) // crosses 16 chunk boundaries
+	if len(spans) != 1 {
+		t.Fatalf("AppendSpan cut a 1-device run into %v", spans)
 	}
-	eng.Go("r", func() {
-		a.Read(0, 64, 64_000) // crosses 16 chunk boundaries, must stay 1 request
-	})
+	eng.Go("r", func() { a.ReadSpansOwner(nil, spans) })
 	eng.Run()
 	s := a.Stats()
 	if s.Requests != 1 || s.BytesRead != 64_000 || s.Seeks != 1 {
 		t.Fatalf("stats = %+v, want one unsplit request", s.Stats)
+	}
+}
+
+// TestReadSpansRefusesCrossingSpan: on a multi-device array a span that
+// crosses a stripe chunk has no one owning device; it is refused, naming
+// the span, instead of being re-priced. A 1-device array takes it whole.
+func TestReadSpansRefusesCrossingSpan(t *testing.T) {
+	for _, devices := range []int{1, 3} {
+		eng := sim.NewEngine()
+		a := newTestArray(eng, devices, 4, 1e6)
+		var got any
+		eng.Go("r", func() {
+			defer func() { got = recover() }()
+			a.ReadSpansOwner(nil, span(2, 8, 9_999))
+		})
+		eng.Run()
+		msg, _ := got.(string)
+		if devices == 1 && got != nil {
+			t.Errorf("1 device: refused a long span: %v", got)
+		}
+		if devices > 1 && !strings.Contains(msg, "{Block:2 Blocks:8 Bytes:9999}") {
+			t.Errorf("%d devices: recovered %v, want a panic naming the span", devices, got)
+		}
 	}
 }
 
@@ -67,7 +144,7 @@ func TestStripedReadScalesWithDevices(t *testing.T) {
 		a := newTestArray(eng, devices, 4, 1e6)
 		var end sim.Time
 		eng.Go("r", func() {
-			a.Read(0, 64, 64_000)
+			a.ReadSpansOwner(nil, runSpans(a, 0, 64, 1000))
 			end = eng.Now()
 		})
 		eng.Run()
@@ -128,7 +205,7 @@ func TestIndependentDevicesProceedConcurrently(t *testing.T) {
 	}
 }
 
-// ReadSpans must admit all sub-reads up front: a batch of spans owned by
+// ReadSpansOwner must admit all spans up front: a batch of spans owned by
 // different devices completes in the time of the slowest device, not the
 // sum.
 func TestReadSpansOverlapsAcrossDevices(t *testing.T) {
@@ -136,7 +213,7 @@ func TestReadSpansOverlapsAcrossDevices(t *testing.T) {
 	a := newTestArray(eng, 4, 4, 1e6)
 	var end sim.Time
 	eng.Go("r", func() {
-		a.ReadSpans([]Span{
+		a.ReadSpansOwner(nil, []Span{
 			{Block: 0, Blocks: 4, Bytes: 100_000},  // dev 0
 			{Block: 4, Blocks: 4, Bytes: 100_000},  // dev 1
 			{Block: 8, Blocks: 4, Bytes: 100_000},  // dev 2
@@ -150,44 +227,18 @@ func TestReadSpansOverlapsAcrossDevices(t *testing.T) {
 	}
 }
 
-// A span crossing stripe boundaries is priced pro-rata by block count,
-// conserving the total byte volume.
-func TestReadSpansProRataConservesBytes(t *testing.T) {
-	eng := sim.NewEngine()
-	a := newTestArray(eng, 3, 4, 1e6)
-	eng.Go("r", func() {
-		a.ReadSpans([]Span{{Block: 2, Blocks: 17, Bytes: 9_999}}) // ragged on both ends
-	})
-	eng.Run()
-	s := a.Stats()
-	if s.BytesRead != 9_999 {
-		t.Fatalf("aggregate bytes = %d, want 9999", s.BytesRead)
-	}
-	var blocks int64
-	for _, d := range s.PerDevice {
-		if d.BytesRead <= 0 && d.Requests > 0 {
-			t.Fatalf("device with requests but no bytes: %+v", s.PerDevice)
-		}
-		blocks += d.Requests
-	}
-	// Blocks 2..18 at chunk 4 touch chunks 0..4 => 5 sub-reads.
-	if s.Requests != 5 {
-		t.Fatalf("requests = %d, want 5 chunk segments", s.Requests)
-	}
-}
-
 // Ticketed admission: requests are serviced strictly in ticket order, so
 // the device queue is FIFO by arrival registration even when the
 // bookkeeping of a later ticket would be ready first. The sequence is
 // driven from one process to pin the order without racing.
 func TestTicketedAdmissionServesInTicketOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDisk(rt.Sim(eng), Config{Bandwidth: 1e6, SeekLatency: 0})
+	a := New(rt.Sim(eng), Config{Bandwidth: 1e6, SeekLatency: 0})
 	var order []BlockID
-	d.OnRead = func(b BlockID, _ int64) { order = append(order, b) }
+	a.devices[0].OnRead = func(b BlockID, _ int64) { order = append(order, b) }
 	eng.Go("r", func() {
 		for i := 0; i < 5; i++ {
-			d.Read(BlockID(i*10), 1, 1000)
+			a.Read(BlockID(i*10), 1, 1000)
 		}
 	})
 	eng.Run()
@@ -196,33 +247,7 @@ func TestTicketedAdmissionServesInTicketOrder(t *testing.T) {
 			t.Fatalf("service order %v, want ticket order", order)
 		}
 	}
-	if d.Stats().MaxQueueLen != 1 {
-		t.Fatalf("MaxQueueLen = %d, want 1 for sequential requests", d.Stats().MaxQueueLen)
-	}
-}
-
-// A degenerate span with fewer bytes than blocks (legal on a bare Disk)
-// must not panic on a multi-device array: it is priced whole on the
-// first block's owning device, conserving its byte count.
-func TestReadSpansDegenerateTinySpan(t *testing.T) {
-	eng := sim.NewEngine()
-	a := newTestArray(eng, 3, 4, 1e6)
-	eng.Go("r", func() {
-		a.ReadSpans([]Span{{Block: 2, Blocks: 8, Bytes: 3}}) // crosses 2 chunk boundaries
-	})
-	eng.Run()
-	s := a.Stats()
-	if s.BytesRead != 3 || s.Requests != 1 {
-		t.Fatalf("stats = %+v, want one 3-byte request", s.Stats)
-	}
-	// Ragged-but-sufficient bytes still split per chunk and conserve.
-	eng2 := sim.NewEngine()
-	a2 := newTestArray(eng2, 3, 4, 1e6)
-	eng2.Go("r", func() {
-		a2.ReadSpans([]Span{{Block: 14, Blocks: 3, Bytes: 3}}) // 1 byte per block
-	})
-	eng2.Run()
-	if s2 := a2.Stats(); s2.BytesRead != 3 || s2.Requests != 2 {
-		t.Fatalf("stats = %+v, want 3 bytes over 2 chunk segments", s2.Stats)
+	if a.Stats().MaxQueueLen != 1 {
+		t.Fatalf("MaxQueueLen = %d, want 1 for sequential requests", a.Stats().MaxQueueLen)
 	}
 }

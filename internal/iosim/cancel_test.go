@@ -19,9 +19,9 @@ func TestSkipCancelledOwnerRead(t *testing.T) {
 	live := rt.NewQueryCtx(rt.Sim(eng))
 	var deadEnd, liveEnd sim.Time
 	eng.Go("r", func() {
-		d.ReadOwner(dead, 0, 1, 100_000) // would take 0.1 s + seek if serviced
+		d.ReadSpansOwner(dead, span(0, 1, 100_000)) // would take 0.1 s + seek if serviced
 		deadEnd = eng.Now()
-		d.ReadOwner(live, 100, 1, 100_000)
+		d.ReadSpansOwner(live, span(100, 1, 100_000))
 		liveEnd = eng.Now()
 	})
 	eng.Run()
@@ -36,7 +36,7 @@ func TestSkipCancelledOwnerRead(t *testing.T) {
 		t.Fatalf("skipped = %d, want 1", s.Skipped)
 	}
 	if s.Requests != 1 || s.BytesRead != 100_000 || s.Seeks != 1 {
-		t.Fatalf("skipped read leaked into service accounting: %+v", s)
+		t.Fatalf("skipped read leaked into service accounting: %+v", s.Stats)
 	}
 }
 
@@ -53,7 +53,7 @@ func TestQueuedReadSkippedWhenOwnerCancelsInQueue(t *testing.T) {
 	})
 	eng.Go("victim", func() {
 		eng.Sleep(time.Millisecond)
-		d.ReadOwner(q, 100, 1, 100_000)
+		d.ReadSpansOwner(q, span(100, 1, 100_000))
 		end = eng.Now()
 	})
 	eng.Go("canceller", func() {
@@ -62,10 +62,10 @@ func TestQueuedReadSkippedWhenOwnerCancelsInQueue(t *testing.T) {
 	eng.Run()
 	s := d.Stats()
 	if s.Skipped != 1 {
-		t.Fatalf("skipped = %d, want 1: %+v", s.Skipped, s)
+		t.Fatalf("skipped = %d, want 1: %+v", s.Skipped, s.Stats)
 	}
 	if s.BytesRead != 500_000 {
-		t.Fatalf("victim's bytes were transferred anyway: %+v", s)
+		t.Fatalf("victim's bytes were transferred anyway: %+v", s.Stats)
 	}
 	// The victim returns at its service turn without waiting out a
 	// transfer of its own.
@@ -86,8 +86,8 @@ func TestArraySkipsCancelledOwner(t *testing.T) {
 	dead.Cancel(rt.CauseClientCancel)
 	eng.Go("r", func() {
 		// Spans covering both devices: every sub-read must be skipped.
-		a.ReadSpansOwner(dead, []Span{{Block: 0, Blocks: 1, Bytes: 4096}, {Block: 1, Blocks: 1, Bytes: 4096}})
-		a.ReadOwner(dead, 0, 2, 8192)
+		a.ReadSpansOwner(dead, []Span{{Block: 0, Blocks: 1, Bytes: 4096}, {Block: 16, Blocks: 1, Bytes: 4096}})
+		a.ReadSpansOwner(dead, span(0, 2, 8192))
 	})
 	eng.Run()
 	s := a.Stats()

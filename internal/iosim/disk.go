@@ -11,11 +11,15 @@
 // One request path runs through the subsystem: a DeviceArray (array.go)
 // stripes blocks over N spindles RAID-0 style — the multi-device testbed
 // shape of the paper's SSD RAID — and every spindle is a Disk, one
-// device queue with the model above. A request is submitted to its
-// spindle's queue, awaited until the queue has given it a transfer
-// window, slept out by the requester, and departs; the queue discipline
-// (FIFO or elevator) decides only who is served next and when a seek is
-// charged. A 1-device array is bit-identical to a bare Disk.
+// device queue with the model above. The array decides how a batch of
+// pages becomes device requests: callers add their pages one at a time
+// with AppendSpan, which cuts the batch at stripe-chunk starts so every
+// span lies on one spindle at its exact bytes, and read the batch through
+// ReadSpansOwner, the one read entry point (Read is one ownerless span).
+// Each span is submitted to its spindle's queue, awaited until the queue
+// has given it a transfer window, slept out by the requester, and
+// departs; the queue discipline (FIFO or elevator) decides only who is
+// served next and when a seek is charged.
 //
 // The devices are runtime-agnostic: on the sim runtime a read suspends the
 // calling process in virtual time; on the real runtime the same bandwidth
@@ -99,7 +103,7 @@ type Disk struct {
 	dispatching bool
 	assigned    rt.Event // fired on every dispatcher assignment
 
-	// OnRead, if non-nil, observes every read (used by the trace recorder).
+	// OnRead, if non-nil, observes every serviced read in service order.
 	// It is called with the device mutex held, so observers need no
 	// synchronization of their own against concurrent reads.
 	OnRead func(b BlockID, bytes int64)
@@ -153,9 +157,8 @@ const (
 // paper's testbed is an SSD RAID, so seeks are cheap but not free.
 const DefaultSeekLatency = 100 * time.Microsecond
 
-// NewDisk creates a single spindle attached to the runtime. Engine code
-// normally wires a DeviceArray (see New/NewArray) instead.
-func NewDisk(r rt.Runtime, cfg Config) *Disk {
+// newDisk creates one spindle of an array attached to the runtime.
+func newDisk(r rt.Runtime, cfg Config) *Disk {
 	if cfg.Bandwidth <= 0 {
 		panic("iosim: bandwidth must be positive")
 	}
@@ -179,38 +182,11 @@ func NewDisk(r rt.Runtime, cfg Config) *Disk {
 // elevator reports whether the device runs the C-SCAN discipline.
 func (d *Disk) elevator() bool { return d.sched == SchedElevator }
 
-// Read transfers a run of blocks starting at block b, totalling the given
-// number of bytes, blocking the calling process for the simulated device
-// time. Concurrent readers queue FIFO in ticket order. blocks is the
-// number of consecutive BlockIDs covered (used for sequentiality
-// tracking).
-func (d *Disk) Read(b BlockID, blocks int, bytes int64) {
-	d.ReadOwner(nil, b, blocks, bytes)
-}
-
-// ReadOwner is Read with a lifecycle owner tag: if the owning query is
-// cancelled by the time the request reaches the head of the device queue,
-// the transfer is skipped at start — no seek, no busy time, no byte
-// accounting — instead of being serviced for a consumer that will never
-// look at the result. A nil owner is a plain Read.
-//
-// The owner is also who waits out the transfer (QueryCtx.SleepUntil): a
-// paced scan thread is charged the wait instead of sleeping it on the
-// spot, so it may use the page up to a quantum before the device
-// timeline says the transfer ended. The timeline itself (busyUntil,
-// BusyTime, Seeks, ticket order) is computed as for any other requester.
-func (d *Disk) ReadOwner(q *rt.QueryCtx, b BlockID, blocks int, bytes int64) {
-	req := &ioReq{q: q, block: b, blocks: blocks, bytes: bytes}
-	d.submit(req)
-	q.SleepUntil(d.r, d.await(req))
-	d.depart()
-}
-
 // submit puts one request in the device queue WITHOUT blocking for the
 // transfer itself. DeviceArray uses the submit/await/depart split to
-// queue the sub-reads of one batch on several devices — so each
-// spindle's queue sees its full share and no spindle is idled by a busy
-// one — and then sleep once until the last of them completes.
+// queue the spans of one batch on several devices — so each spindle's
+// queue sees its full share and no spindle is idled by a busy one — and
+// then sleep once until the last of them completes.
 //
 // The request counts as queued from arrival until depart under either
 // discipline, and always takes an arrival ticket: it is FIFO's service

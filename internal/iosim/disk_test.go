@@ -9,8 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestDisk(eng *sim.Engine, bw float64) *Disk {
-	return NewDisk(rt.Sim(eng), Config{Bandwidth: bw, SeekLatency: time.Millisecond})
+// newTestDisk is a 1-device array with a 1 ms seek: one spindle's queue.
+func newTestDisk(eng *sim.Engine, bw float64) *DeviceArray {
+	return New(rt.Sim(eng), Config{Bandwidth: bw, SeekLatency: time.Millisecond})
 }
 
 func TestSequentialReadTime(t *testing.T) {
@@ -93,7 +94,7 @@ func TestOnReadHook(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newTestDisk(eng, 1e9)
 	var seen []BlockID
-	d.OnRead = func(b BlockID, _ int64) { seen = append(seen, b) }
+	d.devices[0].OnRead = func(b BlockID, _ int64) { seen = append(seen, b) }
 	eng.Go("r", func() {
 		d.Read(5, 1, 100)
 		d.Read(9, 1, 100)
@@ -130,7 +131,7 @@ func TestPropertyBandwidthIsCeiling(t *testing.T) {
 			return true
 		}
 		eng := sim.NewEngine()
-		d := NewDisk(rt.Sim(eng), Config{Bandwidth: 1e6, SeekLatency: 0})
+		d := New(rt.Sim(eng), Config{Bandwidth: 1e6, SeekLatency: 0})
 		var total int64
 		var end sim.Time
 		eng.Go("r", func() {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-func newElevatorDisk(eng *sim.Engine, bw float64) *Disk {
-	return NewDisk(rt.Sim(eng), Config{Bandwidth: bw, SeekLatency: time.Millisecond, Scheduler: SchedElevator})
+func newElevatorDisk(eng *sim.Engine, bw float64) *DeviceArray {
+	return New(rt.Sim(eng), Config{Bandwidth: bw, SeekLatency: time.Millisecond, Scheduler: SchedElevator})
 }
 
 // Three readers enqueue out of block order before the dispatcher runs; the
@@ -21,7 +21,7 @@ func TestElevatorSweepOrdersByBlock(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newElevatorDisk(eng, 1e6)
 	var order []BlockID
-	d.OnRead = func(b BlockID, _ int64) { order = append(order, b) }
+	d.devices[0].OnRead = func(b BlockID, _ int64) { order = append(order, b) }
 	for _, b := range []BlockID{30, 10, 20} {
 		b := b
 		eng.Go("r", func() { d.Read(b, 1, 1000) })
@@ -74,12 +74,12 @@ func TestElevatorSkipsCancelledOwner(t *testing.T) {
 	d := newElevatorDisk(eng, 1e6)
 	qc := rt.NewQueryCtx(r)
 	eng.Go("keep", func() { d.Read(0, 1, 500_000) })
-	eng.Go("dead", func() { d.ReadOwner(qc, 10, 1, 500_000) })
+	eng.Go("dead", func() { d.ReadSpansOwner(qc, span(10, 1, 500_000)) })
 	eng.Go("cancel", func() { qc.Cancel(rt.CauseClientCancel) })
 	eng.Run()
 	s := d.Stats()
 	if s.Requests != 1 || s.Skipped != 1 {
-		t.Fatalf("stats = %+v, want 1 serviced + 1 skipped", s)
+		t.Fatalf("stats = %+v, want 1 serviced + 1 skipped", s.Stats)
 	}
 	if s.BytesRead != 500_000 {
 		t.Fatalf("bytes = %d, want only the live request's 500000", s.BytesRead)
@@ -123,7 +123,7 @@ func TestElevatorSimDeterministic(t *testing.T) {
 			})
 		}
 		eng.Run()
-		return d.Stats(), ends
+		return d.Stats().Stats, ends
 	}
 	s1, e1 := run()
 	s2, e2 := run()
@@ -145,7 +145,7 @@ func TestElevatorArrayBatchParallelism(t *testing.T) {
 		})
 		var end sim.Time
 		eng.Go("r", func() {
-			a.ReadSpans([]Span{{Block: 0, Blocks: 16, Bytes: 400_000}}) // one full stripe row
+			a.ReadSpansOwner(nil, runSpans(a, 0, 16, 25_000)) // one full stripe row
 			end = eng.Now()
 		})
 		eng.Run()
@@ -170,8 +170,7 @@ func TestElevatorArrayBatchParallelism(t *testing.T) {
 // Real-runtime elevator smoke under -race: concurrent readers through the
 // dispatcher goroutine, then a drained queue and consistent counters.
 func TestRealElevatorConcurrentReads(t *testing.T) {
-	r := rt.NewReal()
-	d := NewDisk(r, Config{Bandwidth: 1e9, SeekLatency: time.Microsecond, Scheduler: SchedElevator})
+	a := New(rt.NewReal(), Config{Bandwidth: 1e9, SeekLatency: time.Microsecond, Scheduler: SchedElevator})
 	const readers = 8
 	var wg sync.WaitGroup
 	for i := 0; i < readers; i++ {
@@ -180,15 +179,16 @@ func TestRealElevatorConcurrentReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 4; j++ {
-				d.Read(BlockID((i*7+j*13)%50), 1, 10_000)
+				a.Read(BlockID((i*7+j*13)%50), 1, 10_000)
 			}
 		}()
 	}
 	wg.Wait()
-	s := d.Stats()
+	s := a.Stats()
 	if s.Requests != readers*4 || s.BytesRead != readers*4*10_000 {
-		t.Fatalf("stats = %+v", s)
+		t.Fatalf("stats = %+v", s.Stats)
 	}
+	d := a.devices[0]
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.queued != 0 || len(d.pending) != 0 || d.dispatching {

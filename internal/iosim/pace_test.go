@@ -34,9 +34,9 @@ func TestPaceShortDeviceWait(t *testing.T) {
 	// 16 KiB at 200 MB/s is 82 µs, plus a 100 µs seek where one applies:
 	// the three reads below model 446 µs on one spindle.
 	read := func(a *DeviceArray, q *rt.QueryCtx) {
-		a.ReadOwner(q, 7, 1, 16<<10)
-		a.ReadOwner(q, 8, 1, 16<<10) // sequential: no seek
-		a.ReadSpansOwner(q, []Span{{Block: 40, Blocks: 1, Bytes: 16 << 10}})
+		a.ReadSpansOwner(q, span(7, 1, 16<<10))
+		a.ReadSpansOwner(q, span(8, 1, 16<<10)) // sequential: no seek
+		a.ReadSpansOwner(q, span(40, 1, 16<<10))
 	}
 	for _, sched := range []string{SchedFIFO, SchedElevator} {
 		for _, devices := range []int{1, 2} {

@@ -1,7 +1,6 @@
 package iosim
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -70,7 +69,7 @@ func TestFIFOReadIsOneSleep(t *testing.T) {
 	}
 	striped := cfg
 	striped.Devices = 2
-	batch := func(a *DeviceArray, i int) { a.Read(0, 16, 16000) } // four chunks, two per spindle
+	batch := func(a *DeviceArray, i int) { a.ReadSpansOwner(nil, runSpans(a, 0, 16, 1000)) } // four chunks, two per spindle
 	if c := run(striped, 1, batch); c.untils != 1 || c.waits != 0 {
 		t.Errorf("striped FIFO batch: %d SleepUntil, %d event waits; want 1, 0", c.untils, c.waits)
 	}
@@ -110,16 +109,16 @@ var queueScript = []scriptedRead{
 	{at: 3 * time.Millisecond, block: 61, blocks: 1, bytes: 700},
 }
 
-// runQueueScript plays queueScript against read and returns each
-// request's completion time.
-func runQueueScript(eng *sim.Engine, read func(q *rt.QueryCtx, b BlockID, blocks int, bytes int64)) []sim.Time {
+// runQueueScript plays queueScript against a and returns each request's
+// completion time.
+func runQueueScript(eng *sim.Engine, a *DeviceArray) []sim.Time {
 	ends := make([]sim.Time, len(queueScript))
 	for i, s := range queueScript {
 		i, s := i, s
 		q := rt.NewQueryCtx(rt.Sim(eng))
 		eng.Go("reader", func() {
 			eng.Sleep(s.at)
-			read(q, s.block, s.blocks, s.bytes)
+			a.ReadSpansOwner(q, span(s.block, s.blocks, s.bytes))
 			ends[i] = eng.Now()
 		})
 		if s.cancelAt > 0 {
@@ -133,32 +132,21 @@ func runQueueScript(eng *sim.Engine, read func(q *rt.QueryCtx, b BlockID, blocks
 	return ends
 }
 
-// TestSingleDeviceArrayMatchesDisk: a 1-device array is a bare Disk —
-// the same completion times and the same counters for the same request
-// script — under each discipline, and the script separates the two
-// disciplines (so it is really the discipline that was compared).
-func TestSingleDeviceArrayMatchesDisk(t *testing.T) {
+// TestQueueScriptSeparatesDisciplines: the same request script on one
+// spindle under each discipline — the elevator reorders the backward jump
+// behind the sweep where FIFO serves arrival order, both serve a
+// same-block tie in arrival order, and each skips exactly the requests
+// whose owners were cancelled by their service turn.
+func TestQueueScriptSeparatesDisciplines(t *testing.T) {
 	timelines := map[string][]sim.Time{}
 	for _, sched := range []string{SchedFIFO, SchedElevator} {
-		cfg := Config{Bandwidth: 1e6, SeekLatency: time.Millisecond, Scheduler: sched}
-		engD := sim.NewEngine()
-		d := NewDisk(rt.Sim(engD), cfg)
-		endsD := runQueueScript(engD, d.ReadOwner)
-		engA := sim.NewEngine()
-		a := New(rt.Sim(engA), cfg)
-		endsA := runQueueScript(engA, a.ReadOwner)
-
-		if !reflect.DeepEqual(endsD, endsA) {
-			t.Errorf("%s: completion times diverged:\n disk  %v\n array %v", sched, endsD, endsA)
-		}
-		if got := a.Stats().PerDevice[0]; d.Stats() != got {
-			t.Errorf("%s: stats diverged:\n disk  %+v\n array %+v", sched, d.Stats(), got)
-		}
+		eng := sim.NewEngine()
+		a := New(rt.Sim(eng), Config{Bandwidth: 1e6, SeekLatency: time.Millisecond, Scheduler: sched})
+		timelines[sched] = runQueueScript(eng, a)
 		wantSkipped := map[string]int64{SchedFIFO: 1, SchedElevator: 2}[sched]
-		if s := d.Stats(); s.Skipped != wantSkipped || s.Requests != int64(len(queueScript))-wantSkipped {
-			t.Errorf("%s: %+v, want %d cancelled owners' requests skipped and the rest served", sched, s, wantSkipped)
+		if s := a.Stats(); s.Skipped != wantSkipped || s.Requests != int64(len(queueScript))-wantSkipped {
+			t.Errorf("%s: %+v, want %d cancelled owners' requests skipped and the rest served", sched, s.Stats, wantSkipped)
 		}
-		timelines[sched] = endsD
 	}
 	fifo, elev := timelines[SchedFIFO], timelines[SchedElevator]
 	last := len(queueScript) - 1
@@ -190,10 +178,10 @@ func TestBatchOnOneFIFODeviceMatchesBackToBackReads(t *testing.T) {
 		})
 		eng.Run()
 		s := a.Stats().Stats
-		s.MaxQueueLen = 0 // batch-granular by design (see ReadSpans)
+		s.MaxQueueLen = 0 // batch-granular by design (see ReadSpansOwner)
 		return end, s, c.untils
 	}
-	endB, statsB, sleepsB := run(func(a *DeviceArray) { a.ReadSpans(spans) })
+	endB, statsB, sleepsB := run(func(a *DeviceArray) { a.ReadSpansOwner(nil, spans) })
 	endS, statsS, sleepsS := run(func(a *DeviceArray) {
 		for _, s := range spans {
 			a.Read(s.Block, s.Blocks, s.Bytes)

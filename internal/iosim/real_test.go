@@ -18,8 +18,8 @@ import (
 // known order, releases the queue, and checks the service order. Run
 // with -race: it also exercises the admit-condvar paths concurrently.
 func TestRealTicketedAdmissionIsFIFO(t *testing.T) {
-	r := rt.NewReal()
-	d := NewDisk(r, Config{Bandwidth: 1e9, SeekLatency: 0})
+	a := New(rt.NewReal(), Config{Bandwidth: 1e9, SeekLatency: 0})
+	d := a.devices[0]
 
 	var order []BlockID
 	d.OnRead = func(b BlockID, _ int64) { order = append(order, b) }
@@ -41,7 +41,7 @@ func TestRealTicketedAdmissionIsFIFO(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d.Read(BlockID(i*100), 1, 1000)
+			a.Read(BlockID(i*100), 1, 1000)
 		}()
 		deadline := time.Now().Add(5 * time.Second)
 		for ticketsNow() != int64(i+2) {
@@ -104,7 +104,7 @@ func TestRealArrayConcurrentReads(t *testing.T) {
 			for j := 0; j < reads; j++ {
 				// 32-block runs from rotating offsets: every read fans out
 				// over all four devices.
-				a.Read(BlockID((i*reads+j)%64), 32, 32*1024)
+				a.ReadSpansOwner(nil, runSpans(a, BlockID((i*reads+j)%64), 32, 1024))
 			}
 		}()
 	}

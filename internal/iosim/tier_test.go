@@ -108,11 +108,11 @@ func TestTemperaturePlacement(t *testing.T) {
 	}
 }
 
-// Satellite (d): Stats()/ResetStats() racing real-mode reads in flight must
-// never tear or trip -race, on both the bare Disk and the DeviceArray.
+// Stats()/ResetStats() racing real-mode reads in flight must never tear or
+// trip -race, on a 1-device elevator array and a striped FIFO array.
 func TestRealStatsRaceWithReadsInFlight(t *testing.T) {
 	r := rt.NewReal()
-	d := NewDisk(r, Config{Bandwidth: 1e9, SeekLatency: 0, Scheduler: SchedElevator})
+	d := New(r, Config{Bandwidth: 1e9, SeekLatency: 0, Scheduler: SchedElevator})
 	a := NewArray(r, ArrayConfig{
 		Config:      Config{Bandwidth: 1e9, SeekLatency: 0},
 		Devices:     4,
@@ -132,7 +132,7 @@ func TestRealStatsRaceWithReadsInFlight(t *testing.T) {
 				default:
 				}
 				d.Read(BlockID((i*11+j)%64), 1, 4096)
-				a.Read(BlockID((i*17+j)%64), 8, 8192)
+				a.ReadSpansOwner(nil, runSpans(a, BlockID((i*17+j)%64), 8, 1024))
 			}
 		}()
 	}
@@ -142,7 +142,7 @@ func TestRealStatsRaceWithReadsInFlight(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			ds, as := d.Stats(), a.Stats()
 			if ds.BytesRead < 0 || as.BytesRead < 0 || as.MinDeviceBytes > as.MaxDeviceBytes {
-				t.Errorf("torn snapshot: disk %+v array %+v", ds, as)
+				t.Errorf("torn snapshot: disk %+v array %+v", ds.Stats, as.Stats)
 				return
 			}
 			if i%50 == 0 {

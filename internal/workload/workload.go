@@ -23,7 +23,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/tpch"
-	"repro/internal/trace"
 )
 
 // Policy selects the buffer-management strategy under test.
@@ -331,7 +330,6 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 type env struct {
 	Engine
 	cfg    Config
-	rec    *trace.Recorder
 	result *Result
 	skipEnv
 }
@@ -346,8 +344,11 @@ func newEnv(cfg Config, accessedBytes int64) *env {
 	e.result.AccessedBytes = accessedBytes
 	e.Engine = NewEngine(cfg, capBytes)
 	if cfg.TraceForOPT && e.Pool != nil {
-		e.rec = trace.NewRecorder()
-		e.rec.Attach(e.Pool)
+		// The pool calls OnAccess under its mutex: one append at a time, in
+		// the order the pool served the references.
+		e.Pool.OnAccess = func(p *storage.Page) {
+			e.result.Trace = append(e.result.Trace, opt.Ref{Page: p.ID, Bytes: p.Bytes})
+		}
 	}
 	return e
 }
@@ -459,9 +460,6 @@ func (e *env) finish(streamEnds []sim.Time) *Result {
 	}
 	e.result.MaxStreamSec = max.Seconds()
 	e.snapshot(e.result)
-	if e.rec != nil {
-		e.result.Trace = e.rec.Refs()
-	}
 	if e.Ctx.Heat != nil {
 		e.result.heat = e.Ctx.Heat.Chunks()
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/opt"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -125,6 +127,31 @@ func TestOPTNoWorseThanPBM(t *testing.T) {
 	}
 	if optBytes <= 0 {
 		t.Fatal("OPT I/O is zero")
+	}
+}
+
+// TestRecordedTraceReplaysUnderOPT: the trace holds every pool reference,
+// hits included, or an OPT replay would see a different reference string
+// than the live run; and it replays under OPT, which with room for every
+// page loads each page once.
+func TestRecordedTraceReplaysUnderOPT(t *testing.T) {
+	cfg := tinyMicroConfig()
+	cfg.Policy = LRU
+	cfg.TraceForOPT = true
+	res := RunMicro(tinyDB, cfg)
+	if s := res.PoolStats; int64(len(res.Trace)) != s.Hits+s.Misses || s.Hits == 0 {
+		t.Fatalf("trace of %d refs for %d hits + %d misses", len(res.Trace), s.Hits, s.Misses)
+	}
+	pages := map[storage.PageID]int64{}
+	for _, r := range res.Trace {
+		pages[r.Page] = r.Bytes
+	}
+	var all int64
+	for _, b := range pages {
+		all += b
+	}
+	if got := opt.Simulate(res.Trace, all).BytesLoaded; got != all {
+		t.Fatalf("OPT with room for all %d bytes loaded %d, want each page once", all, got)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestPartitionRangeReexport(t *testing.T) {
 // Sweeps must reject an axis value off its menu before generating any
 // data — admission policies, tiers and device queue disciplines alike —
 // with the table's message, which names the flag and its menu, not with
-// iosim.NewDisk's or sched.New's panic from inside a cell.
+// iosim.NewArray's or sched.New's panic from inside a cell.
 func TestServeSweepValidatesAdmissionPolicies(t *testing.T) {
 	for name, run := range map[string]func(ServeAxes){
 		"sweep":   func(bad ServeAxes) { ServeSweep(ServeOptions{ServeAxes: bad}) },
