@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -328,6 +330,62 @@ func TestDifferentialHashAggr(t *testing.T) {
 	}
 }
 
+// TestDifferentialHashAggrDirect drives HashAggr's direct table: string
+// group columns of at most one byte ("", "\x00" and "\xff" among them,
+// and "|", whose keys the map path cannot tell apart from others), each
+// batch drawing from a few values of its own. In every other round one
+// batch in the middle of the stream carries a longer string, so the map
+// path and the table take turns on one aggregate and each must find the
+// groups the other opened. {4, 0} groups a string with a number and must
+// never use the table.
+func TestDifferentialHashAggrDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	short := []string{"", "\x00", "\xff", "A", "N", "R", "|"}
+	long := []string{"AB", "\x00\x00", "||"}
+	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 2}, {Kind: AggAvg, Col: 3}, {Kind: AggMin, Col: 0}, {Kind: AggMax, Col: 2}}
+	groupings := [][]int{{4}, {4, 5}, {5, 4}, {4, 5, 4}, {4, 0}}
+	for round := 0; round < 16; round++ {
+		batches := randBatches(rng, 3)
+		for _, b := range batches {
+			pick := rng.Perm(len(short))[:1+rng.Intn(3)]
+			for _, c := range []int{4, 5} {
+				for i := range b.Vecs[c].Str {
+					b.Vecs[c].Str[i] = short[pick[rng.Intn(len(pick))]]
+				}
+			}
+		}
+		if round%2 == 1 {
+			mid := batches[len(batches)/2]
+			mid.Vecs[4+rng.Intn(2)].Str[rng.Intn(mid.N)] = long[rng.Intn(len(long))]
+		}
+		for _, groups := range groupings {
+			aggr := &HashAggr{Child: &manyBatches{batches: batches}, Groups: groups, Aggs: aggs}
+			got := Collect(aggr)
+			want := Collect(&refHashAggr{Child: &manyBatches{batches: batches}, Groups: groups, Aggs: aggs})
+			if !sameBatch(got, want) {
+				t.Fatalf("round %d groups %v: %d groups, reference %d; rows, order or sums differ", round, groups, got.N, want.N)
+			}
+			if used, want := aggr.direct != nil, !slices.Contains(groups, 0); used != want {
+				t.Fatalf("round %d groups %v: direct table used %v, want %v", round, groups, used, want)
+			}
+		}
+	}
+}
+
+// q1Shaped sets columns 4 and 5 of b to Q1's group values, l_returnflag
+// and l_linestatus (3 × 2 one-byte strings), each repeated rep times.
+func q1Shaped(b *Batch, rep int) *Batch {
+	for i := range b.Vecs[4].Str {
+		b.Vecs[4].Str[i] = strings.Repeat("ANR"[i%3:i%3+1], rep)
+		b.Vecs[5].Str[i] = strings.Repeat("FO"[i%2:i%2+1], rep)
+	}
+	return b
+}
+
+// q1Aggs is Q1's aggregate shape over kernelTypes: a count, sums and
+// averages of floats.
+var q1Aggs = []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 2}, {Kind: AggSum, Col: 3}, {Kind: AggAvg, Col: 2}, {Kind: AggAvg, Col: 3}}
+
 // TestAllocsSteadyStateVector: once an operator has seen a vector of the
 // size it will see again, the next one allocates nothing.
 func TestAllocsSteadyStateVector(t *testing.T) {
@@ -351,12 +409,22 @@ func TestAllocsSteadyStateVector(t *testing.T) {
 		op.Close()
 	}
 
-	aggr := &HashAggr{Child: src, Groups: []int{0, 2, 4}, Aggs: []AggSpec{
-		{Kind: AggCount}, {Kind: AggSum, Col: 3}, {Kind: AggAvg, Col: 1}, {Kind: AggMin, Col: 2}, {Kind: AggMax, Col: 0}}}
-	aggr.Open()
-	aggr.add(b)
-	if n := testing.AllocsPerRun(50, func() { aggr.add(b) }); n != 0 {
-		t.Errorf("HashAggr: %.0f allocations for a vector that opens no group, want 0", n)
+	// The map path, and Q1's shape through the direct table.
+	aggrs := []struct {
+		name string
+		aggr *HashAggr
+		in   *Batch
+	}{
+		{"HashAggr", &HashAggr{Child: src, Groups: []int{0, 2, 4}, Aggs: []AggSpec{
+			{Kind: AggCount}, {Kind: AggSum, Col: 3}, {Kind: AggAvg, Col: 1}, {Kind: AggMin, Col: 2}, {Kind: AggMax, Col: 0}}}, b},
+		{"HashAggr/direct", &HashAggr{Child: src, Groups: []int{4, 5}, Aggs: q1Aggs}, q1Shaped(cloneBatch(b), 1)},
+	}
+	for _, c := range aggrs {
+		c.aggr.Open()
+		c.aggr.add(c.in)
+		if n := testing.AllocsPerRun(50, func() { c.aggr.add(c.in) }); n != 0 {
+			t.Errorf("%s: %.0f allocations for a vector that opens no group, want 0", c.name, n)
+		}
 	}
 }
 

@@ -207,13 +207,24 @@ type HashAggr struct {
 	out      *Batch
 	closed   bool
 
+	// direct caches ids for group keys of one-byte strings: a trie of
+	// directNode-entry nodes end to end, the root first, one level per
+	// group column. An entry is 0 when unseen, else the next level's node
+	// or, at the last level, the group id + 1.
+	direct []int32
+
 	// Per-batch scratch, kept across batches so a batch that meets no
 	// new group allocates nothing.
-	kb    []byte  // the batch's binary keys, end to end
-	ends  []int32 // by tuple: where its key ends in kb
-	gids  []int32 // by tuple: its group
-	fresh []int32 // tuples that opened a group
+	kb    []byte     // the batch's binary keys, end to end
+	ends  []int32    // by tuple: where its key ends in kb
+	strs  [][]string // per group column, its values (direct path)
+	gids  []int32    // by tuple: its group
+	fresh []int32    // tuples that opened a group
 }
+
+// directNode is the entries of one direct-table node: "" and the 256
+// one-byte strings.
+const directNode = 257
 
 // Schema implements Operator: group columns followed by aggregates
 // (AggCount yields Int64; others Float64 except Min/Max/Sum over Int64).
@@ -240,6 +251,7 @@ func (a *HashAggr) Schema() []storage.ColumnType {
 func (a *HashAggr) Open() {
 	a.Child.Open()
 	a.ids = make(map[string]int32)
+	a.direct = nil
 	a.out = NewBatch(a.Schema())
 	a.keys = nil
 	for _, v := range a.out.Vecs[:len(a.Groups)] {
@@ -316,7 +328,9 @@ func (a *HashAggr) add(in *Batch) {
 // tuples that opened one. Groups are told apart by a binary key — eight
 // bytes per number, a string's bytes and a '|' — laid out for the whole
 // batch column by column, so no value is rendered or type-switched per
-// tuple; a new group's decimal key is rendered once, when it opens.
+// tuple; a new group's decimal key is rendered once, when it opens. A
+// batch whose group values are all one-byte strings skips the key and
+// the hash: it indexes the direct table.
 func (a *HashAggr) groupIDs(in *Batch) {
 	n := in.N
 	a.gids = resize(a.gids, n)
@@ -328,6 +342,9 @@ func (a *HashAggr) groupIDs(in *Batch) {
 			a.rendered = append(a.rendered, "")
 			a.fresh = append(a.fresh, 0)
 		}
+		return
+	}
+	if a.groupIDsDirect(in) {
 		return
 	}
 
@@ -379,18 +396,97 @@ func (a *HashAggr) groupIDs(in *Batch) {
 
 	start := int32(0)
 	for i, end := range ends {
-		// A map index by string(bytes) does not allocate; the key string
-		// is only materialised for a group seen for the first time.
-		id, ok := a.ids[string(kb[start:end])]
-		if !ok {
-			id = int32(len(a.rendered))
-			a.ids[string(kb[start:end])] = id
-			a.rendered = append(a.rendered, a.render(in, i))
-			a.fresh = append(a.fresh, int32(i))
-		}
-		a.gids[i] = id
+		a.gids[i] = a.groupOf(in, i, kb[start:end])
 		start = end
 	}
+}
+
+// groupOf is the group of tuple i of in, whose binary key is key. It is
+// the only place a group id is assigned: an unseen key opens a group.
+func (a *HashAggr) groupOf(in *Batch, i int, key []byte) int32 {
+	// A map index by string(bytes) does not allocate; the key string is
+	// only materialised for a group seen for the first time.
+	id, ok := a.ids[string(key)]
+	if !ok {
+		id = int32(len(a.rendered))
+		a.ids[string(key)] = id
+		a.rendered = append(a.rendered, a.render(in, i))
+		a.fresh = append(a.fresh, int32(i))
+	}
+	return id
+}
+
+// groupIDsDirect sets gids through the direct table, without hashing,
+// when every group column of in is a String and every value in it is at
+// most one byte, and reports whether it did. The table is only a cache
+// in front of the map: a key it has not seen yet goes through groupOf,
+// so ids keep their first-sight order and a group is the same one
+// whichever path each batch takes.
+func (a *HashAggr) groupIDsDirect(in *Batch) bool {
+	a.strs = a.strs[:0]
+	for _, g := range a.Groups {
+		v := in.Vecs[g]
+		if v.T != storage.String {
+			return false
+		}
+		for _, s := range v.Str[:in.N] {
+			if len(s) > 1 {
+				return false
+			}
+		}
+		a.strs = append(a.strs, v.Str[:in.N])
+	}
+	if a.direct == nil {
+		a.direct = make([]int32, directNode)
+	}
+	t, gids := a.direct, a.gids
+	for i := range gids {
+		e := int32(0)
+		for _, col := range a.strs {
+			if e = t[int(e)*directNode+directCode(col[i])]; e == 0 {
+				break
+			}
+		}
+		if e == 0 {
+			e = a.directMiss(in, i) + 1
+			t = a.direct
+		}
+		gids[i] = e - 1
+	}
+	return true
+}
+
+// directMiss resolves tuple i, whose key the direct table lacks, through
+// groupOf and records the id there, adding the nodes its path needs.
+func (a *HashAggr) directMiss(in *Batch, i int) int32 {
+	// The map path's binary key: each string and a '|'.
+	kb := a.kb[:0]
+	for _, col := range a.strs {
+		kb = append(append(kb, col[i]...), '|')
+	}
+	a.kb = kb
+	id := a.groupOf(in, i, kb)
+	last := len(a.strs) - 1
+	slot := 0
+	for _, col := range a.strs[:last] {
+		slot += directCode(col[i])
+		if a.direct[slot] == 0 {
+			a.direct[slot] = int32(len(a.direct) / directNode)
+			a.direct = append(a.direct, make([]int32, directNode)...)
+		}
+		slot = int(a.direct[slot]) * directNode
+	}
+	a.direct[slot+directCode(a.strs[last][i])] = id + 1
+	return id
+}
+
+// directCode is a string of at most one byte's entry in a direct-table
+// node: 0 for "", 1+b for the byte b.
+func directCode(s string) int {
+	if s == "" {
+		return 0
+	}
+	return 1 + int(s[0])
 }
 
 // render is tuple i's group key in decimal, '|' after every value.
