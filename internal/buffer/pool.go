@@ -20,14 +20,14 @@
 // decision about the pool's state is taken on an exact view of it. On the
 // sim runtime exactly one process runs at a time, the mutex is
 // uncontended, and the virtual-time trajectory is identical to the
-// historical engine-only code. The two runtimes differ in exactly one
-// mechanism: blocked reservations park on a deterministic FIFO of events
-// in sim mode, and on a sync.Cond in real mode (see
-// waitFreed/wakeReservers).
+// historical engine-only code. Both runtimes run one mechanism, blocked
+// reservations included: each parks on an event of its own in a FIFO,
+// and every freed frame wakes the oldest one (see evictFor/waitFreed).
 package buffer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -106,39 +106,18 @@ type Pool struct {
 	// frames whose read is in flight: what a blocked reservation waits on.
 	nPinned, nLoading int
 
-	// freedQ holds one event per blocked reservation (sim runtime); each
-	// frame release wakes one waiter per freed frame, avoiding a
-	// thundering herd when the pool is saturated with pinned frames and
-	// keeping the wake order deterministic.
+	// freedQ holds one event per blocked reservation, oldest first. A
+	// reserver queues its event in the critical section where evictFor
+	// decides to stall, and every frame release pops one event per freed
+	// frame in its own critical section and fires it after unlocking. A
+	// free thus wakes exactly the reservers it can serve, with no
+	// thundering herd when the pool is saturated with pinned frames, and
+	// in a deterministic order on the simulator.
 	freedQ []rt.Event
-
-	// cond is the real runtime's equivalent: blocked reservations wait on
-	// it and every release broadcasts. The broadcast is deliberately
-	// wider than the sim FIFO's single hand-off — woken reservers
-	// re-check the budget and re-park, trading a bounded spurious wake-up
-	// for simplicity. Lost wake-ups are closed by waitFreed itself: it
-	// re-checks the fit predicate after registering (under the mutex a
-	// waker must also take), so a free that lands between the caller's
-	// decision to stall and the park is always observed one way or the
-	// other.
-	cond *sync.Cond
 
 	// used is the bytes cached, changed only under mu and read without it
 	// by reserve's budget check and by Used.
 	used atomic.Int64
-
-	// stalled counts reservations currently parked (or about to park) in
-	// waitFreed; frame frees skip the broadcast while it is zero, which
-	// is the common un-saturated case (real runtime only).
-	stalled atomic.Int64
-	// freeEpoch counts wake-relevant events — capacity frees, unpins,
-	// load completions — on the real runtime. A reserver snapshots it
-	// before its eviction attempts; an unchanged epoch at park time
-	// proves no such event slipped into the window between those
-	// attempts and the park (an unpin frees evictability, not bytes, so
-	// the byte-budget re-check alone would miss it and the reserver
-	// could sleep beside a perfectly evictable victim).
-	freeEpoch atomic.Int64
 
 	// OnAccess, if non-nil, observes every logical page access (hit or
 	// miss) in request order; the OPT trace recorder hooks in here. It is
@@ -155,13 +134,11 @@ func NewPool(r rt.Runtime, disk *iosim.DeviceArray, policy Policy, capacity int6
 	if capacity <= 0 {
 		panic("buffer: capacity must be positive")
 	}
-	p := &Pool{
+	return &Pool{
 		r: r, disk: disk, policy: policy, capacity: capacity,
 		frames:   make(map[storage.PageID]*Frame),
 		inFlight: make(map[storage.PageID]rt.Event),
 	}
-	p.cond = sync.NewCond(&p.mu)
-	return p
 }
 
 // Capacity returns the pool capacity in bytes.
@@ -187,104 +164,54 @@ func (p *Pool) Contains(pg *storage.Page) bool {
 	return ok && !f.loading
 }
 
-// wakeReservers releases blocked reservations after n frames were freed.
-// Sim runtime: pop and fire up to n parked events in FIFO order. Real
-// runtime: broadcast on the condition variable (see the field comment).
-// Must be called WITHOUT the pool mutex held.
-func (p *Pool) wakeReservers(n int) {
-	if n <= 0 {
-		return
-	}
-	if p.r.Real() {
-		// Record the event before deciding whether anyone needs a
-		// broadcast: waitFreed registers in p.stalled before re-checking
-		// its predicate (which includes this epoch), so whichever side
-		// runs second observes the other — a zero read here means every
-		// current reserver will notice the epoch bump (or the freed
-		// bytes) on its own park-time re-check, and the broadcast can be
-		// skipped without stranding a waiter.
-		p.freeEpoch.Add(1)
-		if p.stalled.Load() == 0 {
-			return
-		}
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		return
-	}
-	for ; n > 0 && len(p.freedQ) > 0; n-- {
-		ev := p.freedQ[0]
-		p.freedQ = p.freedQ[1:]
+// popFreed takes the events of up to n blocked reservations off the head
+// of freedQ, for the caller to fire once it has released the mutex. The
+// result aliases freedQ's old head, which later appends and removals
+// never write to. Mutex held.
+func (p *Pool) popFreed(n int) []rt.Event {
+	n = min(n, len(p.freedQ))
+	evs := p.freedQ[:n]
+	p.freedQ = p.freedQ[n:]
+	return evs
+}
+
+// fire wakes the reservations popFreed took. Mutex not held.
+func fire(evs []rt.Event) {
+	for _, ev := range evs {
 		ev.Fire()
 	}
 }
 
-// waitFreed blocks the caller until a frame release wakes it, or returns
-// immediately if proceed already holds (capacity fits, or a wake-relevant
-// event landed since the caller's eviction attempts — see freeEpoch).
-// Called WITHOUT the pool mutex held.
+// waitFreed parks the reservation that evictFor queued as ev until a
+// frame release pops and fires ev, or its owner q is cancelled (a nil
+// owner never is). w is the waiter evictFor took before unlocking, so a
+// free that lands before the park still wakes it: on threads w holds the
+// event's channel generation, and on the simulator no other process runs
+// in between. Called WITHOUT the pool mutex held.
 //
-// Real runtime: the caller decided to stall in an earlier critical
-// section (evictFor), so a concurrent free may have landed (and found
-// nobody to wake) before we park — re-checking proceed after registering in p.stalled
-// and taking the mutex closes that window: a waker either sees our
-// registration (and broadcasts under the mutex, which cannot happen
-// until cond.Wait has parked us) or bumped the epoch / freed the bytes
-// before our re-check (which then observes it and returns).
-//
-// The park is cancellation-aware: cancelling the owner q wakes the waiter
-// (the caller's loop then observes the cancellation and bails with
-// ErrCancelled); a nil owner is never cancelled. Real runtime: the cancel
-// hook broadcasts under the mutex, closing the same register-then-park
-// window as above. Sim runtime: the hook fires the parked event; if it
-// was still sitting in freedQ the entry is removed, and if a genuine free
-// had already consumed it the wake is passed on so no other blocked
-// reservation is starved by a wake spent on a dead query.
-func (p *Pool) waitFreed(q *rt.QueryCtx, proceed func() bool) {
-	if p.r.Real() {
-		stop := q.OnCancel(func() {
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		})
-		defer stop()
-		p.stalled.Add(1)
-		defer p.stalled.Add(-1)
-		p.mu.Lock()
-		if !proceed() {
-			p.cond.Wait()
-		}
-		p.mu.Unlock()
-		return
-	}
-	// Sim events are not sticky (a Fire with no waiter is lost), so a
-	// query found cancelled here must not park at all: the caller's loop
-	// re-observes the cancellation and bails. Between this check and
-	// ev.Wait no other sim process runs, so the hook below can only fire
-	// while we are actually parked.
-	if q.Cancelled() {
-		return
-	}
-	ev := p.r.NewEvent()
-	p.freedQ = append(p.freedQ, ev)
+// A cancelled reservation leaves freedQ. If a free had already popped its
+// event, the wake is passed on to the next blocked reservation, so none
+// is starved by a wake spent on a dead query.
+func (p *Pool) waitFreed(q *rt.QueryCtx, ev rt.Event, w rt.Waiter) {
 	stop := q.OnCancel(ev.Fire)
-	ev.Wait()
-	stop()
-	if q.Cancelled() {
-		removed := false
-		for i, e := range p.freedQ {
-			if e == ev {
-				p.freedQ = append(p.freedQ[:i], p.freedQ[i+1:]...)
-				removed = true
-				break
-			}
-		}
-		if !removed {
-			// A real free woke us but we are abandoning the reservation:
-			// hand the wake to the next blocked reservation.
-			p.wakeReservers(1)
-		}
+	// A simulator Fire with nobody waiting is lost, so an owner already
+	// cancelled must not park at all.
+	if !q.Cancelled() {
+		w.Wait()
 	}
+	stop()
+	if !q.Cancelled() {
+		return
+	}
+	var wake []rt.Event
+	p.mu.Lock()
+	if i := slices.Index(p.freedQ, ev); i >= 0 {
+		p.freedQ = slices.Delete(p.freedQ, i, i+1)
+	} else {
+		wake = p.popFreed(1)
+	}
+	p.mu.Unlock()
+	fire(wake)
 }
 
 // Get returns a pinned frame for pg, reading it from disk on a miss (which
@@ -316,13 +243,11 @@ func (p *Pool) GetIfResident(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 		p.mu.Unlock()
 		return nil, nil
 	}
-	// get turns a dead owner away before it counts a hit. The mutex is
-	// held here and a self-cancel runs hooks that need it (a sibling
-	// parked in waitFreed), so look without side effects and let
-	// Cancelled fire the deadline outside.
-	if q.Cause() != rt.CauseNone || q.Expired(p.r.Now()) {
+	// get turns a dead owner away before it counts a hit. A self-cancel
+	// may run here, under the mutex: every cancel hook only fires an
+	// event, and none takes the pool mutex.
+	if q.Cancelled() {
 		p.mu.Unlock()
-		q.Cancelled()
 		return nil, ErrCancelled
 	}
 	p.hit(f)
@@ -489,15 +414,15 @@ func (p *Pool) loaded(ev rt.Event, frames ...*Frame) {
 		p.policy.Admitted(f)
 	}
 	p.nLoading -= len(frames)
+	wake := p.popFreed(1)
 	p.mu.Unlock()
 	ev.Fire()
-	p.wakeReservers(1)
+	fire(wake)
 }
 
-// get is the shared hit/miss path. Cancellation is only checked outside
-// the mutex: the lazy deadline check inside QueryCtx.Cancelled can run
-// cancel hooks, and a hook registered by another process of the same
-// query (an XChg sibling parked in waitFreed) needs this very mutex.
+// get is the shared hit/miss path. It turns a cancelled owner away on
+// entry and after every wait for a read in flight; a reservation that
+// blocks is woken by the cancellation (see reserve).
 func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 	if q.Cancelled() {
 		return nil, ErrCancelled
@@ -553,33 +478,27 @@ func (p *Pool) reserve(q *rt.QueryCtx, bytes int64) error {
 		if q.Cancelled() {
 			return ErrCancelled
 		}
-		// Snapshot the wake epoch before trying to evict: any unpin,
-		// free, or load completion after this point bumps it, and the
-		// park-time predicate below treats a bump as "retry eviction"
-		// (the event may have made a victim available without changing
-		// any byte counter).
-		epoch := p.freeEpoch.Load()
-		if p.evictFor(bytes) {
-			continue
+		if ev, w := p.evictFor(bytes); ev != nil {
+			p.waitFreed(q, ev, w)
 		}
-		p.waitFreed(q, func() bool {
-			return p.used.Load()+bytes <= p.capacity || p.freeEpoch.Load() != epoch || q.Cause() != rt.CauseNone
-		})
 	}
 	return nil
 }
 
-// evictFor makes room for a reservation of bytes in one critical section:
-// it reports true when they fit after all (a concurrent free on the real
-// runtime) or the policy's victim was evicted, and false, counting the
-// stall, when the caller must wait for a pinned or in-flight frame. The
-// pin and load counts are exact under the mutex, so a full pool with
-// neither is an accounting error no wait can repair.
-func (p *Pool) evictFor(bytes int64) bool {
+// evictFor makes room for a reservation of bytes in one critical section.
+// It returns a nil event when they fit after all (a concurrent free on the
+// real runtime) or the policy's victim was evicted. When the caller must
+// wait for a pinned or in-flight frame instead, it counts the stall and
+// queues a new event on freedQ in that same critical section, returning
+// the event and a waiter on it for waitFreed: every free that could serve
+// the caller lands after it is queued. The pin and load counts are exact
+// under the mutex, so a full pool with neither is an accounting error no
+// wait can repair.
+func (p *Pool) evictFor(bytes int64) (rt.Event, rt.Waiter) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.used.Load()+bytes <= p.capacity {
-		return true
+		return nil, nil
 	}
 	v := p.policy.Victim()
 	if v == nil {
@@ -587,14 +506,16 @@ func (p *Pool) evictFor(bytes int64) bool {
 			panic(fmt.Sprintf("buffer: pool overcommitted: %d/%d bytes with nothing pinned or loading", p.used.Load(), p.capacity))
 		}
 		p.stats.Stalls++
-		return false
+		ev := p.r.NewEvent()
+		p.freedQ = append(p.freedQ, ev)
+		return ev, ev.Waiter()
 	}
 	if v.Pinned() || v.Loading() {
 		panic("buffer: policy returned pinned or loading victim")
 	}
 	p.stats.Evictions++
 	p.drop(v)
-	return true
+	return nil, nil
 }
 
 // drop removes the resident, unpinned frame f from the pool and gives its
@@ -621,13 +542,13 @@ func (p *Pool) Unpin(f *Frame) {
 		panic("buffer: Unpin without pin")
 	}
 	f.pins--
-	freed := 0
+	var wake []rt.Event
 	if f.pins == 0 {
 		p.nPinned--
-		freed = 1
+		wake = p.popFreed(1)
 	}
 	p.mu.Unlock()
-	p.wakeReservers(freed)
+	fire(wake)
 }
 
 // InvalidatePages drops the given pages' frames wherever they are
@@ -646,8 +567,9 @@ func (p *Pool) InvalidatePages(pages []*storage.Page) int {
 			freed++
 		}
 	}
+	wake := p.popFreed(freed)
 	p.mu.Unlock()
-	p.wakeReservers(freed)
+	fire(wake)
 	return freed
 }
 
@@ -666,6 +588,7 @@ func (p *Pool) FlushAll() {
 			freed++
 		}
 	}
+	wake := p.popFreed(freed)
 	p.mu.Unlock()
-	p.wakeReservers(freed)
+	fire(wake)
 }

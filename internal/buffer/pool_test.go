@@ -45,6 +45,28 @@ func poolFixture(t testing.TB, policy Policy, capPages int, nPages int) (*sim.En
 	return eng, pool, makePages(t, nPages)
 }
 
+// poolOn builds a pool of capPages pages under policy on r, over a fast
+// single device, and nPages pages of one column.
+func poolOn(t testing.TB, r rt.Runtime, policy Policy, capPages, nPages int) (*Pool, []*storage.Page) {
+	t.Helper()
+	disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
+	return NewPool(r, disk, policy, int64(capPages)*storage.PageSize), makePages(t, nPages)
+}
+
+// onBothRuntimes runs body as the subtests "sim" and "real", each on a
+// fresh runtime of its kind.
+func onBothRuntimes(t *testing.T, body func(t *testing.T, r rt.Runtime)) {
+	for _, name := range []string{"sim", "real"} {
+		t.Run(name, func(t *testing.T) {
+			var r rt.Runtime = rt.Sim(sim.NewEngine())
+			if name == "real" {
+				r = rt.NewReal()
+			}
+			body(t, r)
+		})
+	}
+}
+
 func TestHitAndMiss(t *testing.T) {
 	eng, pool, pages := poolFixture(t, NewLRU(), 4, 8)
 	eng.Go("q", func() {
@@ -301,68 +323,59 @@ func (neverEvict) Victim() *Frame  { return nil }
 // both runtimes without waiting first: the pin and load counts it checks
 // are exact under the pool mutex, so there is nothing to poll for.
 func TestOvercommitPanicsAtOnce(t *testing.T) {
-	for _, name := range []string{"sim", "real"} {
-		t.Run(name, func(t *testing.T) {
-			var r rt.Runtime = rt.Sim(sim.NewEngine())
-			if name == "real" {
-				r = rt.NewReal()
-			}
-			disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
-			pool := NewPool(r, disk, neverEvict{}, storage.PageSize)
-			pages := makePages(t, 2)
-			var got any
-			var took time.Duration
-			r.Go("q", func() {
-				pool.Unpin(pool.Get(pages[0])) // full, nothing pinned
-				start := time.Now()
-				defer func() {
-					got, took = recover(), time.Since(start)
-				}()
-				pool.Get(pages[1])
-			})
-			r.Run()
-			if msg, _ := got.(string); !strings.Contains(msg, "pool overcommitted") {
-				t.Fatalf("Get recovered %v, want a pool overcommitted panic", got)
-			}
-			if took > 100*time.Millisecond {
-				t.Errorf("panicked after %v, want within 100ms", took)
-			}
+	onBothRuntimes(t, func(t *testing.T, r rt.Runtime) {
+		pool, pages := poolOn(t, r, neverEvict{}, 1, 2)
+		var got any
+		var took time.Duration
+		r.Go("q", func() {
+			pool.Unpin(pool.Get(pages[0])) // full, nothing pinned
+			start := time.Now()
+			defer func() {
+				got, took = recover(), time.Since(start)
+			}()
+			pool.Get(pages[1])
 		})
-	}
+		r.Run()
+		if msg, _ := got.(string); !strings.Contains(msg, "pool overcommitted") {
+			t.Fatalf("Get recovered %v, want a pool overcommitted panic", got)
+		}
+		if took > 100*time.Millisecond {
+			t.Errorf("panicked after %v, want within 100ms", took)
+		}
+	})
 }
 
-// Regression: FlushAll must wake one blocked reserver per freed frame.
-// Waking just one stranded the rest forever when a woken reserver's page
-// had been admitted meanwhile: it takes the hit path and never passes
-// the wake-up on, and with the old code this test deadlocks the engine.
+// Regression: FlushAll must wake one blocked reserver per freed frame, on
+// both runtimes. Waking just one stranded the rest forever when a woken
+// reserver's page had been admitted meanwhile: it takes the hit path and
+// never passes the wake-up on, and with that code this test hangs.
 func TestFlushWakesOneReserverPerFreedFrame(t *testing.T) {
-	eng, pool, pages := poolFixture(t, neverEvict{}, 3, 8)
-	done := 0
-	eng.Go("pinner", func() {
-		_ = pool.Get(pages[0]) // pinned for the whole test
-		pool.Unpin(pool.Get(pages[1]))
-		pool.Unpin(pool.Get(pages[2]))
-		eng.Sleep(10 * time.Millisecond)
-		// All three reservers are now parked: the pool is full and the
-		// policy offers no victim.
-		pool.FlushAll() // frees pages 1 and 2 -> must wake two reservers
-	})
-	for i := 0; i < 3; i++ {
-		eng.Go("w", func() {
-			eng.Sleep(time.Millisecond)
-			f := pool.Get(pages[3]) // all three want the same page
-			pool.Unpin(f)
-			done++
+	onBothRuntimes(t, func(t *testing.T, r rt.Runtime) {
+		pool, pages := poolOn(t, r, neverEvict{}, 3, 8)
+		var done atomic.Int64
+		r.Go("pinner", func() {
+			_ = pool.Get(pages[0]) // pinned for the whole test
+			pool.Unpin(pool.Get(pages[1]))
+			pool.Unpin(pool.Get(pages[2]))
+			for i := 0; i < 3; i++ {
+				r.Go("w", func() {
+					f := pool.Get(pages[3]) // all three want the same page
+					pool.Unpin(f)
+					done.Add(1)
+				})
+			}
+			// Flush once all three reservers are parked: the pool is full
+			// and the policy offers no victim.
+			for pool.Stats().Stalls < 3 {
+				r.Sleep(time.Millisecond)
+			}
+			pool.FlushAll() // frees pages 1 and 2 -> must wake two reservers
 		})
-	}
-	eng.Run()
-	if done != 3 {
-		t.Fatalf("done = %d, want 3", done)
-	}
-	s := pool.Stats()
-	if s.Stalls < 3 {
-		t.Fatalf("stalls = %d, want >= 3 (all reservers must have blocked)", s.Stalls)
-	}
+		runWithin(t, r)
+		if n := done.Load(); n != 3 {
+			t.Fatalf("done = %d, want 3", n)
+		}
+	})
 }
 
 // A run with a block gap must still load every page: loadRun splits the
@@ -444,8 +457,8 @@ func checkIdle(t *testing.T, pool *Pool, refs int64) {
 	if n, l := pool.nPinned, pool.nLoading; n != 0 || l != 0 {
 		t.Errorf("pinned = %d, loading = %d at idle", n, l)
 	}
-	if len(pool.inFlight) != 0 || len(pool.freedQ) != 0 || pool.stalled.Load() != 0 {
-		t.Errorf("%d reads in flight, %d+%d reservations parked at idle", len(pool.inFlight), len(pool.freedQ), pool.stalled.Load())
+	if len(pool.inFlight) != 0 || len(pool.freedQ) != 0 {
+		t.Errorf("%d reads in flight, %d reservations parked at idle", len(pool.inFlight), len(pool.freedQ))
 	}
 	if used := pool.Used(); used != resident || used > pool.Capacity() {
 		t.Errorf("used %d, resident pages %d, capacity %d", used, resident, pool.Capacity())
@@ -461,72 +474,59 @@ func checkIdle(t *testing.T, pool *Pool, refs int64) {
 // exactly once, and every call was answered. Run with -race: on the real
 // runtime the four are goroutines contending for the pool mutex.
 func TestPropertyPoolInvariants(t *testing.T) {
-	for _, real := range []bool{false, true} {
-		real := real
-		name := "sim"
-		if real {
-			name = "real"
-		}
-		t.Run(name, func(t *testing.T) {
-			var r rt.Runtime = rt.Sim(sim.NewEngine())
-			if real {
-				r = rt.NewReal()
-			}
-			const workers, ops, capPages = 4, 400, 8
-			disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
-			pool := NewPool(r, disk, NewLRU(), capPages*storage.PageSize)
-			pages := makePages(t, 32)
-			var refs, calls atomic.Int64
-			pool.OnAccess = func(*storage.Page) { refs.Add(1) }
-			for w := 0; w < workers; w++ {
-				rng := rand.New(rand.NewSource(int64(w) + 1))
-				r.Go("worker", func() {
-					// At most one pin is held across another request, so the
-					// workers' pins plus the largest read-ahead run always fit.
-					var held *Frame
-					for i := 0; i < ops; i++ {
-						at := rng.Intn(len(pages) - 4)
-						var f *Frame
-						switch op := rng.Intn(20); {
-						case op < 12:
-							f = pool.Get(pages[at])
-						case op < 17:
-							f = pool.GetRun(pages[at : at+2+rng.Intn(3)])
-						case op < 19:
-							pool.InvalidatePages(pages[at : at+4])
-							continue
-						default:
-							pool.FlushAll()
-							continue
-						}
-						calls.Add(1)
-						if f.Page != pages[at] || f.Loading() {
-							t.Errorf("got frame of page %d (loading=%v), want page %d", f.Page.ID, f.Loading(), pages[at].ID)
-						}
-						if held != nil {
-							pool.Unpin(held)
-						}
-						held = f
-						if rng.Intn(2) == 0 {
-							pool.Unpin(held)
-							held = nil
-						}
+	onBothRuntimes(t, func(t *testing.T, r rt.Runtime) {
+		const workers, ops = 4, 400
+		pool, pages := poolOn(t, r, NewLRU(), 8, 32)
+		var refs, calls atomic.Int64
+		pool.OnAccess = func(*storage.Page) { refs.Add(1) }
+		for w := 0; w < workers; w++ {
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			r.Go("worker", func() {
+				// At most one pin is held across another request, so the
+				// workers' pins plus the largest read-ahead run always fit.
+				var held *Frame
+				for i := 0; i < ops; i++ {
+					at := rng.Intn(len(pages) - 4)
+					var f *Frame
+					switch op := rng.Intn(20); {
+					case op < 12:
+						f = pool.Get(pages[at])
+					case op < 17:
+						f = pool.GetRun(pages[at : at+2+rng.Intn(3)])
+					case op < 19:
+						pool.InvalidatePages(pages[at : at+4])
+						continue
+					default:
+						pool.FlushAll()
+						continue
+					}
+					calls.Add(1)
+					if f.Page != pages[at] || f.Loading() {
+						t.Errorf("got frame of page %d (loading=%v), want page %d", f.Page.ID, f.Loading(), pages[at].ID)
 					}
 					if held != nil {
 						pool.Unpin(held)
 					}
-				})
-			}
-			r.Run()
-			checkIdle(t, pool, refs.Load())
-			if refs.Load() < calls.Load() {
-				t.Errorf("%d references for %d calls", refs.Load(), calls.Load())
-			}
-			if s := pool.Stats(); s.BytesLoaded != s.Misses*storage.PageSize || s.BytesLoaded != disk.Stats().BytesRead {
-				t.Errorf("misses %d, bytes loaded %d, device read %d", s.Misses, s.BytesLoaded, disk.Stats().BytesRead)
-			}
-		})
-	}
+					held = f
+					if rng.Intn(2) == 0 {
+						pool.Unpin(held)
+						held = nil
+					}
+				}
+				if held != nil {
+					pool.Unpin(held)
+				}
+			})
+		}
+		r.Run()
+		checkIdle(t, pool, refs.Load())
+		if refs.Load() < calls.Load() {
+			t.Errorf("%d references for %d calls", refs.Load(), calls.Load())
+		}
+		if s, read := pool.Stats(), pool.disk.Stats().BytesRead; s.BytesLoaded != s.Misses*storage.PageSize || s.BytesLoaded != read {
+			t.Errorf("misses %d, bytes loaded %d, device read %d", s.Misses, s.BytesLoaded, read)
+		}
+	})
 }
 
 // Property: hits + misses equals total accesses for every policy.

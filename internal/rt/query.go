@@ -193,8 +193,7 @@ func (q *QueryCtx) Err() error {
 // remove function deregistering it. If the query is already cancelled,
 // fn runs synchronously before OnCancel returns. This is the universal
 // cancel-wake mechanism: blocking wait points register a hook that fires
-// their wake-up primitive (an Event, a Cond broadcast, a channel close),
-// park, then deregister on wake.
+// the Event they park on, park, then deregister on wake.
 func (q *QueryCtx) OnCancel(fn func()) (remove func()) {
 	if q == nil {
 		return func() {}

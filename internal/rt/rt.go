@@ -8,8 +8,8 @@
 //     a time on a virtual clock, which makes every run bit-reproducible.
 //     This is the default and the only mode the paper's figures use.
 //   - NewReal runs processes as plain goroutines on the wall clock:
-//     sleeps are real sleeps, waits are channel/condvar waits, and as
-//     many processes run simultaneously as GOMAXPROCS allows.
+//     sleeps are real sleeps, waits are channel waits, and as many
+//     processes run simultaneously as GOMAXPROCS allows.
 //
 // The components' shared-state protection is ordinary sync.Mutex. In sim
 // mode those mutexes are uncontended by construction (exactly one process
@@ -17,11 +17,10 @@
 // engine's point of view, so they cost nanoseconds and cannot perturb the
 // virtual-time trajectory; in real mode they are load-bearing.
 //
-// Every component runs one mechanism in both modes. Two places branch on
-// Real, on purpose: the buffer pool's wake-up of blocked reservations (a
-// deterministic FIFO hand-off in sim mode, a condvar broadcast in real
-// mode) and QueryCtx.Fork, which paces a scan thread's modelled time on
-// the wall clock (pace.go).
+// Every component runs one mechanism in both modes, the buffer pool's
+// one-wake-per-free hand-off to blocked reservations included. One place
+// branches on Real, on purpose: QueryCtx.Fork, which paces a scan
+// thread's modelled time on the wall clock (pace.go).
 package rt
 
 import (
@@ -77,10 +76,10 @@ type WaitGroup interface {
 // Runtime is the execution substrate: clock, process spawning, sleeping,
 // and synchronization primitive factories.
 type Runtime interface {
-	// Real reports whether this is the real-threaded runtime. Components
-	// branch on it only where the two modes need structurally different
-	// synchronization (e.g. condvar wake-ups vs deterministic FIFO
-	// hand-off); everything else is mode-blind.
+	// Real reports whether this is the real-threaded runtime. Only pacing
+	// branches on it (QueryCtx.Fork: modelled time is slept on the wall
+	// clock, and the virtual clock needs no pacing); everything else is
+	// mode-blind.
 	Real() bool
 	// Now returns the current time (virtual or wall).
 	Now() Time
