@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -19,10 +20,15 @@ func main() {
 	sf := flag.Float64("sf", 0.05, "scale factor")
 	seed := flag.Int64("seed", 42, "generator seed")
 	flag.Parse()
+	run(os.Stdout, *sf, *seed)
+}
 
-	db := tpch.Generate(*sf, *seed)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "table\trows\tcols\tbytes\tpages\n")
+// run generates the database and writes its table statistics and both
+// accessed volumes to w.
+func run(w io.Writer, sf float64, seed int64) {
+	db := tpch.Generate(sf, seed)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "table\trows\tcols\tbytes\tpages\n")
 	var totalBytes int64
 	for _, t := range db.Catalog.Tables() {
 		snap := t.Master()
@@ -32,13 +38,13 @@ func main() {
 			pages += len(snap.Pages(c))
 		}
 		totalBytes += bytes
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\n", t.Name, snap.NumTuples(), len(t.Schema), bytes, pages)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\n", t.Name, snap.NumTuples(), len(t.Schema), bytes, pages)
 	}
-	fmt.Fprintf(w, "TOTAL\t\t\t%d\t\n", totalBytes)
-	w.Flush()
+	fmt.Fprintf(tw, "TOTAL\t\t\t%d\t\n", totalBytes)
+	tw.Flush()
 
-	fmt.Printf("\nmicrobenchmark accessed volume (Q1/Q6 lineitem columns): %d bytes\n",
+	fmt.Fprintf(w, "\nmicrobenchmark accessed volume (Q1/Q6 lineitem columns): %d bytes\n",
 		workload.MicroAccessedBytes(db))
-	fmt.Printf("TPC-H throughput accessed volume (22-query union):       %d bytes\n",
+	fmt.Fprintf(w, "TPC-H throughput accessed volume (22-query union):       %d bytes\n",
 		workload.TPCHAccessedBytes(db))
 }

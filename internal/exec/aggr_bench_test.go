@@ -19,10 +19,10 @@ func BenchmarkHashAggrGroups(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			aggr := &HashAggr{Child: &batchSource{types: kernelTypes, b: in}, Groups: []int{4, 5}, Aggs: q1Aggs}
 			aggr.Open()
-			aggr.add(in)
+			aggr.add(in, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				aggr.add(in)
+				aggr.add(in, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*in.N), "ns/tuple")
 		})

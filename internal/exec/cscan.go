@@ -68,9 +68,8 @@ func (s *CScan) Open() {
 		panic("exec: CScan requires an ABM in the context")
 	}
 	s.out = NewBatch(s.Schema())
-	s.out.reserve(VectorSize)
 	s.pace = s.Ctx.Query.Fork()
-	s.merge = segCursor{cols: s.Cols, read: s.readCol}
+	s.merge = newSegCursor(s.out, s.Cols, s.readCol)
 	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)
 	checkRanges("cscan", s.Snap, s.PDT, s.Ranges)
 	var sids []abm.SIDRange
@@ -106,7 +105,7 @@ func (s *CScan) Next() *Batch {
 	if s.Ctx.Query.Cancelled() {
 		return nil
 	}
-	s.out.Reset()
+	s.merge.rewind(s.out)
 	for s.out.N < VectorSize {
 		if s.merge.done() {
 			if !s.nextSegments() {
@@ -172,11 +171,11 @@ func (s *CScan) Close() {
 	s.pace.Flush()
 }
 
-// readCol copies the values of column Cols[i] for SIDs [lo,hi) from the
+// readCol reads the values of column Cols[i] for SIDs [lo,hi) from the
 // delivered chunk's (ABM-resident, pinned) pages.
 func (s *CScan) readCol(i int, lo, hi int64, out *Vec) error {
 	for _, pg := range s.Snap.PagesInRange(s.Cols[i], lo, hi) {
-		copyPage(pg, lo, hi, out)
+		s.merge.page(i, pg, lo, hi, out)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/storage"
@@ -76,6 +77,30 @@ func operand(e Expr, b *Batch, scratch *Vec) *Vec {
 	}
 	e.Eval(b, scratch)
 	return scratch
+}
+
+// mayFault reports whether evaluating e over a tuple no filter selected
+// could panic: e holds an integer "/" whose divisor is not a non-zero
+// literal, or a node this package does not define.
+func mayFault(e Expr) bool {
+	switch e := e.(type) {
+	case Col, ConstI, ConstF, StrEq, StrPrefix, StrContains, InStr:
+		return false
+	case *Arith:
+		if k, ok := e.R.(ConstI); e.Op == "/" && e.Type() == storage.Int64 && (!ok || k == 0) {
+			return true
+		}
+		return mayFault(e.L) || mayFault(e.R)
+	case *Cmp:
+		return mayFault(e.L) || mayFault(e.R)
+	case *And:
+		return slices.ContainsFunc(e.Kids, mayFault)
+	case *Or:
+		return slices.ContainsFunc(e.Kids, mayFault)
+	case *InI64:
+		return mayFault(e.Expr)
+	}
+	return true
 }
 
 // Typed views of a vector and of a literal, so one generic body serves

@@ -372,6 +372,79 @@ func TestDifferentialHashAggrDirect(t *testing.T) {
 	}
 }
 
+// TestDifferentialSelectedAggr: HashAggr reading through the selection
+// Select hands on via Project gives the answer of the reference engine,
+// which gathers the survivors first — under every predicate, on the
+// global, direct-table and map paths, and when a batch in the middle of
+// the stream sends the direct table to the map under a selection. A
+// Project whose integer division could fault on a tuple the filter
+// dropped gathers first instead of panicking.
+func TestDifferentialSelectedAggr(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	short := []string{"", "A", "F", "N", "O", "R"}
+	exprs := func() []Expr {
+		return []Expr{col(0), col(1), col(2), col(3), col(4), col(5),
+			NewArith("*", col(2), col(3)), NewArith("+", col(0), col(1)), NewArith("/", col(0), ConstI(3))}
+	}
+	// Every kind over an int and a float column, computed and bare.
+	aggs := []AggSpec{{Kind: AggCount}}
+	for i, kind := range []AggKind{AggSum, AggMin, AggMax, AggAvg} {
+		aggs = append(aggs, AggSpec{Kind: kind, Col: 7 + i%2}, AggSpec{Kind: kind, Col: []int{6, 2}[i%2]})
+	}
+	none, all := NewCmp("<", col(0), col(0)), NewCmp("==", col(4), col(4))
+	for round := 0; round < 2; round++ {
+		batches := randBatches(rng, []int{4, 40}[round])
+		for _, b := range batches {
+			for _, c := range []int{4, 5} {
+				for i := range b.Vecs[c].Str {
+					b.Vecs[c].Str[i] = short[rng.Intn(len(short))]
+				}
+			}
+		}
+		long := slices.Clone(batches)
+		mid := cloneBatch(batches[len(batches)/2])
+		for i := 0; i < mid.N; i += 1 + rng.Intn(8) {
+			mid.Vecs[4].Str[i] = "AB"
+		}
+		long[len(batches)/2] = mid
+		cases := []struct {
+			groups  []int
+			batches []*Batch
+		}{{nil, batches}, {[]int{4, 5}, batches}, {[]int{0, 2, 4}, batches}, {[]int{4}, long}}
+		preds, _ := kernelExprs(rng)
+		for i, p := range append(preds, none, all) {
+			for k, c := range cases {
+				if i < len(preds) && (i+round)%len(cases) != k {
+					continue // each of kernelExprs' predicates meets one grouping
+				}
+				aggr := &HashAggr{Child: &Project{Child: &Select{Child: &manyBatches{batches: c.batches}, Pred: p}, Exprs: exprs()}, Groups: c.groups, Aggs: aggs}
+				got := Collect(aggr)
+				want := Collect(&refHashAggr{Child: &Project{Child: &refSelect{Child: &manyBatches{batches: c.batches}, Pred: p}, Exprs: exprs()}, Groups: c.groups, Aggs: aggs})
+				if !sameBatch(got, want) {
+					t.Fatalf("round %d pred %d (%T %+v) groups %v: %d groups, reference %d; rows, order or aggregates differ", round, i, p, p, c.groups, got.N, want.N)
+				}
+			}
+		}
+	}
+
+	// Column 1 is 0 exactly where the filter drops the tuple: col 0 / col 1
+	// over the whole vector would divide by zero.
+	b := randBatch(rng, VectorSize, 40)
+	for i := range b.Vecs[1].I64 {
+		if i%3 == 0 {
+			b.Vecs[1].I64[i] = 0
+		}
+	}
+	div := NewArith("/", col(0), col(1))
+	sel := &Select{Child: &manyBatches{batches: []*Batch{b}}, Pred: NewCmp("!=", col(1), ConstI(0))}
+	got := Collect(&HashAggr{Child: &Project{Child: sel, Exprs: []Expr{div}}, Aggs: []AggSpec{{Kind: AggSum, Col: 0}}})
+	want := Collect(&refHashAggr{Child: &Project{Child: &refSelect{Child: &manyBatches{batches: []*Batch{b}}, Pred: sel.Pred}, Exprs: []Expr{div}},
+		Aggs: []AggSpec{{Kind: AggSum, Col: 0}}})
+	if !sameBatch(got, want) {
+		t.Fatal("a Project that divides by a column: aggregate differs from the reference")
+	}
+}
+
 // q1Shaped sets columns 4 and 5 of b to Q1's group values, l_returnflag
 // and l_linestatus (3 × 2 one-byte strings), each repeated rep times.
 func q1Shaped(b *Batch, rep int) *Batch {
@@ -421,11 +494,49 @@ func TestAllocsSteadyStateVector(t *testing.T) {
 	}
 	for _, c := range aggrs {
 		c.aggr.Open()
-		c.aggr.add(c.in)
-		if n := testing.AllocsPerRun(50, func() { c.aggr.add(c.in) }); n != 0 {
+		c.aggr.add(c.in, nil)
+		if n := testing.AllocsPerRun(50, func() { c.aggr.add(c.in, nil) }); n != 0 {
 			t.Errorf("%s: %.0f allocations for a vector that opens no group, want 0", c.name, n)
 		}
 	}
+
+	// Q1's chain with a filter that drops part of every vector: HashAggr
+	// reads through the selection Select hands on via Project.
+	proj := &Project{
+		Child: &Select{Child: &batchSource{types: kernelTypes, b: q1Shaped(cloneBatch(b), 1), times: 1 << 30}, Pred: NewCmp("<=", col(0), ConstI(15))},
+		Exprs: []Expr{col(4), col(5), col(2), NewArith("*", col(3), NewArith("-", ConstF(1), col(2)))},
+	}
+	chain := &HashAggr{Child: proj, Groups: []int{0, 1}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 2}, {Kind: AggAvg, Col: 3}}}
+	chain.Open()
+	if _, sel := proj.nextSel(); len(sel) == 0 || len(sel) == VectorSize {
+		t.Fatalf("Select/Project/HashAggr: %d of %d tuples selected, want some", len(sel), VectorSize)
+	}
+	chain.add(proj.nextSel())
+	if n := testing.AllocsPerRun(50, func() { chain.add(proj.nextSel()) }); n != 0 {
+		t.Errorf("Select/Project/HashAggr: %.0f allocations per steady-state vector, want 0", n)
+	}
+
+	// A Scan over resident 2048-tuple pages from SID 512: its vectors
+	// alternate between aliasing a page and straddling two.
+	e := newEnv(t, 60000, false)
+	e.run(func() {
+		Drain(&Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0, 1, 2}, Ranges: []RIDRange{{0, 60000}}})
+		s := &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0, 1, 2}, Ranges: []RIDRange{{512, 60000}}}
+		s.Open()
+		defer s.Close()
+		s.Next()
+		var aliased int
+		if n := testing.AllocsPerRun(50, func() {
+			if s.Next(); s.merge.own[0].alias {
+				aliased++
+			}
+		}); n != 0 {
+			t.Errorf("Scan: %.0f allocations per steady-state vector, want 0", n)
+		}
+		if aliased != 25 {
+			t.Errorf("Scan: %d of 51 vectors aliased a page, want 25", aliased)
+		}
+	})
 }
 
 // TestAllocsCopyBatch: the copy an exchange queues is sized to the batch

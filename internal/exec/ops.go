@@ -13,9 +13,11 @@ import (
 
 // Select filters its child by a boolean (0/1 int64) predicate. It narrows
 // a selection vector — through the predicate itself when that is a
-// narrower (a Cmp, an And), through its 0/1 Eval otherwise — and gathers
-// the survivors column by column. A batch in which every tuple qualifies
-// is the child's own batch, handed on untouched.
+// narrower (a Cmp, an And), through its 0/1 Eval otherwise. Next gathers
+// the survivors column by column; a consumer that reads through a
+// selection (Project, HashAggr) takes the child's batch and the selection
+// instead, through nextSel. A batch in which every tuple qualifies is the
+// child's own batch, handed on untouched.
 type Select struct {
 	Child Op
 	Pred  Expr
@@ -38,21 +40,37 @@ func (s *Select) Open() {
 	s.out = NewBatch(s.Child.Schema())
 }
 
+// selector is an operator that can hand on its output without gathering
+// it: nextSel returns the next batch (nil at end of stream) and the
+// ascending positions of its tuples that belong to the output, nil when
+// all of them do. Both are valid until the following call.
+type selector interface {
+	nextSel() (*Batch, []int32)
+}
+
 // Next implements Operator.
 func (s *Select) Next() *Batch {
+	in, sel := s.nextSel()
+	if sel == nil {
+		return in
+	}
+	s.out.gather(in, sel)
+	return s.out
+}
+
+func (s *Select) nextSel() (*Batch, []int32) {
 	for {
 		in := s.Child.Next()
 		if in == nil {
-			return nil
+			return nil, nil
 		}
 		s.sel = identity(s.sel, in.N)
 		switch sel := narrow(s.Pred, in, s.sel, &s.pred); len(sel) {
 		case 0:
 		case in.N:
-			return in
+			return in, nil
 		default:
-			s.out.gather(in, sel)
-			return s.out
+			return in, sel
 		}
 	}
 }
@@ -68,13 +86,18 @@ func (s *Select) Close() {
 }
 
 // Project computes expressions over its child. A bare column reference
-// is not computed: the output batch carries the child's own vector.
+// is not computed: the output batch carries the child's own vector. Over
+// a child that hands on a selection, nextSel passes it through and
+// evaluates the expressions over the child's whole batch — unless one of
+// them could fault on a tuple the selection dropped, in which case the
+// child gathers first.
 type Project struct {
 	Child Op
 	Exprs []Expr
 
 	out    *Batch
 	own    []*Vec // per expression, the vector a computed one evaluates into
+	faults bool   // some expression may panic on a dropped tuple
 	closed bool
 }
 
@@ -92,11 +115,25 @@ func (p *Project) Open() {
 	p.Child.Open()
 	p.out = NewBatch(p.Schema())
 	p.own = slices.Clone(p.out.Vecs)
+	p.faults = slices.ContainsFunc(p.Exprs, mayFault)
 }
 
 // Next implements Operator.
 func (p *Project) Next() *Batch {
-	in := p.Child.Next()
+	return p.eval(p.Child.Next())
+}
+
+func (p *Project) nextSel() (*Batch, []int32) {
+	src, ok := p.Child.(selector)
+	if !ok || p.faults {
+		return p.Next(), nil
+	}
+	in, sel := src.nextSel()
+	return p.eval(in), sel
+}
+
+// eval computes the expressions over in (nil at end of stream).
+func (p *Project) eval(in *Batch) *Batch {
 	if in == nil {
 		return nil
 	}
@@ -143,47 +180,48 @@ type aggAcc struct {
 }
 
 // update folds one batch into the accumulator: col holds the aggregated
-// column, gids each tuple's group, fresh the positions of the tuples that
+// column, sel the positions of the tuples to fold, gids the group of each
+// (gids[j] is col[sel[j]]'s), fresh the positions of the tuples that
 // opened a group in this batch (their ids follow the known ones, in order).
-func (acc *aggAcc) update(col *Vec, gids, fresh []int32) {
+func (acc *aggAcc) update(col *Vec, sel, gids, fresh []int32) {
 	switch {
 	case col.T == storage.Float64:
-		acc.f = accumulate(acc.spec.Kind, acc.f, col.F64, gids, fresh)
+		acc.f = accumulate(acc.spec.Kind, acc.f, col.F64, sel, gids, fresh)
 	case acc.spec.Kind == AggAvg:
 		acc.f = append(acc.f, make([]float64, len(fresh))...)
-		for i, g := range gids {
-			acc.f[g] += float64(col.I64[i])
+		for j, g := range gids {
+			acc.f[g] += float64(col.I64[sel[j]])
 		}
 	default:
-		acc.i = accumulate(acc.spec.Kind, acc.i, col.I64, gids, fresh)
+		acc.i = accumulate(acc.spec.Kind, acc.i, col.I64, sel, gids, fresh)
 	}
 }
 
-// accumulate is one tight loop over (gids[i], col[i]). Every group's
+// accumulate is one tight loop over (gids[j], col[sel[j]]). Every group's
 // value is built in input order — what keeps a float sum bit-identical to
 // a tuple-at-a-time one — and a min or max starts from the group's first
 // tuple.
-func accumulate[T int64 | float64](kind AggKind, acc, col []T, gids, fresh []int32) []T {
-	col = col[:len(gids)]
+func accumulate[T int64 | float64](kind AggKind, acc, col []T, sel, gids, fresh []int32) []T {
+	sel = sel[:len(gids)]
 	switch kind {
 	case AggMin:
 		acc = gather(acc, col, fresh)
-		for i, g := range gids {
-			if col[i] < acc[g] {
-				acc[g] = col[i]
+		for j, g := range gids {
+			if x := col[sel[j]]; x < acc[g] {
+				acc[g] = x
 			}
 		}
 	case AggMax:
 		acc = gather(acc, col, fresh)
-		for i, g := range gids {
-			if col[i] > acc[g] {
-				acc[g] = col[i]
+		for j, g := range gids {
+			if x := col[sel[j]]; x > acc[g] {
+				acc[g] = x
 			}
 		}
 	default:
 		acc = append(acc, make([]T, len(fresh))...)
-		for i, g := range gids {
-			acc[g] += col[i]
+		for j, g := range gids {
+			acc[g] += col[sel[j]]
 		}
 	}
 	return acc
@@ -192,6 +230,8 @@ func accumulate[T int64 | float64](kind AggKind, acc, col []T, gids, fresh []int
 // HashAggr is a blocking hash aggregation with optional group-by columns.
 // Per batch, one pass turns the group columns into dense group ids (in
 // order of first sight), then each aggregate runs one loop over them.
+// Every loop reads its tuples through a selection vector, so a child that
+// hands one on (Select, Project) is never gathered.
 type HashAggr struct {
 	Child  Op
 	Groups []int
@@ -218,8 +258,9 @@ type HashAggr struct {
 	kb    []byte     // the batch's binary keys, end to end
 	ends  []int32    // by tuple: where its key ends in kb
 	strs  [][]string // per group column, its values (direct path)
-	gids  []int32    // by tuple: its group
-	fresh []int32    // tuples that opened a group
+	gids  []int32    // by selected tuple: its group
+	fresh []int32    // positions of the tuples that opened a group
+	all   []int32    // the selection of a whole batch
 }
 
 // directNode is the entries of one direct-table node: "" and the 256
@@ -300,16 +341,27 @@ func (a *HashAggr) Next() *Batch {
 }
 
 func (a *HashAggr) consume() {
-	for in := a.Child.Next(); in != nil; in = a.Child.Next() {
-		a.add(in)
+	next := func() (*Batch, []int32) { return a.Child.Next(), nil }
+	if src, ok := a.Child.(selector); ok {
+		next = src.nextSel
+	}
+	for in, sel := next(); in != nil; in, sel = next() {
+		a.add(in, sel)
 	}
 	a.order = identity(nil, len(a.rendered))
 	sort.Slice(a.order, func(i, j int) bool { return a.rendered[a.order[i]] < a.rendered[a.order[j]] })
 }
 
-// add folds one batch into the groups.
-func (a *HashAggr) add(in *Batch) {
-	a.groupIDs(in)
+// add folds the tuples of in at the positions sel (all of them when sel
+// is nil) into the groups.
+func (a *HashAggr) add(in *Batch, sel []int32) {
+	if sel == nil {
+		if len(a.all) < in.N {
+			a.all = identity(a.all, in.N)
+		}
+		sel = a.all[:in.N]
+	}
+	a.groupIDs(in, sel)
 	for c, g := range a.Groups {
 		a.keys[c].gather(in.Vecs[g], a.fresh)
 	}
@@ -319,20 +371,21 @@ func (a *HashAggr) add(in *Batch) {
 	}
 	for si := range a.accs {
 		if acc := &a.accs[si]; acc.spec.Kind != AggCount {
-			acc.update(in.Vecs[acc.spec.Col], a.gids, a.fresh)
+			acc.update(in.Vecs[acc.spec.Col], sel, a.gids, a.fresh)
 		}
 	}
 }
 
-// groupIDs sets gids to the group of each tuple of in, and fresh to the
-// tuples that opened one. Groups are told apart by a binary key — eight
-// bytes per number, a string's bytes and a '|' — laid out for the whole
-// batch column by column, so no value is rendered or type-switched per
-// tuple; a new group's decimal key is rendered once, when it opens. A
-// batch whose group values are all one-byte strings skips the key and
-// the hash: it indexes the direct table.
-func (a *HashAggr) groupIDs(in *Batch) {
-	n := in.N
+// groupIDs sets gids to the group of each tuple of in at the positions
+// sel, and fresh to the positions of those that opened one. Groups are
+// told apart by a binary key — eight bytes per number, a string's bytes
+// and a '|' — laid out for the whole batch column by column, so no value
+// is rendered or type-switched per tuple; a new group's decimal key is
+// rendered once, when it opens. A batch whose selected group values are
+// all one-byte strings skips the key and the hash: it indexes the direct
+// table.
+func (a *HashAggr) groupIDs(in *Batch, sel []int32) {
+	n := len(sel)
 	a.gids = resize(a.gids, n)
 	a.fresh = a.fresh[:0]
 	if len(a.Groups) == 0 {
@@ -340,11 +393,11 @@ func (a *HashAggr) groupIDs(in *Batch) {
 		clear(a.gids)
 		if n > 0 && len(a.rendered) == 0 {
 			a.rendered = append(a.rendered, "")
-			a.fresh = append(a.fresh, 0)
+			a.fresh = append(a.fresh, sel[0])
 		}
 		return
 	}
-	if a.groupIDsDirect(in) {
+	if a.groupIDsDirect(in, sel) {
 		return
 	}
 
@@ -354,8 +407,8 @@ func (a *HashAggr) groupIDs(in *Batch) {
 	fixed := int32(0)
 	for _, g := range a.Groups {
 		if v := in.Vecs[g]; v.T == storage.String {
-			for i, s := range v.Str[:n] {
-				ends[i] += int32(len(s)) + 1
+			for j, i := range sel {
+				ends[j] += int32(len(v.Str[i])) + 1
 			}
 		} else {
 			fixed += 8
@@ -372,31 +425,32 @@ func (a *HashAggr) groupIDs(in *Batch) {
 	for _, g := range a.Groups {
 		switch v := in.Vecs[g]; v.T {
 		case storage.Int64:
-			for i, x := range v.I64[:n] {
-				binary.LittleEndian.PutUint64(kb[ends[i]:], uint64(x))
-				ends[i] += 8
+			for j, i := range sel {
+				binary.LittleEndian.PutUint64(kb[ends[j]:], uint64(v.I64[i]))
+				ends[j] += 8
 			}
 		case storage.Float64:
-			for i, x := range v.F64[:n] {
+			for j, i := range sel {
+				x := v.F64[i]
 				if x != x {
 					x = math.NaN() // every NaN renders "NaN": one group
 				}
-				binary.LittleEndian.PutUint64(kb[ends[i]:], math.Float64bits(x))
-				ends[i] += 8
+				binary.LittleEndian.PutUint64(kb[ends[j]:], math.Float64bits(x))
+				ends[j] += 8
 			}
 		case storage.String:
-			for i, s := range v.Str[:n] {
-				end := ends[i] + int32(copy(kb[ends[i]:], s))
+			for j, i := range sel {
+				end := ends[j] + int32(copy(kb[ends[j]:], v.Str[i]))
 				kb[end] = '|'
-				ends[i] = end + 1
+				ends[j] = end + 1
 			}
 		}
 	}
 	a.kb, a.ends = kb, ends
 
 	start := int32(0)
-	for i, end := range ends {
-		a.gids[i] = a.groupOf(in, i, kb[start:end])
+	for j, end := range ends {
+		a.gids[j] = a.groupOf(in, int(sel[j]), kb[start:end])
 		start = end
 	}
 }
@@ -417,20 +471,20 @@ func (a *HashAggr) groupOf(in *Batch, i int, key []byte) int32 {
 }
 
 // groupIDsDirect sets gids through the direct table, without hashing,
-// when every group column of in is a String and every value in it is at
-// most one byte, and reports whether it did. The table is only a cache
-// in front of the map: a key it has not seen yet goes through groupOf,
-// so ids keep their first-sight order and a group is the same one
-// whichever path each batch takes.
-func (a *HashAggr) groupIDsDirect(in *Batch) bool {
+// when every group column of in is a String and every selected value in
+// it is at most one byte, and reports whether it did. The table is only a
+// cache in front of the map: a key it has not seen yet goes through
+// groupOf, so ids keep their first-sight order and a group is the same
+// one whichever path each batch takes.
+func (a *HashAggr) groupIDsDirect(in *Batch, sel []int32) bool {
 	a.strs = a.strs[:0]
 	for _, g := range a.Groups {
 		v := in.Vecs[g]
 		if v.T != storage.String {
 			return false
 		}
-		for _, s := range v.Str[:in.N] {
-			if len(s) > 1 {
+		for _, i := range sel {
+			if len(v.Str[i]) > 1 {
 				return false
 			}
 		}
@@ -439,8 +493,8 @@ func (a *HashAggr) groupIDsDirect(in *Batch) bool {
 	if a.direct == nil {
 		a.direct = make([]int32, directNode)
 	}
-	t, gids := a.direct, a.gids
-	for i := range gids {
+	t, gids := a.direct, a.gids[:len(sel)]
+	for j, i := range sel {
 		e := int32(0)
 		for _, col := range a.strs {
 			if e = t[int(e)*directNode+directCode(col[i])]; e == 0 {
@@ -448,10 +502,10 @@ func (a *HashAggr) groupIDsDirect(in *Batch) bool {
 			}
 		}
 		if e == 0 {
-			e = a.directMiss(in, i) + 1
+			e = a.directMiss(in, int(i)) + 1
 			t = a.direct
 		}
-		gids[i] = e - 1
+		gids[j] = e - 1
 	}
 	return true
 }

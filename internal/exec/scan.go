@@ -79,9 +79,8 @@ func (s *Scan) Open() {
 	}
 	s.opened = true
 	s.out = NewBatch(s.Schema())
-	s.out.reserve(VectorSize)
 	s.pace = s.Ctx.Query.Fork()
-	s.merge = segCursor{cols: s.Cols, read: s.readCol}
+	s.merge = newSegCursor(s.out, s.Cols, s.readCol)
 	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)
 	checkRanges("scan", s.Snap, s.PDT, s.Ranges)
 	for _, r := range s.Ranges {
@@ -118,7 +117,7 @@ func (s *Scan) Next() *Batch {
 	if s.Ctx.Query.Cancelled() {
 		return nil
 	}
-	s.out.Reset()
+	s.merge.rewind(s.out)
 	for s.out.N < VectorSize {
 		if s.merge.done() {
 			if s.next >= len(s.plans) {
@@ -166,11 +165,12 @@ func (s *Scan) Close() {
 // end. It returns buffer.ErrCancelled when the owning query died at a
 // blocking reservation.
 //
-// Pages are pinned only for the duration of the copy, so a scan's pinned
-// working set stays minimal and tiny pools (the paper's 10%
-// configurations) never overcommit; under memory pressure a page evicted
-// between batches is simply faulted again — which is precisely the
-// thrashing the evaluated policies differ on.
+// Pages are pinned only while they are read, so a scan's pinned working
+// set stays minimal and tiny pools (the paper's 10% configurations) never
+// overcommit; under memory pressure a page evicted between batches is
+// simply faulted again — which is precisely the thrashing the evaluated
+// policies differ on. A vector may keep aliasing a page after its unpin:
+// residency is what the pool models, and page memory never changes.
 func (s *Scan) readCol(i int, lo, hi int64, out *Vec) error {
 	col, pool := s.Cols[i], s.Ctx.Pool
 	for _, pg := range s.Snap.PagesInRange(col, lo, hi) {
@@ -189,7 +189,7 @@ func (s *Scan) readCol(i int, lo, hi int64, out *Vec) error {
 		if err != nil {
 			return err
 		}
-		copyPage(pg, lo, hi, out)
+		s.merge.page(i, pg, lo, hi, out)
 		pool.Unpin(f)
 	}
 	return nil

@@ -70,18 +70,61 @@ func clipToSIDs(ranges []RIDRange, deltas *pdt.PDT, sidLo, sidHi int64) []RIDRan
 }
 
 // segCursor is the one PDT merge loop: it walks a segment list and emits
-// it a vector at a time, copying stable runs through read — the only
+// it a vector at a time, reading stable runs through read — the only
 // thing the scan operators differ in (Scan faults pages through the pool
-// with read-ahead, CScan copies ABM-resident pages) — applying per-SID
+// with read-ahead, CScan reads ABM-resident pages) — applying per-SID
 // modifications on top, and appending PDT-resident inserts.
+//
+// A stable read that starts a vector, lies inside one page and belongs to
+// a run without modifications is not copied: the vector takes the page's
+// memory (page). That is legal because page slices are immutable and never
+// reused — pool frames and ABM chunks only account for residency — so the
+// pins stay exactly where they are. A vector that aliases a page and must
+// grow is first copied into the scan's own buffer (own).
 type segCursor struct {
 	cols []int
-	// read appends the values of column cols[i] for SIDs [lo,hi) to out.
+	// read appends the values of column cols[i] for SIDs [lo,hi) to out,
+	// handing each page to page.
 	read func(i int, lo, hi int64, out *Vec) error
+	own  []colBuf // per column
 
 	segs []pdt.Segment
 	seg  int   // current segment
 	off  int64 // tuples of it already produced
+}
+
+// colBuf is a scan's own buffer for one column.
+type colBuf struct {
+	buf   Vec  // empty, with room for a vector
+	alias bool // the column's vector is a page's memory instead
+}
+
+// newSegCursor reserves out's vectors as the scan's own buffers.
+func newSegCursor(out *Batch, cols []int, read func(i int, lo, hi int64, out *Vec) error) segCursor {
+	out.reserve(VectorSize)
+	c := segCursor{cols: cols, read: read, own: make([]colBuf, len(out.Vecs))}
+	for i, v := range out.Vecs {
+		c.own[i].buf = *v
+	}
+	return c
+}
+
+// rewind empties out, pointing every vector back at its own buffer.
+func (c *segCursor) rewind(out *Batch) {
+	out.N = 0
+	for i, v := range out.Vecs {
+		*v, c.own[i].alias = c.own[i].buf, false
+	}
+}
+
+// unalias copies column i's vector v into its own buffer if it is a
+// page's memory, so that it can grow.
+func (c *segCursor) unalias(i int, v *Vec) {
+	if o := &c.own[i]; o.alias {
+		buf := o.buf
+		buf.appendVec(v)
+		*v, o.alias = buf, false
+	}
 }
 
 // reset points the cursor at the start of a new segment list.
@@ -131,6 +174,9 @@ func (c *segCursor) fill(out *Batch) (stable int64, err error) {
 			if int64(len(rows)) > want {
 				rows = rows[:want]
 			}
+			for i, v := range out.Vecs {
+				c.unalias(i, v)
+			}
 			for _, row := range rows {
 				for i, col := range c.cols {
 					appendVal(out.Vecs[i], row[col])
@@ -148,11 +194,26 @@ func (c *segCursor) fill(out *Batch) (stable int64, err error) {
 	return stable, nil
 }
 
-// copyPage appends pg's values for SIDs [lo,hi), clipped to the page, to
-// out. The caller keeps the page resident for the duration of the copy.
-func copyPage(pg *storage.Page, lo, hi int64, out *Vec) {
-	a := max(lo-pg.FirstSID, 0)
-	b := min(hi-pg.FirstSID, int64(pg.Tuples))
+// page appends pg's values for SIDs [lo,hi), clipped to the page, to
+// column i's vector out. When out is empty, [lo,hi) lies inside pg and
+// the current run has no modifications to write over it, out becomes
+// pg's memory, capped at its length so that no append can reach the page.
+func (c *segCursor) page(i int, pg *storage.Page, lo, hi int64, out *Vec) {
+	a, b := lo-pg.FirstSID, hi-pg.FirstSID
+	if a >= 0 && b <= int64(pg.Tuples) && out.Len() == 0 && len(c.segs[c.seg].Mods) == 0 {
+		switch out.T {
+		case storage.Int64:
+			out.I64 = pg.I64[a:b:b]
+		case storage.Float64:
+			out.F64 = pg.F64[a:b:b]
+		case storage.String:
+			out.Str = pg.Str[a:b:b]
+		}
+		c.own[i].alias = true
+		return
+	}
+	c.unalias(i, out)
+	a, b = max(a, 0), min(b, int64(pg.Tuples))
 	switch out.T {
 	case storage.Int64:
 		out.I64 = append(out.I64, pg.I64[a:b]...)

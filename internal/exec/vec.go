@@ -9,10 +9,12 @@
 // interpreted — the operand types, the operator, whether an operand is a
 // constant — is decided once per vector, and the values then run through
 // a tight type-specialised loop (expr.go for comparisons and arithmetic,
-// gather below for moving tuples, HashAggr's accumulators). Batches
-// between operators are dense; a filter keeps its selection vector (the
-// positions of the surviving tuples) to itself and gathers the survivors
-// before handing them on.
+// gather below for moving tuples, HashAggr's accumulators). Tuples go
+// from page to aggregate without being moved: a scan's vector is the
+// page's own memory whenever a read allows it (segments.go), and a filter
+// hands its selection vector (the positions of the surviving tuples) on
+// to a Project and a HashAggr, which read through it. Every other
+// consumer gets dense batches: Next gathers the survivors.
 //
 // Execution happens inside the virtual-time simulation: operators charge
 // per-tuple CPU cost against a shared CPU resource, and page misses block
@@ -159,11 +161,12 @@ func (b *Batch) Types() []storage.ColumnType {
 }
 
 // Operator is the pull-based iterator every physical operator implements.
-// Next returns nil at end of stream. The returned batch is valid until the
-// following Next call and is read-only to the consumer: no operator writes
-// into a batch it was handed. That is what lets an operator hand its
-// child's batch on unchanged (Select does, when every tuple qualifies) and
-// lets expressions read a column operand in place.
+// Next returns nil at end of stream, and a dense batch otherwise. The
+// returned batch is valid until the following Next call and is read-only
+// to the consumer: no operator writes into a batch it was handed. That is
+// what lets a scan hand on page memory itself, lets an operator hand its
+// child's batch on unchanged (Select does, when every tuple qualifies)
+// and lets expressions read a column operand in place.
 type Operator interface {
 	// Open prepares the operator (registers scans, spawns workers).
 	Open()

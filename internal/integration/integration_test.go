@@ -6,6 +6,8 @@ package integration
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -241,6 +243,7 @@ func TestPropertyScanPathsEmitSameStream(t *testing.T) {
 			return got
 		}
 		cols := []int{0, 1, 2}
+		before := pageImage(snap)
 		for name, rs := range map[string][]exec.RIDRange{"mixed": append(ranges, pure), "pure-inserts": {pure}} {
 			clone := func(rs []exec.RIDRange) []exec.RIDRange { return append([]exec.RIDRange(nil), rs...) }
 			paths := []struct {
@@ -279,7 +282,23 @@ func TestPropertyScanPathsEmitSameStream(t *testing.T) {
 				}
 			}
 		}
+		// A scan may hand on page memory itself, never write it: merging
+		// a modification must land in the scan's own copy.
+		if after := pageImage(snap); !reflect.DeepEqual(after, before) {
+			t.Fatalf("seed %d: the scans wrote into the snapshot's pages", seed)
+		}
 	}
+}
+
+// pageImage is a deep copy of the values on every page of snap.
+func pageImage(snap *storage.Snapshot) [][]storage.Page {
+	img := make([][]storage.Page, len(snap.Table().Schema))
+	for c := range img {
+		for _, pg := range snap.Pages(c) {
+			img[c] = append(img[c], storage.Page{I64: slices.Clone(pg.I64), F64: slices.Clone(pg.F64), Str: slices.Clone(pg.Str)})
+		}
+	}
+	return img
 }
 
 // TestCheckpointDuringConcurrentScans: a reader on the old snapshot keeps
