@@ -103,6 +103,7 @@ type goldenRow struct {
 	name   string
 	db     *TPCHDB              // nil means goldenDB
 	micro  func(c *Config)      // a RunMicro row: edits goldenMicroConfig
+	tpch   bool                 // run the micro row's config through RunTPCH instead
 	serve  func(c *ServeConfig) // a RunServe row: edits goldenServeConfig
 	custom func() string        // a row that renders itself (the sweep file)
 }
@@ -118,18 +119,29 @@ func (g goldenRow) render() string {
 	case g.micro != nil:
 		cfg := goldenMicroConfig()
 		g.micro(&cfg)
-		res := RunMicrobenchmark(db, cfg)
+		run, kind := RunMicrobenchmark, "micro"
+		if g.tpch {
+			run, kind = RunTPCHThroughput, "tpch"
+		}
+		res := run(db, cfg)
 		line := fmt.Sprintf("avg=%.9f max=%.9f io=%d", res.AvgStreamSec, res.MaxStreamSec, res.TotalIOBytes)
 		switch g.format {
 		case "micro+stats":
-			return fmt.Sprintf("micro/%s %s accessed=%d buffer=%d\nmicro/%s pool=%+v abm=%+v\n",
-				g.name, line, res.AccessedBytes, res.BufferBytes, g.name, res.PoolStats, res.ABMStats)
+			return fmt.Sprintf("%s/%s %s accessed=%d buffer=%d\n%s/%s pool=%+v abm=%+v\n",
+				kind, g.name, line, res.AccessedBytes, res.BufferBytes, kind, g.name, res.PoolStats, res.ABMStats)
 		case "micro":
 			return fmt.Sprintf("micro/%s %s\n", g.name, line)
 		case "sweep":
 			return fmt.Sprintf("sweep/%s %s skip=%d/%d\n", g.name, line, res.SkippedTuples, res.RequestedTuples)
 		case "micro+disk":
 			return fmt.Sprintf("micro/%s %s%s\n", g.name, line, diskStr(res))
+		case "sharing":
+			var b strings.Builder
+			fmt.Fprintf(&b, "sharing/%s %s samples=%d\n", g.name, line, len(res.Sharing))
+			for _, sm := range res.Sharing {
+				fmt.Fprintf(&b, "sharing/%s t=%d bytes=%d/%d/%d/%d\n", g.name, int64(sm.T), sm.Bytes[0], sm.Bytes[1], sm.Bytes[2], sm.Bytes[3])
+			}
+			return b.String()
 		}
 	case g.serve != nil:
 		cfg := goldenServeConfig()
@@ -283,6 +295,33 @@ var goldens = []struct {
 		perPolicy("serve+disk", "cancel/elevator/1/", scanPolicies, nil, nil, cancels("elevator", 1)),
 		perPolicy("serve+disk", "cancel/elevator/4/", scanPolicies, nil, nil, cancels("elevator", 4)),
 	)},
+	// The two closed-loop paths no other file pins, recorded before the
+	// figure drivers moved onto the serving engine: the TPC-H throughput
+	// run's trajectory (2 streams x 4 queries of each stream's
+	// permutation) and the Figure 17/18 sharing sampler's series.
+	{path: "testdata/tpch_golden.txt", rows: concat(
+		tpchRows(mainPolicies),
+		[]goldenRow{
+			{format: "sharing", name: "PBM", micro: sampled},
+			{format: "sharing", name: "tpch/PBM", micro: sampled, tpch: true},
+		},
+	)},
+}
+
+// sampled is a PBM run with the Figure 17/18 sharing sampler on.
+func sampled(c *Config) { c.Policy, c.SharingSampler = PBM, 400*time.Microsecond }
+
+// tpchRows is one §4.2 throughput row per policy, at the TPC-H buffer
+// and bandwidth defaults.
+func tpchRows(pols []Policy) []goldenRow {
+	rows := perPolicy("micro+stats", "", pols, nil, func(c *Config) {
+		d := DefaultTPCHConfig()
+		c.BufferFrac, c.BandwidthMB, c.Streams = d.BufferFrac, d.BandwidthMB, 2
+	}, nil)
+	for i := range rows {
+		rows[i].tpch = true
+	}
+	return rows
 }
 
 // weightedWFQ is a saturated serving run under weighted wfq admission,
