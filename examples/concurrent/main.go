@@ -73,7 +73,7 @@ func run(policy scanshare.Policy) (time.Duration, int64) {
 			s := s
 			rng := rand.New(rand.NewSource(int64(s) + 1))
 			wg.Add(1)
-			sys.Go("stream", func() {
+			sys.Go("scanner", func() {
 				defer wg.Done()
 				for q := 0; q < queries; q++ {
 					// Scan a random 50% range and aggregate value by kind.

@@ -115,6 +115,13 @@ type ABM struct {
 	r    rt.Runtime
 	disk *iosim.DeviceArray
 	cfg  Config
+	// pace is the scheduler thread's pacing handle: the owner its chunk
+	// loads wait out their device time on. On the real runtime it turns
+	// a load's wait into debt paid in quantum lumps (see rt.QueryCtx.Fork)
+	// instead of one timer sleep per chunk; on the simulator it is
+	// unpaced, and a wait is exactly the SleepUntil a nil owner makes.
+	// Never cancelled, so no load is skipped.
+	pace *rt.QueryCtx
 
 	// mu guards all chunk/table/residency state below. Uncontended in sim
 	// mode (single running process).
@@ -149,6 +156,7 @@ func New(r rt.Runtime, disk *iosim.DeviceArray, cfg Config) *ABM {
 		cfg:      cfg,
 		tables:   make(map[tableKey]*tableMeta),
 		resident: make(map[storage.PageID]*residentPage),
+		pace:     rt.NewQueryCtx(r).Fork(),
 	}
 	a.work = r.NewEvent()
 	r.Go("abm-scheduler", a.run)
@@ -509,6 +517,7 @@ func (a *ABM) run() {
 	for {
 		if a.stopped {
 			a.mu.Unlock()
+			a.pace.Flush()
 			return
 		}
 		cs := a.chooseQuery()
@@ -667,7 +676,7 @@ func (a *ABM) loadChunk(cs *CScan, c *chunk) bool {
 	for _, pg := range pages {
 		spans = a.disk.AppendSpan(spans, pg.Block, pg.Bytes)
 	}
-	a.disk.ReadSpansOwner(nil, spans)
+	a.disk.ReadSpansOwner(a.pace, spans)
 	a.mu.Lock()
 	// The loaded pages may complete residency for neighbouring chunks too
 	// (narrow-column pages span chunks), so the wake set covers every

@@ -4,8 +4,10 @@ import (
 	"repro/internal/abm"
 	"repro/internal/buffer"
 	"repro/internal/pbm"
+	"repro/internal/pdt"
 	"repro/internal/rt"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // CPU models a fixed number of cores: operators charge work bursts that
@@ -76,6 +78,24 @@ type Ctx struct {
 	// WithQuery); nil means a query that can never be cancelled, which
 	// every operator runs exactly as it runs a live handle nobody cancels.
 	Query *QueryCtx
+}
+
+// NewScan builds the scan operator the context's buffer manager serves:
+// a CScan through the ABM under Cooperative Scans, a Scan through the
+// pool otherwise. ranges nil means the whole table as deltas (nil: none
+// pending) shows it; pred nil means an unrestricted scan.
+func (c *Ctx) NewScan(snap *storage.Snapshot, cols []int, ranges []RIDRange, deltas *pdt.PDT, pred *ScanPredicate) Op {
+	if ranges == nil {
+		n := snap.NumTuples()
+		if deltas != nil {
+			n = deltas.NumTuples()
+		}
+		ranges = []RIDRange{{Lo: 0, Hi: n}}
+	}
+	if c.ABM != nil {
+		return &CScan{Ctx: c, Snap: snap, Cols: cols, Ranges: ranges, PDT: deltas, Pred: pred}
+	}
+	return &Scan{Ctx: c, Snap: snap, Cols: cols, Ranges: ranges, PDT: deltas, Pred: pred}
 }
 
 // work charges d against the context's CPU model, if any, on behalf of

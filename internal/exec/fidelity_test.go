@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abm"
 	"repro/internal/buffer"
 	"repro/internal/exec"
 	"repro/internal/iosim"
@@ -62,5 +63,55 @@ func TestFidelityModelledCPUOnRealRuntime(t *testing.T) {
 	}
 	if over, limit := charged-modelled, work+work/10+3*time.Millisecond; over > limit {
 		t.Fatalf("engine overhead %v (took %v for %v modelled) exceeds real work %v (+10%%) + 3 quanta", over, charged, modelled, work)
+	}
+}
+
+// TestFidelityModelledDeviceTimeCScanOnRealRuntime is the same bound for
+// the ABM's loader: a CScan over many cold chunks on the real runtime,
+// each chunk's load costing less than one pacing quantum of device time,
+// must take no longer than the device's modelled busy time plus the real
+// work (the same CScan over the chunks once resident) plus three quanta.
+// A timer sleep per chunk load misses that by the timer's overshoot per
+// chunk. Best of three cold runs against worst of three warm ones plus a
+// tenth, as above.
+func TestFidelityModelledDeviceTimeCScanOnRealRuntime(t *testing.T) {
+	db := tpch.Generate(0.05, 1)
+	snap := db.Snapshot("lineitem")
+	var cols []int
+	for _, c := range []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"} {
+		cols = append(cols, db.Col("lineitem", c))
+	}
+	ranges := []exec.RIDRange{{Lo: 0, Hi: snap.NumTuples()}}
+	// A 2048-tuple chunk of four 8-byte columns is four 16 KiB pages:
+	// 0.33 ms at 200 MB/s, plus the seek.
+	const chunkTuples = 2048
+	var cold, work, busy time.Duration
+	for i := 0; i < 3; i++ {
+		r := rt.NewReal()
+		disk := iosim.NewArray(r, iosim.ArrayConfig{Config: iosim.Config{Bandwidth: 200e6, SeekLatency: 50 * time.Microsecond}})
+		a := abm.New(r, disk, abm.Config{ChunkTuples: chunkTuples, Capacity: 1 << 30})
+		ctx := &exec.Ctx{RT: r, ABM: a}
+		drain := func() time.Duration {
+			start := time.Now()
+			exec.Drain(ctx.NewScan(snap, cols, ranges, nil, nil))
+			return time.Since(start)
+		}
+		if d := drain(); cold == 0 || d < cold {
+			cold, busy = d, time.Duration(disk.Stats().BusyTime)
+		}
+		if d := drain(); d > work {
+			work = d
+		}
+		if loads := a.Stats().ChunksLoaded; loads < 48 {
+			t.Fatalf("%d chunk loads: too few for the bound to tell", loads)
+		}
+		a.Stop()
+		r.Run()
+	}
+	if cold < busy-time.Millisecond {
+		t.Fatalf("cold CScan finished in %v, under its %v of modelled device time", cold, busy)
+	}
+	if over, limit := cold-busy, work+work/10+3*time.Millisecond; over > limit {
+		t.Fatalf("loader overhead %v (took %v for %v of device time) exceeds real work %v (+10%%) + 3 quanta", over, cold, busy, work)
 	}
 }

@@ -54,13 +54,17 @@ func (q *QueryCtx) Fork() *QueryCtx {
 func (q *QueryCtx) isPaced() bool { return q != nil && q.paced }
 
 // Lead reports how far the thread that owns q is ahead of the wall
-// clock: its unpaid debt, zero for a thread in credit or not paced. A
-// device stamps a request's arrival with it.
+// clock: its unpaid debt, and never less than what is left of its last
+// device wait, zero for a thread not paced. A device stamps a request's
+// arrival with it. The second bound matters for a thread in credit: the
+// credit paid for the wait, not the device, so the data was still not
+// there before the wait's end, and a request that arrived earlier would
+// queue behind the one it waited for and owe that transfer twice.
 func (q *QueryCtx) Lead() Duration {
-	if !q.isPaced() || q.debt < 0 {
+	if !q.isPaced() {
 		return 0
 	}
-	return q.debt
+	return max(q.debt, Duration(q.ready-q.r.Now()), 0)
 }
 
 // Owe charges d of modelled time to the thread that owns q and returns
@@ -110,7 +114,9 @@ func (q *QueryCtx) SleepUntil(r Runtime, t Time) {
 		return
 	}
 	wait := max(Duration(t-r.Now()), 0)
-	if lump := q.Owe(wait - q.Lead()); lump > 0 {
+	lump := q.Owe(wait - q.Lead())
+	q.ready = t
+	if lump > 0 {
 		q.Pay(r, lump)
 	}
 }

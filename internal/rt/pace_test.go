@@ -181,6 +181,25 @@ func TestPaceDeviceWaitOnModelledClock(t *testing.T) {
 	}
 }
 
+// TestPaceCreditDeviceWaitsOwedOnce: credit pays for a device wait, but
+// the data still arrives at the wait's end, so the thread's next request
+// arrives there and not on the wall clock. Two back-to-back 120 µs reads
+// on 500 µs of credit owe 240 µs together; stamped on the wall clock, the
+// second would queue behind the first and owe its transfer again.
+func TestPaceCreditDeviceWaitsOwedOnce(t *testing.T) {
+	r := &steppedRT{over: []Duration{0}}
+	q := NewQueryCtx(r).Fork()
+	q.debt = -500 * time.Microsecond
+	q.SleepUntil(r, r.Now()+Time(120*time.Microsecond))
+	if lead := q.Lead(); lead != 120*time.Microsecond {
+		t.Fatalf("lead %v after a 120µs wait paid from credit, want 120µs", lead)
+	}
+	q.SleepUntil(r, r.Now()+Time(q.Lead())+Time(120*time.Microsecond))
+	if q.debt != -260*time.Microsecond || r.sleeps != 0 {
+		t.Fatalf("debt %v after %d sleeps, want -260µs and none", q.debt, r.sleeps)
+	}
+}
+
 // TestPaceSimPassthrough: on the simulator a fork changes nothing — the
 // sequence of (clock, timer call) pairs of a thread that charges, waits
 // for a device and flushes is the one a thread with no handle makes.

@@ -70,6 +70,7 @@ type QueryCtx struct {
 	// the fork, so it needs no synchronization.
 	paced bool
 	debt  Duration // modelled time charged and not yet slept; negative is credit
+	ready Time     // completion of the last device wait (see Lead)
 }
 
 // lifecycle is the cancel/deadline state a root QueryCtx and all its

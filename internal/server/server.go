@@ -10,6 +10,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -159,15 +160,24 @@ func writeError(w http.ResponseWriter, code int, rep wire.ErrorReply) {
 	json.NewEncoder(w).Encode(rep)
 }
 
-// decodePost reads a POST body into req, answering 405 or 400 itself
-// when it cannot.
+// maxBodyBytes bounds a POST body. A valid request is a few hundred
+// bytes; without a bound one client could make a long-lived server
+// buffer an arbitrarily large JSON value.
+const maxBodyBytes = 64 << 10
+
+// decodePost reads a POST body of at most maxBodyBytes into req,
+// answering 405, 413 or 400 itself when it cannot.
 func decodePost(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req); err != nil {
+		code := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, wire.ErrorReply{Error: "bad request body: " + err.Error()})
 		return false
 	}
 	return true

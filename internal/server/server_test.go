@@ -170,6 +170,26 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRefused: a request body past the bound is answered
+// 413 before it is decoded in full, and never reaches admission.
+func TestOversizedBodyRefused(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	body := `{"Kind":"q6","Hi":1000,"Pad":"` + strings.Repeat("x", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+wire.PathQuery, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep wire.ErrorReply
+	json.NewDecoder(resp.Body).Decode(&rep)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || rep.Error == "" {
+		t.Fatalf("status %d reply %+v, want 413 with error", resp.StatusCode, rep)
+	}
+	if st := srv.Statz(); st.Arrived != 0 {
+		t.Fatalf("arrived = %d, want 0", st.Arrived)
+	}
+}
+
 func TestStatzSchema(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	resp, err := http.Get(ts.URL + wire.PathStatz)

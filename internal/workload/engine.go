@@ -3,29 +3,45 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/exec"
+	"repro/internal/minmax"
+	"repro/internal/opt"
+	"repro/internal/pdt"
 	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
 // ServeEngine is the serving engine — runtime, disk array, buffer
 // manager, admission scheduler, zone maps, PDT store, cost model — and
-// the only one: RunServe drives it for one bounded batch on either
-// runtime, and a network front end holds it open to admit, plan and
-// execute queries for the life of a server process.
+// the only one: the figure drivers (RunMicro, RunTPCH) and RunServe run
+// bounded batches on it, on either runtime, and a network front end holds
+// it open to admit, plan and execute queries for the life of a server
+// process.
 //
 // It always wires the zone maps and the write path, since requests may
 // carry arbitrary predicates and updates; both are inert until a query
 // uses them. Methods are safe for concurrent use by handler goroutines.
 type ServeEngine struct {
-	cfg   ServeConfig
-	db    *tpch.DB
-	e     *env
+	Engine
+	cfg ServeConfig
+	db  *tpch.DB
+	// result carries the run's sizing and collects what the engine
+	// records as it runs: the OPT trace and the sharing samples.
+	result *Result
+	// predIx is the l_shipdate zone map over the loaded snapshot (see
+	// setupSkipping), predCol that column, and dateMin/dateMax its value
+	// domain, which predicate windows and synthesized dates are drawn in.
+	predIx           *minmax.Index
+	predCol          int
+	dateMin, dateMax int64
+
 	sch   *sched.Scheduler
 	cost  exec.ScanCostModel
 	n     int64
@@ -92,8 +108,16 @@ func (cfg ServeConfig) withDefaults() ServeConfig {
 }
 
 // NewServeEngine builds a serving engine over the generated database,
-// on the runtime cfg.Real selects.
+// on the runtime cfg.Real selects, its pool sized against the §4.1
+// accessed volume.
 func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
+	return newServeEngine(db, cfg, MicroAccessedBytes(db))
+}
+
+// newServeEngine builds the engine with a buffer of cfg.BufferFrac of
+// accessedBytes (at least 256 KiB), recording the pool's references for
+// an OPT replay when cfg.TraceForOPT asks.
+func newServeEngine(db *tpch.DB, cfg ServeConfig, accessedBytes int64) *ServeEngine {
 	cfg = cfg.withDefaults()
 	weights := map[int]float64{}
 	for i, w := range cfg.TenantWeights {
@@ -101,36 +125,54 @@ func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
 			weights[i] = w
 		}
 	}
-	e := newEnv(cfg.Config, MicroAccessedBytes(db))
-	e.setupSkipping(db)
+	capBytes := max(int64(cfg.BufferFrac*float64(accessedBytes)), 256<<10)
 	en := &ServeEngine{
-		cfg: cfg, db: db, e: e,
-		sch: sched.New(e.RT, sched.Config{
-			MPL:           cfg.MPL,
-			QueueDepth:    cfg.QueueDepth,
-			SLO:           cfg.SLO,
-			Policy:        cfg.AdmissionPolicy,
-			TenantWeights: weights,
-		}),
-		n:   db.Snapshot("lineitem").NumTuples(),
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		Engine: NewEngine(cfg.Config, capBytes),
+		cfg:    cfg,
+		db:     db,
+		result: &Result{Policy: cfg.Policy.String(), AccessedBytes: accessedBytes, BufferBytes: capBytes},
+		n:      db.Snapshot("lineitem").NumTuples(),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
+	if cfg.TraceForOPT && en.Pool != nil {
+		// The pool calls OnAccess under its mutex: one append at a time, in
+		// the order the pool served the references.
+		en.Pool.OnAccess = func(p *storage.Page) {
+			en.result.Trace = append(en.result.Trace, opt.Ref{Page: p.ID, Bytes: p.Bytes})
+		}
+	}
+	en.setupSkipping(db)
+	en.sch = sched.New(en.RT, sched.Config{
+		MPL:           cfg.MPL,
+		QueueDepth:    cfg.QueueDepth,
+		SLO:           cfg.SLO,
+		Policy:        cfg.AdmissionPolicy,
+		TenantWeights: weights,
+	})
 	// Pricing a query takes the PBM mutex and averages observed speeds;
 	// skip it entirely for policies that never read the estimate.
 	if en.sch.UsesCost() {
-		en.cost = e.costModel()
+		en.cost = en.costModel()
 	}
-	en.htap = e.newHTAP(db, cfg.CheckpointOps)
-	en.ckptWG = e.RT.NewWaitGroup()
-	en.start = e.RT.Now()
+	en.htap = en.newHTAP(db, cfg.CheckpointOps)
+	en.ckptWG = en.RT.NewWaitGroup()
+	en.start = en.RT.Now()
 	return en
 }
 
-// Runtime exposes the engine's runtime.
-func (en *ServeEngine) Runtime() rt.Runtime { return en.e.RT }
+// costModel returns the admission cost hook: PBM's live estimate when
+// predictive buffer management is active, a constant tuples-per-second
+// model otherwise. Either way, a query's expected work scales with its
+// scan length, which is what cost-aware admission orders by.
+func (en *ServeEngine) costModel() exec.ScanCostModel {
+	if en.PBM != nil {
+		return en.PBM
+	}
+	return exec.FixedSpeedCost(simScanSpeed)
+}
 
 // Now reads the engine clock (nanoseconds since engine creation).
-func (en *ServeEngine) Now() rt.Time { return en.e.RT.Now() }
+func (en *ServeEngine) Now() rt.Time { return en.RT.Now() }
 
 // NumTuples is the lineitem row count — the bound request ranges are
 // clipped to, exported on /statz so clients can draw ranges.
@@ -148,9 +190,9 @@ func (en *ServeEngine) Scheduler() *sched.Scheduler { return en.sch }
 // NewQueryCtx mints a lifecycle handle on the engine clock, armed with
 // an end-to-end deadline relative to now when deadline is positive.
 func (en *ServeEngine) NewQueryCtx(deadline sim.Duration) *exec.QueryCtx {
-	qc := exec.NewQueryCtx(en.e.RT)
+	qc := exec.NewQueryCtx(en.RT)
 	if deadline > 0 {
-		qc.SetDeadline(en.e.RT.Now() + sim.Time(deadline))
+		qc.SetDeadline(en.RT.Now() + sim.Time(deadline))
 	}
 	return qc
 }
@@ -184,7 +226,7 @@ func (en *ServeEngine) drawUpdateTarget(rng *rand.Rand) (frac float64, date int6
 func (en *ServeEngine) PredicateFor(sel float64) *exec.ScanPredicate {
 	en.mu.Lock()
 	defer en.mu.Unlock()
-	return en.e.drawWindow(en.rng, sel)
+	return en.drawWindow(en.rng, sel)
 }
 
 // PredicateNamed builds an explicit [lo, hi] window on l_shipdate: the
@@ -199,7 +241,7 @@ func (en *ServeEngine) PredicateNamed(col string, lo, hi int64) (*exec.ScanPredi
 	if lo > hi {
 		return nil, fmt.Errorf("empty predicate window [%d, %d]", lo, hi)
 	}
-	return &exec.ScanPredicate{Col: en.e.predCol, Lo: lo, Hi: hi}, nil
+	return &exec.ScanPredicate{Col: en.predCol, Lo: lo, Hi: hi}, nil
 }
 
 // DrawUpdate completes an update request that names only its kind and
@@ -229,7 +271,7 @@ func (en *ServeEngine) Checkpoints() int {
 // openWindow opens the stats window at the current clock reading,
 // unless it is already open.
 func (en *ServeEngine) openWindow() {
-	en.window.CompareAndSwap(0, int64(en.e.RT.Now())+1)
+	en.window.CompareAndSwap(0, int64(en.RT.Now())+1)
 }
 
 // Admit runs the admission scheduler for q, blocking while queued; the
@@ -253,7 +295,7 @@ func (en *ServeEngine) Request(stream, seq, tenant int, d Draw, qc *exec.QueryCt
 	}
 	work := int64(max(d.Update.Batch, 1))
 	if !d.Write {
-		work = en.e.survivingTuples(d.Range, d.Pred)
+		work = en.survivingTuples(d.Range, d.Pred)
 	}
 	q.Cost = en.cost.EstimateScanTime(work).Seconds()
 	return q
@@ -292,7 +334,7 @@ func (en *ServeEngine) Execute(tk *sched.Ticket, qc *exec.QueryCtx, d Draw, emit
 		}
 		applied, err = en.htap.apply(d.Update)
 		tk.Done()
-		en.htap.maybeCheckpoint(en.e, en.ckptWG)
+		en.htap.maybeCheckpoint(en.RT, en.ckptWG)
 		return applied, err
 	}
 	plan, err := en.BuildPlan(qc, d.Kind, d.Range, d.Pred)
@@ -324,31 +366,56 @@ func (en *ServeEngine) Execute(tk *sched.Ticket, qc *exec.QueryCtx, d Draw, emit
 // table at build time: a checkpoint committing mid-stream never tears
 // the scan, and updates committed after the pin stay invisible to it.
 func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange, pred *exec.ScanPredicate) (exec.Op, error) {
-	ctx := en.e.Ctx
+	ctx := en.Ctx
 	if qc != nil {
 		ctx = ctx.WithQuery(qc)
 	}
 	view := en.htap.store.View()
 	r = clipToView(r, view.NumTuples())
-	build := en.e.builderCtx(en.db, ctx, view, pred)
+	build := en.builderCtx(ctx, view, pred)
 	switch kind {
 	case "q1", "q6":
-		return en.e.microPlanCtx(ctx, en.db, build, r, kind == "q1"), nil
+		return en.microPlan(ctx, build, r, kind == "q1"), nil
 	case "scan":
-		threads := en.cfg.ThreadsPerQuery
-		if threads <= 1 {
-			return build("lineitem", microColumns, []exec.RIDRange{r}, false), nil
-		}
-		parts := make([]func() exec.Op, 0, threads)
-		for _, pr := range exec.PartitionRange(r.Lo, r.Hi, threads) {
-			pr := pr
-			parts = append(parts, func() exec.Op {
-				return build("lineitem", microColumns, []exec.RIDRange{pr}, false)
-			})
-		}
-		return en.e.parallelCtx(ctx, parts), nil
+		return en.partition(ctx, r, func(pr exec.RIDRange) exec.Op {
+			return build("lineitem", microColumns, []exec.RIDRange{pr}, false)
+		}), nil
 	}
 	return nil, fmt.Errorf("unknown query kind %q (want q1, q6 or scan)", kind)
+}
+
+// builderCtx returns the ScanBuilder plans are built with, over an
+// explicit execution context: the serving path passes a per-query
+// WithQuery copy so every operator of the plan shares that query's
+// lifecycle. The lineitem scan reads the pinned view — its stable
+// snapshot merged with its flattened deltas, so a checkpoint committing
+// mid-scan never tears it; other tables read the catalog's current
+// snapshot.
+//
+// A non-nil pred restricts the lineitem scans: the scan prunes its ranges
+// by it at Open, and a Select applies the exact filter on top, since
+// block-granular pruning is conservative. Every plan that carries one
+// (Q1, Q6, "scan") reads the predicate's column, l_shipdate.
+func (en *ServeEngine) builderCtx(ctx *exec.Ctx, view pdt.View, pred *exec.ScanPredicate) tpch.ScanBuilder {
+	return func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
+		if inOrder {
+			panic("workload: in-order scan delivery was removed; a plan must accept tuples in any order")
+		}
+		v, p := view, pred
+		if table != "lineitem" {
+			v, p = pdt.View{Stable: en.db.Snapshot(table)}, nil
+		}
+		idx := make([]int, len(cols))
+		for i, c := range cols {
+			idx[i] = en.db.Col(table, c)
+		}
+		op := ctx.NewScan(v.Stable, idx, ranges, v.Deltas, p)
+		if p == nil {
+			return op
+		}
+		pos := slices.Index(idx, p.Col)
+		return &exec.Select{Child: op, Pred: exec.Between(exec.Col{Idx: pos, T: storage.Int64}, p.Lo, p.Hi)}
+	}
 }
 
 // Close releases engine background work (the ABM's scheduler loop),
@@ -356,8 +423,8 @@ func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange
 // the last query has resolved.
 func (en *ServeEngine) Close() {
 	en.ckptWG.Wait()
-	if en.e.ABM != nil {
-		en.e.ABM.Stop()
+	if en.ABM != nil {
+		en.ABM.Stop()
 	}
 }
 
@@ -369,12 +436,12 @@ func (en *ServeEngine) Close() {
 // does; before the window opens they fall back to the engine's lifetime.
 func (en *ServeEngine) Stats() *ServeResult {
 	res := &ServeResult{Result: Result{
-		Policy:        en.e.result.Policy,
-		AccessedBytes: en.e.result.AccessedBytes,
-		BufferBytes:   en.e.result.BufferBytes,
+		Policy:        en.result.Policy,
+		AccessedBytes: en.result.AccessedBytes,
+		BufferBytes:   en.result.BufferBytes,
 	}}
-	en.e.snapshot(&res.Result)
-	now, start := en.e.RT.Now(), en.start
+	en.snapshot(&res.Result)
+	now, start := en.RT.Now(), en.start
 	if w := en.window.Load(); w > 0 {
 		start = rt.Time(w - 1)
 	}
@@ -383,4 +450,20 @@ func (en *ServeEngine) Stats() *ServeResult {
 	res.Checkpoints, res.MergeP95 = en.htap.mergeStats(en.sch.Completed())
 	res.ElapsedSec = (now - start).Seconds()
 	return res
+}
+
+// snapshot fills the engine's live counters into r. It is safe to call
+// concurrently with executing queries, which is what lets the long-lived
+// serving engine and a finished bounded run share it.
+func (en *ServeEngine) snapshot(r *Result) {
+	if en.Pool != nil {
+		r.PoolStats = en.Pool.Stats()
+		r.TotalIOBytes = r.PoolStats.BytesLoaded
+	}
+	if en.ABM != nil {
+		r.ABMStats = en.ABM.Stats()
+		r.TotalIOBytes = r.ABMStats.BytesLoaded
+	}
+	r.RequestedTuples, r.SkippedTuples = en.Ctx.Skip.Counts()
+	r.DiskStats = en.Disk.Stats()
 }

@@ -22,7 +22,7 @@ func simServeEngine(admission string, mpl int) *ServeEngine {
 // runScripted runs each scripted client as a simulated process, then
 // closes the engine once they have all returned.
 func runScripted(en *ServeEngine, clients ...func()) {
-	r := en.Runtime()
+	r := en.RT
 	wg := r.NewWaitGroup()
 	for _, c := range clients {
 		c := c
@@ -67,7 +67,7 @@ func TestExecuteSlowReaderSim(t *testing.T) {
 	}
 	run := func() outcome {
 		en := simServeEngine("fifo", 1)
-		r := en.Runtime()
+		r := en.RT
 		var o outcome
 		runScripted(en, func() {
 			submit(en, 0, fullScan(en), func(b *exec.Batch) bool {
@@ -154,7 +154,7 @@ func TestExecuteDrainSim(t *testing.T) {
 	}
 	run := func(pol string) outcome {
 		en := simServeEngine(pol, 1)
-		r, sch := en.Runtime(), en.Scheduler()
+		r, sch := en.RT, en.Scheduler()
 		var o outcome
 		clients := []func(){
 			func() {

@@ -95,7 +95,7 @@ func (st *Stream) Next() Draw {
 	}
 	d.Selectivity = pickSelectivity(rng, cfg.Selectivities)
 	if st.g.dom != nil {
-		d.Pred = st.g.dom.e.drawWindow(rng, d.Selectivity)
+		d.Pred = st.g.dom.drawWindow(rng, d.Selectivity)
 	}
 	if cfg.CancelRate > 0 {
 		d.Cancel = rng.Float64() < cfg.CancelRate

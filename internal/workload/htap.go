@@ -92,9 +92,9 @@ type htapState struct {
 	baseTuples int64
 	ckptOps    int64
 	// mergeCost models the checkpoint's materialization time: the stable
-	// image rewritten at the fallback scan speed. During that window
-	// reads keep serving from their pinned views — that coexistence is
-	// exactly what MergeP95 measures.
+	// image rewritten at simScanSpeed. During that window reads keep
+	// serving from their pinned views — that coexistence is exactly what
+	// MergeP95 measures.
 	mergeCost sim.Duration
 
 	mu          sync.Mutex
@@ -106,7 +106,7 @@ type htapState struct {
 // newHTAP builds the write path over the catalog's cached lineitem
 // snapshot. Requires setupSkipping: synthesized shipdates are bounded by
 // the zone map's date domain.
-func (e *env) newHTAP(db *tpch.DB, checkpointOps int) *htapState {
+func (en *ServeEngine) newHTAP(db *tpch.DB, checkpointOps int) *htapState {
 	snap := db.Snapshot("lineitem")
 	schema := snap.Table().Schema
 	h := &htapState{
@@ -115,16 +115,16 @@ func (e *env) newHTAP(db *tpch.DB, checkpointOps int) *htapState {
 		shipCol:    db.Col("lineitem", "l_shipdate"),
 		baseTuples: snap.NumTuples(),
 		ckptOps:    int64(checkpointOps),
-		dateMin:    e.dateMin,
-		dateMax:    e.dateMax,
+		dateMin:    en.dateMin,
+		dateMax:    en.dateMax,
 	}
 	cols := make([]int, len(schema))
 	for i := range cols {
 		cols[i] = i
 	}
-	h.mergeCost = sim.Duration(float64(snap.TotalBytes(cols)) / fallbackScanSpeed * float64(time.Second))
+	h.mergeCost = sim.Duration(float64(snap.TotalBytes(cols)) / simScanSpeed * float64(time.Second))
 	h.store.SetCheckpointHook(func(old, next *storage.Snapshot) {
-		e.retireSnapshot(old, next)
+		en.retireSnapshot(old, next)
 	})
 	return h
 }
@@ -136,19 +136,17 @@ func (e *env) newHTAP(db *tpch.DB, checkpointOps int) *htapState {
 // survive until they unpin), and the ABM drops its per-version chunk
 // interest for versions no scan holds. Runs inside the store's critical
 // section, so a view pinned before or after sees a coherent pair.
-func (e *env) retireSnapshot(old, next *storage.Snapshot) {
-	if e.Ctx.Zones != nil {
-		for _, col := range e.Ctx.Zones.Drop(old) {
-			e.Ctx.Zones.Build(next, col, e.cfg.ChunkTuples)
-		}
+func (en *ServeEngine) retireSnapshot(old, next *storage.Snapshot) {
+	for _, col := range en.Ctx.Zones.Drop(old) {
+		en.Ctx.Zones.Build(next, col, en.cfg.ChunkTuples)
 	}
-	if e.Pool != nil {
+	if en.Pool != nil {
 		for col := range old.Table().Schema {
-			e.Pool.InvalidatePages(old.Pages(col))
+			en.Pool.InvalidatePages(old.Pages(col))
 		}
 	}
-	if e.ABM != nil {
-		e.ABM.InvalidateVersions(next.Table(), next.Version())
+	if en.ABM != nil {
+		en.ABM.InvalidateVersions(next.Table(), next.Version())
 	}
 }
 
@@ -215,7 +213,7 @@ func (h *htapState) apply(op UpdateOp) (applied int, err error) {
 // keep serving from pinned views the whole time), and the checkpoint
 // swaps in the fresh stable snapshot — retiring the old one through the
 // invalidation hook. At most one merge runs at a time.
-func (h *htapState) maybeCheckpoint(e *env, wg rt.WaitGroup) {
+func (h *htapState) maybeCheckpoint(r rt.Runtime, wg rt.WaitGroup) {
 	if h.ckptOps <= 0 || h.store.Pending() < h.ckptOps {
 		return
 	}
@@ -227,16 +225,16 @@ func (h *htapState) maybeCheckpoint(e *env, wg rt.WaitGroup) {
 	h.ckptRunning = true
 	h.mu.Unlock()
 	wg.Add(1)
-	e.RT.Go("checkpoint", func() {
+	r.Go("checkpoint", func() {
 		defer wg.Done()
-		start := e.RT.Now()
+		start := r.Now()
 		h.store.PropagateWriteToRead()
-		e.RT.Sleep(h.mergeCost)
+		r.Sleep(h.mergeCost)
 		_, err := h.store.Checkpoint()
 		h.mu.Lock()
 		if err == nil {
 			h.checkpoints++
-			h.windows = append(h.windows, ckptWindow{start: start, end: e.RT.Now()})
+			h.windows = append(h.windows, ckptWindow{start: start, end: r.Now()})
 		}
 		h.ckptRunning = false
 		h.mu.Unlock()

@@ -2,9 +2,10 @@ package workload
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/exec"
-	"repro/internal/pdt"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/tpch"
 )
@@ -36,78 +37,143 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 	if cfg.QueriesPerStream <= 0 {
 		cfg.QueriesPerStream = 16
 	}
-	accessed := MicroAccessedBytes(db)
-	e := newEnv(cfg, accessed)
-	if anySelective(cfg.Selectivities) {
-		e.setupSkipping(db)
-	}
-	n := db.Snapshot("lineitem").NumTuples()
-
-	return e.runStreams(cfg.Streams, func(s int) {
+	en := newServeEngine(db, ServeConfig{Config: cfg}, MicroAccessedBytes(db))
+	// The draws follow cfg, not en.Config(): the serving defaults would
+	// fill in a selectivity mix and a query count of their own.
+	return en.runStreams(cfg.Streams, func(s int, _ rt.WaitGroup) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*7919))
 		for q := 0; q < cfg.QueriesPerStream; q++ {
 			pct := cfg.RangePercents[rng.Intn(len(cfg.RangePercents))]
-			r := RandRange(rng, n, pct, cfg.HotFrac, cfg.HotProb)
-			useQ1 := rng.Intn(2) == 0
-			pred := e.drawWindow(rng, pickSelectivity(rng, cfg.Selectivities))
-			exec.Drain(e.microPlanCtx(e.Ctx, db, e.builderCtx(db, e.Ctx, pdt.View{}, pred), r, useQ1))
+			r := RandRange(rng, en.n, pct, cfg.HotFrac, cfg.HotProb)
+			kind := "q6"
+			if rng.Intn(2) == 0 {
+				kind = "q1"
+			}
+			pred := en.drawWindow(rng, pickSelectivity(rng, cfg.Selectivities))
+			plan, err := en.BuildPlan(nil, kind, r, pred)
+			if err != nil {
+				panic(err)
+			}
+			exec.Drain(plan)
 		}
-	})
+	}, en.Close)
 }
 
 // runStreams runs body once per stream, as concurrent processes of the
-// run's runtime, to completion, and collects the run's metrics: the
-// closed-loop scaffold RunMicro and RunTPCH share.
-func (e *env) runStreams(streams int, body func(s int)) *Result {
+// engine's runtime, to completion, and collects the run's metrics: the
+// one stream scaffold, shared by the figure drivers and RunServe. A
+// stream's time is the clock when its body returns; wg is the run's wait
+// group, so processes a body spawns on it are awaited too. done runs
+// once every process has finished, before the sharing sampler stops.
+func (en *ServeEngine) runStreams(streams int, body func(s int, wg rt.WaitGroup), done func()) *Result {
 	streamEnds := make([]sim.Time, streams)
-	wg := e.RT.NewWaitGroup()
-	stopSampler := e.sharingSampler()
+	wg := en.RT.NewWaitGroup()
+	stopSampler := en.sharingSampler()
+	// Serving starts now: on the real runtime the engine/db setup above
+	// already consumed wall time, and the stats window (the throughput
+	// and read-bandwidth denominator) must not include it. Zero in sim
+	// mode.
+	en.openWindow()
 	for s := 0; s < streams; s++ {
 		s := s
 		wg.Add(1)
-		e.RT.Go("stream", func() {
+		en.RT.Go("stream", func() {
 			defer wg.Done()
-			body(s)
-			streamEnds[s] = e.RT.Now()
+			body(s, wg)
+			streamEnds[s] = en.RT.Now()
 		})
 	}
-	e.RT.Go("driver", func() {
+	en.RT.Go("driver", func() {
 		wg.Wait()
+		done()
 		stopSampler.Fire()
-		if e.ABM != nil {
-			e.ABM.Stop()
-		}
 	})
-	e.RT.Run()
-	return e.finish(streamEnds)
+	en.RT.Run()
+	return en.finish(streamEnds)
 }
 
-// microPlanCtx builds a parallel Q1 or Q6 plan over the given range: the
+// finish collects run metrics once the runtime has drained. streamEnds
+// holds each stream's completion time.
+func (en *ServeEngine) finish(streamEnds []sim.Time) *Result {
+	var sum, max sim.Time
+	for _, t := range streamEnds {
+		sum += t
+		if t > max {
+			max = t
+		}
+	}
+	if n := len(streamEnds); n > 0 {
+		en.result.AvgStreamSec = (sum / sim.Time(n)).Seconds()
+	}
+	en.result.MaxStreamSec = max.Seconds()
+	en.snapshot(en.result)
+	if en.Ctx.Heat != nil {
+		en.result.heat = en.Ctx.Heat.Chunks()
+	}
+	return en.result
+}
+
+// sharingSampler starts the Figure 17/18 sampler process; stop it by
+// firing the returned event after the streams complete.
+func (en *ServeEngine) sharingSampler() rt.Event {
+	stop := en.RT.NewEvent()
+	if en.cfg.SharingSampler <= 0 || en.PBM == nil {
+		return stop
+	}
+	var done atomic.Bool
+	sample := func() {
+		counts := en.PBM.SharingVolumes()
+		var s SharingSample
+		s.T = en.RT.Now()
+		s.Bytes[0] = counts[1]
+		s.Bytes[1] = counts[2]
+		s.Bytes[2] = counts[3]
+		s.Bytes[3] = counts[4]
+		en.result.Sharing = append(en.result.Sharing, s)
+	}
+	en.RT.Go("sharing-sampler", func() {
+		en.RT.Go("sharing-stop", func() {
+			stop.Wait()
+			done.Store(true)
+		})
+		// An early sample catches short runs that finish within the
+		// first full interval.
+		en.RT.Sleep(en.cfg.SharingSampler / 10)
+		if !done.Load() {
+			sample()
+		}
+		for !done.Load() {
+			en.RT.Sleep(en.cfg.SharingSampler)
+			if done.Load() {
+				break
+			}
+			sample()
+		}
+		if len(en.result.Sharing) == 0 {
+			sample()
+		}
+	})
+	return stop
+}
+
+// microPlan builds a parallel Q1 or Q6 plan over the given range: the
 // range is statically partitioned per Equation 1, each partition runs the
 // scan+select+partial-aggregation subtree, and a final aggregation merges
 // them — the Figure 8 plan transformation. The explicit execution context
 // lets the serving path bind the whole plan — XChg fan-out included — to
 // one query's lifecycle.
-func (e *env) microPlanCtx(ctx *exec.Ctx, db *tpch.DB, build tpch.ScanBuilder, r exec.RIDRange, useQ1 bool) exec.Op {
-	threads := e.cfg.ThreadsPerQuery
-	if threads <= 1 {
-		if useQ1 {
-			return tpch.Q1([]exec.RIDRange{r})(db, build)
-		}
-		return tpch.Q6([]exec.RIDRange{r})(db, build)
-	}
-	parts := make([]func() exec.Op, 0, threads)
-	for _, pr := range exec.PartitionRange(r.Lo, r.Hi, threads) {
-		pr := pr
-		parts = append(parts, func() exec.Op {
-			if useQ1 {
-				return tpch.Q1([]exec.RIDRange{pr})(db, build)
-			}
-			return tpch.Q6([]exec.RIDRange{pr})(db, build)
-		})
-	}
-	merged := e.parallelCtx(ctx, parts)
+func (en *ServeEngine) microPlan(ctx *exec.Ctx, build tpch.ScanBuilder, r exec.RIDRange, useQ1 bool) exec.Op {
+	query := tpch.Q6
 	if useQ1 {
+		query = tpch.Q1
+	}
+	merged := en.partition(ctx, r, func(pr exec.RIDRange) exec.Op {
+		return query([]exec.RIDRange{pr})(en.db, build)
+	})
+	switch {
+	case en.cfg.ThreadsPerQuery <= 1:
+		return merged
+	case useQ1:
 		// Partial Q1 aggregates share the group-by schema: re-aggregate.
 		return &exec.HashAggr{
 			Child:  merged,
@@ -120,4 +186,20 @@ func (e *env) microPlanCtx(ctx *exec.Ctx, db *tpch.DB, build tpch.ScanBuilder, r
 		}
 	}
 	return &exec.HashAggr{Child: merged, Aggs: []exec.AggSpec{{Kind: exec.AggSum, Col: 0}}}
+}
+
+// partition runs sub over r on ThreadsPerQuery threads: the subplan
+// itself on one thread, otherwise an XChg over the Equation 1 partitions
+// of r (§2.2).
+func (en *ServeEngine) partition(ctx *exec.Ctx, r exec.RIDRange, sub func(exec.RIDRange) exec.Op) exec.Op {
+	threads := en.cfg.ThreadsPerQuery
+	if threads <= 1 {
+		return sub(r)
+	}
+	parts := make([]func() exec.Op, 0, threads)
+	for _, pr := range exec.PartitionRange(r.Lo, r.Hi, threads) {
+		pr := pr
+		parts = append(parts, func() exec.Op { return sub(pr) })
+	}
+	return &exec.XChg{Ctx: ctx, Parts: parts}
 }

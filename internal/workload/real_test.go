@@ -78,31 +78,54 @@ func TestRunCompareShowsCoordinatedOmission(t *testing.T) {
 	cfg.QueueDepth = -1 // rejections would cap the open-loop queue
 	cfg.QueriesPerStream = 6
 	cfg.ArrivalRate = 500 // far beyond capacity at MPL 2
-	res := RunCompare(tinyDB, cfg)
-	if res.Open.Sched.Completed == 0 || res.Closed.Sched.Completed == 0 {
-		t.Fatalf("empty runs: open %+v closed %+v", res.Open.Sched, res.Closed.Sched)
+	open := RunServe(tinyDB, cfg)
+	cfg.ClosedLoop = true
+	closed := RunServe(tinyDB, cfg)
+	if open.Sched.Completed == 0 || closed.Sched.Completed == 0 {
+		t.Fatalf("empty runs: open %+v closed %+v", open.Sched, closed.Sched)
 	}
-	if res.Open.Sched.Latency.P95 <= res.Closed.Sched.Latency.P95 {
+	if open.Sched.Latency.P95 <= closed.Sched.Latency.P95 {
 		t.Fatalf("open-loop p95 %v not above closed-loop p95 %v under overload",
-			res.Open.Sched.Latency.P95, res.Closed.Sched.Latency.P95)
+			open.Sched.Latency.P95, closed.Sched.Latency.P95)
 	}
 	// The gap is queue wait: the closed loop self-throttles, so its queue
 	// wait must be (weakly) smaller at the median too.
-	if res.Open.Sched.QueueWait.P50 < res.Closed.Sched.QueueWait.P50 {
+	if open.Sched.QueueWait.P50 < closed.Sched.QueueWait.P50 {
 		t.Fatalf("open-loop queue wait p50 %v below closed-loop %v",
-			res.Open.Sched.QueueWait.P50, res.Closed.Sched.QueueWait.P50)
+			open.Sched.QueueWait.P50, closed.Sched.QueueWait.P50)
 	}
 }
 
-// TestRunCompareClosedLoopDeterministic: the new closed-loop discipline
-// must be as reproducible as the rest of the simulator.
+// TestRunCompareClosedLoopDeterministic: the closed-loop discipline must
+// be as reproducible as the rest of the simulator.
 func TestRunCompareClosedLoopDeterministic(t *testing.T) {
 	cfg := tinyServeConfig()
 	cfg.Policy = LRU
 	cfg.ClosedLoop = true
 	a := RunServe(tinyDB, cfg)
 	b := RunServe(tinyDB, cfg)
-	if a.Sched != b.Sched {
+	if a.Sched != b.Sched || a.AvgStreamSec != b.AvgStreamSec || a.MaxStreamSec != b.MaxStreamSec {
 		t.Fatalf("closed-loop run not bit-identical:\n%+v\n%+v", a.Sched, b.Sched)
+	}
+}
+
+// TestClosedLoopStreamClock: a closed-loop serving run reports the
+// figures' stream clock. A stream ends when its last query completes, so
+// the longest stream ends at the run's last completion, which on the
+// simulator is the end of the stats window.
+func TestClosedLoopStreamClock(t *testing.T) {
+	cfg := tinyServeConfig()
+	cfg.Policy = PBM
+	cfg.ClosedLoop = true
+	cfg.QueueDepth = -1 // every query completes
+	res := RunServe(tinyDB, cfg)
+	if want := int64(cfg.Streams * cfg.QueriesPerStream); res.Sched.Completed != want {
+		t.Fatalf("%d of %d queries completed", res.Sched.Completed, want)
+	}
+	if last := res.Sched.Makespan.Seconds(); res.MaxStreamSec != last {
+		t.Fatalf("max stream %vs, last completion at %vs", res.MaxStreamSec, last)
+	}
+	if res.AvgStreamSec <= 0 || res.AvgStreamSec > res.MaxStreamSec {
+		t.Fatalf("avg stream %vs outside (0, max %vs]", res.AvgStreamSec, res.MaxStreamSec)
 	}
 }

@@ -37,7 +37,7 @@ type ServeConfig struct {
 	// overloaded system slows its own offered load down. Comparing the
 	// two disciplines on the same mix is the classic coordinated-omission
 	// illustration: closed-loop latencies hide the queueing delay that
-	// open-loop clients experience. See RunCompare.
+	// open-loop clients experience (scanshare.Compare runs both).
 	ClosedLoop bool
 	// AdmissionPolicy names the scheduler's admission-ordering policy:
 	// "fifo" (arrival order, the historical behavior and the default),
@@ -145,59 +145,44 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 	}
 	en := NewServeEngine(db, cfg)
 	cfg = en.Config()
-	r := en.Runtime()
+	r := en.RT
 	gen := NewGenerator(cfg, en.NumTuples(), en)
-	wg := r.NewWaitGroup()
-	stopSampler := en.e.sharingSampler()
-	// Serving starts now: on the real runtime the engine/db setup above
-	// already consumed wall time, and the stats window (the throughput
-	// and read-bandwidth denominator) must not include it. Zero in sim
-	// mode.
-	en.openWindow()
-	for s := 0; s < cfg.Streams; s++ {
-		s, st := s, gen.Stream(s)
-		wg.Add(1)
-		r.Go("client", func() {
-			defer wg.Done()
-			for q := 0; q < cfg.QueriesPerStream; q++ {
-				d := st.Next()
-				r.Sleep(d.Gap)
-				// Every query gets a lifecycle handle, as every server
-				// request does. On the simulator one nobody cancels runs
-				// exactly as no handle would.
-				qc := en.NewQueryCtx(cfg.Deadline)
-				if d.Cancel {
-					wg.Add(1)
-					r.Go("canceller", func() {
-						defer wg.Done()
-						r.Sleep(d.CancelAfter)
-						qc.Cancel(rt.CauseClientCancel)
-					})
-				}
-				req := en.Request(s, q, st.Tenant, d, qc)
-				if cfg.ClosedLoop {
-					// Closed loop: the stream itself runs the query and only
-					// then loops to draw the next think time.
-					en.Run(req, d)
-					continue
-				}
+	var res *ServeResult
+	result := en.runStreams(cfg.Streams, func(s int, wg rt.WaitGroup) {
+		st := gen.Stream(s)
+		for q := 0; q < cfg.QueriesPerStream; q++ {
+			d := st.Next()
+			r.Sleep(d.Gap)
+			// Every query gets a lifecycle handle, as every server
+			// request does. On the simulator one nobody cancels runs
+			// exactly as no handle would.
+			qc := en.NewQueryCtx(cfg.Deadline)
+			if d.Cancel {
 				wg.Add(1)
-				r.Go("query", func() {
+				r.Go("canceller", func() {
 					defer wg.Done()
-					en.Run(req, d)
+					r.Sleep(d.CancelAfter)
+					qc.Cancel(rt.CauseClientCancel)
 				})
 			}
-		})
-	}
-	var res *ServeResult
-	r.Go("driver", func() {
-		wg.Wait()
+			req := en.Request(s, q, st.Tenant, d, qc)
+			if cfg.ClosedLoop {
+				// Closed loop: the stream itself runs the query and only
+				// then loops to draw the next think time.
+				en.Run(req, d)
+				continue
+			}
+			wg.Add(1)
+			r.Go("query", func() {
+				defer wg.Done()
+				en.Run(req, d)
+			})
+		}
+	}, func() {
 		en.Close()
-		stopSampler.Fire()
 		res = en.Stats()
 	})
-	r.Run()
-	res.Result = *en.e.finish(nil)
+	res.Result = *result
 	return res
 }
 
@@ -252,26 +237,4 @@ func ServeRowOf(res *ServeResult, cfg ServeConfig) wire.ServeStats {
 		row.TenantSLOPct = append(row.TenantSLOPct, ts.SLOAttainment*100)
 	}
 	return row
-}
-
-// CompareResult pairs an open-loop and a closed-loop run of the same
-// query mix on the same engine configuration.
-type CompareResult struct {
-	Open   *ServeResult
-	Closed *ServeResult
-}
-
-// RunCompare executes the same serving mix twice — open loop (Poisson
-// arrivals regardless of completions) and closed loop (each stream waits
-// for its query before issuing the next) — and returns both reports. The
-// two runs draw identical think-time and query-shape sequences; only the
-// arrival discipline differs, so the latency gap between the reports is
-// exactly the queueing delay that closed-loop measurement omits
-// (coordinated omission).
-func RunCompare(db *tpch.DB, cfg ServeConfig) *CompareResult {
-	open := cfg
-	open.ClosedLoop = false
-	closed := cfg
-	closed.ClosedLoop = true
-	return &CompareResult{Open: RunServe(db, open), Closed: RunServe(db, closed)}
 }

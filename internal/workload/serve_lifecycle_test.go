@@ -114,7 +114,7 @@ func TestLiveHandleMatchesNilOnSim(t *testing.T) {
 				cfg.BufferFrac = 0.1
 				cfg.ReadAheadTuples = 32768
 				en := NewServeEngine(smallDB, cfg)
-				r, n := en.Runtime(), en.NumTuples()
+				r, n := en.RT, en.NumTuples()
 				wg := r.NewWaitGroup()
 				ends := make([]sim.Time, queries)
 				for i := range ends {
@@ -141,7 +141,7 @@ func TestLiveHandleMatchesNilOnSim(t *testing.T) {
 					en.Close()
 				})
 				r.Run()
-				return *en.e.finish(ends)
+				return *en.finish(ends)
 			}
 			none, live := run(false), run(true)
 			if !reflect.DeepEqual(none, live) {

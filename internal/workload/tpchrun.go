@@ -4,7 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/exec"
-	"repro/internal/pdt"
+	"repro/internal/rt"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
@@ -53,12 +53,11 @@ func (n *nullScan) Schema() []storage.ColumnType { return n.types }
 // QueriesPerStream is positive it truncates the permutation (for quick
 // runs).
 func RunTPCH(db *tpch.DB, cfg Config) *Result {
-	accessed := TPCHAccessedBytes(db)
-	e := newEnv(cfg, accessed)
-	build := e.builderCtx(db, e.Ctx, pdt.View{}, nil)
+	en := newServeEngine(db, ServeConfig{Config: cfg}, TPCHAccessedBytes(db))
+	build := en.builderCtx(en.Ctx, en.htap.store.View(), nil)
 	plans := tpch.Queries()
 
-	return e.runStreams(cfg.Streams, func(s int) {
+	return en.runStreams(cfg.Streams, func(s int, _ rt.WaitGroup) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*104729))
 		perm := rng.Perm(len(plans))
 		limit := len(perm)
@@ -68,5 +67,5 @@ func RunTPCH(db *tpch.DB, cfg Config) *Result {
 		for _, qi := range perm[:limit] {
 			exec.Drain(plans[qi](db, build))
 		}
-	})
+	}, en.Close)
 }

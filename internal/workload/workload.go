@@ -7,9 +7,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/abm"
@@ -18,11 +16,8 @@ import (
 	"repro/internal/iosim"
 	"repro/internal/opt"
 	"repro/internal/pbm"
-	"repro/internal/pdt"
 	"repro/internal/rt"
 	"repro/internal/sim"
-	"repro/internal/storage"
-	"repro/internal/tpch"
 )
 
 // Policy selects the buffer-management strategy under test.
@@ -237,6 +232,14 @@ func (r *Result) OPTIOBytes() int64 {
 	return opt.Simulate(r.Trace, r.BufferBytes).BytesLoaded
 }
 
+// simScanSpeed is the scan speed, in tuples per second, the engine
+// assumes for the scaled-down data before it has observed one: PBM's
+// default speed estimate, the admission cost model of the policies that
+// run no PBM, and the checkpoint merge's rewrite rate. One value, so
+// fifo/sesf/wfq comparisons across buffer policies see commensurate cost
+// estimates.
+const simScanSpeed = 1e8
+
 // Engine is one wired engine instance: a device array, a buffer manager
 // (a pool under a replacement policy, or the ABM under Cooperative
 // Scans) and the execution context plans run against, all on one
@@ -313,7 +316,7 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 			// estimates into bucket zero.
 			pc.TimeSlice = 500 * time.Microsecond
 			pc.NumGroups = 12
-			pc.DefaultSpeed = 1e8
+			pc.DefaultSpeed = simScanSpeed
 			pc.LRUMode = cfg.Policy == PBMLRU
 			e.PBM = pbm.New(r, pc)
 			policy = e.PBM
@@ -323,190 +326,6 @@ func NewEngine(cfg Config, bufferBytes int64) Engine {
 		e.Ctx.Pool = e.Pool
 	}
 	return e
-}
-
-// env is one engine instance sized and instrumented for an experiment
-// run, on the simulated or the real-threaded runtime.
-type env struct {
-	Engine
-	cfg    Config
-	result *Result
-	skipEnv
-}
-
-func newEnv(cfg Config, accessedBytes int64) *env {
-	e := &env{cfg: cfg, result: &Result{Policy: cfg.Policy.String()}}
-	capBytes := int64(cfg.BufferFrac * float64(accessedBytes))
-	if capBytes < 256<<10 {
-		capBytes = 256 << 10
-	}
-	e.result.BufferBytes = capBytes
-	e.result.AccessedBytes = accessedBytes
-	e.Engine = NewEngine(cfg, capBytes)
-	if cfg.TraceForOPT && e.Pool != nil {
-		// The pool calls OnAccess under its mutex: one append at a time, in
-		// the order the pool served the references.
-		e.Pool.OnAccess = func(p *storage.Page) {
-			e.result.Trace = append(e.result.Trace, opt.Ref{Page: p.ID, Bytes: p.Bytes})
-		}
-	}
-	return e
-}
-
-// fallbackScanSpeed prices scans for admission when no PBM instance is
-// live to observe real speeds. It matches the serving PBM configuration's
-// DefaultSpeed (newEnv sets 1e8 tuples/s for the scaled-down data), so
-// fifo/sesf/wfq comparisons across buffer policies see commensurate cost
-// estimates.
-const fallbackScanSpeed = 1e8
-
-// costModel returns the admission cost hook for the run: PBM's
-// live estimate when predictive buffer management is active, a constant
-// tuples-per-second model otherwise. Either way, a query's expected work
-// scales with its scan length, which is what cost-aware admission orders
-// by.
-func (e *env) costModel() exec.ScanCostModel {
-	if e.PBM != nil {
-		return e.PBM
-	}
-	return exec.FixedSpeedCost(fallbackScanSpeed)
-}
-
-// builderCtx returns the ScanBuilder matching the policy — Scan through
-// the pool, or CScan through the ABM — over an explicit execution
-// context: the serving path passes a per-query WithQuery copy so every
-// operator of the plan shares that query's lifecycle. A non-zero view
-// binds the lineitem scan to that pinned (snapshot, PDT-version) pair:
-// it reads the view's stable snapshot merged with its flattened deltas,
-// so a checkpoint committing mid-scan never tears it. Other tables, and
-// lineitem under the zero View, read the catalog's current snapshot.
-//
-// A non-nil pred restricts the lineitem scans: the scan prunes its ranges
-// by it at Open, and a Select applies the exact filter on top, since
-// block-granular pruning is conservative. Every plan that carries one
-// (Q1, Q6, "scan") reads the predicate's column, l_shipdate.
-func (e *env) builderCtx(db *tpch.DB, ctx *exec.Ctx, view pdt.View, pred *exec.ScanPredicate) tpch.ScanBuilder {
-	return func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
-		if inOrder {
-			panic("workload: in-order scan delivery was removed; a plan must accept tuples in any order")
-		}
-		v := view
-		if table != "lineitem" || v.Stable == nil {
-			v = pdt.View{Stable: db.Snapshot(table)}
-		}
-		p := pred
-		if table != "lineitem" {
-			p = nil
-		}
-		idx := make([]int, len(cols))
-		for i, c := range cols {
-			idx[i] = db.Col(table, c)
-		}
-		if ranges == nil {
-			ranges = []exec.RIDRange{{Lo: 0, Hi: v.NumTuples()}}
-		}
-		var op exec.Op
-		if e.ABM != nil {
-			op = &exec.CScan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, PDT: v.Deltas, Pred: p}
-		} else {
-			op = &exec.Scan{Ctx: ctx, Snap: v.Stable, Cols: idx, Ranges: ranges, PDT: v.Deltas, Pred: p}
-		}
-		if p == nil {
-			return op
-		}
-		pos := slices.Index(idx, p.Col)
-		return &exec.Select{Child: op, Pred: exec.Between(exec.Col{Idx: pos, T: storage.Int64}, p.Lo, p.Hi)}
-	}
-}
-
-// parallelCtx wraps a per-partition plan factory in an XChg per §2.2.
-func (e *env) parallelCtx(ctx *exec.Ctx, parts []func() exec.Op) exec.Op {
-	if len(parts) == 1 {
-		return parts[0]()
-	}
-	return &exec.XChg{Ctx: ctx, Parts: parts}
-}
-
-// snapshot fills the engine's live counters into r. It is safe to call
-// concurrently with executing queries, which is what lets the long-lived
-// serving engine and a finished bounded run share it.
-func (e *env) snapshot(r *Result) {
-	if e.Pool != nil {
-		r.PoolStats = e.Pool.Stats()
-		r.TotalIOBytes = r.PoolStats.BytesLoaded
-	}
-	if e.ABM != nil {
-		r.ABMStats = e.ABM.Stats()
-		r.TotalIOBytes = r.ABMStats.BytesLoaded
-	}
-	if e.Ctx.Skip != nil {
-		r.RequestedTuples, r.SkippedTuples = e.Ctx.Skip.Counts()
-	}
-	r.DiskStats = e.Disk.Stats()
-}
-
-// finish collects run metrics once the runtime has drained. streamEnds
-// holds each stream's completion time.
-func (e *env) finish(streamEnds []sim.Time) *Result {
-	var sum, max sim.Time
-	for _, t := range streamEnds {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	if n := len(streamEnds); n > 0 {
-		e.result.AvgStreamSec = (sum / sim.Time(len(streamEnds))).Seconds()
-	}
-	e.result.MaxStreamSec = max.Seconds()
-	e.snapshot(e.result)
-	if e.Ctx.Heat != nil {
-		e.result.heat = e.Ctx.Heat.Chunks()
-	}
-	return e.result
-}
-
-// sharingSampler starts the Figure 17/18 sampler process; stop it by
-// firing the returned event after the streams complete.
-func (e *env) sharingSampler() rt.Event {
-	stop := e.RT.NewEvent()
-	if e.cfg.SharingSampler <= 0 || e.PBM == nil {
-		return stop
-	}
-	var done atomic.Bool
-	sample := func() {
-		counts := e.PBM.SharingVolumes()
-		var s SharingSample
-		s.T = e.RT.Now()
-		s.Bytes[0] = counts[1]
-		s.Bytes[1] = counts[2]
-		s.Bytes[2] = counts[3]
-		s.Bytes[3] = counts[4]
-		e.result.Sharing = append(e.result.Sharing, s)
-	}
-	e.RT.Go("sharing-sampler", func() {
-		e.RT.Go("sharing-stop", func() {
-			stop.Wait()
-			done.Store(true)
-		})
-		// An early sample catches short runs that finish within the
-		// first full interval.
-		e.RT.Sleep(e.cfg.SharingSampler / 10)
-		if !done.Load() {
-			sample()
-		}
-		for !done.Load() {
-			e.RT.Sleep(e.cfg.SharingSampler)
-			if done.Load() {
-				break
-			}
-			sample()
-		}
-		if len(e.result.Sharing) == 0 {
-			sample()
-		}
-	})
-	return stop
 }
 
 // RandRange picks a random scan range of pct% of n tuples, starting at a

@@ -138,15 +138,15 @@ func TestRecordedTraceCapturesAccessOrder(t *testing.T) {
 	cfg.Policy = LRU
 	cfg.TraceForOPT = true
 	pages := tinyDB.Snapshot("lineitem").Pages(0)[:4]
-	e := newEnv(cfg, MicroAccessedBytes(tinyDB))
+	en := newServeEngine(tinyDB, ServeConfig{Config: cfg}, MicroAccessedBytes(tinyDB))
 	order := []int{2, 0, 2, 3, 1}
-	e.RT.Go("q", func() {
+	en.RT.Go("q", func() {
 		for _, i := range order {
-			e.Pool.Unpin(e.Pool.Get(pages[i]))
+			en.Pool.Unpin(en.Pool.Get(pages[i]))
 		}
 	})
-	e.RT.Run()
-	trace := e.result.Trace
+	en.RT.Run()
+	trace := en.result.Trace
 	if len(trace) != len(order) {
 		t.Fatalf("recorded %d refs, want %d", len(trace), len(order))
 	}

@@ -235,17 +235,7 @@ func (s *System) Run(main func()) {
 // a CScan when the system runs Cooperative Scans, a traditional Scan
 // otherwise. ranges nil means the full table; deltas may be nil.
 func (s *System) NewScan(snap *Snapshot, cols []int, ranges []RIDRange, deltas *PDT) Operator {
-	if ranges == nil {
-		n := snap.NumTuples()
-		if deltas != nil {
-			n = deltas.NumTuples()
-		}
-		ranges = []RIDRange{{Lo: 0, Hi: n}}
-	}
-	if s.ABM != nil {
-		return &exec.CScan{Ctx: s.Ctx, Snap: snap, Cols: cols, Ranges: ranges, PDT: deltas}
-	}
-	return &exec.Scan{Ctx: s.Ctx, Snap: snap, Cols: cols, Ranges: ranges, PDT: deltas}
+	return s.Ctx.NewScan(snap, cols, ranges, deltas, nil)
 }
 
 // BuildZoneMap summarizes an int64 column of a snapshot at the system's

@@ -126,9 +126,12 @@ type CompareReport struct {
 // -compare): one configuration — the first element of each axis of o —
 // run twice over the identical query mix, once with open-loop Poisson
 // arrivals and once closed-loop (each stream waits for completion before
-// its next query). An unset rate defaults to 20 queries per second per
-// stream, which overloads the default scale, where the disciplines
-// diverge most visibly.
+// its next query). The two runs draw identical think-time and
+// query-shape sequences; only the arrival discipline differs, so the
+// latency gap between them is exactly the queueing delay closed-loop
+// measurement omits (coordinated omission). An unset rate defaults to 20
+// queries per second per stream, which overloads the default scale,
+// where the disciplines diverge most visibly.
 func Compare(o ServeOptions) CompareReport {
 	o.Options = o.Options.fill()
 	if len(o.Rates) == 0 {
@@ -136,8 +139,9 @@ func Compare(o ServeOptions) CompareReport {
 	}
 	c := o.cells(false)[0]
 	db := GenerateTPCHOpt(o.SF, o.Seed, TPCHGenOptions{ClusteredShipdate: o.Clustered})
-	res := workload.RunCompare(db, c)
-	rep := CompareReport{Open: ServeRowOf(res.Open, c), Closed: ServeRowOf(res.Closed, c)}
+	closed := c
+	closed.ClosedLoop = true
+	rep := CompareReport{Open: ServeRowOf(RunServe(db, c), c), Closed: ServeRowOf(RunServe(db, closed), closed)}
 	rep.GapP50ms = rep.Open.P50ms - rep.Closed.P50ms
 	rep.GapP95ms = rep.Open.P95ms - rep.Closed.P95ms
 	rep.GapP99ms = rep.Open.P99ms - rep.Closed.P99ms
