@@ -39,8 +39,8 @@ func narrow(pred Expr, b *Batch, sel []int32, scratch *Vec) []int32 {
 	pred.Eval(b, scratch)
 	n := 0
 	for _, i := range sel {
+		sel[n] = i
 		if scratch.I64[i] != 0 {
-			sel[n] = i
 			n++
 		}
 	}
@@ -368,28 +368,30 @@ func cmpNarrow[T int64 | float64 | string](c *Cmp, b *Batch, sel []int32, vals f
 }
 
 // selConst keeps the positions i of sel at which "v[i] test k" differs
-// from neg.
+// from neg. Every position is written and the count only advances on a
+// hit, which the compiler turns into a conditional move: a filter of any
+// selectivity runs without a mispredicted branch per tuple.
 func selConst[T int64 | float64 | string](test byte, neg bool, v []T, k T, sel []int32) []int32 {
 	n := 0
 	switch test {
 	case '<':
 		for _, i := range sel {
+			sel[n] = i
 			if (v[i] < k) != neg {
-				sel[n] = i
 				n++
 			}
 		}
 	case '>':
 		for _, i := range sel {
+			sel[n] = i
 			if (v[i] > k) != neg {
-				sel[n] = i
 				n++
 			}
 		}
 	default:
 		for _, i := range sel {
+			sel[n] = i
 			if (v[i] < k || v[i] > k) != neg {
-				sel[n] = i
 				n++
 			}
 		}
@@ -403,22 +405,22 @@ func selVec[T int64 | float64 | string](test byte, neg bool, l, r []T, sel []int
 	switch test {
 	case '<':
 		for _, i := range sel {
+			sel[n] = i
 			if (l[i] < r[i]) != neg {
-				sel[n] = i
 				n++
 			}
 		}
 	case '>':
 		for _, i := range sel {
+			sel[n] = i
 			if (l[i] > r[i]) != neg {
-				sel[n] = i
 				n++
 			}
 		}
 	default:
 		for _, i := range sel {
+			sel[n] = i
 			if (l[i] < r[i] || l[i] > r[i]) != neg {
-				sel[n] = i
 				n++
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/storage"
 )
@@ -445,6 +446,74 @@ func TestDifferentialSelectedAggr(t *testing.T) {
 	}
 }
 
+// TestDifferentialFusedAggr: HashAggr's float sums — every Sum and Avg
+// of a Float64 column in one row per group, a Sum and an Avg of the same
+// column in one slot, added four slots to a pass with the count in the
+// last — equal the reference's to the bit, at every width from no float
+// sum to seven, beside the aggregates that keep loops of their own (Min,
+// Max, an Int64 Sum and Avg). The input runs dense and through a filter's
+// selection, on the global, direct-table and map paths. Column 3 holds
+// values whose sums round, so a sum built out of input order differs;
+// column 2 carries NaN, ±Inf and -0.
+func TestDifferentialFusedAggr(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	// The projection: group candidates first, then seven float columns.
+	exprs := func() []Expr {
+		return []Expr{col(4), col(5), col(0), col(1),
+			col(3), col(2), NewArith("*", col(3), ConstF(1.1)), NewArith("+", col(2), col(3)),
+			NewArith("-", col(3), col(2)), NewArith("*", col(3), col(3)), NewArith("/", col(3), ConstF(3))}
+	}
+	const floats = 4
+	short := []string{"", "A", "F", "N", "O", "R"}
+	for round := 0; round < 2; round++ {
+		batches := randBatches(rng, []int{4, 40}[round])
+		for _, b := range batches {
+			for i := range b.Vecs[3].F64 {
+				b.Vecs[3].F64[i] = rng.NormFloat64() * 1e3
+			}
+			for _, c := range []int{4, 5} {
+				for i := range b.Vecs[c].Str {
+					b.Vecs[c].Str[i] = short[rng.Intn(len(short))]
+				}
+			}
+		}
+		for w := 0; w <= 7; w++ {
+			aggs := []AggSpec{{Kind: AggCount}, {Kind: AggMin, Col: floats}, {Kind: AggMax, Col: floats + 1},
+				{Kind: AggSum, Col: 2}, {Kind: AggAvg, Col: 3}}
+			for k := 0; k < w; k++ {
+				aggs = append(aggs, AggSpec{Kind: AggSum, Col: floats + k}, AggSpec{Kind: AggAvg, Col: floats + k})
+			}
+			pred := NewCmp("<", col(3), ConstF(rng.NormFloat64()*1e3))
+			for _, groups := range [][]int{nil, {0, 1}, {0, 2}} {
+				inputs := []struct {
+					name      string
+					got, want Op
+				}{
+					{"dense", &Project{Child: &manyBatches{batches: batches}, Exprs: exprs()},
+						&Project{Child: &manyBatches{batches: batches}, Exprs: exprs()}},
+					{"selected", &Project{Child: &Select{Child: &manyBatches{batches: batches}, Pred: pred}, Exprs: exprs()},
+						&Project{Child: &refSelect{Child: &manyBatches{batches: batches}, Pred: pred}, Exprs: exprs()}},
+				}
+				for _, in := range inputs {
+					aggr := &HashAggr{Child: in.got, Groups: groups, Aggs: aggs}
+					got := Collect(aggr)
+					want := Collect(&refHashAggr{Child: in.want, Groups: groups, Aggs: aggs})
+					if !sameBatch(got, want) {
+						t.Fatalf("round %d, %d float sums, %s, groups %v: %d groups, reference %d; rows, order or aggregates differ",
+							round, w, in.name, groups, got.N, want.N)
+					}
+					if len(aggr.summed) != w {
+						t.Fatalf("%d float columns summed in %d slots", w, len(aggr.summed))
+					}
+					if used, want := aggr.direct != nil, slices.Equal(groups, []int{0, 1}); used != want {
+						t.Fatalf("groups %v: direct table used %v, want %v", groups, used, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // q1Shaped sets columns 4 and 5 of b to Q1's group values, l_returnflag
 // and l_linestatus (3 × 2 one-byte strings), each repeated rep times.
 func q1Shaped(b *Batch, rep int) *Batch {
@@ -539,6 +608,72 @@ func TestAllocsSteadyStateVector(t *testing.T) {
 	})
 }
 
+// TestAllocsScanBuffersOnFirstCopy: a scan makes a column's own buffer
+// the first time the column copies, and keeps it. Over resident pages
+// from SID 0, where every vector of every column is a page's memory, a
+// Scan makes none across Open, the drain and Close. From SID 512 the id
+// and val vectors straddle their 2048-tuple pages every other batch and
+// tag's its 16384-tuple pages a few times: each column's buffer is made
+// once, not once per batch.
+func TestAllocsScanBuffersOnFirstCopy(t *testing.T) {
+	// data is v's backing array; a column's own buffer has none until made.
+	data := func(v *Vec) unsafe.Pointer {
+		switch v.T {
+		case storage.Int64:
+			return unsafe.Pointer(unsafe.SliceData(v.I64))
+		case storage.Float64:
+			return unsafe.Pointer(unsafe.SliceData(v.F64))
+		default:
+			return unsafe.Pointer(unsafe.SliceData(v.Str))
+		}
+	}
+	cols := []int{0, 1, 2}
+	e := newEnv(t, 60000, false)
+	e.run(func() {
+		Drain(&Scan{Ctx: e.ctx, Snap: e.snap, Cols: cols, Ranges: []RIDRange{{0, 60000}}})
+
+		s := &Scan{Ctx: e.ctx, Snap: e.snap, Cols: cols, Ranges: []RIDRange{{0, 60000}}}
+		made := func() bool {
+			return slices.ContainsFunc(s.merge.own, func(o colBuf) bool { return data(&o.buf) != nil })
+		}
+		s.Open()
+		if made() {
+			t.Error("aliasing Scan: a column buffer made at Open")
+		}
+		for b := s.Next(); b != nil; b = s.Next() {
+			if made() {
+				t.Fatal("aliasing Scan: a column buffer made by a vector that lies inside one page")
+			}
+		}
+		s.Close()
+		if made() {
+			t.Error("aliasing Scan: a column buffer made at Close")
+		}
+
+		s = &Scan{Ctx: e.ctx, Snap: e.snap, Cols: cols, Ranges: []RIDRange{{512, 60000}}}
+		seen := make([]map[unsafe.Pointer]bool, len(cols))
+		for i := range seen {
+			seen[i] = map[unsafe.Pointer]bool{}
+		}
+		s.Open()
+		batches := 0
+		for b := s.Next(); b != nil; b = s.Next() {
+			batches++
+			for i, v := range b.Vecs {
+				if !s.merge.own[i].alias {
+					seen[i][data(v)] = true
+				}
+			}
+		}
+		s.Close()
+		for i := range cols {
+			if len(seen[i]) != 1 {
+				t.Errorf("straddling Scan: column %d copied into %d buffers over %d batches, want 1", i, len(seen[i]), batches)
+			}
+		}
+	})
+}
+
 // TestAllocsCopyBatch: the copy an exchange queues is sized to the batch
 // — a partial aggregate of four rows costs four rows — at one allocation
 // per column plus the batch's own three.
@@ -546,7 +681,9 @@ func TestAllocsCopyBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{4, 700, VectorSize} {
 		b := randBatch(rng, n, 40)
-		b.reserve(VectorSize)
+		for _, v := range b.Vecs {
+			v.reserve(VectorSize)
+		}
 		cp := copyBatch(kernelTypes, b)
 		if !sameBatch(cp, b) {
 			t.Fatalf("n=%d: copy differs", n)

@@ -173,9 +173,12 @@ type AggSpec struct {
 }
 
 // aggAcc accumulates one aggregate for every group, indexed by group id.
+// The Sum or Avg of a Float64 column only names its slot in HashAggr's
+// float sums; any other aggregate but a count keeps its own values.
 type aggAcc struct {
 	spec AggSpec
-	f    []float64 // a float sum, min or max; the sum of any average
+	slot int       // the slot of a float Sum or Avg, -1 for the others
+	f    []float64 // a float min or max; the sum of an int average
 	i    []int64   // an int sum, min or max
 }
 
@@ -229,8 +232,11 @@ func accumulate[T int64 | float64](kind AggKind, acc, col []T, sel, gids, fresh 
 
 // HashAggr is a blocking hash aggregation with optional group-by columns.
 // Per batch, one pass turns the group columns into dense group ids (in
-// order of first sight), then each aggregate runs one loop over them.
-// Every loop reads its tuples through a selection vector, so a child that
+// order of first sight). Then fold adds each tuple to its group's count
+// and float sums: the Sums and Avgs of Float64 columns share one row per
+// group, one slot per column however many of them read it, and a pass
+// adds up to four slots. Every other aggregate runs one loop of its own.
+// Each loop reads its tuples through a selection vector, so a child that
 // hands one on (Select, Project) is never gathered.
 type HashAggr struct {
 	Child  Op
@@ -241,6 +247,8 @@ type HashAggr struct {
 	rendered []string         // by group id: the decimal key that fixes the output order
 	keys     []*Vec           // per group column, its value by group id
 	counts   []int64          // by group id
+	summed   []int            // by slot: the Float64 column it sums
+	sums     []float64        // by group id, a row of len(summed) sums
 	accs     []aggAcc
 	order    []int32 // group ids not yet emitted, in output order
 	emitted  bool
@@ -248,19 +256,22 @@ type HashAggr struct {
 	closed   bool
 
 	// direct caches ids for group keys of one-byte strings: a trie of
-	// directNode-entry nodes end to end, the root first, one level per
-	// group column. An entry is 0 when unseen, else the next level's node
-	// or, at the last level, the group id + 1.
+	// directNode-entry nodes end to end, one level per group column. Node
+	// 0 is a dead node that is never written, node 1 the root. An entry is
+	// 0 when unseen, else the next level's node or, at the last level, the
+	// group id + 1; a walk that misses goes on through the dead node and
+	// stays at 0.
 	direct []int32
 
 	// Per-batch scratch, kept across batches so a batch that meets no
 	// new group allocates nothing.
-	kb    []byte     // the batch's binary keys, end to end
-	ends  []int32    // by tuple: where its key ends in kb
-	strs  [][]string // per group column, its values (direct path)
-	gids  []int32    // by selected tuple: its group
-	fresh []int32    // positions of the tuples that opened a group
-	all   []int32    // the selection of a whole batch
+	kb    []byte      // the batch's binary keys, end to end
+	ends  []int32     // by tuple: where its key ends in kb
+	strs  [][]string  // per group column, its values (direct path)
+	cols  [][]float64 // by slot, the batch's values of its column
+	gids  []int32     // by selected tuple: its group
+	fresh []int32     // positions of the tuples that opened a group
+	all   []int32     // the selection of a whole batch
 }
 
 // directNode is the entries of one direct-table node: "" and the 256
@@ -298,10 +309,20 @@ func (a *HashAggr) Open() {
 	for _, v := range a.out.Vecs[:len(a.Groups)] {
 		a.keys = append(a.keys, &Vec{T: v.T})
 	}
+	child := a.Child.Schema()
+	a.summed = make([]int, 0, len(a.Aggs))
 	a.accs = make([]aggAcc, len(a.Aggs))
 	for i, spec := range a.Aggs {
-		a.accs[i].spec = spec
+		acc := &a.accs[i]
+		acc.spec, acc.slot = spec, -1
+		if (spec.Kind == AggSum || spec.Kind == AggAvg) && child[spec.Col] == storage.Float64 {
+			if acc.slot = slices.Index(a.summed, spec.Col); acc.slot < 0 {
+				acc.slot = len(a.summed)
+				a.summed = append(a.summed, spec.Col)
+			}
+		}
 	}
+	a.cols = make([][]float64, len(a.summed))
 }
 
 // Next implements Operator: consumes the whole child on first call, then
@@ -323,10 +344,20 @@ func (a *HashAggr) Next() *Batch {
 	}
 	for si := range a.accs {
 		acc, v := &a.accs[si], a.out.Vecs[len(a.keys)+si]
-		switch {
+		switch w := len(a.summed); {
 		case acc.spec.Kind == AggCount:
 			v.I64 = gather(v.I64, a.counts, idx)
+		case acc.slot >= 0:
+			v.F64 = slices.Grow(v.F64, n)
+			for _, g := range idx {
+				x := a.sums[int(g)*w+acc.slot]
+				if acc.spec.Kind == AggAvg {
+					x /= float64(a.counts[g])
+				}
+				v.F64 = append(v.F64, x)
+			}
 		case acc.spec.Kind == AggAvg:
+			v.F64 = slices.Grow(v.F64, n)
 			for _, g := range idx {
 				v.F64 = append(v.F64, acc.f[g]/float64(a.counts[g]))
 			}
@@ -365,13 +396,68 @@ func (a *HashAggr) add(in *Batch, sel []int32) {
 	for c, g := range a.Groups {
 		a.keys[c].gather(in.Vecs[g], a.fresh)
 	}
-	a.counts = append(a.counts, make([]int64, len(a.fresh))...)
-	for _, g := range a.gids {
-		a.counts[g]++
-	}
+	a.fold(in, sel)
 	for si := range a.accs {
-		if acc := &a.accs[si]; acc.spec.Kind != AggCount {
+		if acc := &a.accs[si]; acc.spec.Kind != AggCount && acc.slot < 0 {
 			acc.update(in.Vecs[acc.spec.Col], sel, a.gids, a.fresh)
+		}
+	}
+}
+
+// fold adds the tuples of in at the positions sel to their groups: each
+// counts, and adds its values to the float sums of its group's row. A
+// pass adds four slots, and the last pass, of up to three, also counts:
+// Q6's one sum and Q1's five take one pass and two. Unrolled passes keep
+// every column in a register; one loop over all slots per tuple ran no
+// faster than a loop per slot. Every sum is built in input order, which
+// keeps it bit-identical to a tuple-at-a-time engine's.
+func (a *HashAggr) fold(in *Batch, sel []int32) {
+	w := len(a.summed)
+	a.counts = append(a.counts, make([]int64, len(a.fresh))...)
+	a.sums = append(a.sums, make([]float64, w*len(a.fresh))...)
+	cols := a.cols
+	for k, c := range a.summed {
+		cols[k] = in.Vecs[c].F64
+	}
+	counts, sums, gids, sel := a.counts, a.sums, a.gids, sel[:len(a.gids)]
+	k := 0
+	for ; k+4 <= w; k += 4 {
+		c0, c1, c2, c3 := cols[k], cols[k+1], cols[k+2], cols[k+3]
+		for j, g := range gids {
+			i, row := sel[j], sums[int(g)*w+k:][:4]
+			row[0] += c0[i]
+			row[1] += c1[i]
+			row[2] += c2[i]
+			row[3] += c3[i]
+		}
+	}
+	switch cols := cols[k:]; len(cols) {
+	case 0:
+		for _, g := range gids {
+			counts[g]++
+		}
+	case 1:
+		c0 := cols[0]
+		for j, g := range gids {
+			counts[g]++
+			sums[int(g)*w+k] += c0[sel[j]]
+		}
+	case 2:
+		c0, c1 := cols[0], cols[1]
+		for j, g := range gids {
+			counts[g]++
+			i, row := sel[j], sums[int(g)*w+k:][:2]
+			row[0] += c0[i]
+			row[1] += c1[i]
+		}
+	case 3:
+		c0, c1, c2 := cols[0], cols[1], cols[2]
+		for j, g := range gids {
+			counts[g]++
+			i, row := sel[j], sums[int(g)*w+k:][:3]
+			row[0] += c0[i]
+			row[1] += c1[i]
+			row[2] += c2[i]
 		}
 	}
 }
@@ -472,10 +558,13 @@ func (a *HashAggr) groupOf(in *Batch, i int, key []byte) int32 {
 
 // groupIDsDirect sets gids through the direct table, without hashing,
 // when every group column of in is a String and every selected value in
-// it is at most one byte, and reports whether it did. The table is only a
-// cache in front of the map: a key it has not seen yet goes through
-// groupOf, so ids keep their first-sight order and a group is the same
-// one whichever path each batch takes.
+// it is at most one byte, and reports whether it did. One pass checks the
+// lengths and walks the table; a tuple whose key the table lacks is only
+// marked, so nothing is opened before the batch is accepted. The table is
+// only a cache in front of the map: a marked tuple is walked again, in
+// order, since an earlier one of the batch may have opened its group, and
+// a key still unseen goes through groupOf. So ids keep their first-sight
+// order and a group is the same one whichever path each batch takes.
 func (a *HashAggr) groupIDsDirect(in *Batch, sel []int32) bool {
 	a.strs = a.strs[:0]
 	for _, g := range a.Groups {
@@ -483,31 +572,51 @@ func (a *HashAggr) groupIDsDirect(in *Batch, sel []int32) bool {
 		if v.T != storage.String {
 			return false
 		}
-		for _, i := range sel {
-			if len(v.Str[i]) > 1 {
-				return false
-			}
-		}
 		a.strs = append(a.strs, v.Str[:in.N])
 	}
 	if a.direct == nil {
-		a.direct = make([]int32, directNode)
+		a.direct = make([]int32, 2*directNode)
 	}
-	t, gids := a.direct, a.gids[:len(sel)]
+	t, strs, gids, missed := a.direct, a.strs, a.gids[:len(sel)], false
 	for j, i := range sel {
-		e := int32(0)
-		for _, col := range a.strs {
-			if e = t[int(e)*directNode+directCode(col[i])]; e == 0 {
-				break
-			}
+		e, ok := directWalk(t, strs, i)
+		if !ok {
+			return false
 		}
 		if e == 0 {
-			e = a.directMiss(in, int(i)) + 1
-			t = a.direct
+			missed = true
+		}
+		gids[j] = e - 1
+	}
+	if !missed {
+		return true
+	}
+	for j, g := range gids {
+		if g >= 0 {
+			continue
+		}
+		e, _ := directWalk(a.direct, strs, sel[j])
+		if e == 0 {
+			e = a.directMiss(in, int(sel[j])) + 1
 		}
 		gids[j] = e - 1
 	}
 	return true
+}
+
+// directWalk follows tuple i's group values down the direct table t from
+// its root and returns the entry it ends at: the group id + 1, or 0 when
+// t has not seen the key. ok is false when a value is longer than a byte.
+func directWalk(t []int32, strs [][]string, i int32) (e int32, ok bool) {
+	e = 1
+	for _, col := range strs {
+		s := col[i]
+		if len(s) > 1 {
+			return 0, false
+		}
+		e = t[int(e)*directNode+directCode(s)]
+	}
+	return e, true
 }
 
 // directMiss resolves tuple i, whose key the direct table lacks, through
@@ -521,7 +630,7 @@ func (a *HashAggr) directMiss(in *Batch, i int) int32 {
 	a.kb = kb
 	id := a.groupOf(in, i, kb)
 	last := len(a.strs) - 1
-	slot := 0
+	slot := directNode // the root
 	for _, col := range a.strs[:last] {
 		slot += directCode(col[i])
 		if a.direct[slot] == 0 {

@@ -79,8 +79,10 @@ func clipToSIDs(ranges []RIDRange, deltas *pdt.PDT, sidLo, sidHi int64) []RIDRan
 // a run without modifications is not copied: the vector takes the page's
 // memory (page). That is legal because page slices are immutable and never
 // reused — pool frames and ABM chunks only account for residency — so the
-// pins stay exactly where they are. A vector that aliases a page and must
-// grow is first copied into the scan's own buffer (own).
+// pins stay exactly where they are. Any other read copies into the scan's
+// own buffer for the column, which is made on the column's first copy and
+// kept for the life of the scan (owned): a scan whose every vector
+// aliases a page makes none.
 type segCursor struct {
 	cols []int
 	// read appends the values of column cols[i] for SIDs [lo,hi) to out,
@@ -95,13 +97,13 @@ type segCursor struct {
 
 // colBuf is a scan's own buffer for one column.
 type colBuf struct {
-	buf   Vec  // empty, with room for a vector
+	buf   Vec  // empty; with room for a vector once the column has copied
 	alias bool // the column's vector is a page's memory instead
 }
 
-// newSegCursor reserves out's vectors as the scan's own buffers.
+// newSegCursor points out's vectors at the scan's own buffers, which are
+// not made yet.
 func newSegCursor(out *Batch, cols []int, read func(i int, lo, hi int64, out *Vec) error) segCursor {
-	out.reserve(VectorSize)
 	c := segCursor{cols: cols, read: read, own: make([]colBuf, len(out.Vecs))}
 	for i, v := range out.Vecs {
 		c.own[i].buf = *v
@@ -117,10 +119,12 @@ func (c *segCursor) rewind(out *Batch) {
 	}
 }
 
-// unalias copies column i's vector v into its own buffer if it is a
-// page's memory, so that it can grow.
-func (c *segCursor) unalias(i int, v *Vec) {
-	if o := &c.own[i]; o.alias {
+// owned makes column i's vector v the scan's own buffer, so that it can
+// be appended to and written: a page's memory is copied there, and the
+// buffer is made if this is the column's first copy.
+func (c *segCursor) owned(i int, v *Vec) {
+	if o := &c.own[i]; o.alias || v.Len() == 0 {
+		o.buf.reserve(VectorSize)
 		buf := o.buf
 		buf.appendVec(v)
 		*v, o.alias = buf, false
@@ -175,7 +179,7 @@ func (c *segCursor) fill(out *Batch) (stable int64, err error) {
 				rows = rows[:want]
 			}
 			for i, v := range out.Vecs {
-				c.unalias(i, v)
+				c.owned(i, v)
 			}
 			for _, row := range rows {
 				for i, col := range c.cols {
@@ -212,7 +216,7 @@ func (c *segCursor) page(i int, pg *storage.Page, lo, hi int64, out *Vec) {
 		c.own[i].alias = true
 		return
 	}
-	c.unalias(i, out)
+	c.owned(i, out)
 	a, b = max(a, 0), min(b, int64(pg.Tuples))
 	switch out.T {
 	case storage.Int64:

@@ -59,6 +59,18 @@ func (v *Vec) Reset() {
 	v.Str = v.Str[:0]
 }
 
+// reserve gives v room for n more values.
+func (v *Vec) reserve(n int) {
+	switch v.T {
+	case storage.Int64:
+		v.I64 = slices.Grow(v.I64, n)
+	case storage.Float64:
+		v.F64 = slices.Grow(v.F64, n)
+	case storage.String:
+		v.Str = slices.Grow(v.Str, n)
+	}
+}
+
 // appendVec appends every value of src to v.
 func (v *Vec) appendVec(src *Vec) {
 	switch v.T {
@@ -108,8 +120,7 @@ type Batch struct {
 
 // NewBatch allocates a batch with the given column types. Its vectors
 // start empty and grow to what they come to hold (Reset keeps it), so the
-// output of a filter or an aggregate costs what it outputs; a scan, which
-// fills whole vectors, reserves them up front.
+// output of a filter or an aggregate costs what it outputs.
 func NewBatch(types []storage.ColumnType) *Batch {
 	vecs := make([]Vec, len(types))
 	b := &Batch{Vecs: make([]*Vec, len(types))}
@@ -118,20 +129,6 @@ func NewBatch(types []storage.ColumnType) *Batch {
 		b.Vecs[i] = &vecs[i]
 	}
 	return b
-}
-
-// reserve gives every vector room for n values.
-func (b *Batch) reserve(n int) {
-	for _, v := range b.Vecs {
-		switch v.T {
-		case storage.Int64:
-			v.I64 = slices.Grow(v.I64, n)
-		case storage.Float64:
-			v.F64 = slices.Grow(v.F64, n)
-		case storage.String:
-			v.Str = slices.Grow(v.Str, n)
-		}
-	}
 }
 
 // Reset truncates all vectors.
