@@ -101,8 +101,10 @@ var e2eDir = flag.String("e2e", "", "directory holding the /v1/statz snapshots o
 // admission policy, after scanload has finished and before the drain:
 // it parses strictly as wire.Statz, it carries every field of that
 // schema (re-encoding the decoded value must yield the same tree of
-// keys, so a field the server dropped or renamed shows up), and it
-// counts the updates scanload's write stream applied. Run it as
+// keys, so a field the server dropped or renamed shows up), it counts
+// the updates scanload's write stream applied, it exports the shipdate
+// domain, and the zone maps pruned the windows scanload sent over the
+// clustered table. Run it as
 //
 //	go test ./cmd/scanbench -run TestE2EStatz -args -e2e "$PWD/e2e"
 func TestE2EStatz(t *testing.T) {
@@ -153,6 +155,12 @@ func TestE2EStatz(t *testing.T) {
 			}
 			if z.Stats.Writes <= 0 {
 				t.Errorf("the write stream never reached the PDT store: Writes = %d", z.Stats.Writes)
+			}
+			if z.Domain.Col != "l_shipdate" || z.Domain.Lo >= z.Domain.Hi {
+				t.Errorf("Domain = %+v, want l_shipdate bounds with Lo < Hi", z.Domain)
+			}
+			if z.Stats.SkipPct <= 0 {
+				t.Errorf("SkipPct = %v: no shipdate window crossed the socket and pruned", z.Stats.SkipPct)
 			}
 		})
 	}

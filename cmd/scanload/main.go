@@ -1,33 +1,31 @@
 // Command scanload drives a running scanserved over HTTP with the same
 // open-loop workload the in-process serving sweep generates. Both run
-// the one workload.Generator — per-stream Poisson arrivals, the skewed
-// range draw, the q1/q6 coin, the selectivity-mix draw and the
-// client-abandon discipline, from the same per-stream seeds — and differ
-// only in transport: RunServe hands each draw to the engine in process,
-// scanload sends it over the socket. So socket-path numbers line up
-// with `scanbench -serve -real` rows.
+// one workload.Generator stream per client stream through one client
+// loop, workload.Stream.Drive — per-stream Poisson arrivals, the skewed
+// range draw, the q1/q6 coin, the selectivity-mix draw and its shipdate
+// window, the update kind, batch and target, and the client-abandon
+// discipline, from the same per-stream seeds — and differ only in
+// transport: RunServe hands each draw to the engine in process, scanload
+// sends it over the socket. So socket-path numbers line up with
+// `scanbench -serve -real` rows.
 //
-// scanload learns the table size and tenant count from the server's
-// /v1/statz, pins each stream to its generator tenant (connection
-// pooling would otherwise scramble the fairness domains), fires each
-// query in its own goroutine (open loop: a slow query does not hold back
-// its stream's arrivals), and classifies outcomes from the wire
-// protocol: the NDJSON trailer for admitted queries, the ErrorReply
-// outcome for refused ones, transport errors as client cancels.
+// scanload learns the table's row count, shipdate bounds and tenant
+// count from the server's /v1/statz, draws every request in that domain
+// and sends it whole: a read carries its row range and, below
+// selectivity 1, its explicit l_shipdate window; an update carries its
+// kind, batch and Target. It pins each stream to its generator tenant
+// (connection pooling would otherwise scramble the fairness domains),
+// fires each query in its own goroutine (open loop: a slow query does
+// not hold back its stream's arrivals), abandons a query by cancelling
+// its HTTP request when the loop's canceller fires, and classifies
+// outcomes from the wire protocol: the NDJSON trailer for admitted
+// queries, the ErrorReply outcome for refused ones, transport errors as
+// client cancels.
 //
 // With -writefrac, that fraction of each stream's queries become
 // updates POSTed to /v1/update (insert/delete/modify in the sweep's
 // default 1:1:2 mix, batch 1-4), admitted by the server through the
 // same scheduler as reads.
-//
-// One knowing divergence from the in-process sweep: the draws that need
-// the table's value domain — where a predicate window of the drawn
-// selectivity sits, which position and date an update targets — happen
-// server-side, since the domain lives there. scanload's generator has no
-// domain hook and the request carries the selectivity, or the update
-// kind and batch, so runs with -selectivities or -writefrac consume
-// fewer rng draws per query than RunServe does. Default runs match
-// exactly.
 //
 // Server-shaping axes (-mpls, -devices, -policies, ...) belong to
 // scanserved and are rejected here.
@@ -40,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -47,93 +46,90 @@ import (
 	"time"
 
 	scanshare "repro"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/wire"
 )
 
-func main() {
-	addr := flag.String("addr", "http://localhost:8080", "scanserved base URL")
+func main() { os.Exit(run(os.Args, os.Stdout)) }
+
+// run is scanload with command line args (the program name first),
+// printing its report to stdout; it returns the exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet(args[0], flag.ExitOnError)
+	addr := fs.String("addr", "http://localhost:8080", "scanserved base URL")
 	def := scanshare.DefaultServeConfig()
 	base := scanshare.Options{Seed: def.Seed, Streams: def.Streams, QueriesPerStream: def.QueriesPerStream}
 	var axes scanshare.ServeAxes
-	base.RegisterFlags(flag.CommandLine, false, true)
-	axes.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	base.RegisterFlags(fs, false, true)
+	axes.RegisterFlags(fs)
+	fs.Parse(args[1:])
 	if err := axes.Parse(); err != nil {
 		fmt.Fprintf(os.Stderr, "scanload: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	// Server-shaping axes configure scanserved, not the traffic.
-	serverSide := axes.ServerSide()
-	if len(serverSide) > 0 {
+	if serverSide := axes.ServerSide(); len(serverSide) > 0 {
 		fmt.Fprintf(os.Stderr, "scanload: -%s shape the server; pass them to scanserved\n", strings.Join(serverSide, "/-"))
-		os.Exit(2)
+		return 2
 	}
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: base.Streams}}
 	st, err := fetchStatz(client, *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanload: %s: %v\n", *addr, err)
-		os.Exit(1)
+		return 1
 	}
 	// The one axes→config mapping yields the generator's knobs (rate,
-	// SLO, skew, cancel and write fractions, seed). Unlike a sweep, where
-	// each selectivity is a cell, here the whole list is the mix every
-	// query draws from.
+	// SLO, skew, deadline, cancel and write fractions, seed). Unlike a
+	// sweep, where each selectivity is a cell, here the whole list is the
+	// mix every query draws from.
 	cfg := scanshare.NewServeEngineConfig(base, axes)
 	cfg.Selectivities = axes.Selectivities
 	cfg.Tenants = st.Tenants
-	gen := workload.NewGenerator(cfg, st.NumTuples, nil)
-	rate := cfg.ArrivalRate
-	fmt.Printf("scanload: %s serving %d tuples, %d tenants; %d streams x %d queries at %g q/s/stream\n",
-		*addr, st.NumTuples, cfg.Tenants, base.Streams, base.QueriesPerStream, rate)
+	gen := workload.NewGenerator(cfg, workload.Domain{Rows: st.NumTuples, DateMin: st.Domain.Lo, DateMax: st.Domain.Hi})
+	fmt.Fprintf(stdout, "scanload: %s serving %d tuples, %d tenants; %d streams x %d queries at %g q/s/stream\n",
+		*addr, st.NumTuples, cfg.Tenants, base.Streams, base.QueriesPerStream, cfg.ArrivalRate)
 
-	deadline := wire.Duration(axes.Deadline)
+	deadline := wire.Duration(cfg.Deadline)
 	agg := &aggregate{}
 	start := time.Now()
-	var wg sync.WaitGroup
+	r := rt.NewReal()
+	wg := r.NewWaitGroup() // counts what Drive spawns; r.Run awaits it all
 	for s := 0; s < base.Streams; s++ {
 		stream := gen.Stream(s)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var qwg sync.WaitGroup
-			for q := 0; q < base.QueriesPerStream; q++ {
-				d := stream.Next()
-				time.Sleep(d.Gap)
-				var path string
-				var body any
+		r.Go("stream", func() {
+			stream.Drive(r, wg, func(_ int, d workload.Draw, qc *rt.QueryCtx) func() {
+				path, body := wire.PathQuery, any(nil)
 				if d.Write {
 					path, body = wire.PathUpdate, wire.UpdateRequest{
-						Tenant: &stream.Tenant, Kind: d.Update.Kind.String(), Batch: d.Update.Batch, Deadline: deadline,
+						Tenant: &stream.Tenant, Kind: d.Update.Kind.String(), Batch: d.Update.Batch,
+						Target: &wire.Target{Frac: d.Update.Frac, Date: d.Update.Date}, Deadline: deadline,
 					}
 				} else {
 					req := wire.QueryRequest{
 						Tenant: &stream.Tenant, Kind: d.Kind, Lo: d.Range.Lo, Hi: d.Range.Hi, Deadline: deadline,
 					}
-					if d.Selectivity < 1 {
-						req.Selectivity = d.Selectivity
+					if d.Pred != nil {
+						req.Predicate = &wire.Predicate{Col: st.Domain.Col, Lo: d.Pred.Lo, Hi: d.Pred.Hi}
 					}
-					path, body = wire.PathQuery, req
+					body = req
 				}
-				qwg.Add(1)
-				go func() {
-					defer qwg.Done()
-					agg.record(post(client, *addr+path, body, d), d.Write)
-				}()
-			}
-			qwg.Wait()
-		}()
+				return func() { agg.record(post(client, *addr+path, body, qc), d.Write) }
+			})
+		})
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	r.Run()
+	// Throughput runs to the last resolution: a canceller may still be
+	// sleeping out its delay after its query has answered.
+	elapsed := agg.last.Sub(start)
 
 	agg.mu.Lock()
 	total := agg.completed + agg.rejected + agg.timedOut + agg.cancelled
-	fmt.Printf("scanload: client   %d queries in %.2fs: completed=%d rejected=%d timedout=%d cancelled=%d rows=%d writes=%d applied=%d\n",
+	fmt.Fprintf(stdout, "scanload: client   %d queries in %.2fs: completed=%d rejected=%d timedout=%d cancelled=%d rows=%d writes=%d applied=%d\n",
 		total, elapsed.Seconds(), agg.completed, agg.rejected, agg.timedOut, agg.cancelled, agg.rows, agg.writes, agg.applied)
-	fmt.Printf("scanload: client   thr=%.2f q/s  p50=%s p95=%s p99=%s\n",
+	fmt.Fprintf(stdout, "scanload: client   thr=%.2f q/s  p50=%s p95=%s p99=%s\n",
 		float64(agg.completed)/elapsed.Seconds(),
 		time.Duration(scanshare.Percentile(agg.lats, 50)).Round(time.Millisecond),
 		time.Duration(scanshare.Percentile(agg.lats, 95)).Round(time.Millisecond),
@@ -143,20 +139,21 @@ func main() {
 	final, err := fetchStatz(client, *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanload: final statz: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	row := final.Stats
-	row.Rate = rate
-	fmt.Printf("scanload: server   completed=%d rejected=%d timedout=%d cancelled=%d thr=%.2f q/s  wr=%d wrthr=%.2f q/s ckpts=%d mrg95=%.1fms  p50=%.1fms p95=%.1fms p99=%.1fms qwait95=%.1fms slo%%=%.1f\n",
+	row.Rate = cfg.ArrivalRate
+	fmt.Fprintf(stdout, "scanload: server   completed=%d rejected=%d timedout=%d cancelled=%d thr=%.2f q/s  wr=%d wrthr=%.2f q/s ckpts=%d mrg95=%.1fms  p50=%.1fms p95=%.1fms p99=%.1fms qwait95=%.1fms slo%%=%.1f\n",
 		row.Completed, row.Rejected, row.TimedOut, row.Cancelled,
 		row.Throughput, row.Writes, row.WrQps, row.Checkpoints, row.MergeP95ms,
 		row.P50ms, row.P95ms, row.P99ms, row.QWaitP95ms, row.SLOPct)
 	if axes.JSONOut != "" {
 		if err := scanshare.WriteServeRows(axes.JSONOut, []wire.ServeStats{row}); err != nil {
 			fmt.Fprintf(os.Stderr, "scanload: -json: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // aggregate accumulates per-query results across all streams.
@@ -170,6 +167,7 @@ type aggregate struct {
 	writes    int64 // update queries completed (a subset of completed)
 	applied   int64 // delta operations those updates committed
 	lats      []sim.Duration
+	last      time.Time // the latest resolution
 }
 
 // record buckets one outcome the way the scheduler's stats do:
@@ -182,6 +180,7 @@ type aggregate struct {
 func (a *aggregate) record(r result, write bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.last = time.Now()
 	a.rows += r.rows
 	switch r.outcome {
 	case wire.OutcomeOK:
@@ -207,25 +206,18 @@ type result struct {
 	applied int64
 }
 
-// post sends one generated request and reads its response to the end. A
-// d.Cancel request is abandoned d.CancelAfter after issue — still queued
-// at the server or mid-stream, the disconnect cancels it there — exactly
-// like the sweep's canceller. A query answers with an NDJSON stream:
+// post sends one generated request and reads its response to the end.
+// Cancelling qc abandons it — still queued at the server or mid-stream,
+// the disconnect cancels it there. A query answers with an NDJSON stream:
 // rows are counted and the object trailer carries the authoritative
 // outcome; an update answers with one UpdateResult object, which is the
 // same thing without rows.
-func post(c *http.Client, url string, body any, d workload.Draw) result {
+func post(c *http.Client, url string, body any, qc *rt.QueryCtx) result {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if d.Cancel {
-		t := time.AfterFunc(d.CancelAfter, cancel)
-		defer t.Stop()
-	}
-	b, err := json.Marshal(body)
-	if err != nil {
-		return result{outcome: "encode-error"}
-	}
+	qc.OnCancel(cancel)
+	b, _ := json.Marshal(body) // the wire request types always encode
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
 	if err != nil {
 		return result{outcome: "request-error"}

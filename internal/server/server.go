@@ -139,7 +139,7 @@ func (s *Server) Statz() wire.Statz {
 	res := s.eng.Stats()
 	row := workload.ServeRowOf(res, s.eng.Config())
 	row.Rate = 0 // arrivals are client-driven, there is no configured rate
-	sch := s.eng.Scheduler()
+	sch, dom := s.eng.Scheduler(), s.eng.Domain()
 	return wire.Statz{
 		Version:       wire.Version,
 		UptimeSec:     res.ElapsedSec,
@@ -148,7 +148,8 @@ func (s *Server) Statz() wire.Statz {
 		Queued:        sch.Queued(),
 		Arrived:       res.Sched.Arrived,
 		DrainRejected: res.Sched.DrainRejected,
-		NumTuples:     s.eng.NumTuples(),
+		NumTuples:     dom.Rows,
+		Domain:        wire.Predicate{Col: "l_shipdate", Lo: dom.DateMin, Hi: dom.DateMax},
 		Tenants:       s.eng.TenantCount(),
 		Stats:         row,
 	}
@@ -207,7 +208,7 @@ func (a *admitted) timing(now rt.Time) (latencyMS, queueWaitMS float64) {
 // then prices the request and runs the scheduler, blocking while queued.
 // On refusal it answers the client itself and returns nil.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, pin *int, deadline wire.Duration, d workload.Draw) *admitted {
-	a := &admitted{tenant: s.tenantOf(r, pin), qc: s.eng.NewQueryCtx(time.Duration(deadline))}
+	a := &admitted{tenant: s.tenantOf(r, pin), qc: workload.NewQueryCtx(s.eng.RT, time.Duration(deadline))}
 	stop := context.AfterFunc(r.Context(), func() { a.qc.Cancel(rt.CauseClientCancel) })
 	var outcome sched.AdmitOutcome
 	a.tk, outcome = s.eng.Admit(s.eng.Request(a.tenant, int(s.querySeq.Add(1)-1), a.tenant, d, a.qc))
@@ -340,7 +341,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: err.Error()})
 		return
 	}
-	d := s.eng.DrawUpdate(kind, req.Batch)
+	d := s.eng.DrawUpdate(kind, req.Batch, req.Target)
 
 	a := s.admit(w, r, req.Tenant, req.Deadline, d)
 	if a == nil {

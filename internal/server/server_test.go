@@ -37,7 +37,7 @@ func db() *tpch.DB {
 	return testDB
 }
 
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{Serve: workload.DefaultServeConfig()}
 	if mutate != nil {
@@ -56,7 +56,7 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 
 // postQuery sends one query and splits the NDJSON response into its row
 // lines and trailer.
-func postQuery(t *testing.T, ts *httptest.Server, body string) (rows []string, trailer wire.QueryResult) {
+func postQuery(t testing.TB, ts *httptest.Server, body string) (rows []string, trailer wire.QueryResult) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+wire.PathQuery, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -143,29 +143,29 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// badQueries are /v1/query bodies the server must refuse with 400.
+var badQueries = []string{
+	`{"Kind":"q7"}`,
+	`not json`,
+	`{"Predicate":{"Col":"no_such_col","Lo":0,"Hi":1}}`,
+	`{"Predicate":{"Col":"l_shipdate","Lo":9,"Hi":3}}`,
+	// A column the plan may not read could not be filtered on.
+	`{"Kind":"scan","Hi":5000,"Predicate":{"Col":"l_commitdate","Lo":0,"Hi":0}}`,
+	`{"Kind":"q6","Predicate":{"Col":"l_orderkey","Lo":-5,"Hi":-1}}`,
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	for _, c := range []struct {
-		body string
-		code int
-	}{
-		{`{"Kind":"q7"}`, http.StatusBadRequest},
-		{`not json`, http.StatusBadRequest},
-		{`{"Predicate":{"Col":"no_such_col","Lo":0,"Hi":1}}`, http.StatusBadRequest},
-		{`{"Predicate":{"Col":"l_shipdate","Lo":9,"Hi":3}}`, http.StatusBadRequest},
-		// A column the plan may not read could not be filtered on.
-		{`{"Kind":"scan","Hi":5000,"Predicate":{"Col":"l_commitdate","Lo":0,"Hi":0}}`, http.StatusBadRequest},
-		{`{"Kind":"q6","Predicate":{"Col":"l_orderkey","Lo":-5,"Hi":-1}}`, http.StatusBadRequest},
-	} {
-		resp, err := http.Post(ts.URL+wire.PathQuery, "application/json", strings.NewReader(c.body))
+	for _, body := range badQueries {
+		resp, err := http.Post(ts.URL+wire.PathQuery, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var rep wire.ErrorReply
 		json.NewDecoder(resp.Body).Decode(&rep)
 		resp.Body.Close()
-		if resp.StatusCode != c.code || rep.Error == "" {
-			t.Errorf("%s: status %d reply %+v, want %d with error", c.body, resp.StatusCode, rep, c.code)
+		if resp.StatusCode != http.StatusBadRequest || rep.Error == "" {
+			t.Errorf("%s: status %d reply %+v, want 400 with error", body, resp.StatusCode, rep)
 		}
 	}
 }
@@ -190,8 +190,63 @@ func TestOversizedBodyRefused(t *testing.T) {
 	}
 }
 
+// FuzzPostBody posts arbitrary bodies to /v1/query (update false) and
+// /v1/update (update true) of one server. Every body is answered with a
+// status the protocol defines, none panics the server, and after each
+// the ledger reconciles: every arrival resolved exactly once. Its seeds
+// (run by plain go test) are the refused bodies, explicit and clamped
+// update targets and an oversized body; CI's full job fuzzes on.
+func FuzzPostBody(f *testing.F) {
+	for _, b := range badQueries {
+		f.Add(false, b)
+	}
+	for _, b := range []string{
+		`{"Kind":"q6","Hi":1000}`,
+		`{"Kind":"scan","Lo":-5,"Hi":3000,"Selectivity":0.1,"Deadline":"1ms"}`,
+		`{"Kind":"q1","Lo":9000000,"Hi":2,"Tenant":-7,"Predicate":{"Col":"l_shipdate","Lo":-9223372036854775808,"Hi":9223372036854775807}}`,
+		`{"Kind":"q6","Pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
+	} {
+		f.Add(false, b)
+	}
+	for _, b := range []string{
+		`{"Kind":"upsert"}`,
+		`{"Kind":"insert","Batch":3}`,
+		`{"Kind":"modify","Batch":1,"Target":{"Frac":0.5,"Date":9000}}`,
+		`{"Kind":"delete","Batch":-4,"Target":{"Frac":-1,"Date":-9223372036854775808}}`,
+		`{"Kind":"insert","Batch":9223372036854775807,"Target":{"Frac":1e300,"Date":9223372036854775807}}`,
+		`{"Target":{"Frac":1},"Deadline":1}`,
+		`{"Target":null}`,
+	} {
+		f.Add(true, b)
+	}
+	srv, ts := newTestServer(f, nil)
+	client := &http.Client{Timeout: 10 * time.Second}
+	f.Fuzz(func(t *testing.T, update bool, body string) {
+		path := wire.PathQuery
+		if update {
+			path = wire.PathUpdate
+		}
+		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", body, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("%s %s: status %d", path, body, resp.StatusCode)
+		}
+		st := srv.Statz()
+		if resolved := st.Stats.Completed + st.Stats.Rejected + st.Stats.TimedOut + st.Stats.Cancelled; resolved != st.Arrived {
+			t.Fatalf("%s %s: %d resolved, %d arrived", path, body, resolved, st.Arrived)
+		}
+	})
+}
+
 func TestStatzSchema(t *testing.T) {
-	_, ts := newTestServer(t, nil)
+	srv, ts := newTestServer(t, nil)
 	resp, err := http.Get(ts.URL + wire.PathStatz)
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +261,15 @@ func TestStatzSchema(t *testing.T) {
 	}
 	if st.NumTuples == 0 || st.Tenants == 0 {
 		t.Errorf("NumTuples/Tenants = %d/%d, want nonzero", st.NumTuples, st.Tenants)
+	}
+	// The exported domain is the engine's: clients draw windows and
+	// update targets in it.
+	dom := srv.Engine().Domain()
+	if want := (wire.Predicate{Col: "l_shipdate", Lo: dom.DateMin, Hi: dom.DateMax}); st.Domain != want || st.NumTuples != dom.Rows {
+		t.Errorf("Domain/NumTuples = %+v/%d, want the engine's %+v/%d", st.Domain, st.NumTuples, want, dom.Rows)
+	}
+	if st.Domain.Lo >= st.Domain.Hi {
+		t.Errorf("Domain = %+v, want Lo < Hi", st.Domain)
 	}
 	if st.Stats.MPL != 8 || st.Stats.Admission != "fifo" || st.Stats.Policy == "" {
 		t.Errorf("Stats labels = %+v", st.Stats)
@@ -384,6 +448,46 @@ func TestUpdateRoundTrip(t *testing.T) {
 		return res, resp.StatusCode
 	}
 
+	// An explicit in-range target writes exactly its Date at its row: a
+	// one-row scan with the predicate [Date, Date] finds nothing before
+	// the modify and the row after it. Out-of-range targets are clamped
+	// into the table: Frac into [0, 1] (both ends land on row 0, since
+	// positions wrap at the row count) and Date into the domain. They run
+	// before any insert or delete, so the row count is the loaded one.
+	dom := srv.Engine().Domain()
+	holds := func(rid, date int64) bool {
+		t.Helper()
+		rows, tr := postQuery(t, ts, fmt.Sprintf(`{"Kind":"scan","Lo":%d,"Hi":%d,"Predicate":{"Col":"l_shipdate","Lo":%d,"Hi":%d}}`, rid, rid+1, date, date))
+		if tr.Outcome != wire.OutcomeOK || len(rows) > 1 {
+			t.Fatalf("row %d at %d: %d rows, trailer %+v", rid, date, len(rows), tr)
+		}
+		return len(rows) == 1
+	}
+	mid := (dom.DateMin + dom.DateMax) / 2
+	for _, c := range []struct {
+		frac, want float64 // the row is int64(want*Rows) % Rows
+		date, land int64
+	}{
+		{0.5, 0.5, mid, mid},
+		{0.25, 0.25, mid + 1, mid + 1},
+		{-1, 0, dom.DateMax + 100, dom.DateMax},
+		{1e300, 0, dom.DateMin - 100, dom.DateMin},
+		{1, 0, math.MaxInt64, dom.DateMax},
+		{0, 0, math.MinInt64, dom.DateMin},
+	} {
+		rid := int64(c.want*float64(dom.Rows)) % dom.Rows
+		if holds(rid, c.land) {
+			t.Fatalf("target %+v: row %d holds %d before the modify", c, rid, c.land)
+		}
+		body := fmt.Sprintf(`{"Kind":"modify","Batch":1,"Target":{"Frac":%g,"Date":%d}}`, c.frac, c.date)
+		if res, code := post(body); code != http.StatusOK || res.Outcome != wire.OutcomeOK || res.Applied != 1 {
+			t.Fatalf("%s: status %d result %+v", body, code, res)
+		}
+		if !holds(rid, c.land) {
+			t.Errorf("%s: row %d does not hold %d", body, rid, c.land)
+		}
+	}
+
 	var lastVersion int64
 	for i, body := range []string{
 		`{"Kind":"insert","Batch":3}`,
@@ -432,8 +536,8 @@ func TestUpdateRoundTrip(t *testing.T) {
 	if resolved != st.Arrived {
 		t.Errorf("ledger does not reconcile: %d resolved, %d arrived", resolved, st.Arrived)
 	}
-	if st.Stats.Writes != 8 {
-		t.Errorf("Writes = %d, want 8", st.Stats.Writes)
+	if st.Stats.Writes != 14 {
+		t.Errorf("Writes = %d, want 14", st.Stats.Writes)
 	}
 	if st.Stats.WrQps <= 0 {
 		t.Errorf("WrQps = %v, want positive", st.Stats.WrQps)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/tpch"
+	"repro/wire"
 )
 
 // ServeEngine is the serving engine — runtime, disk array, buffer
@@ -35,16 +36,13 @@ type ServeEngine struct {
 	// result carries the run's sizing and collects what the engine
 	// records as it runs: the OPT trace and the sharing samples.
 	result *Result
-	// predIx is the l_shipdate zone map over the loaded snapshot (see
-	// setupSkipping), predCol that column, and dateMin/dateMax its value
-	// domain, which predicate windows and synthesized dates are drawn in.
-	predIx           *minmax.Index
-	predCol          int
-	dateMin, dateMax int64
+	// predIx is the l_shipdate zone map over the loaded snapshot and dom
+	// the table's value domain read off it (see setupSkipping).
+	predIx *minmax.Index
+	dom    Domain
 
 	sch   *sched.Scheduler
 	cost  exec.ScanCostModel
-	n     int64
 	start rt.Time
 
 	// htap is the write path: the PDT store anchored at the catalog's
@@ -131,7 +129,6 @@ func newServeEngine(db *tpch.DB, cfg ServeConfig, accessedBytes int64) *ServeEng
 		cfg:    cfg,
 		db:     db,
 		result: &Result{Policy: cfg.Policy.String(), AccessedBytes: accessedBytes, BufferBytes: capBytes},
-		n:      db.Snapshot("lineitem").NumTuples(),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.TraceForOPT && en.Pool != nil {
@@ -176,7 +173,11 @@ func (en *ServeEngine) Now() rt.Time { return en.RT.Now() }
 
 // NumTuples is the lineitem row count — the bound request ranges are
 // clipped to, exported on /statz so clients can draw ranges.
-func (en *ServeEngine) NumTuples() int64 { return en.n }
+func (en *ServeEngine) NumTuples() int64 { return en.dom.Rows }
+
+// Domain is the served table's value domain, exported on /statz so
+// clients draw what the engine draws in process.
+func (en *ServeEngine) Domain() Domain { return en.dom }
 
 // TenantCount is the number of configured fairness domains.
 func (en *ServeEngine) TenantCount() int { return en.cfg.Tenants }
@@ -187,20 +188,20 @@ func (en *ServeEngine) Config() ServeConfig { return en.cfg }
 // Scheduler exposes the admission scheduler (drain, gauges, stats).
 func (en *ServeEngine) Scheduler() *sched.Scheduler { return en.sch }
 
-// NewQueryCtx mints a lifecycle handle on the engine clock, armed with
-// an end-to-end deadline relative to now when deadline is positive.
-func (en *ServeEngine) NewQueryCtx(deadline sim.Duration) *exec.QueryCtx {
-	qc := exec.NewQueryCtx(en.RT)
+// NewQueryCtx mints a lifecycle handle on r's clock, armed with an
+// end-to-end deadline relative to now when deadline is positive.
+func NewQueryCtx(r rt.Runtime, deadline sim.Duration) *exec.QueryCtx {
+	qc := exec.NewQueryCtx(r)
 	if deadline > 0 {
-		qc.SetDeadline(en.RT.Now() + sim.Time(deadline))
+		qc.SetDeadline(r.Now() + sim.Time(deadline))
 	}
 	return qc
 }
 
 // ClipRange clamps [lo, hi) to the table; hi <= 0 means the full table.
 func (en *ServeEngine) ClipRange(lo, hi int64) exec.RIDRange {
-	if hi <= 0 || hi > en.n {
-		hi = en.n
+	if hi <= 0 || hi > en.dom.Rows {
+		hi = en.dom.Rows
 	}
 	if lo >= hi {
 		lo = hi - 1
@@ -211,14 +212,6 @@ func (en *ServeEngine) ClipRange(lo, hi int64) exec.RIDRange {
 	return exec.RIDRange{Lo: lo, Hi: hi}
 }
 
-// drawUpdateTarget draws an update's position fraction and a synthesized
-// shipdate inside the loaded date domain. With env.drawWindow it is the
-// Generator's domain hook.
-func (en *ServeEngine) drawUpdateTarget(rng *rand.Rand) (frac float64, date int64) {
-	frac = rng.Float64()
-	return frac, en.htap.dateMin + rng.Int63n(en.htap.dateMax-en.htap.dateMin+1)
-}
-
 // PredicateFor draws an l_shipdate window spanning sel of the date
 // domain at a random position, on the engine-level rng, for requests
 // that ask for a selectivity and have no stream of their own.
@@ -226,7 +219,7 @@ func (en *ServeEngine) drawUpdateTarget(rng *rand.Rand) (frac float64, date int6
 func (en *ServeEngine) PredicateFor(sel float64) *exec.ScanPredicate {
 	en.mu.Lock()
 	defer en.mu.Unlock()
-	return en.drawWindow(en.rng, sel)
+	return en.dom.drawWindow(en.rng, sel)
 }
 
 // PredicateNamed builds an explicit [lo, hi] window on l_shipdate: the
@@ -241,18 +234,22 @@ func (en *ServeEngine) PredicateNamed(col string, lo, hi int64) (*exec.ScanPredi
 	if lo > hi {
 		return nil, fmt.Errorf("empty predicate window [%d, %d]", lo, hi)
 	}
-	return &exec.ScanPredicate{Col: en.predCol, Lo: lo, Hi: hi}, nil
+	return &exec.ScanPredicate{Col: en.dom.ShipCol, Lo: lo, Hi: hi}, nil
 }
 
-// DrawUpdate completes an update request that names only its kind and
-// delta size: the batch is clamped to [1, maxUpdateBatch], and the
-// position and synthesized date are drawn on the engine-level rng, as
-// PredicateFor draws a window.
-func (en *ServeEngine) DrawUpdate(kind UpdateKind, batch int) Draw {
+// DrawUpdate completes an update request: the batch is clamped to [1,
+// maxUpdateBatch], and a client's target is clamped into the table. A
+// request without one has its position and synthesized date drawn on
+// the engine-level rng, as PredicateFor draws a window.
+func (en *ServeEngine) DrawUpdate(kind UpdateKind, batch int, target *wire.Target) Draw {
 	op := UpdateOp{Kind: kind, Batch: min(max(batch, 1), maxUpdateBatch)}
-	en.mu.Lock()
-	op.Frac, op.Date = en.drawUpdateTarget(en.rng)
-	en.mu.Unlock()
+	if target != nil {
+		op.Frac, op.Date = en.dom.clampTarget(target.Frac, target.Date)
+	} else {
+		en.mu.Lock()
+		op.Frac, op.Date = en.dom.drawUpdateTarget(en.rng)
+		en.mu.Unlock()
+	}
 	return Draw{Write: true, Update: op}
 }
 
@@ -332,7 +329,7 @@ func (en *ServeEngine) Execute(tk *sched.Ticket, qc *exec.QueryCtx, d Draw, emit
 			tk.Cancel(qc.Cause())
 			return 0, nil
 		}
-		applied, err = en.htap.apply(d.Update)
+		applied, err = en.htap.apply(d.Update, en.dom.ShipCol)
 		tk.Done()
 		en.htap.maybeCheckpoint(en.RT, en.ckptWG)
 		return applied, err

@@ -41,7 +41,7 @@ func runScripted(en *ServeEngine, clients ...func()) {
 
 // submit admits one request and, once granted, executes it into emit.
 func submit(en *ServeEngine, seq int, d Draw, emit func(*exec.Batch) bool) (*exec.QueryCtx, sched.AdmitOutcome) {
-	qc := en.NewQueryCtx(0)
+	qc := NewQueryCtx(en.RT, 0)
 	tk, out := en.Admit(en.Request(seq, 0, 0, d, qc))
 	if out == sched.AdmitGranted {
 		if _, err := en.Execute(tk, qc, d, emit); err != nil {

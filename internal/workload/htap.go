@@ -81,12 +81,8 @@ type ckptWindow struct {
 // every pinned view carries nil deltas and reads are exactly the plain
 // snapshot scans.
 type htapState struct {
-	store   *pdt.Store
-	schema  storage.Schema
-	shipCol int
-	// dateMin/dateMax bound synthesized shipdates to the loaded domain,
-	// so updates land inside the predicate windows queries draw.
-	dateMin, dateMax int64
+	store  *pdt.Store
+	schema storage.Schema
 	// baseTuples floors deletion: the table never shrinks below half its
 	// loaded size, keeping drawn scan ranges meaningful.
 	baseTuples int64
@@ -104,19 +100,15 @@ type htapState struct {
 }
 
 // newHTAP builds the write path over the catalog's cached lineitem
-// snapshot. Requires setupSkipping: synthesized shipdates are bounded by
-// the zone map's date domain.
+// snapshot.
 func (en *ServeEngine) newHTAP(db *tpch.DB, checkpointOps int) *htapState {
 	snap := db.Snapshot("lineitem")
 	schema := snap.Table().Schema
 	h := &htapState{
 		store:      pdt.NewStoreAt(snap),
 		schema:     schema,
-		shipCol:    db.Col("lineitem", "l_shipdate"),
 		baseTuples: snap.NumTuples(),
 		ckptOps:    int64(checkpointOps),
-		dateMin:    en.dateMin,
-		dateMax:    en.dateMax,
 	}
 	cols := make([]int, len(schema))
 	for i := range cols {
@@ -150,15 +142,15 @@ func (en *ServeEngine) retireSnapshot(old, next *storage.Snapshot) {
 	}
 }
 
-// newRow synthesizes one lineitem row: the shipdate carries the drawn
-// date (so inserts interact with zone-map windows), everything else is
-// a type-correct placeholder.
-func (h *htapState) newRow(date int64) pdt.Row {
+// newRow synthesizes one lineitem row: the shipdate column shipCol
+// carries the drawn date (so inserts interact with zone-map windows),
+// everything else is a type-correct placeholder.
+func (h *htapState) newRow(shipCol int, date int64) pdt.Row {
 	row := make(pdt.Row, len(h.schema))
 	for i, def := range h.schema {
 		switch def.Type {
 		case storage.Int64:
-			if i == h.shipCol {
+			if i == shipCol {
 				row[i] = pdt.IntVal(date)
 			} else {
 				row[i] = pdt.IntVal(1)
@@ -174,10 +166,10 @@ func (h *htapState) newRow(date int64) pdt.Row {
 
 // apply executes one update query against the store: a single
 // transaction of Batch delta operations at positions derived from the
-// drawn fraction. Update's critical-section transactions cannot
-// conflict, so the error is always nil in practice; it is returned for
-// the serving handler's benefit.
-func (h *htapState) apply(op UpdateOp) (applied int, err error) {
+// drawn fraction, writing its date into column shipCol. Update's
+// critical-section transactions cannot conflict, so the error is always
+// nil in practice; it is returned for the serving handler's benefit.
+func (h *htapState) apply(op UpdateOp, shipCol int) (applied int, err error) {
 	err = h.store.Update(func(tx *pdt.Tx) error {
 		for i := 0; i < op.Batch; i++ {
 			n := tx.NumTuples()
@@ -187,14 +179,14 @@ func (h *htapState) apply(op UpdateOp) (applied int, err error) {
 			rid := (int64(op.Frac*float64(n)) + int64(i)*7919) % n
 			switch op.Kind {
 			case UpdateInsert:
-				tx.Insert(rid, h.newRow(op.Date))
+				tx.Insert(rid, h.newRow(shipCol, op.Date))
 			case UpdateDelete:
 				if n <= h.baseTuples/2 {
 					continue // deletion floor: keep drawn ranges meaningful
 				}
 				tx.Delete(rid)
 			default:
-				tx.Modify(rid, h.shipCol, pdt.IntVal(op.Date))
+				tx.Modify(rid, shipCol, pdt.IntVal(op.Date))
 			}
 			applied++
 		}

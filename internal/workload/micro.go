@@ -44,12 +44,12 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*7919))
 		for q := 0; q < cfg.QueriesPerStream; q++ {
 			pct := cfg.RangePercents[rng.Intn(len(cfg.RangePercents))]
-			r := RandRange(rng, en.n, pct, cfg.HotFrac, cfg.HotProb)
+			r := RandRange(rng, en.dom.Rows, pct, cfg.HotFrac, cfg.HotProb)
 			kind := "q6"
 			if rng.Intn(2) == 0 {
 				kind = "q1"
 			}
-			pred := en.drawWindow(rng, pickSelectivity(rng, cfg.Selectivities))
+			pred := en.dom.drawWindow(rng, pickSelectivity(rng, cfg.Selectivities))
 			plan, err := en.BuildPlan(nil, kind, r, pred)
 			if err != nil {
 				panic(err)

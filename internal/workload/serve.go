@@ -3,6 +3,7 @@ package workload
 import (
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/iosim"
 	"repro/internal/rt"
 	"repro/internal/sched"
@@ -145,39 +146,14 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 	}
 	en := NewServeEngine(db, cfg)
 	cfg = en.Config()
-	r := en.RT
-	gen := NewGenerator(cfg, en.NumTuples(), en)
+	gen := NewGenerator(cfg, en.Domain())
 	var res *ServeResult
 	result := en.runStreams(cfg.Streams, func(s int, wg rt.WaitGroup) {
 		st := gen.Stream(s)
-		for q := 0; q < cfg.QueriesPerStream; q++ {
-			d := st.Next()
-			r.Sleep(d.Gap)
-			// Every query gets a lifecycle handle, as every server
-			// request does. On the simulator one nobody cancels runs
-			// exactly as no handle would.
-			qc := en.NewQueryCtx(cfg.Deadline)
-			if d.Cancel {
-				wg.Add(1)
-				r.Go("canceller", func() {
-					defer wg.Done()
-					r.Sleep(d.CancelAfter)
-					qc.Cancel(rt.CauseClientCancel)
-				})
-			}
+		st.Drive(en.RT, wg, func(q int, d Draw, qc *exec.QueryCtx) func() {
 			req := en.Request(s, q, st.Tenant, d, qc)
-			if cfg.ClosedLoop {
-				// Closed loop: the stream itself runs the query and only
-				// then loops to draw the next think time.
-				en.Run(req, d)
-				continue
-			}
-			wg.Add(1)
-			r.Go("query", func() {
-				defer wg.Done()
-				en.Run(req, d)
-			})
-		}
+			return func() { en.Run(req, d) }
+		})
 	}, func() {
 		en.Close()
 		res = en.Stats()

@@ -125,7 +125,7 @@ func TestLiveHandleMatchesNilOnSim(t *testing.T) {
 						r.Sleep(time.Duration(i) * time.Millisecond)
 						var qc *exec.QueryCtx
 						if live {
-							qc = en.NewQueryCtx(0)
+							qc = NewQueryCtx(en.RT, 0)
 						}
 						lo := int64(i) * n / 8
 						plan, err := en.BuildPlan(qc, "scan", en.ClipRange(lo, lo+n/2), nil)

@@ -20,8 +20,8 @@ func (en *ServeEngine) setupSkipping(db *tpch.DB) {
 	en.Ctx.Zones = exec.NewZoneMaps()
 	en.Ctx.Skip = &exec.SkipStats{}
 	en.predIx = en.Ctx.Zones.Build(snap, col, en.cfg.ChunkTuples)
-	en.predCol = col
-	en.dateMin, en.dateMax, _ = en.predIx.ValueBounds()
+	en.dom = Domain{Rows: snap.NumTuples(), ShipCol: col}
+	en.dom.DateMin, en.dom.DateMax, _ = en.predIx.ValueBounds()
 }
 
 // pickSelectivity draws one query's predicate selectivity from the mix;
@@ -37,26 +37,6 @@ func pickSelectivity(rng *rand.Rand, mix []float64) float64 {
 		return mix[0]
 	}
 	return mix[rng.Intn(len(mix))]
-}
-
-// drawWindow draws one shipdate restriction: a value window spanning sel
-// of the column's domain at a random position, or nil for an unrestricted
-// scan (sel outside (0,1)). Consumes exactly one rng draw when the
-// window is placeable and none otherwise (golden-critical).
-func (en *ServeEngine) drawWindow(rng *rand.Rand, sel float64) *exec.ScanPredicate {
-	if sel <= 0 || sel >= 1 {
-		return nil
-	}
-	domain := en.dateMax - en.dateMin + 1
-	span := int64(float64(domain)*sel + 0.5)
-	if span < 1 {
-		span = 1
-	}
-	lo := en.dateMin
-	if maxStart := domain - span; maxStart > 0 {
-		lo += rng.Int63n(maxStart + 1)
-	}
-	return &exec.ScanPredicate{Col: en.predCol, Lo: lo, Hi: lo + span - 1}
 }
 
 // survivingTuples prices a predicate scan for admission: the tuples the

@@ -156,9 +156,9 @@ const (
 	KindModify = "modify"
 )
 
-// UpdateRequest is the POST body of PathUpdate: one update query. The
-// positions and synthesized values are drawn server-side (the table's
-// date domain lives there); the client chooses the kind and delta size.
+// UpdateRequest is the POST body of PathUpdate: one update query of a
+// kind and delta size, at an explicit Target or, without one, at a
+// position and date the server draws.
 type UpdateRequest struct {
 	// Tenant pins the update's fairness domain, like QueryRequest.Tenant.
 	Tenant *int `json:",omitempty"`
@@ -168,9 +168,20 @@ type UpdateRequest struct {
 	// transaction — its delta size, which also prices it for admission
 	// (default 1, clamped server-side).
 	Batch int `json:",omitempty"`
+	// Target places the update; absent, the server draws it.
+	Target *Target `json:",omitempty"`
 	// Deadline arms an end-to-end deadline relative to arrival, like
 	// QueryRequest.Deadline.
 	Deadline Duration `json:",omitempty"`
+}
+
+// Target is where an update lands: Frac is its first row as a fraction
+// of the table's current row count, Date the l_shipdate value it writes
+// (a modify) or gives its rows (an insert). The server clamps Frac into
+// [0, 1] and Date into Statz.Domain.
+type Target struct {
+	Frac float64
+	Date int64
 }
 
 // UpdateResult is the response body of an admitted update.
@@ -271,8 +282,11 @@ type Statz struct {
 	Arrived       int64
 	DrainRejected int64
 	// NumTuples is the lineitem row count, the bound clients draw
-	// Lo/Hi ranges against; Tenants the configured fairness domains.
+	// Lo/Hi ranges against; Domain the l_shipdate bounds [Lo, Hi] they
+	// draw predicate windows and update dates in; Tenants the configured
+	// fairness domains.
 	NumTuples int64
+	Domain    Predicate
 	Tenants   int
 	Stats     ServeStats
 }
