@@ -52,9 +52,6 @@ type LRU struct {
 // NewLRU returns an LRU policy.
 func NewLRU() *LRU { return &LRU{list: newFrameList()} }
 
-// Name implements Policy.
-func (l *LRU) Name() string { return "LRU" }
-
 // Admitted implements Policy.
 func (l *LRU) Admitted(f *Frame) { l.list.pushBack(f) }
 
@@ -86,9 +83,6 @@ type MRU struct {
 // NewMRU returns an MRU policy.
 func NewMRU() *MRU { return &MRU{list: newFrameList()} }
 
-// Name implements Policy.
-func (m *MRU) Name() string { return "MRU" }
-
 // Admitted implements Policy.
 func (m *MRU) Admitted(f *Frame) { m.list.pushBack(f) }
 
@@ -119,9 +113,6 @@ type Clock struct {
 
 // NewClock returns a Clock policy.
 func NewClock() *Clock { return &Clock{list: newFrameList()} }
-
-// Name implements Policy.
-func (c *Clock) Name() string { return "Clock" }
 
 // Admitted implements Policy.
 func (c *Clock) Admitted(f *Frame) {

@@ -71,7 +71,6 @@ func (f *Frame) Loading() bool { return f.loading }
 // are also called directly by scans, like PBM, synchronize those entry
 // points themselves).
 type Policy interface {
-	Name() string
 	Admitted(f *Frame)
 	Accessed(f *Frame)
 	Removed(f *Frame)

@@ -312,7 +312,6 @@ func TestPropertyLRUInvariant(t *testing.T) {
 // (everything pinned or in flight) that block reservations.
 type neverEvict struct{}
 
-func (neverEvict) Name() string    { return "NeverEvict" }
 func (neverEvict) Admitted(*Frame) {}
 func (neverEvict) Accessed(*Frame) {}
 func (neverEvict) Removed(*Frame)  {}
@@ -553,7 +552,7 @@ func TestPropertyAccountingBalances(t *testing.T) {
 			return !t.Failed()
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-			t.Fatalf("%s: %v", mk().Name(), err)
+			t.Fatalf("%T: %v", mk(), err)
 		}
 	}
 }

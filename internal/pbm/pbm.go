@@ -215,14 +215,6 @@ type Group = PBM
 // NewGroup is New with the ignored shard count bench/ still passes; the next [benchmark] PR drops it.
 func NewGroup(c Clock, cfg Config, _ int) *Group { return New(c, cfg) }
 
-// Name implements buffer.Policy.
-func (p *PBM) Name() string {
-	if p.cfg.LRUMode {
-		return "PBM/LRU"
-	}
-	return "PBM"
-}
-
 // bucketLen returns the time-range length of bucket index i.
 func (p *PBM) bucketLen(i int) sim.Duration {
 	g := i / p.cfg.BucketsPerGroup

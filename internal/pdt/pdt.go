@@ -7,7 +7,7 @@
 // the merged output stream is addressed by RID (Row ID). The package
 // provides the three positional conversions the paper's Figure 4
 // illustrates — RIDtoSID, SIDtoRIDlow and SIDtoRIDhigh — plus a run-based
-// merge planner (Segments) that scan operators use to produce the updated
+// merge planner (SegmentsRID) that scan operators use to produce the updated
 // image, PDT stacking with Propagate (differences-on-differences, used for
 // snapshot isolation), and checkpoint materialization.
 //
@@ -20,6 +20,7 @@ package pdt
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/storage"
@@ -162,12 +163,10 @@ func (p *PDT) dropIfEmpty(sid int64) {
 	}
 }
 
-// locate resolves a RID in the merged image. It returns the node index
-// the RID falls under (or -1 if it addresses a plain stable tuple), the
-// SID of the position, and for inserted tuples the index within the
-// node's insert list (insIdx >= 0). For a plain or modified stable tuple,
-// insIdx is -1.
-func (p *PDT) locate(rid int64) (nodeIdx int, sid int64, insIdx int) {
+// locate resolves a RID in the merged image to the SID of its position
+// and, for an inserted tuple, its index within the node's insert list
+// (insIdx >= 0). For a plain or modified stable tuple, insIdx is -1.
+func (p *PDT) locate(rid int64) (sid int64, insIdx int) {
 	if rid < 0 || rid >= p.NumTuples() {
 		panic(fmt.Sprintf("pdt: RID %d out of range [0,%d)", rid, p.NumTuples()))
 	}
@@ -178,25 +177,25 @@ func (p *PDT) locate(rid int64) (nodeIdx int, sid int64, insIdx int) {
 		firstInsRID := n.sid + delta
 		if rid < firstInsRID {
 			// Plain stable tuple before this node.
-			return -1, rid - delta, -1
+			return rid - delta, -1
 		}
 		if rid < firstInsRID+int64(len(n.inserts)) {
-			return i, n.sid, int(rid - firstInsRID)
+			return n.sid, int(rid - firstInsRID)
 		}
 		if !n.deleted && rid == firstInsRID+int64(len(n.inserts)) && n.sid < p.stableCount {
 			// The stable tuple anchored at this node (possibly modified).
-			return i, n.sid, -1
+			return n.sid, -1
 		}
 		delta += n.delta()
 	}
-	return -1, rid - delta, -1
+	return rid - delta, -1
 }
 
 // RIDtoSID translates a merged-image position to a stable position. For
 // inserted tuples it returns the SID of the first stable tuple that
 // follows them (per §2.1).
 func (p *PDT) RIDtoSID(rid int64) int64 {
-	_, sid, _ := p.locate(rid)
+	sid, _ := p.locate(rid)
 	return sid
 }
 
@@ -224,29 +223,15 @@ func (p *PDT) SIDtoRIDlow(sid int64) int64 {
 // tuple's own position if visible, else the last insert anchored at sid,
 // else the would-be position.
 func (p *PDT) SIDtoRIDhigh(sid int64) int64 {
-	if sid < 0 || sid > p.stableCount {
-		panic(fmt.Sprintf("pdt: SID %d out of range [0,%d]", sid, p.stableCount))
-	}
-	var delta int64
-	for i := range p.nodes {
+	rid := p.SIDtoRIDlow(sid)
+	if i, ok := p.findNode(sid); ok {
 		n := &p.nodes[i]
-		if n.sid > sid {
-			break
+		rid += int64(len(n.inserts))
+		if (n.deleted || sid == p.stableCount) && len(n.inserts) > 0 {
+			rid-- // no visible stable tuple: the last insert is highest
 		}
-		if n.sid == sid {
-			if n.sid < p.stableCount && !n.deleted {
-				// The stable tuple itself is last among RIDs mapping here.
-				return sid + delta + int64(len(n.inserts))
-			}
-			if len(n.inserts) > 0 {
-				return sid + delta + int64(len(n.inserts)) - 1
-			}
-			// Deleted with no inserts: would-be position.
-			return sid + delta
-		}
-		delta += n.delta()
 	}
-	return sid + delta
+	return rid
 }
 
 // InsertAt inserts row so that it occupies position rid in the merged
@@ -265,9 +250,8 @@ func (p *PDT) InsertAt(rid int64, row Row) {
 		n.inserts = append(n.inserts, row.Clone())
 		return
 	}
-	nodeIdx, sid, insIdx := p.locate(rid)
+	sid, insIdx := p.locate(rid)
 	n := p.getNode(sid)
-	_ = nodeIdx
 	if insIdx < 0 {
 		// Inserting directly before the stable tuple (after any existing
 		// inserts at this anchor).
@@ -283,7 +267,7 @@ func (p *PDT) InsertAt(rid int64, row Row) {
 // an inserted tuple cancels the insert; deleting a stable tuple records a
 // delete node.
 func (p *PDT) DeleteAt(rid int64) {
-	_, sid, insIdx := p.locate(rid)
+	sid, insIdx := p.locate(rid)
 	n := p.getNode(sid)
 	if insIdx >= 0 {
 		n.inserts = append(n.inserts[:insIdx], n.inserts[insIdx+1:]...)
@@ -307,7 +291,7 @@ func (p *PDT) ModifyAt(rid int64, col int, v Value) {
 	if v.T != p.schema[col].Type {
 		panic(fmt.Sprintf("pdt: type mismatch for column %d: %v vs %v", col, v.T, p.schema[col].Type))
 	}
-	_, sid, insIdx := p.locate(rid)
+	sid, insIdx := p.locate(rid)
 	n := p.getNode(sid)
 	if insIdx >= 0 {
 		n.inserts[insIdx][col] = v
@@ -339,8 +323,8 @@ const (
 	SegInsert
 )
 
-// Segment is one run of the merged output stream. Segments returned by
-// Segments/SegmentsRID are in image order and abut exactly.
+// Segment is one run of the merged output stream. The segments
+// SegmentsRID returns are in image order and abut exactly.
 type Segment struct {
 	Kind SegKind
 	Lo   int64 // stable SID range (SegStable)
@@ -349,146 +333,79 @@ type Segment struct {
 	Mods map[int64]map[int]Value // per-SID overrides within [Lo,Hi)
 }
 
-// tuples returns the image-tuple count of the segment.
-func (s Segment) tuples() int64 {
-	if s.Kind == SegInsert {
-		return int64(len(s.Rows))
-	}
-	return s.Hi - s.Lo
-}
-
 // SegmentsRID plans the merge for image positions [ridLo, ridHi): the
 // sequence of stable runs (with deletes carved out and mods attached) and
 // insert runs a scan must produce. This is the per-chunk merge
 // re-initialization the CScan operator performs after every out-of-order
-// chunk delivery (§2.1).
+// chunk delivery (§2.1). Planning writes nothing: the segments alias the
+// PDT's rows and mods, and stay valid until the PDT next changes.
 func (p *PDT) SegmentsRID(ridLo, ridHi int64) []Segment {
 	total := p.NumTuples()
 	if ridLo < 0 || ridHi > total || ridLo > ridHi {
 		panic(fmt.Sprintf("pdt: RID range [%d,%d) out of [0,%d]", ridLo, ridHi, total))
 	}
-	if ridLo == ridHi {
-		return nil
-	}
 	var out []Segment
-	remaining := ridHi - ridLo
-
-	emitStable := func(lo, hi int64, mods map[int64]map[int]Value) {
-		if lo >= hi {
-			return
-		}
-		if n := len(out); n > 0 && out[n-1].Kind == SegStable && out[n-1].Hi == lo {
-			out[n-1].Hi = hi
-			for k, v := range mods {
-				if out[n-1].Mods == nil {
-					out[n-1].Mods = make(map[int64]map[int]Value)
-				}
-				out[n-1].Mods[k] = v
-			}
-			return
-		}
-		out = append(out, Segment{Kind: SegStable, Lo: lo, Hi: hi, Mods: mods})
+	pos, sid := int64(0), int64(0) // image and stable cursors
+	// clip places an n-tuple piece at pos and returns the offsets [a, b)
+	// of its part inside [ridLo, ridHi); a >= b when none of it is.
+	clip := func(n int64) (a, b int64) {
+		a, b = max(ridLo-pos, 0), min(ridHi-pos, n)
+		pos += n
+		return a, b
 	}
-	emitInserts := func(rows []Row) {
-		if len(rows) == 0 {
-			return
+	// The image's pieces, in order: before each node the plain stable run
+	// up to it, then its inserts and its visible anchored tuple; last the
+	// trailing stable run.
+	for i := 0; i <= len(p.nodes) && pos < ridHi; i++ {
+		next := p.stableCount
+		if i < len(p.nodes) {
+			next = p.nodes[i].sid
 		}
-		if n := len(out); n > 0 && out[n-1].Kind == SegInsert {
-			out[n-1].Rows = append(out[n-1].Rows, rows...)
-			return
+		if a, b := clip(next - sid); a < b {
+			out = appendSeg(out, Segment{Kind: SegStable, Lo: sid + a, Hi: sid + b})
 		}
-		out = append(out, Segment{Kind: SegInsert, Rows: rows})
-	}
-	take := func(n int64) int64 { // clamp a run to what we still need
-		if n > remaining {
-			n = remaining
-		}
-		remaining -= n
-		return n
-	}
-
-	// Walk nodes, tracking the image position (rid cursor) and the stable
-	// position (sid cursor); skip everything before ridLo, emit until
-	// ridHi.
-	rid := int64(0)
-	sid := int64(0)
-	skip := ridLo
-	ni := 0
-	for remaining > 0 {
-		var nextNodeSID int64 = p.stableCount
-		if ni < len(p.nodes) {
-			nextNodeSID = p.nodes[ni].sid
-		}
-		// Plain stable run [sid, nextNodeSID).
-		runLen := nextNodeSID - sid
-		if runLen > 0 {
-			if skip >= runLen {
-				skip -= runLen
-				rid += runLen
-				sid += runLen
-			} else {
-				lo := sid + skip
-				rid += skip
-				sid += skip
-				skip = 0
-				n := take(nextNodeSID - lo)
-				emitStable(lo, lo+n, nil)
-				rid += n
-				sid += n
-				if remaining == 0 {
-					break
-				}
-			}
-			continue
-		}
-		if ni >= len(p.nodes) {
+		if i == len(p.nodes) {
 			break
 		}
-		n := &p.nodes[ni]
-		// Inserts anchored here.
-		if len(n.inserts) > 0 {
-			cnt := int64(len(n.inserts))
-			if skip >= cnt {
-				skip -= cnt
-				rid += cnt
-			} else {
-				start := skip
-				skip = 0
-				m := take(cnt - start)
-				emitInserts(n.inserts[start : start+m])
-				rid += m
-				if remaining == 0 {
-					break
-				}
-			}
+		n := &p.nodes[i]
+		if a, b := clip(int64(len(n.inserts))); a < b {
+			out = appendSeg(out, Segment{Kind: SegInsert, Rows: n.inserts[a:b:b]})
 		}
-		// The anchored stable tuple itself.
-		if n.sid < p.stableCount {
-			if n.deleted {
-				sid++ // invisible: consumes stable but not image position
-			} else {
-				if skip > 0 {
-					skip--
-					rid++
-					sid++
-				} else {
-					var mods map[int64]map[int]Value
-					if len(n.mods) > 0 {
-						mods = map[int64]map[int]Value{n.sid: n.mods}
-					}
-					take(1)
-					emitStable(n.sid, n.sid+1, mods)
-					rid++
-					sid++
-					if remaining == 0 {
-						break
-					}
-				}
-			}
+		sid = min(next+1, p.stableCount) // past the anchored tuple, visible or not
+		if next == p.stableCount || n.deleted {
+			continue
 		}
-		ni++
+		if a, b := clip(1); a < b {
+			s := Segment{Kind: SegStable, Lo: next, Hi: next + 1}
+			if len(n.mods) > 0 {
+				s.Mods = map[int64]map[int]Value{next: n.mods}
+			}
+			out = appendSeg(out, s)
+		}
 	}
 	return out
+}
+
+// appendSeg appends s to a plan, merging it into the last segment when
+// both are insert runs or abutting stable runs.
+func appendSeg(out []Segment, s Segment) []Segment {
+	if k := len(out) - 1; k >= 0 && out[k].Kind == s.Kind {
+		last := &out[k]
+		switch {
+		case s.Kind == SegInsert:
+			last.Rows = append(last.Rows, s.Rows...)
+			return out
+		case last.Hi == s.Lo:
+			last.Hi = s.Hi
+			if last.Mods == nil {
+				last.Mods = s.Mods
+			} else {
+				maps.Copy(last.Mods, s.Mods)
+			}
+			return out
+		}
+	}
+	return append(out, s)
 }
 
 // Image materializes the full merged table as ColumnData, reading stable
@@ -497,69 +414,42 @@ func (p *PDT) SegmentsRID(ridLo, ridHi int64) []Segment {
 func (p *PDT) Image(snap *storage.Snapshot) *storage.ColumnData {
 	out := storage.NewColumnData()
 	n := p.NumTuples()
+	segs := p.SegmentsRID(0, n)
 	for c, def := range p.schema {
 		switch def.Type {
 		case storage.Int64:
-			out.I64[c] = make([]int64, 0, n)
+			out.I64[c] = imageCol(segs, n, c, snap.ReadInt64, func(v Value) int64 { return v.I64 })
 		case storage.Float64:
-			out.F64[c] = make([]float64, 0, n)
+			out.F64[c] = imageCol(segs, n, c, snap.ReadFloat64, func(v Value) float64 { return v.F64 })
 		case storage.String:
-			out.Str[c] = make([]string, 0, n)
-		}
-	}
-	var i64buf []int64
-	var f64buf []float64
-	var strbuf []string
-	for _, seg := range p.SegmentsRID(0, n) {
-		switch seg.Kind {
-		case SegInsert:
-			for _, row := range seg.Rows {
-				for c, def := range p.schema {
-					switch def.Type {
-					case storage.Int64:
-						out.I64[c] = append(out.I64[c], row[c].I64)
-					case storage.Float64:
-						out.F64[c] = append(out.F64[c], row[c].F64)
-					case storage.String:
-						out.Str[c] = append(out.Str[c], row[c].Str)
-					}
-				}
-			}
-		case SegStable:
-			for c, def := range p.schema {
-				switch def.Type {
-				case storage.Int64:
-					i64buf = snap.ReadInt64(c, seg.Lo, seg.Hi, i64buf)
-					base := len(out.I64[c])
-					out.I64[c] = append(out.I64[c], i64buf...)
-					for sid, mods := range seg.Mods {
-						if v, ok := mods[c]; ok {
-							out.I64[c][base+int(sid-seg.Lo)] = v.I64
-						}
-					}
-				case storage.Float64:
-					f64buf = snap.ReadFloat64(c, seg.Lo, seg.Hi, f64buf)
-					base := len(out.F64[c])
-					out.F64[c] = append(out.F64[c], f64buf...)
-					for sid, mods := range seg.Mods {
-						if v, ok := mods[c]; ok {
-							out.F64[c][base+int(sid-seg.Lo)] = v.F64
-						}
-					}
-				case storage.String:
-					strbuf = snap.ReadString(c, seg.Lo, seg.Hi, strbuf)
-					base := len(out.Str[c])
-					out.Str[c] = append(out.Str[c], strbuf...)
-					for sid, mods := range seg.Mods {
-						if v, ok := mods[c]; ok {
-							out.Str[c][base+int(sid-seg.Lo)] = v.Str
-						}
-					}
-				}
-			}
+			out.Str[c] = imageCol(segs, n, c, snap.ReadString, func(v Value) string { return v.Str })
 		}
 	}
 	return out
+}
+
+// imageCol merges column c of the plan segs into an n-value column,
+// reading each stable run straight into its place (read writes into a dst
+// of capacity hi-lo without growing it).
+func imageCol[T any](segs []Segment, n int64, c int, read func(int, int64, int64, []T) []T, val func(Value) T) []T {
+	col := make([]T, 0, n)
+	for _, s := range segs {
+		if s.Kind == SegInsert {
+			for _, r := range s.Rows {
+				col = append(col, val(r[c]))
+			}
+			continue
+		}
+		base := len(col)
+		col = col[:base+int(s.Hi-s.Lo)]
+		read(c, s.Lo, s.Hi, col[base:])
+		for sid, mods := range s.Mods {
+			if v, ok := mods[c]; ok {
+				col[base+int(sid-s.Lo)] = val(v)
+			}
+		}
+	}
+	return col
 }
 
 // Clone returns a deep copy (used to give each transaction a private

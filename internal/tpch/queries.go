@@ -492,7 +492,7 @@ func q13() Plan {
 		exec.Drain(build("customer", cCols, nil, false))
 		orders := &exec.Select{
 			Child: build("orders", oCols, nil, false),
-			Pred:  exec.NewCmp("==", &containsExpr{col(oCols, "o_comment"), "special requests"}, exec.ConstI(0)),
+			Pred:  exec.NewCmp("==", exec.StrContains{Col: col(oCols, "o_comment"), Sub: "special requests"}, exec.ConstI(0)),
 		}
 		perCust := &exec.HashAggr{
 			Child:  orders,
@@ -505,20 +505,6 @@ func q13() Plan {
 			By: []exec.SortSpec{{Col: 1, Desc: true}},
 		}
 	}
-}
-
-// containsExpr is StrContains as a reusable expression value.
-type containsExpr struct {
-	col int
-	sub string
-}
-
-// Type implements exec.Expr.
-func (*containsExpr) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements exec.Expr.
-func (c *containsExpr) Eval(b *exec.Batch, out *exec.Vec) {
-	(exec.StrContains{Col: c.col, Sub: c.sub}).Eval(b, out)
 }
 
 func q14() Plan {
@@ -568,8 +554,8 @@ func q16() Plan {
 		part := &exec.Select{
 			Child: build("part", pCols, nil, false),
 			Pred: exec.NewAnd(
-				exec.NewCmp("==", &eqExpr{col(pCols, "p_brand"), "Brand#45"}, exec.ConstI(0)),
-				exec.NewCmp("==", &prefixExpr{col(pCols, "p_type"), "MEDIUM POLISHED"}, exec.ConstI(0)),
+				exec.NewCmp("==", exec.StrEq{Col: col(pCols, "p_brand"), Val: "Brand#45"}, exec.ConstI(0)),
+				exec.NewCmp("==", exec.StrPrefix{Col: col(pCols, "p_type"), Prefix: "MEDIUM POLISHED"}, exec.ConstI(0)),
 				&exec.InI64{Expr: icol(pCols, "p_size"), Set: map[int64]bool{49: true, 14: true, 23: true, 45: true, 19: true, 3: true, 36: true, 9: true}},
 			),
 		}
@@ -585,32 +571,6 @@ func q16() Plan {
 			Limit: 100,
 		}
 	}
-}
-
-type eqExpr struct {
-	col int
-	val string
-}
-
-// Type implements exec.Expr.
-func (*eqExpr) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements exec.Expr.
-func (e *eqExpr) Eval(b *exec.Batch, out *exec.Vec) {
-	(exec.StrEq{Col: e.col, Val: e.val}).Eval(b, out)
-}
-
-type prefixExpr struct {
-	col    int
-	prefix string
-}
-
-// Type implements exec.Expr.
-func (*prefixExpr) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements exec.Expr.
-func (e *prefixExpr) Eval(b *exec.Batch, out *exec.Vec) {
-	(exec.StrPrefix{Col: e.col, Prefix: e.prefix}).Eval(b, out)
 }
 
 func q17() Plan {
@@ -630,8 +590,8 @@ func q17() Plan {
 		part := &exec.Select{
 			Child: build("part", pCols, nil, false),
 			Pred: exec.NewAnd(
-				&eqExpr{col(pCols, "p_brand"), "Brand#23"},
-				&eqExpr{col(pCols, "p_container"), "MED BOX"},
+				exec.StrEq{Col: col(pCols, "p_brand"), Val: "Brand#23"},
+				exec.StrEq{Col: col(pCols, "p_container"), Val: "MED BOX"},
 			),
 		}
 		line := build("lineitem", lCols, nil, false)
@@ -709,13 +669,13 @@ func q19() Plan {
 		filt := &exec.Select{
 			Child: j,
 			Pred: exec.NewOr(
-				exec.NewAnd(&eqExpr{brand, "Brand#12"},
+				exec.NewAnd(exec.StrEq{Col: brand, Val: "Brand#12"},
 					exec.NewCmp(">=", fcol(lCols, "l_quantity"), exec.ConstF(1)),
 					exec.NewCmp("<=", exec.Col{Idx: qty, T: storage.Float64}, exec.ConstF(11))),
-				exec.NewAnd(&eqExpr{brand, "Brand#23"},
+				exec.NewAnd(exec.StrEq{Col: brand, Val: "Brand#23"},
 					exec.NewCmp(">=", fcol(lCols, "l_quantity"), exec.ConstF(10)),
 					exec.NewCmp("<=", exec.Col{Idx: qty, T: storage.Float64}, exec.ConstF(20))),
-				exec.NewAnd(&eqExpr{brand, "Brand#34"},
+				exec.NewAnd(exec.StrEq{Col: brand, Val: "Brand#34"},
 					exec.NewCmp(">=", fcol(lCols, "l_quantity"), exec.ConstF(20)),
 					exec.NewCmp("<=", exec.Col{Idx: qty, T: storage.Float64}, exec.ConstF(30))),
 			),
@@ -832,14 +792,12 @@ func q22() Plan {
 		for _, k := range ordered.Vecs[1].I64 {
 			hasOrder[k] = true
 		}
-		noOrder := make(map[int64]bool)
-		_ = noOrder
 		cust := &exec.Select{
 			Child: build("customer", cCols, nil, false),
 			Pred: exec.NewAnd(
 				&phonePrefixExpr{col(cCols, "c_phone"), codes},
 				exec.NewCmp(">", fcol(cCols, "c_acctbal"), exec.ConstF(0)),
-				&notInExpr{icol(cCols, "c_custkey"), hasOrder},
+				exec.NewCmp("==", &exec.InI64{Expr: icol(cCols, "c_custkey"), Set: hasOrder}, exec.ConstI(0)),
 			),
 		}
 		proj := &exec.Project{Child: cust, Exprs: []exec.Expr{
@@ -886,29 +844,6 @@ func (e *phoneCodeExpr) Eval(b *exec.Batch, out *exec.Vec) {
 			out.Str = append(out.Str, v[:2])
 		} else {
 			out.Str = append(out.Str, v)
-		}
-	}
-}
-
-type notInExpr struct {
-	e   exec.Expr
-	set map[int64]bool
-}
-
-// Type implements exec.Expr.
-func (*notInExpr) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements exec.Expr.
-func (e *notInExpr) Eval(b *exec.Batch, out *exec.Vec) {
-	var tmp exec.Vec
-	e.e.Eval(b, &tmp)
-	out.Reset()
-	out.T = storage.Int64
-	for _, v := range tmp.I64 {
-		if e.set[v] {
-			out.I64 = append(out.I64, 0)
-		} else {
-			out.I64 = append(out.I64, 1)
 		}
 	}
 }
