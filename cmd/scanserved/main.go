@@ -44,10 +44,14 @@ import (
 	"repro/internal/server"
 )
 
+// policyMenu is the -policy values the help text offers; every one
+// parses (main_test.go).
+const policyMenu = "lru, mru, clock, pbm, pbm-lru, cscans"
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		policy   = flag.String("policy", "pbm", "buffer-management policy (lru, mru, clock, pbm, pbm-lru, cscans)")
+		policy   = flag.String("policy", "pbm", "buffer-management policy ("+policyMenu+")")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	)
 	base := scanshare.DefaultOptions()

@@ -7,17 +7,20 @@
 // Chunks are logical ranges of tuples (SIDs), not sets of pages: in a
 // column store each column maps a chunk to a very different number of
 // pages (§2). The ABM scheduler runs as its own simulated process and
-// uses the four relevance functions of the framework:
+// uses the four relevance functions of the framework. All four read one
+// score, chunk.relevance(): how many scans still want the chunk, with a
+// bonus for chunks in the snapshot-shared prefix (§2.1).
 //
-//   - QueryRelevance: which CScan to serve next — starved queries first,
-//     then queries with the least data remaining (favor short queries).
-//   - LoadRelevance: which chunk to load for it — chunks more concurrent
-//     scans are interested in score higher, with a bonus for chunks in
-//     the snapshot-shared prefix (§2.1).
-//   - UseRelevance: which cached chunk to hand a CScan — the one fewest
-//     other scans are interested in, making chunks evictable sooner.
-//   - KeepRelevance: which chunk to evict — the lowest-scoring cached
-//     chunk, evicted only if it scores below the pending load.
+//   - QueryRelevance (chooseLoad): which CScan to serve next — starved
+//     queries first, then queries with the least data remaining (favor
+//     short queries).
+//   - LoadRelevance (chooseLoad, in the same pass): which chunk to load
+//     for it — the highest-scoring chunk it can load.
+//   - UseRelevance (useChunk): which cached chunk to hand a CScan — the
+//     lowest-scoring one, which fewest other scans want, so it becomes
+//     evictable sooner.
+//   - KeepRelevance (makeRoom): which chunk to evict — the lowest-scoring
+//     cached chunk, evicted only if it scores below the pending load.
 //
 // The package also implements the production-hardening described in §2.1
 // and §2.3: shared/local chunk marking from longest common snapshot
@@ -50,7 +53,7 @@ type Config struct {
 const DefaultChunkTuples = 8192
 
 // sharedBonus is what being in the snapshot-shared prefix (§2.1) adds to
-// a chunk's relevance, and subtracts from its use relevance.
+// a chunk's relevance.
 const sharedBonus = 0.5
 
 // Stats aggregates ABM activity.
@@ -83,7 +86,6 @@ type chunk struct {
 	interest int // scans that still need this chunk delivered
 	loading  bool
 	owned    []*residentPage // pages whose load this chunk triggered
-	bytes    int64           // resident bytes owned
 }
 
 func (c *chunk) lo() int64 { return int64(c.idx) * c.tm.abm.cfg.ChunkTuples }
@@ -190,8 +192,7 @@ type CScan struct {
 	abm    *ABM
 	tm     *tableMeta
 	snap   *storage.Snapshot
-	cols   []int
-	sorted []int // cols deduplicated+sorted for page walks
+	sorted []int // the scan's columns, sorted for page walks
 
 	need      []bool // per chunk: interested and not yet delivered
 	remaining int
@@ -231,14 +232,13 @@ func (a *ABM) RegisterCScan(snap *storage.Snapshot, cols []int, ranges []SIDRang
 	defer a.mu.Unlock()
 	tm := a.tableMetaFor(snap)
 	cs := &CScan{
-		abm:   a,
-		tm:    tm,
-		snap:  snap,
-		cols:  cols,
-		avail: a.r.NewEvent(),
-		need:  make([]bool, len(tm.chunks)),
+		abm:    a,
+		tm:     tm,
+		snap:   snap,
+		sorted: append([]int(nil), cols...),
+		avail:  a.r.NewEvent(),
+		need:   make([]bool, len(tm.chunks)),
 	}
-	cs.sorted = append(cs.sorted, cols...)
 	sort.Ints(cs.sorted)
 	for _, r := range ranges {
 		if r.Lo < 0 || r.Hi > snap.NumTuples() || r.Lo > r.Hi {
@@ -375,36 +375,12 @@ func (cs *CScan) GetChunk() (*Delivery, bool) {
 	a := cs.abm
 	a.mu.Lock()
 	for {
-		if cs.qctx.Cancelled() {
+		if cs.qctx.Cancelled() || cs.remaining == 0 {
 			a.mu.Unlock()
 			return nil, false
 		}
-		if cs.remaining == 0 {
-			a.mu.Unlock()
-			return nil, false
-		}
-		// UseRelevance: among cached chunks of interest, take the one
-		// fewest other scans want.
-		var pick *chunk
-		bestRel := 0.0
-		for i, needed := range cs.need {
-			if !needed {
-				continue
-			}
-			c := cs.tm.chunks[i]
-			if !cs.abm.chunkCachedFor(cs, c) {
-				continue
-			}
-			rel := -float64(c.interest - 1)
-			if c.shared {
-				rel -= sharedBonus
-			}
-			if pick == nil || rel > bestRel {
-				pick, bestRel = c, rel
-			}
-		}
-		if pick != nil {
-			d := cs.deliver(pick)
+		if c := cs.useChunk(); c != nil {
+			d := cs.deliver(c)
 			a.mu.Unlock()
 			return d, true
 		}
@@ -422,6 +398,21 @@ func (cs *CScan) GetChunk() (*Delivery, bool) {
 		stop()
 		a.mu.Lock()
 	}
+}
+
+// useChunk implements UseRelevance: among the chunks of interest cached
+// for the scan, the one with the lowest relevance — the one fewest other
+// scans want, so it becomes evictable soonest. Ties go to the first in
+// chunk order. Caller holds a.mu.
+func (cs *CScan) useChunk() *chunk {
+	var pick *chunk
+	for i, needed := range cs.need {
+		c := cs.tm.chunks[i]
+		if needed && (pick == nil || c.relevance() < pick.relevance()) && cs.abm.chunkCachedFor(cs, c) {
+			pick = c
+		}
+	}
+	return pick
 }
 
 // deliver pins the scan's pages of the chunk and updates interest.
@@ -520,17 +511,12 @@ func (a *ABM) run() {
 			a.pace.Flush()
 			return
 		}
-		cs := a.chooseQuery()
-		if cs == nil {
-			a.waitWork()
-			continue
-		}
-		c := a.chooseChunk(cs)
+		c := a.chooseLoad()
 		if c == nil {
 			a.waitWork()
 			continue
 		}
-		if !a.loadChunk(cs, c) {
+		if !a.loadChunk(c) {
 			a.stats.BlockedLoads++
 			a.waitWork()
 			continue
@@ -557,85 +543,51 @@ func (a *ABM) waitWork() {
 	a.mu.Lock()
 }
 
-// chooseQuery implements QueryRelevance: prefer starved queries, then
-// shorter ones (fewest chunks remaining). Scans whose owning query is
+// chooseLoad implements QueryRelevance and LoadRelevance in one pass
+// over each scan's chunks of interest. A needed chunk cached for the scan
+// means it is not starved; one neither cached nor loading is loadable,
+// and the scan's candidate is its loadable chunk of highest relevance
+// (the first in chunk order on ties). Among scans with a candidate the
+// starved are preferred, then those with fewest chunks remaining (the
+// first in registration order on ties); the winner's candidate is
+// returned, nil if no scan has one. Scans whose owning query is
 // cancelled are never chosen: between the cancel and the consumer's
 // Unregister the ABM must not burn I/O loading chunks for a dead query.
-func (a *ABM) chooseQuery() *CScan {
-	var best *CScan
-	bestStarved := false
-	bestRemaining := 0
+func (a *ABM) chooseLoad() *chunk {
+	var best *chunk
+	bestStarved, bestRemaining := false, 0
 	for _, tm := range a.tabOrder {
 		for _, cs := range tm.scans {
 			if cs.qctx.Cancelled() {
 				continue
 			}
-			if !a.hasLoadableChunk(cs) {
-				continue
+			var pick *chunk
+			starved := true
+			for i, needed := range cs.need {
+				if !needed {
+					continue
+				}
+				c := tm.chunks[i]
+				if a.chunkCachedFor(cs, c) {
+					starved = false
+				} else if !c.loading && (pick == nil || c.relevance() > pick.relevance()) {
+					pick = c
+				}
 			}
-			starved := a.isStarved(cs)
-			if best == nil ||
+			if pick != nil && (best == nil ||
 				(starved && !bestStarved) ||
-				(starved == bestStarved && cs.remaining < bestRemaining) {
-				best, bestStarved, bestRemaining = cs, starved, cs.remaining
+				(starved == bestStarved && cs.remaining < bestRemaining)) {
+				best, bestStarved, bestRemaining = pick, starved, cs.remaining
 			}
 		}
 	}
 	return best
 }
 
-// isStarved reports whether the scan has no cached chunk ready to consume.
-func (a *ABM) isStarved(cs *CScan) bool {
-	if cs.remaining == 0 {
-		return false
-	}
-	for i, needed := range cs.need {
-		if needed && a.chunkCachedFor(cs, cs.tm.chunks[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// hasLoadableChunk reports whether any chunk of interest is neither
-// cached nor loading.
-func (a *ABM) hasLoadableChunk(cs *CScan) bool {
-	for i, needed := range cs.need {
-		if !needed {
-			continue
-		}
-		c := cs.tm.chunks[i]
-		if !c.loading && !a.chunkCachedFor(cs, c) {
-			return true
-		}
-	}
-	return false
-}
-
-// chooseChunk implements LoadRelevance for the chosen query: the chunk
-// most concurrent scans are interested in, shared chunks boosted.
-func (a *ABM) chooseChunk(cs *CScan) *chunk {
-	var best *chunk
-	bestRel := 0.0
-	for i, needed := range cs.need {
-		if !needed {
-			continue
-		}
-		c := cs.tm.chunks[i]
-		if c.loading || a.chunkCachedFor(cs, c) {
-			continue
-		}
-		rel := c.relevance()
-		if best == nil || rel > bestRel {
-			best, bestRel = c, rel
-		}
-	}
-	return best
-}
-
-// relevance is the chunk's LoadRelevance and KeepRelevance alike: how
-// many scans still want it, shared chunks boosted. Chunks nobody wants
-// score lowest.
+// relevance is the one score all four relevance functions read: how many
+// scans still want the chunk, shared chunks boosted. Chunks nobody wants
+// score lowest. LoadRelevance loads its maximum; UseRelevance delivers and
+// KeepRelevance evicts its minimum.
 func (c *chunk) relevance() float64 {
 	rel := float64(c.interest)
 	if c.shared {
@@ -647,7 +599,7 @@ func (c *chunk) relevance() float64 {
 // loadChunk loads every missing page of the chunk for the union of the
 // interested scans' columns, evicting lower-relevance chunks to make
 // room. It returns false when eviction cannot free enough space.
-func (a *ABM) loadChunk(cs *CScan, c *chunk) bool {
+func (a *ABM) loadChunk(c *chunk) bool {
 	pages := a.missingPages(c)
 	if len(pages) == 0 {
 		a.wakeInterested(c.tm, c.idx, c.idx)
@@ -686,7 +638,6 @@ func (a *ABM) loadChunk(cs *CScan, c *chunk) bool {
 		rp := &residentPage{page: pg}
 		a.resident[pg.ID] = rp
 		c.owned = append(c.owned, rp)
-		c.bytes += pg.Bytes
 		a.used += pg.Bytes
 		a.stats.BytesLoaded += pg.Bytes
 		if a.OnLoad != nil {
@@ -747,9 +698,6 @@ func (a *ABM) wakeInterested(tm *tableMeta, loChunk, hiChunk int) {
 	if hiChunk >= len(tm.chunks) {
 		hiChunk = len(tm.chunks) - 1
 	}
-	if loChunk < 0 {
-		loChunk = 0
-	}
 	for _, cs := range tm.scans {
 		for i := loChunk; i <= hiChunk; i++ {
 			if cs.need[i] {
@@ -770,7 +718,7 @@ func (a *ABM) makeRoom(bytes int64, loadRel float64, loading *chunk, force bool)
 		victimRel := 0.0
 		for _, tm := range a.tabOrder {
 			for _, c := range tm.chunks {
-				if c == loading || c.bytes == 0 || c.loading || a.chunkPinned(c) {
+				if c == loading || len(c.owned) == 0 || c.loading || a.chunkPinned(c) {
 					continue
 				}
 				rel := c.relevance()
@@ -808,7 +756,6 @@ func (a *ABM) evictChunk(c *chunk) {
 		}
 		if heir := a.interestedHeir(rp.page, c); heir != nil {
 			heir.owned = append(heir.owned, rp)
-			heir.bytes += rp.page.Bytes
 			continue
 		}
 		delete(a.resident, rp.page.ID)
@@ -816,7 +763,6 @@ func (a *ABM) evictChunk(c *chunk) {
 		a.stats.BytesEvicted += rp.page.Bytes
 	}
 	c.owned = nil
-	c.bytes = 0
 }
 
 // interestedHeir finds another chunk overlapping the page's tuple range
@@ -831,7 +777,7 @@ func (a *ABM) interestedHeir(pg *storage.Page, c *chunk) *chunk {
 		last = len(tm.chunks) - 1
 	}
 	for i := first; i <= last; i++ {
-		if i == c.idx || i < 0 {
+		if i == c.idx {
 			continue
 		}
 		if tm.chunks[i].interest > c.interest {

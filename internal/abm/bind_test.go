@@ -12,7 +12,7 @@ import (
 // choosing among already-registered scans (run with -race): RegisterCScan
 // publishes a scan to the loader before its owner can Bind, so the bind
 // must not be a bare write. A long-running scan keeps the loader in
-// chooseQuery while short scans register, bind and leave around it.
+// chooseLoad while short scans register, bind and leave around it.
 func TestBindRaceWithLoader(t *testing.T) {
 	_, snap := fixture(t, 81920) // 20 chunks of 4096
 	r := rt.NewReal()

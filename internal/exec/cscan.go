@@ -32,19 +32,17 @@ type CScan struct {
 	// loaded, and never enter relevance counts.
 	Pred *ScanPredicate
 
-	types    []storage.ColumnType
-	out      *Batch
-	cs       *abm.CScan
-	cur      *abm.Delivery // the pinned chunk merge is emitting, if any
-	merge    segCursor     // over the current chunk's segments
-	consumed int64
-	opened   bool
-	// pureInserts is set when the requested ranges touch no stable
-	// tuples (everything comes from PDT-resident inserts): there is
-	// nothing to load, so the ranges' segments are emitted, once, without
-	// ABM deliveries.
-	pureInserts bool
-	pureLoaded  bool
+	types []storage.ColumnType
+	out   *Batch
+	// cs is the ABM registration; nil when the requested ranges touch no
+	// stable tuples (everything comes from PDT-resident inserts): there
+	// is nothing to load, so the ranges' segments are emitted, once,
+	// without ABM deliveries.
+	cs         *abm.CScan
+	cur        *abm.Delivery // the pinned chunk merge is emitting, if any
+	merge      segCursor     // over the current chunk's segments
+	opened     bool
+	pureLoaded bool
 	// pace is this scan thread's fork of Ctx.Query, the pacing domain of
 	// its CPU charges (the ABM's loader does the device reads).
 	pace *QueryCtx
@@ -90,7 +88,6 @@ func (s *CScan) Open() {
 		}
 	}
 	if len(sids) == 0 {
-		s.pureInserts = true
 		return
 	}
 	s.cs = s.Ctx.ABM.RegisterCScan(s.Snap, s.Cols, sids, false)
@@ -113,8 +110,7 @@ func (s *CScan) Next() *Batch {
 			}
 			continue
 		}
-		n, _ := s.merge.fill(s.out) // readCol cannot fail
-		s.consumed += n
+		s.merge.fill(s.out) // readCol cannot fail
 	}
 	if s.out.N == 0 {
 		return nil
@@ -130,7 +126,7 @@ func (s *CScan) Next() *Batch {
 // nothing is left to deliver.
 func (s *CScan) nextSegments() bool {
 	var ranges []RIDRange
-	if s.pureInserts {
+	if s.cs == nil {
 		if s.pureLoaded {
 			return false
 		}

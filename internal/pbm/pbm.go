@@ -588,22 +588,19 @@ func (p *PBM) Victim() *buffer.Frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.refresh()
-	for len(p.victims) > 0 {
-		m := p.victims[0]
-		p.victims = p.victims[1:]
-		if m.frame != nil && !m.frame.Pinned() && !m.frame.Loading() && m.bucket != nil {
-			return m.frame
+	for refilled := false; ; refilled = true {
+		for len(p.victims) > 0 {
+			m := p.victims[0]
+			p.victims = p.victims[1:]
+			if m.frame != nil && !m.frame.Pinned() && !m.frame.Loading() && m.bucket != nil {
+				return m.frame
+			}
 		}
-	}
-	p.selectVictims()
-	for len(p.victims) > 0 {
-		m := p.victims[0]
-		p.victims = p.victims[1:]
-		if m.frame != nil && !m.frame.Pinned() && !m.frame.Loading() {
-			return m.frame
+		if refilled {
+			return nil
 		}
+		p.selectVictims()
 	}
-	return nil
 }
 
 func (p *PBM) selectVictims() {

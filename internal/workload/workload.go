@@ -50,12 +50,12 @@ func (p Policy) String() string {
 func Policies() []Policy { return []Policy{LRU, MRU, Clock, PBM, PBMLRU, CScan} }
 
 // ParsePolicy maps a buffer-policy name (as Policy.String prints it,
-// case-insensitively) back to its constant — the inverse command-line
-// binaries need; the error lists the menu.
+// case-insensitively, with '-' accepted for '/') back to its constant —
+// the inverse command-line binaries need; the error lists the menu.
 func ParsePolicy(name string) (Policy, error) {
 	var menu []string
 	for _, p := range Policies() {
-		if strings.EqualFold(name, p.String()) {
+		if strings.EqualFold(strings.ReplaceAll(name, "-", "/"), p.String()) {
 			return p, nil
 		}
 		menu = append(menu, p.String())

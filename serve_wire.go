@@ -21,8 +21,8 @@ import (
 type ServeAxes = workload.ServeAxes
 
 // ParsePolicy parses a buffer-management policy name ("lru", "mru",
-// "clock", "pbm", "pbm/lru", "cscans"), case-insensitively; the error
-// lists the menu.
+// "clock", "pbm", "pbm/lru" or "pbm-lru", "cscans"), case-insensitively;
+// the error lists the menu.
 func ParsePolicy(name string) (Policy, error) { return workload.ParsePolicy(name) }
 
 // Percentile reports the nearest-rank p-quantile of a duration sample,
