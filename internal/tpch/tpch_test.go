@@ -1,6 +1,13 @@
 package tpch
 
 import (
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,21 +199,72 @@ func TestQ6MatchesReference(t *testing.T) {
 	}
 }
 
-// TestAll22QueriesRun executes every throughput query end to end and
-// checks it produces a sane (possibly empty) result without panicking.
-func TestAll22QueriesRun(t *testing.T) {
-	db := testDB(t)
-	for qi, plan := range Queries() {
-		qi, plan := qi, plan
-		pe := newPlanEnv(t)
-		var rows int64
-		pe.eng.Go("q", func() {
-			rows = exec.Drain(plan(db, pe.scanBuilder(db)))
-		})
-		pe.eng.Run()
-		if rows < 0 {
-			t.Errorf("Q%d returned negative rows", qi+1)
+var update = flag.Bool("update", false, "rewrite testdata/answers_golden.txt")
+
+// answersGolden holds every query's answer at two scales: its row count
+// and answerHash.
+const answersGolden = "testdata/answers_golden.txt"
+
+// answerHash is the sum of one FNV-64a per row over the row's values
+// (floats by their bits, strings length-prefixed): order-insensitive, so
+// it names a multiset of rows whatever order an aggregate emits them in.
+func answerHash(b *exec.Batch) uint64 {
+	var sum uint64
+	var w [8]byte
+	for i := 0; i < b.N; i++ {
+		h := fnv.New64a()
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(w[:], v)
+			h.Write(w[:])
 		}
+		for _, v := range b.Vecs {
+			switch v.T {
+			case storage.Int64:
+				put(uint64(v.I64[i]))
+			case storage.Float64:
+				put(math.Float64bits(v.F64[i]))
+			case storage.String:
+				put(uint64(len(v.Str[i])))
+				h.Write([]byte(v.Str[i]))
+			}
+		}
+		sum += h.Sum64()
+	}
+	return sum
+}
+
+// TestAll22QueriesRun executes every throughput query end to end at sf
+// 0.005 (testDB) and at 0.01, the scale CI's figure cells run (Q21 keeps
+// no row at 0.005), and holds each answer to answersGolden. The golden
+// was recorded by the engine before the per-tuple predicates became one
+// form; rewrite it with -update only for an intentional change to the
+// data or to a plan's meaning.
+func TestAll22QueriesRun(t *testing.T) {
+	var got strings.Builder
+	for _, sf := range []float64{0.005, 0.01} {
+		db := Generate(sf, 1)
+		for qi, plan := range Queries() {
+			pe := newPlanEnv(t)
+			var res *exec.Batch
+			pe.eng.Go("q", func() {
+				res = exec.Collect(plan(db, pe.scanBuilder(db)))
+			})
+			pe.eng.Run()
+			fmt.Fprintf(&got, "sf=%g Q%d rows=%d hash=%016x\n", sf, qi+1, res.N, answerHash(res))
+		}
+	}
+	if *update {
+		if err := os.WriteFile(answersGolden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(answersGolden)
+	if err != nil {
+		t.Fatalf("missing golden file (generate with -update): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("answers diverged from %s\n--- want\n%s--- got\n%s", answersGolden, want, got.String())
 	}
 }
 
