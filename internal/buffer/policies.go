@@ -36,70 +36,48 @@ func (l *frameList) front() *Frame {
 	return l.head.next
 }
 
-func (l *frameList) back() *Frame {
-	if l.size == 0 {
-		return nil
-	}
-	return l.head.prev
-}
-
-// LRU evicts the least-recently-used page — the "traditional buffer
-// manager" baseline of the paper's evaluation.
-type LRU struct {
+// Recency evicts by recency of use: LRU, the "traditional buffer
+// manager" baseline of the paper's evaluation, takes the coldest unpinned
+// page; MRU, historically suggested for looping scans (related work,
+// [4]), the hottest.
+type Recency struct {
 	list *frameList
+	mru  bool
 }
 
-// NewLRU returns an LRU policy.
-func NewLRU() *LRU { return &LRU{list: newFrameList()} }
+// NewLRU returns the LRU policy.
+func NewLRU() *Recency { return &Recency{list: newFrameList()} }
+
+// NewMRU returns the MRU policy.
+func NewMRU() *Recency { return &Recency{list: newFrameList(), mru: true} }
 
 // Admitted implements Policy.
-func (l *LRU) Admitted(f *Frame) { l.list.pushBack(f) }
+func (r *Recency) Admitted(f *Frame) { r.list.pushBack(f) }
 
 // Accessed implements Policy.
-func (l *LRU) Accessed(f *Frame) {
-	l.list.remove(f)
-	l.list.pushBack(f)
+func (r *Recency) Accessed(f *Frame) {
+	r.list.remove(f)
+	r.list.pushBack(f)
 }
 
 // Removed implements Policy.
-func (l *LRU) Removed(f *Frame) { l.list.remove(f) }
+func (r *Recency) Removed(f *Frame) { r.list.remove(f) }
 
-// Victim implements Policy: the coldest unpinned frame.
-func (l *LRU) Victim() *Frame {
-	for f := l.list.front(); f != nil && f != &l.list.head; f = f.next {
+// Victim implements Policy: the first unpinned frame from the cold end of
+// the list, or from the hot end under MRU.
+func (r *Recency) Victim() *Frame {
+	f := r.list.head.next
+	if r.mru {
+		f = r.list.head.prev
+	}
+	for f != &r.list.head {
 		if !f.Pinned() && !f.Loading() {
 			return f
 		}
-	}
-	return nil
-}
-
-// MRU evicts the most-recently-used page; historically suggested for
-// looping scans (related work, [4]).
-type MRU struct {
-	list *frameList
-}
-
-// NewMRU returns an MRU policy.
-func NewMRU() *MRU { return &MRU{list: newFrameList()} }
-
-// Admitted implements Policy.
-func (m *MRU) Admitted(f *Frame) { m.list.pushBack(f) }
-
-// Accessed implements Policy.
-func (m *MRU) Accessed(f *Frame) {
-	m.list.remove(f)
-	m.list.pushBack(f)
-}
-
-// Removed implements Policy.
-func (m *MRU) Removed(f *Frame) { m.list.remove(f) }
-
-// Victim implements Policy: the hottest unpinned frame.
-func (m *MRU) Victim() *Frame {
-	for f := m.list.back(); f != nil && f != &m.list.head; f = f.prev {
-		if !f.Pinned() && !f.Loading() {
-			return f
+		if r.mru {
+			f = f.prev
+		} else {
+			f = f.next
 		}
 	}
 	return nil

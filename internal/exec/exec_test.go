@@ -190,7 +190,7 @@ func TestSelectFilter(t *testing.T) {
 	e.run(func() {
 		plan := &Select{
 			Child: &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0, 2}, Ranges: []RIDRange{{0, 4000}}},
-			Pred:  StrEq{Col: 1, Val: "A"},
+			Pred:  StrEq(1, "A"),
 		}
 		res := Collect(plan)
 		if res.N != 2000 {
@@ -428,7 +428,7 @@ func TestExprBetweenAndIn(t *testing.T) {
 			Child: &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{{0, 100}}},
 			Pred: NewAnd(
 				Between(Col{0, storage.Int64}, 10, 20),
-				&InI64{Expr: Col{0, storage.Int64}, Set: map[int64]bool{10: true, 15: true, 99: true}},
+				InI64(0, map[int64]bool{10: true, 15: true, 99: true}),
 			),
 		}
 		res := Collect(plan)

@@ -22,8 +22,8 @@ type Expr interface {
 
 // A narrower is a predicate that can apply itself to a selection vector:
 // instead of a 0/1 value for every tuple of the batch it looks only at
-// the positions still selected and keeps those that qualify. Cmp and And
-// narrow; a Select whose predicate does not falls back to Eval.
+// the positions still selected and keeps those that qualify. Cmp, And
+// and Where narrow; a Select whose predicate does not falls back to Eval.
 type narrower interface {
 	// narrow keeps the positions of sel (ascending, within [0, b.N))
 	// whose tuple satisfies the predicate, compacting sel in place.
@@ -84,7 +84,7 @@ func operand(e Expr, b *Batch, scratch *Vec) *Vec {
 // literal, or a node this package does not define.
 func mayFault(e Expr) bool {
 	switch e := e.(type) {
-	case Col, ConstI, ConstF, StrEq, StrPrefix, StrContains, InStr:
+	case Col, ConstI, ConstF, Where:
 		return false
 	case *Arith:
 		if k, ok := e.R.(ConstI); e.Op == "/" && e.Type() == storage.Int64 && (!ok || k == 0) {
@@ -97,8 +97,6 @@ func mayFault(e Expr) bool {
 		return slices.ContainsFunc(e.Kids, mayFault)
 	case *Or:
 		return slices.ContainsFunc(e.Kids, mayFault)
-	case *InI64:
-		return mayFault(e.Expr)
 	}
 	return true
 }
@@ -508,117 +506,64 @@ func (o *Or) Eval(b *Batch, out *Vec) {
 	}
 }
 
-// StrEq tests string column equality against a constant.
-type StrEq struct {
-	Col int
-	Val string
-}
+// Where is a predicate read one tuple at a time: w(b, i) reports whether
+// tuple i of b qualifies. It reads tuple i only and cannot fault on a
+// tuple a filter dropped, so it narrows under Select and And the way Cmp
+// does, and a Project may evaluate it over a whole batch (mayFault).
+type Where func(b *Batch, i int) bool
 
 // Type implements Expr.
-func (StrEq) Type() storage.ColumnType { return storage.Int64 }
+func (Where) Type() storage.ColumnType { return storage.Int64 }
 
 // Eval implements Expr.
-func (s StrEq) Eval(b *Batch, out *Vec) {
+func (w Where) Eval(b *Batch, out *Vec) {
 	out.Reset()
 	out.T = storage.Int64
-	for _, v := range b.Vecs[s.Col].Str {
-		if v == s.Val {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
+	out.I64 = resize(out.I64, b.N)
+	for i := range out.I64 {
+		out.I64[i] = 0
+		if w(b, i) {
+			out.I64[i] = 1
 		}
 	}
 }
 
-// StrPrefix tests whether a string column starts with a constant prefix
-// (stand-in for TPC-H LIKE 'x%' predicates).
-type StrPrefix struct {
-	Col    int
-	Prefix string
-}
-
-// Type implements Expr.
-func (StrPrefix) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements Expr.
-func (s StrPrefix) Eval(b *Batch, out *Vec) {
-	out.Reset()
-	out.T = storage.Int64
-	for _, v := range b.Vecs[s.Col].Str {
-		if strings.HasPrefix(v, s.Prefix) {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
+func (w Where) narrow(b *Batch, sel []int32) []int32 {
+	n := 0
+	for _, i := range sel {
+		sel[n] = i
+		if w(b, int(i)) {
+			n++
 		}
 	}
+	return sel[:n]
 }
 
-// StrContains tests substring containment (stand-in for LIKE '%x%').
-type StrContains struct {
-	Col int
-	Sub string
+// StrEq tests string column col for equality with val.
+func StrEq(col int, val string) Where {
+	return func(b *Batch, i int) bool { return b.Vecs[col].Str[i] == val }
 }
 
-// Type implements Expr.
-func (StrContains) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements Expr.
-func (s StrContains) Eval(b *Batch, out *Vec) {
-	out.Reset()
-	out.T = storage.Int64
-	for _, v := range b.Vecs[s.Col].Str {
-		if strings.Contains(v, s.Sub) {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
-		}
-	}
+// StrPrefix tests whether string column col starts with prefix (stand-in
+// for TPC-H LIKE 'x%' predicates).
+func StrPrefix(col int, prefix string) Where {
+	return func(b *Batch, i int) bool { return strings.HasPrefix(b.Vecs[col].Str[i], prefix) }
 }
 
-// InI64 tests membership of an int64 column in a constant set.
-type InI64 struct {
-	Expr Expr
-	Set  map[int64]bool
-	tmp  Vec
+// StrContains tests whether string column col contains sub (stand-in for
+// LIKE '%x%').
+func StrContains(col int, sub string) Where {
+	return func(b *Batch, i int) bool { return strings.Contains(b.Vecs[col].Str[i], sub) }
 }
 
-// Type implements Expr.
-func (*InI64) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements Expr.
-func (s *InI64) Eval(b *Batch, out *Vec) {
-	vals := operand(s.Expr, b, &s.tmp).I64
-	out.Reset()
-	out.T = storage.Int64
-	for _, v := range vals {
-		if s.Set[v] {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
-		}
-	}
+// InI64 tests membership of int64 column col in a constant set.
+func InI64(col int, set map[int64]bool) Where {
+	return func(b *Batch, i int) bool { return set[b.Vecs[col].I64[i]] }
 }
 
-// InStr tests membership of a string column in a constant set.
-type InStr struct {
-	Col int
-	Set map[string]bool
-}
-
-// Type implements Expr.
-func (InStr) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements Expr.
-func (s InStr) Eval(b *Batch, out *Vec) {
-	out.Reset()
-	out.T = storage.Int64
-	for _, v := range b.Vecs[s.Col].Str {
-		if s.Set[v] {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
-		}
-	}
+// InStr tests membership of string column col in a constant set.
+func InStr(col int, set map[string]bool) Where {
+	return func(b *Batch, i int) bool { return set[b.Vecs[col].Str[i]] }
 }
 
 // Between is lo <= e <= hi for int64 expressions (dates, keys).

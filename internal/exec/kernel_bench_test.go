@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -41,13 +42,14 @@ func BenchmarkHashAggrGroups(b *testing.B) {
 	})
 }
 
-// BenchmarkSelect times a comparison with a literal narrowing a whole
-// vector, in ns per tuple, at four selectivities: an int64 <= and a
-// float64 >= over shuffled vectors of 0..VectorSize-1, so a filter keeps
-// exactly its share of tuples in no predictable order. It cycles through
-// 64 vectors, more than a branch predictor learns by heart. The rows
-// should be about equal; a filter whose cost peaks near 50% is paying for
-// mispredicted branches.
+// BenchmarkSelect times a predicate narrowing a whole vector, in ns per
+// tuple, at four selectivities: an int64 <= and a float64 >= with a
+// literal, and an InStr over the same numbers as strings, over shuffled
+// vectors of 0..VectorSize-1, so a filter keeps exactly its share of
+// tuples in no predictable order. It cycles through 64 vectors, more than
+// a branch predictor learns by heart. The comparison rows should be about
+// equal; a filter whose cost peaks near 50% is paying for mispredicted
+// branches.
 func BenchmarkSelect(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ins := make([]*Batch, 64)
@@ -56,18 +58,24 @@ func BenchmarkSelect(b *testing.B) {
 		for _, x := range rng.Perm(VectorSize) {
 			in.Vecs[0].I64 = append(in.Vecs[0].I64, int64(x))
 			in.Vecs[2].F64 = append(in.Vecs[2].F64, float64(x))
+			in.Vecs[4].Str = append(in.Vecs[4].Str, strconv.Itoa(x))
 		}
 		in.N = VectorSize
 		ins[k] = in
 	}
 	for _, pct := range []int{1, 15, 50, 98} {
 		cut := VectorSize * pct / 100
+		set := make(map[string]bool, cut)
+		for x := 0; x < cut; x++ {
+			set[strconv.Itoa(x)] = true
+		}
 		for _, c := range []struct {
 			name string
 			pred Expr
 		}{
 			{"int64<=", NewCmp("<=", col(0), ConstI(cut-1))},
 			{"float64>=", NewCmp(">=", col(2), ConstF(float64(VectorSize-cut)))},
+			{"InStr", InStr(4, set)},
 		} {
 			b.Run(fmt.Sprintf("%s/sel=%d%%", c.name, pct), func(b *testing.B) {
 				var sel []int32

@@ -109,8 +109,8 @@ func sameBatch(a, b *Batch) bool {
 }
 
 // oddExpr is a predicate the engine knows nothing about — the stand-in
-// for the custom Exprs of internal/tpch: it cannot narrow, so a Select or
-// an And must take it through its 0/1 Eval.
+// for an Expr defined outside this package: it cannot narrow, so a Select
+// or an And must take it through its 0/1 Eval.
 type oddExpr struct{ col int }
 
 func (oddExpr) Type() storage.ColumnType { return storage.Int64 }
@@ -246,12 +246,81 @@ func TestDifferentialSelect(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		batches := randBatches(rng, []int{1, 3, 40}[round%3])
 		preds, _ := kernelExprs(rng)
-		preds = append(preds, none, all, oddExpr{col: 1}, StrEq{Col: 4, Val: "A"}, NewAnd(all, all), NewAnd(all, none))
+		preds = append(preds, none, all, oddExpr{col: 1}, StrEq(4, "A"), NewAnd(all, all), NewAnd(all, none))
 		for i, p := range preds {
 			got := Collect(&Select{Child: &manyBatches{batches: batches}, Pred: p})
 			want := Collect(&refSelect{Child: &manyBatches{batches: batches}, Pred: p})
 			if !sameBatch(got, want) {
 				t.Fatalf("round %d pred %d (%T %+v): %d rows, reference %d", round, i, p, p, got.N, want.N)
+			}
+		}
+	}
+}
+
+// TestDifferentialWhere holds the five per-tuple constructors to the types
+// they replaced (reference_test.go) over random batches with empty,
+// non-ASCII and invalid UTF-8 strings, constants longer than the values,
+// and empty sets or sets with negative keys. Each is checked alone, as the
+// last conjunct of an And (so it narrows a selection a Cmp already cut),
+// and under the "== 0" negation Q13, Q16 and Q22 use: Eval must give the
+// reference's 0/1 vector, and narrow over a random ascending selection
+// must keep exactly the selected positions the reference marks 1.
+func TestDifferentialWhere(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	strs := []string{"", "a", "ab", "abc", "b", "ba", "bab", "é", "éa", "aé", "日本", "日本語", "\xff", "\xffa"}
+	ints := []int64{math.MinInt64, -7, -1, 0, 1, 2, 7, 1 << 40, math.MaxInt64}
+	types := []storage.ColumnType{storage.Int64, storage.String}
+	pos := NewCmp(">", Col{0, storage.Int64}, ConstI(0))
+	for round := 0; round < 300; round++ {
+		b := NewBatch(types)
+		b.N = rng.Intn(VectorSize + 1)
+		for i := 0; i < b.N; i++ {
+			b.Vecs[0].I64 = append(b.Vecs[0].I64, ints[rng.Intn(len(ints))])
+			b.Vecs[1].Str = append(b.Vecs[1].Str, strs[rng.Intn(len(strs))])
+		}
+		s := strs[rng.Intn(len(strs))]
+		iset, sset := map[int64]bool{}, map[string]bool{}
+		for k := rng.Intn(4); k > 0; k-- {
+			iset[ints[rng.Intn(len(ints))]] = true
+			sset[strs[rng.Intn(len(strs))]] = true
+		}
+		keep := rng.Intn(4) // a selection keeps each position with probability keep/3
+		for _, c := range []struct {
+			name      string
+			got, want Expr
+		}{
+			{"StrEq", StrEq(1, s), refStrEq{1, s}},
+			{"StrPrefix", StrPrefix(1, s), refStrPrefix{1, s}},
+			{"StrContains", StrContains(1, s), refStrContains{1, s}},
+			{"InI64", InI64(0, iset), &refInI64{Expr: Col{0, storage.Int64}, Set: iset}},
+			{"InStr", InStr(1, sset), refInStr{1, sset}},
+		} {
+			for _, f := range []struct {
+				form      string
+				got, want Expr
+			}{
+				{"alone", c.got, c.want},
+				{"and", NewAnd(pos, c.got), NewAnd(pos, c.want)},
+				{"not", NewCmp("==", c.got, ConstI(0)), NewCmp("==", c.want, ConstI(0))},
+			} {
+				var got, want Vec
+				f.got.Eval(b, &got)
+				refEval(f.want, b, &want)
+				if !slices.Equal(got.I64, want.I64) {
+					t.Fatalf("round %d %s %s (%q %v %v): Eval %v, reference %v", round, c.name, f.form, s, iset, sset, got.I64, want.I64)
+				}
+				var sel, wantSel []int32
+				for i := 0; i < b.N; i++ {
+					if rng.Intn(3) < keep {
+						sel = append(sel, int32(i))
+						if want.I64[i] != 0 {
+							wantSel = append(wantSel, int32(i))
+						}
+					}
+				}
+				if gotSel := f.got.(narrower).narrow(b, sel); !slices.Equal(gotSel, wantSel) {
+					t.Fatalf("round %d %s %s (%q %v %v): narrow kept %v, reference %v", round, c.name, f.form, s, iset, sset, gotSel, wantSel)
+				}
 			}
 		}
 	}

@@ -26,7 +26,7 @@ func TestOperatorsCloseTwice(t *testing.T) {
 		{"Select", false, func(e *env) Operator {
 			return &Select{
 				Child: &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0, 2}, Ranges: []RIDRange{{0, 2000}}},
-				Pred:  StrEq{Col: 1, Val: "A"},
+				Pred:  StrEq(1, "A"),
 			}
 		}},
 		{"Project", false, func(e *env) Operator {

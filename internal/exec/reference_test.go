@@ -384,3 +384,108 @@ func (a *refHashAggr) consume() {
 }
 
 func (a *refHashAggr) Close() { a.Child.Close() }
+
+// The five per-tuple predicates Where replaced, kept verbatim (renamed)
+// as the oracle of TestDifferentialWhere.
+
+// refStrEq tests string column equality against a constant.
+type refStrEq struct {
+	Col int
+	Val string
+}
+
+func (refStrEq) Type() storage.ColumnType { return storage.Int64 }
+
+func (s refStrEq) Eval(b *Batch, out *Vec) {
+	out.Reset()
+	out.T = storage.Int64
+	for _, v := range b.Vecs[s.Col].Str {
+		if v == s.Val {
+			out.I64 = append(out.I64, 1)
+		} else {
+			out.I64 = append(out.I64, 0)
+		}
+	}
+}
+
+// refStrPrefix tests whether a string column starts with a constant prefix.
+type refStrPrefix struct {
+	Col    int
+	Prefix string
+}
+
+func (refStrPrefix) Type() storage.ColumnType { return storage.Int64 }
+
+func (s refStrPrefix) Eval(b *Batch, out *Vec) {
+	out.Reset()
+	out.T = storage.Int64
+	for _, v := range b.Vecs[s.Col].Str {
+		if strings.HasPrefix(v, s.Prefix) {
+			out.I64 = append(out.I64, 1)
+		} else {
+			out.I64 = append(out.I64, 0)
+		}
+	}
+}
+
+// refStrContains tests substring containment.
+type refStrContains struct {
+	Col int
+	Sub string
+}
+
+func (refStrContains) Type() storage.ColumnType { return storage.Int64 }
+
+func (s refStrContains) Eval(b *Batch, out *Vec) {
+	out.Reset()
+	out.T = storage.Int64
+	for _, v := range b.Vecs[s.Col].Str {
+		if strings.Contains(v, s.Sub) {
+			out.I64 = append(out.I64, 1)
+		} else {
+			out.I64 = append(out.I64, 0)
+		}
+	}
+}
+
+// refInI64 tests membership of an int64 expression in a constant set.
+type refInI64 struct {
+	Expr Expr
+	Set  map[int64]bool
+	tmp  Vec
+}
+
+func (*refInI64) Type() storage.ColumnType { return storage.Int64 }
+
+func (s *refInI64) Eval(b *Batch, out *Vec) {
+	vals := operand(s.Expr, b, &s.tmp).I64
+	out.Reset()
+	out.T = storage.Int64
+	for _, v := range vals {
+		if s.Set[v] {
+			out.I64 = append(out.I64, 1)
+		} else {
+			out.I64 = append(out.I64, 0)
+		}
+	}
+}
+
+// refInStr tests membership of a string column in a constant set.
+type refInStr struct {
+	Col int
+	Set map[string]bool
+}
+
+func (refInStr) Type() storage.ColumnType { return storage.Int64 }
+
+func (s refInStr) Eval(b *Batch, out *Vec) {
+	out.Reset()
+	out.T = storage.Int64
+	for _, v := range b.Vecs[s.Col].Str {
+		if s.Set[v] {
+			out.I64 = append(out.I64, 1)
+		} else {
+			out.I64 = append(out.I64, 0)
+		}
+	}
+}

@@ -134,7 +134,7 @@ func q2() Plan {
 			Child: build("part", pCols, nil, false),
 			Pred: exec.NewAnd(
 				exec.NewCmp("==", icol(pCols, "p_size"), exec.ConstI(15)),
-				exec.StrContains{Col: col(pCols, "p_type"), Sub: "BRASS"},
+				exec.StrContains(col(pCols, "p_type"), "BRASS"),
 			),
 		}
 		ps := build("partsupp", psCols, nil, false)
@@ -166,7 +166,7 @@ func q3() Plan {
 	return func(db *DB, build ScanBuilder) exec.Op {
 		cust := &exec.Select{
 			Child: build("customer", cCols, nil, false),
-			Pred:  exec.StrEq{Col: col(cCols, "c_mktsegment"), Val: "BUILDING"},
+			Pred:  exec.StrEq(col(cCols, "c_mktsegment"), "BUILDING"),
 		}
 		orders := &exec.Select{
 			Child: build("orders", oCols, nil, false),
@@ -215,7 +215,7 @@ func q4() Plan {
 			Child: build("orders", oCols, nil, false),
 			Pred: exec.NewAnd(
 				exec.Between(icol(oCols, "o_orderdate"), lo, hi),
-				&exec.InI64{Expr: icol(oCols, "o_orderkey"), Set: set},
+				exec.InI64(col(oCols, "o_orderkey"), set),
 			),
 		}
 		return &exec.HashAggr{
@@ -235,7 +235,7 @@ func q5() Plan {
 		// ASIA nations.
 		nation, nCols := nationScan(build)
 		asia := exec.Collect(&exec.Select{Child: nation,
-			Pred: &exec.InI64{Expr: icol(nCols, "n_regionkey"), Set: map[int64]bool{2: true}}})
+			Pred: exec.InI64(col(nCols, "n_regionkey"), map[int64]bool{2: true})})
 		asiaSet := make(map[int64]bool)
 		nationName := make(map[int64]string)
 		for i := 0; i < asia.N; i++ {
@@ -245,7 +245,7 @@ func q5() Plan {
 		_ = nationName
 		cust := &exec.Select{
 			Child: build("customer", cCols, nil, false),
-			Pred:  &exec.InI64{Expr: icol(cCols, "c_nationkey"), Set: asiaSet},
+			Pred:  exec.InI64(col(cCols, "c_nationkey"), asiaSet),
 		}
 		orders := &exec.Select{
 			Child: build("orders", oCols, nil, false),
@@ -256,7 +256,7 @@ func q5() Plan {
 		jl := &exec.HashJoin{Build: jco, Probe: line, BuildKey: 0, ProbeKey: col(lCols, "l_orderkey")}
 		supp := &exec.Select{
 			Child: build("supplier", sCols, nil, false),
-			Pred:  &exec.InI64{Expr: icol(sCols, "s_nationkey"), Set: asiaSet},
+			Pred:  exec.InI64(col(sCols, "s_nationkey"), asiaSet),
 		}
 		js := &exec.HashJoin{Build: supp, Probe: jl, BuildKey: 0, ProbeKey: col(lCols, "l_suppkey")}
 		// Group revenue by supplier nation.
@@ -285,12 +285,12 @@ func q7() Plan {
 		}
 		supp := &exec.Select{
 			Child: build("supplier", sCols, nil, false),
-			Pred:  &exec.InI64{Expr: icol(sCols, "s_nationkey"), Set: map[int64]bool{6: true, 7: true}}, // FRANCE, GERMANY
+			Pred:  exec.InI64(col(sCols, "s_nationkey"), map[int64]bool{6: true, 7: true}), // FRANCE, GERMANY
 		}
 		jls := &exec.HashJoin{Build: supp, Probe: line, BuildKey: 0, ProbeKey: col(lCols, "l_suppkey")}
 		cust := &exec.Select{
 			Child: build("customer", cCols, nil, false),
-			Pred:  &exec.InI64{Expr: icol(cCols, "c_nationkey"), Set: map[int64]bool{6: true, 7: true}},
+			Pred:  exec.InI64(col(cCols, "c_nationkey"), map[int64]bool{6: true, 7: true}),
 		}
 		orders := build("orders", oCols, nil, false)
 		jco := &exec.HashJoin{Build: cust, Probe: orders, BuildKey: 0, ProbeKey: col(oCols, "o_custkey")}
@@ -321,7 +321,7 @@ func q8() Plan {
 	return func(db *DB, build ScanBuilder) exec.Op {
 		part := &exec.Select{
 			Child: build("part", pCols, nil, false),
-			Pred:  exec.StrEq{Col: col(pCols, "p_type"), Val: "ECONOMY ANODIZED STEEL"},
+			Pred:  exec.StrEq(col(pCols, "p_type"), "ECONOMY ANODIZED STEEL"),
 		}
 		line := build("lineitem", lCols, nil, false)
 		jlp := &exec.HashJoin{Build: part, Probe: line, BuildKey: 0, ProbeKey: col(lCols, "l_partkey")}
@@ -358,7 +358,7 @@ func q9() Plan {
 	return func(db *DB, build ScanBuilder) exec.Op {
 		part := &exec.Select{
 			Child: build("part", pCols, nil, false),
-			Pred:  exec.StrContains{Col: col(pCols, "p_name"), Sub: "green"},
+			Pred:  exec.StrContains(col(pCols, "p_name"), "green"),
 		}
 		line := build("lineitem", lCols, nil, false)
 		jp := &exec.HashJoin{Build: part, Probe: line, BuildKey: 0, ProbeKey: col(lCols, "l_partkey")}
@@ -396,7 +396,7 @@ func q10() Plan {
 		jco := &exec.HashJoin{Build: cust, Probe: orders, BuildKey: 0, ProbeKey: col(oCols, "o_custkey")}
 		line := &exec.Select{
 			Child: build("lineitem", lCols, nil, false),
-			Pred:  exec.StrEq{Col: col(lCols, "l_returnflag"), Val: "R"},
+			Pred:  exec.StrEq(col(lCols, "l_returnflag"), "R"),
 		}
 		j := &exec.HashJoin{Build: jco, Probe: line, BuildKey: 0, ProbeKey: col(lCols, "l_orderkey")}
 		custIdx := len(lCols) + len(oCols) + col(cCols, "c_custkey")
@@ -422,7 +422,7 @@ func q11() Plan {
 	return func(db *DB, build ScanBuilder) exec.Op {
 		supp := &exec.Select{
 			Child: build("supplier", sCols, nil, false),
-			Pred:  &exec.InI64{Expr: icol(sCols, "s_nationkey"), Set: map[int64]bool{7: true}}, // GERMANY
+			Pred:  exec.InI64(col(sCols, "s_nationkey"), map[int64]bool{7: true}), // GERMANY
 		}
 		ps := build("partsupp", psCols, nil, false)
 		j := &exec.HashJoin{Build: supp, Probe: ps, BuildKey: 0, ProbeKey: col(psCols, "ps_suppkey")}
@@ -467,7 +467,7 @@ func q12() Plan {
 		line := &exec.Select{
 			Child: build("lineitem", lCols, nil, false),
 			Pred: exec.NewAnd(
-				exec.InStr{Col: col(lCols, "l_shipmode"), Set: map[string]bool{"MAIL": true, "SHIP": true}},
+				exec.InStr(col(lCols, "l_shipmode"), map[string]bool{"MAIL": true, "SHIP": true}),
 				exec.NewCmp("<", icol(lCols, "l_commitdate"), icol(lCols, "l_receiptdate")),
 				exec.NewCmp("<", icol(lCols, "l_shipdate"), icol(lCols, "l_commitdate")),
 				exec.Between(icol(lCols, "l_receiptdate"), Date(1994, 1, 1), Date(1995, 1, 1)-1),
@@ -492,7 +492,7 @@ func q13() Plan {
 		exec.Drain(build("customer", cCols, nil, false))
 		orders := &exec.Select{
 			Child: build("orders", oCols, nil, false),
-			Pred:  exec.NewCmp("==", exec.StrContains{Col: col(oCols, "o_comment"), Sub: "special requests"}, exec.ConstI(0)),
+			Pred:  exec.NewCmp("==", exec.StrContains(col(oCols, "o_comment"), "special requests"), exec.ConstI(0)),
 		}
 		perCust := &exec.HashAggr{
 			Child:  orders,
@@ -520,7 +520,7 @@ func q14() Plan {
 		promo := &exec.Project{
 			Child: j,
 			Exprs: []exec.Expr{
-				exec.StrPrefix{Col: len(lCols) + col(pCols, "p_type"), Prefix: "PROMO"},
+				exec.StrPrefix(len(lCols)+col(pCols, "p_type"), "PROMO"),
 				revenueExpr(lCols),
 			},
 		}
@@ -554,9 +554,9 @@ func q16() Plan {
 		part := &exec.Select{
 			Child: build("part", pCols, nil, false),
 			Pred: exec.NewAnd(
-				exec.NewCmp("==", exec.StrEq{Col: col(pCols, "p_brand"), Val: "Brand#45"}, exec.ConstI(0)),
-				exec.NewCmp("==", exec.StrPrefix{Col: col(pCols, "p_type"), Prefix: "MEDIUM POLISHED"}, exec.ConstI(0)),
-				&exec.InI64{Expr: icol(pCols, "p_size"), Set: map[int64]bool{49: true, 14: true, 23: true, 45: true, 19: true, 3: true, 36: true, 9: true}},
+				exec.NewCmp("==", exec.StrEq(col(pCols, "p_brand"), "Brand#45"), exec.ConstI(0)),
+				exec.NewCmp("==", exec.StrPrefix(col(pCols, "p_type"), "MEDIUM POLISHED"), exec.ConstI(0)),
+				exec.InI64(col(pCols, "p_size"), map[int64]bool{49: true, 14: true, 23: true, 45: true, 19: true, 3: true, 36: true, 9: true}),
 			),
 		}
 		ps := build("partsupp", psCols, nil, false)
@@ -590,38 +590,18 @@ func q17() Plan {
 		part := &exec.Select{
 			Child: build("part", pCols, nil, false),
 			Pred: exec.NewAnd(
-				exec.StrEq{Col: col(pCols, "p_brand"), Val: "Brand#23"},
-				exec.StrEq{Col: col(pCols, "p_container"), Val: "MED BOX"},
+				exec.StrEq(col(pCols, "p_brand"), "Brand#23"),
+				exec.StrEq(col(pCols, "p_container"), "MED BOX"),
 			),
 		}
 		line := build("lineitem", lCols, nil, false)
-		j := &exec.HashJoin{Build: part, Probe: line, BuildKey: 0, ProbeKey: col(lCols, "l_partkey")}
-		below := &exec.Select{Child: j, Pred: &belowAvgExpr{
-			part: col(lCols, "l_partkey"), qty: col(lCols, "l_quantity"), avg: avgByPart}}
+		pk, qty := col(lCols, "l_partkey"), col(lCols, "l_quantity")
+		j := &exec.HashJoin{Build: part, Probe: line, BuildKey: 0, ProbeKey: pk}
+		below := &exec.Select{Child: j, Pred: exec.Where(func(b *exec.Batch, i int) bool {
+			return b.Vecs[qty].F64[i] < 0.2*avgByPart[b.Vecs[pk].I64[i]]
+		})}
 		return &exec.HashAggr{Child: below,
 			Aggs: []exec.AggSpec{{Kind: exec.AggSum, Col: col(lCols, "l_extendedprice")}, {Kind: exec.AggCount}}}
-	}
-}
-
-// belowAvgExpr selects tuples with quantity < 0.2 * per-part average.
-type belowAvgExpr struct {
-	part, qty int
-	avg       map[int64]float64
-}
-
-// Type implements exec.Expr.
-func (*belowAvgExpr) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements exec.Expr.
-func (e *belowAvgExpr) Eval(b *exec.Batch, out *exec.Vec) {
-	out.Reset()
-	out.T = storage.Int64
-	for i := 0; i < b.N; i++ {
-		if b.Vecs[e.qty].F64[i] < 0.2*e.avg[b.Vecs[e.part].I64[i]] {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
-		}
 	}
 }
 
@@ -643,7 +623,7 @@ func q18() Plan {
 		}
 		orders := &exec.Select{
 			Child: build("orders", oCols, nil, false),
-			Pred:  &exec.InI64{Expr: icol(oCols, "o_orderkey"), Set: big},
+			Pred:  exec.InI64(col(oCols, "o_orderkey"), big),
 		}
 		return &exec.Sort{Child: orders,
 			By:    []exec.SortSpec{{Col: col(oCols, "o_totalprice"), Desc: true}},
@@ -658,8 +638,8 @@ func q19() Plan {
 		line := &exec.Select{
 			Child: build("lineitem", lCols, nil, false),
 			Pred: exec.NewAnd(
-				exec.InStr{Col: col(lCols, "l_shipmode"), Set: map[string]bool{"AIR": true, "REG AIR": true}},
-				exec.StrEq{Col: col(lCols, "l_shipinstruct"), Val: "DELIVER IN PERSON"},
+				exec.InStr(col(lCols, "l_shipmode"), map[string]bool{"AIR": true, "REG AIR": true}),
+				exec.StrEq(col(lCols, "l_shipinstruct"), "DELIVER IN PERSON"),
 			),
 		}
 		part := build("part", pCols, nil, false)
@@ -669,13 +649,13 @@ func q19() Plan {
 		filt := &exec.Select{
 			Child: j,
 			Pred: exec.NewOr(
-				exec.NewAnd(exec.StrEq{Col: brand, Val: "Brand#12"},
+				exec.NewAnd(exec.StrEq(brand, "Brand#12"),
 					exec.NewCmp(">=", fcol(lCols, "l_quantity"), exec.ConstF(1)),
 					exec.NewCmp("<=", exec.Col{Idx: qty, T: storage.Float64}, exec.ConstF(11))),
-				exec.NewAnd(exec.StrEq{Col: brand, Val: "Brand#23"},
+				exec.NewAnd(exec.StrEq(brand, "Brand#23"),
 					exec.NewCmp(">=", fcol(lCols, "l_quantity"), exec.ConstF(10)),
 					exec.NewCmp("<=", exec.Col{Idx: qty, T: storage.Float64}, exec.ConstF(20))),
-				exec.NewAnd(exec.StrEq{Col: brand, Val: "Brand#34"},
+				exec.NewAnd(exec.StrEq(brand, "Brand#34"),
 					exec.NewCmp(">=", fcol(lCols, "l_quantity"), exec.ConstF(20)),
 					exec.NewCmp("<=", exec.Col{Idx: qty, T: storage.Float64}, exec.ConstF(30))),
 			),
@@ -705,7 +685,7 @@ func q20() Plan {
 		// Forest parts.
 		parts := exec.Collect(&exec.Select{
 			Child: build("part", []string{"p_partkey", "p_name"}, nil, false),
-			Pred:  exec.StrPrefix{Col: 1, Prefix: "forest"},
+			Pred:  exec.StrPrefix(1, "forest"),
 		})
 		forest := make(map[int64]bool, parts.N)
 		for _, k := range parts.Vecs[0].I64 {
@@ -714,41 +694,20 @@ func q20() Plan {
 		ps := &exec.Select{
 			Child: build("partsupp", psCols, nil, false),
 			Pred: exec.NewAnd(
-				&exec.InI64{Expr: icol(psCols, "ps_partkey"), Set: forest},
-				&availExpr{pk: 0, sk: 1, qty: 2, half: half},
+				exec.InI64(col(psCols, "ps_partkey"), forest),
+				// availqty above half the pair's shipped quantity
+				exec.Where(func(b *exec.Batch, i int) bool {
+					return float64(b.Vecs[2].I64[i]) > half[[2]int64{b.Vecs[0].I64[i], b.Vecs[1].I64[i]}]
+				}),
 			),
 		}
 		supp := &exec.Select{
 			Child: build("supplier", sCols, nil, false),
-			Pred:  &exec.InI64{Expr: icol(sCols, "s_nationkey"), Set: map[int64]bool{3: true}}, // CANADA
+			Pred:  exec.InI64(col(sCols, "s_nationkey"), map[int64]bool{3: true}), // CANADA
 		}
 		j := &exec.HashJoin{Build: supp, Probe: ps, BuildKey: 0, ProbeKey: col(psCols, "ps_suppkey")}
 		return &exec.HashAggr{Child: j, Groups: []int{len(psCols) + col(sCols, "s_name")},
 			Aggs: []exec.AggSpec{{Kind: exec.AggCount}}}
-	}
-}
-
-// availExpr selects partsupp rows with availqty above half the shipped
-// quantity of the (part, supplier) pair.
-type availExpr struct {
-	pk, sk, qty int
-	half        map[[2]int64]float64
-}
-
-// Type implements exec.Expr.
-func (*availExpr) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements exec.Expr.
-func (e *availExpr) Eval(b *exec.Batch, out *exec.Vec) {
-	out.Reset()
-	out.T = storage.Int64
-	for i := 0; i < b.N; i++ {
-		key := [2]int64{b.Vecs[e.pk].I64[i], b.Vecs[e.sk].I64[i]}
-		if float64(b.Vecs[e.qty].I64[i]) > e.half[key] {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
-		}
 	}
 }
 
@@ -763,12 +722,12 @@ func q21() Plan {
 		}
 		orders := &exec.Select{
 			Child: build("orders", oCols, nil, false),
-			Pred:  exec.StrEq{Col: col(oCols, "o_orderstatus"), Val: "F"},
+			Pred:  exec.StrEq(col(oCols, "o_orderstatus"), "F"),
 		}
 		j := &exec.HashJoin{Build: orders, Probe: line, BuildKey: 0, ProbeKey: col(lCols, "l_orderkey")}
 		supp := &exec.Select{
 			Child: build("supplier", sCols, nil, false),
-			Pred:  &exec.InI64{Expr: icol(sCols, "s_nationkey"), Set: map[int64]bool{20: true}}, // SAUDI ARABIA
+			Pred:  exec.InI64(col(sCols, "s_nationkey"), map[int64]bool{20: true}), // SAUDI ARABIA
 		}
 		js := &exec.HashJoin{Build: supp, Probe: j, BuildKey: 0, ProbeKey: col(lCols, "l_suppkey")}
 		return &exec.Sort{
@@ -785,6 +744,7 @@ func q22() Plan {
 	cCols := []string{"c_custkey", "c_phone", "c_acctbal"}
 	oCols := []string{"o_orderkey", "o_custkey"}
 	codes := map[string]bool{"13": true, "31": true, "23": true, "29": true, "30": true, "18": true, "17": true}
+	phone := col(cCols, "c_phone")
 	return func(db *DB, build ScanBuilder) exec.Op {
 		// Customers with orders (anti-join set).
 		ordered := exec.Collect(build("orders", oCols, nil, false))
@@ -795,38 +755,20 @@ func q22() Plan {
 		cust := &exec.Select{
 			Child: build("customer", cCols, nil, false),
 			Pred: exec.NewAnd(
-				&phonePrefixExpr{col(cCols, "c_phone"), codes},
+				exec.Where(func(b *exec.Batch, i int) bool {
+					v := b.Vecs[phone].Str[i]
+					return len(v) >= 2 && codes[v[:2]]
+				}),
 				exec.NewCmp(">", fcol(cCols, "c_acctbal"), exec.ConstF(0)),
-				exec.NewCmp("==", &exec.InI64{Expr: icol(cCols, "c_custkey"), Set: hasOrder}, exec.ConstI(0)),
+				exec.NewCmp("==", exec.InI64(col(cCols, "c_custkey"), hasOrder), exec.ConstI(0)),
 			),
 		}
 		proj := &exec.Project{Child: cust, Exprs: []exec.Expr{
-			&phoneCodeExpr{col(cCols, "c_phone")},
+			&phoneCodeExpr{phone},
 			fcol(cCols, "c_acctbal"),
 		}}
 		return &exec.HashAggr{Child: proj, Groups: []int{0},
 			Aggs: []exec.AggSpec{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 1}}}
-	}
-}
-
-type phonePrefixExpr struct {
-	col   int
-	codes map[string]bool
-}
-
-// Type implements exec.Expr.
-func (*phonePrefixExpr) Type() storage.ColumnType { return storage.Int64 }
-
-// Eval implements exec.Expr.
-func (e *phonePrefixExpr) Eval(b *exec.Batch, out *exec.Vec) {
-	out.Reset()
-	out.T = storage.Int64
-	for _, v := range b.Vecs[e.col].Str {
-		if len(v) >= 2 && e.codes[v[:2]] {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
-		}
 	}
 }
 
