@@ -449,3 +449,26 @@ func TestPBMBeatsLRUOnConcurrentScans(t *testing.T) {
 		t.Fatalf("PBM misses %d, LRU misses %d: PBM should win", pbm.Misses, lru.Misses)
 	}
 }
+
+// TestAllocsPBMSteadyState pins the hot entry points at zero allocations
+// once a page's claims and use history exist: an access, a progress
+// report and a full victim batch, refilled, over resident pages each
+// claimed by three overlapping scans.
+func TestAllocsPBMSteadyState(t *testing.T) {
+	cfg := DefaultConfig()
+	p, frames, ids := residentClaimed(64, 3, 1000, cfg)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Accessed(frames[i%len(frames)])
+		p.ReportScanPosition(ids[i%len(ids)], 0)
+		for j := 0; j < cfg.EvictBatch; j++ {
+			if p.Victim() == nil {
+				t.Fatal("no victim")
+			}
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per access, report and batch refill, want 0", allocs)
+	}
+}
