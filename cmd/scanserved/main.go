@@ -24,7 +24,8 @@
 // On SIGTERM/SIGINT the server drains: admission refuses new queries
 // with outcome "draining", running queries finish, the final stats
 // snapshot is flushed to stdout as wire.Statz JSON, and the process
-// exits 0 on a clean drain (1 if the drain timed out).
+// exits 0 on a clean drain: 1 if the drain timed out or the engine's
+// books did not balance once idle (server.Server.Drain).
 package main
 
 import (
@@ -123,10 +124,6 @@ func main() {
 	srv.Close()
 	if drainErr != nil {
 		fmt.Fprintf(os.Stderr, "scanserved: drain: %v\n", drainErr)
-		os.Exit(1)
-	}
-	if n := st.Stats.Completed + st.Stats.Rejected + st.Stats.TimedOut + st.Stats.Cancelled; n != st.Arrived {
-		fmt.Fprintf(os.Stderr, "scanserved: stats do not reconcile: %d resolved != %d arrived\n", n, st.Arrived)
 		os.Exit(1)
 	}
 	fmt.Printf("scanserved: drained clean (%d completed, %d drain-refused)\n", st.Stats.Completed, st.DrainRejected)

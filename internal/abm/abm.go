@@ -179,6 +179,56 @@ func (a *ABM) Used() int64 {
 	return a.used
 }
 
+// Check verifies the ABM's books in one critical section: the resident
+// pages add up to the bytes used, no page is pinned without a delivery
+// outstanding, and every chunk's interest counts exactly the registered
+// scans that still need it. With idle set — no scan running — no page
+// may be pinned, no delivery unreleased, no chunk loading and no scan
+// registered. It returns nil or an error naming the ABM and the first
+// broken invariant.
+func (a *ABM) Check(idle bool) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var resident int64
+	var pinned []storage.PageID
+	for id, rp := range a.resident {
+		resident += rp.page.Bytes
+		if rp.pins > 0 {
+			pinned = append(pinned, id)
+		}
+	}
+	switch {
+	case resident != a.used:
+		return fmt.Errorf("abm: %d bytes used, %d bytes resident", a.used, resident)
+	case len(pinned) > 0 && a.pinnedDeliveries == 0 || idle && a.pinnedDeliveries != 0:
+		return fmt.Errorf("abm: %d deliveries unreleased, pages %s pinned", a.pinnedDeliveries, storage.IDList(pinned))
+	}
+	for _, tm := range a.tabOrder {
+		var miscounted, loading []int
+		for i, c := range tm.chunks {
+			want := 0
+			for _, cs := range tm.scans {
+				if cs.need[i] {
+					want++
+				}
+			}
+			if c.interest != want {
+				miscounted = append(miscounted, i)
+			}
+			if c.loading {
+				loading = append(loading, i)
+			}
+		}
+		switch name := fmt.Sprintf("%s v%d", tm.key.table.Name, tm.key.version); {
+		case len(miscounted) > 0:
+			return fmt.Errorf("abm: %s: the interest of chunks %s is not the number of scans needing them", name, storage.IDList(miscounted))
+		case idle && len(loading)+len(tm.scans) > 0:
+			return fmt.Errorf("abm: %s: at idle, chunks %s loading and %d scans registered", name, storage.IDList(loading), len(tm.scans))
+		}
+	}
+	return nil
+}
+
 // Stop shuts the scheduler down once all CScans are unregistered.
 func (a *ABM) Stop() {
 	a.mu.Lock()

@@ -59,12 +59,18 @@ func TestSingleCScanDeliversAllChunks(t *testing.T) {
 				break
 			}
 			got = append(got, d.Chunk)
+			if err := a.Check(true); err == nil || !strings.HasPrefix(err.Error(), "abm: 1 deliveries unreleased, pages [") {
+				t.Errorf("Check(true) with a delivery held = %v", err)
+			}
 			d.Release()
 		}
 		cs.Unregister()
 		a.Stop()
 	})
 	eng.Run()
+	if err := a.Check(true); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 5 {
 		t.Fatalf("delivered %d chunks, want 5: %v", len(got), got)
 	}

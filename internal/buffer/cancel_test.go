@@ -41,7 +41,9 @@ func TestReservationCancelUnblocks(t *testing.T) {
 		if blockedFrame != nil {
 			t.Fatalf("cancelled get returned a frame for page %d", blockedFrame.Page.ID)
 		}
-		checkIdle(t, pool, 1)
+		if err := pool.Check(true); err != nil {
+			t.Error(err)
+		}
 	})
 }
 

@@ -115,7 +115,7 @@ type Pool struct {
 	freedQ []rt.Event
 
 	// used is the bytes cached, changed only under mu and read without it
-	// by reserve's budget check and by Used.
+	// by Used.
 	used atomic.Int64
 
 	// OnAccess, if non-nil, observes every logical page access (hit or
@@ -161,6 +161,40 @@ func (p *Pool) Contains(pg *storage.Page) bool {
 	defer p.mu.Unlock()
 	f, ok := p.frames[pg.ID]
 	return ok && !f.loading
+}
+
+// Check verifies the pool's books in one critical section: the frames'
+// pins and loading flags agree with the pin and load counts, every
+// loading frame has its read in flight, and the byte counter is the
+// bytes of the frames held, within the capacity. With idle set — no
+// request running — nothing may be pinned, loading or parked either. It
+// returns nil or an error naming the pool and the first broken
+// invariant.
+func (p *Pool) Check(idle bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var resident int64
+	var pinned, loading []storage.PageID
+	for id, f := range p.frames {
+		resident += f.Page.Bytes
+		if f.pins > 0 {
+			pinned = append(pinned, id)
+		}
+		if f.loading {
+			loading = append(loading, id)
+		}
+	}
+	switch used := p.used.Load(); {
+	case len(pinned) != p.nPinned || len(loading) != p.nLoading || len(p.inFlight) != p.nLoading:
+		return fmt.Errorf("buffer: %d frames pinned, %d loading and %d reads in flight, but nPinned = %d and nLoading = %d",
+			len(pinned), len(loading), len(p.inFlight), p.nPinned, p.nLoading)
+	case used != resident || used > p.capacity:
+		return fmt.Errorf("buffer: %d bytes used, %d bytes resident, capacity %d", used, resident, p.capacity)
+	case idle && len(pinned)+len(loading)+len(p.freedQ) > 0:
+		return fmt.Errorf("buffer: at idle, pages %s pinned, pages %s loading and %d reservations parked",
+			storage.IDList(pinned), storage.IDList(loading), len(p.freedQ))
+	}
+	return nil
 }
 
 // popFreed takes the events of up to n blocked reservations off the head
@@ -338,12 +372,12 @@ func (p *Pool) loadBatch(q *rt.QueryCtx, batch []*storage.Page) error {
 
 // loadBatchPrefix is the pool's one miss routine: it loads the longest
 // still-absent block-contiguous prefix of batch in one device batch and
-// returns the unprocessed remainder. The absence re-check and the
-// admissions are one atomic step (under the mutex): the reservation may
-// have blocked, and another process may have started loading some of
-// these pages meanwhile. With pinHead, batch[0]'s frame is pinned when
-// this call admits it and returned as head (nil if another process
-// admitted it first).
+// returns the unprocessed remainder. The budget check, the absence
+// re-check and the admissions are one atomic step (reserve returns
+// holding the mutex): the reservation may have blocked, and another
+// process may have started loading some of these pages meanwhile. With
+// pinHead, batch[0]'s frame is pinned when this call admits it and
+// returned as head (nil if another process admitted it first).
 func (p *Pool) loadBatchPrefix(q *rt.QueryCtx, batch []*storage.Page, pinHead bool) (rest []*storage.Page, head *Frame, err error) {
 	var bytes int64
 	for _, pg := range batch {
@@ -358,7 +392,6 @@ func (p *Pool) loadBatchPrefix(q *rt.QueryCtx, batch []*storage.Page, pinHead bo
 	var frameBuf [1]*Frame
 	var spanBuf [1]iosim.Span
 	frames, spans := frameBuf[:0], spanBuf[:0]
-	p.mu.Lock()
 	for i, pg := range batch {
 		if _, ok := p.frames[pg.ID]; ok {
 			continue
@@ -460,48 +493,43 @@ func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 // cannot help: a request larger than the pool, or a full pool with
 // nothing pinned or loading (see evictFor).
 //
-// The budget check is advisory on the real runtime: concurrent reservers
-// can each see the last free bytes and both admit, overshooting the
-// budget by at most one in-flight request each. The budget is
-// bookkeeping (page payloads live in memory regardless), and the
-// overshoot is paid back by the very next reservation's evictions.
-// Called WITHOUT the pool mutex held.
-//
-// Cancelling the owner q wakes a blocked reservation (waitFreed), and
-// reserve returns ErrCancelled without reserving.
+// Called WITHOUT the pool mutex held, it returns holding it once bytes
+// fit, so the caller admits in the critical section that found the room
+// and concurrent reservers never overshoot the budget (Check asserts
+// it). Cancelling the owner q wakes a blocked reservation (waitFreed),
+// and reserve returns ErrCancelled, unlocked, without reserving.
 func (p *Pool) reserve(q *rt.QueryCtx, bytes int64) error {
 	if bytes > p.capacity {
 		panic(fmt.Sprintf("buffer: request of %d bytes exceeds pool capacity %d", bytes, p.capacity))
 	}
+	p.mu.Lock()
 	for p.used.Load()+bytes > p.capacity {
 		if q.Cancelled() {
+			p.mu.Unlock()
 			return ErrCancelled
 		}
-		if ev, w := p.evictFor(bytes); ev != nil {
+		if ev, w := p.evictFor(); ev != nil {
+			p.mu.Unlock()
 			p.waitFreed(q, ev, w)
+			p.mu.Lock()
 		}
 	}
 	return nil
 }
 
-// evictFor makes room for a reservation of bytes in one critical section.
-// It returns a nil event when they fit after all (a concurrent free on the
-// real runtime) or the policy's victim was evicted. When the caller must
+// evictFor makes room for a reservation that does not fit: it returns a
+// nil event when the policy's victim was evicted. When the caller must
 // wait for a pinned or in-flight frame instead, it counts the stall and
-// queues a new event on freedQ in that same critical section, returning
+// queues a new event on freedQ in the same critical section, returning
 // the event and a waiter on it for waitFreed: every free that could serve
 // the caller lands after it is queued. The pin and load counts are exact
 // under the mutex, so a full pool with neither is an accounting error no
-// wait can repair.
-func (p *Pool) evictFor(bytes int64) (rt.Event, rt.Waiter) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.used.Load()+bytes <= p.capacity {
-		return nil, nil
-	}
+// wait can repair. Mutex held.
+func (p *Pool) evictFor() (rt.Event, rt.Waiter) {
 	v := p.policy.Victim()
 	if v == nil {
 		if p.nPinned == 0 && p.nLoading == 0 {
+			p.mu.Unlock()
 			panic(fmt.Sprintf("buffer: pool overcommitted: %d/%d bytes with nothing pinned or loading", p.used.Load(), p.capacity))
 		}
 		p.stats.Stalls++
@@ -510,6 +538,7 @@ func (p *Pool) evictFor(bytes int64) (rt.Event, rt.Waiter) {
 		return ev, ev.Waiter()
 	}
 	if v.Pinned() || v.Loading() {
+		p.mu.Unlock()
 		panic("buffer: policy returned pinned or loading victim")
 	}
 	p.stats.Evictions++

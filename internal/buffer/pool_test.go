@@ -156,6 +156,11 @@ func TestPinnedNeverEvicted(t *testing.T) {
 		if !pool.Contains(pages[0]) {
 			t.Error("pinned page evicted")
 		}
+		// Balanced books, but a pin held is not idle.
+		if live, idle := pool.Check(false), pool.Check(true); live != nil || idle == nil ||
+			idle.Error() != "buffer: at idle, pages [1] pinned, pages [] loading and 0 reservations parked" {
+			t.Errorf("Check with page 1 pinned: live %v, idle %v", live, idle)
+		}
 		pool.Unpin(f0)
 	})
 	eng.Run()
@@ -439,39 +444,12 @@ func TestGetRunReissuesRemainderAfterRace(t *testing.T) {
 	eng.Run()
 }
 
-// checkIdle asserts what must hold of a pool nobody is using: nothing
-// pinned, loading or parked, the byte counter equal to the resident pages
-// and within capacity, and every reference counted as a hit or a miss.
-func checkIdle(t *testing.T, pool *Pool, refs int64) {
-	t.Helper()
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	var resident int64
-	for id, f := range pool.frames {
-		resident += f.Page.Bytes
-		if f.pins != 0 || f.loading {
-			t.Errorf("page %d left with %d pins, loading=%v", id, f.pins, f.loading)
-		}
-	}
-	if n, l := pool.nPinned, pool.nLoading; n != 0 || l != 0 {
-		t.Errorf("pinned = %d, loading = %d at idle", n, l)
-	}
-	if len(pool.inFlight) != 0 || len(pool.freedQ) != 0 {
-		t.Errorf("%d reads in flight, %d reservations parked at idle", len(pool.inFlight), len(pool.freedQ))
-	}
-	if used := pool.Used(); used != resident || used > pool.Capacity() {
-		t.Errorf("used %d, resident pages %d, capacity %d", used, resident, pool.Capacity())
-	}
-	if s := pool.stats; s.Hits+s.Misses != refs {
-		t.Errorf("hits %d + misses %d != %d references", s.Hits, s.Misses, refs)
-	}
-}
-
 // Property: after random Get/GetRun/Unpin/InvalidatePages/FlushAll
 // traffic from four processes, on either runtime, the pool is idle and
-// its books balance (checkIdle), every miss was read from the device
-// exactly once, and every call was answered. Run with -race: on the real
-// runtime the four are goroutines contending for the pool mutex.
+// its books balance (Check), every reference counted as a hit or a miss,
+// every miss was read from the device exactly once, and every call was
+// answered. Run with -race: on the real runtime the four are goroutines
+// contending for the pool mutex.
 func TestPropertyPoolInvariants(t *testing.T) {
 	onBothRuntimes(t, func(t *testing.T, r rt.Runtime) {
 		const workers, ops = 4, 400
@@ -518,7 +496,12 @@ func TestPropertyPoolInvariants(t *testing.T) {
 			})
 		}
 		r.Run()
-		checkIdle(t, pool, refs.Load())
+		if err := pool.Check(true); err != nil {
+			t.Error(err)
+		}
+		if s := pool.Stats(); s.Hits+s.Misses != refs.Load() {
+			t.Errorf("hits %d + misses %d != %d references", s.Hits, s.Misses, refs.Load())
+		}
 		if refs.Load() < calls.Load() {
 			t.Errorf("%d references for %d calls", refs.Load(), calls.Load())
 		}
@@ -548,8 +531,8 @@ func TestPropertyAccountingBalances(t *testing.T) {
 				}
 			})
 			eng.Run()
-			checkIdle(t, pool, int64(len(accesses)))
-			return !t.Failed()
+			s := pool.Stats()
+			return pool.Check(true) == nil && s.Hits+s.Misses == int64(len(accesses))
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Fatalf("%T: %v", mk(), err)

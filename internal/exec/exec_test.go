@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 // env bundles a full execution environment over one test table.
 type env struct {
+	t    testing.TB
 	eng  *sim.Engine
 	ctx  *Ctx
 	snap *storage.Snapshot
@@ -64,6 +66,7 @@ func newEnv(t testing.TB, n int, withABM bool) *env {
 		t.Fatal(err)
 	}
 	e := &env{
+		t:    t,
 		eng:  eng,
 		snap: snap,
 		ctx:  &Ctx{RT: rt.Sim(eng), Pool: pool, ReadAheadTuples: 8192},
@@ -75,7 +78,8 @@ func newEnv(t testing.TB, n int, withABM bool) *env {
 	return e
 }
 
-// run executes fn as a simulated process and completes the simulation.
+// run executes fn as a simulated process and completes the simulation,
+// after which the pool and the ABM must balance their books at idle.
 func (e *env) run(fn func()) {
 	e.eng.Go("test", func() {
 		fn()
@@ -84,6 +88,13 @@ func (e *env) run(fn func()) {
 		}
 	})
 	e.eng.Run()
+	err := e.ctx.Pool.Check(true)
+	if e.abm != nil {
+		err = errors.Join(err, e.abm.Check(true))
+	}
+	if err != nil {
+		e.t.Error(err)
+	}
 }
 
 func TestScanReadsAllColumns(t *testing.T) {

@@ -122,8 +122,8 @@ func TestRealAdmitRejectsWhenQueueFull(t *testing.T) {
 	}
 	r.Run()
 	st := sch.Stats(r.Now())
-	if st.Completed+st.Rejected != queries {
-		t.Fatalf("accounting leak: %+v", st)
+	if err := sch.Check(true); err != nil || st.Arrived != queries {
+		t.Fatalf("arrived %d of %d queries: %v", st.Arrived, queries, err)
 	}
 	if st.Rejected != rejected.Load() {
 		t.Fatalf("rejected mismatch: stats %d, observed %d", st.Rejected, rejected.Load())

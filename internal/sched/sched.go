@@ -261,8 +261,9 @@ func (s *Scheduler) AdmitQuery(q Query) (*Ticket, bool) {
 
 // Drain puts the scheduler into draining: every subsequent admission
 // resolves AdmitDraining without blocking. Already-queued queries keep
-// their place and still run; pair Drain with polling Idle to wait for
-// the in-flight work to finish.
+// their place and still run; pair Drain with polling Check(true), which
+// passes once nothing is running or queued, to wait for the in-flight
+// work to finish.
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
 	s.draining = true
@@ -274,14 +275,6 @@ func (s *Scheduler) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
-}
-
-// Idle reports whether no query is running or queued — after Drain,
-// this is the "safe to exit" signal.
-func (s *Scheduler) Idle() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running == 0 && len(s.queue) == 0
 }
 
 // AdmitQueryOutcome is AdmitQuery with the resolution classified: the
@@ -468,6 +461,35 @@ func (s *Scheduler) releaseSlotLocked() {
 	}
 }
 
+// Check verifies the scheduler's ledger in one critical section: every
+// arrival is exactly one of completed, rejected, timed out, cancelled,
+// running or queued — so a dead query must have died of a cause Stats
+// counts — and at most MPL queries run. With idle set nothing may be
+// running or queued. It returns nil or an error naming the scheduler
+// and the first broken invariant.
+func (s *Scheduler) Check(idle bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var st Stats
+	for _, q := range s.dropped {
+		countCause(&st, q.Cause)
+	}
+	for _, q := range s.killed {
+		countCause(&st, q.Cause)
+	}
+	done, queued := int64(len(s.completed)), len(s.queue)
+	switch n := done + s.rejected + st.TimedOut + st.Cancelled + int64(s.running+queued); {
+	case n != s.arrived:
+		return fmt.Errorf("sched: %d arrived, but %d completed, %d rejected, %d timed out and %d cancelled of %d dead, %d running and %d queued make %d",
+			s.arrived, done, s.rejected, st.TimedOut, st.Cancelled, len(s.dropped)+len(s.killed), s.running, queued, n)
+	case s.running < 0 || s.running > s.cfg.MPL:
+		return fmt.Errorf("sched: %d running, MPL %d", s.running, s.cfg.MPL)
+	case idle && s.running+queued != 0:
+		return fmt.Errorf("sched: %d running and %d queued at idle", s.running, queued)
+	}
+	return nil
+}
+
 // Running reports the number of currently executing queries.
 func (s *Scheduler) Running() int {
 	s.mu.Lock()
@@ -605,6 +627,10 @@ type Stats struct {
 	// TimedOut + Cancelled == Arrived reconciliation holds with or
 	// without a drain, and shutdown does not inflate Rejected.
 	DrainRejected int64
+	// Running and Queued are the queries executing and waiting when the
+	// stats were taken, read with the counters above: the resolved
+	// arrivals plus these two are exactly Arrived, also mid-run.
+	Running, Queued int
 }
 
 // Stats summarizes the run as of time now, over the window that opened
@@ -623,6 +649,8 @@ func (s *Scheduler) StatsSince(start, now sim.Time) Stats {
 		DrainRejected: s.drainRejected,
 		MaxQueueDepth: s.maxQueue,
 		Makespan:      now - start,
+		Running:       s.running,
+		Queued:        len(s.queue),
 	}
 	lat := make([]sim.Duration, 0, len(s.completed))
 	qw := make([]sim.Duration, 0, len(s.completed))

@@ -90,8 +90,11 @@ func (s *Server) ConnContext(ctx context.Context, c net.Conn) context.Context {
 }
 
 // Drain stops admitting queries (new ones resolve "draining") and waits
-// until nothing is running, queued, or mid-stream. It returns nil on a
-// clean drain, the context/timeout error otherwise.
+// until nothing is mid-stream and every layer's books balance at idle
+// (ServeEngine.Check(true), which fails while a query runs or queues, or
+// while the ABM finishes a chunk load for a scan whose query was
+// cancelled). It returns nil on a clean drain, otherwise the
+// context/timeout error joined with the last check's.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.eng.Scheduler().Drain()
@@ -102,13 +105,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
+	var err error
 	for {
-		if s.eng.Scheduler().Idle() && s.inflight.Load() == 0 {
+		if err = s.eng.Check(true); err == nil && s.inflight.Load() == 0 {
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return errors.Join(ctx.Err(), err)
 		case <-tick.C:
 		}
 	}
@@ -134,18 +138,20 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Statz snapshots the server: the live serve-table row in the wire
-// schema plus scheduler gauges.
+// schema plus scheduler gauges. The ledger fields — the row's outcome
+// counts, Running, Queued and Arrived — are read in one critical
+// section, so they add up in every snapshot.
 func (s *Server) Statz() wire.Statz {
 	res := s.eng.Stats()
 	row := workload.ServeRowOf(res, s.eng.Config())
 	row.Rate = 0 // arrivals are client-driven, there is no configured rate
-	sch, dom := s.eng.Scheduler(), s.eng.Domain()
+	dom := s.eng.Domain()
 	return wire.Statz{
 		Version:       wire.Version,
 		UptimeSec:     res.ElapsedSec,
 		Draining:      s.draining.Load(),
-		Running:       sch.Running(),
-		Queued:        sch.Queued(),
+		Running:       res.Sched.Running,
+		Queued:        res.Sched.Queued,
 		Arrived:       res.Sched.Arrived,
 		DrainRejected: res.Sched.DrainRejected,
 		NumTuples:     dom.Rows,

@@ -13,8 +13,10 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/iosim"
@@ -73,6 +75,17 @@ func (s Schema) ColIndex(name string) int {
 
 // PageID uniquely identifies a page within a Catalog.
 type PageID int64
+
+// IDList formats ids for an error message: sorted in place, so the text
+// does not depend on the order a map yielded them in, and capped at
+// eight.
+func IDList[T cmp.Ordered](ids []T) string {
+	slices.Sort(ids)
+	if len(ids) > 8 {
+		return fmt.Sprint(ids[:8], " and ", len(ids)-8, " more")
+	}
+	return fmt.Sprint(ids)
+}
 
 // Page is an immutable unit of columnar storage. Exactly one of the typed
 // slices is non-nil, holding Tuples values for SIDs
@@ -355,8 +368,7 @@ func (c *Catalog) allocBlock() iosim.BlockID {
 // and a bumped version, committing immediately as the new master (the
 // paper's PDT checkpoint, Figure 7: old and new versions share no pages).
 func (t *Table) Checkpoint(data *ColumnData) (*Snapshot, error) {
-	n, err := data.lenFor(t.Schema)
-	if err != nil {
+	if _, err := data.lenFor(t.Schema); err != nil {
 		return nil, err
 	}
 	empty := &Snapshot{
@@ -370,7 +382,6 @@ func (t *Table) Checkpoint(data *ColumnData) (*Snapshot, error) {
 		return nil, err
 	}
 	ns.base = nil
-	_ = n
 	t.mu.Lock()
 	t.master = ns
 	t.mu.Unlock()

@@ -237,12 +237,9 @@ func q5() Plan {
 		asia := exec.Collect(&exec.Select{Child: nation,
 			Pred: exec.InI64(col(nCols, "n_regionkey"), map[int64]bool{2: true})})
 		asiaSet := make(map[int64]bool)
-		nationName := make(map[int64]string)
 		for i := 0; i < asia.N; i++ {
 			asiaSet[asia.Vecs[0].I64[i]] = true
-			nationName[asia.Vecs[0].I64[i]] = asia.Vecs[1].Str[i]
 		}
-		_ = nationName
 		cust := &exec.Select{
 			Child: build("customer", cCols, nil, false),
 			Pred:  exec.InI64(col(cCols, "c_nationkey"), asiaSet),

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -423,6 +424,23 @@ func (en *ServeEngine) Close() {
 	if en.ABM != nil {
 		en.ABM.Stop()
 	}
+}
+
+// Check verifies every layer's books — the buffer pool or the ABM,
+// whichever the policy runs, and the admission scheduler — each in its
+// own critical section (see buffer.Pool.Check, abm.ABM.Check and
+// sched.Scheduler.Check). With idle set it adds what holds only when no
+// query is running. It returns nil or every violation found, each
+// naming its layer.
+func (en *ServeEngine) Check(idle bool) error {
+	errs := []error{en.sch.Check(idle)}
+	if en.Pool != nil {
+		errs = append(errs, en.Pool.Check(idle))
+	}
+	if en.ABM != nil {
+		errs = append(errs, en.ABM.Check(idle))
+	}
+	return errors.Join(errs...)
 }
 
 // Stats snapshots the run so far, safe to call concurrently with

@@ -27,18 +27,16 @@ func htapServeConfig(policy Policy) ServeConfig {
 // TestServeWithUpdates drives the full HTAP serving stack: a mixed
 // read/write stream through the admission scheduler, snapshot-pinned
 // scans, and online checkpoint/merge cycles. The admission ledger must
-// reconcile with writes included, write throughput must be reported
-// separately, at least one checkpoint must complete mid-run, and reads
-// overlapping a merge window must yield a measured p95.
+// reconcile with writes included (the run's closing Check asserts it),
+// write throughput must be reported separately, at least one checkpoint
+// must complete mid-run, and reads overlapping a merge window must yield
+// a measured p95.
 func TestServeWithUpdates(t *testing.T) {
 	for _, policy := range []Policy{PBM, CScan} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
 			res := RunServe(freshClusteredTinyDB(), htapServeConfig(policy))
 			st := res.Sched
-			if got := st.Completed + st.Rejected + st.TimedOut + st.Cancelled; got != st.Arrived {
-				t.Fatalf("ledger does not reconcile: %d resolved, %d arrived", got, st.Arrived)
-			}
 			if st.WriteCompleted == 0 {
 				t.Fatal("no writes completed at 30% write fraction")
 			}

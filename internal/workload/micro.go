@@ -93,8 +93,12 @@ func (en *ServeEngine) runStreams(streams int, body func(s int, wg rt.WaitGroup)
 }
 
 // finish collects run metrics once the runtime has drained. streamEnds
-// holds each stream's completion time.
+// holds each stream's completion time. Every layer's books must balance
+// at idle (Check); a violation is an accounting bug, and panics.
 func (en *ServeEngine) finish(streamEnds []sim.Time) *Result {
+	if err := en.Check(true); err != nil {
+		panic(err)
+	}
 	var sum, max sim.Time
 	for _, t := range streamEnds {
 		sum += t

@@ -42,9 +42,6 @@ func TestRunServeRealSmoke(t *testing.T) {
 			if res.Sched.Arrived != want {
 				t.Fatalf("arrived %d, want %d", res.Sched.Arrived, want)
 			}
-			if res.Sched.Completed+res.Sched.Rejected != res.Sched.Arrived {
-				t.Fatalf("accounting leak: %+v", res.Sched)
-			}
 			if res.Sched.Completed > 0 && res.Sched.Latency.P50 <= 0 {
 				t.Fatalf("no wall-clock latency recorded: %+v", res.Sched.Latency)
 			}

@@ -145,21 +145,27 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 		cfg.chunkPlacement = iosim.TemperaturePlacement(RunServe(db, prof).heat, cfg.Devices, cfg.fastDevices())
 	}
 	en := NewServeEngine(db, cfg)
-	cfg = en.Config()
-	gen := NewGenerator(cfg, en.Domain())
 	var res *ServeResult
-	result := en.runStreams(cfg.Streams, func(s int, wg rt.WaitGroup) {
-		st := gen.Stream(s)
-		st.Drive(en.RT, wg, func(q int, d Draw, qc *exec.QueryCtx) func() {
-			req := en.Request(s, q, st.Tenant, d, qc)
-			return func() { en.Run(req, d) }
-		})
-	}, func() {
+	result := en.runStreams(en.Config().Streams, en.serveStream(), func() {
 		en.Close()
 		res = en.Stats()
 	})
 	res.Result = *result
 	return res
+}
+
+// serveStream is RunServe's stream body for runStreams: stream s draws
+// its queries from a Generator over the engine's configuration and runs
+// each on the engine in process.
+func (en *ServeEngine) serveStream() func(s int, wg rt.WaitGroup) {
+	gen := NewGenerator(en.Config(), en.Domain())
+	return func(s int, wg rt.WaitGroup) {
+		st := gen.Stream(s)
+		st.Drive(en.RT, wg, func(q int, d Draw, qc *exec.QueryCtx) func() {
+			req := en.Request(s, q, st.Tenant, d, qc)
+			return func() { en.Run(req, d) }
+		})
+	}
 }
 
 // ServeRowOf flattens one serving result into the serve-table row, in

@@ -26,9 +26,10 @@ func lifecycleServeConfig() ServeConfig {
 
 // TestServeLifecycleInvariant: with deadlines and client cancels armed,
 // every arrival must resolve to exactly one of the four outcomes under
-// each admission policy, deadline kills and cancels must both actually
-// occur, and dropped entries must be accounted in the separate
-// queue-drop distribution rather than the completed-latency one.
+// each admission policy (the run's closing Check asserts it), deadline
+// kills and cancels must both actually occur, and dropped entries must
+// be accounted in the separate queue-drop distribution rather than the
+// completed-latency one.
 func TestServeLifecycleInvariant(t *testing.T) {
 	for _, pol := range []string{"fifo", "sesf", "wfq"} {
 		pol := pol
@@ -40,10 +41,6 @@ func TestServeLifecycleInvariant(t *testing.T) {
 			want := int64(cfg.Streams * cfg.QueriesPerStream)
 			if st.Arrived != want {
 				t.Fatalf("arrived %d, want %d", st.Arrived, want)
-			}
-			if got := st.Completed + st.Rejected + st.TimedOut + st.Cancelled; got != st.Arrived {
-				t.Fatalf("outcome accounting leak: %d resolved of %d arrived: %+v",
-					got, st.Arrived, st)
 			}
 			if st.TimedOut == 0 {
 				t.Fatalf("no deadline kills under overload: %+v", st)
@@ -162,8 +159,9 @@ func TestLiveHandleMatchesNilOnSim(t *testing.T) {
 // client cancels armed, under every admission policy. Run under -race
 // this exercises the concurrent cancel paths (sched grant/drop race,
 // buffer wake-on-cancel, XChg shutdown, iosim skip). Wall-clock timing
-// decides which outcomes occur, so only the accounting invariant and
-// termination are asserted.
+// decides which outcomes occur, so only termination and the arrival
+// count are asserted here; the run's closing Check asserts the
+// accounting.
 func TestRunServeRealLifecycleSmoke(t *testing.T) {
 	for _, pol := range []string{"fifo", "sesf", "wfq"} {
 		pol := pol
@@ -186,10 +184,6 @@ func TestRunServeRealLifecycleSmoke(t *testing.T) {
 			want := int64(cfg.Streams * cfg.QueriesPerStream)
 			if st.Arrived != want {
 				t.Fatalf("arrived %d, want %d", st.Arrived, want)
-			}
-			if got := st.Completed + st.Rejected + st.TimedOut + st.Cancelled; got != st.Arrived {
-				t.Fatalf("outcome accounting leak: %d resolved of %d arrived: %+v",
-					got, st.Arrived, st)
 			}
 		})
 	}

@@ -100,9 +100,6 @@ func TestRunServeRealMixedSelectivitiesSmoke(t *testing.T) {
 			if res.Sched.Arrived != want {
 				t.Fatalf("arrived %d, want %d", res.Sched.Arrived, want)
 			}
-			if res.Sched.Completed+res.Sched.Rejected != res.Sched.Arrived {
-				t.Fatalf("accounting leak: %+v", res.Sched)
-			}
 			if res.TotalIOBytes <= 0 {
 				t.Fatal("no I/O recorded")
 			}

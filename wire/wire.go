@@ -276,7 +276,9 @@ type Statz struct {
 	// Running and Queued are the scheduler's live gauges; Arrived and
 	// DrainRejected its counters (DrainRejected counts admissions
 	// refused because the server was draining — kept out of Rejected
-	// so shutdown does not pollute the rejection stats).
+	// so shutdown does not pollute the rejection stats). They are read
+	// with Stats' outcome counts in one snapshot, so those four plus
+	// Running and Queued make Arrived in every snapshot.
 	Running       int
 	Queued        int
 	Arrived       int64
