@@ -12,17 +12,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/rt"
 	"repro/internal/sched"
-	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 	"repro/wire"
@@ -372,65 +369,4 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	res.LatencyMS, res.QueueWaitMS = a.timing(s.eng.Now())
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
-}
-
-// encodeBatch appends a batch to out as NDJSON rows, one JSON array per
-// row, reading each column's type off its vector. The common values take
-// fast paths that emit exactly what strconv would.
-func encodeBatch(out []byte, b *exec.Batch) []byte {
-	for i := 0; i < b.N; i++ {
-		out = append(out, '[')
-		for j, v := range b.Vecs {
-			if j > 0 {
-				out = append(out, ',')
-			}
-			switch v.T {
-			case storage.Int64:
-				out = strconv.AppendInt(out, v.I64[i], 10)
-			case storage.Float64:
-				out = appendFloat(out, v.F64[i])
-			default:
-				out = appendString(out, v.Str[i])
-			}
-		}
-		out = append(out, ']', '\n')
-	}
-	return out
-}
-
-// appendFloat is strconv.AppendFloat(out, f, 'g', -1, 64). Below 1e6 in
-// magnitude 'g' has not yet switched to an exponent, so an integer prints
-// as that integer, and a value that is the double nearest to k/100 prints
-// as the decimal k/100 — no shorter or other decimal of so few digits
-// can round to the same double. Negative zero ("-0") and everything else
-// go to strconv.
-func appendFloat(out []byte, f float64) []byte {
-	if i := int64(f); float64(i) == f && -1e6 < i && i < 1e6 && (i != 0 || !math.Signbit(f)) {
-		return strconv.AppendInt(out, i, 10)
-	}
-	if k := int64(math.Round(f * 100)); float64(k)/100 == f && -1e8 < k && k < 1e8 && k != 0 {
-		if k < 0 {
-			out, k = append(out, '-'), -k
-		}
-		out = strconv.AppendInt(out, k/100, 10)
-		out = append(out, '.', byte('0'+k%100/10))
-		if d := k % 10; d != 0 {
-			out = append(out, byte('0'+d))
-		}
-		return out
-	}
-	return strconv.AppendFloat(out, f, 'g', -1, 64)
-}
-
-// appendString is strconv.AppendQuote(out, s). Printable ASCII without a
-// quote or a backslash needs no escaping: two quotes around the bytes.
-func appendString(out []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			return strconv.AppendQuote(out, s)
-		}
-	}
-	out = append(out, '"')
-	out = append(out, s...)
-	return append(out, '"')
 }

@@ -697,8 +697,10 @@ func TestEncodeBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestNDJSONFastPathsMatchStrconv: the encoder's shortcuts emit exactly
-// the bytes of the strconv rendering they stand in for.
+// TestNDJSONFastPathsMatchStrconv: the encoder's float shortcuts emit
+// exactly the bytes of the strconv rendering they stand in for, and its
+// strings exactly encoding/json's, which are valid JSON (strconv.Quote's
+// \a, \v, \x00 and \xff are not).
 func TestNDJSONFastPathsMatchStrconv(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, -0.1, 0.05, 0.07, 0.29, 1.15, 999999, 1e6, -1e6, 999999.99, 1e6 + 0.25,
@@ -719,13 +721,14 @@ func TestNDJSONFastPathsMatchStrconv(t *testing.T) {
 			floats = append(floats, rng.NormFloat64()*1e6)
 		}
 	}
-	for _, f := range floats {
-		if got, want := string(appendFloat(nil, f)), strconv.FormatFloat(f, 'g', -1, 64); got != want {
-			t.Fatalf("float %x: %q, strconv %q", math.Float64bits(f), got, want)
+	for i, got := range encodeColumn(floats) {
+		if want := strconv.FormatFloat(floats[i], 'g', -1, 64); got != want {
+			t.Fatalf("float %x: %q, strconv %q", math.Float64bits(floats[i]), got, want)
 		}
 	}
 
-	strs := []string{"", "A", "N", "lineitem comment", "a b~!#[]{}", `quo"te`, `back\slash`, "tab\t", "nl\n", "del\x7f", "réf", "\xff\xfe", "nul\x00", "日本"}
+	strs := []string{"", "A", "N", "lineitem comment", "a b~!#[]{}", `quo"te`, `back\slash`, "tab\t", "nl\n", "del\x7f", "réf", "\xff\xfe", "nul\x00", "日本",
+		"bell\a", "vt\v", "\b\f\r", "\x1f", "\u2028\u2029", "\ufffd", "\xe2\x80", "<&>"}
 	for i := 0; i < 20000; i++ {
 		b := make([]byte, rng.Intn(12))
 		for j := range b {
@@ -737,8 +740,12 @@ func TestNDJSONFastPathsMatchStrconv(t *testing.T) {
 		strs = append(strs, string(b))
 	}
 	for _, s := range strs {
-		if got, want := string(appendString(nil, s)), strconv.Quote(s); got != want {
-			t.Fatalf("string %q: %s, strconv %s", s, got, want)
+		got := appendString(nil, s)
+		if want := refAppendString(nil, s); string(got) != string(want) {
+			t.Fatalf("string %q: %s, encoding/json %s", s, got, want)
+		}
+		if !json.Valid(got) {
+			t.Fatalf("string %q: %s is not JSON", s, got)
 		}
 	}
 }
