@@ -24,28 +24,7 @@ import (
 // costs the test power, not a false alarm.
 func TestFidelityModelledCPUOnRealRuntime(t *testing.T) {
 	const perTuple = 60 * time.Nanosecond
-	db := tpch.Generate(0.02, 1)
-	r := rt.NewReal()
-	disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
-	pool := buffer.NewPool(r, disk, buffer.NewLRU(), 1<<30)
-	ctx := &exec.Ctx{RT: r, CPU: exec.NewCPU(r, 1), Pool: pool, ReadAheadTuples: 16384}
-	n := db.Snapshot("lineitem").NumTuples()
-
-	drain := func(cpu time.Duration) time.Duration {
-		c := *ctx
-		c.PerTupleCPU = cpu
-		qctx := c.WithQuery(exec.NewQueryCtx(r))
-		build := func(table string, cols []string, ranges []exec.RIDRange, _ bool) exec.Op {
-			idx := make([]int, len(cols))
-			for i, col := range cols {
-				idx[i] = db.Col(table, col)
-			}
-			return &exec.Scan{Ctx: qctx, Snap: db.Snapshot(table), Cols: idx, Ranges: ranges}
-		}
-		start := time.Now()
-		exec.Drain(tpch.Q6([]exec.RIDRange{{Lo: 0, Hi: n}})(db, build))
-		return time.Since(start)
-	}
+	drain, n := realDrain(tpch.Generate(0.02, 1), tpch.Q6, 1)
 	drain(0) // every page resident from here on
 
 	var work, charged time.Duration
@@ -64,6 +43,72 @@ func TestFidelityModelledCPUOnRealRuntime(t *testing.T) {
 	if over, limit := charged-modelled, work+work/10+3*time.Millisecond; over > limit {
 		t.Fatalf("engine overhead %v (took %v for %v modelled) exceeds real work %v (+10%%) + 3 quanta", over, charged, modelled, work)
 	}
+}
+
+// TestFidelityRealWorkNetsModelledCPU: a scan thread's real work is the
+// CPU time the model charges it, so it pays the charge rather than
+// adding to it. With PerTupleCPU calibrated to the measured real work of
+// a Q1 drain, modelled ≈ work, and a drain charged that must take no
+// longer than its modelled time plus half the real work plus three
+// quanta — and never less than its modelled time. Charging the model on
+// top of the real work takes about twice the modelled time. The Q1 plan
+// scans the table eight times over, so the real work is large against
+// the three quanta.
+func TestFidelityRealWorkNetsModelledCPU(t *testing.T) {
+	const reps = 8
+	drain, n := realDrain(tpch.Generate(0.02, 1), tpch.Q1, reps)
+	drain(0) // every page resident from here on
+
+	var work, charged time.Duration
+	for i := 0; i < 3; i++ {
+		if d := drain(0); work == 0 || d < work {
+			work = d
+		}
+	}
+	perTuple := max(work/time.Duration(reps*n), 1)
+	for i := 0; i < 3; i++ {
+		if d := drain(perTuple); charged == 0 || d < charged {
+			charged = d
+		}
+	}
+	modelled := time.Duration(reps*n) * perTuple
+	if charged < modelled {
+		t.Fatalf("%d tuples charged %v finished in %v: under-charged", reps*n, modelled, charged)
+	}
+	if over, limit := charged-modelled, work/2+3*time.Millisecond; over > limit {
+		t.Fatalf("took %v for %v modelled at %v a tuple: %v over, above half the real work %v + 3 quanta", charged, modelled, perTuple, over, work)
+	}
+}
+
+// realDrain builds a resident pool over db on the real runtime and
+// returns a drain of plan over the whole lineitem table, reps times over,
+// charged cpu a tuple on one modelled core, that reports its wall time;
+// and the table's tuple count.
+func realDrain(db *tpch.DB, plan func([]exec.RIDRange) tpch.Plan, reps int) (func(cpu time.Duration) time.Duration, int64) {
+	r := rt.NewReal()
+	disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
+	pool := buffer.NewPool(r, disk, buffer.NewLRU(), 1<<30)
+	ctx := &exec.Ctx{RT: r, CPU: exec.NewCPU(r, 1), Pool: pool, ReadAheadTuples: 16384}
+	n := db.Snapshot("lineitem").NumTuples()
+	ranges := make([]exec.RIDRange, reps)
+	for i := range ranges {
+		ranges[i] = exec.RIDRange{Lo: 0, Hi: n}
+	}
+	return func(cpu time.Duration) time.Duration {
+		c := *ctx
+		c.PerTupleCPU = cpu
+		qctx := c.WithQuery(exec.NewQueryCtx(r))
+		build := func(table string, cols []string, ranges []exec.RIDRange, _ bool) exec.Op {
+			idx := make([]int, len(cols))
+			for i, col := range cols {
+				idx[i] = db.Col(table, col)
+			}
+			return &exec.Scan{Ctx: qctx, Snap: db.Snapshot(table), Cols: idx, Ranges: ranges}
+		}
+		start := time.Now()
+		exec.Drain(plan(ranges)(db, build))
+		return time.Since(start)
+	}, n
 }
 
 // TestFidelityModelledDeviceTimeCScanOnRealRuntime is the same bound for

@@ -22,6 +22,21 @@ func (c *sleepCounter) Sleep(d rt.Duration) {
 	c.Runtime.Sleep(d)
 }
 
+// sleepClock is a real runtime on a clock that moves only when a thread
+// sleeps, by exactly what it asked for: the real work between two pacing
+// calls takes no time on it, so a thread's debt is what it was charged.
+type sleepClock struct {
+	sleepCounter
+	now atomic.Int64
+}
+
+func (c *sleepClock) Now() rt.Time { return rt.Time(c.now.Load()) }
+
+func (c *sleepClock) Sleep(d rt.Duration) {
+	c.sleepCounter.Sleep(d)
+	c.now.Add(int64(d))
+}
+
 // TestPaceXChgPartsPaceIndependently: the four parts of an XChg share one
 // query handle but each scan thread owes only its own charges, so with a
 // core per part a plan charged T in total finishes in about T/4. One debt
@@ -66,11 +81,48 @@ func TestPaceXChgPartsPaceIndependently(t *testing.T) {
 	}
 }
 
+// TestPaceModelledCoresBind: four XChg parts on one modelled core take
+// the whole charge in wall time, less at most one quantum. A paced
+// thread's real work pays its debt, but its wait for the core does not:
+// netting that wait would let each part sleep less while holding the
+// core than it was charged, and the core would no longer bind. A vector
+// is charged more than a quantum and the credit cap together, so every
+// vector is paid as a lump under the core and no residual is left for
+// close.
+func TestPaceModelledCoresBind(t *testing.T) {
+	const n, parts, perTuple = 16 * VectorSize, 4, 5 * time.Microsecond
+	r := rt.NewReal()
+	e := newRealEnvOn(t, r, n)
+	e.ctx.CPU = NewCPU(r, 1)
+	e.ctx.PerTupleCPU = perTuple
+	ctx := e.ctx.WithQuery(NewQueryCtx(r))
+	for _, pg := range e.snap.PagesInRange(0, 0, n) {
+		e.ctx.Pool.Unpin(e.ctx.Pool.Get(pg))
+	}
+	var mk []func() Op
+	for _, pr := range PartitionRange(0, n, parts) {
+		pr := pr
+		mk = append(mk, func() Op {
+			return &Scan{Ctx: ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{pr}}
+		})
+	}
+	start := time.Now()
+	if got := Drain(&XChg{Ctx: ctx, Parts: mk}); got != n {
+		t.Fatalf("drained %d tuples, want %d", got, n)
+	}
+	const total = n * perTuple // 81.9 ms
+	if wall := time.Since(start); wall < total-time.Millisecond {
+		t.Errorf("charged %v on one core over %d threads, but only %v passed", total, parts, wall)
+	}
+}
+
 // TestPaceCancelPaysNoResidual: a scan that owes less than a quantum when
 // its query is cancelled ends at once — no lump, and no residual at close.
+// Its clock is the sleeps alone, so the real work of five vectors pays
+// none of their charge and the debt is exact.
 func TestPaceCancelPaysNoResidual(t *testing.T) {
 	const n = 16 * VectorSize
-	r := &sleepCounter{Runtime: rt.NewReal()}
+	r := &sleepClock{sleepCounter: sleepCounter{Runtime: rt.NewReal()}}
 	e := newRealEnvOn(t, r, n)
 	e.ctx.CPU = NewCPU(r, 1)
 	e.ctx.PerTupleCPU = 100 * time.Nanosecond // 102 µs a vector

@@ -14,6 +14,19 @@ import "time"
 // therefore tracks the sum of modelled time to within a quantum, where
 // a sleep per charge tracked the sum of (modelled + timer overshoot).
 //
+// The thread's own real work pays its debt too. Modelled CPU time is
+// the time the thread's work takes in the model; the real vector work
+// the thread does between two charges is wall time that has passed
+// while it owed, so sleeping the full charge on top of it would charge
+// that CPU twice. Every pacing call therefore first settles: the wall
+// time since the thread's last pacing call comes off a positive debt,
+// down to zero. It never becomes credit: a thread whose real work
+// outruns its modelled CPU finishes in its real time, and only a late
+// timer wake-up banks credit. The one stretch of wall time that is not
+// work is the wait for a modelled core in CPU.Work: Pay starts its own
+// count after the core is granted, so a thread never sleeps less while
+// holding a core because it queued for one.
+//
 // A thread in debt is ahead of the wall clock: the time it has been
 // charged and not slept has, in the model, already passed for it. Its
 // modelled clock is the wall clock plus the debt (Lead), and that is the
@@ -43,19 +56,38 @@ const (
 // Fork returns the pacing domain of one scan thread of query q: a handle
 // that shares q's cancel signal, deadline and hooks, and owns its own
 // debt. The thread that forks must be the one that charges and,
-// when its plan closes, calls Flush. A nil q forks to nil.
+// when its plan closes, calls Flush: its work counts from the fork. A nil
+// q forks to nil.
 func (q *QueryCtx) Fork() *QueryCtx {
 	if q == nil {
 		return nil
 	}
-	return &QueryCtx{lifecycle: q.lifecycle, paced: q.r.Real()}
+	return &QueryCtx{lifecycle: q.lifecycle, paced: q.r.Real(), mark: q.r.Now()}
 }
 
 func (q *QueryCtx) isPaced() bool { return q != nil && q.paced }
 
+// owed is the debt net of the wall time the thread has spent since its
+// last pacing call: real work pays a positive debt down to zero and
+// never leaves credit.
+func (q *QueryCtx) owed(now Time) Duration {
+	if q.debt <= 0 {
+		return q.debt
+	}
+	return max(q.debt-Duration(now-q.mark), 0)
+}
+
+// settle nets the wall time since the last pacing call against the debt
+// and starts the next stretch now.
+func (q *QueryCtx) settle() {
+	now := q.r.Now()
+	q.debt, q.mark = q.owed(now), now
+}
+
 // Lead reports how far the thread that owns q is ahead of the wall
-// clock: its unpaid debt, and never less than what is left of its last
-// device wait, zero for a thread not paced. A device stamps a request's
+// clock: its unpaid debt net of the work it has done since its last
+// pacing call, and never less than what is left of its last device wait,
+// zero for a thread not paced. A device stamps a request's
 // arrival with it. The second bound matters for a thread in credit: the
 // credit paid for the wait, not the device, so the data was still not
 // there before the wait's end, and a request that arrived earlier would
@@ -64,18 +96,21 @@ func (q *QueryCtx) Lead() Duration {
 	if !q.isPaced() {
 		return 0
 	}
-	return max(q.debt, Duration(q.ready-q.r.Now()), 0)
+	now := q.r.Now()
+	return max(q.owed(now), Duration(q.ready-now), 0)
 }
 
 // Owe charges d of modelled time to the thread that owns q and returns
 // how long the caller must sleep now, through Pay. On a paced handle that
-// is zero until the debt reaches the quantum and the whole debt then; on
-// any other handle it is d itself. The split lets the CPU model hold a
-// core across the sleep.
+// is zero until the debt, net of the work done since the last pacing
+// call, reaches the quantum, and the whole debt then; on any other handle
+// it is d itself. The split lets the CPU model hold a core across the
+// sleep.
 func (q *QueryCtx) Owe(d Duration) Duration {
 	if !q.isPaced() {
 		return d
 	}
+	q.settle()
 	q.debt += d
 	if q.debt < paceQuantum {
 		return 0
@@ -84,8 +119,9 @@ func (q *QueryCtx) Owe(d Duration) Duration {
 }
 
 // Pay sleeps a lump Owe returned and, on a paced handle, reduces the
-// debt by the measured length of the sleep. Like SleepUntil it takes the
-// runtime because a nil handle has none.
+// debt by the measured length of the sleep. The wall time since Owe is
+// not netted: the caller spent it queued for a core, not working. Like
+// SleepUntil it takes the runtime because a nil handle has none.
 func (q *QueryCtx) Pay(r Runtime, lump Duration) {
 	if !q.isPaced() {
 		r.Sleep(lump)
@@ -93,7 +129,8 @@ func (q *QueryCtx) Pay(r Runtime, lump Duration) {
 	}
 	start := r.Now()
 	r.Sleep(lump)
-	q.debt -= Duration(r.Now() - start)
+	q.mark = r.Now()
+	q.debt -= Duration(q.mark - start)
 	if q.debt < -paceCreditCap {
 		q.debt = -paceCreditCap
 	}
@@ -121,11 +158,16 @@ func (q *QueryCtx) SleepUntil(r Runtime, t Time) {
 	}
 }
 
-// Flush pays the residual debt of a thread whose plan is closing, so a
-// query is never charged less wall time than it was charged modelled
-// time. A cancelled query's residual is dropped: nobody waits for it.
+// Flush pays the residual debt of a thread whose plan is closing, net of
+// the work done since its last pacing call, so a query never takes less
+// wall time than it was charged modelled time. A cancelled query's
+// residual is dropped: nobody waits for it.
 func (q *QueryCtx) Flush() {
-	if !q.isPaced() || q.debt <= 0 || q.Cancelled() {
+	if !q.isPaced() {
+		return
+	}
+	q.settle()
+	if q.debt <= 0 || q.Cancelled() {
 		return
 	}
 	q.Pay(q.r, q.debt)

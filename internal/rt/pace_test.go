@@ -147,6 +147,64 @@ func TestPaceCreditTracksOvershoot(t *testing.T) {
 	}
 }
 
+// TestPaceWorkPaysDebt: wall time that passes between pacing calls is
+// the thread's real work, and it pays what the thread owes — without
+// ever banking credit — while a late timer wake-up still banks credit,
+// capped, and a wait for a core pays nothing. The clock moves only when
+// the test moves it (work) or the thread sleeps.
+func TestPaceWorkPaysDebt(t *testing.T) {
+	const us = time.Microsecond
+	r := &steppedRT{over: []Duration{400 * us, 10 * time.Millisecond}}
+	q := NewQueryCtx(r).Fork()
+	charge(r, q, 500*us)
+	r.now += Time(300 * us)
+	if lead := q.Lead(); lead != 200*us {
+		t.Fatalf("lead %v after 300µs of work on a 500µs charge, want 200µs", lead)
+	}
+	r.now += Time(time.Millisecond)
+	if lead := q.Lead(); lead != 0 {
+		t.Fatalf("lead %v after work past the debt, want 0", lead)
+	}
+	charge(r, q, 61*us)
+	if q.debt != 61*us || r.sleeps != 0 {
+		t.Fatalf("debt %v after %d sleeps, want 61µs and none: work beyond the debt banked credit", q.debt, r.sleeps)
+	}
+	// A lump that wakes 400 µs late leaves 400 µs of credit, and work
+	// done in credit neither adds to it nor spends it.
+	charge(r, q, 939*us)
+	if q.debt != -400*us || r.sleeps != 1 {
+		t.Fatalf("debt %v after %d sleeps, want -400µs after one", q.debt, r.sleeps)
+	}
+	r.now += Time(700 * us)
+	charge(r, q, 0)
+	if q.debt != -400*us {
+		t.Fatalf("debt %v after work in credit, want -400µs", q.debt)
+	}
+	// A 10 ms stall banks only the cap.
+	charge(r, q, 1400*us)
+	if q.debt != -paceCreditCap {
+		t.Fatalf("debt %v after a 10ms overshoot, want the cap %v", q.debt, -paceCreditCap)
+	}
+
+	// The wait for a core between Owe and Pay is not work: the lump is
+	// paid by the sleep alone.
+	r = &steppedRT{over: []Duration{0}}
+	q = NewQueryCtx(r).Fork()
+	lump := q.Owe(1200 * us)
+	r.now += Time(3 * time.Millisecond)
+	q.Pay(r, lump)
+	if q.debt != 0 {
+		t.Fatalf("debt %v after a 1.2ms lump paid behind a 3ms core wait, want 0", q.debt)
+	}
+	// Flush sleeps only what the work since the last call left owed.
+	charge(r, q, 500*us)
+	r.now += Time(300 * us)
+	q.Flush()
+	if r.slept != 1200*us+200*us || q.debt != 0 {
+		t.Fatalf("Flush after 300µs of work on 500µs owed: slept %v in all, debt %v; want 200µs at close", r.slept-1200*us, q.debt)
+	}
+}
+
 // TestPaceDeviceWaitOnModelledClock: a thread in debt is ahead of the
 // wall clock by the debt and its device requests arrive there, so
 // reaching a completion time replaces the lead — two back-to-back reads

@@ -71,6 +71,7 @@ type QueryCtx struct {
 	paced bool
 	debt  Duration // modelled time charged and not yet slept; negative is credit
 	ready Time     // completion of the last device wait (see Lead)
+	mark  Time     // the last pacing call; the wall time since is the thread's work
 }
 
 // lifecycle is the cancel/deadline state a root QueryCtx and all its

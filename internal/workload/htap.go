@@ -204,7 +204,10 @@ func (h *htapState) apply(op UpdateOp, shipCol int) (applied int, err error) {
 // propagate to the read PDT, the materialization cost elapses (reads
 // keep serving from pinned views the whole time), and the checkpoint
 // swaps in the fresh stable snapshot — retiring the old one through the
-// invalidation hook. At most one merge runs at a time.
+// invalidation hook. At most one merge runs at a time. The merge is a
+// thread of its own on the real runtime: it waits out the cost on a paced
+// fork, so the propagation's real work pays part of it and the swap
+// still comes no earlier than mergeCost after the start.
 func (h *htapState) maybeCheckpoint(r rt.Runtime, wg rt.WaitGroup) {
 	if h.ckptOps <= 0 || h.store.Pending() < h.ckptOps {
 		return
@@ -219,9 +222,11 @@ func (h *htapState) maybeCheckpoint(r rt.Runtime, wg rt.WaitGroup) {
 	wg.Add(1)
 	r.Go("checkpoint", func() {
 		defer wg.Done()
+		pace := rt.NewQueryCtx(r).Fork()
 		start := r.Now()
 		h.store.PropagateWriteToRead()
-		r.Sleep(h.mergeCost)
+		pace.SleepUntil(r, start+rt.Time(h.mergeCost))
+		pace.Flush()
 		_, err := h.store.Checkpoint()
 		h.mu.Lock()
 		if err == nil {

@@ -2,7 +2,12 @@ package workload
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/pdt"
+	"repro/internal/rt"
+	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -77,5 +82,51 @@ func TestServeWithUpdatesDeterministic(t *testing.T) {
 	}
 	if a.TotalIOBytes != b.TotalIOBytes {
 		t.Fatalf("I/O diverged: %d vs %d", a.TotalIOBytes, b.TotalIOBytes)
+	}
+}
+
+// TestCheckpointSwapAfterMergeCostOnRealRuntime: on the real runtime the
+// merge waits out its cost on a paced fork, and the snapshot swap still
+// comes no earlier than mergeCost after the merge starts — for a cost
+// below a pacing quantum, which only the closing Flush pays, and for one
+// above it. The table is 64 tuples, so materializing it takes next to no
+// time and the swap's instant is the wait's end.
+func TestCheckpointSwapAfterMergeCostOnRealRuntime(t *testing.T) {
+	for _, cost := range []sim.Duration{700 * time.Microsecond, 3 * time.Millisecond} {
+		tb, err := storage.NewCatalog().CreateTable("t", storage.Schema{{Name: "d", Type: storage.Int64, Width: 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := storage.NewColumnData()
+		d.I64[0] = make([]int64, 64)
+		snap, err := tb.Master().Append(d)
+		if err == nil {
+			err = snap.Commit()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &htapState{
+			store:      pdt.NewStoreAt(snap),
+			schema:     tb.Schema,
+			baseTuples: snap.NumTuples(),
+			ckptOps:    1,
+			mergeCost:  cost,
+		}
+		if _, err := h.apply(UpdateOp{Kind: UpdateModify, Frac: 0.5, Date: 1, Batch: 1}, 0); err != nil {
+			t.Fatal(err)
+		}
+		r := rt.NewReal()
+		var swapped rt.Time
+		h.store.SetCheckpointHook(func(_, _ *storage.Snapshot) { swapped = r.Now() })
+		wg := r.NewWaitGroup()
+		h.maybeCheckpoint(r, wg)
+		wg.Wait()
+		if h.checkpoints != 1 {
+			t.Fatalf("cost %v: %d checkpoints, want 1", cost, h.checkpoints)
+		}
+		if start := h.windows[0].start; swapped-start < sim.Time(cost) {
+			t.Fatalf("cost %v: snapshot swapped %v after the merge started", cost, sim.Duration(swapped-start))
+		}
 	}
 }
