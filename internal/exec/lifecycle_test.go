@@ -10,7 +10,8 @@ import (
 // TestOperatorsCloseTwice: every operator's Close must be idempotent —
 // the cancel path closes a plan whose consumer may also close it, and a
 // double Close must neither panic (double frame unpin, double ABM
-// unregister) nor reach the child twice.
+// unregister) nor reach the child twice. The ABM cases also fail if a
+// scan is left registered (env.run's idle check).
 func TestOperatorsCloseTwice(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -53,6 +54,13 @@ func TestOperatorsCloseTwice(t *testing.T) {
 			return &Sort{
 				Child: &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{{0, 2000}}},
 				By:    []SortSpec{{Col: 0, Desc: true}},
+			}
+		}},
+		{"Apply", true, func(e *env) Operator {
+			return &Apply{
+				Inner: &CScan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{{0, 500}}},
+				Each:  func(*Batch) {},
+				Outer: &CScan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0}, Ranges: []RIDRange{{0, 2000}}},
 			}
 		}},
 		{"XChg", false, func(e *env) Operator {

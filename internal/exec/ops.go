@@ -847,3 +847,33 @@ type nopClose struct{ Op }
 
 func (n *nopClose) Open()  {}
 func (n *nopClose) Close() {}
+
+// Apply runs a subquery inside Open: it drains Inner, handing each batch
+// to Each, closes Inner and only then opens Outer, whose predicates read
+// what Each filled in. Next, Close and Schema are Outer's. So a plan's
+// whole tree, every scan it will read included, exists before Open, and
+// building it reads nothing.
+type Apply struct {
+	Inner Op
+	Each  func(*Batch)
+	Outer Op
+}
+
+// Schema implements Operator.
+func (a *Apply) Schema() []storage.ColumnType { return a.Outer.Schema() }
+
+// Open implements Operator.
+func (a *Apply) Open() {
+	a.Inner.Open()
+	for b := a.Inner.Next(); b != nil; b = a.Inner.Next() {
+		a.Each(b)
+	}
+	a.Inner.Close()
+	a.Outer.Open()
+}
+
+// Next implements Operator.
+func (a *Apply) Next() *Batch { return a.Outer.Next() }
+
+// Close implements Operator (Open already closed Inner).
+func (a *Apply) Close() { a.Outer.Close() }

@@ -165,11 +165,14 @@ func (b *Batch) Types() []storage.ColumnType {
 // child's batch on unchanged (Select does, when every tuple qualifies)
 // and lets expressions read a column operand in place.
 type Operator interface {
-	// Open prepares the operator (registers scans, spawns workers).
+	// Open prepares the operator (registers scans, spawns workers) and
+	// runs what must finish before its first batch: an Apply drains its
+	// subquery, a HashJoin its build side.
 	Open()
 	// Next returns the next batch or nil.
 	Next() *Batch
-	// Close releases resources; must be called exactly once after Open.
+	// Close releases resources. Call it after Open; a second call is a
+	// no-op, since the cancel path may close a plan its driver also closes.
 	Close()
 	// Schema returns the output column types.
 	Schema() []storage.ColumnType
@@ -187,7 +190,8 @@ func Drain(op Operator) int64 {
 	return n
 }
 
-// Collect materializes the full result (for small results in tests).
+// Collect runs op to completion and materializes its result in one batch
+// (HashJoin's build side, Sort's input, tests).
 func Collect(op Operator) *Batch {
 	op.Open()
 	defer op.Close()

@@ -37,6 +37,16 @@ func fcol(cols []string, name string) exec.Col {
 	return exec.Col{Idx: col(cols, name), T: storage.Float64}
 }
 
+// addKeys is an exec.Apply hook that adds int64 column c of each batch to
+// set.
+func addKeys(set map[int64]bool, c int) func(*exec.Batch) {
+	return func(b *exec.Batch) {
+		for _, k := range b.Vecs[c].I64[:b.N] {
+			set[k] = true
+		}
+	}
+}
+
 // Q1 is TPC-H Q1 (pricing summary report): a pure scan of lineitem with a
 // shipdate cutoff, grouped by returnflag/linestatus. Used both in the
 // microbenchmark and the throughput run.
@@ -112,10 +122,13 @@ func nationScan(build ScanBuilder) (exec.Op, []string) {
 }
 
 // Queries returns the full 22-query throughput mix in query-number order.
-// Each entry is a self-contained plan factory; queries that TPC-H states
-// with correlated subqueries or outer joins are built from the same base
-// table scans with equivalent set/aggregate passes, preserving the tables
-// and columns touched (the property the paper's I/O study depends on).
+// Each entry is a self-contained plan factory that only builds its plan
+// and reads nothing: every scan the query will read is in the returned
+// tree. Queries that TPC-H states with correlated subqueries or outer
+// joins are built from the same base table scans with equivalent
+// set/aggregate passes, preserving the tables and columns touched (the
+// property the paper's I/O study depends on); such a pass is an
+// exec.Apply, drained at Open before the outer plan's scans open.
 func Queries() []Plan {
 	return []Plan{
 		Q1(nil), q2(), q3(), q4(), q5(), Q6(nil), q7(), q8(), q9(), q10(),
@@ -202,14 +215,11 @@ func q4() Plan {
 	lCols := []string{"l_orderkey", "l_commitdate", "l_receiptdate"}
 	lo, hi := Date(1993, 7, 1), Date(1993, 10, 1)-1
 	return func(db *DB, build ScanBuilder) exec.Op {
-		// EXISTS(lineitem with commit<receipt): build the orderkey set.
-		late := exec.Collect(&exec.Select{
+		// EXISTS(lineitem with commit<receipt): the orderkey set.
+		set := make(map[int64]bool)
+		late := &exec.Select{
 			Child: build("lineitem", lCols, nil, false),
 			Pred:  exec.NewCmp("<", icol(lCols, "l_commitdate"), icol(lCols, "l_receiptdate")),
-		})
-		set := make(map[int64]bool, late.N)
-		for _, k := range late.Vecs[0].I64 {
-			set[k] = true
 		}
 		orders := &exec.Select{
 			Child: build("orders", oCols, nil, false),
@@ -218,11 +228,11 @@ func q4() Plan {
 				exec.InI64(col(oCols, "o_orderkey"), set),
 			),
 		}
-		return &exec.HashAggr{
+		return &exec.Apply{Inner: late, Each: addKeys(set, 0), Outer: &exec.HashAggr{
 			Child:  orders,
 			Groups: []int{col(oCols, "o_orderpriority")},
 			Aggs:   []exec.AggSpec{{Kind: exec.AggCount}},
-		}
+		}}
 	}
 }
 
@@ -234,12 +244,9 @@ func q5() Plan {
 	return func(db *DB, build ScanBuilder) exec.Op {
 		// ASIA nations.
 		nation, nCols := nationScan(build)
-		asia := exec.Collect(&exec.Select{Child: nation,
-			Pred: exec.InI64(col(nCols, "n_regionkey"), map[int64]bool{2: true})})
+		asia := &exec.Select{Child: nation,
+			Pred: exec.InI64(col(nCols, "n_regionkey"), map[int64]bool{2: true})}
 		asiaSet := make(map[int64]bool)
-		for i := 0; i < asia.N; i++ {
-			asiaSet[asia.Vecs[0].I64[i]] = true
-		}
 		cust := &exec.Select{
 			Child: build("customer", cCols, nil, false),
 			Pred:  exec.InI64(col(cCols, "c_nationkey"), asiaSet),
@@ -265,8 +272,9 @@ func q5() Plan {
 				revenueExpr(lCols),
 			},
 		}
-		return &exec.HashAggr{Child: proj, Groups: []int{0},
-			Aggs: []exec.AggSpec{{Kind: exec.AggSum, Col: 1}}}
+		return &exec.Apply{Inner: asia, Each: addKeys(asiaSet, 0),
+			Outer: &exec.HashAggr{Child: proj, Groups: []int{0},
+				Aggs: []exec.AggSpec{{Kind: exec.AggSum, Col: 1}}}}
 	}
 }
 
@@ -364,7 +372,7 @@ func q9() Plan {
 		orders := build("orders", oCols, nil, false)
 		jo := &exec.HashJoin{Build: orders, Probe: js, BuildKey: 0, ProbeKey: col(lCols, "l_orderkey")}
 		// partsupp read to model its I/O share (supplycost per part).
-		exec.Drain(build("partsupp", psCols, nil, false))
+		ps := build("partsupp", psCols, nil, false)
 		nkIdx := len(lCols) + len(pCols) + col(sCols, "s_nationkey")
 		odateIdx := len(lCols) + len(pCols) + len(sCols) + col(oCols, "o_orderdate")
 		proj := &exec.Project{
@@ -375,8 +383,9 @@ func q9() Plan {
 				revenueExpr(lCols),
 			},
 		}
-		return &exec.HashAggr{Child: proj, Groups: []int{0, 1},
-			Aggs: []exec.AggSpec{{Kind: exec.AggSum, Col: 2}}}
+		return &exec.Apply{Inner: ps, Each: func(*exec.Batch) {},
+			Outer: &exec.HashAggr{Child: proj, Groups: []int{0, 1},
+				Aggs: []exec.AggSpec{{Kind: exec.AggSum, Col: 2}}}}
 	}
 }
 
@@ -427,8 +436,7 @@ func q11() Plan {
 			Child: j,
 			Exprs: []exec.Expr{
 				icol(psCols, "ps_partkey"),
-				exec.NewArith("*", fcol(psCols, "ps_supplycost"),
-					exec.NewArith("+", exec.ConstF(0), &castF{icol(psCols, "ps_availqty")})),
+				exec.NewArith("*", fcol(psCols, "ps_supplycost"), &castF{icol(psCols, "ps_availqty")}),
 			},
 		}
 		return &exec.Sort{
@@ -486,7 +494,7 @@ func q13() Plan {
 	return func(db *DB, build ScanBuilder) exec.Op {
 		// Orders-per-customer distribution; the left-join's null bucket is
 		// approximated by counting matched customers only.
-		exec.Drain(build("customer", cCols, nil, false))
+		cust := build("customer", cCols, nil, false)
 		orders := &exec.Select{
 			Child: build("orders", oCols, nil, false),
 			Pred:  exec.NewCmp("==", exec.StrContains(col(oCols, "o_comment"), "special requests"), exec.ConstI(0)),
@@ -496,11 +504,11 @@ func q13() Plan {
 			Groups: []int{col(oCols, "o_custkey")},
 			Aggs:   []exec.AggSpec{{Kind: exec.AggCount}},
 		}
-		return &exec.Sort{
+		return &exec.Apply{Inner: cust, Each: func(*exec.Batch) {}, Outer: &exec.Sort{
 			Child: &exec.HashAggr{Child: perCust, Groups: []int{1},
 				Aggs: []exec.AggSpec{{Kind: exec.AggCount}}},
 			By: []exec.SortSpec{{Col: 1, Desc: true}},
-		}
+		}}
 	}
 }
 
@@ -575,15 +583,12 @@ func q17() Plan {
 	pCols := []string{"p_partkey", "p_brand", "p_container"}
 	return func(db *DB, build ScanBuilder) exec.Op {
 		// Pass 1: average quantity per part (the correlated subquery).
-		avg := exec.Collect(&exec.HashAggr{
+		avg := &exec.HashAggr{
 			Child:  build("lineitem", []string{"l_partkey", "l_quantity"}, nil, false),
 			Groups: []int{0},
 			Aggs:   []exec.AggSpec{{Kind: exec.AggAvg, Col: 1}},
-		})
-		avgByPart := make(map[int64]float64, avg.N)
-		for i := 0; i < avg.N; i++ {
-			avgByPart[avg.Vecs[0].I64[i]] = avg.Vecs[1].F64[i]
 		}
+		avgByPart := make(map[int64]float64)
 		part := &exec.Select{
 			Child: build("part", pCols, nil, false),
 			Pred: exec.NewAnd(
@@ -597,8 +602,12 @@ func q17() Plan {
 		below := &exec.Select{Child: j, Pred: exec.Where(func(b *exec.Batch, i int) bool {
 			return b.Vecs[qty].F64[i] < 0.2*avgByPart[b.Vecs[pk].I64[i]]
 		})}
-		return &exec.HashAggr{Child: below,
-			Aggs: []exec.AggSpec{{Kind: exec.AggSum, Col: col(lCols, "l_extendedprice")}, {Kind: exec.AggCount}}}
+		return &exec.Apply{Inner: avg, Each: func(b *exec.Batch) {
+			for i, k := range b.Vecs[0].I64[:b.N] {
+				avgByPart[k] = b.Vecs[1].F64[i]
+			}
+		}, Outer: &exec.HashAggr{Child: below,
+			Aggs: []exec.AggSpec{{Kind: exec.AggSum, Col: col(lCols, "l_extendedprice")}, {Kind: exec.AggCount}}}}
 	}
 }
 
@@ -607,24 +616,25 @@ func q18() Plan {
 	oCols := []string{"o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"}
 	return func(db *DB, build ScanBuilder) exec.Op {
 		// Orders with sum(quantity) > 300.
-		qty := exec.Collect(&exec.HashAggr{
+		qty := &exec.HashAggr{
 			Child:  build("lineitem", lCols, nil, false),
 			Groups: []int{0},
 			Aggs:   []exec.AggSpec{{Kind: exec.AggSum, Col: 1}},
-		})
-		big := make(map[int64]bool)
-		for i := 0; i < qty.N; i++ {
-			if qty.Vecs[1].F64[i] > 300 {
-				big[qty.Vecs[0].I64[i]] = true
-			}
 		}
+		big := make(map[int64]bool)
 		orders := &exec.Select{
 			Child: build("orders", oCols, nil, false),
 			Pred:  exec.InI64(col(oCols, "o_orderkey"), big),
 		}
-		return &exec.Sort{Child: orders,
+		return &exec.Apply{Inner: qty, Each: func(b *exec.Batch) {
+			for i, sum := range b.Vecs[1].F64[:b.N] {
+				if sum > 300 {
+					big[b.Vecs[0].I64[i]] = true
+				}
+			}
+		}, Outer: &exec.Sort{Child: orders,
 			By:    []exec.SortSpec{{Col: col(oCols, "o_totalprice"), Desc: true}},
-			Limit: 100}
+			Limit: 100}}
 	}
 }
 
@@ -667,27 +677,21 @@ func q20() Plan {
 	sCols := []string{"s_suppkey", "s_name", "s_nationkey"}
 	return func(db *DB, build ScanBuilder) exec.Op {
 		// Half of shipped quantity per (part,supp) in 1994.
-		shipped := exec.Collect(&exec.HashAggr{
+		shipped := &exec.HashAggr{
 			Child: &exec.Select{
 				Child: build("lineitem", []string{"l_partkey", "l_suppkey", "l_quantity", "l_shipdate"}, nil, false),
 				Pred:  exec.Between(exec.Col{Idx: 3, T: storage.Int64}, Date(1994, 1, 1), Date(1995, 1, 1)-1),
 			},
 			Groups: []int{0, 1},
 			Aggs:   []exec.AggSpec{{Kind: exec.AggSum, Col: 2}},
-		})
-		half := make(map[[2]int64]float64, shipped.N)
-		for i := 0; i < shipped.N; i++ {
-			half[[2]int64{shipped.Vecs[0].I64[i], shipped.Vecs[1].I64[i]}] = shipped.Vecs[2].F64[i] / 2
 		}
+		half := make(map[[2]int64]float64)
 		// Forest parts.
-		parts := exec.Collect(&exec.Select{
+		parts := &exec.Select{
 			Child: build("part", []string{"p_partkey", "p_name"}, nil, false),
 			Pred:  exec.StrPrefix(1, "forest"),
-		})
-		forest := make(map[int64]bool, parts.N)
-		for _, k := range parts.Vecs[0].I64 {
-			forest[k] = true
 		}
+		forest := make(map[int64]bool)
 		ps := &exec.Select{
 			Child: build("partsupp", psCols, nil, false),
 			Pred: exec.NewAnd(
@@ -703,8 +707,13 @@ func q20() Plan {
 			Pred:  exec.InI64(col(sCols, "s_nationkey"), map[int64]bool{3: true}), // CANADA
 		}
 		j := &exec.HashJoin{Build: supp, Probe: ps, BuildKey: 0, ProbeKey: col(psCols, "ps_suppkey")}
-		return &exec.HashAggr{Child: j, Groups: []int{len(psCols) + col(sCols, "s_name")},
-			Aggs: []exec.AggSpec{{Kind: exec.AggCount}}}
+		return &exec.Apply{Inner: shipped, Each: func(b *exec.Batch) {
+			for i, sum := range b.Vecs[2].F64[:b.N] {
+				half[[2]int64{b.Vecs[0].I64[i], b.Vecs[1].I64[i]}] = sum / 2
+			}
+		}, Outer: &exec.Apply{Inner: parts, Each: addKeys(forest, 0), Outer: &exec.HashAggr{Child: j,
+			Groups: []int{len(psCols) + col(sCols, "s_name")},
+			Aggs:   []exec.AggSpec{{Kind: exec.AggCount}}}}}
 	}
 }
 
@@ -744,11 +753,8 @@ func q22() Plan {
 	phone := col(cCols, "c_phone")
 	return func(db *DB, build ScanBuilder) exec.Op {
 		// Customers with orders (anti-join set).
-		ordered := exec.Collect(build("orders", oCols, nil, false))
-		hasOrder := make(map[int64]bool, ordered.N)
-		for _, k := range ordered.Vecs[1].I64 {
-			hasOrder[k] = true
-		}
+		ordered := build("orders", oCols, nil, false)
+		hasOrder := make(map[int64]bool)
 		cust := &exec.Select{
 			Child: build("customer", cCols, nil, false),
 			Pred: exec.NewAnd(
@@ -764,8 +770,9 @@ func q22() Plan {
 			&phoneCodeExpr{phone},
 			fcol(cCols, "c_acctbal"),
 		}}
-		return &exec.HashAggr{Child: proj, Groups: []int{0},
-			Aggs: []exec.AggSpec{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 1}}}
+		return &exec.Apply{Inner: ordered, Each: addKeys(hasOrder, col(oCols, "o_custkey")),
+			Outer: &exec.HashAggr{Child: proj, Groups: []int{0},
+				Aggs: []exec.AggSpec{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 1}}}}
 	}
 }
 

@@ -1,22 +1,13 @@
 package tpch
 
-import (
-	"testing"
-
-	"repro/internal/exec"
-)
+import "testing"
 
 // These tests validate individual throughput queries against direct
 // recomputation from storage, complementing the end-to-end smoke test.
 
 func TestQ12MatchesReference(t *testing.T) {
 	db := testDB(t)
-	pe := newPlanEnv(t)
-	var got *exec.Batch
-	pe.eng.Go("q", func() {
-		got = exec.Collect(Queries()[11](db, pe.scanBuilder(db)))
-	})
-	pe.eng.Run()
+	got := collect(t, db, Queries()[11])
 
 	snap := db.Snapshot("lineitem")
 	n := snap.NumTuples()
@@ -52,12 +43,7 @@ func TestQ12MatchesReference(t *testing.T) {
 
 func TestQ14MatchesReference(t *testing.T) {
 	db := testDB(t)
-	pe := newPlanEnv(t)
-	var got *exec.Batch
-	pe.eng.Go("q", func() {
-		got = exec.Collect(Queries()[13](db, pe.scanBuilder(db)))
-	})
-	pe.eng.Run()
+	got := collect(t, db, Queries()[13])
 
 	li := db.Snapshot("lineitem")
 	n := li.NumTuples()
@@ -94,12 +80,7 @@ func TestQ14MatchesReference(t *testing.T) {
 
 func TestQ18MatchesReference(t *testing.T) {
 	db := testDB(t)
-	pe := newPlanEnv(t)
-	var got *exec.Batch
-	pe.eng.Go("q", func() {
-		got = exec.Collect(Queries()[17](db, pe.scanBuilder(db)))
-	})
-	pe.eng.Run()
+	got := collect(t, db, Queries()[17])
 
 	li := db.Snapshot("lineitem")
 	n := li.NumTuples()
@@ -131,12 +112,7 @@ func TestQ18MatchesReference(t *testing.T) {
 
 func TestQ22MatchesReference(t *testing.T) {
 	db := testDB(t)
-	pe := newPlanEnv(t)
-	var got *exec.Batch
-	pe.eng.Go("q", func() {
-		got = exec.Collect(Queries()[21](db, pe.scanBuilder(db)))
-	})
-	pe.eng.Run()
+	got := collect(t, db, Queries()[21])
 
 	cust := db.Snapshot("customer")
 	n := cust.NumTuples()

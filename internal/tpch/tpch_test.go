@@ -100,10 +100,12 @@ func TestDatesWithinRange(t *testing.T) {
 	}
 }
 
-// planEnv wires a minimal environment to execute plans against a DB.
+// planEnv wires a minimal environment to execute plans against a DB. Its
+// builder watches every scan it makes: scans, in build order.
 type planEnv struct {
-	eng *sim.Engine
-	ctx *exec.Ctx
+	eng   *sim.Engine
+	ctx   *exec.Ctx
+	scans []*watched
 }
 
 func newPlanEnv(t testing.TB) *planEnv {
@@ -124,18 +126,58 @@ func (pe *planEnv) scanBuilder(db *DB) ScanBuilder {
 		if ranges == nil {
 			ranges = []exec.RIDRange{{Lo: 0, Hi: snap.NumTuples()}}
 		}
-		return &exec.Scan{Ctx: pe.ctx, Snap: snap, Cols: idx, Ranges: ranges}
+		w := &watched{Op: &exec.Scan{Ctx: pe.ctx, Snap: snap, Cols: idx, Ranges: ranges}}
+		pe.scans = append(pe.scans, w)
+		return w
 	}
+}
+
+// checkResolved fails unless every scan was opened and closed exactly
+// once and the pool holds no pin, load or parked reservation.
+func (pe *planEnv) checkResolved(t testing.TB) {
+	t.Helper()
+	for i, w := range pe.scans {
+		if w.opens != 1 || w.closes != 1 {
+			t.Errorf("scan %d opened %d and closed %d times, want once each", i, w.opens, w.closes)
+		}
+	}
+	if err := pe.ctx.Pool.Check(true); err != nil {
+		t.Error(err)
+	}
+}
+
+// collect builds plan over db, runs it to completion in one simulated
+// process on a fresh planEnv and checks that the run resolved.
+func collect(t testing.TB, db *DB, plan Plan) *exec.Batch {
+	pe := newPlanEnv(t)
+	var got *exec.Batch
+	pe.eng.Go("q", func() { got = exec.Collect(plan(db, pe.scanBuilder(db))) })
+	pe.eng.Run()
+	pe.checkResolved(t)
+	return got
+}
+
+// watched wraps a scan, counting its Open and Close calls; onBatch, if
+// set, runs after each batch it hands on.
+type watched struct {
+	exec.Op
+	opens, closes int
+	onBatch       func()
+}
+
+func (w *watched) Open()  { w.opens++; w.Op.Open() }
+func (w *watched) Close() { w.closes++; w.Op.Close() }
+func (w *watched) Next() *exec.Batch {
+	b := w.Op.Next()
+	if b != nil && w.onBatch != nil {
+		w.onBatch()
+	}
+	return b
 }
 
 func TestQ1MatchesReference(t *testing.T) {
 	db := testDB(t)
-	pe := newPlanEnv(t)
-	var got *exec.Batch
-	pe.eng.Go("q", func() {
-		got = exec.Collect(Q1(nil)(db, pe.scanBuilder(db)))
-	})
-	pe.eng.Run()
+	got := collect(t, db, Q1(nil))
 	if got.N == 0 || got.N > 6 {
 		t.Fatalf("Q1 groups = %d, want <= 6 (flag x status)", got.N)
 	}
@@ -171,12 +213,7 @@ func TestQ1MatchesReference(t *testing.T) {
 
 func TestQ6MatchesReference(t *testing.T) {
 	db := testDB(t)
-	pe := newPlanEnv(t)
-	var got *exec.Batch
-	pe.eng.Go("q", func() {
-		got = exec.Collect(Q6(nil)(db, pe.scanBuilder(db)))
-	})
-	pe.eng.Run()
+	got := collect(t, db, Q6(nil))
 	snap := db.Snapshot("lineitem")
 	n := snap.NumTuples()
 	ship := snap.ReadInt64(db.Col("lineitem", "l_shipdate"), 0, n, nil)
@@ -244,12 +281,7 @@ func TestAll22QueriesRun(t *testing.T) {
 	for _, sf := range []float64{0.005, 0.01} {
 		db := Generate(sf, 1)
 		for qi, plan := range Queries() {
-			pe := newPlanEnv(t)
-			var res *exec.Batch
-			pe.eng.Go("q", func() {
-				res = exec.Collect(plan(db, pe.scanBuilder(db)))
-			})
-			pe.eng.Run()
+			res := collect(t, db, plan)
 			fmt.Fprintf(&got, "sf=%g Q%d rows=%d hash=%016x\n", sf, qi+1, res.N, answerHash(res))
 		}
 	}
@@ -271,18 +303,12 @@ func TestAll22QueriesRun(t *testing.T) {
 func TestQueriesTouchExpectedTables(t *testing.T) {
 	db := testDB(t)
 	touched := make(map[string]bool)
-	rec := func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
+	rec := func(table string, _ []string, _ []exec.RIDRange, _ bool) exec.Op {
 		touched[table] = true
-		types := make([]storage.ColumnType, len(cols))
-		for i, c := range cols {
-			types[i] = db.Snapshot(table).Table().Schema[db.Col(table, c)].Type
-		}
-		return &nullOp{types: types}
+		return nil
 	}
 	for _, plan := range Queries() {
-		op := plan(db, rec)
-		op.Open()
-		op.Close()
+		plan(db, rec)
 	}
 	for _, want := range []string{"lineitem", "orders", "customer", "part", "partsupp", "supplier", "nation"} {
 		if !touched[want] {
@@ -291,9 +317,49 @@ func TestQueriesTouchExpectedTables(t *testing.T) {
 	}
 }
 
-type nullOp struct{ types []storage.ColumnType }
+// TestPlanBuildReadsNothing: a plan factory only builds. Building each of
+// the 22 plans over real scans asks the pool for no page; draining them
+// afterwards opens and closes every scan a plan built exactly once, the
+// side scans of Q9 and Q13 included, and leaves the pool idle.
+func TestPlanBuildReadsNothing(t *testing.T) {
+	db := testDB(t)
+	pe := newPlanEnv(t)
+	pe.eng.Go("q", func() {
+		var plans []exec.Op
+		for qi, plan := range Queries() {
+			before := pe.ctx.Pool.Stats()
+			plans = append(plans, plan(db, pe.scanBuilder(db)))
+			if s := pe.ctx.Pool.Stats(); s != before {
+				t.Errorf("building Q%d read through the pool: %+v, then %+v", qi+1, before, s)
+			}
+		}
+		for _, op := range plans {
+			exec.Drain(op)
+		}
+	})
+	pe.eng.Run()
+	pe.checkResolved(t)
+}
 
-func (n *nullOp) Open()                        {}
-func (n *nullOp) Next() *exec.Batch            { return nil }
-func (n *nullOp) Close()                       {}
-func (n *nullOp) Schema() []storage.ColumnType { return n.types }
+// TestQ18CancelledInSubquery: Q18 cancelled while its inner aggregate is
+// still pulling lineitem resolves with no row: the lineitem scan stops
+// after that batch, the orders scan opens on a dead query and reads
+// nothing, and every scan is closed with no pin left.
+func TestQ18CancelledInSubquery(t *testing.T) {
+	db := testDB(t)
+	pe := newPlanEnv(t)
+	qc := exec.NewQueryCtx(pe.ctx.RT)
+	pe.ctx = pe.ctx.WithQuery(qc)
+	rows, lineBatches := int64(-1), 0
+	pe.eng.Go("q", func() {
+		plan := Queries()[17](db, pe.scanBuilder(db))
+		pe.scans[0].onBatch = func() { lineBatches++; qc.Cancel(exec.CauseClientCancel) }
+		pe.scans[1].onBatch = func() { t.Error("orders read after the cancel") }
+		rows = exec.Drain(plan)
+	})
+	pe.eng.Run()
+	if rows != 0 || lineBatches != 1 {
+		t.Errorf("rows = %d after %d lineitem batches, want 0 after 1", rows, lineBatches)
+	}
+	pe.checkResolved(t)
+}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/rt"
-	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -18,19 +17,16 @@ func TPCHAccessedBytes(db *tpch.DB) int64 {
 		col   string
 	}
 	seen := make(map[colKey]bool)
-	// Dry-run every plan with a recording builder that performs no I/O.
-	rec := func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
-		types := make([]storage.ColumnType, len(cols))
-		for i, c := range cols {
+	// Building a plan reads nothing, so a builder that records the columns
+	// asked for and returns no scan is enough.
+	rec := func(table string, cols []string, _ []exec.RIDRange, _ bool) exec.Op {
+		for _, c := range cols {
 			seen[colKey{table, c}] = true
-			types[i] = db.Snapshot(table).Table().Schema[db.Col(table, c)].Type
 		}
-		return &nullScan{types: types}
+		return nil
 	}
 	for _, plan := range tpch.Queries() {
-		op := plan(db, rec)
-		op.Open()
-		op.Close()
+		plan(db, rec)
 	}
 	var total int64
 	for k := range seen {
@@ -39,14 +35,6 @@ func TPCHAccessedBytes(db *tpch.DB) int64 {
 	}
 	return total
 }
-
-// nullScan is an empty relation with a given schema (dry runs).
-type nullScan struct{ types []storage.ColumnType }
-
-func (n *nullScan) Open()                        {}
-func (n *nullScan) Next() *exec.Batch            { return nil }
-func (n *nullScan) Close()                       {}
-func (n *nullScan) Schema() []storage.ColumnType { return n.types }
 
 // RunTPCH executes the §4.2 throughput run: each stream runs all 22
 // queries in a stream-specific permutation (as TPC-H qgen does). When
