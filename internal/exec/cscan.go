@@ -3,7 +3,6 @@ package exec
 import (
 	"repro/internal/abm"
 	"repro/internal/pdt"
-	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -26,50 +25,32 @@ type CScan struct {
 	// PDT is the flattened delta layer for this scan's snapshot; nil
 	// means RID == SID.
 	PDT *pdt.PDT
-	// Pred, when non-nil, is the sargable value restriction the scan
-	// prunes its ranges by at Open: the ABM is only told about the
-	// surviving SID ranges, so pruned chunks gain no interest, are never
-	// loaded, and never enter relevance counts.
+	// Pred, when non-nil, restricts the scan to the tuples whose value in
+	// a column it reads lies in the window: it prunes its ranges by it at
+	// Open, so the ABM is only told about the surviving SID ranges —
+	// pruned chunks gain no interest, are never loaded, and never enter
+	// relevance counts — and filters every vector by it.
 	Pred *ScanPredicate
 
-	types []storage.ColumnType
-	out   *Batch
+	scanCore
 	// cs is the ABM registration; nil when the requested ranges touch no
 	// stable tuples (everything comes from PDT-resident inserts): there
 	// is nothing to load, so the ranges' segments are emitted, once,
 	// without ABM deliveries.
 	cs         *abm.CScan
 	cur        *abm.Delivery // the pinned chunk merge is emitting, if any
-	merge      segCursor     // over the current chunk's segments
-	opened     bool
 	pureLoaded bool
-	// pace is this scan thread's fork of Ctx.Query, the pacing domain of
-	// its CPU charges (the ABM's loader does the device reads).
-	pace *QueryCtx
 }
 
 // Schema implements Operator.
-func (s *CScan) Schema() []storage.ColumnType {
-	if s.types == nil {
-		s.types = scanSchema(s.Snap, s.Cols)
-	}
-	return s.types
-}
+func (s *CScan) Schema() []storage.ColumnType { return s.schema(s.Snap, s.Cols) }
 
 // Open implements Operator: registers the scan's SID ranges with the ABM.
 func (s *CScan) Open() {
-	if s.opened {
-		panic("exec: CScan reopened")
-	}
-	s.opened = true
 	if s.Ctx.ABM == nil {
 		panic("exec: CScan requires an ABM in the context")
 	}
-	s.out = NewBatch(s.Schema())
-	s.pace = s.Ctx.Query.Fork()
-	s.merge = newSegCursor(s.out, s.Cols, s.readCol)
-	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)
-	checkRanges("cscan", s.Snap, s.PDT, s.Ranges)
+	s.Ranges = s.open("cscan", s.Ctx, s.Snap, s.Cols, s.Ranges, s.PDT, s.Pred, s.readCol)
 	var sids []abm.SIDRange
 	for _, r := range s.Ranges {
 		if r.Lo == r.Hi {
@@ -98,26 +79,7 @@ func (s *CScan) Open() {
 }
 
 // Next implements Operator.
-func (s *CScan) Next() *Batch {
-	if s.Ctx.Query.Cancelled() {
-		return nil
-	}
-	s.merge.rewind(s.out)
-	for s.out.N < VectorSize {
-		if s.merge.done() {
-			if !s.nextSegments() {
-				break
-			}
-			continue
-		}
-		s.merge.fill(s.out) // readCol cannot fail
-	}
-	if s.out.N == 0 {
-		return nil
-	}
-	s.Ctx.work(s.pace, s.Ctx.PerTupleCPU*sim.Duration(s.out.N))
-	return s.out
-}
+func (s *CScan) Next() *Batch { return s.next(s.Ctx, s.nextSegments, nil) }
 
 // nextSegments releases the chunk the merge has finished with and
 // re-initializes the merge for the next delivered one: the chunk's SID

@@ -83,7 +83,8 @@ type Ctx struct {
 // NewScan builds the scan operator the context's buffer manager serves:
 // a CScan through the ABM under Cooperative Scans, a Scan through the
 // pool otherwise. ranges nil means the whole table as deltas (nil: none
-// pending) shows it; pred nil means an unrestricted scan.
+// pending) shows it; pred, which must name one of cols, restricts the
+// scan to the tuples it admits (nil: unrestricted).
 func (c *Ctx) NewScan(snap *storage.Snapshot, cols []int, ranges []RIDRange, deltas *pdt.PDT, pred *ScanPredicate) Op {
 	if ranges == nil {
 		n := snap.NumTuples()

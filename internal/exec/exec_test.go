@@ -29,6 +29,17 @@ type env struct {
 // newEnv builds a 3-column table: id (int64), val (float64), tag (string).
 func newEnv(t testing.TB, n int, withABM bool) *env {
 	t.Helper()
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return newEnvIDs(t, ids, withABM)
+}
+
+// newEnvIDs is newEnv with the id column's values given.
+func newEnvIDs(t testing.TB, ids []int64, withABM bool) *env {
+	t.Helper()
+	n := len(ids)
 	eng := sim.NewEngine()
 	disk := iosim.New(rt.Sim(eng), iosim.Config{Bandwidth: 1e9, SeekLatency: 10 * time.Microsecond})
 	pool := buffer.NewPool(rt.Sim(eng), disk, buffer.NewLRU(), 1<<30)
@@ -43,11 +54,9 @@ func newEnv(t testing.TB, n int, withABM bool) *env {
 		t.Fatal(err)
 	}
 	d := storage.NewColumnData()
-	ids := make([]int64, n)
 	vals := make([]float64, n)
 	tags := make([]string, n)
 	for i := 0; i < n; i++ {
-		ids[i] = int64(i)
 		vals[i] = float64(i) / 2
 		if i%2 == 0 {
 			tags[i] = "A"

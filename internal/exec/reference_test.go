@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -201,6 +202,15 @@ func (s *refSelect) Next() *Batch {
 }
 
 func (s *refSelect) Close() { s.Child.Close() }
+
+// refPredicateScan is the mechanism a scan's own predicate replaced:
+// the scan without it, which prunes and filters nothing, under a
+// Select{Between} on the predicate's column — the exact filter plans
+// stacked on a pruning scan by hand.
+func refPredicateScan(scan Op, cols []int, pred *ScanPredicate) Op {
+	at := Col{Idx: slices.Index(cols, pred.Col), T: storage.Int64}
+	return &Select{Child: scan, Pred: Between(at, pred.Lo, pred.Hi)}
+}
 
 // refAggState accumulates one group of refHashAggr.
 type refAggState struct {

@@ -3,7 +3,6 @@ package exec
 import (
 	"repro/internal/pbm"
 	"repro/internal/pdt"
-	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -36,26 +35,18 @@ type Scan struct {
 	// PDT is the flattened delta layer for this scan's snapshot; nil
 	// means RID == SID (no pending updates).
 	PDT *pdt.PDT
-	// Pred, when non-nil, is the sargable value restriction the scan
-	// prunes its ranges by at Open (zone-map data skipping). Advisory:
-	// the exact filter still runs above the scan.
+	// Pred, when non-nil, restricts the scan to the tuples whose value in
+	// a column it reads lies in the window: it prunes its ranges by it at
+	// Open (zone-map data skipping) and filters every vector by it.
 	Pred *ScanPredicate
 
-	types    []storage.ColumnType
-	out      *Batch
-	plans    []rangePlan // one per range, in order
-	next     int         // plans[next:] are not started
-	merge    segCursor   // over the current plan's segments
-	sidEnd   int64       // the current plan's read-ahead clip
-	pbmID    pbm.ScanID
-	pbmOn    bool
-	consumed int64 // stable tuples consumed (PBM progress unit)
-	opened   bool
-	closed   bool
-	// pace is this scan thread's fork of Ctx.Query: the owner tag of its
-	// pool requests and the pacing domain its CPU charges and device
-	// waits share (nil when the plan has no lifecycle handle).
-	pace *QueryCtx
+	scanCore
+	plans   []rangePlan // one per range, in order
+	planned int         // plans[planned:] are not started
+	sidEnd  int64       // the current plan's read-ahead clip
+	pbmID   pbm.ScanID
+	pbmOn   bool
+	closed  bool
 }
 
 // rangePlan is the merge plan of one RID range.
@@ -65,24 +56,11 @@ type rangePlan struct {
 }
 
 // Schema implements Operator.
-func (s *Scan) Schema() []storage.ColumnType {
-	if s.types == nil {
-		s.types = scanSchema(s.Snap, s.Cols)
-	}
-	return s.types
-}
+func (s *Scan) Schema() []storage.ColumnType { return s.schema(s.Snap, s.Cols) }
 
 // Open implements Operator.
 func (s *Scan) Open() {
-	if s.opened {
-		panic("exec: Scan reopened")
-	}
-	s.opened = true
-	s.out = NewBatch(s.Schema())
-	s.pace = s.Ctx.Query.Fork()
-	s.merge = newSegCursor(s.out, s.Cols, s.readCol)
-	s.Ranges = s.Ctx.pruneScanRanges(s.Snap, s.Ranges, s.Pred, s.PDT)
-	checkRanges("scan", s.Snap, s.PDT, s.Ranges)
+	s.Ranges = s.open("scan", s.Ctx, s.Snap, s.Cols, s.Ranges, s.PDT, s.Pred, s.readCol)
 	for _, r := range s.Ranges {
 		plan := rangePlan{segs: segmentsOf(s.PDT, r)}
 		for _, seg := range plan.segs {
@@ -113,37 +91,26 @@ func (s *Scan) Open() {
 }
 
 // Next implements Operator.
-func (s *Scan) Next() *Batch {
-	if s.Ctx.Query.Cancelled() {
-		return nil
+func (s *Scan) Next() *Batch { return s.next(s.Ctx, s.advance, s.report) }
+
+// advance points the merge at the next range's plan; false when every
+// range is started.
+func (s *Scan) advance() bool {
+	if s.planned >= len(s.plans) {
+		return false
 	}
-	s.merge.rewind(s.out)
-	for s.out.N < VectorSize {
-		if s.merge.done() {
-			if s.next >= len(s.plans) {
-				break
-			}
-			s.merge.reset(s.plans[s.next].segs)
-			s.sidEnd = s.plans[s.next].sidEnd
-			s.next++
-			continue
-		}
-		n, err := s.merge.fill(s.out)
-		s.consumed += n
-		if err != nil {
-			// Cancelled at a blocking pool wait: the partial batch is
-			// discarded — nobody will consume it.
-			return nil
-		}
-	}
-	if s.out.N == 0 {
-		return nil
-	}
-	s.Ctx.work(s.pace, s.Ctx.PerTupleCPU*sim.Duration(s.out.N))
+	s.merge.reset(s.plans[s.planned].segs)
+	s.sidEnd = s.plans[s.planned].sidEnd
+	s.planned++
+	return true
+}
+
+// report tells the PBM, if the scan registered with it, how far the
+// scan has come.
+func (s *Scan) report(consumed int64) {
 	if s.pbmOn {
-		s.Ctx.PBM.ReportScanPosition(s.pbmID, s.consumed)
+		s.Ctx.PBM.ReportScanPosition(s.pbmID, consumed)
 	}
-	return s.out
 }
 
 // Close implements Operator. Idempotent: the cancel path may close a

@@ -85,15 +85,17 @@ func clipToSIDs(ranges []RIDRange, deltas *pdt.PDT, sidLo, sidHi int64) []RIDRan
 // aliases a page makes none.
 type segCursor struct {
 	cols []int
-	// read appends the values of column cols[i] for SIDs [lo,hi) to out,
-	// handing each page to page.
-	read func(i int, lo, hi int64, out *Vec) error
+	read colReader
 	own  []colBuf // per column
 
 	segs []pdt.Segment
 	seg  int   // current segment
 	off  int64 // tuples of it already produced
 }
+
+// colReader appends the values of column cols[i] for SIDs [lo,hi) to
+// out, handing each page to segCursor.page.
+type colReader func(i int, lo, hi int64, out *Vec) error
 
 // colBuf is a scan's own buffer for one column.
 type colBuf struct {
@@ -103,7 +105,7 @@ type colBuf struct {
 
 // newSegCursor points out's vectors at the scan's own buffers, which are
 // not made yet.
-func newSegCursor(out *Batch, cols []int, read func(i int, lo, hi int64, out *Vec) error) segCursor {
+func newSegCursor(out *Batch, cols []int, read colReader) segCursor {
 	c := segCursor{cols: cols, read: read, own: make([]colBuf, len(out.Vecs))}
 	for i, v := range out.Vecs {
 		c.own[i].buf = *v

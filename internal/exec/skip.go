@@ -10,17 +10,18 @@ import (
 	"repro/internal/storage"
 )
 
-// ScanPredicate is a sargable value restriction on one stored column:
-// the scan only needs tuples whose column value lies in [Lo, Hi]. Scans
-// carrying one consult the context's zone maps at Open to prune
+// ScanPredicate is a value restriction on one stored int64 column the
+// scan reads: the scan returns only tuples whose column value lies in
+// [Lo, Hi]. It is the scan's whole restriction, applied in two steps.
+// At Open the scan consults the context's zone maps to prune
 // provably-excluded tuple ranges before any I/O is scheduled — the ABM
 // gains no interest in pruned chunks, the PBM never registers their
 // pages, and read-ahead batches split around the pruned runs. Pruning is
-// conservative (block granularity), so plans still apply the exact
-// filter on top of the scan.
+// conservative (block granularity), so every vector the scan reads is
+// then filtered exactly (scanCore.next).
 type ScanPredicate struct {
 	// Col is the storage column index in the table schema (not the
-	// position within Scan.Cols).
+	// position within Scan.Cols); the scan must read it.
 	Col int
 	// Lo and Hi are the inclusive value bounds.
 	Lo, Hi int64

@@ -1,10 +1,17 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pdt"
+	"repro/internal/rt"
+	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // coveredBy reports whether rid falls inside one of the ranges.
@@ -140,4 +147,133 @@ func TestZoneMapsDropEvictsRetiredSnapshot(t *testing.T) {
 	if got := z.Drop(a.snap); got != nil {
 		t.Fatalf("double drop returned %v", got)
 	}
+}
+
+// rowBag renders b's rows, sorted: the result as a multiset of tuples.
+func rowBag(b *Batch) []string {
+	rows := make([]string, b.N)
+	for i := range rows {
+		var sb strings.Builder
+		for _, v := range b.Vecs {
+			switch v.T {
+			case storage.Int64:
+				fmt.Fprint(&sb, v.I64[i], "|")
+			case storage.Float64:
+				fmt.Fprint(&sb, v.F64[i], "|")
+			default:
+				fmt.Fprint(&sb, v.Str[i], "|")
+			}
+		}
+		rows[i] = sb.String()
+	}
+	slices.Sort(rows)
+	return rows
+}
+
+// TestDifferentialScanPredicate holds a predicate Scan and CScan to the
+// mechanism their own filter replaced (refPredicateScan), as row
+// multisets: over random windows and zone-block sizes on a column that
+// ascends with noise, so blocks overlap in value space and windows cut
+// through them; over PDT deltas whose inserts, deletes and modifications
+// of the predicate column move tuples into and out of the window; and
+// over a block whose bounds straddle the window while none of its values
+// lies in it. A predicate on a column the scan does not read is refused.
+func TestDifferentialScanPredicate(t *testing.T) {
+	cols := []int{1, 0, 2} // the predicate column is read second
+	t.Run("random", func(t *testing.T) {
+		const n = 6000
+		rng := rand.New(rand.NewSource(48))
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(i/16)*4 + rng.Int63n(40)
+		}
+		const dmax = n/16*4 + 40
+		for iter := 0; iter < 24; iter++ {
+			e := newEnvIDs(t, ids, iter%2 == 1)
+			e.ctx.Zones = NewZoneMaps()
+			e.ctx.Zones.Build(e.snap, 0, []int64{100, 512, 1000, 2048}[rng.Intn(4)])
+			var deltas *pdt.PDT
+			if iter%4 >= 2 {
+				deltas = pdt.New(e.snap.Table().Schema, n)
+				for i := 0; i < 60; i++ {
+					rid := rng.Int63n(deltas.NumTuples())
+					switch rng.Intn(3) {
+					case 0:
+						deltas.InsertAt(rid, pdt.Row{pdt.IntVal(rng.Int63n(dmax)), pdt.FloatVal(-float64(i)), pdt.StrVal("I")})
+					case 1:
+						deltas.DeleteAt(rid)
+					default:
+						deltas.ModifyAt(rid, 0, pdt.IntVal(rng.Int63n(dmax)))
+					}
+				}
+			}
+			lo := rng.Int63n(dmax)
+			pred := &ScanPredicate{Col: 0, Lo: lo, Hi: lo + rng.Int63n(dmax/4)}
+			e.run(func() {
+				got := rowBag(Collect(e.ctx.NewScan(e.snap, cols, nil, deltas, pred)))
+				want := rowBag(Collect(refPredicateScan(e.ctx.NewScan(e.snap, cols, nil, deltas, nil), cols, pred)))
+				if !slices.Equal(got, want) {
+					t.Fatalf("iter %d, window [%d,%d]: scan returned %d rows, reference %d",
+						iter, pred.Lo, pred.Hi, len(got), len(want))
+				}
+			})
+		}
+	})
+	t.Run("straddling-block", func(t *testing.T) {
+		// Block 3 holds only -100 and 100000: its bounds straddle the
+		// window, every other block's lie above it.
+		const n, blk = 4096, 512
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(i)
+			if i/blk == 3 {
+				ids[i] = -100 + 100100*int64(i%2)
+			}
+		}
+		pred := &ScanPredicate{Col: 0, Lo: -50, Hi: -10}
+		for _, withABM := range []bool{false, true} {
+			// run drains the scan build makes in a fresh cold environment,
+			// returning its rows and the virtual time it took.
+			run := func(build func(e *env) Op) (rows int64, took sim.Time) {
+				e := newEnvIDs(t, ids, withABM)
+				e.ctx.Zones = NewZoneMaps()
+				e.ctx.Zones.Build(e.snap, 0, blk)
+				e.ctx.CPU = NewCPU(rt.Sim(e.eng), 1)
+				e.ctx.PerTupleCPU = time.Microsecond
+				e.run(func() {
+					rows = Drain(build(e))
+					took = e.eng.Now()
+				})
+				return rows, took
+			}
+			rows, took := run(func(e *env) Op { return e.ctx.NewScan(e.snap, cols, nil, nil, pred) })
+			_, want := run(func(e *env) Op {
+				return e.ctx.NewScan(e.snap, cols, []RIDRange{{3 * blk, 4 * blk}}, nil, nil)
+			})
+			if rows != 0 {
+				t.Fatalf("abm=%v: %d rows pass a window no value lies in", withABM, rows)
+			}
+			if took != want || took < sim.Time(blk*time.Microsecond) {
+				t.Fatalf("abm=%v: predicate scan took %v, the scan of the surviving block %v: its read was not charged",
+					withABM, sim.Duration(took), sim.Duration(want))
+			}
+		}
+	})
+	t.Run("unread-column", func(t *testing.T) {
+		for _, withABM := range []bool{false, true} {
+			e := newEnv(t, 100, withABM)
+			// Column 0 is not read; column 1 is, but holds float64s.
+			for _, pred := range []*ScanPredicate{{Col: 0, Lo: 0, Hi: 10}, {Col: 1, Lo: 0, Hi: 10}} {
+				op := e.ctx.NewScan(e.snap, []int{1, 2}, nil, nil, pred)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("abm=%v: Open accepted a predicate on column %d of a scan of [1 2]", withABM, pred.Col)
+						}
+					}()
+					op.Open()
+				}()
+			}
+		}
+	})
 }

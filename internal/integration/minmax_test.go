@@ -10,8 +10,8 @@ import (
 
 // TestMinMaxPrunedScan wires the §2.3 pieces together: a MinMax zone map
 // registered in the context lets a predicate-carrying Scan prune itself
-// to a few fine-grained ranges at Open, and the result matches the
-// unpruned plan while reading far fewer pages.
+// to a few fine-grained ranges at Open, and its own filter's result
+// matches the unpruned scan under a Select while reading far fewer pages.
 func TestMinMaxPrunedScan(t *testing.T) {
 	cat := storage.NewCatalog()
 	s := newSys(workload.PBM, 1<<24)
@@ -30,11 +30,8 @@ func TestMinMaxPrunedScan(t *testing.T) {
 		missesFull := s.pool.Stats().Misses
 
 		s.pool.FlushAll()
-		got := exec.Collect(&exec.Select{
-			Child: &exec.Scan{Ctx: s.ctx, Snap: snap, Cols: []int{0}, Ranges: full,
-				Pred: &exec.ScanPredicate{Col: 0, Lo: 30000, Hi: 30100}},
-			Pred: filter,
-		})
+		got := exec.Collect(&exec.Scan{Ctx: s.ctx, Snap: snap, Cols: []int{0}, Ranges: full,
+			Pred: &exec.ScanPredicate{Col: 0, Lo: 30000, Hi: 30100}})
 		missesPruned := s.pool.Stats().Misses - missesFull
 
 		if got.N != want.N || got.N != 101 {

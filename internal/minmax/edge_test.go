@@ -22,9 +22,6 @@ func TestPruneEmptyIndex(t *testing.T) {
 	if n := ix.CountRange(0, 100, 0, 1<<40); n != 0 {
 		t.Fatalf("CountRange = %d, want 0", n)
 	}
-	if s := ix.Selectivity(0, 1<<40); s != 0 {
-		t.Fatalf("Selectivity = %v, want 0", s)
-	}
 }
 
 // TestPruneInvertedValueInterval is the regression for the bug this

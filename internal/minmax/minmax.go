@@ -119,18 +119,3 @@ func (ix *Index) CountRange(lo, hi int64, vmin, vmax int64) int64 {
 	}
 	return n
 }
-
-// Selectivity estimates the fraction of blocks surviving a [vmin,vmax]
-// restriction (planner heuristics; tests use it too).
-func (ix *Index) Selectivity(vmin, vmax int64) float64 {
-	if len(ix.mins) == 0 {
-		return 0
-	}
-	hit := 0
-	for b := range ix.mins {
-		if ix.mins[b] <= vmax && ix.maxs[b] >= vmin {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(ix.mins))
-}

@@ -64,17 +64,6 @@ func TestPruneClipsToRequestedRange(t *testing.T) {
 	}
 }
 
-func TestSelectivity(t *testing.T) {
-	snap := snapWith(t, sortedVals(10000))
-	ix := Build(snap, 0, 1000)
-	if s := ix.Selectivity(0, 999); s != 0.1 {
-		t.Fatalf("selectivity = %v, want 0.1", s)
-	}
-	if s := ix.Selectivity(-10, 1<<40); s != 1.0 {
-		t.Fatalf("selectivity = %v, want 1", s)
-	}
-}
-
 // Property: pruning never loses a qualifying tuple — every position whose
 // value falls in [vmin,vmax] is inside some returned range.
 func TestPropertyPruneIsSound(t *testing.T) {

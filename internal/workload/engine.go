@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/exec"
-	"repro/internal/minmax"
 	"repro/internal/opt"
 	"repro/internal/pdt"
 	"repro/internal/rt"
@@ -37,10 +35,9 @@ type ServeEngine struct {
 	// result carries the run's sizing and collects what the engine
 	// records as it runs: the OPT trace and the sharing samples.
 	result *Result
-	// predIx is the l_shipdate zone map over the loaded snapshot and dom
-	// the table's value domain read off it (see setupSkipping).
-	predIx *minmax.Index
-	dom    Domain
+	// dom is the table's value domain, read off the loaded snapshot's
+	// l_shipdate zone map (see setupSkipping).
+	dom Domain
 
 	sch   *sched.Scheduler
 	cost  exec.ScanCostModel
@@ -225,9 +222,9 @@ func (en *ServeEngine) PredicateFor(sel float64) *exec.ScanPredicate {
 
 // PredicateNamed builds an explicit [lo, hi] window on l_shipdate: the
 // one zone-mapped column, and the one column every request kind (q1, q6,
-// scan) reads, so its scans prune I/O on it and the plan's Select filters
-// exactly. Any other column is refused: a plan that does not read it
-// could not filter on it.
+// scan) reads, so its scans prune I/O on it and filter by it. Any other
+// column is refused: a scan that does not read it could not filter on
+// it.
 func (en *ServeEngine) PredicateNamed(col string, lo, hi int64) (*exec.ScanPredicate, error) {
 	if col != "l_shipdate" {
 		return nil, fmt.Errorf("predicate column %q: only l_shipdate is supported", col)
@@ -390,10 +387,9 @@ func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange
 // mid-scan never tears it; other tables read the catalog's current
 // snapshot.
 //
-// A non-nil pred restricts the lineitem scans: the scan prunes its ranges
-// by it at Open, and a Select applies the exact filter on top, since
-// block-granular pruning is conservative. Every plan that carries one
-// (Q1, Q6, "scan") reads the predicate's column, l_shipdate.
+// A non-nil pred restricts the lineitem scans, which prune their ranges
+// by it at Open and filter every vector by it. Every plan that carries
+// one (Q1, Q6, "scan") reads the predicate's column, l_shipdate.
 func (en *ServeEngine) builderCtx(ctx *exec.Ctx, view pdt.View, pred *exec.ScanPredicate) tpch.ScanBuilder {
 	return func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
 		if inOrder {
@@ -407,12 +403,7 @@ func (en *ServeEngine) builderCtx(ctx *exec.Ctx, view pdt.View, pred *exec.ScanP
 		for i, c := range cols {
 			idx[i] = en.db.Col(table, c)
 		}
-		op := ctx.NewScan(v.Stable, idx, ranges, v.Deltas, p)
-		if p == nil {
-			return op
-		}
-		pos := slices.Index(idx, p.Col)
-		return &exec.Select{Child: op, Pred: exec.Between(exec.Col{Idx: pos, T: storage.Int64}, p.Lo, p.Hi)}
+		return ctx.NewScan(v.Stable, idx, ranges, v.Deltas, p)
 	}
 }
 

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/pdt"
 	"repro/internal/rt"
 	"repro/internal/sim"
@@ -129,4 +132,87 @@ func TestCheckpointSwapAfterMergeCostOnRealRuntime(t *testing.T) {
 			t.Fatalf("cost %v: snapshot swapped %v after the merge started", cost, sim.Duration(swapped-start))
 		}
 	}
+}
+
+// TestPricingReadsLiveZoneMap: admission prices a predicate read by the
+// zone map of the store's current stable snapshot. Rows 0-63 of a
+// clustered table (its earliest shipdates) are moved to DateMax and
+// checkpointed, so for a [DateMax, DateMax] window the live map keeps
+// [0, 2048) — one zone block — and prunes [2048, 4096), where the map of
+// the loaded snapshot keeps neither, and no map keeps both. With the
+// current snapshot's map dropped, as a checkpoint does between the two
+// reads, a range is priced unpruned.
+func TestPricingReadsLiveZoneMap(t *testing.T) {
+	db := freshClusteredTinyDB()
+	cfg := tinyServeConfig()
+	cfg.AdmissionPolicy = "sesf"
+	en := NewServeEngine(db, cfg)
+	defer en.Close()
+	n := en.htap.store.NumTuples()
+	for i := 0; i < 64; i++ {
+		op := UpdateOp{Kind: UpdateModify, Frac: (float64(i) + 0.5) / float64(n), Date: tpch.DateMax, Batch: 1}
+		if _, err := en.htap.apply(op, en.dom.ShipCol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	en.htap.store.PropagateWriteToRead()
+	if _, err := en.htap.store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pred := &exec.ScanPredicate{Col: en.dom.ShipCol, Lo: tpch.DateMax, Hi: tpch.DateMax}
+	for _, hi := range []int64{2048, 4096} {
+		if got := en.survivingTuples(exec.RIDRange{Lo: 0, Hi: hi}, pred); got != 2048 {
+			t.Fatalf("priced %d tuples of [0, %d), want the 2048 the live zone map keeps", got, hi)
+		}
+	}
+	en.Ctx.Zones.Drop(en.htap.store.Stable())
+	if got := en.survivingTuples(exec.RIDRange{Lo: 0, Hi: 4096}, pred); got != 4096 {
+		t.Fatalf("priced %d tuples of [0, 4096) with the zone map retired, want 4096 (unpruned)", got)
+	}
+}
+
+// TestPricingRaceWithCheckpoints prices predicate reads on the real
+// runtime while checkpoints retire the snapshots whose zone maps the
+// pricing looks up: every price lies within its range, and under -race
+// the registry and store reads are checked against the checkpoints'
+// writes. A lookup that misses (a checkpoint landing between the two
+// reads) is a rare interleaving here; TestPricingReadsLiveZoneMap forces
+// one.
+func TestPricingRaceWithCheckpoints(t *testing.T) {
+	cfg := tinyServeConfig()
+	cfg.Real = true
+	cfg.AdmissionPolicy = "sesf"
+	en := NewServeEngine(freshClusteredTinyDB(), cfg)
+	defer en.Close()
+	r := exec.RIDRange{Lo: 0, Hi: en.NumTuples()}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for i := 0; i < 40; i++ {
+			op := UpdateOp{Kind: UpdateModify, Frac: float64(i) / 40, Date: tpch.DateMax, Batch: 4}
+			if _, err := en.htap.apply(op, en.dom.ShipCol); err != nil {
+				t.Error(err)
+				return
+			}
+			en.htap.store.PropagateWriteToRead()
+			if _, err := en.htap.store.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; !done.Load(); i++ {
+		lo := int64(i*97) % en.dom.DateMax
+		pred := &exec.ScanPredicate{Col: en.dom.ShipCol, Lo: lo, Hi: lo + 30}
+		if got := en.survivingTuples(r, pred); got < 0 || got > r.Hi-r.Lo {
+			t.Fatalf("priced %d tuples of a %d-tuple range", got, r.Hi-r.Lo)
+		}
+		if q := en.Request(0, i, 0, Draw{Kind: "q6", Range: r, Pred: pred}, nil); q.Cost <= 0 {
+			t.Fatalf("request priced %v", q.Cost)
+		}
+	}
+	wg.Wait()
 }

@@ -19,9 +19,9 @@ func (en *ServeEngine) setupSkipping(db *tpch.DB) {
 	col := db.Col("lineitem", "l_shipdate")
 	en.Ctx.Zones = exec.NewZoneMaps()
 	en.Ctx.Skip = &exec.SkipStats{}
-	en.predIx = en.Ctx.Zones.Build(snap, col, en.cfg.ChunkTuples)
+	ix := en.Ctx.Zones.Build(snap, col, en.cfg.ChunkTuples)
 	en.dom = Domain{Rows: snap.NumTuples(), ShipCol: col}
-	en.dom.DateMin, en.dom.DateMax, _ = en.predIx.ValueBounds()
+	en.dom.DateMin, en.dom.DateMax, _ = ix.ValueBounds()
 }
 
 // pickSelectivity draws one query's predicate selectivity from the mix;
@@ -40,13 +40,19 @@ func pickSelectivity(rng *rand.Rand, mix []float64) float64 {
 }
 
 // survivingTuples prices a predicate scan for admission: the tuples the
-// zone map says survive pruning. This is what makes EstimateScanTime
-// skip-aware — a 1%-selective scan over clustered data is priced (and
-// admitted under sesf/wfq) as ~100x cheaper than a full scan of the
-// same range.
+// zone map of the store's current stable snapshot says survive pruning.
+// This is what makes EstimateScanTime skip-aware — a 1%-selective scan
+// over clustered data is priced (and admitted under sesf/wfq) as ~100x
+// cheaper than a full scan of the same range. A checkpoint retiring the
+// snapshot between the two reads drops its zone map; the range is then
+// priced unpruned.
 func (en *ServeEngine) survivingTuples(r exec.RIDRange, pred *exec.ScanPredicate) int64 {
 	if pred == nil {
 		return r.Hi - r.Lo
 	}
-	return en.predIx.CountRange(r.Lo, r.Hi, pred.Lo, pred.Hi)
+	ix := en.Ctx.Zones.Lookup(en.htap.store.Stable(), pred.Col)
+	if ix == nil {
+		return r.Hi - r.Lo
+	}
+	return ix.CountRange(r.Lo, r.Hi, pred.Lo, pred.Hi)
 }

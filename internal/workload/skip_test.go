@@ -55,7 +55,7 @@ func TestSelectivityReducesIOOnClusteredData(t *testing.T) {
 }
 
 // TestSelectivityDoesNotChangeAnswers: skipping is a physical
-// optimization — with the exact filter applied on top of pruning, a
+// optimization — with the scan's exact filter applied after pruning, a
 // selective run must produce positive, plausible results and identical
 // results across repeated runs (the simulator stays deterministic with
 // the predicate draws in the stream).

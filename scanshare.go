@@ -54,10 +54,10 @@ type (
 	Batch = exec.Batch
 	// RIDRange is a half-open row range.
 	RIDRange = exec.RIDRange
-	// ScanPredicate is a sargable value restriction on one stored
-	// column; scans carrying one prune provably-excluded ranges through
-	// the system's zone maps before any I/O is scheduled (§2.3 MinMax
-	// data skipping).
+	// ScanPredicate is a value restriction on one stored int64 column
+	// the scan reads; scans carrying one prune provably-excluded ranges
+	// through the system's zone maps before any I/O is scheduled (§2.3
+	// MinMax data skipping) and filter every vector they read by it.
 	ScanPredicate = exec.ScanPredicate
 	// ZoneMaps is the registry of per-(snapshot, column) MinMax indexes
 	// predicate scans prune through.
