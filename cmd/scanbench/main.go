@@ -163,103 +163,94 @@ func main() {
 }
 
 // printSweep renders the two panels of a Figures-11..16-style plot: one
-// series per policy for average stream time, one for total I/O.
+// series per policy for average stream time, one for total I/O; -tsv
+// prints the rows as they are.
 func printSweep(title, xlabel string, rows []scanshare.SweepRow, tsv bool) {
 	fmt.Printf("== %s ==\n", title)
 	if tsv {
-		fmt.Printf("x\tpolicy\tavg_stream_sec\tio_mb\n")
-		for _, r := range rows {
-			fmt.Printf("%g\t%s\t%.4f\t%.1f\n", r.X, r.Policy, r.AvgStreamSec, r.IOMB)
-		}
+		printTable(sweepColumns, tsv, len(rows), func(i int, c column[scanshare.SweepRow]) string { return c.cell(rows[i], tsv) })
 		return
 	}
-	// Pivot: rows grouped by x, one column per policy.
+	// Pivot: rows grouped by x, one table per panel, one column per policy.
 	policies := []string{"LRU", "CScans", "PBM", "OPT"}
-	xs := make([]float64, 0)
-	seen := map[float64]bool{}
+	var xs []float64
 	cell := map[float64]map[string]scanshare.SweepRow{}
 	for _, r := range rows {
-		if !seen[r.X] {
-			seen[r.X] = true
+		if cell[r.X] == nil {
 			xs = append(xs, r.X)
 			cell[r.X] = map[string]scanshare.SweepRow{}
 		}
 		cell[r.X][r.Policy] = r
 	}
 	sort.Float64s(xs)
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	for _, panel := range []struct {
-		title, verb string
-		series      []string
-		value       func(scanshare.SweepRow) float64
+		title  string
+		series []string
+		column[scanshare.SweepRow]
 	}{
 		// OPT has no time series (I/O-only simulation, §4).
-		{"-- average stream time (s) --", "\t%.3f", policies[:3], func(r scanshare.SweepRow) float64 { return r.AvgStreamSec }},
-		{"-- total I/O volume (MB) --", "\t%.1f", policies, func(r scanshare.SweepRow) float64 { return r.IOMB }},
+		{"-- average stream time (s) --", policies[:3], sweepColumns[2]},
+		{"-- total I/O volume (MB) --", policies, sweepColumns[3]},
 	} {
-		fmt.Fprintln(w, panel.title)
-		fmt.Fprint(w, xlabel)
+		fmt.Println(panel.title)
+		cols := []column[float64]{{head: xlabel, verb: "%g", value: func(x float64) any { return x }}}
 		for _, p := range panel.series {
-			fmt.Fprintf(w, "\t%s", p)
+			p, value := p, panel.value
+			cols = append(cols, column[float64]{head: p, verb: panel.verb, value: func(x float64) any { return value(cell[x][p]) }})
 		}
-		fmt.Fprintln(w)
-		for _, x := range xs {
-			fmt.Fprintf(w, "%g", x)
-			for _, p := range panel.series {
-				fmt.Fprintf(w, panel.verb, panel.value(cell[x][p]))
-			}
-			fmt.Fprintln(w)
-		}
+		printTable(cols, tsv, len(xs), func(i int, c column[float64]) string { return c.cell(xs[i], tsv) })
 	}
-	w.Flush()
+}
+
+// sweepColumns is a figure's -tsv table; its measures are the
+// ablation's, in both renderings.
+var sweepColumns = []column[scanshare.SweepRow]{
+	{"x", "", "%g", "", func(r scanshare.SweepRow) any { return r.X }},
+	{"policy", "", "%s", "", func(r scanshare.SweepRow) any { return r.Policy }},
+	{"avg_stream_sec", "avg stream (s)", "%.4f", "%.3f", func(r scanshare.SweepRow) any { return r.AvgStreamSec }},
+	{"io_mb", "total I/O (MB)", "%.1f", "%.1f", func(r scanshare.SweepRow) any { return r.IOMB }},
+}
+
+// sharingColumns is the Figures 17/18 table: the aligned rendering adds
+// a bar of each sample's shares.
+var sharingColumns = []column[scanshare.SharingRow]{
+	{"time_sec", "time (s)", "%.4f", "%.3f", func(r scanshare.SharingRow) any { return r.TimeSec }},
+	{"mb_1scan", "1 scan", "%.1f", "%.1f", func(r scanshare.SharingRow) any { return r.MB[0] }},
+	{"mb_2scans", "2 scans", "%.1f", "%.1f", func(r scanshare.SharingRow) any { return r.MB[1] }},
+	{"mb_3scans", "3 scans", "%.1f", "%.1f", func(r scanshare.SharingRow) any { return r.MB[2] }},
+	{"mb_4plus", ">=4 scans", "%.1f", "%.1f", func(r scanshare.SharingRow) any { return r.MB[3] }},
+	{"", "(MB wanted by exactly k scans)", "", "%s", func(r scanshare.SharingRow) any { return bar(r.MB) }},
 }
 
 func printSharing(title string, rows []scanshare.SharingRow, tsv bool) {
 	fmt.Printf("== %s ==\n", title)
-	if tsv {
-		fmt.Printf("time_sec\tmb_1scan\tmb_2scans\tmb_3scans\tmb_4plus\n")
-		for _, r := range rows {
-			fmt.Printf("%.4f\t%.1f\t%.1f\t%.1f\t%.1f\n", r.TimeSec, r.MB[0], r.MB[1], r.MB[2], r.MB[3])
-		}
-		return
+	step := 1
+	if !tsv {
+		step = len(rows)/40 + 1 // cap terminal output at ~40 samples
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "time (s)\t1 scan\t2 scans\t3 scans\t>=4 scans\t(MB wanted by exactly k scans)")
-	step := len(rows)/40 + 1 // cap terminal output at ~40 samples
-	for i := 0; i < len(rows); i += step {
-		r := rows[i]
-		fmt.Fprintf(w, "%.3f\t%.1f\t%.1f\t%.1f\t%.1f\t%s\n",
-			r.TimeSec, r.MB[0], r.MB[1], r.MB[2], r.MB[3], bar(r.MB))
-	}
-	w.Flush()
+	printTable(sharingColumns, tsv, (len(rows)+step-1)/step, func(i int, c column[scanshare.SharingRow]) string { return c.cell(rows[i*step], tsv) })
+}
+
+var ablationColumns = []column[scanshare.AblationRow]{
+	{"variant", "variant", "%s", "%s", func(r scanshare.AblationRow) any { return r.Variant }},
+	{"avg_stream_sec", "avg stream (s)", "%.4f", "%.3f", func(r scanshare.AblationRow) any { return r.AvgStreamSec }},
+	{"io_mb", "total I/O (MB)", "%.1f", "%.1f", func(r scanshare.AblationRow) any { return r.IOMB }},
 }
 
 func printAblation(rows []scanshare.AblationRow, tsv bool) {
 	fmt.Println("== Ablation: every policy variant at the default microbenchmark point ==")
-	if tsv {
-		fmt.Printf("variant\tavg_stream_sec\tio_mb\n")
-		for _, r := range rows {
-			fmt.Printf("%s\t%.4f\t%.1f\n", r.Variant, r.AvgStreamSec, r.IOMB)
-		}
-		return
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "variant\tavg stream (s)\ttotal I/O (MB)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.3f\t%.1f\n", r.Variant, r.AvgStreamSec, r.IOMB)
-	}
-	w.Flush()
+	printTable(ablationColumns, tsv, len(rows), func(i int, c column[scanshare.AblationRow]) string { return c.cell(rows[i], tsv) })
 }
 
-// column is one column of the serve table: its -tsv name and its
-// aligned-table header (empty: -tsv only), the verb of each rendering,
-// and the value it prints. A []float64 value is a per-tenant cell: the
-// verb formats each element, comma-joined, index = tenant id.
-type column struct {
+// column is one column of a table of R rows: its -tsv name (empty:
+// aligned table only) and its aligned-table header (empty: -tsv only),
+// the verb of each rendering, and the value it prints. A []float64 value
+// is a per-tenant cell: the verb formats each element, comma-joined,
+// index = tenant id.
+type column[R any] struct {
 	tsv, head     string
 	tsvVerb, verb string
-	value         func(scanshare.ServeRow) any
+	value         func(R) any
 }
 
 // serveColumns is the serve table, both renderings: the axis labels of
@@ -271,7 +262,7 @@ type column struct {
 // overlapping a merge window, the latency percentiles, SLO attainment
 // overall and per tenant, the zone-map skip rate, and the device
 // counters. printServe prints all of it and printCompare a named subset.
-var serveColumns = []column{
+var serveColumns = []column[scanshare.ServeRow]{
 	{"rate_qps", "rate/stream", "%g", "%g", func(r scanshare.ServeRow) any { return r.Rate }},
 	{"mpl", "MPL", "%d", "%d", func(r scanshare.ServeRow) any { return r.MPL }},
 	{"policy", "policy", "%s", "%s", func(r scanshare.ServeRow) any { return r.Policy }},
@@ -304,7 +295,7 @@ var serveColumns = []column{
 }
 
 // cell renders the column's value of r for one of the two renderings.
-func (c column) cell(r scanshare.ServeRow, tsv bool) string {
+func (c column[R]) cell(r R, tsv bool) string {
 	verb := c.verb
 	if tsv {
 		verb = c.tsvVerb
@@ -317,9 +308,10 @@ func (c column) cell(r scanshare.ServeRow, tsv bool) string {
 }
 
 // printTable prints a header and n rows under cols: tab-separated under
-// the -tsv names, or aligned under the table headers (the columns that
-// have one). cell renders row i's cell of a column.
-func printTable(cols []column, tsv bool, n int, cell func(i int, c column) string) {
+// the -tsv names, or aligned under the table headers, each rendering
+// only the columns that have a name in it. cell renders row i's cell of
+// a column.
+func printTable[R any](cols []column[R], tsv bool, n int, cell func(i int, c column[R]) string) {
 	var w io.Writer = os.Stdout
 	if !tsv {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -329,14 +321,16 @@ func printTable(cols []column, tsv bool, n int, cell func(i int, c column) strin
 	for i := -1; i < n; i++ {
 		var line []string
 		for _, c := range cols {
+			name := c.head
+			if tsv {
+				name = c.tsv
+			}
 			switch {
-			case !tsv && c.head == "":
+			case name == "":
 			case i >= 0:
 				line = append(line, cell(i, c))
-			case tsv:
-				line = append(line, c.tsv)
 			default:
-				line = append(line, c.head)
+				line = append(line, name)
 			}
 		}
 		fmt.Fprintln(w, strings.Join(line, "\t"))
@@ -348,7 +342,7 @@ func printTable(cols []column, tsv bool, n int, cell func(i int, c column) strin
 // so their effects read off directly.
 func printServe(rows []scanshare.ServeRow, real, tsv bool) {
 	fmt.Println("== Serving sweep: open-loop arrivals, admission control, striped disk array (latencies in " + clockName(real) + " ms) ==")
-	printTable(serveColumns, tsv, len(rows), func(i int, c column) string { return c.cell(rows[i], tsv) })
+	printTable(serveColumns, tsv, len(rows), func(i int, c column[scanshare.ServeRow]) string { return c.cell(rows[i], tsv) })
 }
 
 // joinFloats renders one compact comma-joined cell (index = tenant id)
@@ -377,7 +371,7 @@ func clockName(real bool) string {
 // them to the command line. Of compareMeasures the gap row carries only
 // the latency percentiles of compareGap.
 var (
-	loopColumn      = column{tsv: "loop", head: "loop"}
+	loopColumn      = column[scanshare.ServeRow]{tsv: "loop", head: "loop"}
 	compareLabels   = []string{"rate_qps", "mpl", "policy", "admission", "devices"}
 	compareMeasures = []string{"completed", "rejected", "throughput_qps", "p50_ms", "p95_ms", "p99_ms", "qwait_p95_ms", "slo_pct", "io_mb"}
 	compareGap      = []string{"p50_ms", "p95_ms", "p99_ms"}
@@ -392,15 +386,15 @@ func printCompare(rep scanshare.CompareReport, real, tsv bool) {
 	if tsv {
 		names, missing = append(slices.Clone(compareLabels), compareMeasures...), "-"
 	}
-	cols := []column{loopColumn}
+	cols := []column[scanshare.ServeRow]{loopColumn}
 	for _, name := range names {
-		cols = append(cols, serveColumns[slices.IndexFunc(serveColumns, func(c column) bool { return c.tsv == name })])
+		cols = append(cols, serveColumns[slices.IndexFunc(serveColumns, func(c column[scanshare.ServeRow]) bool { return c.tsv == name })])
 	}
 	gap := rep.Open
 	gap.P50ms, gap.P95ms, gap.P99ms = rep.GapP50ms, rep.GapP95ms, rep.GapP99ms
 	loops := []string{"open", "closed", "gap"}
 	rows := []scanshare.ServeRow{rep.Open, rep.Closed, gap}
-	printTable(cols, tsv, len(rows), func(i int, c column) string {
+	printTable(cols, tsv, len(rows), func(i int, c column[scanshare.ServeRow]) string {
 		switch {
 		case c.value == nil:
 			return loops[i]
