@@ -50,29 +50,23 @@ import (
 )
 
 func main() {
+	// The per-run flags (-sf, -seed, -streams, ...) and every serving axis
+	// and knob (-rates, -mpls, -iosched, -deadline, ...) are declared once,
+	// on scanshare.Options — shared with cmd/scanserved and cmd/scanload —
+	// instead of per-binary flag lists.
+	opts := scanshare.DefaultOptions()
+	opts.RegisterFlags(flag.CommandLine, true, true)
 	var (
 		tsv = flag.Bool("tsv", false, "emit tab-separated values")
 
 		serve   = flag.Bool("serve", false, "run the open-loop serving sweep (arrival rate x MPL x policy x devices x admission policy)")
 		compare = flag.Bool("compare", false, "run the closed-vs-open-loop comparison at one serving configuration")
-		real    = flag.Bool("real", false, "run -serve/-compare on the real-threaded runtime (goroutines, wall-clock time) instead of the simulator")
 	)
-	// The per-run flags (-sf, -seed, -streams, ...) and every serving axis
-	// and knob (-rates, -mpls, -iosched, -deadline, ...) are declared once,
-	// on scanshare.Options and scanshare.ServeAxes — shared with
-	// cmd/scanserved and cmd/scanload — instead of per-binary flag lists.
-	opts := scanshare.DefaultOptions()
-	var axes scanshare.ServeAxes
-	opts.RegisterFlags(flag.CommandLine, true, true)
-	axes.RegisterFlags(flag.CommandLine)
+	flag.BoolVar(&opts.Real, "real", false, "run -serve/-compare on the real-threaded runtime (goroutines, wall-clock time) instead of the simulator")
 	flag.Parse()
-	if err := axes.Parse(); err != nil {
+	if err := opts.Parse(); err != nil {
 		fmt.Fprintf(os.Stderr, "scanbench: %v\n", err)
 		os.Exit(2)
-	}
-	opts.StripeChunk = axes.StripeChunk
-	if len(axes.Devices) > 0 {
-		opts.Devices = axes.Devices[0]
 	}
 	if *serve && *compare {
 		fmt.Fprintln(os.Stderr, "scanbench: -serve and -compare are mutually exclusive")
@@ -85,32 +79,33 @@ func main() {
 		}
 	}
 	if *compare {
-		rejectAxes(axes.ServeOnly(), "-serve")
+		rejectAxes(opts.ServeOnly(), "-serve")
 		start := time.Now()
-		printCompare(scanshare.Compare(scanshare.ServeOptions{Options: opts, ServeAxes: axes, Real: *real}), *real, *tsv)
+		open, closed := scanshare.Compare(opts)
+		printCompare(open, closed, opts.Real, *tsv)
 		fmt.Printf("# compare done in %v\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
 	if *serve {
 		start := time.Now()
-		rows := scanshare.ServeSweep(scanshare.ServeOptions{Options: opts, ServeAxes: axes, Real: *real})
-		printServe(rows, *real, *tsv)
-		if axes.JSONOut != "" {
-			if err := scanshare.WriteServeRows(axes.JSONOut, rows); err != nil {
+		rows := scanshare.ServeSweep(opts)
+		printServe(rows, opts.Real, *tsv)
+		if opts.JSONOut != "" {
+			if err := scanshare.WriteServeRows(opts.JSONOut, rows); err != nil {
 				fmt.Fprintf(os.Stderr, "scanbench: -json: %v\n", err)
 				os.Exit(1)
 			}
-			fmt.Printf("# wrote %d rows to %s\n", len(rows), axes.JSONOut)
+			fmt.Printf("# wrote %d rows to %s\n", len(rows), opts.JSONOut)
 		}
 		fmt.Printf("# serve done in %v\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
-	if *real {
+	if opts.Real {
 		fmt.Fprintln(os.Stderr, "scanbench: -real applies only to -serve/-compare; the figure targets are defined by the deterministic simulation")
 		os.Exit(2)
 	}
-	rejectAxes(axes.ServeOnly(), "-serve")
-	rejectAxes(axes.ServeOrCompareOnly(), "-serve/-compare")
+	rejectAxes(opts.ServeOnly(), "-serve")
+	rejectAxes(opts.ServeOrCompareOnly(), "-serve/-compare")
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: scanbench [flags] fig11..fig18|all  or  scanbench [-real] -serve|-compare [flags]")
 		flag.Usage()
@@ -124,11 +119,11 @@ func main() {
 	// default single-device output stays byte-identical to the historical
 	// tables.
 	figTitle := func(t string) string {
-		if opts.Devices > 1 {
+		if len(opts.Devices) > 0 && opts.Devices[0] > 1 {
 			if opts.StripeChunk > 0 {
-				t += fmt.Sprintf(" [devices=%d stripe=%d]", opts.Devices, opts.StripeChunk)
+				t += fmt.Sprintf(" [devices=%d stripe=%d]", opts.Devices[0], opts.StripeChunk)
 			} else {
-				t += fmt.Sprintf(" [devices=%d]", opts.Devices)
+				t += fmt.Sprintf(" [devices=%d]", opts.Devices[0])
 			}
 		}
 		return t
@@ -231,15 +226,10 @@ func printSharing(title string, rows []scanshare.SharingRow, tsv bool) {
 	printTable(sharingColumns, tsv, (len(rows)+step-1)/step, func(i int, c column[scanshare.SharingRow]) string { return c.cell(rows[i*step], tsv) })
 }
 
-var ablationColumns = []column[scanshare.AblationRow]{
-	{"variant", "variant", "%s", "%s", func(r scanshare.AblationRow) any { return r.Variant }},
-	{"avg_stream_sec", "avg stream (s)", "%.4f", "%.3f", func(r scanshare.AblationRow) any { return r.AvgStreamSec }},
-	{"io_mb", "total I/O (MB)", "%.1f", "%.1f", func(r scanshare.AblationRow) any { return r.IOMB }},
-}
-
-func printAblation(rows []scanshare.AblationRow, tsv bool) {
+func printAblation(rows []scanshare.SweepRow, tsv bool) {
 	fmt.Println("== Ablation: every policy variant at the default microbenchmark point ==")
-	printTable(ablationColumns, tsv, len(rows), func(i int, c column[scanshare.AblationRow]) string { return c.cell(rows[i], tsv) })
+	cols := append([]column[scanshare.SweepRow]{{"variant", "variant", "%s", "%s", sweepColumns[1].value}}, sweepColumns[2:]...)
+	printTable(cols, tsv, len(rows), func(i int, c column[scanshare.SweepRow]) string { return c.cell(rows[i], tsv) })
 }
 
 // column is one column of a table of R rows: its -tsv name (empty:
@@ -380,7 +370,7 @@ var (
 // printCompare renders the closed-vs-open-loop comparison: the same
 // latency table for both disciplines plus the per-percentile gap — the
 // queueing delay a closed-loop benchmark's latency report omits.
-func printCompare(rep scanshare.CompareReport, real, tsv bool) {
+func printCompare(open, closed scanshare.ServeRow, real, tsv bool) {
 	fmt.Println("== Closed vs open loop: same query mix, same engine, two arrival disciplines (latencies in " + clockName(real) + " ms) ==")
 	names, missing := compareMeasures, ""
 	if tsv {
@@ -390,10 +380,10 @@ func printCompare(rep scanshare.CompareReport, real, tsv bool) {
 	for _, name := range names {
 		cols = append(cols, serveColumns[slices.IndexFunc(serveColumns, func(c column[scanshare.ServeRow]) bool { return c.tsv == name })])
 	}
-	gap := rep.Open
-	gap.P50ms, gap.P95ms, gap.P99ms = rep.GapP50ms, rep.GapP95ms, rep.GapP99ms
+	gap := open
+	gap.P50ms, gap.P95ms, gap.P99ms = open.P50ms-closed.P50ms, open.P95ms-closed.P95ms, open.P99ms-closed.P99ms
 	loops := []string{"open", "closed", "gap"}
-	rows := []scanshare.ServeRow{rep.Open, rep.Closed, gap}
+	rows := []scanshare.ServeRow{open, closed, gap}
 	printTable(cols, tsv, len(rows), func(i int, c column[scanshare.ServeRow]) string {
 		switch {
 		case c.value == nil:

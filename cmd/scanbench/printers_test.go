@@ -37,13 +37,13 @@ func sharingFixture() []scanshare.SharingRow {
 	return rows
 }
 
-var ablationFixture = []scanshare.AblationRow{
-	{Variant: "LRU", AvgStreamSec: 1.23456, IOMB: 812.34},
-	{Variant: "MRU", AvgStreamSec: 1.5, IOMB: 900},
-	{Variant: "Clock", AvgStreamSec: 1.11111, IOMB: 799.99},
-	{Variant: "PBM", AvgStreamSec: 0.99995, IOMB: 433.96},
-	{Variant: "PBM/LRU", AvgStreamSec: 1.00049, IOMB: 440.05},
-	{Variant: "CScans", AvgStreamSec: 0.98765, IOMB: 410.05},
+var ablationFixture = []scanshare.SweepRow{
+	{Policy: "LRU", AvgStreamSec: 1.23456, IOMB: 812.34},
+	{Policy: "MRU", AvgStreamSec: 1.5, IOMB: 900},
+	{Policy: "Clock", AvgStreamSec: 1.11111, IOMB: 799.99},
+	{Policy: "PBM", AvgStreamSec: 0.99995, IOMB: 433.96},
+	{Policy: "PBM/LRU", AvgStreamSec: 1.00049, IOMB: 440.05},
+	{Policy: "CScans", AvgStreamSec: 0.98765, IOMB: 410.05},
 }
 
 // TestFigurePrinters pins the figure and ablation tables, both

@@ -220,12 +220,12 @@ func TestServeTableHeader(t *testing.T) {
 // the serve table, so every name must be a serve column; both headers
 // are the literal lines recorded before the subset was named.
 func TestCompareColumnsAreServeColumns(t *testing.T) {
-	var rep scanshare.CompareReport
+	var row scanshare.ServeRow
 	for tsv, want := range map[bool]string{
 		true:  "loop\trate_qps\tmpl\tpolicy\tadmission\tdevices\tcompleted\trejected\tthroughput_qps\tp50_ms\tp95_ms\tp99_ms\tqwait_p95_ms\tslo_pct\tio_mb",
 		false: "loop\tdone\trej\tthru (q/s)\tp50\tp95\tp99\tqwait p95\tSLO %\tI/O MB",
 	} {
-		lines := strings.Split(capture(t, func() { printCompare(rep, false, tsv) }), "\n")
+		lines := strings.Split(capture(t, func() { printCompare(row, row, false, tsv) }), "\n")
 		if len(lines) < 5 {
 			t.Fatalf("tsv=%v: want title, header and three rows, got %q", tsv, lines)
 		}

@@ -60,22 +60,20 @@ func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet(args[0], flag.ExitOnError)
 	addr := fs.String("addr", "http://localhost:8080", "scanserved base URL")
 	def := scanshare.DefaultServeConfig()
-	base := scanshare.Options{Seed: def.Seed, Streams: def.Streams, QueriesPerStream: def.QueriesPerStream}
-	var axes scanshare.ServeAxes
-	base.RegisterFlags(fs, false, true)
-	axes.RegisterFlags(fs)
+	opts := scanshare.Options{Seed: def.Seed, Streams: def.Streams, QueriesPerStream: def.QueriesPerStream}
+	opts.RegisterFlags(fs, false, true)
 	fs.Parse(args[1:])
-	if err := axes.Parse(); err != nil {
+	if err := opts.Parse(); err != nil {
 		fmt.Fprintf(os.Stderr, "scanload: %v\n", err)
 		return 2
 	}
 	// Server-shaping axes configure scanserved, not the traffic.
-	if serverSide := axes.ServerSide(); len(serverSide) > 0 {
+	if serverSide := opts.ServerSide(); len(serverSide) > 0 {
 		fmt.Fprintf(os.Stderr, "scanload: -%s shape the server; pass them to scanserved\n", strings.Join(serverSide, "/-"))
 		return 2
 	}
 
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: base.Streams}}
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: opts.Streams}}
 	st, err := fetchStatz(client, *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanload: %s: %v\n", *addr, err)
@@ -85,19 +83,19 @@ func run(args []string, stdout io.Writer) int {
 	// SLO, skew, deadline, cancel and write fractions, seed). Unlike a
 	// sweep, where each selectivity is a cell, here the whole list is the
 	// mix every query draws from.
-	cfg := scanshare.NewServeEngineConfig(base, axes)
-	cfg.Selectivities = axes.Selectivities
+	cfg := scanshare.NewServeEngineConfig(opts, opts.ServeAxes)
+	cfg.Selectivities = opts.Selectivities
 	cfg.Tenants = st.Tenants
 	gen := workload.NewGenerator(cfg, workload.Domain{Rows: st.NumTuples, DateMin: st.Domain.Lo, DateMax: st.Domain.Hi})
 	fmt.Fprintf(stdout, "scanload: %s serving %d tuples, %d tenants; %d streams x %d queries at %g q/s/stream\n",
-		*addr, st.NumTuples, cfg.Tenants, base.Streams, base.QueriesPerStream, cfg.ArrivalRate)
+		*addr, st.NumTuples, cfg.Tenants, opts.Streams, opts.QueriesPerStream, cfg.ArrivalRate)
 
 	deadline := wire.Duration(cfg.Deadline)
 	agg := &aggregate{}
 	start := time.Now()
 	r := rt.NewReal()
 	wg := r.NewWaitGroup() // counts what Drive spawns; r.Run awaits it all
-	for s := 0; s < base.Streams; s++ {
+	for s := 0; s < opts.Streams; s++ {
 		stream := gen.Stream(s)
 		r.Go("stream", func() {
 			stream.Drive(r, wg, func(_ int, d workload.Draw, qc *rt.QueryCtx) func() {
@@ -147,8 +145,8 @@ func run(args []string, stdout io.Writer) int {
 		row.Completed, row.Rejected, row.TimedOut, row.Cancelled,
 		row.Throughput, row.Writes, row.WrQps, row.Checkpoints, row.MergeP95ms,
 		row.P50ms, row.P95ms, row.P99ms, row.QWaitP95ms, row.SLOPct)
-	if axes.JSONOut != "" {
-		if err := scanshare.WriteServeRows(axes.JSONOut, []wire.ServeStats{row}); err != nil {
+	if opts.JSONOut != "" {
+		if err := scanshare.WriteServeRows(opts.JSONOut, []wire.ServeStats{row}); err != nil {
 			fmt.Fprintf(os.Stderr, "scanload: -json: %v\n", err)
 			return 1
 		}

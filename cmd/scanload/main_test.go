@@ -189,18 +189,16 @@ func TestSameRequestsAsInProcess(t *testing.T) {
 
 	fs := flag.NewFlagSet("scanload", flag.ContinueOnError)
 	def := scanshare.DefaultServeConfig()
-	base := scanshare.Options{Seed: def.Seed, Streams: def.Streams, QueriesPerStream: def.QueriesPerStream}
-	var axes scanshare.ServeAxes
-	base.RegisterFlags(fs, false, true)
-	axes.RegisterFlags(fs)
+	opts := scanshare.Options{Seed: def.Seed, Streams: def.Streams, QueriesPerStream: def.QueriesPerStream}
+	opts.RegisterFlags(fs, false, true)
 	if err := fs.Parse(loadArgs); err != nil {
 		t.Fatal(err)
 	}
-	if err := axes.Parse(); err != nil {
+	if err := opts.Parse(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := scanshare.NewServeEngineConfig(base, axes)
-	cfg.Selectivities = axes.Selectivities
+	cfg := scanshare.NewServeEngineConfig(opts, opts.ServeAxes)
+	cfg.Selectivities = opts.Selectivities
 	cfg.Tenants = srv.Engine().TenantCount()
 	gen := workload.NewGenerator(cfg, srv.Engine().Domain())
 

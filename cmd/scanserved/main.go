@@ -55,23 +55,21 @@ func main() {
 		policy   = flag.String("policy", "pbm", "buffer-management policy ("+policyMenu+")")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	)
-	base := scanshare.DefaultOptions()
-	var axes scanshare.ServeAxes
-	base.RegisterFlags(flag.CommandLine, true, false)
-	axes.RegisterFlags(flag.CommandLine)
+	opts := scanshare.DefaultOptions()
+	opts.RegisterFlags(flag.CommandLine, true, false)
 	flag.Parse()
 	// A server is one configuration: it takes the first element of each
 	// axis, and only values that need no sweep around them.
-	err := axes.Parse()
+	err := opts.Parse()
 	if err == nil {
-		err = axes.Check(false)
+		err = opts.Check(false)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanserved: %v\n", err)
 		os.Exit(2)
 	}
 	// Client-mix axes shape the traffic, not the server.
-	clientSide := axes.ClientSide()
+	clientSide := opts.ClientSide()
 	if len(clientSide) > 0 {
 		fmt.Fprintf(os.Stderr, "scanserved: -%s are client-mix knobs; pass them to scanload\n", strings.Join(clientSide, "/-"))
 		os.Exit(2)
@@ -82,11 +80,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := scanshare.NewServeEngineConfig(base, axes)
+	cfg := scanshare.NewServeEngineConfig(opts, opts.ServeAxes)
 	cfg.Policy = pol
 
-	fmt.Printf("scanserved: generating TPC-H sf=%g (clustered=%v)\n", base.SF, axes.Clustered)
-	db := scanshare.GenerateTPCHOpt(base.SF, base.Seed, scanshare.TPCHGenOptions{ClusteredShipdate: axes.Clustered})
+	fmt.Printf("scanserved: generating TPC-H sf=%g (clustered=%v)\n", opts.SF, opts.Clustered)
+	db := scanshare.GenerateTPCHOpt(opts.SF, opts.Seed, scanshare.TPCHGenOptions{ClusteredShipdate: opts.Clustered})
 	srv := server.New(db, server.Config{Serve: cfg, DrainTimeout: *drainFor})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -6,7 +6,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Options parameterizes the figure-regeneration experiments.
+// Options parameterizes one run of the experiments: a figure or the
+// ablation (Fig11..Fig18, Ablation), the serving sweep (ServeSweep) or
+// the closed-vs-open-loop comparison (Compare), field for field the
+// scanbench command line. The figures and the ablation read the per-run
+// fields above ServeAxes, the first element of its Devices axis and its
+// StripeChunk knob; the serving entry points read all of it.
 type Options struct {
 	// SF is the TPC-H scale factor of the generated data (default 0.05;
 	// the paper uses 30 GB — the shapes are scale-free).
@@ -21,13 +26,17 @@ type Options struct {
 	Cores            int
 	// PerTupleCPU overrides the calibrated per-tuple CPU cost.
 	PerTupleCPU time.Duration
-	// Devices overrides the disk-array spindle count when nonzero (figure
-	// experiments default to the paper's single device; the serve sweep
-	// has its own devices axis, see ServeOptions.Devices).
-	Devices int
-	// StripeChunk overrides the array striping granularity in blocks when
-	// nonzero; meaningful only with Devices > 1.
-	StripeChunk int
+	// ServeAxes holds the serving axes and knobs (rates, MPLs, buffer
+	// and admission policies, devices, selectivities, lifecycle and write
+	// knobs, ...); unset axes run at the sweep defaults its table
+	// declares, and a single configuration takes the first element of
+	// each.
+	ServeAxes
+	// Real runs every serving cell on the real-threaded runtime
+	// (goroutines and wall-clock time) instead of the deterministic
+	// simulator. Latencies are then real milliseconds and runs are not
+	// reproducible; the figures ignore it.
+	Real bool
 }
 
 // DefaultOptions returns the experiment defaults.
@@ -63,8 +72,8 @@ func (o Options) apply(cfg workload.Config) workload.Config {
 	if o.PerTupleCPU > 0 {
 		cfg.PerTupleCPU = o.PerTupleCPU
 	}
-	if o.Devices > 0 {
-		cfg.Devices = o.Devices
+	if len(o.Devices) > 0 {
+		cfg.Devices = o.Devices[0]
 	}
 	if o.StripeChunk > 0 {
 		cfg.StripeChunk = o.StripeChunk
@@ -72,7 +81,8 @@ func (o Options) apply(cfg workload.Config) workload.Config {
 	return cfg
 }
 
-// SweepRow is one measurement of a figure's series: x-axis value, policy,
+// SweepRow is one measurement of a figure's series or of the ablation:
+// x-axis value (unset in the ablation), policy (the ablation's variant),
 // average stream time, and total I/O volume. OPT rows carry I/O only
 // (per §4, OPT is simulated on the PBM run's reference trace).
 type SweepRow struct {
@@ -228,27 +238,18 @@ func sharingRows(res *Result) []SharingRow {
 	return out
 }
 
-// AblationRow reports one policy variant at the default experiment
-// point.
-type AblationRow struct {
-	Variant      string
-	AvgStreamSec float64
-	IOMB         float64
-}
-
 // Ablation runs every policy variant — the paper's three plus the
 // MRU/Clock baselines and the PBM/LRU extension — at the default
-// microbenchmark point.
-func Ablation(o Options) []AblationRow {
+// microbenchmark point, one row per variant (X unset).
+func Ablation(o Options) []SweepRow {
 	o = o.fill()
 	db := GenerateTPCH(o.SF, o.Seed)
-	var out []AblationRow
+	var out []SweepRow
 	for _, pol := range []Policy{LRU, MRU, Clock, PBM, PBMLRU, CScan} {
 		cfg := o.apply(workload.DefaultMicroConfig())
 		cfg.Policy = pol
 		res := workload.RunMicro(db, cfg)
-		out = append(out, AblationRow{Variant: pol.String(),
-			AvgStreamSec: res.AvgStreamSec, IOMB: mb(res.TotalIOBytes)})
+		out = append(out, SweepRow{Policy: pol.String(), AvgStreamSec: res.AvgStreamSec, IOMB: mb(res.TotalIOBytes)})
 	}
 	return out
 }

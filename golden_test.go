@@ -348,8 +348,8 @@ func cancels(iosched string, devices int) func(*ServeConfig) {
 
 func sweepServeRows() string {
 	var b strings.Builder
-	so := ServeOptions{
-		Options: Options{SF: 0.01, Seed: 42, Streams: 8, QueriesPerStream: 2},
+	so := Options{
+		SF: 0.01, Seed: 42, Streams: 8, QueriesPerStream: 2,
 		ServeAxes: ServeAxes{
 			Rates:             []float64{50},
 			MPLs:              []int{2},

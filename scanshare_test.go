@@ -1,6 +1,7 @@
 package scanshare
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -192,8 +193,8 @@ func TestPartitionRangeReexport(t *testing.T) {
 // iosim.NewArray's or sched.New's panic from inside a cell.
 func TestServeSweepValidatesAdmissionPolicies(t *testing.T) {
 	for name, run := range map[string]func(ServeAxes){
-		"sweep":   func(bad ServeAxes) { ServeSweep(ServeOptions{ServeAxes: bad}) },
-		"compare": func(bad ServeAxes) { Compare(ServeOptions{ServeAxes: bad}) },
+		"sweep":   func(bad ServeAxes) { ServeSweep(Options{ServeAxes: bad}) },
+		"compare": func(bad ServeAxes) { Compare(Options{ServeAxes: bad}) },
 	} {
 		run := run
 		t.Run(name, func(t *testing.T) {
@@ -212,6 +213,50 @@ func TestServeSweepValidatesAdmissionPolicies(t *testing.T) {
 				}()
 			}
 		})
+	}
+}
+
+// TestFigureTakesFirstDevice: a figure runs on the first element of the
+// devices axis with the stripe knob, what `scanbench -devices 4,1
+// -stripe 2 fig11` ran when the command line copied the axes into
+// per-run overrides of their own; unset, the paper's single device
+// stands.
+func TestFigureTakesFirstDevice(t *testing.T) {
+	o := Options{ServeAxes: ServeAxes{Devices: []int{4, 1}, StripeChunk: 2}}
+	for _, base := range []Config{DefaultMicroConfig(), DefaultTPCHConfig()} {
+		if cfg := o.apply(base); cfg.Devices != 4 || cfg.StripeChunk != 2 {
+			t.Errorf("devices=%d stripe=%d, want 4 and 2", cfg.Devices, cfg.StripeChunk)
+		}
+		if cfg := (Options{}).apply(base); cfg.Devices != base.Devices || cfg.StripeChunk != base.StripeChunk {
+			t.Errorf("unset axes moved the figure's array: devices=%d stripe=%d", cfg.Devices, cfg.StripeChunk)
+		}
+	}
+}
+
+// TestServeEngineConfigIsCompareCell: NewServeEngineConfig, which the
+// socket binaries run, lands one Options value on the cell Compare runs:
+// the per-run fields, and the first element of each axis.
+func TestServeEngineConfigIsCompareCell(t *testing.T) {
+	o := tinyFigOptions()
+	o.Cores = 4
+	o.ServeAxes = ServeAxes{Rates: []float64{30, 5}, MPLs: []int{2, 8}, Devices: []int{4, 1}, StripeChunk: 2,
+		AdmissionPolicies: []string{"sesf", "fifo"}, Tenants: 2, TenantWeights: []float64{3, 1},
+		Selectivities: []float64{0.5, 1}, Clustered: true}
+	cfg := NewServeEngineConfig(o, o.ServeAxes)
+	if want := o.fill().cells(false)[0]; !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("NewServeEngineConfig:\n got %+v\nwant %+v", cfg, want)
+	}
+	if cfg.ArrivalRate != 30 || cfg.MPL != 2 || cfg.Devices != 4 || cfg.StripeChunk != 2 || cfg.AdmissionPolicy != "sesf" ||
+		cfg.Selectivities[0] != 0.5 || cfg.Cores != 4 || cfg.Streams != 2 || cfg.Seed != 3 {
+		t.Fatalf("one Options value did not land: %+v", cfg)
+	}
+	want := ServeRowOf(&ServeResult{}, cfg)
+	open, closed := Compare(o)
+	for _, r := range []ServeRow{open, closed} {
+		if r.Rate != want.Rate || r.MPL != want.MPL || r.Policy != want.Policy || r.Admission != want.Admission ||
+			r.Devices != want.Devices || r.IOSched != want.IOSched || r.Tier != want.Tier || r.Selectivity != want.Selectivity {
+			t.Errorf("Compare ran %+v, want the labels of %+v", r, want)
+		}
 	}
 }
 

@@ -48,26 +48,6 @@ func DefaultServeConfig() ServeConfig { return workload.DefaultServeConfig() }
 // RunServe exposes the open-loop serving driver directly.
 func RunServe(db *TPCHDB, cfg ServeConfig) *ServeResult { return workload.RunServe(db, cfg) }
 
-// ServeOptions parameterizes the serving sweep (cmd/scanbench -serve):
-// the cross product of the serving axes, each cell run over
-// Options.Streams open-loop client streams. The closed-vs-open-loop
-// comparison (Compare) and the single-configuration consumers
-// (NewServeEngineConfig) read the same options at one point.
-type ServeOptions struct {
-	Options
-	// ServeAxes holds the serving axes and knobs (rates, MPLs, buffer
-	// and admission policies, devices, selectivities, lifecycle and write
-	// knobs, ...), field for field the scanbench command line; unset axes
-	// run at the sweep defaults its table declares. Its Devices and
-	// StripeChunk shadow the per-run overrides of the same names in
-	// Options: select them as o.ServeAxes.Devices.
-	ServeAxes
-	// Real runs every cell on the real-threaded runtime (goroutines and
-	// wall-clock time) instead of the deterministic simulator. Latencies
-	// are then real milliseconds and runs are not reproducible.
-	Real bool
-}
-
 // ServeRow is one cell of the serving sweep — a (rate, MPL, buffer
 // policy, devices, admission policy, ...) configuration and its
 // throughput/latency report, overall and per tenant — in the wire
@@ -84,7 +64,7 @@ func ServeRowOf(res *ServeResult, cfg ServeConfig) ServeRow { return workload.Se
 // product for ServeSweep, the single point Compare and
 // NewServeEngineConfig run otherwise. An axis value off its menu or out
 // of its range panics here, before any data is generated.
-func (o ServeOptions) cells(sweep bool) []ServeConfig {
+func (o Options) cells(sweep bool) []ServeConfig {
 	base := DefaultServeConfig()
 	base.Config = o.apply(base.Config)
 	base.Real = o.Real
@@ -100,8 +80,8 @@ func (o ServeOptions) cells(sweep bool) []ServeConfig {
 // and returns one row per cell, the innermost axes adjacent so each
 // effect (striping, fifo/elevator seeks, flat/tiered placement,
 // fifo/sesf/wfq SLOs, zone-map skipping) reads off one table.
-func ServeSweep(o ServeOptions) []ServeRow {
-	o.Options = o.Options.fill()
+func ServeSweep(o Options) []ServeRow {
+	o = o.fill()
 	cells := o.cells(true)
 	db := GenerateTPCHOpt(o.SF, o.Seed, TPCHGenOptions{ClusteredShipdate: o.Clustered})
 	out := make([]ServeRow, len(cells))
@@ -109,17 +89,6 @@ func ServeSweep(o ServeOptions) []ServeRow {
 		out[i] = ServeRowOf(workload.RunServe(db, c), c)
 	}
 	return out
-}
-
-// CompareReport is the result of one closed-vs-open-loop comparison: the
-// same sweep row shape for both disciplines, plus the latency gap the
-// closed-loop measurement omits (coordinated omission).
-type CompareReport struct {
-	Open, Closed ServeRow
-	// GapP50ms/GapP95ms/GapP99ms are open minus closed latency at each
-	// percentile, in virtual ms: the queueing delay a closed-loop
-	// benchmark hides from its latency report.
-	GapP50ms, GapP95ms, GapP99ms float64
 }
 
 // Compare runs the closed-vs-open-loop comparison (cmd/scanbench
@@ -132,18 +101,14 @@ type CompareReport struct {
 // measurement omits (coordinated omission). An unset rate defaults to 20
 // queries per second per stream, which overloads the default scale,
 // where the disciplines diverge most visibly.
-func Compare(o ServeOptions) CompareReport {
-	o.Options = o.Options.fill()
+func Compare(o Options) (open, closed ServeRow) {
+	o = o.fill()
 	if len(o.Rates) == 0 {
 		o.Rates = []float64{20}
 	}
-	c := o.cells(false)[0]
+	openCfg := o.cells(false)[0]
+	closedCfg := openCfg
+	closedCfg.ClosedLoop = true
 	db := GenerateTPCHOpt(o.SF, o.Seed, TPCHGenOptions{ClusteredShipdate: o.Clustered})
-	closed := c
-	closed.ClosedLoop = true
-	rep := CompareReport{Open: ServeRowOf(RunServe(db, c), c), Closed: ServeRowOf(RunServe(db, closed), closed)}
-	rep.GapP50ms = rep.Open.P50ms - rep.Closed.P50ms
-	rep.GapP95ms = rep.Open.P95ms - rep.Closed.P95ms
-	rep.GapP99ms = rep.Open.P99ms - rep.Closed.P99ms
-	return rep
+	return ServeRowOf(RunServe(db, openCfg), openCfg), ServeRowOf(RunServe(db, closedCfg), closedCfg)
 }

@@ -43,24 +43,29 @@ func WriteServeRows(path string, rows []ServeRow) error {
 }
 
 // NewServeEngineConfig materializes one serving configuration — a
-// single cell rather than a sweep — from the base options and the
-// parsed axes; multi-valued axes contribute their first element, unset
-// ones keep DefaultServeConfig's value. cmd/scanserved uses it so the
+// single cell rather than a sweep — from the base options with a as
+// their axes (base.ServeAxes is not read); multi-valued axes contribute
+// their first element, unset ones keep DefaultServeConfig's value. cmd/scanserved uses it so the
 // server's knobs are exactly scanbench's, and cmd/scanload so its
 // generator's are. It panics on a value a single configuration cannot
 // take (see ServeAxes.Check) — "tiered-temp" needs the sweep's profiling
 // pass.
 func NewServeEngineConfig(base Options, a ServeAxes) ServeConfig {
-	return ServeOptions{Options: base.fill(), ServeAxes: a}.cells(false)[0]
+	base.ServeAxes = a
+	return base.fill().cells(false)[0]
 }
 
 // RegisterFlags binds the per-run flags the command-line binaries share
-// onto fs, each with the value o holds as its default. server and client
-// say which ends of the socket the binary holds — scanbench both,
-// scanserved and scanload one — and so which flags it takes: the rest
-// shape the other end. Where a one-ended binary words a flag its own
-// way, the row says how.
+// onto fs, each with the value o holds as its default, and every serving
+// axis and knob (ServeAxes.RegisterFlags): a binary keeps one Options
+// value and calls its Parse after fs.Parse. server and client say which
+// ends of the socket the binary holds — scanbench both, scanserved and
+// scanload one — and so which per-run flags it takes: the rest shape the
+// other end. Where a one-ended binary words a flag its own way, the row
+// says how. The axes' own side helpers (ClientSide, ServerSide) say
+// which set axes a one-ended binary must reject.
 func (o *Options) RegisterFlags(fs *flag.FlagSet, server, client bool) {
+	o.ServeAxes.RegisterFlags(fs)
 	for _, f := range []struct {
 		name                string
 		server, client      bool

@@ -141,7 +141,7 @@ func TestSinglePointRefusesTieredTemp(t *testing.T) {
 	}
 	for name, run := range map[string]func(){
 		"NewServeEngineConfig": func() { scanshare.NewServeEngineConfig(scanshare.Options{}, axes) },
-		"Compare":              func() { scanshare.Compare(scanshare.ServeOptions{ServeAxes: axes}) },
+		"Compare":              func() { scanshare.Compare(scanshare.Options{ServeAxes: axes}) },
 	} {
 		func() {
 			defer func() {
