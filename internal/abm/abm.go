@@ -578,7 +578,7 @@ func (a *ABM) run() {
 		// yield an overloaded ABM can evict every chunk it loads before
 		// any consumer sees it, starving all scans while I/O churns.
 		a.mu.Unlock()
-		a.r.Yield()
+		a.r.Sleep(0)
 		a.mu.Lock()
 	}
 }

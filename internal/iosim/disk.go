@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/rt"
 )
@@ -152,10 +151,6 @@ const (
 	// ticketed-admission fairness of the FIFO path.
 	SchedElevator = "elevator"
 )
-
-// DefaultSeekLatency approximates a short SSD-array reposition; the
-// paper's testbed is an SSD RAID, so seeks are cheap but not free.
-const DefaultSeekLatency = 100 * time.Microsecond
 
 // newDisk creates one spindle of an array attached to the runtime.
 func newDisk(r rt.Runtime, cfg Config) *Disk {

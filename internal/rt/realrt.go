@@ -49,8 +49,6 @@ func (r *realRT) SleepUntil(t Time) {
 	}
 }
 
-func (r *realRT) Yield() { runtime.Gosched() }
-
 func (r *realRT) NewEvent() Event {
 	return &realEvent{ch: make(chan struct{})}
 }

@@ -91,8 +91,6 @@ type Runtime interface {
 	Sleep(d Duration)
 	// SleepUntil suspends the caller until time t (no-op if t has passed).
 	SleepUntil(t Time)
-	// Yield lets other runnable processes execute.
-	Yield()
 	NewEvent() Event
 	NewResource(capacity int) Resource
 	NewWaitGroup() WaitGroup

@@ -62,7 +62,7 @@ func TestEventFireWakesAllWaiters(t *testing.T) {
 				if r.Real() {
 					ready.Wait() // all waiters registered
 				} else {
-					r.Yield() // let the cooperative waiters park
+					r.Sleep(0) // let the cooperative waiters park
 				}
 				ev.Fire()
 			})

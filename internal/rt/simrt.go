@@ -16,7 +16,6 @@ func (r simRT) Now() Time                         { return r.eng.Now() }
 func (r simRT) Go(name string, fn func())         { r.eng.Go(name, fn) }
 func (r simRT) Sleep(d Duration)                  { r.eng.Sleep(d) }
 func (r simRT) SleepUntil(t Time)                 { r.eng.SleepUntil(t) }
-func (r simRT) Yield()                            { r.eng.Yield() }
 func (r simRT) NewEvent() Event                   { return simEvent{r.eng.NewEvent()} }
 func (r simRT) NewResource(capacity int) Resource { return r.eng.NewResource(capacity) }
 func (r simRT) NewWaitGroup() WaitGroup           { return r.eng.NewWaitGroup() }
