@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Usage: sim-tables.sh <dir holding scanbench, scanserved and scanload> <output dir>
 #
-# Runs every deterministic (simulator) scanbench cell CI prints, plus five
-# figure cells (the §4.1 and TPC-H buffer sweeps, the TPC-H bandwidth and
-# stream sweeps and the TPC-H sharing series, so both closed-loop drivers
-# and the sharing sampler are held), the every-policy ablation at the §4.1 point
+# Runs every deterministic (simulator) scanbench cell CI prints, plus every
+# figure cell (Figures 11-18: the §4.1 and TPC-H buffer, bandwidth and
+# stream sweeps and both sharing series, so both closed-loop drivers, the
+# sharing sampler and both renderings of the figure tables are held), the
+# every-policy ablation at the §4.1 point
 # and a weighted-wfq elevator cell, and writes one table per cell without
 # its wall-clock "# ... done in" trailer; the policy, compare and
 # ablation cells also in their -tsv form, so both renderings are held. The -h
@@ -39,9 +40,12 @@ cell devices -serve -sf 0.01 -rates 5 -mpls 8 -devices 1,4
 cell compare "${compare[@]}"
 cell compare-tsv -tsv "${compare[@]}"
 cell fig11 -sf 0.01 fig11
+cell fig12 -sf 0.01 fig12
+cell fig13 -sf 0.01 fig13
 cell fig14 -sf 0.01 fig14
 cell fig15 -sf 0.01 fig15
 cell fig16-tsv -tsv -sf 0.01 fig16
+cell fig17 -sf 0.01 fig17
 cell fig18-tsv -tsv -sf 0.01 fig18
 cell ablation -sf 0.01 ablation
 cell ablation-tsv -tsv -sf 0.01 ablation
