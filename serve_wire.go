@@ -44,8 +44,9 @@ func WriteServeRows(path string, rows []ServeRow) error {
 
 // NewServeEngineConfig materializes one serving configuration — a
 // single cell rather than a sweep — from the base options with a as
-// their axes (base.ServeAxes is not read); multi-valued axes contribute
-// their first element, unset ones keep DefaultServeConfig's value. cmd/scanserved uses it so the
+// their axes (base.ServeAxes is not read): with a rate set, the cell
+// Compare runs. Multi-valued axes contribute their first element, unset
+// ones keep DefaultServeConfig's value. cmd/scanserved uses it so the
 // server's knobs are exactly scanbench's, and cmd/scanload so its
 // generator's are. It panics on a value a single configuration cannot
 // take (see ServeAxes.Check) — "tiered-temp" needs the sweep's profiling
@@ -57,13 +58,13 @@ func NewServeEngineConfig(base Options, a ServeAxes) ServeConfig {
 
 // RegisterFlags binds the per-run flags the command-line binaries share
 // onto fs, each with the value o holds as its default, and every serving
-// axis and knob (ServeAxes.RegisterFlags): a binary keeps one Options
-// value and calls its Parse after fs.Parse. server and client say which
-// ends of the socket the binary holds — scanbench both, scanserved and
-// scanload one — and so which per-run flags it takes: the rest shape the
-// other end. Where a one-ended binary words a flag its own way, the row
-// says how. The axes' own side helpers (ClientSide, ServerSide) say
-// which set axes a one-ended binary must reject.
+// axis and knob, unset (ServeAxes.RegisterFlags): a binary keeps one
+// Options value and calls its Parse after fs.Parse. server and client
+// say which ends of the socket the binary holds — scanbench both,
+// scanserved and scanload one — and so which per-run flags it takes: the
+// rest shape the other end. Where a one-ended binary words a flag its
+// own way, the row says how. Every axis is bound in each binary; the
+// side helpers (ClientSide, ServerSide) name the set ones it rejects.
 func (o *Options) RegisterFlags(fs *flag.FlagSet, server, client bool) {
 	o.ServeAxes.RegisterFlags(fs)
 	for _, f := range []struct {
