@@ -31,6 +31,7 @@ package iosim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,7 +56,11 @@ type Stats struct {
 
 // Disk is one simulated spindle: a block device with fixed sequential
 // bandwidth, a seek penalty, and one request queue under a FIFO or an
-// elevator discipline.
+// elevator discipline. Its timeline is a list of reservations: a request
+// is served no earlier than it arrives, which for a paced owner is on the
+// owner's modelled clock, and the device keeps the idle stretches this
+// leaves for requests that arrive earlier but were submitted later (see
+// assign).
 type Disk struct {
 	r rt.Runtime
 
@@ -81,10 +86,15 @@ type Disk struct {
 	mu        sync.Mutex
 	admit     *sync.Cond // signalled when serving advances
 	serving   int64      // ticket currently admitted to bookkeeping
-	busyUntil rt.Time
-	lastBlock BlockID
+	busyUntil rt.Time    // end of the latest reservation
+	lastBlock BlockID    // head after the latest reservation
 	haveLast  bool
 	queued    int
+	// Stretches of the timeline before busyUntil that no reservation
+	// covers, in time order (see assign). Only a request that arrives
+	// ahead of the clock leaves one, so on the simulator and for unpaced
+	// owners the list stays empty.
+	idle []idleStretch
 
 	stats Stats
 
@@ -119,6 +129,15 @@ type ioReq struct {
 	arrive rt.Time // arrival on the owner's modelled clock (see rt.QueryCtx.Lead)
 	done   bool    // transfer window assigned
 	until  rt.Time // completion time, valid once done
+}
+
+// idleStretch is a stretch of the device timeline that a reservation
+// skipped because its request arrived later than the device was free:
+// the device is idle from..to, its head after block last (if haveLast).
+type idleStretch struct {
+	from, to rt.Time
+	last     BlockID
+	haveLast bool
 }
 
 // Config parameterizes a simulated disk.
@@ -231,6 +250,19 @@ func (d *Disk) submit(req *ioReq) {
 // accounting: the one service routine of both disciplines. Caller holds
 // d.mu and has chosen req as the next request to serve.
 //
+// Service order is ticket order, but a paced owner's request arrives on
+// its own modelled clock, ahead of the wall clock (rt.QueryCtx.Lead), so
+// a request can arrive later than one submitted after it. The device does
+// not sit idle for it: a reservation that starts after the device frees
+// leaves that idle stretch on the timeline, and a later request whose
+// arrival and transfer fit in a remembered stretch is served there, its
+// seek judged against the head at the stretch's start, instead of after
+// busyUntil. busyUntil stays the latest end and lastBlock the head after
+// the latest reservation. When every request arrives at the clock — the
+// simulator, unpaced owners — no stretch ever lies ahead of it, and the
+// elevator assigns only once the device is free, so neither discipline's
+// timeline moves there.
+//
 // The owner tag is inspected exactly once, here at the request's service
 // turn: a request whose owner is already cancelled is retired
 // immediately with only the Skipped counter touched. The queue
@@ -244,24 +276,60 @@ func (d *Disk) assign(req *ioReq, now rt.Time) {
 		req.until = now
 		return
 	}
-	dur := rt.Duration(float64(req.bytes) / d.bandwidth * 1e9)
-	// The seek rule is the discipline's. FIFO pays for any request that
-	// does not continue the previous block run. C-SCAN pays only for the
-	// initial positioning and a direction-breaking wrap (the picked block
-	// is behind the head); forward jumps ride the sweep.
-	head := d.lastBlock + 1
+	xfer := rt.Duration(float64(req.bytes) / d.bandwidth * 1e9)
+	arrive := max(now, req.arrive)
+	d.idle = slices.DeleteFunc(d.idle, func(s idleStretch) bool { return s.to <= max(now, s.from) })
+	for i, s := range d.idle {
+		dur, seek := d.cost(req, xfer, s.last, s.haveLast)
+		start := max(arrive, s.from)
+		if start+rt.Time(dur) > s.to {
+			continue
+		}
+		req.until = start + rt.Time(dur)
+		before, after := s, s
+		before.to = start
+		after.from, after.last, after.haveLast = req.until, req.block+BlockID(req.blocks)-1, true
+		d.idle = slices.Replace(d.idle, i, i+1, before, after) // empty pieces go at the next prune
+		d.account(req, dur, seek)
+		return
+	}
+	dur, seek := d.cost(req, xfer, d.lastBlock, d.haveLast)
+	free := max(now, d.busyUntil)
+	start := max(arrive, free)
+	if start > free {
+		d.idle = append(d.idle, idleStretch{from: free, to: start, last: d.lastBlock, haveLast: d.haveLast})
+	}
+	req.until = start + rt.Time(dur)
+	d.busyUntil = req.until
+	d.lastBlock = req.block + BlockID(req.blocks) - 1
+	d.haveLast = true
+	d.account(req, dur, seek)
+}
+
+// cost returns how long req keeps the device after a transfer of xfer
+// with the head after block last (position unknown unless haveLast), and
+// whether that includes a seek. The seek rule is the discipline's. FIFO
+// pays for any request that does not continue the previous block run.
+// C-SCAN pays only for the initial positioning and a direction-breaking
+// wrap (the picked block is behind the head); forward jumps ride the
+// sweep.
+func (d *Disk) cost(req *ioReq, xfer rt.Duration, last BlockID, haveLast bool) (rt.Duration, bool) {
+	head := last + 1
 	seek := req.block != head
 	if d.elevator() {
 		seek = req.block < head
 	}
-	if !d.haveLast || seek {
-		dur += d.seekLatency
+	if !haveLast || seek {
+		return xfer + d.seekLatency, true
+	}
+	return xfer, false
+}
+
+// account books a served request whose reservation lasts dur.
+func (d *Disk) account(req *ioReq, dur rt.Duration, seek bool) {
+	if seek {
 		d.stats.Seeks++
 	}
-	req.until = max(now, req.arrive, d.busyUntil) + rt.Time(dur)
-	d.busyUntil = req.until
-	d.lastBlock = req.block + BlockID(req.blocks) - 1
-	d.haveLast = true
 	d.stats.Requests++
 	d.stats.BytesRead += req.bytes
 	d.stats.BusyTime += dur

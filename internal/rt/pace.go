@@ -16,16 +16,18 @@ import "time"
 //
 // The thread's own real work pays its debt too. Modelled CPU time is
 // the time the thread's work takes in the model; the real vector work
-// the thread does between two charges is wall time that has passed
-// while it owed, so sleeping the full charge on top of it would charge
-// that CPU twice. Every pacing call therefore first settles: the wall
-// time since the thread's last pacing call comes off a positive debt,
-// down to zero. It never becomes credit: a thread whose real work
-// outruns its modelled CPU finishes in its real time, and only a late
-// timer wake-up banks credit. The one stretch of wall time that is not
-// work is the wait for a modelled core in CPU.Work: Pay starts its own
-// count after the core is granted, so a thread never sleeps less while
-// holding a core because it queued for one.
+// the thread does between two charges is wall time that has passed, so
+// sleeping the full charge on top of it would charge that CPU twice.
+// Every pacing call therefore first settles: the wall time since the
+// thread's last pacing call comes off the debt, whether the thread owes
+// or is in credit, down to a credit of paceCreditCap (a credit already
+// beyond the cap stays where it is). Work done in credit thus banks
+// more: a thread that woke late and then worked has had both stretches
+// of wall time, and the charges for that work spend them, so time that
+// really passed is charged once. The one stretch of wall time that is
+// not work is the wait for a modelled core in CPU.Work: Pay starts its
+// own count after the core is granted, so a thread never sleeps less
+// while holding a core because it queued for one.
 //
 // A thread in debt is ahead of the wall clock: the time it has been
 // charged and not slept has, in the model, already passed for it. Its
@@ -46,10 +48,11 @@ const (
 	// paceQuantum is the smallest lump a paced thread sleeps, except for
 	// the residual Flush pays: at or above what the OS timer resolves.
 	paceQuantum = time.Millisecond
-	// paceCreditCap bounds the credit one late wake-up can leave, so a
-	// stalled process does not buy a long run of free charges. A timer
-	// that rounds a lump up to its next tick overshoots by up to a tick,
-	// about a quantum; the cap leaves room for a slow box's few.
+	// paceCreditCap bounds the credit late wake-ups and work done in
+	// credit can leave, so a stalled process does not buy a long run of
+	// free charges. A timer that rounds a lump up to its next tick
+	// overshoots by up to a tick, about a quantum; the cap leaves room
+	// for a slow box's few.
 	paceCreditCap = 4 * paceQuantum
 )
 
@@ -68,13 +71,10 @@ func (q *QueryCtx) Fork() *QueryCtx {
 func (q *QueryCtx) isPaced() bool { return q != nil && q.paced }
 
 // owed is the debt net of the wall time the thread has spent since its
-// last pacing call: real work pays a positive debt down to zero and
-// never leaves credit.
+// last pacing call: real work pays the debt down and, in credit, banks
+// more, down to the cap; a credit already beyond the cap is kept.
 func (q *QueryCtx) owed(now Time) Duration {
-	if q.debt <= 0 {
-		return q.debt
-	}
-	return max(q.debt-Duration(now-q.mark), 0)
+	return min(q.debt, max(q.debt-Duration(now-q.mark), -paceCreditCap))
 }
 
 // settle nets the wall time since the last pacing call against the debt
@@ -159,16 +159,19 @@ func (q *QueryCtx) SleepUntil(r Runtime, t Time) {
 }
 
 // Flush pays the residual debt of a thread whose plan is closing, net of
-// the work done since its last pacing call, so a query never takes less
-// wall time than it was charged modelled time. A cancelled query's
-// residual is dropped: nobody waits for it.
+// the work done since its last pacing call, and waits out what is left of
+// its last device wait, so a query never takes less wall time than it was
+// charged modelled time and never ends before its last read does: Lead is
+// zero after it. A cancelled query's residual is dropped: nobody waits for
+// it.
 func (q *QueryCtx) Flush() {
 	if !q.isPaced() {
 		return
 	}
 	q.settle()
-	if q.debt <= 0 || q.Cancelled() {
+	lump := max(q.debt, Duration(q.ready-q.mark))
+	if lump <= 0 || q.Cancelled() {
 		return
 	}
-	q.Pay(q.r, q.debt)
+	q.Pay(q.r, lump)
 }

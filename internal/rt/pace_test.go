@@ -148,10 +148,10 @@ func TestPaceCreditTracksOvershoot(t *testing.T) {
 }
 
 // TestPaceWorkPaysDebt: wall time that passes between pacing calls is
-// the thread's real work, and it pays what the thread owes — without
-// ever banking credit — while a late timer wake-up still banks credit,
-// capped, and a wait for a core pays nothing. The clock moves only when
-// the test moves it (work) or the thread sleeps.
+// the thread's real work, and it pays what the thread owes and, in
+// credit, banks more, down to the cap; a late timer wake-up banks credit
+// the same way, and a wait for a core pays nothing. The clock moves only
+// when the test moves it (work) or the thread sleeps.
 func TestPaceWorkPaysDebt(t *testing.T) {
 	const us = time.Microsecond
 	r := &steppedRT{over: []Duration{400 * us, 10 * time.Millisecond}}
@@ -165,25 +165,39 @@ func TestPaceWorkPaysDebt(t *testing.T) {
 	if lead := q.Lead(); lead != 0 {
 		t.Fatalf("lead %v after work past the debt, want 0", lead)
 	}
+	// The 800 µs of work beyond the debt is credit the next charge spends.
 	charge(r, q, 61*us)
-	if q.debt != 61*us || r.sleeps != 0 {
-		t.Fatalf("debt %v after %d sleeps, want 61µs and none: work beyond the debt banked credit", q.debt, r.sleeps)
+	if q.debt != -739*us || r.sleeps != 0 {
+		t.Fatalf("debt %v after %d sleeps, want -739µs and none: work beyond the debt did not bank credit", q.debt, r.sleeps)
 	}
-	// A lump that wakes 400 µs late leaves 400 µs of credit, and work
-	// done in credit neither adds to it nor spends it.
-	charge(r, q, 939*us)
+	// A lump that wakes 400 µs late leaves 400 µs of credit, and 700 µs
+	// of work done in credit adds to it.
+	charge(r, q, 1739*us)
 	if q.debt != -400*us || r.sleeps != 1 {
 		t.Fatalf("debt %v after %d sleeps, want -400µs after one", q.debt, r.sleeps)
 	}
 	r.now += Time(700 * us)
 	charge(r, q, 0)
-	if q.debt != -400*us {
-		t.Fatalf("debt %v after work in credit, want -400µs", q.debt)
+	if q.debt != -1100*us {
+		t.Fatalf("debt %v after 700µs of work on 400µs of credit, want -1.1ms", q.debt)
 	}
-	// A 10 ms stall banks only the cap.
-	charge(r, q, 1400*us)
+	// A 10 ms stall banks only the cap, and work at the cap banks no more.
+	charge(r, q, 2100*us)
+	if q.debt != -paceCreditCap || r.sleeps != 2 {
+		t.Fatalf("debt %v after %d sleeps and a 10ms overshoot, want the cap %v after two", q.debt, r.sleeps, -paceCreditCap)
+	}
+	r.now += Time(700 * us)
+	charge(r, q, 0)
 	if q.debt != -paceCreditCap {
-		t.Fatalf("debt %v after a 10ms overshoot, want the cap %v", q.debt, -paceCreditCap)
+		t.Fatalf("debt %v after work at the cap, want the cap %v", q.debt, -paceCreditCap)
+	}
+	// A credit already beyond the cap (a device wait that ends before the
+	// thread's previous one can leave one) is kept, not raised to the cap.
+	q.debt = -paceCreditCap - 300*us
+	r.now += Time(700 * us)
+	charge(r, q, 0)
+	if q.debt != -paceCreditCap-300*us {
+		t.Fatalf("debt %v after work beyond the cap, want %v kept", q.debt, -paceCreditCap-300*us)
 	}
 
 	// The wait for a core between Owe and Pay is not work: the lump is
@@ -255,6 +269,40 @@ func TestPaceCreditDeviceWaitsOwedOnce(t *testing.T) {
 	q.SleepUntil(r, r.Now()+Time(q.Lead())+Time(120*time.Microsecond))
 	if q.debt != -260*time.Microsecond || r.sleeps != 0 {
 		t.Fatalf("debt %v after %d sleeps, want -260µs and none", q.debt, r.sleeps)
+	}
+}
+
+// TestPaceWorkInCreditBanksCredit: a lump that wakes 400 µs late leaves
+// 400 µs of credit, and 700 µs of work done after it has passed on the
+// wall clock too, so the thread holds 1.1 ms that its next charges spend.
+// Netting work against a positive debt only would leave the 400 µs and
+// charge those 700 µs again when the work's own CPU charge comes.
+func TestPaceWorkInCreditBanksCredit(t *testing.T) {
+	r := &steppedRT{over: []Duration{400 * time.Microsecond}}
+	q := NewQueryCtx(r).Fork()
+	charge(r, q, time.Millisecond)
+	r.now += Time(700 * time.Microsecond)
+	charge(r, q, 0)
+	if q.debt != -1100*time.Microsecond || r.sleeps != 1 {
+		t.Fatalf("debt %v after %d sleeps, want -1.1ms after one", q.debt, r.sleeps)
+	}
+}
+
+// TestPaceFlushWaitsOutDeviceWait: credit pays for a 300 µs device wait,
+// but the data is there only at the wait's end, so a thread that closes
+// right after it sleeps until then: Flush leaves no lead.
+func TestPaceFlushWaitsOutDeviceWait(t *testing.T) {
+	r := &steppedRT{over: []Duration{0}}
+	q := NewQueryCtx(r).Fork()
+	q.debt = -500 * time.Microsecond
+	end := r.Now() + Time(300*time.Microsecond)
+	q.SleepUntil(r, end)
+	if r.sleeps != 0 {
+		t.Fatalf("%d sleeps for a wait the credit paid, want none", r.sleeps)
+	}
+	q.Flush()
+	if lead := q.Lead(); lead != 0 || r.Now() != end {
+		t.Fatalf("Flush ended at %v with lead %v, want at the wait's end %v with none", r.Now(), lead, end)
 	}
 }
 
