@@ -253,7 +253,8 @@ type CScan struct {
 	// no lifecycle, the historical behavior): a cancelled owner makes
 	// GetChunk return ok=false instead of blocking, and the scheduler
 	// stops choosing this scan so no further chunks are loaded on its
-	// behalf.
+	// behalf. GetChunk parks through it (rt.QueryCtx.Wait), so when it is
+	// the scan thread's pacing fork the wait is not counted as its work.
 	qctx *rt.QueryCtx
 }
 
@@ -444,7 +445,7 @@ func (cs *CScan) GetChunk() (*Delivery, bool) {
 		w := cs.avail.Waiter()
 		stop := cs.qctx.OnCancel(cs.avail.Fire)
 		a.mu.Unlock()
-		w.Wait()
+		cs.qctx.Wait(w)
 		stop()
 		a.mu.Lock()
 	}
@@ -583,13 +584,14 @@ func (a *ABM) run() {
 	}
 }
 
-// waitWork blocks the scheduler until the next work signal. Interest is
-// registered before the mutex is dropped so a Fire in the gap is never
-// lost. Caller holds a.mu; it is held again on return.
+// waitWork blocks the scheduler until the next work signal, through its
+// pacing handle's Wait: the time idle is not work that pays for the next
+// load. Interest is registered before the mutex is dropped so a Fire in
+// the gap is never lost. Caller holds a.mu; it is held again on return.
 func (a *ABM) waitWork() {
 	w := a.work.Waiter()
 	a.mu.Unlock()
-	w.Wait()
+	a.pace.Wait(w)
 	a.mu.Lock()
 }
 

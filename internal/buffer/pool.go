@@ -220,7 +220,8 @@ func fire(evs []rt.Event) {
 // owner never is). w is the waiter evictFor took before unlocking, so a
 // free that lands before the park still wakes it: on threads w holds the
 // event's channel generation, and on the simulator no other process runs
-// in between. Called WITHOUT the pool mutex held.
+// in between. It parks through q.Wait, so a paced owner's blocked time is
+// not counted as its work. Called WITHOUT the pool mutex held.
 //
 // A cancelled reservation leaves freedQ. If a free had already popped its
 // event, the wake is passed on to the next blocked reservation, so none
@@ -230,7 +231,7 @@ func (p *Pool) waitFreed(q *rt.QueryCtx, ev rt.Event, w rt.Waiter) {
 	// A simulator Fire with nobody waiting is lost, so an owner already
 	// cancelled must not park at all.
 	if !q.Cancelled() {
-		w.Wait()
+		q.Wait(w)
 	}
 	stop()
 	if !q.Cancelled() {
@@ -453,8 +454,9 @@ func (p *Pool) loaded(ev rt.Event, frames ...*Frame) {
 }
 
 // get is the shared hit/miss path. It turns a cancelled owner away on
-// entry and after every wait for a read in flight; a reservation that
-// blocks is woken by the cancellation (see reserve).
+// entry and after every wait for a read in flight, which parks through
+// q.Wait like waitFreed; a reservation that blocks is woken by the
+// cancellation (see reserve).
 func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 	if q.Cancelled() {
 		return nil, ErrCancelled
@@ -465,7 +467,7 @@ func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 			if f.loading {
 				w := p.inFlight[pg.ID].Waiter()
 				p.mu.Unlock()
-				w.Wait()
+				q.Wait(w)
 				if q.Cancelled() {
 					return nil, ErrCancelled
 				}

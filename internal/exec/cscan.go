@@ -74,8 +74,9 @@ func (s *CScan) Open() {
 	s.cs = s.Ctx.ABM.RegisterCScan(s.Snap, s.Cols, sids, false)
 	// Bind the owning query before the first GetChunk: once the query is
 	// cancelled the ABM scheduler stops loading chunks for this scan and
-	// GetChunk returns immediately.
-	s.cs.Bind(s.Ctx.Query)
+	// GetChunk returns immediately. The handle bound is the scan thread's
+	// pacing fork, so the time GetChunk parks is blocked time, not work.
+	s.cs.Bind(s.pace)
 }
 
 // Next implements Operator.

@@ -134,10 +134,14 @@ type ioReq struct {
 // idleStretch is a stretch of the device timeline that a reservation
 // skipped because its request arrived later than the device was free:
 // the device is idle from..to, its head after block last (if haveLast).
+// The reservation after the stretch starts at block next and was charged
+// a seek if nextSeeks, judged against that head.
 type idleStretch struct {
-	from, to rt.Time
-	last     BlockID
-	haveLast bool
+	from, to  rt.Time
+	last      BlockID
+	haveLast  bool
+	next      BlockID
+	nextSeeks bool
 }
 
 // Config parameterizes a simulated disk.
@@ -257,8 +261,14 @@ func (d *Disk) submit(req *ioReq) {
 // leaves that idle stretch on the timeline, and a later request whose
 // arrival and transfer fit in a remembered stretch is served there, its
 // seek judged against the head at the stretch's start, instead of after
-// busyUntil. busyUntil stays the latest end and lastBlock the head after
-// the latest reservation. When every request arrives at the clock — the
+// busyUntil. Two more conditions keep every seek the spindle makes
+// charged and add none the tail would not: the reservation after the
+// stretch, which the request now precedes on the spindle, must keep its
+// seek charge (a request that would turn that reservation's continuation
+// into a seek is not served there, since that seek was never charged),
+// and the request may not seek there if it would not after busyUntil.
+// busyUntil stays the latest end and lastBlock the head after the latest
+// reservation. When every request arrives at the clock — the
 // simulator, unpaced owners — no stretch ever lies ahead of it, and the
 // elevator assigns only once the device is free, so neither discipline's
 // timeline moves there.
@@ -279,50 +289,59 @@ func (d *Disk) assign(req *ioReq, now rt.Time) {
 	xfer := rt.Duration(float64(req.bytes) / d.bandwidth * 1e9)
 	arrive := max(now, req.arrive)
 	d.idle = slices.DeleteFunc(d.idle, func(s idleStretch) bool { return s.to <= max(now, s.from) })
+	end := req.block + BlockID(req.blocks) - 1
+	tailDur, tailSeek := d.cost(req, xfer, d.lastBlock, d.haveLast)
 	for i, s := range d.idle {
 		dur, seek := d.cost(req, xfer, s.last, s.haveLast)
 		start := max(arrive, s.from)
-		if start+rt.Time(dur) > s.to {
+		if start+rt.Time(dur) > s.to || seek && !tailSeek || !s.nextSeeks && d.seeks(s.next, end, true) {
 			continue
 		}
 		req.until = start + rt.Time(dur)
 		before, after := s, s
-		before.to = start
-		after.from, after.last, after.haveLast = req.until, req.block+BlockID(req.blocks)-1, true
+		before.to, before.next, before.nextSeeks = start, req.block, seek
+		after.from, after.last, after.haveLast = req.until, end, true
 		d.idle = slices.Replace(d.idle, i, i+1, before, after) // empty pieces go at the next prune
 		d.account(req, dur, seek)
 		return
 	}
-	dur, seek := d.cost(req, xfer, d.lastBlock, d.haveLast)
+	dur, seek := tailDur, tailSeek
 	free := max(now, d.busyUntil)
 	start := max(arrive, free)
 	if start > free {
-		d.idle = append(d.idle, idleStretch{from: free, to: start, last: d.lastBlock, haveLast: d.haveLast})
+		d.idle = append(d.idle, idleStretch{from: free, to: start, last: d.lastBlock, haveLast: d.haveLast, next: req.block, nextSeeks: seek})
 	}
 	req.until = start + rt.Time(dur)
 	d.busyUntil = req.until
-	d.lastBlock = req.block + BlockID(req.blocks) - 1
+	d.lastBlock = end
 	d.haveLast = true
 	d.account(req, dur, seek)
 }
 
 // cost returns how long req keeps the device after a transfer of xfer
 // with the head after block last (position unknown unless haveLast), and
-// whether that includes a seek. The seek rule is the discipline's. FIFO
-// pays for any request that does not continue the previous block run.
-// C-SCAN pays only for the initial positioning and a direction-breaking
-// wrap (the picked block is behind the head); forward jumps ride the
-// sweep.
+// whether that includes a seek.
 func (d *Disk) cost(req *ioReq, xfer rt.Duration, last BlockID, haveLast bool) (rt.Duration, bool) {
-	head := last + 1
-	seek := req.block != head
-	if d.elevator() {
-		seek = req.block < head
-	}
-	if !haveLast || seek {
+	if d.seeks(req.block, last, haveLast) {
 		return xfer + d.seekLatency, true
 	}
 	return xfer, false
+}
+
+// seeks reports whether a request starting at block pays a seek with the
+// head after block last (position unknown unless haveLast). The seek rule
+// is the discipline's. FIFO pays for any request that does not continue
+// the previous block run. C-SCAN pays only for the initial positioning and
+// a direction-breaking wrap (the picked block is behind the head); forward
+// jumps ride the sweep.
+func (d *Disk) seeks(block, last BlockID, haveLast bool) bool {
+	if !haveLast {
+		return true
+	}
+	if d.elevator() {
+		return block < last+1
+	}
+	return block != last+1
 }
 
 // account books a served request whose reservation lasts dur.
@@ -341,13 +360,15 @@ func (d *Disk) account(req *ioReq, dur rt.Duration, seek bool) {
 // await blocks until the queue has assigned the request a transfer
 // window and returns its completion time; the caller then sleeps until
 // that time and departs. A FIFO request was assigned in submit, so it
-// never parks here.
+// never parks here. An elevator request parks through its owner's
+// rt.QueryCtx.Wait: the time it waits for the dispatcher is not the
+// owner's work.
 func (d *Disk) await(req *ioReq) rt.Time {
 	d.mu.Lock()
 	for !req.done {
 		w := d.assigned.Waiter()
 		d.mu.Unlock()
-		w.Wait()
+		req.q.Wait(w)
 		d.mu.Lock()
 	}
 	until := req.until

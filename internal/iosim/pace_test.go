@@ -134,3 +134,36 @@ func TestPaceEarlierArrivalNotQueuedBehindLater(t *testing.T) {
 		t.Errorf("stats %+v, want two seeking reads", s)
 	}
 }
+
+// TestPaceStretchKeepsNextRun: owner A reads block 7, then, 800 µs ahead
+// of the clock, block 8, which continues its run and is charged no seek;
+// the device is idle between the two. Owner B's read of block 500 would
+// fit in that stretch, but the spindle would then reach block 8 from
+// block 500 and owe a seek A's second read was never charged. So B is
+// served after A's second read, and every seek the spindle makes is
+// charged.
+func TestPaceStretchKeepsNextRun(t *testing.T) {
+	c := newSleepClock()
+	c.now.Store(int64(time.Second))
+	d := newDisk(c, Config{Bandwidth: 200e6, SeekLatency: 100 * time.Microsecond})
+	a := rt.NewQueryCtx(c).Fork()
+	reqA1 := &ioReq{q: a, block: 7, blocks: 1, bytes: 16 << 10}
+	d.submit(reqA1)
+	if lump := a.Owe(800 * time.Microsecond); lump != 0 {
+		t.Fatalf("800µs charge asked for a %v sleep", lump)
+	}
+	reqA2 := &ioReq{q: a, block: 8, blocks: 1, bytes: 16 << 10}
+	reqB := &ioReq{block: 500, blocks: 1, bytes: 16 << 10}
+	d.submit(reqA2)
+	d.submit(reqB)
+	t0, xfer, seek := c.Now(), rt.Time(81920*time.Nanosecond), rt.Time(100*time.Microsecond)
+	if want := t0 + rt.Time(800*time.Microsecond) + xfer; reqA2.until != want {
+		t.Errorf("A's second read ends at %v, want %v", reqA2.until, want)
+	}
+	if want := reqA2.until + seek + xfer; reqB.until != want {
+		t.Errorf("B ends at %v, want %v, after A's second read", reqB.until, want)
+	}
+	if s := d.Stats(); s.Requests != 3 || s.Seeks != 2 || s.BusyTime != rt.Duration(3*xfer+2*seek) {
+		t.Errorf("stats %+v, want three reads and two seeks", s)
+	}
+}

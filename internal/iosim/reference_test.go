@@ -80,25 +80,36 @@ func randomTimeline(rng *rand.Rand, leads bool) []timelineStep {
 // window is one reservation on a device timeline.
 type window struct{ start, end rt.Time }
 
+// reservation is one request's window on a timeline with the blocks it
+// read and whether it was charged a seek.
+type reservation struct {
+	window
+	first, last BlockID
+	seek        bool
+}
+
 // playTimeline assigns a script on a Disk and on refDisk, in script
-// order, and returns both timelines.
-func playTimeline(t *testing.T, steps []timelineStep, cfg Config) (got, want []window, gs, ws Stats) {
+// order, and returns both timelines in script order. It fails the test if
+// a request starts before it arrives.
+func playTimeline(t *testing.T, steps []timelineStep, cfg Config) (got, want []reservation, gs, ws Stats) {
 	d := newDisk(rt.Sim(sim.NewEngine()), cfg)
 	ref := &refDisk{bandwidth: cfg.Bandwidth, seekLatency: cfg.SeekLatency, elevator: cfg.Scheduler == SchedElevator}
 	var now rt.Time
-	for i, s := range steps {
+	for _, s := range steps {
 		now += rt.Time(s.advance)
 		bytes := int64(s.blocks) * 16 << 10
+		first, last := s.block, s.block+BlockID(s.blocks)-1
 		req := &ioReq{block: s.block, blocks: s.blocks, bytes: bytes, arrive: now + rt.Time(s.lead)}
-		busy := d.stats.BusyTime
+		busy, seeks := d.stats.BusyTime, d.stats.Seeks
 		d.assign(req, now)
-		dur := d.stats.BusyTime - busy
-		got = append(got, window{req.until - rt.Time(dur), req.until})
-		if start := got[i].start; start < req.arrive {
-			t.Fatalf("request %d started at %v, before it arrived at %v", i, start, req.arrive)
+		r := reservation{window{req.until - rt.Time(d.stats.BusyTime-busy), req.until}, first, last, d.stats.Seeks > seeks}
+		if r.start < req.arrive {
+			t.Fatalf("request %d started at %v, before it arrived at %v", len(got), r.start, req.arrive)
 		}
+		got = append(got, r)
+		seeks = ref.stats.Seeks
 		until, refDur := ref.refAssign(&ioReq{block: s.block, blocks: s.blocks, bytes: bytes, arrive: req.arrive}, now)
-		want = append(want, window{until - rt.Time(refDur), until})
+		want = append(want, reservation{window{until - rt.Time(refDur), until}, first, last, ref.stats.Seeks > seeks})
 	}
 	return got, want, d.stats, ref.stats
 }
@@ -106,14 +117,25 @@ func playTimeline(t *testing.T, steps []timelineStep, cfg Config) (got, want []w
 // TestDifferentialTimeline holds the device timeline to refAssign over
 // random scripts on both disciplines' seek rules. When every request
 // arrives at the clock (the simulator, unpaced owners), every window and
-// every counter is the reference's. With owners ahead of the clock, no
-// request starts before it arrives, no two transfers overlap, and the
-// requests, bytes and transfer time are the reference's. A request served
-// in an idle stretch is judged against the head at the stretch's start,
-// so it and the request after the stretch can seek where the reference
-// did not, or not where it did; on a device with no seek latency, where
-// those choices cost nothing, BusyTime is the reference's too and no
-// request starts later than it did there.
+// every counter is the reference's. With owners ahead of the clock:
+//   - no request starts before it arrives and no two transfers overlap;
+//   - the spindle's reservations, taken in time order, are each charged
+//     a seek wherever the one before leaves the head elsewhere, whatever
+//     order they were made in;
+//   - the requests, bytes and transfer time are the reference's;
+//   - a request is charged a seek the reference did not charge it only
+//     right after a request served in an idle stretch: that request
+//     moved the head of the reference's timeline, not of the tail of this
+//     one, so Seeks exceeds the reference's by at most one per stretch
+//     served in;
+//   - on a device with no seek latency, where no seek choice costs
+//     anything, BusyTime is the reference's and no request starts later
+//     than it did there.
+//
+// BusyTime is not the reference's in general: serving a request earlier
+// changes which block the head leaves for the request after it, so a
+// request can seek here and not in the reference (it continued the run
+// the reference had just served) or the other way round.
 func TestDifferentialTimeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 900; trial++ {
@@ -132,16 +154,34 @@ func TestDifferentialTimeline(t *testing.T) {
 		}
 		steps = randomTimeline(rng, true)
 		got, want, gs, ws = playTimeline(t, steps, cfg)
-		sorted := slices.Clone(got)
-		slices.SortFunc(sorted, func(a, b window) int { return int(a.start - b.start) })
-		for i := 1; i < len(sorted); i++ {
-			if sorted[i].start < sorted[i-1].end {
-				t.Fatalf("trial %d: transfers %v and %v overlap", trial, sorted[i-1], sorted[i])
+		continues := func(r, prev reservation) bool {
+			if cfg.Scheduler == SchedElevator {
+				return r.first > prev.last
+			}
+			return r.first == prev.last+1
+		}
+		spindle := slices.Clone(got)
+		slices.SortFunc(spindle, func(a, b reservation) int { return int(a.start - b.start) })
+		for i, r := range spindle {
+			if i > 0 && r.start < spindle[i-1].end {
+				t.Fatalf("trial %d: transfers %v and %v overlap", trial, spindle[i-1].window, r.window)
+			}
+			if !r.seek && (i == 0 || !continues(r, spindle[i-1])) {
+				t.Fatalf("trial %d: %+v is charged no seek after %+v", trial, r, spindle[max(i-1, 0)])
 			}
 		}
 		xfer := func(s Stats) rt.Duration { return s.BusyTime - rt.Duration(s.Seeks)*cfg.SeekLatency }
 		if gs.Requests != ws.Requests || gs.BytesRead != ws.BytesRead || xfer(gs) != xfer(ws) {
 			t.Fatalf("trial %d: stats %+v, reference %+v", trial, gs, ws)
+		}
+		var tail rt.Time
+		filled := false
+		for i, r := range got {
+			if r.seek && !want[i].seek && !filled {
+				t.Fatalf("trial %d: request %d %+v seeks, and did not in the reference", trial, i, r)
+			}
+			filled = r.end <= tail
+			tail = max(tail, r.end)
 		}
 		if cfg.SeekLatency != 0 {
 			continue

@@ -24,10 +24,16 @@ import "time"
 // beyond the cap stays where it is). Work done in credit thus banks
 // more: a thread that woke late and then worked has had both stretches
 // of wall time, and the charges for that work spend them, so time that
-// really passed is charged once. The one stretch of wall time that is
-// not work is the wait for a modelled core in CPU.Work: Pay starts its
-// own count after the core is granted, so a thread never sleeps less
-// while holding a core because it queued for one.
+// really passed is charged once. Wall time the thread spends blocked is
+// not work, and buys no credit. The wait for a modelled core in CPU.Work
+// is not counted at all: Pay starts its own count after the core is
+// granted, so a thread never sleeps less while holding a core because it
+// queued for one. A wait outside pacing — a page another thread is
+// reading, a frame to free, a device's dispatcher, a chunk the ABM
+// loads, the ABM loader's next work signal — goes through Wait, which
+// takes the blocked time off a positive debt only: the thread's modelled
+// clock after it is the later of where it was and the wake-up, and a
+// thread in credit wakes with the credit it had.
 //
 // A thread in debt is ahead of the wall clock: the time it has been
 // charged and not slept has, in the model, already passed for it. Its
@@ -82,6 +88,24 @@ func (q *QueryCtx) owed(now Time) Duration {
 func (q *QueryCtx) settle() {
 	now := q.r.Now()
 	q.debt, q.mark = q.owed(now), now
+}
+
+// Wait blocks the thread that owns q on w, a wait outside pacing (see
+// the file comment). The work done before it is settled as at any
+// pacing call; the blocked time then comes off a positive debt, down to
+// zero, and never becomes credit.
+func (q *QueryCtx) Wait(w Waiter) {
+	if !q.isPaced() {
+		w.Wait()
+		return
+	}
+	q.settle()
+	w.Wait()
+	now := q.r.Now()
+	if q.debt > 0 {
+		q.debt = max(q.debt-Duration(now-q.mark), 0)
+	}
+	q.mark = now
 }
 
 // Lead reports how far the thread that owns q is ahead of the wall
@@ -144,7 +168,8 @@ func (q *QueryCtx) Pay(r Runtime, lump Duration) {
 // the wait on the wall clock. Wall time the thread spent blocked in the
 // device queue since the request thereby comes off its debt, and the
 // thread may use the data up to a quantum before the wall clock reaches
-// t, with the time still owed.
+// t, with the time still owed, or, in credit, up to its credit before t,
+// the credit paying for the wait.
 func (q *QueryCtx) SleepUntil(r Runtime, t Time) {
 	if !q.isPaced() {
 		r.SleepUntil(t)

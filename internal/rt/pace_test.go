@@ -288,6 +288,42 @@ func TestPaceWorkInCreditBanksCredit(t *testing.T) {
 	}
 }
 
+// waitFunc is a Waiter that runs a function: a test moves its clock in
+// it, as if the thread had been parked that long.
+type waitFunc func()
+
+func (w waitFunc) Wait() { w() }
+
+// TestPaceBlockedTimeIsNotWork: the time a thread spends parked in Wait
+// comes off a positive debt only and never becomes credit, so a charge
+// after the wait is still slept; the work done before the wait is netted
+// as at any pacing call.
+func TestPaceBlockedTimeIsNotWork(t *testing.T) {
+	const us = time.Microsecond
+	for _, tc := range []struct {
+		name                      string
+		debt, work, blocked, want Duration
+	}{
+		{"a debt longer than the wait is paid down by it", 3000 * us, 0, 2000 * us, 1000 * us},
+		{"a debt shorter than the wait leaves none, not credit", 500 * us, 0, 2000 * us, 0},
+		{"credit is kept and not added to", -300 * us, 0, 2000 * us, -300 * us},
+		{"work before the wait still banks credit", -400 * us, 700 * us, 2000 * us, -1100 * us},
+	} {
+		r := &steppedRT{over: []Duration{0}}
+		q := NewQueryCtx(r).Fork()
+		q.debt = tc.debt
+		r.now += Time(tc.work)
+		q.Wait(waitFunc(func() { r.now += Time(tc.blocked) }))
+		if q.debt != tc.want || q.Lead() != max(tc.want, 0) {
+			t.Errorf("%s: debt %v, lead %v after the wait, want debt %v", tc.name, q.debt, q.Lead(), tc.want)
+		}
+		// A 1 ms charge right after the wait owes what the debt leaves of it.
+		if lump, want := q.Owe(time.Millisecond), tc.want+time.Millisecond; (want >= paceQuantum) != (lump == want) || (want < paceQuantum && lump != 0) {
+			t.Errorf("%s: a 1ms charge after the wait sleeps %v, debt %v", tc.name, lump, q.debt)
+		}
+	}
+}
+
 // TestPaceFlushWaitsOutDeviceWait: credit pays for a 300 µs device wait,
 // but the data is there only at the wait's end, so a thread that closes
 // right after it sleeps until then: Flush leaves no lead.

@@ -54,13 +54,15 @@ func (p *refPace) flush() {
 	}
 }
 
-// paceStep is one step of a pacing script: real work, then a charge, on
-// a timer that wakes over late from any lump the charge sleeps.
-type paceStep struct{ work, charge, over Duration }
+// paceStep is one step of a pacing script: real work, a wait blocked
+// outside pacing, then a charge, on a timer that wakes over late from any
+// lump the charge sleeps.
+type paceStep struct{ work, blocked, charge, over Duration }
 
 // randomPaceScript draws a script whose timer overshoots by at most
-// maxOver.
-func randomPaceScript(rng *rand.Rand, maxOver Duration) []paceStep {
+// maxOver, with a blocked wait in about a quarter of its steps when
+// blocked is set.
+func randomPaceScript(rng *rand.Rand, maxOver Duration, blocked bool) []paceStep {
 	us := func(n int) Duration { return Duration(rng.Intn(n)) * time.Microsecond }
 	steps := make([]paceStep, 1+rng.Intn(300))
 	for i := range steps {
@@ -69,27 +71,33 @@ func randomPaceScript(rng *rand.Rand, maxOver Duration) []paceStep {
 		if rng.Intn(2) == 0 {
 			s.work = us(400)
 		}
+		if blocked && rng.Intn(4) == 0 {
+			s.blocked = us(3000)
+		}
 		s.over = min([]Duration{0, us(200), us(1200), maxOver}[rng.Intn(4)], maxOver)
 	}
 	return steps
 }
 
-// pacer is one pacing rule bound to a runtime: charge, flush at close,
-// and the debt it holds.
+// pacer is one pacing rule bound to a runtime: charge, wait on a
+// Waiter, flush at close, and the debt it holds.
 type pacer struct {
 	charge func(Duration)
+	wait   func(Waiter)
 	flush  func()
 	debt   func() Duration
 }
 
 func newPacer(r *steppedRT) pacer {
 	q := NewQueryCtx(r).Fork()
-	return pacer{func(d Duration) { charge(r, q, d) }, q.Flush, func() Duration { return q.debt }}
+	return pacer{func(d Duration) { charge(r, q, d) }, q.Wait, q.Flush, func() Duration { return q.debt }}
 }
 
+// newRefPacer's waits are plain: the next pacing call nets the time
+// blocked as it nets work.
 func newRefPacer(r *steppedRT) pacer {
 	p := &refPace{r: r}
-	return pacer{p.charge, p.flush, func() Duration { return p.debt }}
+	return pacer{p.charge, Waiter.Wait, p.flush, func() Duration { return p.debt }}
 }
 
 // playPace plays a script on a stepped clock through a pacing rule and
@@ -100,6 +108,9 @@ func playPace(steps []paceStep, rule func(*steppedRT) pacer) (wall, charged, cre
 	p := rule(r)
 	for _, s := range steps {
 		r.now += Time(s.work)
+		if s.blocked > 0 {
+			p.wait(waitFunc(func() { r.now += Time(s.blocked) }))
+		}
 		r.over[0] = s.over
 		p.charge(s.charge)
 		charged += s.charge
@@ -110,29 +121,33 @@ func playPace(steps []paceStep, rule func(*steppedRT) pacer) (wall, charged, cre
 }
 
 // TestDifferentialPace holds pacing to refPace over random scripts of
-// work, charges and late wake-ups. A thread never takes less wall time
-// than it was charged. And the wall time it loses — time that passed,
-// was not charged, and is not the credit it closes holding (the last
-// wake-ups' lateness, which no later charge was left to spend) — is
-// never more than the old rule lost. The second bound holds while every
-// overshoot is within the credit cap: a longer stall is forgiven down to
-// the cap, so what it costs depends on which lump it hits, and the two
-// rules sleep their lumps at different instants. Past the cap only the
-// first bound is checked.
+// work, blocked waits, charges and late wake-ups, on a timer that is
+// exact, overshoots within the credit cap, or stalls past it. A thread
+// never takes less wall time than it was charged. On an exact timer and
+// with no blocked wait, the wall time it loses — time that passed, was
+// not charged, and is not the credit it closes holding — is never more
+// than the old rule lost: the old rule lost all work done beyond the
+// debt, the new one only what the cap clips.
+//
+// Neither rule's wall time bounds the other's in general. The two rules
+// sleep their lumps at different instants, so a late wake-up or a
+// blocked wait can land on a lump in one and between lumps in the other:
+// a blocked wait pays a debt that is still owed, and is lost when it
+// follows a lump that has just been slept. And a thread whose real work
+// outruns its charges closes in credit: its wall time is its work, which
+// can exceed the time the old rule, which charged less, slept.
 func TestDifferentialPace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 4000; trial++ {
-		maxOver := paceCreditCap
-		if trial%2 == 1 {
-			maxOver = 10 * time.Millisecond
-		}
-		steps := randomPaceScript(rng, maxOver)
+	for trial := 0; trial < 6000; trial++ {
+		maxOver := []Duration{0, paceCreditCap, 10 * time.Millisecond}[trial%3]
+		blocked := trial%2 == 1
+		steps := randomPaceScript(rng, maxOver, blocked)
 		wall, charged, credit := playPace(steps, newPacer)
 		ref, _, refCredit := playPace(steps, newRefPacer)
 		if wall < charged {
 			t.Fatalf("trial %d (%d steps): %v of wall time for %v charged", trial, len(steps), wall, charged)
 		}
-		if lost, refLost := wall-charged-credit, ref-charged-refCredit; maxOver <= paceCreditCap && lost > refLost {
+		if lost, refLost := wall-charged-credit, ref-charged-refCredit; maxOver == 0 && !blocked && lost > refLost {
 			t.Fatalf("trial %d (%d steps): lost %v of wall time (%v for %v charged, %v credit at close), reference lost %v",
 				trial, len(steps), lost, wall, charged, credit, refLost)
 		}
