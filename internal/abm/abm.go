@@ -118,10 +118,11 @@ type ABM struct {
 	disk *iosim.DeviceArray
 	cfg  Config
 	// pace is the scheduler thread's pacing handle: the owner its chunk
-	// loads wait out their device time on. On the real runtime it turns
-	// a load's wait into debt paid in quantum lumps (see rt.QueryCtx.Fork)
-	// instead of one timer sleep per chunk; on the simulator it is
-	// unpaced, and a wait is exactly the SleepUntil a nil owner makes.
+	// loads wait out their device time on. On the real runtime a load's
+	// wait moves the handle's modelled clock, slept in quantum lumps (see
+	// rt.QueryCtx.Fork) instead of one timer sleep per chunk; on the
+	// simulator it is unpaced, and a wait is exactly the SleepUntil a nil
+	// owner makes.
 	// Never cancelled, so no load is skipped.
 	pace *rt.QueryCtx
 

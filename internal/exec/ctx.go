@@ -17,9 +17,10 @@ import (
 // modes: XChg starts every subplan as a process of its own, and the core
 // semaphore decides which of them work. On the real runtime the semaphore
 // is a real one and the burst is wall-clock sleep, so the model prices CPU
-// work identically in both modes; a scan thread's bursts are paced (see
-// rt.QueryCtx.Fork), so the core is held for the lump they add up to, not
-// once per burst.
+// work identically in both modes; a scan thread's bursts advance its
+// modelled clock (see rt.QueryCtx.Fork), and the core is held for the
+// lump the thread sleeps once that clock is a quantum ahead of the wall
+// clock, not once per burst.
 type CPU struct {
 	r   rt.Runtime
 	res rt.Resource

@@ -232,8 +232,8 @@ func (d *Disk) submit(req *ioReq) {
 	for fifo && req.ticket != d.serving {
 		d.admit.Wait()
 	}
-	// A paced owner still owes the time it is ahead of the wall clock, so
-	// its request arrives on its own modelled clock (zero lead otherwise).
+	// A paced owner's request arrives on its own modelled clock, Lead
+	// ahead of the wall clock (zero lead otherwise).
 	now := d.r.Now()
 	req.arrive = now + rt.Time(req.q.Lead())
 	if fifo {

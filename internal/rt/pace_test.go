@@ -34,23 +34,42 @@ func (r *recRT) SleepUntil(t Time) {
 
 // steppedRT is a real-mode runtime on a hand-driven clock: Sleep(d)
 // advances the clock by d plus the next overshoot of a fixed cycle, so a
-// test decides what the OS timer does.
+// test decides what the OS timer does. It logs every Sleep.
 type steppedRT struct {
 	Runtime // nil: only the clock and Sleep are implemented
 	now     Time
 	over    []Duration
 	sleeps  int
 	slept   Duration
+	log     []sleepCall
+}
+
+// sleepCall is one Sleep: when it was called and what it asked for.
+type sleepCall struct {
+	at Time
+	d  Duration
 }
 
 func (r *steppedRT) Real() bool { return true }
 func (r *steppedRT) Now() Time  { return r.now }
 func (r *steppedRT) Sleep(d Duration) {
+	r.log = append(r.log, sleepCall{r.now, d})
 	took := d + r.over[r.sleeps%len(r.over)]
 	r.sleeps++
 	r.slept += took
 	r.now += Time(took)
 }
+
+// ahead is how far q's modelled clock, as a pacing call would read it
+// now, is ahead of the wall clock: negative in credit.
+func ahead(q *QueryCtx) Duration {
+	now := q.r.Now()
+	return Duration(q.at(now) - now)
+}
+
+// setAhead puts q's clock d ahead of the wall clock, behind it for a
+// negative d.
+func setAhead(q *QueryCtx, d Duration) { q.clock = q.r.Now() + Time(d) }
 
 // charge is what a charge site does: owe, and pay when told to.
 func charge(r Runtime, q *QueryCtx, d Duration) {
@@ -60,7 +79,7 @@ func charge(r Runtime, q *QueryCtx, d Duration) {
 }
 
 // TestPaceLumpsRealSleeps: a thousand 61 µs charges — a scan's CPU charge
-// per vector — reach the OS timer at most once per quantum of debt, and
+// per vector — reach the OS timer at most once per quantum charged, and
 // the wall time they take tracks the 61 ms charged. A sleep per charge
 // takes the timer's overshoot a thousand times (about 17× the charge on
 // the box this was written on).
@@ -83,16 +102,17 @@ func TestPaceLumpsRealSleeps(t *testing.T) {
 	if wall > 2*n*d {
 		t.Errorf("charged %v and %v passed, want <= %v", n*d, wall, 2*n*d)
 	}
-	if q.debt > 0 {
-		t.Errorf("debt %v left after Flush", q.debt)
+	if ahead(q) > 0 {
+		t.Errorf("clock %v ahead after Flush", ahead(q))
 	}
 }
 
 // TestPaceDebtBounds drives a mix of charge sizes against a timer that
 // overshoots by a cycle of amounts, one of them a 100 ms stall, and
-// checks the conservation bounds after every charge: unpaid debt below
-// the quantum, credit at most the cap, and time slept never more than a
-// quantum behind time charged. After Flush nothing is owed.
+// checks the conservation bounds after every charge: the clock less
+// than a quantum ahead of the wall clock, credit at most the cap, and
+// time slept never more than a quantum behind time charged. After Flush
+// nothing is owed.
 func TestPaceDebtBounds(t *testing.T) {
 	r := &steppedRT{over: []Duration{
 		80 * time.Microsecond, 1100 * time.Microsecond, 0, 100 * time.Millisecond, 300 * time.Microsecond,
@@ -104,22 +124,22 @@ func TestPaceDebtBounds(t *testing.T) {
 		d := charges[i%len(charges)]
 		charge(r, q, d)
 		charged += d
-		if q.debt >= paceQuantum {
-			t.Fatalf("charge %d: debt %v not below the quantum", i, q.debt)
+		if ahead(q) >= paceQuantum {
+			t.Fatalf("charge %d: clock %v ahead, not below the quantum", i, ahead(q))
 		}
-		if q.debt < -paceCreditCap {
-			t.Fatalf("charge %d: credit %v above the cap %v", i, -q.debt, paceCreditCap)
+		if ahead(q) < -paceCreditCap {
+			t.Fatalf("charge %d: credit %v above the cap %v", i, -ahead(q), paceCreditCap)
 		}
 		if behind := charged - r.slept; behind >= paceQuantum {
 			t.Fatalf("charge %d: slept %v of %v charged, %v behind", i, r.slept, charged, behind)
 		}
-		if q.Lead() != max(q.debt, 0) {
-			t.Fatalf("charge %d: lead %v with debt %v", i, q.Lead(), q.debt)
+		if q.Lead() != max(ahead(q), 0) {
+			t.Fatalf("charge %d: lead %v with the clock %v ahead", i, q.Lead(), ahead(q))
 		}
 	}
 	q.Flush()
-	if q.debt > 0 || r.slept < charged {
-		t.Fatalf("after Flush: debt %v, slept %v of %v charged", q.debt, r.slept, charged)
+	if ahead(q) > 0 || r.slept < charged {
+		t.Fatalf("after Flush: clock %v ahead, slept %v of %v charged", ahead(q), r.slept, charged)
 	}
 	// The stall was forgiven down to the cap, not banked: had its 100 ms
 	// all become credit, hundreds of the following charges would have
@@ -167,37 +187,29 @@ func TestPaceWorkPaysDebt(t *testing.T) {
 	}
 	// The 800 µs of work beyond the debt is credit the next charge spends.
 	charge(r, q, 61*us)
-	if q.debt != -739*us || r.sleeps != 0 {
-		t.Fatalf("debt %v after %d sleeps, want -739µs and none: work beyond the debt did not bank credit", q.debt, r.sleeps)
+	if ahead(q) != -739*us || r.sleeps != 0 {
+		t.Fatalf("clock %v ahead after %d sleeps, want -739µs and none: work beyond the debt did not bank credit", ahead(q), r.sleeps)
 	}
 	// A lump that wakes 400 µs late leaves 400 µs of credit, and 700 µs
 	// of work done in credit adds to it.
 	charge(r, q, 1739*us)
-	if q.debt != -400*us || r.sleeps != 1 {
-		t.Fatalf("debt %v after %d sleeps, want -400µs after one", q.debt, r.sleeps)
+	if ahead(q) != -400*us || r.sleeps != 1 {
+		t.Fatalf("clock %v ahead after %d sleeps, want -400µs after one", ahead(q), r.sleeps)
 	}
 	r.now += Time(700 * us)
 	charge(r, q, 0)
-	if q.debt != -1100*us {
-		t.Fatalf("debt %v after 700µs of work on 400µs of credit, want -1.1ms", q.debt)
+	if ahead(q) != -1100*us {
+		t.Fatalf("clock %v ahead after 700µs of work on 400µs of credit, want -1.1ms", ahead(q))
 	}
 	// A 10 ms stall banks only the cap, and work at the cap banks no more.
 	charge(r, q, 2100*us)
-	if q.debt != -paceCreditCap || r.sleeps != 2 {
-		t.Fatalf("debt %v after %d sleeps and a 10ms overshoot, want the cap %v after two", q.debt, r.sleeps, -paceCreditCap)
+	if ahead(q) != -paceCreditCap || r.sleeps != 2 {
+		t.Fatalf("clock %v ahead after %d sleeps and a 10ms overshoot, want the cap %v after two", ahead(q), r.sleeps, -paceCreditCap)
 	}
 	r.now += Time(700 * us)
 	charge(r, q, 0)
-	if q.debt != -paceCreditCap {
-		t.Fatalf("debt %v after work at the cap, want the cap %v", q.debt, -paceCreditCap)
-	}
-	// A credit already beyond the cap (a device wait that ends before the
-	// thread's previous one can leave one) is kept, not raised to the cap.
-	q.debt = -paceCreditCap - 300*us
-	r.now += Time(700 * us)
-	charge(r, q, 0)
-	if q.debt != -paceCreditCap-300*us {
-		t.Fatalf("debt %v after work beyond the cap, want %v kept", q.debt, -paceCreditCap-300*us)
+	if ahead(q) != -paceCreditCap {
+		t.Fatalf("clock %v ahead after work at the cap, want the cap %v", ahead(q), -paceCreditCap)
 	}
 
 	// The wait for a core between Owe and Pay is not work: the lump is
@@ -207,29 +219,29 @@ func TestPaceWorkPaysDebt(t *testing.T) {
 	lump := q.Owe(1200 * us)
 	r.now += Time(3 * time.Millisecond)
 	q.Pay(r, lump)
-	if q.debt != 0 {
-		t.Fatalf("debt %v after a 1.2ms lump paid behind a 3ms core wait, want 0", q.debt)
+	if ahead(q) != 0 {
+		t.Fatalf("clock %v ahead after a 1.2ms lump paid behind a 3ms core wait, want 0", ahead(q))
 	}
 	// Flush sleeps only what the work since the last call left owed.
 	charge(r, q, 500*us)
 	r.now += Time(300 * us)
 	q.Flush()
-	if r.slept != 1200*us+200*us || q.debt != 0 {
-		t.Fatalf("Flush after 300µs of work on 500µs owed: slept %v in all, debt %v; want 200µs at close", r.slept-1200*us, q.debt)
+	if r.slept != 1200*us+200*us || ahead(q) != 0 {
+		t.Fatalf("Flush after 300µs of work on 500µs owed: slept %v in all, clock %v ahead; want 200µs at close", r.slept-1200*us, ahead(q))
 	}
 }
 
-// TestPaceDeviceWaitOnModelledClock: a thread in debt is ahead of the
-// wall clock by the debt and its device requests arrive there, so
-// reaching a completion time replaces the lead — two back-to-back reads
+// TestPaceDeviceWaitOnModelledClock: a thread whose clock is ahead of
+// the wall clock has its device requests arrive there, so reaching a
+// completion time replaces the lead — two back-to-back reads
 // that end 120 µs and 240 µs from now owe 240 µs together, not 360.
 func TestPaceDeviceWaitOnModelledClock(t *testing.T) {
 	r := &steppedRT{over: []Duration{0}}
 	q := NewQueryCtx(r).Fork()
 	q.SleepUntil(r, r.Now()+Time(120*time.Microsecond))
 	q.SleepUntil(r, r.Now()+Time(240*time.Microsecond))
-	if q.debt != 240*time.Microsecond || r.sleeps != 0 {
-		t.Fatalf("debt %v after %d sleeps, want 240µs and none", q.debt, r.sleeps)
+	if ahead(q) != 240*time.Microsecond || r.sleeps != 0 {
+		t.Fatalf("clock %v ahead after %d sleeps, want 240µs and none", ahead(q), r.sleeps)
 	}
 	// Wall time the thread spends blocked in the device queue comes off
 	// its lead: a third read granted 150 µs later, ending 60 µs after
@@ -237,19 +249,19 @@ func TestPaceDeviceWaitOnModelledClock(t *testing.T) {
 	// still blocked leaves nothing.
 	r.now += Time(150 * time.Microsecond)
 	q.SleepUntil(r, r.Now()+Time(60*time.Microsecond))
-	if q.debt != 60*time.Microsecond {
-		t.Fatalf("debt %v after blocking through most of the wait, want 60µs", q.debt)
+	if ahead(q) != 60*time.Microsecond {
+		t.Fatalf("clock %v ahead after blocking through most of the wait, want 60µs", ahead(q))
 	}
 	q.SleepUntil(r, r.Now()-1)
-	if q.debt != 0 || r.sleeps != 0 {
-		t.Fatalf("debt %v after %d sleeps for a wait already over, want none", q.debt, r.sleeps)
+	if ahead(q) != 0 || r.sleeps != 0 {
+		t.Fatalf("clock %v ahead after %d sleeps for a wait already over, want none", ahead(q), r.sleeps)
 	}
 	// A thread in credit is behind the wall clock; the wait is measured
 	// from the wall clock and the credit pays for part of it.
-	q.debt = -50 * time.Microsecond
+	setAhead(q, -50*time.Microsecond)
 	q.SleepUntil(r, r.Now()+Time(120*time.Microsecond))
-	if q.debt != 70*time.Microsecond {
-		t.Fatalf("debt %v after a 120µs wait on 50µs of credit, want 70µs", q.debt)
+	if ahead(q) != 70*time.Microsecond {
+		t.Fatalf("clock %v ahead after a 120µs wait on 50µs of credit, want 70µs", ahead(q))
 	}
 }
 
@@ -261,14 +273,14 @@ func TestPaceDeviceWaitOnModelledClock(t *testing.T) {
 func TestPaceCreditDeviceWaitsOwedOnce(t *testing.T) {
 	r := &steppedRT{over: []Duration{0}}
 	q := NewQueryCtx(r).Fork()
-	q.debt = -500 * time.Microsecond
+	setAhead(q, -500*time.Microsecond)
 	q.SleepUntil(r, r.Now()+Time(120*time.Microsecond))
 	if lead := q.Lead(); lead != 120*time.Microsecond {
 		t.Fatalf("lead %v after a 120µs wait paid from credit, want 120µs", lead)
 	}
 	q.SleepUntil(r, r.Now()+Time(q.Lead())+Time(120*time.Microsecond))
-	if q.debt != -260*time.Microsecond || r.sleeps != 0 {
-		t.Fatalf("debt %v after %d sleeps, want -260µs and none", q.debt, r.sleeps)
+	if ahead(q) != -260*time.Microsecond || r.sleeps != 0 {
+		t.Fatalf("clock %v ahead after %d sleeps, want -260µs and none", ahead(q), r.sleeps)
 	}
 }
 
@@ -283,8 +295,8 @@ func TestPaceWorkInCreditBanksCredit(t *testing.T) {
 	charge(r, q, time.Millisecond)
 	r.now += Time(700 * time.Microsecond)
 	charge(r, q, 0)
-	if q.debt != -1100*time.Microsecond || r.sleeps != 1 {
-		t.Fatalf("debt %v after %d sleeps, want -1.1ms after one", q.debt, r.sleeps)
+	if ahead(q) != -1100*time.Microsecond || r.sleeps != 1 {
+		t.Fatalf("clock %v ahead after %d sleeps, want -1.1ms after one", ahead(q), r.sleeps)
 	}
 }
 
@@ -295,31 +307,31 @@ type waitFunc func()
 func (w waitFunc) Wait() { w() }
 
 // TestPaceBlockedTimeIsNotWork: the time a thread spends parked in Wait
-// comes off a positive debt only and never becomes credit, so a charge
-// after the wait is still slept; the work done before the wait is netted
-// as at any pacing call.
+// moves its clock only past where it was and never becomes credit, so a
+// charge after the wait is still slept; the work done before the wait
+// banks credit as at any pacing call.
 func TestPaceBlockedTimeIsNotWork(t *testing.T) {
 	const us = time.Microsecond
 	for _, tc := range []struct {
-		name                      string
-		debt, work, blocked, want Duration
+		name                       string
+		ahead, work, blocked, want Duration
 	}{
-		{"a debt longer than the wait is paid down by it", 3000 * us, 0, 2000 * us, 1000 * us},
-		{"a debt shorter than the wait leaves none, not credit", 500 * us, 0, 2000 * us, 0},
+		{"a clock further ahead than the wait stays where it was", 3000 * us, 0, 2000 * us, 1000 * us},
+		{"a clock less far ahead than the wait moves to the wake-up, not into credit", 500 * us, 0, 2000 * us, 0},
 		{"credit is kept and not added to", -300 * us, 0, 2000 * us, -300 * us},
 		{"work before the wait still banks credit", -400 * us, 700 * us, 2000 * us, -1100 * us},
 	} {
 		r := &steppedRT{over: []Duration{0}}
 		q := NewQueryCtx(r).Fork()
-		q.debt = tc.debt
+		setAhead(q, tc.ahead)
 		r.now += Time(tc.work)
 		q.Wait(waitFunc(func() { r.now += Time(tc.blocked) }))
-		if q.debt != tc.want || q.Lead() != max(tc.want, 0) {
-			t.Errorf("%s: debt %v, lead %v after the wait, want debt %v", tc.name, q.debt, q.Lead(), tc.want)
+		if ahead(q) != tc.want || q.Lead() != max(tc.want, 0) {
+			t.Errorf("%s: clock %v ahead, lead %v after the wait, want %v", tc.name, ahead(q), q.Lead(), tc.want)
 		}
-		// A 1 ms charge right after the wait owes what the debt leaves of it.
+		// A 1 ms charge right after the wait owes it from where the clock is.
 		if lump, want := q.Owe(time.Millisecond), tc.want+time.Millisecond; (want >= paceQuantum) != (lump == want) || (want < paceQuantum && lump != 0) {
-			t.Errorf("%s: a 1ms charge after the wait sleeps %v, debt %v", tc.name, lump, q.debt)
+			t.Errorf("%s: a 1ms charge after the wait sleeps %v, clock %v ahead", tc.name, lump, ahead(q))
 		}
 	}
 }
@@ -330,7 +342,7 @@ func TestPaceBlockedTimeIsNotWork(t *testing.T) {
 func TestPaceFlushWaitsOutDeviceWait(t *testing.T) {
 	r := &steppedRT{over: []Duration{0}}
 	q := NewQueryCtx(r).Fork()
-	q.debt = -500 * time.Microsecond
+	setAhead(q, -500*time.Microsecond)
 	end := r.Now() + Time(300*time.Microsecond)
 	q.SleepUntil(r, end)
 	if r.sleeps != 0 {
@@ -379,7 +391,7 @@ func TestPaceSimPassthrough(t *testing.T) {
 
 // TestPaceOnlyForksArePaced: a nil handle and a root handle keep raw
 // sleeps on the real runtime — a root is shared by every thread of a
-// plan and must carry no debt.
+// plan and must carry no clock of its own.
 func TestPaceOnlyForksArePaced(t *testing.T) {
 	r := &steppedRT{over: []Duration{0}}
 	root := NewQueryCtx(r)
@@ -407,7 +419,7 @@ func TestPaceForkSharesLifecycle(t *testing.T) {
 	a.OnCancel(func() { fired++ })
 	charge(r, a, 300*time.Microsecond)
 	if b.Lead() != 0 {
-		t.Fatalf("a's debt shows on b: lead %v", b.Lead())
+		t.Fatalf("a's clock shows on b: lead %v", b.Lead())
 	}
 	if a.Cancelled() {
 		t.Fatal("fork of a live query is cancelled")

@@ -62,16 +62,15 @@ var ErrCancelled = errors.New("rt: query cancelled")
 // runtime (see pace.go): the handle a query is admitted with is the root,
 // shared by every thread of the plan and never paced; each scan thread
 // takes its own Fork, which shares the root's lifecycle and carries that
-// one thread's debt.
+// one thread's modelled clock.
 type QueryCtx struct {
 	*lifecycle
 
 	// Pacing state of a Fork. Touched only by the scan thread that owns
 	// the fork, so it needs no synchronization.
 	paced bool
-	debt  Duration // modelled time charged and not yet slept; negative is credit
-	ready Time     // completion of the last device wait (see Lead)
-	mark  Time     // the last pacing call; the wall time since is the thread's work
+	clock Time // the thread's modelled clock, before the credit cap (see at)
+	ready Time // completion of the last device wait (see Lead)
 }
 
 // lifecycle is the cancel/deadline state a root QueryCtx and all its
