@@ -4,17 +4,18 @@ import "time"
 
 // Pacing is how a scan thread spends modelled time on the real runtime.
 //
-// The OS cannot deliver the sleeps the model asks for: a scan charges
-// ~61 µs of CPU per vector and waits ~120 µs per device read, and Go
-// rounds either up to about a millisecond of timer. So a paced thread
-// does not sleep per charge. It keeps a modelled clock, the instant its
-// charges have taken it to, and sleeps only when that clock is
-// paceQuantum or more ahead of the wall clock, in one lump, up to the
-// clock. A late wake-up leaves the wall clock past the modelled one, and
-// the next charges advance the modelled clock through that stretch
-// before the thread sleeps again. Wall time slept therefore tracks the
-// sum of modelled time to within a quantum, where a sleep per charge
-// tracked the sum of (modelled + timer overshoot).
+// A scan charges ~61 µs of CPU per vector and waits ~120 µs per device
+// read. The real runtime sleeps either to within about a tenth of a
+// millisecond (Runtime.Sleep parks on a timerfd), but every sleep still
+// costs a park, a timer arm and a wake-up, and the wake-up is late by the
+// host's latency. So a paced thread does not sleep per charge. It keeps a
+// modelled clock, the instant its charges have taken it to, and sleeps
+// only when that clock is paceQuantum or more ahead of the wall clock,
+// in one lump, up to the clock. A late wake-up leaves the wall clock past
+// the modelled one, and the next charges advance the modelled clock
+// through that stretch before the thread sleeps again. Wall time slept
+// therefore tracks the sum of modelled time to within a quantum, where a
+// sleep per charge tracked the sum of (modelled + wake-up latency).
 //
 // A clock behind the wall clock is credit, and the credit is capped:
 // every pacing call reads the clock at wall time now as
@@ -53,13 +54,14 @@ import "time"
 // is exactly one Runtime.Sleep and a device wait one Runtime.SleepUntil.
 const (
 	// paceQuantum is the smallest lump a paced thread sleeps, except for
-	// the residual Flush pays: at or above what the OS timer resolves.
+	// the residual Flush pays. It saves sleeps, not timer ticks: a scan
+	// thread sleeps once per ~16 vectors' charges instead of once each.
 	paceQuantum = time.Millisecond
 	// paceCreditCap bounds how far the clock may fall behind the wall
 	// clock, so a stalled process does not buy a long run of free
-	// charges. A timer that rounds a lump up to its next tick overshoots
-	// by up to a tick, about a quantum; the cap leaves room for a slow
-	// box's few.
+	// charges. A lump wakes late by the host's wake-up latency, about a
+	// tenth of a millisecond on an idle box; the cap leaves room for a
+	// busy box, where a woken thread also waits for a CPU.
 	paceCreditCap = 4 * paceQuantum
 )
 

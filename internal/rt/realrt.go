@@ -7,17 +7,23 @@ import (
 )
 
 // NewReal returns the real-threaded runtime: processes are goroutines,
-// the clock is wall time since construction, sleeps block the OS thread's
+// the clock is wall time since construction, sleeps park the calling
 // goroutine for real durations, and events are channel broadcasts. Runs
 // are NOT reproducible — this mode exists to serve traffic as fast as the
 // hardware allows, not to regenerate figures.
+//
+// A sleep never ends before its deadline. On Linux it parks on a timerfd
+// and ends about a tenth of a millisecond after it (sleep_linux.go);
+// elsewhere, and when the clock is not the OS clock (a testing/synctest
+// bubble), it is time.Sleep.
 func NewReal() Runtime {
-	return &realRT{epoch: time.Now()}
+	return &realRT{epoch: time.Now(), sleep: sleeper()}
 }
 
 type realRT struct {
 	epoch time.Time
 	wg    sync.WaitGroup
+	sleep func(Duration)
 }
 
 func (r *realRT) Real() bool { return true }
@@ -37,7 +43,7 @@ func (r *realRT) Go(name string, fn func()) {
 
 func (r *realRT) Sleep(d Duration) {
 	if d > 0 {
-		time.Sleep(d)
+		r.sleep(d)
 		return
 	}
 	runtime.Gosched()
@@ -45,7 +51,7 @@ func (r *realRT) Sleep(d Duration) {
 
 func (r *realRT) SleepUntil(t Time) {
 	if d := Duration(t - r.Now()); d > 0 {
-		time.Sleep(d)
+		r.sleep(d)
 	}
 }
 

@@ -8,8 +8,11 @@
 //     a time on a virtual clock, which makes every run bit-reproducible.
 //     This is the default and the only mode the paper's figures use.
 //   - NewReal runs processes as plain goroutines on the wall clock:
-//     sleeps are real sleeps, waits are channel waits, and as many
-//     processes run simultaneously as GOMAXPROCS allows.
+//     sleeps are real sleeps that never end early (on Linux they park on
+//     a timerfd and end within about a tenth of a millisecond of the
+//     deadline, not the millisecond Go's timer rounds to), waits are
+//     channel waits, and as many processes run simultaneously as
+//     GOMAXPROCS allows.
 //
 // The components' shared-state protection is ordinary sync.Mutex. In sim
 // mode those mutexes are uncontended by construction (exactly one process
@@ -87,9 +90,10 @@ type Runtime interface {
 	// scheduler hands it the execution token; in real mode it is a
 	// goroutine tracked until completion by Run.
 	Go(name string, fn func())
-	// Sleep suspends the caller for d. Non-positive d yields.
+	// Sleep suspends the caller for at least d. Non-positive d yields.
 	Sleep(d Duration)
-	// SleepUntil suspends the caller until time t (no-op if t has passed).
+	// SleepUntil suspends the caller until at least time t (no-op if t
+	// has passed).
 	SleepUntil(t Time)
 	NewEvent() Event
 	NewResource(capacity int) Resource
