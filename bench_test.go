@@ -138,6 +138,7 @@ func BenchmarkMicroRep(b *testing.B) {
 		cfg.Policy = rep.policy
 		cfg.Seed = 42
 		b.Run(rep.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res := workload.RunMicro(db, cfg)
 				b.ReportMetric(float64(res.TotalIOBytes)/1e6, "sim-IO-MB")

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync"
+
 	"repro/internal/abm"
 	"repro/internal/buffer"
 	"repro/internal/pbm"
@@ -79,6 +81,118 @@ type Ctx struct {
 	// WithQuery); nil means a query that can never be cancelled, which
 	// every operator runs exactly as it runs a live handle nobody cancels.
 	Query *QueryCtx
+
+	// free is the free list of vector buffers that the plans run in this
+	// context take from (see lease). It is made at first use and shared
+	// with every WithQuery copy.
+	free *freeVecs
+}
+
+// maxFreeVecs bounds each column type's free list, so that a burst of
+// queries cannot keep its buffers for the context's life. A §4.1 rep (64
+// scan threads at once) leaves at most 441 Float64 buffers on it.
+const maxFreeVecs = 1024
+
+// freeVecs is a context's free list of vector buffers, one list per
+// column type; each buffer is empty, with room for VectorSize values.
+type freeVecs [3][]Vec
+
+// freeMu guards every context's free list, and its making.
+var freeMu sync.Mutex
+
+// freeList returns c's free list, making it on first use.
+func (c *Ctx) freeList() *freeVecs {
+	freeMu.Lock()
+	defer freeMu.Unlock()
+	if c.free == nil {
+		c.free = new(freeVecs)
+	}
+	return c.free
+}
+
+// A lease is what one plan root takes from its context's free list: the
+// own buffers of its scans' columns, its projections' computed vectors
+// and their arithmetic's operand scratch. A root is what Run runs — a
+// query's plan, or an XChg part — and its buffers go back when the root
+// closes, never when the operator that took them does: a vector handed
+// downstream may be read after its producer is done. A part's buffers
+// may go back at its Close, since XChg queues copies of its batches.
+type lease struct {
+	free *freeVecs // its scans' context's; nil: no scan, buffers are made
+	vecs []Vec     // every buffer taken, as it was taken
+}
+
+// newLease binds the operators of op's plan that take buffers to a lease
+// of their own, down to but not into an XChg's parts and a HashJoin's
+// build side, which are roots of their own. A plan's scans run in one
+// context or its WithQuery copies, which share one free list.
+func newLease(op Op) *lease {
+	l := &lease{}
+	l.bind(op)
+	return l
+}
+
+func (l *lease) bind(op Op) {
+	switch op := op.(type) {
+	case *Scan:
+		l.free, op.lease = op.Ctx.freeList(), l
+	case *CScan:
+		l.free, op.lease = op.Ctx.freeList(), l
+	case *XChg:
+		l.free = op.Ctx.freeList()
+	case *Project:
+		op.lease = l
+		l.bind(op.Child)
+	case *Select:
+		l.bind(op.Child)
+	case *HashAggr:
+		l.bind(op.Child)
+	case *HashJoin:
+		l.bind(op.Probe)
+	case *Sort:
+		l.bind(op.Child)
+	case *Apply:
+		l.bind(op.Inner)
+		l.bind(op.Outer)
+	}
+}
+
+// take returns an empty buffer for a vector of type t with room for
+// VectorSize values, a String one with room for as many codes: one from
+// the free list if it has one, a new one otherwise. l keeps it until
+// release. A lease without a free list (or a nil one) makes a new one
+// and keeps nothing.
+func (l *lease) take(t storage.ColumnType) Vec {
+	v, keep := Vec{T: t}, l != nil && l.free != nil
+	if keep {
+		freeMu.Lock()
+		if list := l.free[t]; len(list) > 0 {
+			v, l.free[t] = list[len(list)-1], list[:len(list)-1]
+		}
+		freeMu.Unlock()
+	}
+	if v.empty() {
+		v.reserve(VectorSize)
+		if t == storage.String {
+			v.Code = make([]byte, 0, VectorSize)
+		}
+	}
+	if keep {
+		l.vecs = append(l.vecs, v)
+	}
+	return v
+}
+
+// release hands every buffer l took back to the free list, as far as the
+// list's bound allows. Call it once, after the root has closed.
+func (l *lease) release() {
+	freeMu.Lock()
+	defer freeMu.Unlock()
+	for _, v := range l.vecs {
+		if list := &l.free[v.T]; len(*list) < maxFreeVecs {
+			*list = append(*list, v)
+		}
+	}
 }
 
 // NewScan builds the scan operator the context's buffer manager serves:

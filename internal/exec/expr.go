@@ -101,6 +101,23 @@ func mayFault(e Expr) bool {
 	return true
 }
 
+// scratch gives out, the vector e is evaluated into, a buffer from l
+// unless e is a column reference or a literal, which are read in place,
+// and does the same for the operands of every Arith below e.
+func (l *lease) scratch(e Expr, out *Vec) {
+	switch e := e.(type) {
+	case Col, ConstI, ConstF:
+		return
+	case *Arith:
+		l.scratch(e.L, &e.l)
+		l.scratch(e.R, &e.r)
+	}
+	if out.empty() {
+		*out = l.take(e.Type())
+		out.Code = nil
+	}
+}
+
 // Typed views of a vector and of a literal, so one generic body serves
 // every operand type.
 func i64s(v *Vec) []int64   { return v.I64 }

@@ -8,18 +8,23 @@ import (
 )
 
 // BenchmarkHashAggrGroups times HashAggr.add on one resident Q1-shaped
-// vector, in ns per tuple, once per group-id path: direct with Q1's
-// one-byte keys, map with the same keys widened to two bytes, which the
-// direct table refuses. first is a fresh aggregate opened and fed one
-// direct vector, so every group it meets is new: the cost of opening
-// groups, which a query pays once per scan.
+// vector, in ns per tuple, once per group-id path: coded with Q1's
+// one-byte keys carrying their codes, as a scan hands them on, direct
+// with the same keys as strings alone, map with the keys widened to two
+// bytes, which the direct table refuses. first is a fresh aggregate
+// opened and fed one coded vector, so every group it meets is new: the
+// cost of opening groups, which a query pays once per scan.
 func BenchmarkHashAggrGroups(b *testing.B) {
 	base := randBatch(rand.New(rand.NewSource(1)), VectorSize, 40)
 	for _, c := range []struct {
 		name  string
 		width int
-	}{{"direct", 1}, {"map", 2}} {
+		codes bool
+	}{{"coded", 1, true}, {"direct", 1, false}, {"map", 2, false}} {
 		in := q1Shaped(cloneBatch(base), c.width)
+		if c.codes {
+			withCodes(in)
+		}
 		b.Run(c.name, func(b *testing.B) {
 			aggr := &HashAggr{Child: &batchSource{types: kernelTypes, b: in}, Groups: []int{4, 5}, Aggs: q1Aggs}
 			aggr.Open()
@@ -31,7 +36,7 @@ func BenchmarkHashAggrGroups(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*in.N), "ns/tuple")
 		})
 	}
-	in := q1Shaped(cloneBatch(base), 1)
+	in := withCodes(q1Shaped(cloneBatch(base), 1))
 	b.Run("first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			aggr := &HashAggr{Child: &batchSource{types: kernelTypes, b: in}, Groups: []int{4, 5}, Aggs: q1Aggs}

@@ -442,6 +442,87 @@ func TestDifferentialHashAggrDirect(t *testing.T) {
 	}
 }
 
+// withCodes gives every String vector of b whose values are all exactly
+// one byte the codes a scan would carry for it, and returns b.
+func withCodes(b *Batch) *Batch {
+	for _, v := range b.Vecs {
+		if v.T != storage.String {
+			continue
+		}
+		v.Code = make([]byte, len(v.Str))
+		for i, s := range v.Str {
+			if len(s) != 1 {
+				v.Code = nil
+				break
+			}
+			v.Code[i] = s[0]
+		}
+	}
+	return b
+}
+
+// TestDifferentialHashAggrCoded: the direct table walked from codes
+// gives, batch by batch, the group ids and the groups opened (in order)
+// that the string walk gives over uncoded copies of the same batches, and
+// the same answers. Each batch draws from a few one-byte values of its
+// own, so later batches open groups an earlier coded walk missed; in
+// every other round a middle batch carries "" or "AB", so it has no codes
+// or cannot use the table, and the paths take turns on one aggregate.
+// Every other batch is read through a selection.
+func TestDifferentialHashAggrCoded(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	short := []string{"\x00", "\xff", "A", "N", "R", "|"}
+	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 2}, {Kind: AggAvg, Col: 3}, {Kind: AggMin, Col: 0}}
+	groupings := [][]int{{4}, {4, 5}, {5, 4}, {4, 5, 4}}
+	walked := 0
+	for round := 0; round < 16; round++ {
+		batches := randBatches(rng, 3)
+		for _, b := range batches {
+			pick := rng.Perm(len(short))[:1+rng.Intn(3)]
+			for _, c := range []int{4, 5} {
+				for i := range b.Vecs[c].Str {
+					b.Vecs[c].Str[i] = short[pick[rng.Intn(len(pick))]]
+				}
+			}
+		}
+		if round%2 == 1 {
+			mid := batches[len(batches)/2]
+			mid.Vecs[4+rng.Intn(2)].Str[rng.Intn(mid.N)] = []string{"", "AB"}[rng.Intn(2)]
+		}
+		for _, groups := range groupings {
+			coded := &HashAggr{Child: &manyBatches{}, Groups: groups, Aggs: aggs}
+			plain := &HashAggr{Child: &manyBatches{}, Groups: groups, Aggs: aggs}
+			coded.Open()
+			plain.Open()
+			for k, b := range batches {
+				var sel []int32
+				if k%2 == 1 {
+					for i := 0; i < b.N; i++ {
+						if rng.Intn(3) > 0 {
+							sel = append(sel, int32(i))
+						}
+					}
+				}
+				cb := withCodes(cloneBatch(b))
+				if cb.Vecs[4].Code != nil && cb.Vecs[5].Code != nil {
+					walked++
+				}
+				plain.add(b, sel)
+				coded.add(cb, sel)
+				if !slices.Equal(coded.gids, plain.gids) || !slices.Equal(coded.fresh, plain.fresh) || !slices.Equal(coded.rendered, plain.rendered) {
+					t.Fatalf("round %d groups %v batch %d: group ids or first-sight order differ from the string walk", round, groups, k)
+				}
+			}
+			if got, want := Collect(&nopClose{coded}), Collect(&nopClose{plain}); !sameBatch(got, want) {
+				t.Fatalf("round %d groups %v: %d groups, string walk %d; rows, order or aggregates differ", round, groups, got.N, want.N)
+			}
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no batch carried codes in both group columns")
+	}
+}
+
 // TestDifferentialSelectedAggr: HashAggr reading through the selection
 // Select hands on via Project gives the answer of the reference engine,
 // which gathers the survivors first — under every predicate, on the

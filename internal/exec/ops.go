@@ -99,6 +99,7 @@ type Project struct {
 	own    []*Vec // per expression, the vector a computed one evaluates into
 	faults bool   // some expression may panic on a dropped tuple
 	closed bool
+	lease  *lease // the plan root's, which own and arithmetic scratch come from (nil: made)
 }
 
 // Schema implements Operator.
@@ -116,6 +117,9 @@ func (p *Project) Open() {
 	p.out = NewBatch(p.Schema())
 	p.own = slices.Clone(p.out.Vecs)
 	p.faults = slices.ContainsFunc(p.Exprs, mayFault)
+	for i, e := range p.Exprs {
+		p.lease.scratch(e, p.own[i])
+	}
 }
 
 // Next implements Operator.
@@ -268,6 +272,7 @@ type HashAggr struct {
 	kb    []byte      // the batch's binary keys, end to end
 	ends  []int32     // by tuple: where its key ends in kb
 	strs  [][]string  // per group column, its values (direct path)
+	codes [][]byte    // per group column, its values' codes (direct path)
 	cols  [][]float64 // by slot, the batch's values of its column
 	gids  []int32     // by selected tuple: its group
 	fresh []int32     // positions of the tuples that opened a group
@@ -558,31 +563,52 @@ func (a *HashAggr) groupOf(in *Batch, i int, key []byte) int32 {
 
 // groupIDsDirect sets gids through the direct table, without hashing,
 // when every group column of in is a String and every selected value in
-// it is at most one byte, and reports whether it did. One pass checks the
-// lengths and walks the table; a tuple whose key the table lacks is only
-// marked, so nothing is opened before the batch is accepted. The table is
-// only a cache in front of the map: a marked tuple is walked again, in
-// order, since an earlier one of the batch may have opened its group, and
-// a key still unseen goes through groupOf. So ids keep their first-sight
-// order and a group is the same one whichever path each batch takes.
+// it is at most one byte, and reports whether it did. One pass walks the
+// table — from the values' codes when every group column carries them,
+// checking the strings' lengths otherwise; a tuple whose key the table
+// lacks is only marked, so nothing is opened before the batch is
+// accepted. The table is only a cache in front of the map: a marked tuple
+// is walked again through its strings, in order, since an earlier one of
+// the batch may have opened its group, and a key still unseen goes
+// through groupOf. So ids keep their first-sight order and a group is the
+// same one whichever path each batch takes.
 func (a *HashAggr) groupIDsDirect(in *Batch, sel []int32) bool {
-	a.strs = a.strs[:0]
+	a.strs, a.codes = a.strs[:0], a.codes[:0]
 	for _, g := range a.Groups {
 		v := in.Vecs[g]
 		if v.T != storage.String {
 			return false
 		}
 		a.strs = append(a.strs, v.Str[:in.N])
+		if v.Code != nil {
+			a.codes = append(a.codes, v.Code[:in.N])
+		}
 	}
 	if a.direct == nil {
 		a.direct = make([]int32, 2*directNode)
 	}
 	t, strs, gids, missed := a.direct, a.strs, a.gids[:len(sel)], false
-	for j, i := range sel {
-		e, ok := directWalk(t, strs, i)
-		if !ok {
-			return false
+	if codes := a.codes; len(codes) == len(strs) {
+		// A column at a time: no tuple waits on another's loads.
+		root, col := t[directNode+1:][:256], codes[0]
+		for j, i := range sel {
+			gids[j] = root[col[i]]
 		}
+		for _, col := range codes[1:] {
+			for j, i := range sel {
+				gids[j] = t[int(gids[j])*directNode+1+int(col[i])]
+			}
+		}
+	} else {
+		for j, i := range sel {
+			e, ok := directWalk(t, strs, i)
+			if !ok {
+				return false
+			}
+			gids[j] = e
+		}
+	}
+	for j, e := range gids {
 		if e == 0 {
 			missed = true
 		}

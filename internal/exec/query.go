@@ -24,8 +24,10 @@ func NewQueryCtx(r rt.Runtime) *QueryCtx { return rt.NewQueryCtx(r) }
 // WithQuery returns a shallow copy of the context bound to the given
 // query lifecycle. The engine wiring (pool, ABM, CPU) is shared; only
 // the lifecycle differs, so one environment serves many concurrent
-// queries each with its own cancel scope.
+// queries each with its own cancel scope. The copy shares c's free list
+// of vector buffers.
 func (c *Ctx) WithQuery(q *QueryCtx) *Ctx {
+	c.freeList()
 	cp := *c
 	cp.Query = q
 	return &cp

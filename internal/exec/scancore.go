@@ -27,6 +27,9 @@ type scanCore struct {
 	// and of the device waits they share it with (nil when the plan has
 	// no lifecycle handle).
 	pace *QueryCtx
+	// lease is the plan root's, which the scan's own buffers come from
+	// (nil: the scan runs under no root, and makes them).
+	lease *lease
 }
 
 // scanFilter is a predicate scan's exact filter: Between over the
@@ -58,7 +61,7 @@ func (c *scanCore) open(op string, ctx *Ctx, snap *storage.Snapshot, cols []int,
 	}
 	c.out = NewBatch(c.schema(snap, cols))
 	c.pace = ctx.Query.Fork()
-	c.merge = newSegCursor(c.out, cols, read)
+	c.merge = newSegCursor(c.out, cols, read, c.lease)
 	if pred != nil {
 		pos := slices.Index(cols, pred.Col)
 		if pos < 0 {

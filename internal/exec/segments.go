@@ -77,16 +77,20 @@ func clipToSIDs(ranges []RIDRange, deltas *pdt.PDT, sidLo, sidHi int64) []RIDRan
 //
 // A stable read that starts a vector, lies inside one page and belongs to
 // a run without modifications is not copied: the vector takes the page's
-// memory (page). That is legal because page slices are immutable and never
-// reused — pool frames and ABM chunks only account for residency — so the
-// pins stay exactly where they are. Any other read copies into the scan's
-// own buffer for the column, which is made on the column's first copy and
-// kept for the life of the scan (owned): a scan whose every vector
-// aliases a page makes none.
+// memory (page), its one-byte codes included. That is legal because page
+// slices are immutable and never reused — pool frames and ABM chunks only
+// account for residency — so the pins stay exactly where they are. Any
+// other read copies into the scan's own buffer for the column (owned),
+// taken on the column's first copy from the plan root's lease (the
+// context's free list) and kept until that root closes: a scan whose
+// every vector aliases a page takes none. A copy keeps a String vector's
+// codes while every page it copies from has them; a modification or an
+// inserted row drops them.
 type segCursor struct {
-	cols []int
-	read colReader
-	own  []colBuf // per column
+	cols  []int
+	read  colReader
+	own   []colBuf // per column
+	lease *lease   // where a column's own buffer comes from
 
 	segs []pdt.Segment
 	seg  int   // current segment
@@ -104,9 +108,9 @@ type colBuf struct {
 }
 
 // newSegCursor points out's vectors at the scan's own buffers, which are
-// not made yet.
-func newSegCursor(out *Batch, cols []int, read colReader) segCursor {
-	c := segCursor{cols: cols, read: read, own: make([]colBuf, len(out.Vecs))}
+// not taken yet.
+func newSegCursor(out *Batch, cols []int, read colReader, l *lease) segCursor {
+	c := segCursor{cols: cols, read: read, own: make([]colBuf, len(out.Vecs)), lease: l}
 	for i, v := range out.Vecs {
 		c.own[i].buf = *v
 	}
@@ -123,10 +127,12 @@ func (c *segCursor) rewind(out *Batch) {
 
 // owned makes column i's vector v the scan's own buffer, so that it can
 // be appended to and written: a page's memory is copied there, and the
-// buffer is made if this is the column's first copy.
+// buffer is taken if this is the column's first copy.
 func (c *segCursor) owned(i int, v *Vec) {
 	if o := &c.own[i]; o.alias || v.Len() == 0 {
-		o.buf.reserve(VectorSize)
+		if o.buf.empty() {
+			o.buf = c.lease.take(o.buf.T)
+		}
 		buf := o.buf
 		buf.appendVec(v)
 		*v, o.alias = buf, false
@@ -214,6 +220,9 @@ func (c *segCursor) page(i int, pg *storage.Page, lo, hi int64, out *Vec) {
 			out.F64 = pg.F64[a:b:b]
 		case storage.String:
 			out.Str = pg.Str[a:b:b]
+			if out.Code = nil; pg.Code != nil {
+				out.Code = pg.Code[a:b:b]
+			}
 		}
 		c.own[i].alias = true
 		return
@@ -226,6 +235,7 @@ func (c *segCursor) page(i int, pg *storage.Page, lo, hi int64, out *Vec) {
 	case storage.Float64:
 		out.F64 = append(out.F64, pg.F64[a:b]...)
 	case storage.String:
+		out.Code = appendCodes(out.Code, pg.Code, a, b)
 		out.Str = append(out.Str, pg.Str[a:b]...)
 	}
 }
@@ -238,6 +248,7 @@ func setVec(v *Vec, i int, val pdt.Value) {
 		v.F64[i] = val.F64
 	case storage.String:
 		v.Str[i] = val.Str
+		v.Code = nil
 	}
 }
 
@@ -249,6 +260,7 @@ func appendVal(v *Vec, val pdt.Value) {
 		v.F64 = append(v.F64, val.F64)
 	case storage.String:
 		v.Str = append(v.Str, val.Str)
+		v.Code = nil
 	}
 }
 

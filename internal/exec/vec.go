@@ -38,6 +38,11 @@ type Vec struct {
 	I64 []int64
 	F64 []float64
 	Str []string
+	// Code, when non-nil, is a String vector's values as bytes: every
+	// value is one byte long and Code[i] == Str[i][0]. A scan carries it
+	// from pages that have it (storage.Page.Code); every other writer of
+	// Str drops it.
+	Code []byte
 }
 
 // Len returns the number of values.
@@ -57,7 +62,11 @@ func (v *Vec) Reset() {
 	v.I64 = v.I64[:0]
 	v.F64 = v.F64[:0]
 	v.Str = v.Str[:0]
+	v.Code = nil
 }
+
+// empty reports whether v has no buffer: no room for a value.
+func (v *Vec) empty() bool { return cap(v.I64)+cap(v.F64)+cap(v.Str) == 0 }
 
 // reserve gives v room for n more values.
 func (v *Vec) reserve(n int) {
@@ -79,8 +88,23 @@ func (v *Vec) appendVec(src *Vec) {
 	case storage.Float64:
 		v.F64 = append(v.F64, src.F64...)
 	case storage.String:
+		v.Code = appendCodes(v.Code, src.Code, 0, int64(len(src.Str)))
 		v.Str = append(v.Str, src.Str...)
 	}
+}
+
+// appendCodes appends the codes src[a:b] of the values appended to a
+// vector to its codes dst (src nil: those values have none): the vector
+// keeps carrying codes only while every value appended to it comes with
+// its own.
+func appendCodes(dst, src []byte, a, b int64) []byte {
+	if a == b {
+		return dst
+	}
+	if dst == nil || src == nil {
+		return nil
+	}
+	return append(dst, src[a:b]...)
 }
 
 // gather appends src's values at the positions idx to v: the one way
@@ -93,6 +117,7 @@ func (v *Vec) gather(src *Vec, idx []int32) {
 		v.F64 = gather(v.F64, src.F64, idx)
 	case storage.String:
 		v.Str = gather(v.Str, src.Str, idx)
+		v.Code = nil
 	}
 }
 
@@ -178,30 +203,41 @@ type Operator interface {
 	Schema() []storage.ColumnType
 }
 
+// Run runs op as the root of a plan: it opens op, hands each batch to
+// each until each returns false or the batches end, and closes op. The
+// vector buffers the plan took from its context's free list go back after
+// the Close, once nothing reads the batches they held.
+func Run(op Op, each func(*Batch) bool) {
+	l := newLease(op)
+	op.Open()
+	defer l.release()
+	defer op.Close()
+	for b := op.Next(); b != nil && each(b); b = op.Next() {
+	}
+}
+
 // Drain runs op to completion and returns the total tuple count (utility
 // for tests and benchmarks).
-func Drain(op Operator) int64 {
-	op.Open()
-	defer op.Close()
+func Drain(op Op) int64 {
 	var n int64
-	for b := op.Next(); b != nil; b = op.Next() {
+	Run(op, func(b *Batch) bool {
 		n += int64(b.N)
-	}
+		return true
+	})
 	return n
 }
 
 // Collect runs op to completion and materializes its result in one batch
 // (HashJoin's build side, Sort's input, tests).
-func Collect(op Operator) *Batch {
-	op.Open()
-	defer op.Close()
+func Collect(op Op) *Batch {
 	out := NewBatch(op.Schema())
-	for b := op.Next(); b != nil; b = op.Next() {
+	Run(op, func(b *Batch) bool {
 		for c, v := range out.Vecs {
 			v.appendVec(b.Vecs[c])
 		}
 		out.N += b.N
-	}
+		return true
+	})
 	return out
 }
 

@@ -88,17 +88,12 @@ func (x *XChg) Open() {
 // produce runs one subplan to its end, or until the query is cancelled
 // or the consumer closes, pushing a copy of every batch: the producer's
 // batch is reused on its next call, while the consumer drains
-// asynchronously.
+// asynchronously. The subplan is a root (Run): the copies are what the
+// consumer reads, so its buffers go back when it closes.
 func (x *XChg) produce(mk func() Op) {
-	op := mk()
-	op.Open()
-	for !x.Ctx.Query.Cancelled() {
-		b := op.Next()
-		if b == nil || !x.push(copyBatch(x.schema, b)) {
-			break
-		}
-	}
-	op.Close()
+	Run(mk(), func(b *Batch) bool {
+		return x.push(copyBatch(x.schema, b)) && !x.Ctx.Query.Cancelled()
+	})
 	x.mu.Lock()
 	x.running--
 	x.mu.Unlock()

@@ -101,6 +101,10 @@ type Page struct {
 	I64 []int64
 	F64 []float64
 	Str []string
+	// Code is a String page's values as bytes when every one of them is
+	// exactly one byte long (Code[i] == Str[i][0]), nil otherwise. Str
+	// stays the values; Code only lets a reader skip the string headers.
+	Code []byte
 }
 
 // LastSID returns the SID one past the final tuple on the page.
@@ -312,11 +316,25 @@ func (s *Snapshot) Append(data *ColumnData) (*Snapshot, error) {
 				p.F64 = data.F64[i][off : off+cnt : off+cnt]
 			case String:
 				p.Str = data.Str[i][off : off+cnt : off+cnt]
+				p.Code = codes(p.Str)
 			}
 			ns.cols[i] = append(ns.cols[i], p)
 		}
 	}
 	return ns, nil
+}
+
+// codes is strs as bytes when every one of them is exactly one byte long,
+// and nil otherwise.
+func codes(strs []string) []byte {
+	code := make([]byte, len(strs))
+	for i, s := range strs {
+		if len(s) != 1 {
+			return nil
+		}
+		code[i] = s[0]
+	}
+	return code
 }
 
 // forkBase returns the conflict-check anchor for a snapshot derived from

@@ -337,14 +337,13 @@ func (en *ServeEngine) Execute(tk *sched.Ticket, qc *exec.QueryCtx, d Draw, emit
 		tk.Done()
 		return 0, err
 	}
-	plan.Open()
-	for b := plan.Next(); b != nil; b = plan.Next() {
+	exec.Run(plan, func(b *exec.Batch) bool {
 		if emit != nil && !emit(b) {
 			qc.Cancel(rt.CauseClientCancel)
-			break
+			return false
 		}
-	}
-	plan.Close()
+		return true
+	})
 	if qc.Cancelled() {
 		tk.Cancel(qc.Cause())
 	} else {

@@ -78,7 +78,7 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet, server, client bool) {
 		{"streams", false, true, func(n, u string) { fs.IntVar(&o.Streams, n, o.Streams, u) }, "override concurrent streams", "", "concurrent client streams"},
 		{"queries", false, true, func(n, u string) { fs.IntVar(&o.QueriesPerStream, n, o.QueriesPerStream, u) }, "override queries per stream", "", "queries per stream"},
 		{"threads", true, false, func(n, u string) { fs.IntVar(&o.ThreadsPerQuery, n, o.ThreadsPerQuery, u) }, "override threads per query", "", ""},
-		{"cores", true, false, func(n, u string) { fs.IntVar(&o.Cores, n, o.Cores, u) }, "override simulated cores", "override worker-pool cores", ""},
+		{"cores", true, false, func(n, u string) { fs.IntVar(&o.Cores, n, o.Cores, u) }, "override simulated cores", "", ""},
 		{"cpu", true, false, func(n, u string) { fs.DurationVar(&o.PerTupleCPU, n, o.PerTupleCPU, u) }, "override per-tuple CPU cost", "", ""},
 	} {
 		usage := f.usage
