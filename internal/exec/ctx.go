@@ -88,14 +88,30 @@ type Ctx struct {
 	free *freeVecs
 }
 
-// maxFreeVecs bounds each column type's free list, so that a burst of
-// queries cannot keep its buffers for the context's life. A §4.1 rep (64
-// scan threads at once) leaves at most 441 Float64 buffers on it.
+// maxFreeVecs bounds each list of a context's free list, so that a burst
+// of queries cannot keep its buffers for the context's life. A §4.1 rep
+// (64 scan threads at once) leaves at most 441 Float64 buffers on it.
 const maxFreeVecs = 1024
 
-// freeVecs is a context's free list of vector buffers, one list per
-// column type; each buffer is empty, with room for VectorSize values.
-type freeVecs [3][]Vec
+// freeVecs is a context's free list of scratch buffers, each empty: one
+// list of vector buffers per column type, with room for VectorSize
+// values, one list of int32 buffers per intKind, with the room they grew
+// to, and operators' output batches, their vectors dropped.
+type freeVecs struct {
+	vecs    [3][]Vec
+	ints    [3][][]int32
+	batches []*Batch
+}
+
+// An intKind sorts the int32 scratch of the plan's operators by the room
+// it grows to.
+type intKind int
+
+const (
+	posBuf   intKind = iota // positions or group ids: a vector's worth
+	tableBuf                // a HashAggr's direct table: the nodes it met
+	runsBuf                 // a HashAggr's runs: a vector's per group
+)
 
 // freeMu guards every context's free list, and its making.
 var freeMu sync.Mutex
@@ -110,16 +126,27 @@ func (c *Ctx) freeList() *freeVecs {
 	return c.free
 }
 
-// A lease is what one plan root takes from its context's free list: the
-// own buffers of its scans' columns, its projections' computed vectors
-// and their arithmetic's operand scratch. A root is what Run runs — a
-// query's plan, or an XChg part — and its buffers go back when the root
-// closes, never when the operator that took them does: a vector handed
-// downstream may be read after its producer is done. A part's buffers
-// may go back at its Close, since XChg queues copies of its batches.
+// A lease is what one plan root takes from its context's free list: its
+// operators' output batches, the own buffers of its scans' columns, its
+// projections' computed vectors and their arithmetic's operand scratch,
+// and its filters' and aggregates' int32 scratch. A root is what Run runs
+// — a query's plan, or an XChg part — and its buffers go back when the
+// root closes, never when the operator that took them does: a vector
+// handed downstream may be read after its producer is done. A part's
+// buffers may go back at its Close, since XChg queues copies of its
+// batches.
 type lease struct {
-	free *freeVecs // its scans' context's; nil: no scan, buffers are made
-	vecs []Vec     // every buffer taken, as it was taken
+	free    *freeVecs  // its scans' context's; nil: no scan, buffers are made
+	vecs    []Vec      // every vector buffer taken, as it was taken
+	held    []leaseInt // every int32 scratch it hands back
+	batches []*Batch   // every output batch taken
+}
+
+// leaseInt is an operator's int32 scratch on a lease: a buffer it holds
+// when the lease is released goes back to the kind's list.
+type leaseInt struct {
+	p    *[]int32
+	kind intKind
 }
 
 // newLease binds the operators of op's plan that take buffers to a lease
@@ -144,8 +171,10 @@ func (l *lease) bind(op Op) {
 		op.lease = l
 		l.bind(op.Child)
 	case *Select:
+		op.lease = l
 		l.bind(op.Child)
 	case *HashAggr:
+		op.lease = l
 		l.bind(op.Child)
 	case *HashJoin:
 		l.bind(op.Probe)
@@ -166,8 +195,8 @@ func (l *lease) take(t storage.ColumnType) Vec {
 	v, keep := Vec{T: t}, l != nil && l.free != nil
 	if keep {
 		freeMu.Lock()
-		if list := l.free[t]; len(list) > 0 {
-			v, l.free[t] = list[len(list)-1], list[:len(list)-1]
+		if list := l.free.vecs[t]; len(list) > 0 {
+			v, l.free.vecs[t] = list[len(list)-1], list[:len(list)-1]
 		}
 		freeMu.Unlock()
 	}
@@ -183,14 +212,70 @@ func (l *lease) take(t storage.ColumnType) Vec {
 	return v
 }
 
+// batch returns an empty batch of the given column types for an
+// operator's output: one from the free list if it has one, a new one
+// otherwise. l keeps it until release, when it goes back with its vectors
+// dropped, since they may hold a page's memory or another operator's
+// buffer. A lease without a free list (or a nil one) makes a new one and
+// keeps nothing.
+func (l *lease) batch(types []storage.ColumnType) *Batch {
+	if l == nil || l.free == nil {
+		return NewBatch(types)
+	}
+	var b *Batch
+	freeMu.Lock()
+	if list := l.free.batches; len(list) > 0 {
+		b, l.free.batches = list[len(list)-1], list[:len(list)-1]
+	}
+	freeMu.Unlock()
+	if b == nil {
+		b = new(Batch)
+	}
+	b.retype(types)
+	l.batches = append(l.batches, b)
+	return b
+}
+
+// ints sets *p, an operator's int32 scratch, to length n (contents
+// unspecified). Its first buffer comes from the free list when that has
+// one of the kind; the operator's later calls grow it as they need. At
+// release l takes back whatever buffer *p then holds and leaves *p nil. A
+// lease without a free list (or a nil one) only resizes.
+func (l *lease) ints(p *[]int32, kind intKind, n int) {
+	if *p == nil && l != nil && l.free != nil {
+		freeMu.Lock()
+		if list := l.free.ints[kind]; len(list) > 0 {
+			*p, l.free.ints[kind] = list[len(list)-1], list[:len(list)-1]
+		}
+		freeMu.Unlock()
+		l.held = append(l.held, leaseInt{p, kind})
+	}
+	if *p = resize(*p, n); *p == nil {
+		*p = []int32{} // a held scratch is never nil, so it is held once
+	}
+}
+
 // release hands every buffer l took back to the free list, as far as the
 // list's bound allows. Call it once, after the root has closed.
 func (l *lease) release() {
 	freeMu.Lock()
 	defer freeMu.Unlock()
 	for _, v := range l.vecs {
-		if list := &l.free[v.T]; len(*list) < maxFreeVecs {
+		if list := &l.free.vecs[v.T]; len(*list) < maxFreeVecs {
 			*list = append(*list, v)
+		}
+	}
+	for _, s := range l.held {
+		if list := &l.free.ints[s.kind]; cap(*s.p) > 0 && len(*list) < maxFreeVecs {
+			*list = append(*list, (*s.p)[:0])
+		}
+		*s.p = nil
+	}
+	for _, b := range l.batches {
+		clear(b.own)
+		clear(b.Vecs)
+		if len(l.free.batches) < maxFreeVecs {
+			l.free.batches = append(l.free.batches, b)
 		}
 	}
 }

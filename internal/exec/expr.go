@@ -25,26 +25,21 @@ type Expr interface {
 // the positions still selected and keeps those that qualify. Cmp, And
 // and Where narrow; a Select whose predicate does not falls back to Eval.
 type narrower interface {
-	// narrow keeps the positions of sel (ascending, within [0, b.N))
-	// whose tuple satisfies the predicate, compacting sel in place.
-	narrow(b *Batch, sel []int32) []int32
+	// narrow writes the positions of sel whose tuple satisfies the
+	// predicate to out, from its start, and returns them. sel is ascending
+	// within [0, b.N); out has room for len(sel) positions and may be sel
+	// itself, which is then compacted in place.
+	narrow(b *Batch, sel, out []int32) []int32
 }
 
-// narrow applies pred to sel: directly when pred is a narrower, through
-// its 0/1 Eval into scratch otherwise.
-func narrow(pred Expr, b *Batch, sel []int32, scratch *Vec) []int32 {
+// narrow applies pred to sel, writing the survivors to out: directly when
+// pred is a narrower, through its 0/1 Eval into scratch otherwise.
+func narrow(pred Expr, b *Batch, sel, out []int32, scratch *Vec) []int32 {
 	if p, ok := pred.(narrower); ok {
-		return p.narrow(b, sel)
+		return p.narrow(b, sel, out)
 	}
 	pred.Eval(b, scratch)
-	n := 0
-	for _, i := range sel {
-		sel[n] = i
-		if scratch.I64[i] != 0 {
-			n++
-		}
-	}
-	return sel[:n]
+	return selConst('!', false, scratch.I64[:b.N], 0, sel, out)
 }
 
 // identity returns buf as the selection of all n positions.
@@ -54,6 +49,21 @@ func identity(buf []int32, n int) []int32 {
 		buf[i] = int32(i)
 	}
 	return buf
+}
+
+// every is the selection of every position of a vector, shared and never
+// written: a batch's first filter narrows from it into a buffer of its
+// own, so no identity is filled per batch.
+var every = identity(nil, VectorSize)
+
+// all is the selection of all n positions for a first filter that writes
+// its survivors to buf: a prefix of every, or buf filled when n is wider
+// than a vector (a join's output), to be narrowed in place.
+func all(buf []int32, n int) []int32 {
+	if n <= VectorSize {
+		return every[:n]
+	}
+	return identity(buf, n)
 }
 
 // mark sets out to the 0/1 vector of length n that is 1 exactly at sel.
@@ -322,25 +332,25 @@ func (*Cmp) Type() storage.ColumnType { return storage.Int64 }
 
 // Eval implements Expr.
 func (c *Cmp) Eval(b *Batch, out *Vec) {
-	c.sel = identity(c.sel, b.N)
-	mark(out, b.N, c.narrow(b, c.sel))
+	c.sel = resize(c.sel, b.N)
+	mark(out, b.N, c.narrow(b, all(c.sel, b.N), c.sel))
 }
 
-func (c *Cmp) narrow(b *Batch, sel []int32) []int32 {
+func (c *Cmp) narrow(b *Batch, sel, out []int32) []int32 {
 	switch c.L.Type() {
 	case storage.Int64:
-		return cmpNarrow(c, b, sel, i64s, constI)
+		return cmpNarrow(c, b, sel, out, i64s, constI)
 	case storage.Float64:
-		return cmpNarrow(c, b, sel, f64s, constF)
+		return cmpNarrow(c, b, sel, out, f64s, constF)
 	default:
-		return cmpNarrow(c, b, sel, strs, constS)
+		return cmpNarrow(c, b, sel, out, strs, constS)
 	}
 }
 
 // cmpNarrow resolves c once for the vector — a literal on the left is
 // mirrored to the right, the six operators become one of three tests and
 // a negation — and runs the matching loop over sel.
-func cmpNarrow[T int64 | float64 | string](c *Cmp, b *Batch, sel []int32, vals func(*Vec) []T, konst func(Expr) (T, bool)) []int32 {
+func cmpNarrow[T int64 | float64 | string](c *Cmp, b *Batch, sel, out []int32, vals func(*Vec) []T, konst func(Expr) (T, bool)) []int32 {
 	op, l, r := c.Op, c.L, c.R
 	if _, lconst := konst(l); lconst {
 		if _, rconst := konst(r); !rconst {
@@ -377,70 +387,71 @@ func cmpNarrow[T int64 | float64 | string](c *Cmp, b *Batch, sel []int32, vals f
 	}
 	lv := vals(operand(l, b, &c.l))
 	if k, ok := konst(r); ok {
-		return selConst(test, neg, lv, k, sel)
+		return selConst(test, neg, lv, k, sel, out)
 	}
-	return selVec(test, neg, lv, vals(operand(r, b, &c.r)), sel)
+	return selVec(test, neg, lv, vals(operand(r, b, &c.r)), sel, out)
 }
 
-// selConst keeps the positions i of sel at which "v[i] test k" differs
-// from neg. Every position is written and the count only advances on a
-// hit, which the compiler turns into a conditional move: a filter of any
-// selectivity runs without a mispredicted branch per tuple.
-func selConst[T int64 | float64 | string](test byte, neg bool, v []T, k T, sel []int32) []int32 {
-	n := 0
+// selConst writes to out the positions i of sel at which "v[i] test k"
+// differs from neg, and returns them. Every position is written and the
+// count only advances on a hit, which the compiler turns into a
+// conditional move: a filter of any selectivity runs without a
+// mispredicted branch per tuple.
+func selConst[T int64 | float64 | string](test byte, neg bool, v []T, k T, sel, out []int32) []int32 {
+	n, out := 0, out[:len(sel)]
 	switch test {
 	case '<':
 		for _, i := range sel {
-			sel[n] = i
+			out[n] = i
 			if (v[i] < k) != neg {
 				n++
 			}
 		}
 	case '>':
 		for _, i := range sel {
-			sel[n] = i
+			out[n] = i
 			if (v[i] > k) != neg {
 				n++
 			}
 		}
 	default:
 		for _, i := range sel {
-			sel[n] = i
+			out[n] = i
 			if (v[i] < k || v[i] > k) != neg {
 				n++
 			}
 		}
 	}
-	return sel[:n]
+	return out[:n]
 }
 
 // selVec is selConst with a vector on the right.
-func selVec[T int64 | float64 | string](test byte, neg bool, l, r []T, sel []int32) []int32 {
-	n := 0
+func selVec[T int64 | float64 | string](test byte, neg bool, l, r []T, sel, out []int32) []int32 {
+	n, out := 0, out[:len(sel)]
 	switch test {
 	case '<':
 		for _, i := range sel {
-			sel[n] = i
+			out[n] = i
 			if (l[i] < r[i]) != neg {
 				n++
 			}
 		}
 	case '>':
 		for _, i := range sel {
-			sel[n] = i
+			out[n] = i
 			if (l[i] > r[i]) != neg {
 				n++
 			}
 		}
 	default:
 		for _, i := range sel {
-			sel[n] = i
+			out[n] = i
 			if (l[i] < r[i] || l[i] > r[i]) != neg {
 				n++
 			}
 		}
 	}
-	return sel[:n]
+	return out[:n]
 }
 
 func cmpOrdered[T int64 | float64](a, b T) int {
@@ -474,18 +485,24 @@ func (*And) Type() storage.ColumnType { return storage.Int64 }
 
 // Eval implements Expr.
 func (a *And) Eval(b *Batch, out *Vec) {
-	a.sel = identity(a.sel, b.N)
-	mark(out, b.N, a.narrow(b, a.sel))
+	a.sel = resize(a.sel, b.N)
+	mark(out, b.N, a.narrow(b, all(a.sel, b.N), a.sel))
 }
 
-// narrow runs the conjuncts in order, each over the survivors of the one
-// before; one that cannot narrow is evaluated whole and read at them.
-func (a *And) narrow(b *Batch, sel []int32) []int32 {
+// narrow runs the conjuncts in order: the first over sel into out, each
+// later one over the survivors of the one before, in place; one that
+// cannot narrow is evaluated whole and read at them. With no conjunct,
+// all of sel survives.
+func (a *And) narrow(b *Batch, sel, out []int32) []int32 {
+	if len(a.Kids) == 0 {
+		return out[:copy(out, sel)]
+	}
 	for _, k := range a.Kids {
 		if len(sel) == 0 {
-			break
+			return out[:0]
 		}
-		sel = narrow(k, b, sel, &a.tmp)
+		sel = narrow(k, b, sel, out, &a.tmp)
+		out = sel
 	}
 	return sel
 }
@@ -545,15 +562,15 @@ func (w Where) Eval(b *Batch, out *Vec) {
 	}
 }
 
-func (w Where) narrow(b *Batch, sel []int32) []int32 {
-	n := 0
+func (w Where) narrow(b *Batch, sel, out []int32) []int32 {
+	n, out := 0, out[:len(sel)]
 	for _, i := range sel {
-		sel[n] = i
+		out[n] = i
 		if w(b, int(i)) {
 			n++
 		}
 	}
-	return sel[:n]
+	return out[:n]
 }
 
 // StrEq tests string column col for equality with val.

@@ -52,9 +52,12 @@ func BenchmarkHashAggrGroups(b *testing.B) {
 // literal, and an InStr over the same numbers as strings, over shuffled
 // vectors of 0..VectorSize-1, so a filter keeps exactly its share of
 // tuples in no predictable order. It cycles through 64 vectors, more than
-// a branch predictor learns by heart. The comparison rows should be about
-// equal; a filter whose cost peaks near 50% is paying for mispredicted
-// branches.
+// a branch predictor learns by heart. Each filter runs in two forms: first
+// narrows every position (every, as a batch's first conjunct does) into a
+// buffer, half narrows a fixed selection of the even positions (as each
+// later conjunct narrows its predecessor's survivors); ns/tuple is per
+// position read. The comparison rows should be about equal; a filter
+// whose cost peaks near 50% is paying for mispredicted branches.
 func BenchmarkSelect(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ins := make([]*Batch, 64)
@@ -67,6 +70,10 @@ func BenchmarkSelect(b *testing.B) {
 		}
 		in.N = VectorSize
 		ins[k] = in
+	}
+	half := make([]int32, 0, VectorSize/2)
+	for i := 0; i < VectorSize; i += 2 {
+		half = append(half, int32(i))
 	}
 	for _, pct := range []int{1, 15, 50, 98} {
 		cut := VectorSize * pct / 100
@@ -82,16 +89,19 @@ func BenchmarkSelect(b *testing.B) {
 			{"float64>=", NewCmp(">=", col(2), ConstF(float64(VectorSize-cut)))},
 			{"InStr", InStr(4, set)},
 		} {
-			b.Run(fmt.Sprintf("%s/sel=%d%%", c.name, pct), func(b *testing.B) {
-				var sel []int32
-				var scratch Vec
-				for i := 0; i < b.N; i++ {
-					in := ins[i%len(ins)]
-					sel = identity(sel, in.N)
-					narrow(c.pred, in, sel, &scratch)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*VectorSize), "ns/tuple")
-			})
+			for _, f := range []struct {
+				form string
+				sel  []int32
+			}{{"first", every}, {"half", half}} {
+				b.Run(fmt.Sprintf("%s/%s/sel=%d%%", f.form, c.name, pct), func(b *testing.B) {
+					out := make([]int32, VectorSize)
+					var scratch Vec
+					for i := 0; i < b.N; i++ {
+						narrow(c.pred, ins[i%len(ins)], f.sel, out, &scratch)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(f.sel)), "ns/tuple")
+				})
+			}
 		}
 	}
 }

@@ -257,6 +257,76 @@ func TestDifferentialSelect(t *testing.T) {
 	}
 }
 
+// TestDifferentialSelectDense: the first filter of a batch narrows from
+// every position — the shared, read-only identity every, or for a batch
+// wider than a vector its own buffer filled — into a buffer of its own,
+// and keeps exactly the positions the reference marks 1, for a first
+// conjunct that narrows (Cmp, Where), that does not (Or, oddExpr), that
+// is a nested And (Q6's Between) or an And with no conjuncts, and for an
+// And with none; over the same predicates a random ascending selection,
+// compacted in place, keeps exactly its positions the reference marks.
+// Batches hold 0, 1, 63, 700, VectorSize and VectorSize+300 tuples, and a
+// Select over a stream of them, the empty one included, gives the
+// reference's rows. Each form runs twice on one node, so scratch left by
+// one batch must not reach the next; every must still be the identity at
+// the end.
+func TestDifferentialSelectDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for round := 0; round < 6; round++ {
+		card := []int{1, 3, 40}[round%3]
+		cmp := func() Expr {
+			return []Expr{NewCmp("<=", col(0), ConstI(rng.Intn(9)-4)), NewCmp(">", col(2), col(3)), NewCmp("!=", col(4), col(5))}[rng.Intn(3)]
+		}
+		preds, _ := kernelExprs(rng)
+		preds = append(preds,
+			NewAnd(NewOr(cmp(), cmp()), cmp()),
+			NewAnd(oddExpr{col: 1}, cmp()),
+			NewAnd(StrEq(4, "A"), cmp()),
+			NewAnd(Between(col(0), -3, 3), NewCmp(">=", col(2), ConstF(0)), cmp()),
+			NewAnd(NewAnd(), cmp()),
+			NewAnd(),
+			NewAnd(NewAnd(NewAnd(cmp(), cmp()), cmp()), oddExpr{col: 0}),
+			NewOr(cmp(), cmp()), oddExpr{col: 1}, StrEq(5, "s1"), Between(col(1), -2, 2))
+		var batches []*Batch
+		for _, n := range []int{0, 1, 63, 700, VectorSize, VectorSize + 300} {
+			batches = append(batches, randBatch(rng, n, card))
+		}
+		for i, p := range preds {
+			for _, b := range append(batches, batches...) {
+				var ref, scratch Vec
+				refEval(p, b, &ref)
+				var want, sel, wantSel []int32
+				for i := 0; i < b.N; i++ {
+					if ref.I64[i] != 0 {
+						want = append(want, int32(i))
+					}
+					if rng.Intn(3) > 0 {
+						sel = append(sel, int32(i))
+						if ref.I64[i] != 0 {
+							wantSel = append(wantSel, int32(i))
+						}
+					}
+				}
+				out := make([]int32, b.N)
+				if got := narrow(p, b, all(out, b.N), out, &scratch); !slices.Equal(got, want) {
+					t.Fatalf("round %d pred %d (%T %+v) n=%d: first narrow kept %v, reference %v", round, i, p, p, b.N, got, want)
+				}
+				if got := narrow(p, b, sel, sel, &scratch); !slices.Equal(got, wantSel) {
+					t.Fatalf("round %d pred %d (%T %+v) n=%d: narrow over a selection kept %v, reference %v", round, i, p, p, b.N, got, wantSel)
+				}
+			}
+			got := Collect(&Select{Child: &manyBatches{batches: batches}, Pred: p})
+			want := Collect(&refSelect{Child: &manyBatches{batches: batches}, Pred: p})
+			if !sameBatch(got, want) {
+				t.Fatalf("round %d pred %d (%T %+v): Select kept %d rows, reference %d", round, i, p, p, got.N, want.N)
+			}
+		}
+	}
+	if !slices.Equal(every, identity(nil, VectorSize)) {
+		t.Fatal("a filter wrote into the shared identity every")
+	}
+}
+
 // TestDifferentialWhere holds the five per-tuple constructors to the types
 // they replaced (reference_test.go) over random batches with empty,
 // non-ASCII and invalid UTF-8 strings, constants longer than the values,
@@ -318,7 +388,7 @@ func TestDifferentialWhere(t *testing.T) {
 						}
 					}
 				}
-				if gotSel := f.got.(narrower).narrow(b, sel); !slices.Equal(gotSel, wantSel) {
+				if gotSel := f.got.(narrower).narrow(b, sel, sel); !slices.Equal(gotSel, wantSel) {
 					t.Fatalf("round %d %s %s (%q %v %v): narrow kept %v, reference %v", round, c.name, f.form, s, iset, sset, gotSel, wantSel)
 				}
 			}
@@ -657,6 +727,95 @@ func TestDifferentialFusedAggr(t *testing.T) {
 					}
 					if used, want := aggr.direct != nil, slices.Equal(groups, []int{0, 1}); used != want {
 						t.Fatalf("groups %v: direct table used %v, want %v", groups, used, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDifferentialFold: fold leaves every count and float sum where
+// refFold, the tuple-at-a-time loop it replaced, leaves it — sums compared
+// by their bits, except that any NaN equals any NaN, as in sameVec —
+// over streams of batches whose group ids come in long
+// runs, in short alternating runs or at random, with 1, 3 and 4 groups
+// (fold adds group by group) and 5, 16 and 17 (tuple by tuple), 0 to 6
+// float slots (one pass of sums and two), values among them
+// -0, NaN, ±Inf and subnormals, read densely and through a random
+// selection. Groups open over the stream as their ids first appear.
+func TestDifferentialFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	edges := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -2.5e-310, 1e300}
+	for _, ng := range []int{1, 3, 4, 5, 16, 17} {
+		for w := 0; w <= 6; w++ {
+			for _, stream := range []string{"runs", "alternating", "random"} {
+				for _, selected := range []bool{false, true} {
+					got, want := &HashAggr{}, &HashAggr{}
+					for _, a := range []*HashAggr{got, want} {
+						for k := 0; k < w; k++ {
+							a.summed = append(a.summed, k)
+						}
+						a.cols = make([][]float64, w)
+					}
+					g := 0
+					for batch := 0; batch < 5; batch++ {
+						in := NewBatch(make([]storage.ColumnType, w))
+						for _, v := range in.Vecs {
+							v.T = storage.Float64
+						}
+						in.N = []int{VectorSize, 1 + rng.Intn(VectorSize), 0}[rng.Intn(3)]
+						for _, v := range in.Vecs {
+							for i := 0; i < in.N; i++ {
+								x := rng.NormFloat64() * 1e3
+								if rng.Intn(8) == 0 {
+									x = edges[rng.Intn(len(edges))]
+								}
+								v.F64 = append(v.F64, x)
+							}
+						}
+						sel := identity(nil, in.N)
+						if selected {
+							sel = sel[:0]
+							for i := 0; i < in.N; i++ {
+								if rng.Intn(3) > 0 {
+									sel = append(sel, int32(i))
+								}
+							}
+						}
+						var gids []int32
+						for run := 0; len(gids) < len(sel); run-- {
+							switch stream {
+							case "runs":
+								if run <= 0 {
+									g, run = rng.Intn(ng), 50+rng.Intn(400)
+								}
+							case "alternating":
+								if run <= 0 {
+									g, run = (g+1)%ng, 1+rng.Intn(3)
+								}
+							default:
+								g = rng.Intn(ng)
+							}
+							gids = append(gids, int32(g))
+						}
+						known := len(got.counts)
+						for _, id := range gids {
+							known = max(known, int(id)+1)
+						}
+						for _, a := range []*HashAggr{got, want} {
+							a.gids, a.fresh = slices.Clone(gids), make([]int32, known-len(a.counts))
+						}
+						got.fold(in, sel)
+						want.refFold(in, sel)
+						if !slices.Equal(got.counts, want.counts) {
+							t.Fatalf("%d groups, %d slots, %s, selected %v, batch %d: counts %v, reference %v", ng, w, stream, selected, batch, got.counts, want.counts)
+						}
+						for i := range want.sums {
+							if x, y := got.sums[i], want.sums[i]; math.Float64bits(x) != math.Float64bits(y) && !(x != x && y != y) {
+								t.Fatalf("%d groups, %d slots, %s, selected %v, batch %d: sum %d is %v (%#x), reference %v (%#x)",
+									ng, w, stream, selected, batch, i, got.sums[i], math.Float64bits(got.sums[i]), want.sums[i], math.Float64bits(want.sums[i]))
+							}
+						}
 					}
 				}
 			}

@@ -22,10 +22,11 @@ type Select struct {
 	Child Op
 	Pred  Expr
 
-	out    *Batch
+	out    *Batch // the gathered survivors, made at the first Next
 	pred   Vec
 	sel    []int32
 	closed bool
+	lease  *lease // the plan root's, which sel and out come from (nil: made)
 }
 
 // Op is an alias to keep plan literals compact.
@@ -35,10 +36,7 @@ type Op = Operator
 func (s *Select) Schema() []storage.ColumnType { return s.Child.Schema() }
 
 // Open implements Operator.
-func (s *Select) Open() {
-	s.Child.Open()
-	s.out = NewBatch(s.Child.Schema())
-}
+func (s *Select) Open() { s.Child.Open() }
 
 // selector is an operator that can hand on its output without gathering
 // it: nextSel returns the next batch (nil at end of stream) and the
@@ -54,6 +52,9 @@ func (s *Select) Next() *Batch {
 	if sel == nil {
 		return in
 	}
+	if s.out == nil {
+		s.out = s.lease.batch(s.Child.Schema())
+	}
 	s.out.gather(in, sel)
 	return s.out
 }
@@ -64,8 +65,8 @@ func (s *Select) nextSel() (*Batch, []int32) {
 		if in == nil {
 			return nil, nil
 		}
-		s.sel = identity(s.sel, in.N)
-		switch sel := narrow(s.Pred, in, s.sel, &s.pred); len(sel) {
+		s.lease.ints(&s.sel, posBuf, in.N)
+		switch sel := narrow(s.Pred, in, all(s.sel, in.N), s.sel, &s.pred); len(sel) {
 		case 0:
 		case in.N:
 			return in, nil
@@ -99,7 +100,7 @@ type Project struct {
 	own    []*Vec // per expression, the vector a computed one evaluates into
 	faults bool   // some expression may panic on a dropped tuple
 	closed bool
-	lease  *lease // the plan root's, which own and arithmetic scratch come from (nil: made)
+	lease  *lease // the plan root's, which out, own and arithmetic scratch come from (nil: made)
 }
 
 // Schema implements Operator.
@@ -114,7 +115,7 @@ func (p *Project) Schema() []storage.ColumnType {
 // Open implements Operator.
 func (p *Project) Open() {
 	p.Child.Open()
-	p.out = NewBatch(p.Schema())
+	p.out = p.lease.batch(p.Schema())
 	p.own = slices.Clone(p.out.Vecs)
 	p.faults = slices.ContainsFunc(p.Exprs, mayFault)
 	for i, e := range p.Exprs {
@@ -258,6 +259,7 @@ type HashAggr struct {
 	emitted  bool
 	out      *Batch
 	closed   bool
+	lease    *lease // the plan root's, which out and the int32 scratch come from (nil: made)
 
 	// direct caches ids for group keys of one-byte strings: a trie of
 	// directNode-entry nodes end to end, one level per group column. Node
@@ -277,6 +279,7 @@ type HashAggr struct {
 	gids  []int32     // by selected tuple: its group
 	fresh []int32     // positions of the tuples that opened a group
 	all   []int32     // the selection of a whole batch
+	runs  []int32     // the selected positions, group by group (foldRuns)
 }
 
 // directNode is the entries of one direct-table node: "" and the 256
@@ -308,8 +311,7 @@ func (a *HashAggr) Schema() []storage.ColumnType {
 func (a *HashAggr) Open() {
 	a.Child.Open()
 	a.ids = make(map[string]int32)
-	a.direct = nil
-	a.out = NewBatch(a.Schema())
+	a.out = a.lease.batch(a.Schema())
 	a.keys = nil
 	for _, v := range a.out.Vecs[:len(a.Groups)] {
 		a.keys = append(a.keys, &Vec{T: v.T})
@@ -393,7 +395,8 @@ func (a *HashAggr) consume() {
 func (a *HashAggr) add(in *Batch, sel []int32) {
 	if sel == nil {
 		if len(a.all) < in.N {
-			a.all = identity(a.all, in.N)
+			a.lease.ints(&a.all, posBuf, in.N)
+			identity(a.all, in.N)
 		}
 		sel = a.all[:in.N]
 	}
@@ -410,21 +413,26 @@ func (a *HashAggr) add(in *Batch, sel []int32) {
 }
 
 // fold adds the tuples of in at the positions sel to their groups: each
-// counts, and adds its values to the float sums of its group's row. A
-// pass adds four slots, and the last pass, of up to three, also counts:
-// Q6's one sum and Q1's five take one pass and two. Unrolled passes keep
-// every column in a register; one loop over all slots per tuple ran no
-// faster than a loop per slot. Every sum is built in input order, which
-// keeps it bit-identical to a tuple-at-a-time engine's.
+// counts, and adds its values to the float sums of its group's row. An
+// aggregate of at most runGroups groups adds group by group (foldRuns).
+// A larger one adds tuple by tuple, four slots a pass, and the last pass,
+// of up to three, also counts. Unrolled passes keep every column in a
+// register; one loop over all slots per tuple ran no faster than a loop
+// per slot. Every sum is built in input order, which keeps it
+// bit-identical to a tuple-at-a-time engine's.
 func (a *HashAggr) fold(in *Batch, sel []int32) {
 	w := len(a.summed)
 	a.counts = append(a.counts, make([]int64, len(a.fresh))...)
 	a.sums = append(a.sums, make([]float64, w*len(a.fresh))...)
 	cols := a.cols
 	for k, c := range a.summed {
-		cols[k] = in.Vecs[c].F64
+		cols[k] = in.Vecs[c].F64[:in.N]
 	}
 	counts, sums, gids, sel := a.counts, a.sums, a.gids, sel[:len(a.gids)]
+	if len(counts) <= runGroups && len(counts)*len(gids) < 1<<16 {
+		a.foldRuns(sel)
+		return
+	}
 	k := 0
 	for ; k+4 <= w; k += 4 {
 		c0, c1, c2, c3 := cols[k], cols[k+1], cols[k+2], cols[k+3]
@@ -467,6 +475,102 @@ func (a *HashAggr) fold(in *Batch, sel []int32) {
 	}
 }
 
+// runGroups is the most groups an aggregate may have for fold to add
+// group by group: Q1's four, its merge's four and a global aggregate's
+// one.
+const runGroups = 4
+
+// unit is, by group, one step of that group's cursor in foldRuns.
+var unit = [runGroups]uint64{1, 1 << 16, 1 << 32, 1 << 48}
+
+// foldRuns is fold over at most runGroups groups. One pass lays the
+// positions sel out group by group in runs, each group's run in a region
+// of len(gids) entries of its own, through cursors packed 16 bits each
+// into one register, so no tuple waits on another's store; a global
+// aggregate's run is sel itself. Then each group's run is added up with
+// every slot of its row in a local variable, and counted by its length.
+// So no add waits on the store of the one before, as it does when
+// consecutive tuples of one group add into the same row in memory, and
+// each group still adds its values in input order.
+func (a *HashAggr) foldRuns(sel []int32) {
+	ng, n, gids := len(a.counts), len(a.gids), a.gids
+	runs, cur := sel, uint64(n) // cur: by group, where its run ends in runs
+	if ng > 1 {
+		a.lease.ints(&a.runs, runsBuf, ng*n)
+		runs, cur = a.runs, 0
+		for g := 1; g < ng; g++ {
+			cur |= uint64(g*n) << (16 * g)
+		}
+		sel := sel[:n]
+		for j, g := range gids {
+			runs[cur>>(16*(g&3))&0xffff] = sel[j]
+			cur += unit[g&3]
+		}
+	}
+	w := len(a.summed)
+	for g := 0; g < ng; g++ {
+		run := runs[g*n : cur>>(16*g)&0xffff]
+		a.counts[g] += int64(len(run))
+		row := a.sums[g*w : (g+1)*w]
+		for k := 0; k < w; k += 5 {
+			sumRun(row[k:], a.cols[k:min(k+5, w)], run)
+		}
+	}
+}
+
+// sumRun adds the values of one to five columns of equal length at the
+// positions run to the sums row[0:len(cols)], in order, each sum in a
+// local variable.
+func sumRun(row []float64, cols [][]float64, run []int32) {
+	c0 := cols[0]
+	switch len(cols) {
+	case 1:
+		s0 := row[0]
+		for _, i := range run {
+			s0 += c0[i]
+		}
+		row[0] = s0
+	case 2:
+		c1 := cols[1][:len(c0)]
+		s0, s1 := row[0], row[1]
+		for _, i := range run {
+			s0 += c0[i]
+			s1 += c1[i]
+		}
+		row[0], row[1] = s0, s1
+	case 3:
+		c1, c2 := cols[1][:len(c0)], cols[2][:len(c0)]
+		s0, s1, s2 := row[0], row[1], row[2]
+		for _, i := range run {
+			s0 += c0[i]
+			s1 += c1[i]
+			s2 += c2[i]
+		}
+		row[0], row[1], row[2] = s0, s1, s2
+	case 4:
+		c1, c2, c3 := cols[1][:len(c0)], cols[2][:len(c0)], cols[3][:len(c0)]
+		s0, s1, s2, s3 := row[0], row[1], row[2], row[3]
+		for _, i := range run {
+			s0 += c0[i]
+			s1 += c1[i]
+			s2 += c2[i]
+			s3 += c3[i]
+		}
+		row[0], row[1], row[2], row[3] = s0, s1, s2, s3
+	default:
+		c1, c2, c3, c4 := cols[1][:len(c0)], cols[2][:len(c0)], cols[3][:len(c0)], cols[4][:len(c0)]
+		s0, s1, s2, s3, s4 := row[0], row[1], row[2], row[3], row[4]
+		for _, i := range run {
+			s0 += c0[i]
+			s1 += c1[i]
+			s2 += c2[i]
+			s3 += c3[i]
+			s4 += c4[i]
+		}
+		row[0], row[1], row[2], row[3], row[4] = s0, s1, s2, s3, s4
+	}
+}
+
 // groupIDs sets gids to the group of each tuple of in at the positions
 // sel, and fresh to the positions of those that opened one. Groups are
 // told apart by a binary key — eight bytes per number, a string's bytes
@@ -477,7 +581,7 @@ func (a *HashAggr) fold(in *Batch, sel []int32) {
 // table.
 func (a *HashAggr) groupIDs(in *Batch, sel []int32) {
 	n := len(sel)
-	a.gids = resize(a.gids, n)
+	a.lease.ints(&a.gids, posBuf, n)
 	a.fresh = a.fresh[:0]
 	if len(a.Groups) == 0 {
 		// A global aggregate is one group, opened by the first tuple.
@@ -584,8 +688,9 @@ func (a *HashAggr) groupIDsDirect(in *Batch, sel []int32) bool {
 			a.codes = append(a.codes, v.Code[:in.N])
 		}
 	}
-	if a.direct == nil {
-		a.direct = make([]int32, 2*directNode)
+	if len(a.direct) == 0 {
+		a.lease.ints(&a.direct, tableBuf, 2*directNode)
+		clear(a.direct)
 	}
 	t, strs, gids, missed := a.direct, a.strs, a.gids[:len(sel)], false
 	if codes := a.codes; len(codes) == len(strs) {

@@ -499,3 +499,57 @@ func (s refInStr) Eval(b *Batch, out *Vec) {
 		}
 	}
 }
+
+// refFold is HashAggr.fold as it was before an aggregate of few groups
+// added group by group, kept verbatim as the oracle of
+// TestDifferentialFold: every tuple adds into its group's row in memory.
+func (a *HashAggr) refFold(in *Batch, sel []int32) {
+	w := len(a.summed)
+	a.counts = append(a.counts, make([]int64, len(a.fresh))...)
+	a.sums = append(a.sums, make([]float64, w*len(a.fresh))...)
+	cols := a.cols
+	for k, c := range a.summed {
+		cols[k] = in.Vecs[c].F64
+	}
+	counts, sums, gids, sel := a.counts, a.sums, a.gids, sel[:len(a.gids)]
+	k := 0
+	for ; k+4 <= w; k += 4 {
+		c0, c1, c2, c3 := cols[k], cols[k+1], cols[k+2], cols[k+3]
+		for j, g := range gids {
+			i, row := sel[j], sums[int(g)*w+k:][:4]
+			row[0] += c0[i]
+			row[1] += c1[i]
+			row[2] += c2[i]
+			row[3] += c3[i]
+		}
+	}
+	switch cols := cols[k:]; len(cols) {
+	case 0:
+		for _, g := range gids {
+			counts[g]++
+		}
+	case 1:
+		c0 := cols[0]
+		for j, g := range gids {
+			counts[g]++
+			sums[int(g)*w+k] += c0[sel[j]]
+		}
+	case 2:
+		c0, c1 := cols[0], cols[1]
+		for j, g := range gids {
+			counts[g]++
+			i, row := sel[j], sums[int(g)*w+k:][:2]
+			row[0] += c0[i]
+			row[1] += c1[i]
+		}
+	case 3:
+		c0, c1, c2 := cols[0], cols[1], cols[2]
+		for j, g := range gids {
+			counts[g]++
+			i, row := sel[j], sums[int(g)*w+k:][:3]
+			row[0] += c0[i]
+			row[1] += c1[i]
+			row[2] += c2[i]
+		}
+	}
+}

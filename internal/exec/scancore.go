@@ -27,15 +27,15 @@ type scanCore struct {
 	// and of the device waits they share it with (nil when the plan has
 	// no lifecycle handle).
 	pace *QueryCtx
-	// lease is the plan root's, which the scan's own buffers come from
-	// (nil: the scan runs under no root, and makes them).
+	// lease is the plan root's, which the scan's batches and own buffers
+	// come from (nil: the scan runs under no root, and makes them).
 	lease *lease
 }
 
 // scanFilter is a predicate scan's exact filter: Between over the
 // predicate column's position in the vector, the selection it narrows
 // and the batch the survivors of a partly passing vector are gathered
-// into.
+// into, made when one first does.
 type scanFilter struct {
 	pred Expr
 	sel  []int32
@@ -59,7 +59,7 @@ func (c *scanCore) open(op string, ctx *Ctx, snap *storage.Snapshot, cols []int,
 	if c.out != nil {
 		panic("exec: " + op + " reopened")
 	}
-	c.out = NewBatch(c.schema(snap, cols))
+	c.out = c.lease.batch(c.schema(snap, cols))
 	c.pace = ctx.Query.Fork()
 	c.merge = newSegCursor(c.out, cols, read, c.lease)
 	if pred != nil {
@@ -68,7 +68,7 @@ func (c *scanCore) open(op string, ctx *Ctx, snap *storage.Snapshot, cols []int,
 			panic(fmt.Sprintf("exec: %s predicate on column %d, which it does not read (%v)", op, pred.Col, cols))
 		}
 		typeCheck(storage.Int64, c.types[pos], op+" predicate column")
-		c.filter = &scanFilter{pred: Between(Col{Idx: pos, T: storage.Int64}, pred.Lo, pred.Hi), out: NewBatch(c.types)}
+		c.filter = &scanFilter{pred: Between(Col{Idx: pos, T: storage.Int64}, pred.Lo, pred.Hi)}
 	}
 	ranges = ctx.pruneScanRanges(snap, ranges, pred, deltas)
 	checkRanges(op, snap, deltas, ranges)
@@ -112,12 +112,15 @@ func (c *scanCore) next(ctx *Ctx, advance func() bool, report func(consumed int6
 		if f == nil {
 			return c.out
 		}
-		f.sel = identity(f.sel, c.out.N)
-		switch sel := narrow(f.pred, c.out, f.sel, nil); len(sel) {
+		c.lease.ints(&f.sel, posBuf, c.out.N)
+		switch sel := narrow(f.pred, c.out, all(f.sel, c.out.N), f.sel, nil); len(sel) {
 		case 0:
 		case c.out.N:
 			return c.out
 		default:
+			if f.out == nil {
+				f.out = c.lease.batch(c.types)
+			}
 			f.out.gather(c.out, sel)
 			return f.out
 		}

@@ -141,19 +141,35 @@ func resize[T any](s []T, n int) []T {
 type Batch struct {
 	N    int
 	Vecs []*Vec
+
+	own []Vec // the vectors Vecs points at, unless an operator re-points one
 }
 
 // NewBatch allocates a batch with the given column types. Its vectors
 // start empty and grow to what they come to hold (Reset keeps it), so the
 // output of a filter or an aggregate costs what it outputs.
 func NewBatch(types []storage.ColumnType) *Batch {
-	vecs := make([]Vec, len(types))
-	b := &Batch{Vecs: make([]*Vec, len(types))}
-	for i, t := range types {
-		vecs[i].T = t
-		b.Vecs[i] = &vecs[i]
-	}
+	b := new(Batch)
+	b.retype(types)
 	return b
+}
+
+// retype empties b and points it at empty vectors of its own of the given
+// types, reusing the room of its slices.
+func (b *Batch) retype(types []storage.ColumnType) {
+	n := len(types)
+	b.N = 0
+	if cap(b.own) < n {
+		b.own = make([]Vec, n)
+	}
+	if cap(b.Vecs) < n {
+		b.Vecs = make([]*Vec, n)
+	}
+	b.own, b.Vecs = b.own[:n], b.Vecs[:n]
+	for i, t := range types {
+		b.own[i] = Vec{T: t}
+		b.Vecs[i] = &b.own[i]
+	}
 }
 
 // Reset truncates all vectors.

@@ -203,23 +203,35 @@ func vecData(v *Vec) unsafe.Pointer {
 	}
 }
 
-// freeBuffers lists the backing arrays on ctx's free list, sorted.
+// freeBuffers lists what ctx's free list holds, sorted: the backing
+// arrays of its vector and int32 buffers, and its batches.
 func freeBuffers(ctx *Ctx) []uintptr {
 	var out []uintptr
-	for _, list := range ctx.freeList() {
+	free := ctx.freeList()
+	for _, list := range free.vecs {
 		for i := range list {
 			out = append(out, uintptr(vecData(&list[i])))
 		}
+	}
+	for _, list := range free.ints {
+		for _, b := range list {
+			out = append(out, uintptr(unsafe.Pointer(unsafe.SliceData(b))))
+		}
+	}
+	for _, b := range free.batches {
+		out = append(out, uintptr(unsafe.Pointer(b)))
 	}
 	slices.Sort(out)
 	return out
 }
 
 // q1Plan is a Q1-shaped plan over the codes table: a scan from the middle
-// of a page (so every column copies), a filter, arithmetic and a grouped
-// aggregate, on one thread or as an XChg of three parts under a final
+// of a page (so every column copies), a filter, arithmetic and an
+// aggregate grouped by the projection's columns groups (0 is tag, 1 is
+// note), on one thread or as an XChg of three parts under a final
 // aggregate.
-func q1Plan(e *env, threads int) Op {
+func q1Plan(e *env, threads int, groups ...int) Op {
+	g := len(groups)
 	part := func(r RIDRange) Op {
 		scan := &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0, 1, 2}, Ranges: []RIDRange{r}}
 		proj := &Project{
@@ -229,7 +241,7 @@ func q1Plan(e *env, threads int) Op {
 				NewArith("*", NewArith("+", Col{Idx: 0, T: storage.Int64}, ConstI(1)), NewArith("-", ConstI(9), Col{Idx: 0, T: storage.Int64})),
 			},
 		}
-		return &HashAggr{Child: proj, Groups: []int{0, 1}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 2}}}
+		return &HashAggr{Child: proj, Groups: groups, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 2}}}
 	}
 	r := RIDRange{Lo: 100, Hi: 8000}
 	if threads == 1 {
@@ -240,33 +252,56 @@ func q1Plan(e *env, threads int) Op {
 		pr := pr
 		parts = append(parts, func() Op { return part(pr) })
 	}
-	return &HashAggr{Child: &XChg{Ctx: e.ctx, Parts: parts}, Groups: []int{0, 1}, Aggs: []AggSpec{{Kind: AggSum, Col: 2}, {Kind: AggSum, Col: 3}}}
+	return &HashAggr{Child: &XChg{Ctx: e.ctx, Parts: parts}, Groups: identityInts(g), Aggs: []AggSpec{{Kind: AggSum, Col: g}, {Kind: AggSum, Col: g + 1}}}
+}
+
+// identityInts is 0, 1, ..., n-1.
+func identityInts(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // TestAllocsWarmContextTakesNoBuffers: a query's scans, projections and
-// arithmetic take their vector buffers from the context's free list and
-// hand them back when the root — the query's, or an XChg part's — closes.
-// So a second identical query on a warm context makes no buffer: the free
-// list holds the very buffers it held after the first, and the answers
-// agree.
+// arithmetic take their vector buffers from the context's free list, its
+// operators their output batches and its filter and aggregates their
+// int32 scratch (selections, group ids, runs, direct tables), and hand
+// them back when the root — the query's, or an XChg part's — closes. So
+// a second identical query on a warm context makes none of them: the
+// free list holds the very buffers and batches it held after the first,
+// and the answers agree. Grouped by tag alone the aggregates have three
+// groups and add them run by run; by tag and note, more than four.
 func TestAllocsWarmContextTakesNoBuffers(t *testing.T) {
 	for _, threads := range []int{1, 3} {
-		e := newCodesEnv(t, 9000)
-		e.run(func() {
-			first := Collect(q1Plan(e, threads))
-			warm := freeBuffers(e.ctx)
-			if len(warm) == 0 {
-				t.Fatalf("%d threads: no buffer went back to the free list", threads)
-			}
-			second := Collect(q1Plan(e, threads))
-			if got := freeBuffers(e.ctx); !slices.Equal(got, warm) {
-				t.Errorf("%d threads: free list of %d buffers after the first query, %d after the second; a buffer was made or lost",
-					threads, len(warm), len(got))
-			}
-			if !sameBatch(first, second) {
-				t.Errorf("%d threads: the second query's answer differs", threads)
-			}
-		})
+		for _, groups := range [][]int{{0, 1}, {0}} {
+			e := newCodesEnv(t, 9000)
+			e.run(func() {
+				first := Collect(q1Plan(e, threads, groups...))
+				warm := freeBuffers(e.ctx)
+				free := e.ctx.freeList()
+				for what, n := range map[string]int{
+					"vector buffer": len(free.vecs[storage.Int64]), "batch": len(free.batches),
+					"selection or group id vector": len(free.ints[posBuf]), "direct table": len(free.ints[tableBuf]),
+				} {
+					if n == 0 {
+						t.Errorf("%d threads, groups %v: no %s went back to the free list", threads, groups, what)
+					}
+				}
+				if len(groups) == 1 && len(free.ints[runsBuf]) == 0 {
+					t.Errorf("%d threads, groups %v: no runs buffer went back to the free list", threads, groups)
+				}
+				second := Collect(q1Plan(e, threads, groups...))
+				if got := freeBuffers(e.ctx); !slices.Equal(got, warm) {
+					t.Errorf("%d threads, groups %v: free list of %d buffers after the first query, %d after the second; a buffer was made or lost",
+						threads, groups, len(warm), len(got))
+				}
+				if !sameBatch(first, second) {
+					t.Errorf("%d threads, groups %v: the second query's answer differs", threads, groups)
+				}
+			})
+		}
 	}
 }
 
@@ -278,7 +313,7 @@ func TestAllocsWarmContextTakesNoBuffers(t *testing.T) {
 func TestFreeListBatchOutlivesProducer(t *testing.T) {
 	e := newCodesEnv(t, 9000)
 	e.run(func() {
-		Drain(q1Plan(e, 1)) // warm the free list
+		Drain(q1Plan(e, 1, 0, 1)) // warm the free list
 		plan := func(lo int64) *Project {
 			scan := &Scan{Ctx: e.ctx, Snap: e.snap, Cols: []int{0, 1, 2}, Ranges: []RIDRange{{Lo: lo, Hi: lo + 3000}}}
 			return &Project{Child: scan, Exprs: []Expr{
@@ -294,7 +329,7 @@ func TestFreeListBatchOutlivesProducer(t *testing.T) {
 			want := cloneBatch(b)
 			root.Close()
 			Drain(plan(5100))
-			Drain(q1Plan(e, 3))
+			Drain(q1Plan(e, 3, 0, 1))
 			if !sameBatch(b, want) {
 				t.Fatal("a batch changed after its plan closed, while other queries ran")
 			}

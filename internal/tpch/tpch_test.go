@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -362,4 +363,84 @@ func TestQ18CancelledInSubquery(t *testing.T) {
 		t.Errorf("rows = %d after %d lineitem batches, want 0 after 1", rows, lineBatches)
 	}
 	pe.checkResolved(t)
+}
+
+// q1OneStage is Q1 as it was planned before its projection ran in two
+// stages: one Project that computes disc_price twice, once for
+// sum_disc_price and once inside charge. It is the reference of
+// TestQ1TwoStageMatchesOneStage.
+func q1OneStage(ranges []exec.RIDRange) Plan {
+	cols := []string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"}
+	return func(db *DB, build ScanBuilder) exec.Op {
+		scan := build("lineitem", cols, ranges, false)
+		sel := &exec.Select{
+			Child: scan,
+			Pred:  exec.NewCmp("<=", icol(cols, "l_shipdate"), exec.ConstI(DateMax-90)),
+		}
+		disc := exec.NewArith("-", exec.ConstF(1), fcol(cols, "l_discount"))
+		proj := &exec.Project{
+			Child: sel,
+			Exprs: []exec.Expr{
+				exec.Col{Idx: 0, T: storage.String}, // returnflag
+				exec.Col{Idx: 1, T: storage.String}, // linestatus
+				fcol(cols, "l_quantity"),
+				fcol(cols, "l_extendedprice"),
+				exec.NewArith("*", fcol(cols, "l_extendedprice"), disc),
+				exec.NewArith("*",
+					exec.NewArith("*", fcol(cols, "l_extendedprice"), disc),
+					exec.NewArith("+", exec.ConstF(1), fcol(cols, "l_tax"))),
+				fcol(cols, "l_discount"),
+			},
+		}
+		return &exec.HashAggr{
+			Child:  proj,
+			Groups: []int{0, 1},
+			Aggs: []exec.AggSpec{
+				{Kind: exec.AggSum, Col: 2}, {Kind: exec.AggSum, Col: 3},
+				{Kind: exec.AggSum, Col: 4}, {Kind: exec.AggSum, Col: 5},
+				{Kind: exec.AggAvg, Col: 2}, {Kind: exec.AggAvg, Col: 3},
+				{Kind: exec.AggAvg, Col: 6}, {Kind: exec.AggCount},
+			},
+		}
+	}
+}
+
+// TestQ1TwoStageMatchesOneStage: over the whole sf 0.01 lineitem and
+// random ranges of it, Q1's two-stage projection gives the answer of the
+// one-stage plan it replaced to the bit: the same groups in the same
+// order, every sum, average and count with the same bits.
+func TestQ1TwoStageMatchesOneStage(t *testing.T) {
+	db := Generate(0.01, 1)
+	n := db.Snapshot("lineitem").NumTuples()
+	rng := rand.New(rand.NewSource(1))
+	ranges := [][]exec.RIDRange{nil, {{Lo: 0, Hi: 1}}}
+	for i := 0; i < 10; i++ {
+		lo := rng.Int63n(n)
+		ranges = append(ranges, []exec.RIDRange{{Lo: lo, Hi: lo + 1 + rng.Int63n(n-lo)}})
+	}
+	for _, r := range ranges {
+		got, want := collect(t, db, Q1(r)), collect(t, db, q1OneStage(r))
+		if got.N != want.N || (r == nil && got.N < 4) {
+			t.Fatalf("ranges %v: %d groups, one-stage plan %d", r, got.N, want.N)
+		}
+		for c, v := range got.Vecs {
+			w := want.Vecs[c]
+			for i := 0; i < got.N; i++ {
+				switch v.T {
+				case storage.Int64:
+					if v.I64[i] != w.I64[i] {
+						t.Fatalf("ranges %v row %d column %d: %d, one-stage plan %d", r, i, c, v.I64[i], w.I64[i])
+					}
+				case storage.Float64:
+					if math.Float64bits(v.F64[i]) != math.Float64bits(w.F64[i]) {
+						t.Fatalf("ranges %v row %d column %d: %v, one-stage plan %v", r, i, c, v.F64[i], w.F64[i])
+					}
+				case storage.String:
+					if v.Str[i] != w.Str[i] {
+						t.Fatalf("ranges %v row %d column %d: %q, one-stage plan %q", r, i, c, v.Str[i], w.Str[i])
+					}
+				}
+			}
+		}
+	}
 }
