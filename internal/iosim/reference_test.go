@@ -1,7 +1,9 @@
 package iosim
 
 import (
+	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -194,5 +196,295 @@ func TestDifferentialTimeline(t *testing.T) {
 				t.Fatalf("trial %d: request %d starts at %v, reference %v", trial, i, got[i].start, want[i].start)
 			}
 		}
+	}
+}
+
+// refElevator is the elevator as it ran before its requesters made their
+// own picks: a request only joins its device's pending list; the submit
+// that finds no dispatcher running spawns one, a process per device that
+// sleeps until the device frees, picks the C-SCAN-best pending request
+// (pickNext), gives it its window (assign), wakes every waiting requester
+// with one broadcast, and exits when the list drains.
+// TestDifferentialElevator holds DeviceArray's elevator to it.
+type refElevator struct {
+	a           *DeviceArray
+	dispatching []bool     // per device, guarded by its mu
+	assigned    []rt.Event // per device, fired on every assignment
+}
+
+func newRefElevator(a *DeviceArray) *refElevator {
+	e := &refElevator{a: a, dispatching: make([]bool, len(a.devices))}
+	for range a.devices {
+		e.assigned = append(e.assigned, a.r.NewEvent())
+	}
+	return e
+}
+
+// read is ReadSpansOwner on the reference elevator.
+func (e *refElevator) read(q *rt.QueryCtx, spans []Span) {
+	a := e.a
+	subs := make([]subRead, len(spans))
+	for i, s := range spans {
+		subs[i] = subRead{dev: a.DeviceFor(s.Block), req: ioReq{q: q, block: a.localBlock(s.Block), blocks: s.Blocks, bytes: s.Bytes}}
+	}
+	for i := range subs {
+		e.submit(subs[i].dev, &subs[i].req)
+	}
+	var until rt.Time
+	for i := range subs {
+		until = max(until, e.await(subs[i].dev, &subs[i].req))
+	}
+	q.SleepUntil(a.r, until)
+	for i := range subs {
+		a.devices[subs[i].dev].depart()
+	}
+}
+
+// submit queues req on device dev and spawns the device's dispatcher if
+// none is running.
+func (e *refElevator) submit(dev int, req *ioReq) {
+	d := e.a.devices[dev]
+	req.ticket = d.tickets.Add(1) - 1
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.queued++
+	d.stats.MaxQueueLen = max(d.stats.MaxQueueLen, d.queued)
+	req.arrive = d.r.Now() + rt.Time(req.q.Lead())
+	d.pending = append(d.pending, req)
+	if !e.dispatching[dev] {
+		e.dispatching[dev] = true
+		d.r.Go("ref-elevator", func() { e.refDispatch(dev) })
+	}
+}
+
+// await parks the requester until the dispatcher has given req its
+// window, and returns the window's end.
+func (e *refElevator) await(dev int, req *ioReq) rt.Time {
+	d := e.a.devices[dev]
+	d.mu.Lock()
+	for !req.done {
+		w := e.assigned[dev].Waiter()
+		d.mu.Unlock()
+		req.q.Wait(w)
+		d.mu.Lock()
+	}
+	until := req.until
+	d.mu.Unlock()
+	return until
+}
+
+// refDispatch is device dev's dispatcher.
+func (e *refElevator) refDispatch(dev int) {
+	d := e.a.devices[dev]
+	d.mu.Lock()
+	for len(d.pending) > 0 {
+		now := d.r.Now()
+		if d.busyUntil > now {
+			until := d.busyUntil
+			d.mu.Unlock()
+			d.r.SleepUntil(until)
+			d.mu.Lock()
+			continue
+		}
+		i := d.pickNext()
+		req := d.pending[i]
+		d.pending = append(d.pending[:i], d.pending[i+1:]...)
+		d.assign(req, now)
+		e.assigned[dev].Fire()
+	}
+	e.dispatching[dev] = false
+	d.mu.Unlock()
+}
+
+// elevatorOwner is one requester of an elevator script: it scans its own
+// region of blocks, never one block twice, so a block names the request
+// that read it.
+type elevatorOwner struct {
+	spawn     bool            // first read issued as the run starts, with the other spawned owners
+	arrive    []time.Duration // per read: delay after the previous read (or the start)
+	reads     [][2]int        // per read: first logical block, blocks
+	cancel    time.Duration   // owner cancelled at this instant; 0: never
+	cancelled bool            // owner cancelled before the run starts
+}
+
+// randomElevatorScript draws owners that read runs of up to six blocks
+// with occasional forward jumps. With ties, arrivals fall on a 50 µs grid
+// and each read follows the last at once, so requests keep arriving at
+// the instant a device frees; cancelled owners are cancelled before they
+// read. Without, delays are drawn in nanoseconds, some owners start
+// together as the run starts, and owners are cancelled mid-run.
+func randomElevatorScript(rng *rand.Rand, ties bool) []elevatorOwner {
+	owners := make([]elevatorOwner, 2+rng.Intn(4))
+	for o := range owners {
+		ow := &owners[o]
+		next := o * 10_000
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			if rng.Intn(4) == 0 {
+				next += rng.Intn(40)
+			}
+			blocks := 1 + rng.Intn(6)
+			ow.reads = append(ow.reads, [2]int{next, blocks})
+			next += blocks
+			var delay time.Duration
+			switch {
+			case ties && len(ow.arrive) == 0:
+				delay = time.Duration(rng.Intn(4)) * 50 * time.Microsecond
+			case ties:
+			case len(ow.arrive) == 0 && rng.Intn(2) == 0:
+				ow.spawn = true
+			default:
+				delay = time.Duration(1 + rng.Int63n(int64(600*time.Microsecond)))
+			}
+			ow.arrive = append(ow.arrive, delay)
+		}
+		switch {
+		case rng.Intn(4) != 0:
+		case ties:
+			ow.cancelled = true
+		default:
+			ow.cancel = time.Duration(1 + rng.Int63n(int64(4*time.Millisecond)))
+		}
+	}
+	return owners
+}
+
+// devBlock is a device-local block on one spindle: a request, in a script
+// that reads no block twice.
+type devBlock struct {
+	dev   int
+	block BlockID
+}
+
+// elevatorRun is what one play of a script did.
+type elevatorRun struct {
+	windows  map[devBlock]window  // every served request's window
+	arrivals map[devBlock]rt.Time // every request's submission
+	ends     [][]rt.Time          // per owner and read: when the read returned
+	stats    ArrayStats
+	events   map[rt.Time]int  // arrivals and cancels per instant; owners starting together count once
+	freed    map[rt.Time]bool // window ends
+}
+
+// playElevator plays a script on a fresh elevator array through read. It
+// checks, at every pick that serves a request, that the request is
+// pickNext's choice among the requests pending then, and that its window
+// starts neither before its device frees nor before it arrived.
+func playElevator(t *testing.T, trial int, owners []elevatorOwner, cfg ArrayConfig, read func(a *DeviceArray) func(q *rt.QueryCtx, spans []Span)) elevatorRun {
+	eng := sim.NewEngine()
+	a := NewArray(rt.Sim(eng), cfg)
+	run := elevatorRun{windows: map[devBlock]window{}, arrivals: map[devBlock]rt.Time{}, events: map[rt.Time]int{}, freed: map[rt.Time]bool{}}
+	for dev, d := range a.devices {
+		dev, d := dev, d
+		var busy rt.Duration
+		var free rt.Time
+		head, haveHead := BlockID(0), false
+		d.OnRead = func(b BlockID, bytes int64) {
+			dur := d.stats.BusyTime - busy
+			busy = d.stats.BusyTime
+			w := window{d.busyUntil - rt.Time(dur), d.busyUntil}
+			key := devBlock{dev, b}
+			if w.start < free || w.start < run.arrivals[key] {
+				t.Fatalf("trial %d: device %d serves block %d in %v, before it frees at %v or the request arrives at %v", trial, dev, b, w, free, run.arrivals[key])
+			}
+			ref := &Disk{sched: SchedElevator, pending: append(slices.Clone(d.pending), &ioReq{block: b}), lastBlock: head, haveLast: haveHead}
+			if best := ref.pending[ref.pickNext()].block; best != b {
+				t.Fatalf("trial %d: device %d picks block %d with head %d, pickNext picks %d", trial, dev, b, head, best)
+			}
+			run.windows[key] = w
+			run.freed[w.end] = true
+			free, head, haveHead = w.end, b+BlockID(bytes/1000)-1, true
+		}
+	}
+	r := read(a)
+	run.ends = make([][]rt.Time, len(owners))
+	spawned := false
+	for o, ow := range owners {
+		o, ow := o, ow
+		q := rt.NewQueryCtx(a.r)
+		if ow.cancelled {
+			q.Cancel(rt.CauseClientCancel)
+		}
+		run.ends[o] = make([]rt.Time, len(ow.reads))
+		eng.Go("owner", func() {
+			for i, rd := range ow.reads {
+				if i > 0 || !ow.spawn {
+					eng.Sleep(ow.arrive[i])
+				}
+				spans := runSpans(a, BlockID(rd[0]), rd[1], 1000)
+				for _, s := range spans {
+					run.arrivals[devBlock{a.DeviceFor(s.Block), a.localBlock(s.Block)}] = eng.Now()
+				}
+				if i > 0 || !ow.spawn || !spawned {
+					run.events[eng.Now()]++
+				}
+				spawned = spawned || ow.spawn && i == 0
+				r(q, spans)
+				run.ends[o][i] = eng.Now()
+			}
+		})
+		if ow.cancel > 0 {
+			eng.Go("canceller", func() {
+				eng.Sleep(ow.cancel)
+				run.events[eng.Now()]++
+				q.Cancel(rt.CauseClientCancel)
+			})
+		}
+	}
+	eng.Run()
+	run.stats = a.Stats()
+	return run
+}
+
+// coincides reports whether an arrival or a cancel falls on the instant
+// of another or of a window's end.
+func (r elevatorRun) coincides() bool {
+	for at, n := range r.events {
+		if n > 1 || r.freed[at] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDifferentialElevator holds the elevator, whose waiting requesters
+// pick for themselves when their device frees, to refElevator, whose
+// dispatcher process picked, over random scripts on one and two spindles
+// with some owners cancelled. Every pick that serves a request, in either,
+// is pickNext's choice among the requests pending then, and no window
+// starts before its device frees or its request arrives. Where no two
+// arrivals, window ends or cancels fall on one instant, every window,
+// every read's end and every counter is the reference's, queue depths
+// included. Where they do, the order of two processes at one instant
+// decides which requests a pick sees, and it differs between the two, so
+// only the requests served, the bytes and the requests skipped must
+// match: the script cancels owners before they read, so a skip does not
+// depend on when the request was picked.
+func TestDifferentialElevator(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	var same, tied int
+	for trial := 0; trial < 600; trial++ {
+		cfg := ArrayConfig{
+			Config:      Config{Bandwidth: 20e6, SeekLatency: 100 * time.Microsecond, Scheduler: SchedElevator},
+			Devices:     1 + trial%2,
+			StripeChunk: 4,
+		}
+		owners := randomElevatorScript(rng, trial%3 == 2)
+		got := playElevator(t, trial, owners, cfg, func(a *DeviceArray) func(*rt.QueryCtx, []Span) { return a.ReadSpansOwner })
+		want := playElevator(t, trial, owners, cfg, func(a *DeviceArray) func(*rt.QueryCtx, []Span) { return newRefElevator(a).read })
+		if got.coincides() || want.coincides() {
+			tied++
+			g, w := got.stats.Stats, want.stats.Stats
+			if g.Requests != w.Requests || g.BytesRead != w.BytesRead || g.Skipped != w.Skipped {
+				t.Fatalf("trial %d: stats %+v, reference %+v", trial, g, w)
+			}
+			continue
+		}
+		same++
+		if !maps.Equal(got.windows, want.windows) || !reflect.DeepEqual(got.ends, want.ends) || !reflect.DeepEqual(got.stats, want.stats) {
+			t.Fatalf("trial %d: differs from the reference\ngot  %v %v %+v\nwant %v %v %+v", trial, got.windows, got.ends, got.stats, want.windows, want.ends, want.stats)
+		}
+	}
+	if same < 200 || tied < 150 {
+		t.Fatalf("%d scripts with distinct instants and %d with shared ones; want both classes well covered", same, tied)
 	}
 }
