@@ -196,11 +196,21 @@ func (a *DeviceArray) Read(b BlockID, blocks int, bytes int64) {
 // the elevator, are sweep-ordered against competing scans' requests. A
 // span that crosses a stripe chunk on a multi-device array is refused.
 //
-// Every span is submitted before any is awaited, so each spindle's queue
-// sees its full share of the batch and other spindles are never idled by
-// a busy one. A transfer window never waits on a departure, so two spans
-// of one batch on the same device cannot deadlock: the second is
-// assigned the window that starts where the first's ends.
+// Every span is submitted before the caller waits for any window, so
+// each spindle's queue sees its full share of the batch and other
+// spindles are never idled by a busy one. A transfer window never waits
+// on a departure, so two spans of one batch on the same device cannot
+// deadlock: the second is assigned the window that starts where the
+// first's ends.
+//
+// FIFO assigns every window at submission. Under the elevator the caller
+// waits for its windows and makes the picks itself (pick): first a yield
+// at the current instant, so requests submitted at the same instant join
+// the first pick, then, while a span has no window, until the earliest
+// instant one of its devices frees. The wait is the batch's, not a
+// span's, so a striped batch's spindle is not left idle while its
+// requester waits on another one. It goes through QueryCtx.WaitUntil: a
+// wait outside pacing, which a paced thread is not charged as work.
 //
 // Queue accounting is batch-granular: each span counts as queued on its
 // device from submission until the WHOLE batch completes (one caller, one
@@ -226,14 +236,39 @@ func (a *DeviceArray) ReadSpansOwner(q *rt.QueryCtx, spans []Span) {
 	for i := range subs {
 		a.devices[subs[i].dev].submit(&subs[i].req)
 	}
+	wake, waiting := a.r.Now(), a.devices[0].elevator()
+	for waiting {
+		q.WaitUntil(a.r, wake)
+		wake, waiting = a.pick(subs)
+	}
 	var until rt.Time
 	for i := range subs {
-		until = max(until, a.devices[subs[i].dev].await(&subs[i].req))
+		until = max(until, subs[i].req.until)
 	}
 	q.SleepUntil(a.r, until)
 	for i := range subs {
 		a.devices[subs[i].dev].depart()
 	}
+}
+
+// pick serves, on every device where a span of the batch still has no
+// window, the device's pending requests while it is free (Disk.serve).
+// It returns the earliest instant one of the devices still holding such
+// a span frees, and whether there is one.
+func (a *DeviceArray) pick(subs []subRead) (wake rt.Time, waiting bool) {
+	now := a.r.Now()
+	for i := range subs {
+		d, req := a.devices[subs[i].dev], &subs[i].req
+		d.mu.Lock()
+		if !req.done {
+			d.serve(now)
+		}
+		if !req.done && (!waiting || d.busyUntil < wake) {
+			wake, waiting = d.busyUntil, true
+		}
+		d.mu.Unlock()
+	}
+	return wake, waiting
 }
 
 // subRead is one span of a batch, bound to its device.

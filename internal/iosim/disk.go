@@ -16,10 +16,12 @@
 // with AppendSpan, which cuts the batch at stripe-chunk starts so every
 // span lies on one spindle at its exact bytes, and read the batch through
 // ReadSpansOwner, the one read entry point (Read is one ownerless span).
-// Each span is submitted to its spindle's queue, awaited until the queue
-// has given it a transfer window, slept out by the requester, and
-// departs; the queue discipline (FIFO or elevator) decides only who is
-// served next and when a seek is charged.
+// Each span is submitted to its spindle's queue, given a transfer window,
+// slept out by the requester, and departs; the queue discipline (FIFO or
+// elevator) decides only who is served next and when a seek is charged.
+// No process of the subsystem's own runs: FIFO assigns the window at
+// submission, and under the elevator the requesters that wait for a
+// window make the pick themselves when the device frees.
 //
 // The devices are runtime-agnostic: on the sim runtime a read suspends the
 // calling process in virtual time; on the real runtime the same bandwidth
@@ -102,15 +104,11 @@ type Disk struct {
 	// leaves one here: arrival order is service order, so submit assigns
 	// the window itself. Arrival-time bookkeeping cannot reorder anything
 	// — in sim mode submit never blocks — so the elevator defers the
-	// decision to service-start time: requests wait on pending, and a
-	// per-device dispatcher process (spawned on demand, exiting when the
-	// queue drains so the simulation can drain too) sleeps until the
-	// device frees, then picks the C-SCAN-best pending request and
-	// publishes its window.
-	sched       string
-	pending     []*ioReq
-	dispatching bool
-	assigned    rt.Event // fired on every dispatcher assignment
+	// decision to service-start time: requests wait on pending, and the
+	// requesters waiting for a window pick the C-SCAN-best of them when
+	// the device frees (serve, called from DeviceArray.pick).
+	sched   string
+	pending []*ioReq
 
 	// OnRead, if non-nil, observes every serviced read in service order.
 	// It is called with the device mutex held, so observers need no
@@ -156,7 +154,7 @@ type Config struct {
 	// requests in strict arrival order and is bit-identical to the
 	// historical device; SchedElevator runs a C-SCAN sweep over the
 	// pending blocks, charging the seek penalty only on direction
-	// -breaking jumps. See the Disk comment for the dispatch model.
+	// -breaking jumps. See the Disk comment for who makes the pick.
 	Scheduler string
 }
 
@@ -193,7 +191,6 @@ func newDisk(r rt.Runtime, cfg Config) *Disk {
 	}
 	d := &Disk{r: r, bandwidth: cfg.Bandwidth, seekLatency: cfg.SeekLatency, sched: sched}
 	d.admit = sync.NewCond(&d.mu)
-	d.assigned = r.NewEvent()
 	return d
 }
 
@@ -201,17 +198,16 @@ func newDisk(r rt.Runtime, cfg Config) *Disk {
 func (d *Disk) elevator() bool { return d.sched == SchedElevator }
 
 // submit puts one request in the device queue WITHOUT blocking for the
-// transfer itself. DeviceArray uses the submit/await/depart split to
-// queue the spans of one batch on several devices — so each spindle's
-// queue sees its full share and no spindle is idled by a busy one — and
-// then sleep once until the last of them completes.
+// transfer itself. DeviceArray uses the submit/depart split to queue the
+// spans of one batch on several devices — so each spindle's queue sees
+// its full share and no spindle is idled by a busy one — and then sleep
+// once until the last of them completes.
 //
 // The request counts as queued from arrival until depart under either
 // discipline, and always takes an arrival ticket: it is FIFO's service
 // order and the elevator's fairness tie-break for same-block requests.
 // FIFO assigns the transfer window here, in ticket order; the elevator
-// leaves the request pending for its dispatcher, spawning one if none is
-// running.
+// leaves the request pending for a pick (serve).
 func (d *Disk) submit(req *ioReq) {
 	if req.bytes <= 0 || req.blocks <= 0 {
 		panic(fmt.Sprintf("iosim: bad read: %d blocks, %d bytes", req.blocks, req.bytes))
@@ -243,10 +239,6 @@ func (d *Disk) submit(req *ioReq) {
 		return
 	}
 	d.pending = append(d.pending, req)
-	if !d.dispatching {
-		d.dispatching = true
-		d.r.Go("iosim-elevator", d.dispatch)
-	}
 }
 
 // assign gives req its transfer window, starting when the device, the
@@ -357,25 +349,6 @@ func (d *Disk) account(req *ioReq, dur rt.Duration, seek bool) {
 	}
 }
 
-// await blocks until the queue has assigned the request a transfer
-// window and returns its completion time; the caller then sleeps until
-// that time and departs. A FIFO request was assigned in submit, so it
-// never parks here. An elevator request parks through its owner's
-// rt.QueryCtx.Wait: the time it waits for the dispatcher is not the
-// owner's work.
-func (d *Disk) await(req *ioReq) rt.Time {
-	d.mu.Lock()
-	for !req.done {
-		w := d.assigned.Waiter()
-		d.mu.Unlock()
-		req.q.Wait(w)
-		d.mu.Lock()
-	}
-	until := req.until
-	d.mu.Unlock()
-	return until
-}
-
 // depart retires one completed request from the queue accounting.
 func (d *Disk) depart() {
 	d.mu.Lock()
@@ -383,32 +356,19 @@ func (d *Disk) depart() {
 	d.mu.Unlock()
 }
 
-// dispatch is the elevator's per-device dispatcher: it sleeps until the
-// device frees, picks the C-SCAN-best pending request at that instant —
-// late-arriving requests that land ahead of the head join the current
-// sweep — services it (bookkeeping only; the requester sleeps out the
-// transfer itself), and repeats until the pending queue drains, then
-// exits. Exiting matters in sim mode: a perpetual dispatcher would keep
-// the engine alive (or deadlock it) after the workload completes.
-func (d *Disk) dispatch() {
-	d.mu.Lock()
-	for len(d.pending) > 0 {
-		now := d.r.Now()
-		if d.busyUntil > now {
-			until := d.busyUntil
-			d.mu.Unlock()
-			d.r.SleepUntil(until)
-			d.mu.Lock()
-			continue
-		}
+// serve is the elevator's pick: while the device is free at now and
+// requests are pending, it gives the C-SCAN-best of them its window,
+// whoever it belongs to, so a request that arrives ahead of the head
+// joins the current sweep. Requesters waiting for a window call it when
+// they wake at the instant the device frees (DeviceArray.pick).
+// Caller holds d.mu.
+func (d *Disk) serve(now rt.Time) {
+	for len(d.pending) > 0 && d.busyUntil <= now {
 		i := d.pickNext()
 		req := d.pending[i]
 		d.pending = append(d.pending[:i], d.pending[i+1:]...)
 		d.assign(req, now)
-		d.assigned.Fire()
 	}
-	d.dispatching = false
-	d.mu.Unlock()
 }
 
 // pickNext returns the index of the C-SCAN-best pending request: lowest

@@ -14,9 +14,9 @@ func newElevatorDisk(eng *sim.Engine, bw float64) *DeviceArray {
 	return New(rt.Sim(eng), Config{Bandwidth: bw, SeekLatency: time.Millisecond, Scheduler: SchedElevator})
 }
 
-// Three readers enqueue out of block order before the dispatcher runs; the
-// C-SCAN sweep must service them block-ascending with a single seek (the
-// initial positioning), where FIFO would pay three.
+// Three readers enqueue out of block order at one instant, before the
+// first pick; the C-SCAN sweep must service them block-ascending with a
+// single seek (the initial positioning), where FIFO would pay three.
 func TestElevatorSweepOrdersByBlock(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newElevatorDisk(eng, 1e6)
@@ -86,22 +86,29 @@ func TestElevatorSkipsCancelledOwner(t *testing.T) {
 	}
 }
 
-// The dispatcher exits when the queue drains and respawns on the next
-// enqueue; two separated request waves both complete and the engine drains
-// in between (no perpetual process).
-func TestElevatorDispatcherRespawns(t *testing.T) {
+// Two request waves separated by an idle second both complete, the queue
+// is empty after each, and the run ends with the reader: the elevator
+// leaves no process behind to keep the engine alive.
+func TestElevatorDrainsBetweenWaves(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newElevatorDisk(eng, 1e6)
-	var ends []sim.Time
+	drained := func() bool {
+		dev := d.devices[0]
+		return dev.queued == 0 && len(dev.pending) == 0
+	}
+	waves := 0
 	eng.Go("r", func() {
-		d.Read(0, 1, 1000)
-		eng.Sleep(sim.Duration(time.Second)) // queue fully drains; dispatcher exits
-		d.Read(100, 1, 1000)
-		ends = append(ends, eng.Now())
+		for _, b := range []BlockID{0, 100} {
+			d.Read(b, 1, 1000)
+			if drained() {
+				waves++
+			}
+			eng.Sleep(sim.Duration(time.Second))
+		}
 	})
 	eng.Run()
-	if len(ends) != 1 {
-		t.Fatal("second wave never completed")
+	if waves != 2 {
+		t.Fatalf("%d of 2 waves completed with the queue drained", waves)
 	}
 	if got := d.Stats().Requests; got != 2 {
 		t.Fatalf("requests = %d, want 2", got)
@@ -167,8 +174,9 @@ func TestElevatorArrayBatchParallelism(t *testing.T) {
 	}
 }
 
-// Real-runtime elevator smoke under -race: concurrent readers through the
-// dispatcher goroutine, then a drained queue and consistent counters.
+// Real-runtime elevator smoke under -race: concurrent readers that pick
+// for each other as the device frees, then a drained queue and
+// consistent counters.
 func TestRealElevatorConcurrentReads(t *testing.T) {
 	a := New(rt.NewReal(), Config{Bandwidth: 1e9, SeekLatency: time.Microsecond, Scheduler: SchedElevator})
 	const readers = 8
@@ -191,7 +199,7 @@ func TestRealElevatorConcurrentReads(t *testing.T) {
 	d := a.devices[0]
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.queued != 0 || len(d.pending) != 0 || d.dispatching {
-		t.Fatalf("queue not drained: queued=%d pending=%d dispatching=%v", d.queued, len(d.pending), d.dispatching)
+	if d.queued != 0 || len(d.pending) != 0 {
+		t.Fatalf("queue not drained: queued=%d pending=%d", d.queued, len(d.pending))
 	}
 }

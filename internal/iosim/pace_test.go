@@ -78,9 +78,9 @@ func TestPaceShortDeviceWait(t *testing.T) {
 			pa := NewArray(paced, cfg)
 			q := rt.NewQueryCtx(paced).Fork()
 			read(pa, q)
-			// The elevator's dispatcher sleeps until its device frees, and
-			// the requester blocks on it for that long: only the requester's
-			// own wait is charged instead of slept.
+			// An elevator requester also waits, outside pacing, for its
+			// window: a yield, and sleeps until its device frees. Only the
+			// wait for the transfer itself is charged instead of slept.
 			if sched == SchedFIFO && paced.calls.Load() != 0 {
 				t.Errorf("%s/%d: paced reads reached the timer %d times, want 0", sched, devices, paced.calls.Load())
 			}

@@ -8,20 +8,21 @@ import (
 	"repro/internal/sim"
 )
 
-// The device queue's protocol (submit → await → depart), counted rather
-// than timed: the tests wrap the sim runtime and count the blocking calls
-// that reach it, or compare whole timelines.
+// The device queue's protocol (submit → window → depart), counted rather
+// than timed: the tests wrap the sim runtime and count the calls that
+// reach it, or compare whole timelines.
 
-// countRT counts the timer calls and event waits that reach a runtime.
-// The simulator runs one process at a time, so plain ints do.
+// countRT counts the spawns, timer calls and event waits that reach a
+// runtime. The simulator runs one process at a time, so plain ints do.
 type countRT struct {
 	rt.Runtime
-	sleeps, untils, waits int
+	spawns, sleeps, untils, waits int
 }
 
-func (c *countRT) Sleep(d rt.Duration)  { c.sleeps++; c.Runtime.Sleep(d) }
-func (c *countRT) SleepUntil(t rt.Time) { c.untils++; c.Runtime.SleepUntil(t) }
-func (c *countRT) NewEvent() rt.Event   { return countEvent{c.Runtime.NewEvent(), c} }
+func (c *countRT) Go(name string, fn func()) { c.spawns++; c.Runtime.Go(name, fn) }
+func (c *countRT) Sleep(d rt.Duration)       { c.sleeps++; c.Runtime.Sleep(d) }
+func (c *countRT) SleepUntil(t rt.Time)      { c.untils++; c.Runtime.SleepUntil(t) }
+func (c *countRT) NewEvent() rt.Event        { return countEvent{c.Runtime.NewEvent(), c} }
 
 type countEvent struct {
 	rt.Event
@@ -38,15 +39,16 @@ type countWaiter struct {
 
 func (w countWaiter) Wait() { w.c.waits++; w.Waiter.Wait() }
 
-// TestFIFOReadIsOneSleep: FIFO assigns a request's transfer window at
-// submission, so a read on the simulator hands the engine over exactly
-// once — the SleepUntil of its completion — and never parks on an event,
-// whether it is alone on the device, one of three concurrent requesters
-// queued behind each other, or a batch striped over two spindles. (A
-// process hand-off per read is what the figure sweeps' wall time is made
-// of.) The elevator is the contrast: its requesters wait for the
-// dispatcher.
-func TestFIFOReadIsOneSleep(t *testing.T) {
+// TestReadIsSleepsOnly: a read spawns no process and never parks on an
+// event, under either discipline, whether it is alone on the device, one
+// of three concurrent requesters queued behind each other, or a batch
+// striped over two spindles. FIFO assigns a request's transfer window at
+// submission, so a FIFO read on the simulator hands the engine over
+// exactly once — the SleepUntil of its completion. (A process hand-off
+// per read is what the figure sweeps' wall time is made of.) An elevator
+// read also waits for its window, and those waits reach the runtime as
+// SleepUntil too: a yield, then the instants its device frees.
+func TestReadIsSleepsOnly(t *testing.T) {
 	cfg := ArrayConfig{Config: Config{Bandwidth: 1e6, SeekLatency: time.Millisecond}, Devices: 1, StripeChunk: 4}
 	run := func(cfg ArrayConfig, readers int, read func(a *DeviceArray, i int)) *countRT {
 		eng := sim.NewEngine()
@@ -60,23 +62,33 @@ func TestFIFOReadIsOneSleep(t *testing.T) {
 		return c
 	}
 	one := func(a *DeviceArray, i int) { a.Read(BlockID(10*i), 2, 2000) }
-
-	for _, readers := range []int{1, 3} {
-		if c := run(cfg, readers, one); c.untils != readers || c.waits != 0 || c.sleeps != 0 {
-			t.Errorf("%d FIFO readers: %d SleepUntil, %d event waits, %d Sleep; want %d, 0, 0",
-				readers, c.untils, c.waits, c.sleeps, readers)
-		}
-	}
+	batch := func(a *DeviceArray, i int) { a.ReadSpansOwner(nil, runSpans(a, 0, 16, 1000)) } // four chunks, two per spindle
 	striped := cfg
 	striped.Devices = 2
-	batch := func(a *DeviceArray, i int) { a.ReadSpansOwner(nil, runSpans(a, 0, 16, 1000)) } // four chunks, two per spindle
-	if c := run(striped, 1, batch); c.untils != 1 || c.waits != 0 {
-		t.Errorf("striped FIFO batch: %d SleepUntil, %d event waits; want 1, 0", c.untils, c.waits)
-	}
-	elevator := cfg
-	elevator.Scheduler = SchedElevator
-	if c := run(elevator, 3, one); c.waits == 0 {
-		t.Error("elevator readers never waited for the dispatcher: the counter is not counting")
+
+	for _, sched := range []string{SchedFIFO, SchedElevator} {
+		cfg.Scheduler, striped.Scheduler = sched, sched
+		for _, c := range []struct {
+			name    string
+			cfg     ArrayConfig
+			readers int
+			read    func(a *DeviceArray, i int)
+		}{
+			{"one reader", cfg, 1, one},
+			{"three readers", cfg, 3, one},
+			{"striped batch", striped, 1, batch},
+		} {
+			got := run(c.cfg, c.readers, c.read)
+			if got.spawns != 0 || got.waits != 0 || got.sleeps != 0 {
+				t.Errorf("%s, %s: %d spawns, %d event waits, %d Sleep; want none", sched, c.name, got.spawns, got.waits, got.sleeps)
+			}
+			if sched == SchedFIFO && got.untils != c.readers {
+				t.Errorf("%s, %s: %d SleepUntil, want one per read", sched, c.name, got.untils)
+			}
+			if sched == SchedElevator && got.untils <= c.readers {
+				t.Errorf("%s, %s: %d SleepUntil for %d reads; want the waits for windows there too", sched, c.name, got.untils, c.readers)
+			}
+		}
 	}
 }
 

@@ -33,10 +33,10 @@ import "time"
 // counted at all: Pay sets the clock to the lump's start plus the lump,
 // so a thread never sleeps less while holding a core because it queued
 // for one. A wait outside pacing — a page another thread is reading, a
-// frame to free, a device's dispatcher, a chunk the ABM loads, the ABM
-// loader's next work signal — goes through Wait: the clock after it is
-// the later of where it was and the wake-up, and a thread in credit
-// wakes with the credit it had.
+// frame to free, an elevator device to free (WaitUntil), a chunk the
+// ABM loads, the ABM loader's next work signal — goes through Wait: the
+// clock after it is the later of where it was and the wake-up, and a
+// thread in credit wakes with the credit it had.
 //
 // A clock ahead of the wall clock is time that, in the model, has
 // already passed for the thread. Its device requests arrive on that
@@ -149,6 +149,21 @@ func (q *QueryCtx) Pay(r Runtime, lump Duration) {
 	}
 	r.Sleep(lump)
 }
+
+// WaitUntil is Wait on a waiter that sleeps until t: a wait outside
+// pacing that ends at a known instant, such as an elevator requester's
+// wait for its device to free. Like SleepUntil it takes the runtime
+// because a nil handle has none. On the simulator a t already passed
+// yields to the processes ready at the current instant.
+func (q *QueryCtx) WaitUntil(r Runtime, t Time) { q.Wait(sleepWaiter{r, t}) }
+
+// sleepWaiter is a Waiter whose wait is r.SleepUntil(t).
+type sleepWaiter struct {
+	r Runtime
+	t Time
+}
+
+func (w sleepWaiter) Wait() { w.r.SleepUntil(w.t) }
 
 // SleepUntil is the requester's side of a modelled device wait: the
 // thread that owns q may not use the data before t. Unpaced, that is

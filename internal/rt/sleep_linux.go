@@ -20,9 +20,10 @@ import (
 // timerFreeMax bounds the timerfds kept open for reuse; a sleeper that
 // finds the free list empty opens one, and a timerfd returned to a full
 // list is closed. An idle timerfd costs one fd. 64 covers the sleepers of
-// the default serving sweep at once (up to MPL 32 one-thread queries, a
-// dispatcher per device, the ABM loader); past it, a sleep also pays a
-// timerfd_create and a close.
+// the default serving sweep at once (up to MPL 32 one-thread queries and
+// the ABM loader): an elevator requester waiting for its device to free
+// sleeps in its own thread, one of those 32, so the wait adds no
+// sleeper; past 64, a sleep also pays a timerfd_create and a close.
 const timerFreeMax = 64
 
 var timerFree = make(chan *timerfd, timerFreeMax)
