@@ -308,16 +308,18 @@ type elevatorOwner struct {
 }
 
 // randomElevatorScript draws owners that read runs of up to six blocks
-// with occasional forward jumps. With ties, arrivals fall on a 50 µs grid
+// with occasional forward jumps, each in a region of its own, the regions
+// in random order. With ties, arrivals fall on a 50 µs grid
 // and each read follows the last at once, so requests keep arriving at
 // the instant a device frees; cancelled owners are cancelled before they
 // read. Without, delays are drawn in nanoseconds, some owners start
 // together as the run starts, and owners are cancelled mid-run.
 func randomElevatorScript(rng *rand.Rand, ties bool) []elevatorOwner {
 	owners := make([]elevatorOwner, 2+rng.Intn(4))
+	regions := rng.Perm(len(owners))
 	for o := range owners {
 		ow := &owners[o]
-		next := o * 10_000
+		next := regions[o] * 10_000
 		for n := 1 + rng.Intn(8); n > 0; n-- {
 			if rng.Intn(4) == 0 {
 				next += rng.Intn(40)
