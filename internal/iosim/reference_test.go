@@ -300,20 +300,26 @@ func (e *refElevator) refDispatch(dev int) {
 // region of blocks, never one block twice, so a block names the request
 // that read it.
 type elevatorOwner struct {
-	spawn     bool            // first read issued as the run starts, with the other spawned owners
-	arrive    []time.Duration // per read: delay after the previous read (or the start)
-	reads     [][2]int        // per read: first logical block, blocks
-	cancel    time.Duration   // owner cancelled at this instant; 0: never
-	cancelled bool            // owner cancelled before the run starts
+	spawn     bool // first read issued as the run starts, with the other spawned owners
+	reads     []elevatorRead
+	cancel    time.Duration // owner cancelled at this instant; 0: never
+	cancelled bool          // owner cancelled before the run starts
+}
+
+// elevatorRead is one read of an elevator script: a run of logical blocks,
+// issued delay after the owner's previous read returned (or the start).
+type elevatorRead struct {
+	delay         time.Duration
+	block, blocks int
 }
 
 // randomElevatorScript draws owners that read runs of up to six blocks
 // with occasional forward jumps, each in a region of its own, the regions
-// in random order. With ties, arrivals fall on a 50 µs grid
-// and each read follows the last at once, so requests keep arriving at
-// the instant a device frees; cancelled owners are cancelled before they
-// read. Without, delays are drawn in nanoseconds, some owners start
-// together as the run starts, and owners are cancelled mid-run.
+// in random order. With ties, arrivals fall on a 50 µs grid and each read
+// follows the last at once, so requests keep arriving at the instant a
+// device frees; cancelled owners are cancelled before they read. Without,
+// delays are drawn in nanoseconds, some owners start together as the run
+// starts, and owners are cancelled mid-run.
 func randomElevatorScript(rng *rand.Rand, ties bool) []elevatorOwner {
 	owners := make([]elevatorOwner, 2+rng.Intn(4))
 	regions := rng.Perm(len(owners))
@@ -324,20 +330,19 @@ func randomElevatorScript(rng *rand.Rand, ties bool) []elevatorOwner {
 			if rng.Intn(4) == 0 {
 				next += rng.Intn(40)
 			}
-			blocks := 1 + rng.Intn(6)
-			ow.reads = append(ow.reads, [2]int{next, blocks})
-			next += blocks
-			var delay time.Duration
+			rd := elevatorRead{block: next, blocks: 1 + rng.Intn(6)}
+			next += rd.blocks
+			first := len(ow.reads) == 0
 			switch {
-			case ties && len(ow.arrive) == 0:
-				delay = time.Duration(rng.Intn(4)) * 50 * time.Microsecond
+			case ties && first:
+				rd.delay = time.Duration(rng.Intn(4)) * 50 * time.Microsecond
 			case ties:
-			case len(ow.arrive) == 0 && rng.Intn(2) == 0:
+			case first && rng.Intn(2) == 0:
 				ow.spawn = true
 			default:
-				delay = time.Duration(1 + rng.Int63n(int64(600*time.Microsecond)))
+				rd.delay = time.Duration(1 + rng.Int63n(int64(600*time.Microsecond)))
 			}
-			ow.arrive = append(ow.arrive, delay)
+			ow.reads = append(ow.reads, rd)
 		}
 		switch {
 		case rng.Intn(4) != 0:
@@ -363,7 +368,7 @@ type elevatorRun struct {
 	arrivals map[devBlock]rt.Time // every request's submission
 	ends     [][]rt.Time          // per owner and read: when the read returned
 	stats    ArrayStats
-	events   map[rt.Time]int  // arrivals and cancels per instant; owners starting together count once
+	events   map[rt.Time]int  // arrivals and cancels per instant, but for the spawned owners' first reads
 	freed    map[rt.Time]bool // window ends
 }
 
@@ -399,7 +404,6 @@ func playElevator(t *testing.T, trial int, owners []elevatorOwner, cfg ArrayConf
 	}
 	r := read(a)
 	run.ends = make([][]rt.Time, len(owners))
-	spawned := false
 	for o, ow := range owners {
 		o, ow := o, ow
 		q := rt.NewQueryCtx(a.r)
@@ -409,17 +413,17 @@ func playElevator(t *testing.T, trial int, owners []elevatorOwner, cfg ArrayConf
 		run.ends[o] = make([]rt.Time, len(ow.reads))
 		eng.Go("owner", func() {
 			for i, rd := range ow.reads {
+				// The spawned owners' first reads reach the first pick
+				// together under either elevator; any other read is an
+				// event of its instant.
 				if i > 0 || !ow.spawn {
-					eng.Sleep(ow.arrive[i])
+					eng.Sleep(rd.delay)
+					run.events[eng.Now()]++
 				}
-				spans := runSpans(a, BlockID(rd[0]), rd[1], 1000)
+				spans := runSpans(a, BlockID(rd.block), rd.blocks, 1000)
 				for _, s := range spans {
 					run.arrivals[devBlock{a.DeviceFor(s.Block), a.localBlock(s.Block)}] = eng.Now()
 				}
-				if i > 0 || !ow.spawn || !spawned {
-					run.events[eng.Now()]++
-				}
-				spawned = spawned || ow.spawn && i == 0
 				r(q, spans)
 				run.ends[o][i] = eng.Now()
 			}
