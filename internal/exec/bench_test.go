@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/iosim"
 	"repro/internal/rt"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
@@ -47,6 +48,48 @@ func benchQuery(b *testing.B, plan func([]exec.RIDRange) tpch.Plan) {
 
 func BenchmarkQ1(b *testing.B) { benchQuery(b, tpch.Q1) }
 func BenchmarkQ6(b *testing.B) { benchQuery(b, tpch.Q6) }
+
+// BenchmarkXChg drains Q1 in eight XChg parts over a resident sf 0.01
+// lineitem on the simulator, in host ns per scanned tuple as
+// exec.xchg_ns_per_tuple: the in-package twin of the benchmark's row of
+// that name. The CPU model is the §4.1 point's (eight cores, 60 ns a
+// tuple), so the parts' scans take turns a vector at a time, as in a
+// figure's rep; on a host with two cores each part's filter, projections
+// and aggregate run beside the simulated thread (split.go).
+func BenchmarkXChg(b *testing.B) {
+	db := tpch.Generate(0.01, 1)
+	eng := sim.NewEngine()
+	r := rt.Sim(eng)
+	disk := iosim.New(r, iosim.Config{Bandwidth: 10e9, SeekLatency: time.Microsecond})
+	ctx := &exec.Ctx{RT: r, CPU: exec.NewCPU(r, 8), PerTupleCPU: 60 * time.Nanosecond,
+		Pool: buffer.NewPool(r, disk, buffer.NewLRU(), 1<<30), ReadAheadTuples: 8192}
+	build := func(table string, cols []string, ranges []exec.RIDRange, _ bool) exec.Op {
+		idx := make([]int, len(cols))
+		for i, c := range cols {
+			idx[i] = db.Col(table, c)
+		}
+		return ctx.NewScan(db.Snapshot(table), idx, ranges, nil, nil)
+	}
+	n := db.Snapshot("lineitem").NumTuples()
+	q1 := func() exec.Op {
+		var parts []func() exec.Op
+		for _, pr := range exec.PartitionRange(0, n, 8) {
+			pr := pr
+			parts = append(parts, func() exec.Op { return tpch.Q1([]exec.RIDRange{pr})(db, build) })
+		}
+		return &exec.XChg{Ctx: ctx, Parts: parts}
+	}
+	eng.Go("bench", func() {
+		exec.Drain(q1()) // loads every page
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			exec.Drain(q1())
+		}
+		b.StopTimer()
+	})
+	eng.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*n), "exec.xchg_ns_per_tuple")
+}
 
 // BenchmarkHashAggrFold times HashAggr's fold — the counts and the five
 // float sums of Q1's groups, group ids already found — over Q1's

@@ -96,11 +96,13 @@ const maxFreeVecs = 1024
 // freeVecs is a context's free list of scratch buffers, each empty: one
 // list of vector buffers per column type, with room for VectorSize
 // values, one list of int32 buffers per intKind, with the room they grew
-// to, and operators' output batches, their vectors dropped.
+// to, operators' output batches, their vectors dropped, and the rings of
+// split chains (split.go), their slots emptied.
 type freeVecs struct {
 	vecs    [3][]Vec
 	ints    [3][][]int32
 	batches []*Batch
+	rings   []*ring
 }
 
 // An intKind sorts the int32 scratch of the plan's operators by the room
@@ -113,7 +115,8 @@ const (
 	runsBuf                 // a HashAggr's runs: a vector's per group
 )
 
-// freeMu guards every context's free list, and its making.
+// freeMu guards every context's free list, its making, and every lease's
+// records of what it took.
 var freeMu sync.Mutex
 
 // freeList returns c's free list, making it on first use.
@@ -135,11 +138,19 @@ func (c *Ctx) freeList() *freeVecs {
 // handed downstream may be read after its producer is done. A part's
 // buffers may go back at its Close, since XChg queues copies of its
 // batches.
+//
+// On the simulator a root's aggregate may run its filters, projections
+// and group-by on a goroutine of its own beside its scan (split.go), so
+// two goroutines can take from one lease at once: each take records what
+// it took under freeMu. Each operator's own scratch is only ever touched
+// by the one goroutine that runs the operator, and release runs after
+// both are done.
 type lease struct {
 	free    *freeVecs  // its scans' context's; nil: no scan, buffers are made
 	vecs    []Vec      // every vector buffer taken, as it was taken
 	held    []leaseInt // every int32 scratch it hands back
 	batches []*Batch   // every output batch taken
+	rings   []*ring    // every ring taken
 }
 
 // leaseInt is an operator's int32 scratch on a lease: a buffer it holds
@@ -207,7 +218,9 @@ func (l *lease) take(t storage.ColumnType) Vec {
 		}
 	}
 	if keep {
+		freeMu.Lock()
 		l.vecs = append(l.vecs, v)
+		freeMu.Unlock()
 	}
 	return v
 }
@@ -227,12 +240,12 @@ func (l *lease) batch(types []storage.ColumnType) *Batch {
 	if list := l.free.batches; len(list) > 0 {
 		b, l.free.batches = list[len(list)-1], list[:len(list)-1]
 	}
-	freeMu.Unlock()
 	if b == nil {
 		b = new(Batch)
 	}
-	b.retype(types)
 	l.batches = append(l.batches, b)
+	freeMu.Unlock()
+	b.retype(types)
 	return b
 }
 
@@ -247,8 +260,8 @@ func (l *lease) ints(p *[]int32, kind intKind, n int) {
 		if list := l.free.ints[kind]; len(list) > 0 {
 			*p, l.free.ints[kind] = list[len(list)-1], list[:len(list)-1]
 		}
-		freeMu.Unlock()
 		l.held = append(l.held, leaseInt{p, kind})
+		freeMu.Unlock()
 	}
 	if *p = resize(*p, n); *p == nil {
 		*p = []int32{} // a held scratch is never nil, so it is held once
@@ -276,6 +289,12 @@ func (l *lease) release() {
 		clear(b.Vecs)
 		if len(l.free.batches) < maxFreeVecs {
 			l.free.batches = append(l.free.batches, b)
+		}
+	}
+	for _, r := range l.rings {
+		r.reset()
+		if len(l.free.rings) < maxFreeVecs {
+			l.free.rings = append(l.free.rings, r)
 		}
 	}
 }

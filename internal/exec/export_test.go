@@ -27,3 +27,14 @@ func FoldBatches(groups []int, aggs []AggSpec, batches []*Batch, sels [][]int32,
 		}
 	}
 }
+
+// InlineChains keeps every aggregate's chain inline on the simulator
+// while on is set, as the real runtime runs it, and returns a function
+// that restores the previous setting.
+func InlineChains(on bool) (restore func()) {
+	prev := inlineChains.Swap(on)
+	return func() { inlineChains.Store(prev) }
+}
+
+// Splits is the number of chains split so far.
+func Splits() int64 { return splits.Load() }

@@ -378,7 +378,21 @@ func (a *HashAggr) Next() *Batch {
 	return a.out
 }
 
+// consume adds the whole child to the groups, splitting a chain over a
+// scan across two goroutines where that pays (split.go), and fixes the
+// output order.
 func (a *HashAggr) consume() {
+	if core, scan, at := a.splitPoint(); core != nil {
+		a.consumeSplit(core, scan, at)
+	} else {
+		a.drain()
+	}
+	a.order = identity(nil, len(a.rendered))
+	sort.Slice(a.order, func(i, j int) bool { return a.rendered[a.order[i]] < a.rendered[a.order[j]] })
+}
+
+// drain adds every batch of the child to the groups.
+func (a *HashAggr) drain() {
 	next := func() (*Batch, []int32) { return a.Child.Next(), nil }
 	if src, ok := a.Child.(selector); ok {
 		next = src.nextSel
@@ -386,8 +400,6 @@ func (a *HashAggr) consume() {
 	for in, sel := next(); in != nil; in, sel = next() {
 		a.add(in, sel)
 	}
-	a.order = identity(nil, len(a.rendered))
-	sort.Slice(a.order, func(i, j int) bool { return a.rendered[a.order[i]] < a.rendered[a.order[j]] })
 }
 
 // add folds the tuples of in at the positions sel (all of them when sel
@@ -672,10 +684,11 @@ func (a *HashAggr) groupOf(in *Batch, i int, key []byte) int32 {
 // checking the strings' lengths otherwise; a tuple whose key the table
 // lacks is only marked, so nothing is opened before the batch is
 // accepted. The table is only a cache in front of the map: a marked tuple
-// is walked again through its strings, in order, since an earlier one of
-// the batch may have opened its group, and a key still unseen goes
-// through groupOf. So ids keep their first-sight order and a group is the
-// same one whichever path each batch takes.
+// is walked again, in order — through its codes when the first pass had
+// them, its strings otherwise — since an earlier one of the batch may
+// have opened its group, and a key still unseen goes through groupOf. So
+// ids keep their first-sight order and a group is the same one whichever
+// path each batch takes.
 func (a *HashAggr) groupIDsDirect(in *Batch, sel []int32) bool {
 	a.strs, a.codes = a.strs[:0], a.codes[:0]
 	for _, g := range a.Groups {
@@ -689,11 +702,14 @@ func (a *HashAggr) groupIDsDirect(in *Batch, sel []int32) bool {
 		}
 	}
 	if len(a.direct) == 0 {
-		a.lease.ints(&a.direct, tableBuf, 2*directNode)
+		// Room for eight nodes: Q1's groups open without regrowing it.
+		a.lease.ints(&a.direct, tableBuf, 8*directNode)
+		a.direct = a.direct[:2*directNode]
 		clear(a.direct)
 	}
-	t, strs, gids, missed := a.direct, a.strs, a.gids[:len(sel)], false
-	if codes := a.codes; len(codes) == len(strs) {
+	t, strs, codes, gids, missed := a.direct, a.strs, a.codes, a.gids[:len(sel)], false
+	coded := len(codes) == len(strs)
+	if coded {
 		// A column at a time: no tuple waits on another's loads.
 		root, col := t[directNode+1:][:256], codes[0]
 		for j, i := range sel {
@@ -726,7 +742,12 @@ func (a *HashAggr) groupIDsDirect(in *Batch, sel []int32) bool {
 		if g >= 0 {
 			continue
 		}
-		e, _ := directWalk(a.direct, strs, sel[j])
+		var e int32
+		if coded {
+			e = directWalkCodes(a.direct, codes, sel[j])
+		} else {
+			e, _ = directWalk(a.direct, strs, sel[j])
+		}
 		if e == 0 {
 			e = a.directMiss(in, int(sel[j])) + 1
 		}
@@ -748,6 +769,15 @@ func directWalk(t []int32, strs [][]string, i int32) (e int32, ok bool) {
 		e = t[int(e)*directNode+directCode(s)]
 	}
 	return e, true
+}
+
+// directWalkCodes is directWalk over the group values' codes.
+func directWalkCodes(t []int32, codes [][]byte, i int32) int32 {
+	e := int32(1)
+	for _, col := range codes {
+		e = t[int(e)*directNode+1+int(col[i])]
+	}
+	return e
 }
 
 // directMiss resolves tuple i, whose key the direct table lacks, through

@@ -42,6 +42,37 @@ type scanFilter struct {
 	out  *Batch
 }
 
+// scanBufs is one set of the buffers a scan's vectors live in: the
+// batch it fills, its columns' own buffers and its filter's batch of
+// survivors. A scan that hands its vectors to another goroutine (split.go)
+// rotates sets, so it never writes into a vector still being read.
+type scanBufs struct {
+	out  *Batch
+	own  []colBuf
+	fout *Batch // made when a partly passing vector first needs it
+}
+
+// newBufs is an empty set of buffers for c's vectors in the room of own:
+// its batch from the plan root's lease, its columns' own buffers not
+// taken yet.
+func (c *scanCore) newBufs(own []colBuf) scanBufs {
+	b := scanBufs{out: c.lease.batch(c.types), own: own[:0]}
+	for _, t := range c.types {
+		b.own = append(b.own, colBuf{buf: Vec{T: t}})
+	}
+	return b
+}
+
+// swap exchanges the buffers c fills its vectors in with b: after it, b
+// holds every vector c has emitted, and c fills b's buffers.
+func (c *scanCore) swap(b *scanBufs) {
+	c.out, b.out = b.out, c.out
+	c.merge.own, b.own = b.own, c.merge.own
+	if f := c.filter; f != nil {
+		f.out, b.fout = b.fout, f.out
+	}
+}
+
 // schema is the output schema of a scan of snap's columns cols.
 func (c *scanCore) schema(snap *storage.Snapshot, cols []int) []storage.ColumnType {
 	if c.types == nil {

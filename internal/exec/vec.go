@@ -16,10 +16,14 @@
 // to a Project and a HashAggr, which read through it. Every other
 // consumer gets dense batches: Next gathers the survivors.
 //
-// Execution happens inside the virtual-time simulation: operators charge
+// Every cost is paid inside the virtual-time simulation: scans charge
 // per-tuple CPU cost against a shared CPU resource, and page misses block
 // on the simulated disk, so query latency reflects both I/O and CPU as in
-// the paper's experiments.
+// the paper's experiments. The operators above a scan charge nothing and
+// never call the runtime, so on the simulator an aggregate over a chain
+// of filters and projections runs that chain on a host goroutine beside
+// the simulated thread that runs its scan (split.go), and the simulation
+// is the same event for event.
 package exec
 
 import (

@@ -295,7 +295,7 @@ func pageImage(snap *storage.Snapshot) [][]storage.Page {
 	img := make([][]storage.Page, len(snap.Table().Schema))
 	for c := range img {
 		for _, pg := range snap.Pages(c) {
-			img[c] = append(img[c], storage.Page{I64: slices.Clone(pg.I64), F64: slices.Clone(pg.F64), Str: slices.Clone(pg.Str)})
+			img[c] = append(img[c], storage.Page{I64: slices.Clone(pg.I64), F64: slices.Clone(pg.F64), Str: slices.Clone(pg.Str), Code: slices.Clone(pg.Code)})
 		}
 	}
 	return img

@@ -21,9 +21,13 @@
 // virtual-time trajectory; in real mode they are load-bearing.
 //
 // Every component runs one mechanism in both modes, the buffer pool's
-// one-wake-per-free hand-off to blocked reservations included. One place
-// branches on Real, on purpose: QueryCtx.Fork, which paces a scan
-// thread's modelled time on the wall clock (pace.go).
+// one-wake-per-free hand-off to blocked reservations included. Two places
+// branch on Real, on purpose: QueryCtx.Fork, which paces a scan thread's
+// modelled time on the wall clock (pace.go), and the executor's split
+// chains (internal/exec's split.go), which on the simulator alone run an
+// aggregate's vector work on a host goroutine beside the one simulated
+// process that runs — work that takes no simulated time and calls no
+// Runtime method, so no event moves.
 package rt
 
 import (

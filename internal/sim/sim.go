@@ -117,6 +117,7 @@ type Engine struct {
 	current *proc
 	alive   int
 	running bool
+	picks   uint64 // processes next has picked to run
 }
 
 // NewEngine returns an empty engine at virtual time zero.
@@ -124,6 +125,12 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Picks returns how many times the engine has picked a process to run:
+// once when it starts and once at each wake-up, a sleep of zero included.
+// Two runs that schedule the same processes in the same order make the
+// same number of picks.
+func (e *Engine) Picks() uint64 { return e.picks }
 
 // Go spawns fn as a simulated process. It may be called before Run or from
 // within a running process. The process does not start executing until the
@@ -142,6 +149,7 @@ func (e *Engine) Go(name string, fn func()) {
 // timer if the ready queue is empty. It returns nil when nothing can run.
 func (e *Engine) next() *proc {
 	if e.head < len(e.ready) {
+		e.picks++
 		p := e.ready[e.head]
 		e.ready[e.head] = nil
 		e.head++
@@ -153,6 +161,7 @@ func (e *Engine) next() *proc {
 		return p
 	}
 	if len(e.timers) > 0 {
+		e.picks++
 		t := e.timers.pop()
 		if t.at > e.now {
 			e.now = t.at
